@@ -5,7 +5,7 @@
 // Each grid cell runs a core::Cluster — one System per host, coupled
 // through the parallel engine with the host boundary as the partition
 // boundary, so --engine-threads N parallelizes the cell across hosts
-// while -j fans cells out across the grid. Both knobs, and the backend,
+// while -j fans cells out across the grid. Both knobs, and --dispatch,
 // leave every exported byte unchanged (the cluster-smoke CI job cmp's
 // them). The overcommit axis resizes the per-host machine exactly like
 // the single-host benches, so rows self-describe the vCPU:pCPU ratio.
@@ -26,7 +26,7 @@
 //                              --lookahead-mode topology beats global.
 //   --telemetry-latency-us U   declared latency of those links (default 50)
 // Plus the shared sweep CLI (core/sweep.hpp): -j, --engine-threads,
-// --lookahead-mode, --max-horizon-windows, --repeat, --seed, --backend,
+// --lookahead-mode, --max-horizon-windows, --repeat, --seed, --dispatch,
 // --sweep-csv/json, --history-dir, ...
 #include <cstdio>
 #include <cstdlib>

@@ -1,9 +1,9 @@
 // Replay failure bundles written by a chaos sweep (core/replay.hpp):
 // rebuild the sweep config from each bundle's scenario, re-execute the
 // recorded run index, and verify the failure reproduces — same kind,
-// same failing expression, same simulated timestamp. Crash bundles
-// (forked child killed by a signal) are re-executed in a forked child so
-// the replayer survives the reproduction.
+// same failing expression, same simulated timestamp. Crash bundles (a
+// dispatch worker died mid-run) are re-executed as a one-index dispatch
+// on a forked worker, so the replayer survives the reproduction.
 //
 // When the producing sweep ran with --record-trace, the bundle carries
 // an event trace of the failed run and the replay is checked against it

@@ -10,6 +10,7 @@
 #include <cstdarg>
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <deque>
 #include <numeric>
 #include <optional>
@@ -19,6 +20,7 @@
 #include "core/experiment.hpp"
 #include "core/safe_io.hpp"
 #include "core/sweep_shard.hpp"
+#include "metrics/report.hpp"
 #include "sim/check.hpp"
 #include "sim/error.hpp"
 
@@ -47,7 +49,7 @@ class Coordinator {
     }
   }
 
-  SweepResult run() {
+  SweepResult run(const std::optional<std::vector<std::size_t>>& subset) {
     // Writing #limit to a worker that died must not kill the coordinator.
     ::signal(SIGPIPE, SIG_IGN);
 
@@ -61,13 +63,24 @@ class Coordinator {
     runs_.resize(total);
     done_.assign(total, false);
     attempts_.assign(total, 0);
+    last_death_.assign(total, std::string());
+    wanted_.assign(total, !subset.has_value());
+    if (subset) {
+      for (const std::size_t idx : *subset) {
+        PARATICK_CHECK_MSG(idx < total,
+                           "dispatch: run index outside the plan");
+        wanted_[idx] = true;
+      }
+    }
+    const auto target = static_cast<std::size_t>(
+        std::count(wanted_.begin(), wanted_.end(), true));
     stamp_identities();
     resume_from_checkpoint();
     for (std::size_t i = 0; i < total; ++i) {
-      if (!done_[i]) pending_.push_back({i, 0.0});
+      if (wanted_[i] && !done_[i]) pending_.push_back({i, 0.0});
     }
 
-    while (done_count_ < total) {
+    while (done_count_ < target) {
       const double now = monotonic_sec();
       fill_slots(now);
       maybe_steal(now);
@@ -172,7 +185,7 @@ class Coordinator {
     }
     for (const SweepRun& run : snap.runs) {
       if (run.run_index >= runs_.size() || !run.executed) continue;
-      if (done_[run.run_index]) continue;
+      if (!wanted_[run.run_index] || done_[run.run_index]) continue;
       runs_[run.run_index] = run;
       done_[run.run_index] = true;
       ++done_count_;
@@ -194,7 +207,6 @@ class Coordinator {
     snap.root_seed = plan_.root_seed;
     snap.repeat = plan_.repeat;
     snap.total_runs = runs_.size();
-    snap.backend = "dispatch";
     snap.cells = plan_.cells;
     for (std::size_t i = 0; i < runs_.size(); ++i) {
       if (done_[i]) snap.runs.push_back(runs_[i]);
@@ -378,7 +390,8 @@ class Coordinator {
 
   void accept_record(const SweepRun& run) {
     const std::size_t idx = run.run_index;
-    if (idx >= runs_.size()) return;  // corrupt-but-parseable; drop
+    // Corrupt-but-parseable, or outside this dispatch's subset: drop.
+    if (idx >= runs_.size() || !wanted_[idx]) return;
     if (done_[idx]) {
       ++stats_.duplicate_records;
       // Identical by determinism; prefer an ok record over a degraded one
@@ -447,21 +460,24 @@ class Coordinator {
       // spin the sweep forever.
       note("worker exited cleanly but left %zu runs unexecuted",
            outstanding.size());
-      for (const std::size_t idx : outstanding) requeue(idx, true);
+      for (const std::size_t idx : outstanding) {
+        last_death_[idx] = "worker exited cleanly without running it";
+        requeue(idx, true);
+      }
       return;
     }
 
     ++stats_.workers_died;
+    const std::string cause = death_cause(w);
     const std::size_t in_flight =
         w.current && !done_[*w.current] ? *w.current
                                         : static_cast<std::size_t>(-1);
-    note("worker died (%s)%s: %zu runs back to the queue",
-         w.lease_expired ? "lease expired" : "unclean exit",
+    note("worker died (%s)%s: %zu runs back to the queue", cause.c_str(),
          in_flight != static_cast<std::size_t>(-1) ? " mid-run" : "",
          outstanding.size());
     // The in-flight run is charged with the death (it may be the poison
     // pill); the untouched tail re-enqueues penalty-free at the front so
-    // run-index locality survives crashes, as in the fork backend.
+    // run-index locality survives crashes.
     std::vector<std::size_t> tail;
     for (const std::size_t idx : outstanding) {
       if (idx != in_flight) tail.push_back(idx);
@@ -469,7 +485,23 @@ class Coordinator {
     for (auto it = tail.rbegin(); it != tail.rend(); ++it) {
       pending_.push_front({*it, 0.0});
     }
-    if (in_flight != static_cast<std::size_t>(-1)) requeue(in_flight, true);
+    if (in_flight != static_cast<std::size_t>(-1)) {
+      last_death_[in_flight] = "worker " + cause;
+      requeue(in_flight, true);
+    }
+  }
+
+  /// Why a reaped worker died, for the log and for the kCrash record of a
+  /// run that exhausts its retries.
+  static std::string death_cause(const Active& w) {
+    if (w.lease_expired) return "lease expired";
+    if (w.protocol_error) return "sent a corrupt record";
+    if (WIFSIGNALED(w.status)) {
+      const int sig = WTERMSIG(w.status);
+      return metrics::format("killed by signal %d (%s)", sig, strsignal(sig));
+    }
+    return metrics::format("exited with status %d",
+                           WIFEXITED(w.status) ? WEXITSTATUS(w.status) : -1);
   }
 
   void requeue(std::size_t idx, bool penalized) {
@@ -505,10 +537,9 @@ class Coordinator {
     run.ok = false;
     RunFailure f;
     f.kind = RunFailure::Kind::kCrash;
-    f.message =
-        "dispatch: abandoned after " + std::to_string(attempts_[idx]) +
-        " failed attempts (worker crashes or expired leases); the cell is "
-        "degraded, not the sweep";
+    f.message = "dispatch: abandoned after " + std::to_string(attempts_[idx]) +
+                " failed attempts (last: " + last_death_[idx] +
+                "); the cell is degraded, not the sweep";
     run.failure = std::move(f);
     if (opts_.bundle_writer) opts_.bundle_writer(run);
     ++stats_.runs_degraded;
@@ -537,6 +568,8 @@ class Coordinator {
   std::vector<SweepRun> runs_;
   std::vector<bool> done_;
   std::vector<unsigned> attempts_;
+  std::vector<std::string> last_death_;  // cause of the last charged death
+  std::vector<bool> wanted_;             // the run-index subset dispatched
   std::deque<Pending> pending_;
   std::vector<Active> active_;
   std::size_t done_count_ = 0;
@@ -555,11 +588,12 @@ SweepDispatcher::SweepDispatcher(std::unique_ptr<WorkerTransport> transport,
   if (opts_.workers == 0) opts_.workers = 1;
 }
 
-SweepResult SweepDispatcher::run() {
+SweepResult SweepDispatcher::run(
+    const std::optional<std::vector<std::size_t>>& indices) {
   PARATICK_CHECK_MSG(!ran_, "dispatch: run() is one-shot");
   ran_ = true;
   Coordinator c(*transport_, opts_, stats_);
-  return c.run();
+  return c.run(indices);
 }
 
 }  // namespace paratick::core::dispatch

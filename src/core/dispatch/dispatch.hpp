@@ -13,7 +13,7 @@
 //   attribution an unclean death charges exactly the announced in-flight
 //               run (retry with exponential backoff + deterministic
 //               jitter); the untouched tail re-enqueues penalty-free at
-//               the queue front — same rules as the fork backend.
+//               the queue front.
 //   stealing    when the queue is empty but slots are free, the idle slot
 //               steals the back half of the busiest worker's remaining
 //               slice (a #limit line truncates the victim). The victim
@@ -22,9 +22,10 @@
 //               in (root_seed, run_index) the duplicate records are
 //               identical; the coordinator keeps the first.
 //   degradation a run whose attempts exceed --max-retries is recorded as
-//               a kCrash failure (identity reconstructed from the plan,
-//               replay bundle synthesized via bundle_writer) and its cell
-//               degrades — the sweep completes with exit 0 either way.
+//               a kCrash failure naming the last worker death (signal,
+//               exit status or lease expiry; identity reconstructed from
+//               the plan, replay bundle synthesized via bundle_writer) and
+//               its cell degrades — the sweep completes with exit 0.
 //   checkpoint  completed records are periodically persisted as an atomic
 //               partial snapshot; a restarted dispatcher resumes from it
 //               and only re-executes the missing indices.
@@ -33,11 +34,17 @@
 // run-index order through the same aggregate_sweep_runs() as local
 // execution, a fully-completed dispatch produces CSV/JSON byte-identical
 // to a single-host -jN sweep — whatever was killed along the way.
+//
+// The dispatcher is also the crash-replay path: replay_run() re-executes a
+// kCrash bundle as a one-index dispatch (one forked worker, no retries),
+// so the run is recorded and replayed through the same mechanism.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "core/dispatch/transport.hpp"
 #include "core/sweep.hpp"
@@ -93,10 +100,14 @@ class SweepDispatcher {
   SweepDispatcher(const SweepDispatcher&) = delete;
   SweepDispatcher& operator=(const SweepDispatcher&) = delete;
 
-  /// Execute the transport's whole plan to completion (one-shot). Throws
-  /// sim::SimError only on coordinator-level faults (transport broken,
-  /// worker plan mismatch) — worker failures degrade, they don't throw.
-  [[nodiscard]] SweepResult run();
+  /// Execute the transport's plan to completion (one-shot): every run, or
+  /// only `indices` when given — the other slots keep their identity but
+  /// stay unexecuted, invisible to aggregation. Throws sim::SimError only
+  /// on coordinator-level faults (transport broken, worker plan mismatch,
+  /// an index outside the plan) — worker failures degrade, they don't
+  /// throw.
+  [[nodiscard]] SweepResult run(
+      const std::optional<std::vector<std::size_t>>& indices = std::nullopt);
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 

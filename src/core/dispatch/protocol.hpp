@@ -13,7 +13,7 @@
 //                 exactly the in-flight run (retry it with a penalty) and
 //                 re-enqueue the untouched tail penalty-free.
 //   {...}         one completed run: the exact-round-trip record of
-//                 core/sweep_shard.hpp (also the fork backend's format).
+//                 core/sweep_shard.hpp (also a checkpoint's run entry).
 //   #hb           heartbeat from a worker-side timer thread — proves
 //                 liveness while a long run is executing, so leases only
 //                 expire on genuinely wedged or dead workers.

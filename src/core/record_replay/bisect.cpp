@@ -17,7 +17,6 @@ void quiesce(SweepConfig& cfg) {
   cfg.record_trace = false;
   cfg.progress = false;
   cfg.failure_dir.clear();
-  cfg.partial_path.clear();
 }
 
 struct Probe {

@@ -3,9 +3,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
-#include "core/exec_backend.hpp"
+#include "core/dispatch/dispatch.hpp"
+#include "core/dispatch/transport.hpp"
 #include "core/json.hpp"
 #include "core/safe_io.hpp"
 #include "core/scenarios.hpp"
@@ -231,16 +235,25 @@ SweepRun replay_run(SweepConfig cfg, const ReplayBundle& b) {
   cfg.run_timeout_sec = 0.0;
   cfg.max_failures = 0;
   // Never clobber the original sweep's artifacts: a replay writes no new
-  // bundles, traces or partial snapshots. (cfg.observer is kept — that is
-  // how bench_replay attaches its trace checker.)
+  // bundles or traces. (cfg.observer is kept — that is how bench_replay
+  // attaches its trace checker.)
   cfg.failure_dir.clear();
-  cfg.partial_path.clear();
   cfg.record_trace = false;
-  // A recorded crash (signal death under the fork backend) would take the
-  // replayer down too if re-executed in-process — rerun it in a forked
-  // child, same as the original sweep did.
+  // A recorded crash (a dispatch worker died mid-run) would take the
+  // replayer down too if re-executed in-process — rerun it the way the
+  // sweep ran it: a one-index dispatch on one forked worker, with no
+  // retries, so a second death degrades straight to a kCrash record.
   if (b.failure.kind == RunFailure::Kind::kCrash) {
-    return execute_run_isolated(cfg, b.run_index);
+    dispatch::DispatchOptions opts;
+    opts.workers = 1;
+    opts.max_retries = 0;
+    opts.steal = false;
+    dispatch::SweepDispatcher dispatcher(
+        std::make_unique<dispatch::ForkWorkerTransport>(std::move(cfg)),
+        std::move(opts));
+    SweepResult res =
+        dispatcher.run(std::vector<std::size_t>{b.run_index});
+    return std::move(res.runs[b.run_index]);
   }
   SweepRunner runner(std::move(cfg));
   return runner.execute_run(b.run_index);
@@ -276,8 +289,8 @@ bool reproduces(const ReplayBundle& b, const SweepRun& replayed,
     return false;
   }
   // Timeouts are wall-clock dependent, and crashes are recorded by the
-  // parent process with no simulation context: kind + expression is the
-  // best reproducibility we can claim for either.
+  // dispatcher with no simulation context: kind + expression is the best
+  // reproducibility we can claim for either.
   if (want.kind != RunFailure::Kind::kTimeout &&
       want.kind != RunFailure::Kind::kCrash &&
       got.sim_time_ns != want.sim_time_ns) {

@@ -51,6 +51,8 @@ struct ReplayBundle {
 /// Re-execute the bundle's run against an explicit sweep config. The
 /// bundle's identity fields (root seed, repeat, faults, watchdog)
 /// override the config's, so the run is exactly the one that failed.
+/// kCrash bundles run as a one-index dispatch on a forked worker
+/// (core/dispatch); every other kind runs in-process.
 [[nodiscard]] SweepRun replay_run(SweepConfig cfg, const ReplayBundle& b);
 
 /// Re-execute using the registered chaos-scenario registry

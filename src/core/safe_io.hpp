@@ -3,11 +3,11 @@
 // Two failure modes used to corrupt sweep artifacts:
 //
 //   1. A signal landing mid-read/mid-write on a pipe made the raw
-//      read()/write() return -1/EINTR, which the fork backend treated as
-//      a dead peer — truncating the newline-framed record stream and
+//      read()/write() return -1/EINTR, which a pipe reader could mistake
+//      for a dead peer — truncating the newline-framed record stream and
 //      converting perfectly good runs into kCrash records.
-//   2. A worker killed between fopen() and fclose() left a truncated
-//      partial snapshot / history snapshot on disk for the merge layer to
+//   2. A process killed between fopen() and fclose() left a truncated
+//      checkpoint / history snapshot on disk for the next reader to
 //      choke on.
 //
 // The helpers here close both holes: read_retry/write_all restart on

@@ -2,25 +2,27 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <numeric>
+#include <mutex>
+#include <thread>
 
 #include "core/cli_parse.hpp"
 #include "core/dispatch/dispatch.hpp"
 #include "core/dispatch/protocol.hpp"
 #include "core/dispatch/transport.hpp"
 #include "core/dispatch/worker.hpp"
-#include "core/exec_backend.hpp"
 #include "core/history.hpp"
 #include "core/replay.hpp"
 #include "core/safe_io.hpp"
 #include "core/scenarios.hpp"
 #include "core/sweep_plan.hpp"
-#include "core/sweep_shard.hpp"
+#include "core/thread_pool.hpp"
 #include "metrics/report.hpp"
 #include "sim/check.hpp"
 #include "sim/error.hpp"
@@ -34,51 +36,40 @@ double pct_ratio(double treatment, double baseline) {
   return (treatment / baseline - 1.0) * 100.0;
 }
 
+/// Fail-fast record: the --max-failures budget was already spent when this
+/// run's turn came. Counts as executed, so aggregation bumps
+/// replicas_skipped.
+SweepRun skipped_run(const SweepPlan& plan, std::size_t run_index) {
+  const SweepWorkItem w = plan.item(run_index);
+  SweepRun out;
+  out.run_index = w.run_index;
+  out.cell = w.cell;
+  out.replica = w.replica;
+  out.seed = w.seed;
+  out.executed = true;
+  out.ok = false;
+  RunFailure f;
+  f.kind = RunFailure::Kind::kSkipped;
+  f.message = "skipped: --max-failures budget spent";
+  out.failure = std::move(f);
+  return out;
+}
+
+void progress_line(const SweepPlan& plan, const SweepRun& run,
+                   std::size_t finished, std::size_t total) {
+  std::fprintf(stderr, "[sweep %zu/%zu] %s r%d seed=%016llx %.2fs%s%s\n",
+               finished, total, plan.cell_keys()[run.cell].label().c_str(),
+               run.replica, static_cast<unsigned long long>(run.seed),
+               run.host_seconds, run.ok ? "" : " FAIL:",
+               run.ok ? "" : RunFailure::kind_name(run.failure->kind));
+}
+
 }  // namespace
 
 std::string resolve_output_path(const std::string& output_dir,
                                 const std::string& path) {
   if (path.empty() || output_dir.empty() || path.front() == '/') return path;
   return output_dir + "/" + path;
-}
-
-const char* to_string(BackendKind kind) {
-  switch (kind) {
-    case BackendKind::kThread: return "thread";
-    case BackendKind::kFork: return "fork";
-  }
-  return "?";
-}
-
-BackendKind backend_from_string(const std::string& name) {
-  if (name == "thread") return BackendKind::kThread;
-  if (name == "fork") return BackendKind::kFork;
-  PARATICK_CHECK_MSG(
-      false, ("unknown execution backend \"" + name + "\" (thread|fork)").c_str());
-  return BackendKind::kThread;
-}
-
-std::string ShardSpec::label() const {
-  return metrics::format("%u/%u", index, count);
-}
-
-ShardSpec ShardSpec::parse(const std::string& text) {
-  const char* s = text.c_str();
-  char* end = nullptr;
-  const unsigned long k = std::strtoul(s, &end, 10);
-  unsigned long n = 0;
-  if (end != s && *end == '/') {
-    const char* rest = end + 1;
-    n = std::strtoul(rest, &end, 10);
-    if (end == rest || *end != '\0') n = 0;
-  }
-  PARATICK_CHECK_MSG(n >= 1 && k < n,
-                     ("--shard wants K/N with 0 <= K < N, got \"" + text + "\"")
-                         .c_str());
-  ShardSpec spec;
-  spec.index = static_cast<unsigned>(k);
-  spec.count = static_cast<unsigned>(n);
-  return spec;
 }
 
 const char* RunFailure::kind_name(Kind k) {
@@ -105,9 +96,9 @@ std::string SweepCellKey::label() const {
 
 void aggregate_sweep_runs(SweepResult& res) {
   // Fold strictly in run-index order so replica merges are deterministic
-  // for any thread count, backend or shard split. Unexecuted slots (other
-  // hosts' shard slices) are invisible; failed replicas only bump the
-  // degradation counters; every mean/histogram covers survivors only.
+  // for any thread count and for dispatched sweeps. Unexecuted slots
+  // (outside a dispatched subset) are invisible; failed replicas only bump
+  // the degradation counters; every mean/histogram covers survivors only.
   for (const SweepRun& r : res.runs) {
     if (!r.executed) continue;
     SweepCellSummary& cell = res.cells[r.cell];
@@ -177,26 +168,38 @@ SweepResult SweepRunner::run() const {
   SweepResult res;
   res.cells = plan.make_cells();
   res.runs.resize(plan.total_runs());
-  // Stamp every slot's identity up front: even runs this shard never
-  // executes still report which (cell, replica, seed) they stand for.
-  for (std::size_t i = 0; i < res.runs.size(); ++i) {
-    const SweepWorkItem w = plan.item(i);
-    res.runs[i].run_index = w.run_index;
-    res.runs[i].cell = w.cell;
-    res.runs[i].replica = w.replica;
-    res.runs[i].seed = w.seed;
-  }
+  res.threads_used = cfg_.threads == 0
+                         ? std::max(1u, std::thread::hardware_concurrency())
+                         : cfg_.threads;
 
-  const auto backend = make_backend(cfg_);
-  res.backend_name = to_string(cfg_.backend);
-  res.shard = cfg_.shard;
-  res.threads_used = backend->parallelism();
-
-  std::vector<std::size_t> all(res.runs.size());
-  std::iota(all.begin(), all.end(), std::size_t{0});
+  std::mutex progress_mu;
+  std::atomic<std::size_t> done{0};
+  std::atomic<std::size_t> failures{0};
+  const std::size_t total = res.runs.size();
 
   const auto sweep_start = std::chrono::steady_clock::now();
-  backend->execute(plan, all, res.runs);
+  parallel_for_index(total, res.threads_used, [&](std::size_t i) {
+    SweepRun& out = res.runs[i];
+    // Fail-fast: once the failure budget is spent, remaining runs become
+    // kSkipped records (which runs get skipped is scheduling-dependent; the
+    // flag trades -j-bit-identity for wall-clock on broken builds).
+    if (cfg_.max_failures > 0 &&
+        failures.load(std::memory_order_relaxed) >= cfg_.max_failures) {
+      out = skipped_run(plan, i);
+      return;
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    out = plan.execute(i);
+    out.host_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    if (!out.ok) failures.fetch_add(1, std::memory_order_relaxed);
+    if (cfg_.progress) {
+      const std::size_t finished = done.fetch_add(1) + 1;
+      std::scoped_lock lock(progress_mu);
+      progress_line(plan, out, finished, total);
+    }
+  });
   res.wall_seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - sweep_start)
                          .count();
@@ -218,19 +221,6 @@ SweepResult SweepRunner::run() const {
       if (cfg_.progress) {
         std::fprintf(stderr, "sweep: replay bundle -> %s\n", r.bundle_path.c_str());
       }
-    }
-  }
-
-  // Shard mode: persist this host's slice for sweep_merge. (Also legal
-  // unsharded — a 1-shard partial merges to the full result, which is how
-  // the tests pin the merge path against the direct one.)
-  const std::string partial_path =
-      resolve_output_path(cfg_.output_dir, cfg_.partial_path);
-  if (!partial_path.empty()) {
-    write_partial_snapshot(make_partial_snapshot(cfg_, res), partial_path);
-    if (cfg_.progress) {
-      std::fprintf(stderr, "sweep: shard %s partial snapshot -> %s\n",
-                   cfg_.shard.label().c_str(), partial_path.c_str());
     }
   }
   return res;
@@ -344,9 +334,9 @@ std::string SweepResult::to_csv() const {
 
 std::string SweepResult::to_json() const {
   // Deliberately no wall_seconds/threads here: the export is a pure
-  // function of the cells, so thread vs fork backends and shard-merged
-  // results produce byte-identical documents (asserted in test_sweep and
-  // the shard-merge-smoke CI job).
+  // function of the cells, so local and dispatched sweeps produce
+  // byte-identical documents (asserted in test_dispatch and the
+  // dispatcher-smoke CI job).
   std::string out = "{\n  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const auto& cell = cells[i];
@@ -481,28 +471,8 @@ SweepCli parse_sweep_cli(int argc, char** argv) {
       cli.history_dir = need_value(i, "--history-dir");
     } else if (std::strcmp(arg, "--history-tag") == 0) {
       cli.history_tag = need_value(i, "--history-tag");
-    } else if (std::strcmp(arg, "--backend") == 0) {
-      const std::string name = need_value(i, "--backend");
-      if (name == "thread") {
-        cli.backend = BackendKind::kThread;
-      } else if (name == "fork") {
-        cli.backend = BackendKind::kFork;
-      } else {
-        std::fprintf(stderr, "--backend must be thread or fork, got %s\n",
-                     name.c_str());
-        std::exit(2);
-      }
-    } else if (std::strcmp(arg, "--fork-batch") == 0) {
-      cli.fork_batch = static_cast<std::size_t>(
-          parse_u64_flag("--fork-batch", need_value(i, "--fork-batch")));
     } else if (std::strcmp(arg, "--profile") == 0) {
       cli.profile = true;
-    } else if (std::strcmp(arg, "--shard") == 0) {
-      cli.shard = ShardSpec::parse(need_value(i, "--shard"));
-    } else if (std::strcmp(arg, "--partial") == 0) {
-      cli.partial_path = need_value(i, "--partial");
-    } else if (std::strcmp(arg, "--merge") == 0) {
-      cli.merge_paths.emplace_back(need_value(i, "--merge"));
     } else if (std::strcmp(arg, "--output-dir") == 0) {
       cli.output_dir = need_value(i, "--output-dir");
     } else if (std::strcmp(arg, "--chaos") == 0) {
@@ -546,8 +516,6 @@ SweepCli parse_sweep_cli(int argc, char** argv) {
     } else if (std::strcmp(arg, "--dispatch-test-kill") == 0) {
       cli.dispatch_test_kill = static_cast<std::size_t>(parse_u64_flag(
           "--dispatch-test-kill", need_value(i, "--dispatch-test-kill")));
-    } else if (std::strcmp(arg, "--skip-corrupt") == 0) {
-      cli.skip_corrupt = true;
     } else if (std::strcmp(arg, "--worker-slice") == 0) {
       cli.worker_slice = need_value(i, "--worker-slice");
     } else if (std::strcmp(arg, "--worker-plan") == 0) {
@@ -572,18 +540,6 @@ SweepCli parse_sweep_cli(int argc, char** argv) {
     }
   }
   if (cli.repeat < 1) cli.repeat = 1;
-  if (cli.dispatch && (cli.shard.active() || !cli.merge_paths.empty())) {
-    std::fprintf(stderr,
-                 "--dispatch already distributes the sweep; it cannot be "
-                 "combined with --shard or --merge\n");
-    std::exit(2);
-  }
-  if (cli.shard.active() && cli.partial_path.empty()) {
-    std::fprintf(stderr,
-                 "--shard without --partial would throw this shard's work "
-                 "away; pass --partial <file> to keep the mergeable slice\n");
-    std::exit(2);
-  }
   return cli;
 }
 
@@ -607,10 +563,6 @@ void SweepCli::apply(SweepConfig& cfg) const {
   cfg.repeat = repeat;
   cfg.progress = progress;
   if (root_seed) cfg.root_seed = *root_seed;
-  cfg.backend = backend;
-  cfg.fork_batch = fork_batch;
-  cfg.shard = shard;
-  if (!partial_path.empty()) cfg.partial_path = partial_path;
   if (!output_dir.empty()) cfg.output_dir = output_dir;
   if (chaos) {
     cfg.fault = default_chaos_faults();
@@ -718,74 +670,7 @@ SweepResult SweepCli::run_sweep(SweepConfig cfg) const {
       std::exit(1);
     }
   }
-  if (merge_paths.empty()) return SweepRunner(std::move(cfg)).run();
-
-  // --merge: no execution; fold the named partial snapshots, after checking
-  // they actually belong to the sweep this binary would have run. Merge
-  // errors are user errors (wrong file, wrong flags), not bugs — report
-  // them as a clean CLI failure instead of an unhandled CHECK.
-  try {
-    return merge_as_configured(std::move(cfg));
-  } catch (const sim::SimError& e) {
-    std::fprintf(stderr, "%s\n", e.msg().c_str());
-    std::exit(1);
-  }
-}
-
-SweepResult SweepCli::merge_as_configured(SweepConfig cfg) const {
-  std::vector<PartialSnapshot> partials;
-  partials.reserve(merge_paths.size());
-  for (const auto& path : merge_paths) {
-    const std::string full = resolve_output_path(cfg.output_dir, path);
-    if (!skip_corrupt) {
-      partials.push_back(load_partial_snapshot(full));
-      continue;
-    }
-    // --skip-corrupt: a lost shard degrades its cells instead of sinking
-    // the whole fleet's merge. The error (with file and byte offset) is
-    // still reported so the operator knows what to regenerate.
-    try {
-      partials.push_back(load_partial_snapshot(full));
-    } catch (const sim::SimError& e) {
-      std::fprintf(stderr, "sweep: --skip-corrupt: dropping %s\n",
-                   e.msg().c_str());
-    }
-  }
-  PARATICK_CHECK_MSG(!partials.empty(),
-                     "--merge: no readable partial snapshots "
-                     "(every file was dropped by --skip-corrupt)");
-
-  const SweepPlan plan = SweepPlan::make(cfg);
-  const PartialSnapshot& ref = partials.front();
-  const auto mismatch = [&](const char* what) {
-    const std::string msg =
-        std::string("--merge: partial snapshots were produced by a different "
-                    "sweep than this invocation (mismatched ") +
-        what + ") — pass the same --seed/--repeat and grid flags the shards ran with";
-    PARATICK_CHECK_MSG(false, msg.c_str());
-  };
-  if (ref.root_seed != cfg.root_seed) mismatch("root seed");
-  if (ref.repeat != cfg.repeat) mismatch("repeat count");
-  if (ref.total_runs != plan.total_runs()) mismatch("run count");
-  const auto& keys = plan.cell_keys();
-  if (ref.cells.size() != keys.size()) mismatch("cell grid");
-  for (std::size_t c = 0; c < keys.size(); ++c) {
-    const SweepCellKey& a = keys[c];
-    const SweepCellKey& b = ref.cells[c];
-    if (a.variant != b.variant || a.mode != b.mode ||
-        a.tick_freq_hz != b.tick_freq_hz || a.vcpus != b.vcpus ||
-        a.overcommit != b.overcommit) {
-      mismatch("cell grid");
-    }
-  }
-
-  SweepResult res = merge_partial_snapshots(partials, skip_corrupt);
-  if (progress) {
-    std::fprintf(stderr, "sweep: merged %zu partial snapshot%s (%zu runs)\n",
-                 partials.size(), partials.size() == 1 ? "" : "s",
-                 res.runs.size());
-  }
-  return res;
+  return SweepRunner(std::move(cfg)).run();
 }
 
 void SweepCli::export_results(const SweepResult& result,
@@ -803,7 +688,7 @@ void SweepCli::export_results(const SweepResult& result,
   }
   if (profile) {
     // Engine self-profile, aggregated over every executed run. Works for
-    // merged results too — the counters ride in the run records. Only
+    // dispatched results too — the counters ride in the run records. Only
     // events/sec depends on host wall time; everything above it is
     // deterministic and doubles as a "zero spills" acceptance check.
     std::uint64_t events = 0, scheduled = 0, cancelled = 0;

@@ -5,22 +5,21 @@
 // The pipeline is split into three decoupled layers:
 //
 //   1. planning (core/sweep_plan.hpp): pure expansion of the grid into
-//      (cell, run_index, seed) work items, sliceable into shards;
-//   2. execution (core/exec_backend.hpp): pluggable backends — in-process
-//      thread pool, forked child processes with hard crash isolation, and
-//      a shard slicer for multi-host runs;
-//   3. merge (core/sweep_shard.hpp + aggregate_sweep_runs below): fold
-//      executed runs — local or loaded from partial snapshots written by
-//      other hosts — into per-cell summaries via Accumulator::merge.
-//
-// SweepRunner wires the three together behind the same API the benches
-// always used.
+//      (cell, run_index, seed) work items;
+//   2. execution: SweepRunner runs the plan on an in-process thread pool
+//      (crash isolation is try/catch only); the fault-tolerant dispatcher
+//      (core/dispatch, --dispatch) is the one out-of-process path, with
+//      forked or command-launched workers, per-run crash attribution and
+//      multi-host fleets;
+//   3. merge (aggregate_sweep_runs below): fold executed runs — local or
+//      streamed back by dispatch workers — into per-cell summaries via
+//      Accumulator::merge.
 //
 // Determinism guarantee: each run's seed is a pure function of
 // (root_seed, run_index) — derived with a splitmix64 jump, never from the
 // schedule — and aggregation happens in run-index order after all runs
-// finish. Results are therefore bit-identical for any `-j` value, any
-// backend, and any shard split.
+// finish. Results are therefore bit-identical for any `-j` value and
+// whether or not the sweep was dispatched.
 #pragma once
 
 #include <cstdint>
@@ -39,37 +38,10 @@
 namespace paratick::core {
 
 /// Resolve a sweep file output against an output directory: relative
-/// paths land under it instead of whatever CWD the (possibly forked /
-/// sharded) process happens to have. Absolute paths pass through.
+/// paths land under it instead of whatever CWD the (possibly forked or
+/// remote) worker process happens to have. Absolute paths pass through.
 [[nodiscard]] std::string resolve_output_path(const std::string& output_dir,
                                               const std::string& path);
-
-/// Which execution substrate runs the planned work items.
-enum class BackendKind : std::uint8_t {
-  kThread,  // in-process worker pool (crash isolation via try/catch only)
-  kFork,    // one forked child per run: survives segfaults and abort()
-};
-
-[[nodiscard]] const char* to_string(BackendKind kind);
-/// "thread" / "fork" -> kind; PARATICK_CHECKs on anything else.
-[[nodiscard]] BackendKind backend_from_string(const std::string& name);
-
-/// One host's slice of the run-index space: shard k of N executes the
-/// indices with `run_index % count == index` (round-robin keeps replica
-/// load balanced across hosts whatever the grid shape). count == 1 means
-/// "the whole sweep".
-struct ShardSpec {
-  unsigned index = 0;
-  unsigned count = 1;
-
-  [[nodiscard]] bool active() const { return count > 1; }
-  [[nodiscard]] bool owns(std::size_t run_index) const {
-    return count <= 1 || run_index % count == index;
-  }
-  [[nodiscard]] std::string label() const;  // "K/N"
-  /// Parse "K/N" with 0 <= K < N. PARATICK_CHECKs on malformed input.
-  [[nodiscard]] static ShardSpec parse(const std::string& text);
-};
 
 /// A named point on the workload axis of a sweep: mutates the base
 /// ExperimentSpec (install a different workload, resize the machine, ...).
@@ -110,25 +82,9 @@ struct SweepConfig {
   std::uint64_t max_horizon_windows = 64;
   bool progress = false;                 // per-run timing lines on stderr
 
-  /// Execution backend (--backend thread|fork). Results are bit-identical
-  /// either way; fork additionally survives children that segfault or
-  /// abort() — such replicas are recorded as failed instead of taking the
-  /// sweep down.
-  BackendKind backend = BackendKind::kThread;
-  /// Fork backend only: runs per forked child (--fork-batch N). Children
-  /// stream one record per completed run, so results and replay bundles
-  /// are unchanged; only crash-isolation granularity grows with N. 0 =
-  /// auto-size from the plan length (a few batches per worker).
-  std::size_t fork_batch = 0;
-  /// Multi-host sharding (--shard K/N): execute only this host's slice of
-  /// the run-index space. Foreign runs stay unexecuted; export the partial
-  /// snapshot (partial_path) and fold the shards with sweep_merge.
-  ShardSpec shard;
-  /// Shard mode: where to write the mergeable partial snapshot (JSON).
-  std::string partial_path;
   /// Base directory for the sweep's file outputs: relative failure_dir
-  /// and partial_path resolve against it (not the CWD), so forked or
-  /// sharded children never scatter artifacts. Empty = CWD as before.
+  /// (and the dispatcher's --checkpoint) resolve against it, not the CWD,
+  /// so dispatch workers never scatter artifacts. Empty = CWD.
   std::string output_dir;
 
   /// Chaos injection: applied to every run when any rate is nonzero. The
@@ -166,7 +122,7 @@ struct SweepConfig {
   /// default. Feed it EngineProfile::events_executed from a prior run.
   std::uint64_t trace_reserve_events = 0;
   /// Attach an external engine observer to every run (replay checking).
-  /// Single-run use only (execute_run): parallel backends would share it
+  /// Single-run use only (execute_run): the thread pool would share it
   /// across concurrent engines. Ignored when record_trace is set.
   sim::EventObserver* observer = nullptr;
 };
@@ -190,7 +146,7 @@ struct RunFailure {
     kTimeout,    // per-run wall-clock budget exceeded (SimError)
     kException,  // any other std::exception
     kSkipped,    // not executed: the --max-failures budget was spent
-    kCrash,      // forked child died on a signal (segfault, abort, ...)
+    kCrash,      // dispatch worker died mid-run (signal, exit, lease expiry)
     kDivergence, // a replayed run stopped matching its recorded trace
   };
   Kind kind = Kind::kException;
@@ -210,8 +166,8 @@ struct SweepRun {
   std::size_t run_index = 0;
   int replica = 0;
   std::uint64_t seed = 0;
-  /// False for runs a sharded sweep left to other hosts; such slots carry
-  /// only their identity and are skipped by aggregation and exports.
+  /// False for runs outside a dispatched run-index subset; such slots
+  /// carry only their identity and are skipped by aggregation and exports.
   bool executed = false;
   bool ok = false;
   metrics::RunResult result;             // valid only when executed && ok
@@ -274,10 +230,9 @@ struct SweepResult {
   std::vector<SweepRun> runs;           // run-index order (deterministic)
   double wall_seconds = 0.0;
   unsigned threads_used = 1;
-  std::string backend_name = "thread";  // which ExecBackend ran the sweep
-  ShardSpec shard;                      // active when this is a partial result
+  std::string backend_name = "thread";  // "thread" or "dispatch"
 
-  /// Runs actually executed here (== runs.size() unless sharded).
+  /// Runs actually executed (== runs.size() unless a dispatch subset).
   [[nodiscard]] std::size_t executed_run_count() const;
 
   /// First cell matching variant + mode (for single-freq/vcpu sweeps).
@@ -325,8 +280,8 @@ struct SweepResult {
                                             guest::TickMode treatment) const;
 
   /// One row per cell: key columns + mean/stddev of each metric. Both
-  /// exports are pure functions of the cells, so thread/fork backends and
-  /// shard-merged results produce byte-identical files.
+  /// exports are pure functions of the cells, so local and dispatched
+  /// sweeps produce byte-identical files.
   [[nodiscard]] std::string to_csv() const;
   [[nodiscard]] std::string to_json() const;
   void write_csv(const std::string& path) const;
@@ -336,8 +291,8 @@ struct SweepResult {
 /// The merge layer's core: fold res.runs into res.cells, strictly in
 /// run-index order. res.cells must already carry their keys with all
 /// aggregates empty. Used identically by SweepRunner::run() after local
-/// execution and by merge_partial_snapshots() on shard outputs — one code
-/// path is what makes merged results bit-identical to single-host runs.
+/// execution and by the dispatcher on worker records — one code path is
+/// what makes dispatched results bit-identical to single-host runs.
 void aggregate_sweep_runs(SweepResult& res);
 
 class SweepRunner {
@@ -347,9 +302,8 @@ class SweepRunner {
   [[nodiscard]] std::size_t cell_count() const;
   [[nodiscard]] std::size_t total_runs() const;
 
-  /// Plan the grid, execute it on the configured backend (this host's
-  /// shard only when cfg.shard is active, writing the partial snapshot to
-  /// cfg.partial_path), and aggregate. Reusable.
+  /// Plan the grid, execute every run on the in-process thread pool
+  /// (cfg.threads workers), and aggregate. Reusable.
   [[nodiscard]] SweepResult run() const;
 
   /// Execute exactly one run of the grid by index — the replay primitive:
@@ -381,15 +335,9 @@ class SweepRunner {
 ///                     (tag defaults to the current git commit; see
 ///                     core/history.hpp and the bench_diff gate)
 ///   --history-tag T   override the snapshot tag
-///   --backend B       execution backend: thread (default) or fork
-///   --fork-batch N    fork backend: runs per child (default: auto-sized)
 ///   --profile         print the engine hot-path profile (events/sec,
 ///                     callback spills, slot high-water, compactions)
-///   --shard K/N       execute only shard K of N (with --partial)
-///   --partial P       shard mode: write the mergeable partial snapshot to P
-///   --merge P         (repeatable) skip execution; merge partial snapshots
-///                     instead and render/export the merged result
-///   --output-dir D    resolve relative failure/partial paths against D
+///   --output-dir D    resolve relative failure/checkpoint paths against D
 ///   --quiet           suppress per-run progress lines
 ///   --chaos           enable the default chaos fault mix + watchdog
 ///   --watchdog        enable only the invariant watchdog
@@ -403,10 +351,11 @@ class SweepRunner {
 ///                     --fault-timer-drop 0.02 --fault-steal 0.05
 /// Distributed dispatch (core/dispatch, see DESIGN.md):
 ///   --dispatch        supervise the sweep through the fault-tolerant
-///                     dispatcher instead of a local backend: worker
+///                     dispatcher instead of the local thread pool: worker
 ///                     subprocesses with lease-based slice ownership,
 ///                     crash retry with backoff, work stealing, and
-///                     graceful degradation after --max-retries
+///                     graceful degradation after --max-retries (a run
+///                     that segfaults or aborts becomes a kCrash replica)
 ///   --workers N       dispatcher worker slots (default 2)
 ///   --max-retries N   failed attempts allowed per run before its cell
 ///                     degrades (default 2); the sweep still exits 0
@@ -420,8 +369,6 @@ class SweepRunner {
 ///   --checkpoint P    crash-safe dispatcher progress snapshot: written
 ///                     atomically as records arrive, resumed from on
 ///                     restart (only missing runs re-execute)
-///   --skip-corrupt    --merge: drop unreadable partial snapshots and
-///                     degrade their cells instead of aborting the merge
 /// Hidden (appended by the dispatcher when relaunching this binary):
 ///   --worker-slice SPEC   execute run indices "0-5,9" as a protocol
 ///                         worker (streams records on stdout, exits)
@@ -442,12 +389,7 @@ struct SweepCli {
   std::string sweep_json;
   std::string history_dir;
   std::string history_tag;
-  BackendKind backend = BackendKind::kThread;
-  std::size_t fork_batch = 0;
   bool profile = false;
-  ShardSpec shard;
-  std::string partial_path;
-  std::vector<std::string> merge_paths;
   std::string output_dir;
   bool chaos = false;
   bool watchdog = false;
@@ -469,7 +411,6 @@ struct SweepCli {
   std::string dispatch_cmd;        // worker launch template; "" = fork()
   std::string checkpoint_path;
   std::size_t dispatch_test_kill = 0;
-  bool skip_corrupt = false;
   std::string worker_slice;        // hidden worker mode (run these indices)
   bool worker_plan = false;        // hidden worker mode (print plan header)
   /// The full argv this CLI was parsed from: what a command transport
@@ -482,16 +423,11 @@ struct SweepCli {
   /// Copy the flags onto a config (root_seed only if given on the CLI).
   void apply(SweepConfig& cfg) const;
 
-  /// The one-call driver entry point: with --merge, load and fold the
-  /// named partial snapshots (validated against cfg's grid identity);
-  /// otherwise plan + execute cfg on its backend. Either way the returned
-  /// result feeds the bench's normal table rendering and exports.
+  /// The one-call driver entry point: with --dispatch, supervise cfg
+  /// through the dispatcher; otherwise plan + execute it on the local
+  /// thread pool. Either way the returned result feeds the bench's normal
+  /// table rendering and exports.
   [[nodiscard]] SweepResult run_sweep(SweepConfig cfg) const;
-
-  /// The --merge branch of run_sweep, throwing sim::SimError on invalid
-  /// or mismatched partials (run_sweep turns that into a clean CLI exit;
-  /// tests call this directly to assert on the error).
-  [[nodiscard]] SweepResult merge_as_configured(SweepConfig cfg) const;
 
   /// Honor --sweep-csv/--sweep-json/--history-dir if present. The bench
   /// name becomes the history subdirectory; benches that never pass one

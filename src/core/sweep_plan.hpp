@@ -4,8 +4,8 @@
 // A SweepPlan is a value — building it runs no simulation. Everything a
 // run depends on (cell spec, seeds, fault plan) is a pure function of
 // (config, run_index), which is what lets the same plan be executed by
-// any backend (threads, forked children) or sliced across hosts with
-// --shard K/N and still merge to bit-identical results.
+// the local thread pool or by dispatch workers on any host and still
+// merge to bit-identical results.
 #pragma once
 
 #include <cstddef>
@@ -42,14 +42,10 @@ class SweepPlan {
   /// Identity of run `i` (pure; no simulation).
   [[nodiscard]] SweepWorkItem item(std::size_t run_index) const;
 
-  /// The run indices a shard owns, in run-index order. An inactive shard
-  /// owns everything.
-  [[nodiscard]] std::vector<std::size_t> shard_indices(const ShardSpec& shard) const;
-
   /// Execute run `run_index` in-process with soft crash isolation: a
   /// sim::SimError or std::exception becomes a RunFailure record instead
   /// of propagating. (Hard isolation against segfaults/abort() is the
-  /// fork backend's job.)
+  /// dispatcher's job.)
   [[nodiscard]] SweepRun execute(std::size_t run_index) const;
 
   /// Fresh cell summaries for this plan: keys filled, aggregates empty —

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <utility>
 
 #include "core/json.hpp"
@@ -17,7 +16,7 @@ namespace {
 
 // Doubles are printed with %.17g and parsed back with strtod (json.cpp),
 // which round-trips every finite IEEE double exactly — the foundation of
-// the byte-identical merge guarantee. u64 seeds are serialized as decimal
+// the byte-identical dispatch guarantee. u64 seeds are serialized as decimal
 // strings because a JSON number would round through double; ordinary
 // counters stay plain numbers (all far below 2^53).
 
@@ -379,32 +378,13 @@ SweepRun parse_run_record(const std::string& text) {
   return parse_run_value(doc);
 }
 
-PartialSnapshot make_partial_snapshot(const SweepConfig& cfg,
-                                      const SweepResult& result) {
-  PartialSnapshot p;
-  p.bench = cfg.bench_name;
-  p.root_seed = cfg.root_seed;
-  p.repeat = cfg.repeat;
-  p.total_runs = result.runs.size();
-  p.shard = cfg.shard;
-  p.backend = result.backend_name;
-  p.cells.reserve(result.cells.size());
-  for (const auto& cell : result.cells) p.cells.push_back(cell.key);
-  for (const auto& run : result.runs) {
-    if (run.executed) p.runs.push_back(run);
-  }
-  return p;
-}
-
 std::string to_json(const PartialSnapshot& p) {
   std::string out = metrics::format(
       "{\n  \"kind\": \"paratick-partial-sweep\",\n  \"version\": 1,\n"
       "  \"bench\": \"%s\",\n  \"root_seed\": \"%llu\",\n  \"repeat\": %d,\n"
-      "  \"total_runs\": %llu,\n  \"shard\": {\"index\": %u, \"count\": %u},\n"
-      "  \"backend\": \"%s\",\n  \"cells\": [\n",
+      "  \"total_runs\": %llu,\n  \"cells\": [\n",
       metrics::json_escape(p.bench).c_str(), static_cast<ull>(p.root_seed),
-      p.repeat, static_cast<ull>(p.total_runs), p.shard.index, p.shard.count,
-      metrics::json_escape(p.backend).c_str());
+      p.repeat, static_cast<ull>(p.total_runs));
   for (std::size_t i = 0; i < p.cells.size(); ++i) {
     const SweepCellKey& key = p.cells[i];
     out += metrics::format(
@@ -426,9 +406,8 @@ std::string to_json(const PartialSnapshot& p) {
 
 std::string write_partial_snapshot(const PartialSnapshot& p,
                                    const std::string& path) {
-  // Atomic temp-file + rename: a worker killed mid-write must never leave
-  // a truncated partial for the merge layer (or a resuming dispatcher
-  // loading its checkpoint) to choke on.
+  // Atomic temp-file + rename: a coordinator killed mid-write must never
+  // leave a truncated checkpoint for the resuming dispatcher to choke on.
   write_file_atomic(path, to_json(p));
   return path;
 }
@@ -441,7 +420,7 @@ PartialSnapshot parse_partial_snapshot(const std::string& text) {
   PARATICK_CHECK_MSG(kind != nullptr && kind->str == "paratick-partial-sweep",
                      "partial snapshot: wrong document kind (expected "
                      "\"paratick-partial-sweep\" — is this a --sweep-json "
-                     "export instead of a --partial file?)");
+                     "export instead of a --checkpoint file?)");
   PARATICK_CHECK_MSG(json::num_field(doc, "version") == 1.0,
                      "partial snapshot: unsupported version");
   PartialSnapshot p;
@@ -449,12 +428,6 @@ PartialSnapshot parse_partial_snapshot(const std::string& text) {
   p.root_seed = u64_string_field(doc, "root_seed");
   p.repeat = static_cast<int>(json::num_field(doc, "repeat"));
   p.total_runs = static_cast<std::size_t>(u64_field(doc, "total_runs"));
-  const json::Value* shard = doc.find("shard");
-  PARATICK_CHECK_MSG(shard != nullptr && shard->type == json::Value::Type::kObject,
-                     "partial snapshot: missing shard object");
-  p.shard.index = static_cast<unsigned>(json::num_field(*shard, "index"));
-  p.shard.count = static_cast<unsigned>(json::num_field(*shard, "count", 1.0));
-  p.backend = json::str_field(doc, "backend");
   for (const auto& cell : array_field(doc, "cells").array) {
     PARATICK_CHECK_MSG(cell.type == json::Value::Type::kObject,
                        "partial snapshot: cell entry is not an object");
@@ -488,104 +461,10 @@ PartialSnapshot load_partial_snapshot(const std::string& path) {
   } catch (const sim::SimError& e) {
     const std::string msg =
         "corrupt partial snapshot " + path + ": " + e.msg() +
-        " — regenerate it by re-running this shard with the same "
-        "--shard K/N --partial flags";
+        " — delete it to regenerate the sweep from scratch";
     PARATICK_CHECK_MSG(false, msg.c_str());
     throw;  // unreachable; CHECK above always throws
   }
-}
-
-SweepResult merge_partial_snapshots(const std::vector<PartialSnapshot>& partials,
-                                    bool allow_missing) {
-  PARATICK_CHECK_MSG(!partials.empty(), "merge: no partial snapshots given");
-  const PartialSnapshot& ref = partials.front();
-
-  for (std::size_t i = 1; i < partials.size(); ++i) {
-    const PartialSnapshot& p = partials[i];
-    const auto mismatch = [&](const char* what) {
-      const std::string msg =
-          std::string("merge: partial snapshots disagree on ") + what +
-          " (shard " + p.shard.label() + " vs shard " + ref.shard.label() +
-          ") — all shards must run the same bench with the same --seed, "
-          "--repeat and grid flags";
-      PARATICK_CHECK_MSG(false, msg.c_str());
-    };
-    if (p.root_seed != ref.root_seed) mismatch("root seed");
-    if (p.repeat != ref.repeat) mismatch("repeat count");
-    if (p.total_runs != ref.total_runs) mismatch("total run count");
-    if (p.cells.size() != ref.cells.size()) mismatch("cell grid size");
-    for (std::size_t c = 0; c < ref.cells.size(); ++c) {
-      const SweepCellKey& a = ref.cells[c];
-      const SweepCellKey& b = p.cells[c];
-      if (a.variant != b.variant || a.mode != b.mode ||
-          a.tick_freq_hz != b.tick_freq_hz || a.vcpus != b.vcpus ||
-          a.overcommit != b.overcommit) {
-        mismatch("cell grid");
-      }
-    }
-  }
-
-  SweepResult res;
-  res.backend_name = "merge";
-  res.threads_used = 1;
-  res.cells.reserve(ref.cells.size());
-  for (const SweepCellKey& key : ref.cells) {
-    SweepCellSummary cell;
-    cell.key = key;
-    res.cells.push_back(std::move(cell));
-  }
-  res.runs.resize(ref.total_runs);
-
-  std::vector<bool> seen(ref.total_runs, false);
-  for (const PartialSnapshot& p : partials) {
-    for (const SweepRun& run : p.runs) {
-      if (run.run_index >= ref.total_runs) {
-        const std::string msg = "merge: shard " + p.shard.label() +
-                                " contains run index " +
-                                std::to_string(run.run_index) +
-                                " outside the sweep's " +
-                                std::to_string(ref.total_runs) + " runs";
-        PARATICK_CHECK_MSG(false, msg.c_str());
-      }
-      if (seen[run.run_index]) {
-        const std::string msg =
-            "merge: run index " + std::to_string(run.run_index) +
-            " is covered by more than one partial — did you merge the same "
-            "shard twice?";
-        PARATICK_CHECK_MSG(false, msg.c_str());
-      }
-      seen[run.run_index] = true;
-      res.runs[run.run_index] = run;
-    }
-  }
-  for (std::size_t i = 0; i < seen.size(); ++i) {
-    if (seen[i]) continue;
-    if (!allow_missing) {
-      const std::string msg =
-          "merge: run index " + std::to_string(i) +
-          " is covered by no partial — pass every shard's --partial file "
-          "(expected " + std::to_string(ref.shard.count) + " shards)";
-      PARATICK_CHECK_MSG(false, msg.c_str());
-    }
-    // --skip-corrupt fleet mode: the run is lost with its shard's partial.
-    // Reconstruct its identity (pure in root_seed + index) and record the
-    // loss as a crash so the cell degrades instead of the merge aborting.
-    SweepRun& run = res.runs[i];
-    run.run_index = i;
-    run.cell = i / static_cast<std::size_t>(ref.repeat);
-    run.replica = static_cast<int>(i % static_cast<std::size_t>(ref.repeat));
-    run.seed = derive_seed(ref.root_seed, i);
-    run.executed = true;
-    run.ok = false;
-    RunFailure f;
-    f.kind = RunFailure::Kind::kCrash;
-    f.message = "run lost: its shard's partial snapshot was missing or "
-                "corrupt (merged with --skip-corrupt)";
-    run.failure = std::move(f);
-  }
-
-  aggregate_sweep_runs(res);
-  return res;
 }
 
 }  // namespace paratick::core

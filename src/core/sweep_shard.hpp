@@ -1,17 +1,17 @@
-// Shard interchange + merge layer for multi-host sweeps.
+// Run-record wire format and the dispatcher's partial-snapshot checkpoint.
 //
-// A sharded sweep (--shard K/N) executes only its slice of the run-index
-// space and persists the executed runs as a *partial snapshot*: a JSON
-// document in the style of the history snapshots (core/history.hpp) that
-// additionally carries every run's full result — accumulator states with
-// exact (%.17g) doubles, histogram buckets, cycle ledgers — so that
-// merging N partials reconstructs precisely the run set a single host
-// would have produced. merge_partial_snapshots() then feeds the union
-// through the same aggregate_sweep_runs() used after local execution,
-// making the merged CSV/JSON byte-identical to a single-process -jN run.
+// run_record_to_json() is an exact-round-trip serialization of one
+// executed run — accumulator states with exact (%.17g) doubles, histogram
+// buckets, cycle ledgers — and is the record line a dispatch worker
+// streams back to the coordinator (core/dispatch/protocol.hpp). Because
+// the coordinator folds parsed records through the same
+// aggregate_sweep_runs() as local execution, a dispatched sweep's CSV/JSON
+// is byte-identical to a single-process -jN run.
 //
-// The per-run record serializer doubles as the fork backend's wire
-// format: a forked child streams run_record_to_json() over its pipe.
+// A *partial snapshot* is a JSON document in the style of the history
+// snapshots (core/history.hpp) carrying the sweep identity plus every
+// completed run record. The dispatcher writes one atomically as its
+// --checkpoint and resumes from it after a restart.
 #pragma once
 
 #include <cstdint>
@@ -22,52 +22,31 @@
 
 namespace paratick::core {
 
-/// One shard's executed slice plus the sweep identity needed to validate
-/// a merge (same grid, same seed universe) before folding.
+/// The completed runs of one sweep plus the identity needed to validate a
+/// resume (same grid, same seed universe).
 struct PartialSnapshot {
   std::string bench;            // producing binary; may be empty
   std::uint64_t root_seed = 0;
   int repeat = 1;
-  std::size_t total_runs = 0;   // of the FULL sweep, not this slice
-  ShardSpec shard;
-  std::string backend;          // executing backend, informational
+  std::size_t total_runs = 0;   // of the FULL sweep, not the runs held
   std::vector<SweepCellKey> cells;  // full grid, for validation + labels
-  std::vector<SweepRun> runs;       // executed slice, run-index order
+  std::vector<SweepRun> runs;       // completed runs, run-index order
 };
 
 /// Exact-round-trip serialization of one executed run (identity, failure
-/// record, full RunResult). Used for both partial snapshots and the fork
-/// backend's pipe protocol.
+/// record, full RunResult): the dispatch protocol's record line and the
+/// unit of a partial snapshot.
 [[nodiscard]] std::string run_record_to_json(const SweepRun& run);
 [[nodiscard]] SweepRun parse_run_record(const std::string& text);
 
-/// Build / serialize the partial snapshot for `result` (a sharded
-/// SweepResult: unexecuted runs are skipped automatically).
-[[nodiscard]] PartialSnapshot make_partial_snapshot(const SweepConfig& cfg,
-                                                    const SweepResult& result);
 [[nodiscard]] std::string to_json(const PartialSnapshot& p);
-/// Write to `path` (directories created) and return the path written.
+/// Write to `path` atomically and return the path written.
 std::string write_partial_snapshot(const PartialSnapshot& p, const std::string& path);
 
 /// Parse / load a partial snapshot. PARATICK_CHECKs (throws sim::SimError)
-/// on malformed documents; load_partial_snapshot names the offending file
-/// and tells the user to regenerate the shard.
+/// on malformed documents; load_partial_snapshot names the offending file.
+/// Fields older writers emitted (a "shard" object, "backend") are ignored.
 [[nodiscard]] PartialSnapshot parse_partial_snapshot(const std::string& text);
 [[nodiscard]] PartialSnapshot load_partial_snapshot(const std::string& path);
-
-/// Fold any number of partial snapshots into the full sweep result.
-/// Validates that all partials share one sweep identity (root seed,
-/// repeat, run count, cell grid) and that together they cover every run
-/// index exactly once; PARATICK_CHECKs with an actionable message
-/// otherwise. The result is bit-identical to executing the whole sweep on
-/// one host because aggregation is the same code path.
-///
-/// With `allow_missing` (sweep_merge --skip-corrupt, after dropping a
-/// corrupt partial), uncovered run indices degrade their cells instead of
-/// failing the merge: each becomes an executed kCrash record — identity
-/// reconstructed from (root_seed, run_index) — so the merged artifacts
-/// carry the loss in their failed counters rather than aborting a fleet.
-[[nodiscard]] SweepResult merge_partial_snapshots(
-    const std::vector<PartialSnapshot>& partials, bool allow_missing = false);
 
 }  // namespace paratick::core

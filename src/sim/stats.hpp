@@ -31,9 +31,9 @@ class Accumulator {
   void merge(const Accumulator& other);
 
   /// Raw Welford state, for exact serialization across process/host
-  /// boundaries (fork pipes, shard partial snapshots). Round-tripping
+  /// boundaries (dispatch worker records, checkpoints). Round-tripping
   /// through state()/from_state reproduces the accumulator bit-for-bit,
-  /// which is what keeps sharded sweeps byte-identical to local runs.
+  /// which is what keeps dispatched sweeps byte-identical to local runs.
   struct State {
     std::uint64_t n = 0;
     double mean = 0.0, m2 = 0.0, sum = 0.0, min = 0.0, max = 0.0;

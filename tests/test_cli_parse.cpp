@@ -65,11 +65,11 @@ TEST(ParseU64Flag, RejectsOutOfRange) {
 
 TEST(ParseU64Flag, ErrorNamesTheFlagAndTheOffendingText) {
   try {
-    (void)parse_u64_flag("--fork-batch", "nope");
+    (void)parse_u64_flag("--max-failures", "nope");
     FAIL() << "expected SimError";
   } catch (const sim::SimError& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("--fork-batch"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("--max-failures"), std::string::npos) << msg;
     EXPECT_NE(msg.find("\"nope\""), std::string::npos) << msg;
   }
 }
@@ -165,8 +165,7 @@ TEST(SweepCliParse, AcceptsValidNumericFlags) {
 TEST(SweepCliParse, AcceptsDispatchFlags) {
   Argv a({"--dispatch", "--workers", "3", "--max-retries", "5", "--no-steal",
           "--lease", "2.5", "--retry-backoff", "0.125", "--heartbeat", "0.2",
-          "--checkpoint", "ckpt.json", "--dispatch-cmd", "ssh -T n{cmd}",
-          "--skip-corrupt"});
+          "--checkpoint", "ckpt.json", "--dispatch-cmd", "ssh -T n{cmd}"});
   const SweepCli cli = SweepCli::parse(a.argc(), a.argv());
   EXPECT_TRUE(cli.dispatch);
   EXPECT_EQ(cli.dispatch_workers, 3u);
@@ -177,24 +176,10 @@ TEST(SweepCliParse, AcceptsDispatchFlags) {
   EXPECT_DOUBLE_EQ(cli.heartbeat_sec, 0.2);
   EXPECT_EQ(cli.checkpoint_path, "ckpt.json");
   EXPECT_EQ(cli.dispatch_cmd, "ssh -T n{cmd}");
-  EXPECT_TRUE(cli.skip_corrupt);
   // The dispatcher relaunches workers from the original argv; parse must
   // have kept a verbatim copy.
   ASSERT_EQ(cli.raw_args.size(), static_cast<std::size_t>(a.argc()));
   EXPECT_EQ(cli.raw_args[1], "--dispatch");
-}
-
-TEST(SweepCliParse, DispatchCannotCombineWithShardOrMerge) {
-  {
-    Argv a({"--dispatch", "--shard", "0/2"});
-    EXPECT_EXIT((void)SweepCli::parse(a.argc(), a.argv()),
-                ::testing::ExitedWithCode(2), "cannot be combined");
-  }
-  {
-    Argv a({"--dispatch", "--merge", "p0.json"});
-    EXPECT_EXIT((void)SweepCli::parse(a.argc(), a.argv()),
-                ::testing::ExitedWithCode(2), "cannot be combined");
-  }
 }
 
 TEST(SweepCliParse, BadNumbersExitWithCode2NotZero) {
@@ -210,11 +195,9 @@ TEST(SweepCliParse, BadNumbersExitWithCode2NotZero) {
       {{"--repeat", "-2"}, "non-negative"},
       {{"--seed", "0xzz"}, "not a valid integer"},
       {{"--seed", "99999999999999999999999"}, "out of range"},
-      {{"--fork-batch", "1.5"}, "not a valid integer"},
       {{"--max-failures", ""}, "empty value"},
       {{"--run-timeout", "fast"}, "not a valid number"},
       {{"--fault-timer-drop", "-0.5"}, "negative"},
-      {{"--shard", "banana"}, "shard"},
       {{"--workers", "many"}, "not a valid integer"},
       {{"--max-retries", "-1"}, "non-negative"},
       {{"--lease", "fast"}, "not a valid number"},

@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
 
 #include "expect_error.hpp"
 
 #include "core/cluster/cluster.hpp"
+#include "core/dispatch/dispatch.hpp"
+#include "core/dispatch/transport.hpp"
 #include "core/experiment.hpp"
 #include "core/sweep.hpp"
 #include "core/system.hpp"
@@ -246,13 +249,15 @@ TEST(ClusterSweep, WorkerThreadCountLeavesExportsByteIdentical) {
   EXPECT_EQ(serial.to_csv(), parallel.to_csv());
 }
 
-TEST(ClusterSweep, ForkBackendLeavesExportsByteIdentical) {
-  SweepConfig thread_cfg = cluster_sweep(2);
-  SweepConfig fork_cfg = cluster_sweep(2);
-  fork_cfg.backend = BackendKind::kFork;
-  const SweepResult a = SweepRunner(std::move(thread_cfg)).run();
-  const SweepResult b = SweepRunner(std::move(fork_cfg)).run();
-  EXPECT_EQ(b.backend_name, "fork");
+TEST(ClusterSweep, DispatchLeavesExportsByteIdentical) {
+  const SweepResult a = SweepRunner(cluster_sweep(2)).run();
+  dispatch::DispatchOptions opts;
+  opts.workers = 3;
+  dispatch::SweepDispatcher d(
+      std::make_unique<dispatch::ForkWorkerTransport>(cluster_sweep(1)),
+      std::move(opts));
+  const SweepResult b = d.run();
+  EXPECT_EQ(b.backend_name, "dispatch");
   EXPECT_EQ(a.to_csv(), b.to_csv());
 }
 

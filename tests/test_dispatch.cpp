@@ -2,7 +2,8 @@
 // (core/dispatch): byte-identity of dispatched results against local
 // execution, crash retry and work stealing after a SIGKILLed worker,
 // duplicate-record handling on steal races, graceful degradation after
-// --max-retries, lease expiry on wedged workers, and checkpoint resume.
+// --max-retries, lease expiry on wedged workers, checkpoint resume, run
+// subsets, and crash isolation + crash replay of runs that abort().
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -18,6 +19,7 @@
 #include "core/dispatch/dispatch.hpp"
 #include "core/dispatch/protocol.hpp"
 #include "core/dispatch/transport.hpp"
+#include "core/replay.hpp"
 #include "core/safe_io.hpp"
 #include "core/sweep.hpp"
 #include "core/sweep_plan.hpp"
@@ -286,6 +288,10 @@ TEST(Dispatch, RetriesExhaustedDegradeCellsInsteadOfFailing) {
     ASSERT_TRUE(run.failure.has_value());
     EXPECT_EQ(run.failure->kind, RunFailure::Kind::kCrash);
     EXPECT_NE(run.failure->message.find("abandoned"), std::string::npos);
+    // The last worker death's cause rides along in the record.
+    EXPECT_NE(run.failure->message.find("exited with status 1"),
+              std::string::npos)
+        << run.failure->message;
     EXPECT_FALSE(run.bundle_path.empty());
     // Identity survives even though no worker ever reported the run.
     EXPECT_EQ(run.seed, derive_seed(77, run.run_index));
@@ -363,6 +369,19 @@ TEST(Dispatch, CheckpointResumeSkipsCompletedRuns) {
   }
   ASSERT_TRUE(std::filesystem::exists(ckpt));
 
+  // Checkpoints written by older builds carry a "shard" object and a
+  // "backend" field; the reader ignores both, so they still resume.
+  {
+    std::ifstream in(ckpt);
+    std::string text(std::istreambuf_iterator<char>(in), {});
+    const std::size_t at = text.find("  \"cells\"");
+    ASSERT_NE(at, std::string::npos);
+    text.insert(at,
+                "  \"shard\": {\"index\": 0, \"count\": 1},\n"
+                "  \"backend\": \"dispatch\",\n");
+    std::ofstream(ckpt, std::ios::trunc) << text;
+  }
+
   // A fresh dispatcher sees the finished checkpoint: nothing re-executes.
   dispatch::DispatchOptions opts = fast_opts(2);
   opts.checkpoint_path = ckpt;
@@ -423,58 +442,214 @@ TEST(Dispatch, DispatcherRejectsPlanSkewedWorkers) {
   EXPECT_SIM_ERROR((void)d.run(), "disagrees with the coordinator");
 }
 
-// ---- --skip-corrupt merge degradation -------------------------------------
+// ---- crash isolation and crash replay ------------------------------------
 
-TEST(DispatchMerge, SkipCorruptDegradesLostShardInsteadOfAborting) {
-  const std::string dir = ::testing::TempDir() + "dispatch_skip_corrupt";
+// A sweep whose "boom" variant calls abort() during guest setup — the
+// harshest failure a run can produce. The dispatch worker running it dies
+// with SIGABRT; the sweep must survive, record the replica as kCrash, and
+// write a replay bundle that reproduces the crash.
+SweepConfig crashing_sweep(const std::string& failure_dir) {
+  SweepConfig cfg;
+  cfg.base.machine = hw::MachineSpec::small(1);
+  cfg.base.vcpus = 1;
+  cfg.base.max_duration = sim::SimTime::ms(10);
+  cfg.modes = {guest::TickMode::kParatick};
+  cfg.variants.push_back({"boom", [](ExperimentSpec& exp) {
+    exp.setup = [](guest::GuestKernel&) { std::abort(); };
+  }});
+  cfg.repeat = 1;
+  cfg.root_seed = 7;
+  cfg.failure_dir = failure_dir;
+  cfg.bench_name = "test_sweep_crash";
+  return cfg;
+}
+
+/// `--dispatch --workers 1 --max-retries 0`: the first worker death of a
+/// run degrades it to kCrash, with its replay bundle under failure_dir.
+SweepResult dispatch_without_retries(SweepConfig cfg) {
+  SweepCli cli;
+  cli.dispatch = true;
+  cli.dispatch_workers = 1;
+  cli.max_retries = 0;
+  return cli.run_sweep(std::move(cfg));
+}
+
+/// Run record with its wall-clock fields zeroed, for exact comparison.
+std::string scrubbed_record(SweepRun run) {
+  run.host_seconds = 0.0;
+  run.result.engine_wall_ns = 0;
+  return run_record_to_json(run);
+}
+
+TEST(DispatchCrash, ChildAbortBecomesFailedReplicaWithReplayBundle) {
+  const std::string dir = ::testing::TempDir() + "dispatch_crash";
   std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const SweepResult res = dispatch_without_retries(crashing_sweep(dir));
 
-  std::vector<PartialSnapshot> both;
-  for (unsigned k = 0; k < 2; ++k) {
-    SweepConfig cfg = tiny_sweep();
-    cfg.shard = ShardSpec{k, 2};
-    cfg.output_dir = dir;
-    cfg.partial_path = "shard" + std::to_string(k) + ".json";
-    (void)SweepRunner(std::move(cfg)).run();
-    both.push_back(
-        load_partial_snapshot(dir + "/shard" + std::to_string(k) + ".json"));
-  }
+  ASSERT_EQ(res.runs.size(), 1u);
+  const SweepRun& run = res.runs[0];
+  EXPECT_TRUE(run.executed);
+  EXPECT_FALSE(run.ok);
+  ASSERT_TRUE(run.failure.has_value());
+  EXPECT_EQ(run.failure->kind, RunFailure::Kind::kCrash);
+  EXPECT_NE(run.failure->message.find("signal"), std::string::npos)
+      << run.failure->message;
 
-  // Reference: both shards merge cleanly.
-  const SweepResult full = merge_partial_snapshots(both);
-  EXPECT_EQ(full.degraded_cell_count(), 0u);
+  // The bundle landed in the per-bench subdirectory and replays: the crash
+  // is re-executed as a one-index dispatch so the replayer itself
+  // survives, and reproduces() accepts a same-kind death.
+  ASSERT_FALSE(run.bundle_path.empty());
+  EXPECT_NE(run.bundle_path.find("test_sweep_crash/run0.json"), std::string::npos)
+      << run.bundle_path;
+  ASSERT_TRUE(std::filesystem::exists(run.bundle_path));
+  const ReplayBundle bundle = load_replay_bundle(run.bundle_path);
+  EXPECT_EQ(bundle.failure.kind, RunFailure::Kind::kCrash);
+  const SweepRun replayed = replay_run(crashing_sweep(""), bundle);
+  ASSERT_TRUE(replayed.failure.has_value());
+  EXPECT_EQ(replayed.failure->kind, RunFailure::Kind::kCrash);
+  std::string detail;
+  EXPECT_TRUE(reproduces(bundle, replayed, &detail)) << detail;
+  std::filesystem::remove_all(dir);
+}
 
-  // Shard 1's file is lost. Without allow_missing the merge aborts with an
-  // actionable message; with it, the missing runs become crash records.
-  const std::vector<PartialSnapshot> only0 = {both[0]};
-  EXPECT_SIM_ERROR((void)merge_partial_snapshots(only0),
-                   "covered by no partial");
-  const SweepResult degraded =
-      merge_partial_snapshots(only0, /*allow_missing=*/true);
-  EXPECT_EQ(degraded.runs.size(), full.runs.size());
-  EXPECT_EQ(degraded.degraded_cell_count(), degraded.cells.size());
-  for (const SweepRun& run : degraded.runs) {
-    EXPECT_TRUE(run.executed);
-    if (run.run_index % 2 == 1) {  // shard 1's round-robin slice
-      ASSERT_TRUE(run.failure.has_value());
-      EXPECT_EQ(run.failure->kind, RunFailure::Kind::kCrash);
-      EXPECT_EQ(run.seed, derive_seed(77, run.run_index));
-    }
+TEST(DispatchCrash, MidBatchCrashKeepsFinishedRunsAndRequeuesTail) {
+  // One worker gets [ok, boom, tail] as a single slice. The completed "ok"
+  // record must survive the worker's SIGABRT, "boom" becomes the kCrash
+  // replica (with a bundle pointing at exactly that run), and the
+  // never-started "tail" run is re-enqueued and executed by a fresh worker.
+  const std::string dir = ::testing::TempDir() + "dispatch_batch_crash";
+  std::filesystem::remove_all(dir);
+  const auto make = [&](const std::string& failure_dir) {
+    SweepConfig cfg = crashing_sweep(failure_dir);
+    cfg.variants.insert(cfg.variants.begin(), {"ok", [](ExperimentSpec&) {}});
+    cfg.variants.push_back({"tail", [](ExperimentSpec&) {}});
+    return cfg;
+  };
+  const SweepResult res = dispatch_without_retries(make(dir));
+
+  ASSERT_EQ(res.runs.size(), 3u);
+  EXPECT_TRUE(res.runs[0].ok);
+  EXPECT_TRUE(res.runs[2].ok);
+  const SweepRun& crashed = res.runs[1];
+  EXPECT_TRUE(crashed.executed);
+  EXPECT_FALSE(crashed.ok);
+  ASSERT_TRUE(crashed.failure.has_value());
+  EXPECT_EQ(crashed.failure->kind, RunFailure::Kind::kCrash);
+  EXPECT_NE(crashed.failure->message.find("signal"), std::string::npos)
+      << crashed.failure->message;
+  ASSERT_FALSE(crashed.bundle_path.empty());
+  EXPECT_NE(crashed.bundle_path.find("test_sweep_crash/run1.json"),
+            std::string::npos)
+      << crashed.bundle_path;
+  ASSERT_TRUE(std::filesystem::exists(crashed.bundle_path));
+  const ReplayBundle bundle = load_replay_bundle(crashed.bundle_path);
+  const SweepRun replayed = replay_run(make(""), bundle);
+  std::string detail;
+  EXPECT_TRUE(reproduces(bundle, replayed, &detail)) << detail;
+
+  // The surviving runs must match an in-process execution of the same run
+  // indices — a neighbor's crash changed nothing.
+  const SweepRunner local(make(""));
+  for (const std::size_t idx : {std::size_t{0}, std::size_t{2}}) {
+    EXPECT_EQ(scrubbed_record(res.runs[idx]),
+              scrubbed_record(local.execute_run(idx)))
+        << "run " << idx;
   }
   std::filesystem::remove_all(dir);
 }
 
-TEST(DispatchMerge, CorruptPartialErrorNamesFileAndByteOffset) {
+TEST(DispatchCrash, OneIndexReplayOfHealthyRunMatchesInProcessRun) {
+  // replay_run sends kCrash bundles through a one-index dispatch; pointed
+  // at a healthy run it must reproduce the in-process result exactly.
+  const SweepConfig cfg = tiny_sweep();
+  ReplayBundle bundle;
+  bundle.root_seed = cfg.root_seed;
+  bundle.repeat = cfg.repeat;
+  bundle.run_index = 3;
+  bundle.failure.kind = RunFailure::Kind::kCrash;
+  const SweepRun replayed = replay_run(cfg, bundle);
+  ASSERT_TRUE(replayed.ok);
+  EXPECT_EQ(scrubbed_record(replayed),
+            scrubbed_record(SweepRunner(cfg).execute_run(3)));
+}
+
+TEST(Dispatch, IndexSubsetExecutesOnlyThoseRuns) {
+  const SweepResult reference = SweepRunner(tiny_sweep()).run();
+  dispatch::SweepDispatcher d(
+      std::make_unique<dispatch::ForkWorkerTransport>(tiny_sweep()),
+      fast_opts(2));
+  const SweepResult res = d.run(std::vector<std::size_t>{1, 6});
+
+  EXPECT_EQ(res.executed_run_count(), 2u);
+  EXPECT_EQ(d.stats().records_received, 2u);
+  for (const SweepRun& run : res.runs) {
+    const bool wanted = run.run_index == 1 || run.run_index == 6;
+    EXPECT_EQ(run.executed, wanted) << "run " << run.run_index;
+    // Unexecuted slots still carry their identity.
+    EXPECT_EQ(run.seed, reference.runs[run.run_index].seed);
+    if (wanted) {
+      EXPECT_EQ(scrubbed_record(run),
+                scrubbed_record(reference.runs[run.run_index]));
+    }
+  }
+}
+
+// A sweep where the dynticks cells deterministically fail: every hardware
+// timer interrupt is dropped, so the busy dynticks guest breaches the
+// watchdog while paratick (no hardware timer) completes.
+SweepConfig degraded_sweep() {
+  SweepConfig cfg;
+  cfg.base.machine = hw::MachineSpec::small(1);
+  cfg.base.vcpus = 1;
+  cfg.base.max_duration = sim::SimTime::ms(200);
+  cfg.base.setup = [](guest::GuestKernel& k) {
+    workload::PureComputeSpec compute;
+    compute.total_cycles = 100'000'000;
+    compute.chunks = 100;
+    workload::install_pure_compute(k, compute);
+  };
+  cfg.modes = {guest::TickMode::kDynticksIdle, guest::TickMode::kParatick};
+  cfg.fault.timer_drop_prob = 1.0;
+  cfg.watchdog = true;
+  cfg.repeat = 2;
+  cfg.root_seed = 4242;
+  cfg.threads = 2;
+  return cfg;
+}
+
+TEST(Dispatch, DegradedCellsMatchLocalRunByteForByte) {
+  const SweepResult reference = SweepRunner(degraded_sweep()).run();
+  ASSERT_GT(reference.degraded_cell_count(), 0u);
+
+  dispatch::SweepDispatcher d(
+      std::make_unique<dispatch::ForkWorkerTransport>(degraded_sweep()),
+      fast_opts(2));
+  const SweepResult res = d.run();
+  EXPECT_EQ(res.to_csv(), reference.to_csv());
+  EXPECT_EQ(res.to_json(), reference.to_json());
+  EXPECT_EQ(res.degraded_cell_count(), reference.degraded_cell_count());
+  ASSERT_EQ(res.failed_runs().size(), reference.failed_runs().size());
+  for (std::size_t i = 0; i < res.failed_runs().size(); ++i) {
+    const RunFailure& m = *res.failed_runs()[i]->failure;
+    const RunFailure& r = *reference.failed_runs()[i]->failure;
+    EXPECT_EQ(m.kind, r.kind);
+    EXPECT_EQ(m.expr, r.expr);
+    EXPECT_EQ(m.sim_time_ns, r.sim_time_ns);
+  }
+}
+
+// ---- checkpoint reader ----------------------------------------------------
+
+TEST(DispatchCheckpoint, CorruptCheckpointErrorNamesFileAndByteOffset) {
   const std::string dir = ::testing::TempDir() + "dispatch_corrupt_offset";
   std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  SweepConfig cfg = tiny_sweep(1);
-  cfg.shard = ShardSpec{0, 2};
-  cfg.output_dir = dir;
-  cfg.partial_path = "partial.json";
-  (void)SweepRunner(std::move(cfg)).run();
-  const std::string path = dir + "/partial.json";
+  const std::string path = dir + "/checkpoint.json";
+  dispatch::DispatchOptions opts = fast_opts(1);
+  opts.checkpoint_path = path;
+  dispatch::SweepDispatcher d(
+      std::make_unique<dispatch::ForkWorkerTransport>(tiny_sweep(1)),
+      std::move(opts));
+  (void)d.run();
   ASSERT_TRUE(std::filesystem::exists(path));
 
   // Tear the file mid-document, as a crashed non-atomic writer would.

@@ -3,9 +3,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/dispatch/dispatch.hpp"
+#include "core/dispatch/transport.hpp"
 #include "core/record_replay/bisect.hpp"
 #include "core/record_replay/record_replay.hpp"
 #include "core/record_replay/trace.hpp"
@@ -381,28 +384,36 @@ TEST(RecordReplay, CheckReplayRefusesCrashBundles) {
                    "forked child");
 }
 
-TEST(RecordReplay, TraceBytesIdenticalAcrossThreadsAndBackends) {
-  // The determinism contract extends to traces: any -j, either backend,
-  // byte-identical trace files per run index. The fork leg additionally
-  // proves traces survive crash-isolated children (the file is written
-  // inside the child; the path rides the pipe protocol back).
+TEST(RecordReplay, TraceBytesIdenticalAcrossThreadsAndDispatch) {
+  // The determinism contract extends to traces: any -j, local or
+  // dispatched, byte-identical trace files per run index. The dispatch leg
+  // additionally proves traces survive crash-isolated workers (the file is
+  // written inside the worker; the path rides its run record back).
   struct Leg {
     const char* name;
     unsigned threads;
-    BackendKind backend;
+    bool dispatch;
   };
   const Leg legs[] = {
-      {"j1", 1, BackendKind::kThread},
-      {"j4", 4, BackendKind::kThread},
-      {"fork", 2, BackendKind::kFork},
+      {"j1", 1, false},
+      {"j4", 4, false},
+      {"dispatch", 1, true},
   };
   std::vector<SweepResult> results;
   for (const Leg& leg : legs) {
     SweepConfig cfg = chaos_sweep(leg.threads);
-    cfg.backend = leg.backend;
     cfg.record_trace = true;
     cfg.failure_dir = fresh_dir(std::string("bytes_") + leg.name);
-    results.push_back(SweepRunner(cfg).run());
+    if (leg.dispatch) {
+      dispatch::DispatchOptions opts;
+      opts.workers = 3;
+      dispatch::SweepDispatcher d(
+          std::make_unique<dispatch::ForkWorkerTransport>(std::move(cfg)),
+          std::move(opts));
+      results.push_back(d.run());
+    } else {
+      results.push_back(SweepRunner(cfg).run());
+    }
   }
   const auto baseline = results[0].failed_runs();
   ASSERT_GE(baseline.size(), 2u);
