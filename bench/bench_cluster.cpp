@@ -5,10 +5,12 @@
 // Each grid cell runs a core::Cluster — one System per host, coupled
 // through the parallel engine with the host boundary as the partition
 // boundary, so --engine-threads N parallelizes the cell across hosts
-// while -j fans cells out across the grid. Both knobs, and --dispatch,
+// while -j fans cells out across the grid. This is the parallel engine's
+// determinism gate: --engine-threads, --lookahead-mode, -j and --dispatch
 // leave every exported byte unchanged (the cluster-smoke CI job cmp's
-// them). The overcommit axis resizes the per-host machine exactly like
-// the single-host benches, so rows self-describe the vCPU:pCPU ratio.
+// them), with migrations and telemetry crossing partitions. The
+// overcommit axis resizes the per-host machine exactly like the
+// single-host benches, so rows self-describe the vCPU:pCPU ratio.
 //
 // Cluster flags (strict numeric parsing, exit 2 on garbage):
 //   --hosts N                  single hosts-axis point (default: 2 and 4)
@@ -26,8 +28,10 @@
 //                              --lookahead-mode topology beats global.
 //   --telemetry-latency-us U   declared latency of those links (default 50)
 // Plus the shared sweep CLI (core/sweep.hpp): -j, --engine-threads,
-// --lookahead-mode, --max-horizon-windows, --repeat, --seed, --dispatch,
-// --sweep-csv/json, --history-dir, ...
+// --lookahead-mode, --repeat, --seed, --dispatch, --sweep-csv/json,
+// --history-dir, ... Cluster runs take no trace recorder, faults,
+// watchdog or wall-clock limit: --record-trace, --chaos, --fault-*,
+// --watchdog and --run-timeout exit 2 before the sweep starts.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -135,28 +139,15 @@ ClusterOpts parse_cluster_opts(const std::vector<std::string>& args) {
 /// seed derived) becomes a ClusterSpec.
 std::function<metrics::RunResult(const core::ExperimentSpec&, guest::TickMode)>
 make_cluster_runner(int hosts, const ClusterOpts& opts, unsigned engine_threads,
-                    sim::LookaheadMode lookahead_mode,
-                    std::uint64_t max_horizon_windows) {
-  return [hosts, opts, engine_threads, lookahead_mode,
-          max_horizon_windows](const core::ExperimentSpec& exp,
-                               guest::TickMode mode) {
-    core::ClusterSpec cs;
-    cs.hosts = hosts;
-    cs.vms_per_host = exp.scenario.effective_copies();
-    cs.vcpus_per_vm = exp.vcpus;
-    cs.machine = exp.machine;  // per-host; already overcommit-resized
-    cs.host = exp.host;
-    cs.guest.tick_mode = mode;
-    cs.guest.tick_freq = exp.guest_tick_freq;
-    cs.guest.costs = exp.guest_costs;
+                    sim::LookaheadMode lookahead_mode) {
+  return [hosts, opts, engine_threads, lookahead_mode](
+             const core::ExperimentSpec& exp, guest::TickMode mode) {
+    core::ClusterSpec cs = core::cluster_spec_for(exp, mode, hosts);
     // The guests' own estimators feed the scheduler AND the exported
     // estimator-error metric (steal_est_err columns).
     cs.guest.steal.enabled = true;
-    cs.duration = exp.max_duration;
-    cs.seed = exp.guest_seed;  // pure in (root_seed, run_index)
     cs.engine_threads = engine_threads;
     cs.lookahead_mode = lookahead_mode;
-    cs.max_horizon_windows = max_horizon_windows;
     cs.telemetry_period = opts.telemetry_period;
     cs.telemetry_latency = opts.telemetry_latency;
     cs.rebalance_period = opts.rebalance_period;
@@ -203,12 +194,16 @@ int main(int argc, char** argv) {
   for (const int hosts : opts.hosts) {
     cfg.variants.push_back(
         {variant_name(hosts), [hosts, &opts, &cli](core::ExperimentSpec& exp) {
-           exp.scenario.run =
-               make_cluster_runner(hosts, opts, cli.engine_threads,
-                                   cli.lookahead_mode, cli.max_horizon_windows);
+           exp.scenario.run = make_cluster_runner(
+               hosts, opts, cli.engine_threads, cli.lookahead_mode);
          }});
   }
   cli.apply(cfg);
+  if (const char* flag = core::unsupported_cluster_flag(cfg)) {
+    std::fprintf(stderr, "bench_cluster: %s is not supported for cluster runs\n",
+                 flag);
+    return 2;
+  }
 
   const core::SweepResult res = cli.run_sweep(std::move(cfg));
   cli.export_results(res, "bench_cluster");

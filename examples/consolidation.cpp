@@ -92,18 +92,8 @@ int main(int argc, char** argv) {
   cfg.base.scenario.run = [opts, engine_threads = cli.engine_threads](
                               const core::ExperimentSpec& exp,
                               guest::TickMode mode) {
-    core::ClusterSpec cs;
-    cs.hosts = opts.hosts;
-    cs.vms_per_host = exp.scenario.effective_copies();
-    cs.vcpus_per_vm = exp.vcpus;
-    cs.machine = exp.machine;
-    cs.host = exp.host;
-    cs.guest.tick_mode = mode;
-    cs.guest.tick_freq = exp.guest_tick_freq;
-    cs.guest.costs = exp.guest_costs;
+    core::ClusterSpec cs = core::cluster_spec_for(exp, mode, opts.hosts);
     cs.guest.steal.enabled = opts.rebalance_period > sim::SimTime::zero();
-    cs.duration = exp.max_duration;
-    cs.seed = exp.guest_seed;
     cs.engine_threads = engine_threads;
     cs.rebalance_period = opts.rebalance_period;
     // 4 VMs with individually tuned light, bursty service loads, keyed
@@ -120,6 +110,11 @@ int main(int argc, char** argv) {
     return cluster.run().merged;
   };
   cli.apply(cfg);
+  if (const char* flag = core::unsupported_cluster_flag(cfg)) {
+    std::fprintf(stderr, "consolidation: %s is not supported for cluster runs\n",
+                 flag);
+    return 2;
+  }
 
   const core::SweepResult res = cli.run_sweep(std::move(cfg));
   cli.export_results(res, "consolidation");

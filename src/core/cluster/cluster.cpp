@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/experiment.hpp"
+#include "core/sweep.hpp"
 #include "sim/check.hpp"
 
 namespace paratick::core {
@@ -48,6 +48,38 @@ void merge_vm(metrics::VmResult& acc, const metrics::VmResult& inc) {
 }
 
 }  // namespace
+
+ClusterSpec cluster_spec_for(const ExperimentSpec& exp, guest::TickMode mode,
+                             int hosts) {
+  PARATICK_CHECK_MSG(exp.observer == nullptr,
+                     "cluster runs take no engine observer (--record-trace)");
+  PARATICK_CHECK_MSG(!exp.fault.any(),
+                     "cluster runs inject no faults (--chaos, --fault-*)");
+  PARATICK_CHECK_MSG(!exp.watchdog,
+                     "cluster runs have no invariant watchdog (--watchdog)");
+  PARATICK_CHECK_MSG(exp.wall_limit_sec == 0.0,
+                     "cluster runs have no wall-clock limit (--run-timeout)");
+  ClusterSpec cs;
+  cs.hosts = hosts;
+  cs.vms_per_host = exp.scenario.effective_copies();
+  cs.vcpus_per_vm = exp.vcpus;
+  cs.machine = exp.machine;
+  cs.host = exp.host;
+  cs.guest.tick_mode = mode;
+  cs.guest.tick_freq = exp.guest_tick_freq;
+  cs.guest.costs = exp.guest_costs;
+  cs.duration = exp.max_duration;
+  cs.seed = exp.guest_seed;  // pure in (root_seed, run_index)
+  return cs;
+}
+
+const char* unsupported_cluster_flag(const SweepConfig& cfg) {
+  if (cfg.record_trace || cfg.observer != nullptr) return "--record-trace";
+  if (cfg.fault.any()) return "--chaos / --fault-<knob>";
+  if (cfg.watchdog) return "--watchdog";
+  if (cfg.run_timeout_sec > 0.0) return "--run-timeout";
+  return nullptr;
+}
 
 Cluster::Cluster(ClusterSpec spec) : spec_(std::move(spec)) {
   PARATICK_CHECK_MSG(spec_.hosts >= 1, "cluster needs at least one host");
@@ -102,7 +134,7 @@ Cluster::Cluster(ClusterSpec spec) : spec_(std::move(spec)) {
     SystemSpec& sys = specs[static_cast<std::size_t>(h)];
     vms_[static_cast<std::size_t>(g)].host = h;
     vms_[static_cast<std::size_t>(g)].local_index = sys.vms.size();
-    sys.vms.push_back(make_vm_spec(g, h, 0));
+    sys.vms.push_back(make_vm_spec(g, 0));
   }
   for (int h = 0; h < spec_.hosts; ++h) {
     PARATICK_CHECK_MSG(!specs[static_cast<std::size_t>(h)].vms.empty(),
@@ -118,7 +150,6 @@ Cluster::Cluster(ClusterSpec spec) : spec_(std::move(spec)) {
   if (spec_.hosts > 1) {
     fabric_ = std::make_unique<sim::ParallelEngine>(spec_.engine_threads);
     fabric_->set_lookahead_mode(spec_.lookahead_mode);
-    fabric_->set_max_horizon_windows(spec_.max_horizon_windows);
     for (int h = 0; h < spec_.hosts; ++h) {
       fabric_->add_partition(hosts_[static_cast<std::size_t>(h)]->engine(),
                              "host" + std::to_string(h));
@@ -169,8 +200,7 @@ void Cluster::TelemetryPump::arm() {
 
 Cluster::~Cluster() = default;
 
-VmSpec Cluster::make_vm_spec(int global_vm, int host,
-                             std::uint64_t incarnation) const {
+VmSpec Cluster::make_vm_spec(int global_vm, std::uint64_t incarnation) const {
   VmSpec vm;
   vm.vcpus = spec_.vcpus_per_vm;
   vm.guest = spec_.guest;
@@ -180,7 +210,6 @@ VmSpec Cluster::make_vm_spec(int global_vm, int host,
       derive_seed(derive_seed(spec_.seed, kVmSeedSalt),
                   static_cast<std::uint64_t>(global_vm)),
       incarnation);
-  vm.partition_key = static_cast<std::uint32_t>(host);
   if (spec_.workload) {
     vm.setup = [workload = spec_.workload, global_vm](guest::GuestKernel& k) {
       workload(k, global_vm);
@@ -243,7 +272,7 @@ void Cluster::rebalance_at_barrier() {
     // Heap-allocated: a VmSpec is far larger than the engine's inline
     // callback capacity, and the boot callback outlives this frame.
     auto vspec = std::make_shared<const VmSpec>(
-        make_vm_spec(mig.global_vm, mig.to_host, gv.migrations));
+        make_vm_spec(mig.global_vm, gv.migrations));
     GlobalVm* gvp = &gv;
     System* dst_ptr = &dst_sys;
     fabric_->send(static_cast<sim::PartitionId>(src),

@@ -73,8 +73,6 @@ struct ClusterSpec {
   /// differ — kTopology keeps hosts on their own per-link horizons
   /// instead of the global minimum latency.
   sim::LookaheadMode lookahead_mode = sim::LookaheadMode::kGlobal;
-  /// kTopology horizon cap in global quanta (0 = unbounded).
-  std::uint64_t max_horizon_windows = 64;
   /// Heterogeneous-link telemetry (hosts > 1): when > 0, every host
   /// except host 0 streams a periodic load report to host 0 over a
   /// dedicated low-latency link. That one tight one-directional star is
@@ -104,6 +102,26 @@ struct ClusterResult {
   std::uint64_t state_digest = 0;
   sim::ParallelProfile profile;
 };
+
+struct ExperimentSpec;
+struct SweepConfig;
+
+/// The ClusterSpec fields a sweep's materialized experiment determines:
+/// `hosts`, VMs per host (the scenario's VM copies), vCPUs per VM, the
+/// per-host machine (already sized by the overcommit axis), the host
+/// config, the guest tick mode, frequency and costs, the duration and the
+/// seed. Callers add the workload, rebalancing and engine knobs.
+/// PARATICK_CHECKs that the experiment asks for nothing a cluster cannot
+/// honour: an engine observer, faults, the watchdog or a wall-clock limit
+/// (fault_seed only seeds a fault plan, so `fault` covers it).
+[[nodiscard]] ClusterSpec cluster_spec_for(const ExperimentSpec& exp,
+                                           guest::TickMode mode, int hosts);
+
+/// The sweep flag behind the first setting in `cfg` that cluster runs
+/// cannot honour ("--record-trace", "--chaos / --fault-<knob>",
+/// "--watchdog", "--run-timeout"), or nullptr. Cluster binaries check it
+/// after SweepCli::apply and exit 2 before the sweep starts.
+[[nodiscard]] const char* unsupported_cluster_flag(const SweepConfig& cfg);
 
 class Cluster {
  public:
@@ -146,7 +164,7 @@ class Cluster {
     void arm();
   };
 
-  [[nodiscard]] VmSpec make_vm_spec(int global_vm, int host,
+  [[nodiscard]] VmSpec make_vm_spec(int global_vm,
                                     std::uint64_t incarnation) const;
   void rebalance_at_barrier();
   [[nodiscard]] ClusterResult collect();

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/cli_parse.hpp"
 #include "core/experiment.hpp"
 #include "core/safe_io.hpp"
 #include "core/sweep_shard.hpp"
@@ -380,8 +381,7 @@ class Coordinator {
       return;
     }
     if (line.rfind("#run ", 0) == 0) {
-      w.current = static_cast<std::size_t>(
-          std::strtoull(line.c_str() + 5, nullptr, 10));
+      w.current = static_cast<std::size_t>(parse_u64_flag("#run", line.substr(5)));
       return;
     }
     // "#hb", "#end", transport banner noise: lease renewal already

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "core/cli_parse.hpp"
 #include "core/json.hpp"
 #include "core/sweep_plan.hpp"
 #include "metrics/report.hpp"
@@ -10,19 +11,7 @@
 namespace paratick::core::dispatch {
 
 namespace {
-
 using ull = unsigned long long;
-
-guest::TickMode mode_from_string(const std::string& name) {
-  for (const auto m :
-       {guest::TickMode::kPeriodic, guest::TickMode::kDynticksIdle,
-        guest::TickMode::kFullDynticks, guest::TickMode::kParatick}) {
-    if (name == guest::to_string(m)) return m;
-  }
-  PARATICK_CHECK_MSG(false, ("unknown tick mode in plan header: " + name).c_str());
-  return guest::TickMode::kDynticksIdle;
-}
-
 }  // namespace
 
 PlanInfo plan_info_for(const SweepConfig& cfg) {
@@ -68,7 +57,7 @@ PlanInfo parse_plan_info(const std::string& text) {
   const json::Value* seed = doc.find("root_seed");
   PARATICK_CHECK_MSG(seed != nullptr && seed->type == json::Value::Type::kString,
                      "plan header: missing root_seed");
-  p.root_seed = std::strtoull(seed->str.c_str(), nullptr, 10);
+  p.root_seed = parse_u64_flag("plan header: root_seed", seed->str);
   p.repeat = static_cast<int>(json::num_field(doc, "repeat", 1.0));
   p.total_runs = static_cast<std::size_t>(json::num_field(doc, "total_runs"));
   const json::Value* cells = doc.find("cells");
@@ -79,7 +68,7 @@ PlanInfo parse_plan_info(const std::string& text) {
                        "plan header: cell entry is not an object");
     SweepCellKey key;
     key.variant = json::str_field(cell, "variant");
-    key.mode = mode_from_string(json::str_field(cell, "mode"));
+    key.mode = guest::tick_mode_from_string(json::str_field(cell, "mode"));
     key.tick_freq_hz = json::num_field(cell, "tick_freq_hz");
     key.vcpus = static_cast<int>(json::num_field(cell, "vcpus"));
     key.overcommit = json::num_field(cell, "overcommit");

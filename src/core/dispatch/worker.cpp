@@ -12,6 +12,7 @@
 #include <string>
 #include <thread>
 
+#include "core/cli_parse.hpp"
 #include "core/dispatch/protocol.hpp"
 #include "core/replay.hpp"
 #include "core/safe_io.hpp"
@@ -91,8 +92,8 @@ int run_worker_slice(const SweepConfig& cfg,
       const std::string line = ctl_buf.substr(0, nl);
       ctl_buf.erase(0, nl + 1);
       if (line.rfind("#limit ", 0) == 0) {
-        const auto n = static_cast<std::size_t>(
-            std::strtoull(line.c_str() + 7, nullptr, 10));
+        const auto n =
+            static_cast<std::size_t>(parse_u64_flag("#limit", line.substr(7)));
         if (n < limit) limit = n;
       }
     }
@@ -125,6 +126,12 @@ int run_worker_slice(const SweepConfig& cfg,
     hb_cv.notify_all();
     hb.join();
   };
+  // Join on every way out: a corrupt #limit line throws from poll_ctl(),
+  // and a joinable thread left behind would std::terminate the worker.
+  struct HbJoiner {
+    decltype(join_hb)& join;
+    ~HbJoiner() { join(); }
+  } hb_joiner{join_hb};
 
   const std::string failure_dir =
       opts.write_bundles
@@ -158,7 +165,6 @@ int run_worker_slice(const SweepConfig& cfg,
     }
   }
   if (rc == 0) (void)out.write_line("#end");
-  join_hb();
   return rc;
 }
 

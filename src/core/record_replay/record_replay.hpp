@@ -18,7 +18,6 @@
 
 #include "core/record_replay/trace.hpp"
 #include "sim/engine.hpp"
-#include "sim/parallel/parallel_engine.hpp"
 
 namespace paratick::core::record_replay {
 
@@ -44,39 +43,6 @@ class TraceRecorder final : public sim::EventObserver {
   [[nodiscard]] EventTrace take() { return std::move(trace_); }
 
  private:
-  EventTrace trace_;
-};
-
-/// TraceRecorder's counterpart for sim::ParallelEngine: records the
-/// COMMITTED global event order (the barrier-merged stream, not raw
-/// worker-thread execution order). Sequence numbers from different
-/// partitions are disjoint after tagging as `seq * partitions + partition`,
-/// so the trace stays comparable record-by-record and its chain digest is
-/// bit-identical for any engine-thread count — that digest equality is the
-/// parallel-vs-sequential CI gate.
-class ParallelTraceRecorder {
- public:
-  explicit ParallelTraceRecorder(std::uint32_t partitions,
-                                 std::uint64_t expected_events = 0)
-      : partitions_(partitions) {
-    trace_.reserve_events(expected_events > 0 ? expected_events : 1 << 16);
-  }
-
-  /// Bind as the engine's commit hook:
-  ///   parallel.set_commit_hook(recorder.hook());
-  [[nodiscard]] sim::CommitHook hook() {
-    return [this](sim::PartitionId part, sim::SimTime when, std::uint64_t seq,
-                  std::uint64_t digest) {
-      trace_.append(when.nanoseconds(), seq * partitions_ + part,
-                    digest32(digest));
-    };
-  }
-
-  [[nodiscard]] const EventTrace& trace() const { return trace_; }
-  [[nodiscard]] EventTrace take() { return std::move(trace_); }
-
- private:
-  std::uint32_t partitions_;
   EventTrace trace_;
 };
 

@@ -1,13 +1,13 @@
 #include "core/replay.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/cli_parse.hpp"
 #include "core/dispatch/dispatch.hpp"
 #include "core/dispatch/transport.hpp"
 #include "core/json.hpp"
@@ -20,17 +20,6 @@ namespace paratick::core {
 
 namespace {
 
-RunFailure::Kind kind_from_name(const std::string& name) {
-  using Kind = RunFailure::Kind;
-  for (const Kind k : {Kind::kCheck, Kind::kWatchdog, Kind::kTimeout,
-                       Kind::kException, Kind::kSkipped, Kind::kCrash,
-                       Kind::kDivergence}) {
-    if (name == RunFailure::kind_name(k)) return k;
-  }
-  PARATICK_CHECK_MSG(false, "replay bundle: unknown failure kind");
-  std::abort();  // unreachable; keeps -fsanitize=thread builds warning-free
-}
-
 std::int64_t ns(sim::SimTime t) { return t.nanoseconds(); }
 
 // Seeds are written as decimal strings (full 64-bit precision); accept a
@@ -40,7 +29,8 @@ std::uint64_t seed_field(const json::Value& obj, const char* key) {
   const json::Value* v = obj.find(key);
   PARATICK_CHECK_MSG(v != nullptr, "replay bundle: missing seed field");
   if (v->type == json::Value::Type::kString) {
-    return std::strtoull(v->str.c_str(), nullptr, 10);
+    return parse_u64_flag(
+        (std::string("replay bundle: ") + key).c_str(), v->str);
   }
   PARATICK_CHECK_MSG(v->type == json::Value::Type::kNumber,
                      "replay bundle: seed is neither string nor number");
@@ -188,7 +178,7 @@ ReplayBundle parse_replay_bundle(const std::string& json_text) {
   const json::Value* fail = doc.find("failure");
   PARATICK_CHECK_MSG(fail != nullptr && fail->type == json::Value::Type::kObject,
                      "replay bundle: missing failure object");
-  b.failure.kind = kind_from_name(json::str_field(*fail, "kind"));
+  b.failure.kind = RunFailure::kind_from_name(json::str_field(*fail, "kind"));
   if (const json::Value* e = fail->find("expr");
       e != nullptr && e->type == json::Value::Type::kString) {
     b.failure.expr = e->str;

@@ -85,6 +85,16 @@ const char* RunFailure::kind_name(Kind k) {
   return "?";
 }
 
+RunFailure::Kind RunFailure::kind_from_name(const std::string& name) {
+  for (const Kind k : {Kind::kCheck, Kind::kWatchdog, Kind::kTimeout,
+                       Kind::kException, Kind::kSkipped, Kind::kCrash,
+                       Kind::kDivergence}) {
+    if (name == kind_name(k)) return k;
+  }
+  PARATICK_CHECK_MSG(false, ("unknown failure kind: " + name).c_str());
+  return Kind::kException;
+}
+
 std::string SweepCellKey::label() const {
   std::string out = variant.empty() ? "base" : variant;
   out += '/';
@@ -449,9 +459,6 @@ SweepCli parse_sweep_cli(int argc, char** argv) {
                                              {"global", "topology"}) == 0
                                ? sim::LookaheadMode::kGlobal
                                : sim::LookaheadMode::kTopology;
-    } else if (std::strcmp(arg, "--max-horizon-windows") == 0) {
-      cli.max_horizon_windows = parse_u64_flag(
-          "--max-horizon-windows", need_value(i, "--max-horizon-windows"));
     } else if (std::strcmp(arg, "--repeat") == 0) {
       cli.repeat = static_cast<int>(parse_u64_flag(
           "--repeat", need_value(i, "--repeat"), 0x7FFFFFFFull));
@@ -557,9 +564,6 @@ SweepCli SweepCli::parse(int argc, char** argv) {
 
 void SweepCli::apply(SweepConfig& cfg) const {
   cfg.threads = threads;
-  cfg.engine_threads = engine_threads;
-  cfg.lookahead_mode = lookahead_mode;
-  cfg.max_horizon_windows = max_horizon_windows;
   cfg.repeat = repeat;
   cfg.progress = progress;
   if (root_seed) cfg.root_seed = *root_seed;

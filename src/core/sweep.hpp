@@ -67,19 +67,6 @@ struct SweepConfig {
   int repeat = 1;                        // seed replicas per cell
   std::uint64_t root_seed = 1;
   unsigned threads = 0;                  // 0 = hardware_concurrency
-  /// Worker threads INSIDE each partitioned run's sim::ParallelEngine
-  /// (--engine-threads N) — orthogonal to `threads`, which fans runs out
-  /// across the grid. Only scenarios built on the parallel engine read
-  /// it; results are bit-identical for any value (that is the parallel
-  /// engine's contract, and what the CI smoke job compares). 1 = drive
-  /// every partition inline, 0 = hardware_concurrency.
-  unsigned engine_threads = 1;
-  /// Parallel-engine window-bound derivation (--lookahead-mode). Results
-  /// are bit-identical either way; only the window counters in the
-  /// parallel profile differ (kTopology runs fewer barriers).
-  sim::LookaheadMode lookahead_mode = sim::LookaheadMode::kGlobal;
-  /// kTopology horizon cap in global quanta (0 = unbounded).
-  std::uint64_t max_horizon_windows = 64;
   bool progress = false;                 // per-run timing lines on stderr
 
   /// Base directory for the sweep's file outputs: relative failure_dir
@@ -158,6 +145,9 @@ struct RunFailure {
   std::uint64_t events_executed = 0;
 
   [[nodiscard]] static const char* kind_name(Kind k);
+  /// Inverse of kind_name; throws sim::SimError naming `name` on anything
+  /// else.
+  [[nodiscard]] static Kind kind_from_name(const std::string& name);
 };
 
 /// One simulation run (cell x replica).
@@ -317,15 +307,13 @@ class SweepRunner {
 
 /// Shared CLI for the sweep-driven bench/example binaries:
 ///   -j N | -jN        worker threads (default: hardware_concurrency)
-///   --engine-threads N  threads inside each run's parallel engine
-///                     (partitioned scenarios only; orthogonal to -j,
-///                     results bit-identical for any N; default 1)
+///   --engine-threads N  threads inside each cluster run's parallel
+///                     engine (core::Cluster scenarios only; orthogonal to
+///                     -j, results bit-identical for any N; default 1)
 ///   --lookahead-mode M  parallel-engine window bounds: "global" (default,
 ///                     one conservative window = min link latency) or
 ///                     "topology" (per-partition safe horizons from the
 ///                     declared links; identical results, fewer barriers)
-///   --max-horizon-windows N  cap a topology horizon at N global quanta
-///                     (default 64, 0 = unbounded)
 ///   --repeat N        seed replicas per cell (default 1)
 ///   --seed S          root seed
 ///   --csv             machine-readable stdout (per-bench table)
@@ -380,7 +368,6 @@ struct SweepCli {
   unsigned threads = 0;
   unsigned engine_threads = 1;
   sim::LookaheadMode lookahead_mode = sim::LookaheadMode::kGlobal;
-  std::uint64_t max_horizon_windows = 64;
   int repeat = 1;
   std::optional<std::uint64_t> root_seed;
   bool csv = false;

@@ -1,9 +1,9 @@
 #include "core/sweep_shard.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 
+#include "core/cli_parse.hpp"
 #include "core/json.hpp"
 #include "core/safe_io.hpp"
 #include "metrics/report.hpp"
@@ -22,21 +22,11 @@ namespace {
 
 using ull = unsigned long long;
 
-guest::TickMode mode_from_string(const std::string& name) {
-  for (const auto m :
-       {guest::TickMode::kPeriodic, guest::TickMode::kDynticksIdle,
-        guest::TickMode::kFullDynticks, guest::TickMode::kParatick}) {
-    if (name == guest::to_string(m)) return m;
-  }
-  PARATICK_CHECK_MSG(false, ("unknown tick mode in snapshot: " + name).c_str());
-  return guest::TickMode::kDynticksIdle;
-}
-
 std::uint64_t u64_string_field(const json::Value& obj, const char* key) {
   const json::Value* v = obj.find(key);
   PARATICK_CHECK_MSG(v != nullptr && v->type == json::Value::Type::kString,
                      "run record: missing u64 string field");
-  return std::strtoull(v->str.c_str(), nullptr, 10);
+  return parse_u64_flag(key, v->str);
 }
 
 std::uint64_t u64_field(const json::Value& obj, const char* key) {
@@ -79,19 +69,6 @@ const json::Value& array_field(const json::Value& obj, const char* key) {
   PARATICK_CHECK_MSG(v != nullptr && v->type == json::Value::Type::kArray,
                      "run record: missing array field");
   return *v;
-}
-
-RunFailure::Kind failure_kind_from_string(const std::string& name) {
-  for (const auto k :
-       {RunFailure::Kind::kCheck, RunFailure::Kind::kWatchdog,
-        RunFailure::Kind::kTimeout, RunFailure::Kind::kException,
-        RunFailure::Kind::kSkipped, RunFailure::Kind::kCrash,
-        RunFailure::Kind::kDivergence}) {
-    if (name == RunFailure::kind_name(k)) return k;
-  }
-  PARATICK_CHECK_MSG(false,
-                     ("unknown failure kind in run record: " + name).c_str());
-  return RunFailure::Kind::kException;
 }
 
 void append_vm(std::string& out, const metrics::VmResult& vm) {
@@ -317,7 +294,7 @@ SweepRun parse_run_value(const json::Value& doc) {
   if (const json::Value* trace = doc.find("trace")) run.trace_path = trace->str;
   if (const json::Value* failure = doc.find("failure")) {
     RunFailure f;
-    f.kind = failure_kind_from_string(json::str_field(*failure, "kind"));
+    f.kind = RunFailure::kind_from_name(json::str_field(*failure, "kind"));
     f.expr = json::str_field(*failure, "expr");
     f.file = json::str_field(*failure, "file");
     f.line = static_cast<int>(json::num_field(*failure, "line"));
@@ -433,7 +410,7 @@ PartialSnapshot parse_partial_snapshot(const std::string& text) {
                        "partial snapshot: cell entry is not an object");
     SweepCellKey key;
     key.variant = json::str_field(cell, "variant");
-    key.mode = mode_from_string(json::str_field(cell, "mode"));
+    key.mode = guest::tick_mode_from_string(json::str_field(cell, "mode"));
     key.tick_freq_hz = json::num_field(cell, "tick_freq_hz");
     key.vcpus = static_cast<int>(json::num_field(cell, "vcpus"));
     key.overcommit = json::num_field(cell, "overcommit");

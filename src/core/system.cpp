@@ -29,7 +29,6 @@ std::size_t System::attach_vm(const VmSpec& vspec) {
   hv::VmConfig vconf;
   vconf.vcpus = vspec.vcpus;
   vconf.pinning = vspec.pinning;
-  vconf.partition_key = vspec.partition_key;
   hv::Vm& vm = kvm_.create_vm(vconf);
 
   guest::GuestConfig gconf = vspec.guest;

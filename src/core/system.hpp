@@ -44,10 +44,6 @@ struct VmSpec {
   bool attach_disk = false;
   hw::BlockDeviceSpec disk = hw::BlockDeviceSpec::sata_ssd();
   std::vector<hw::CpuId> pinning;  // optional explicit vCPU placement
-  /// Parallel-engine partition this VM belongs to (copied into
-  /// hv::VmConfig). The partitioned scenario layer sets it; plain
-  /// single-engine systems leave the default 0.
-  std::uint32_t partition_key = 0;
 };
 
 struct SystemSpec {

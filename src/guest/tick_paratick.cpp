@@ -1,6 +1,8 @@
 // Paratick guest side (paper Figures 3a-3d, §5.2).
 #include "guest/tick_policies.hpp"
 
+#include <string>
+
 #include "sim/check.hpp"
 
 namespace paratick::guest {
@@ -76,6 +78,15 @@ void ParatickPolicy::on_idle_exit(std::function<void()> done) {
 }
 
 // ---------------------------------------------------------------------------
+
+TickMode tick_mode_from_string(std::string_view name) {
+  for (const auto m : {TickMode::kPeriodic, TickMode::kDynticksIdle,
+                       TickMode::kFullDynticks, TickMode::kParatick}) {
+    if (name == to_string(m)) return m;
+  }
+  PARATICK_CHECK_MSG(false, ("unknown tick mode: " + std::string(name)).c_str());
+  return TickMode::kDynticksIdle;
+}
 
 std::unique_ptr<TickPolicy> make_tick_policy(TickMode mode, TickCpu& cpu) {
   switch (mode) {

@@ -40,6 +40,10 @@ enum class TickMode : std::uint8_t {
   return "?";
 }
 
+/// Inverse of to_string(TickMode); throws sim::SimError naming `name` on
+/// anything else.
+[[nodiscard]] TickMode tick_mode_from_string(std::string_view name);
+
 /// What a tick policy may do to / learn from its CPU.
 class TickCpu {
  public:

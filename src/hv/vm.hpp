@@ -1,4 +1,7 @@
 // A virtual machine: a set of vCPUs plus its virtual block device state.
+// A VM knows nothing of parallel execution: it lives on the engine of the
+// core::System that created it, and that System is its partition when a
+// cluster runs hosts on sim::ParallelEngine.
 #pragma once
 
 #include <cstdint>
@@ -15,11 +18,6 @@ struct VmConfig {
   int vcpus = 1;
   /// Preferred physical CPUs (pinning targets); empty = hypervisor picks.
   std::vector<hw::CpuId> pinning;
-  /// Which parallel-engine partition this VM belongs to. The scenario
-  /// layer assigns it when it partitions a workload across engines
-  /// (core/parallel_scenario); 0 for ordinary single-engine runs — the
-  /// hypervisor itself never reads it.
-  std::uint32_t partition_key = 0;
 };
 
 class Vm {

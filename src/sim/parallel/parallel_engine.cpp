@@ -118,11 +118,6 @@ void ParallelEngine::set_lookahead_mode(LookaheadMode mode) {
   mode_ = mode;
 }
 
-void ParallelEngine::set_max_horizon_windows(std::uint64_t windows) {
-  PARATICK_CHECK_MSG(!running_, "cannot resize the horizon cap mid-run");
-  max_horizon_windows_ = windows;
-}
-
 std::optional<SimTime> ParallelEngine::link_latency(PartitionId src,
                                                     PartitionId dst) const {
   std::optional<SimTime> best;
@@ -430,16 +425,11 @@ void ParallelEngine::drive(std::optional<SimTime> deadline) {
             const SimTime via = saturating_add(floors[l.src], l.min_latency);
             if (via < bound) bound = via;
           }
-          if (max_horizon_windows_ > 0) {
-            SimTime cap = SimTime::max();
-            const std::int64_t wn = window->nanoseconds();
-            if (max_horizon_windows_ <
-                static_cast<std::uint64_t>(
-                    std::numeric_limits<std::int64_t>::max() / wn)) {
-              cap = saturating_add(
-                  start, SimTime::ns(wn * static_cast<std::int64_t>(
-                                              max_horizon_windows_)));
-            }
+          const std::int64_t wn = window->nanoseconds();
+          if (kMaxHorizonWindows <
+              std::numeric_limits<std::int64_t>::max() / wn) {
+            const SimTime cap =
+                saturating_add(start, SimTime::ns(wn * kMaxHorizonWindows));
             if (cap < bound) bound = cap;
           }
           // The horizon can never be tighter than the global quantum.

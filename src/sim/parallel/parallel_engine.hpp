@@ -23,7 +23,7 @@
 //              pending work (local queue or undelivered inbox message).
 //              Partitions behind a slow link — or with no inbound links
 //              at all — cover many global quanta per barrier
-//              (`set_max_horizon_windows` caps how many).
+//              (at most kMaxHorizonWindows).
 //
 // Sparse barriers: window starts always jump directly to the earliest
 // committed work anywhere, so globally-dead stretches cost zero barriers
@@ -170,14 +170,6 @@ class ParallelEngine {
   void set_lookahead_mode(LookaheadMode mode);
   [[nodiscard]] LookaheadMode lookahead_mode() const { return mode_; }
 
-  /// Cap a kTopology horizon at `windows` global quanta past the window
-  /// start (bounds barrier-buffer growth when a partition has slow or no
-  /// inbound links). 0 means unbounded; default 64. Ignored in kGlobal.
-  void set_max_horizon_windows(std::uint64_t windows);
-  [[nodiscard]] std::uint64_t max_horizon_windows() const {
-    return max_horizon_windows_;
-  }
-
   [[nodiscard]] std::size_t partition_count() const { return parts_.size(); }
   [[nodiscard]] Engine& engine(PartitionId p) { return *parts_[p].engine; }
   [[nodiscard]] const std::string& name(PartitionId p) const {
@@ -198,6 +190,11 @@ class ParallelEngine {
   [[nodiscard]] std::uint64_t state_digest() const;
 
  private:
+  /// A kTopology horizon reaches at most this many global quanta past the
+  /// window start: bounds barrier-buffer growth when a partition has slow
+  /// or no inbound links. Ignored in kGlobal. Results never depend on it.
+  static constexpr std::int64_t kMaxHorizonWindows = 64;
+
   struct CommitRecord {
     SimTime when;
     std::uint64_t seq;
@@ -271,7 +268,6 @@ class ParallelEngine {
   CommitHook hook_;
   unsigned threads_ = 1;
   LookaheadMode mode_ = LookaheadMode::kGlobal;
-  std::uint64_t max_horizon_windows_ = 64;
   std::unique_ptr<core::ThreadPool> pool_;
   bool running_ = false;
   std::uint64_t quanta_ = 0;

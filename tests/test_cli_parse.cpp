@@ -145,13 +145,11 @@ struct Argv {
 TEST(SweepCliParse, AcceptsValidNumericFlags) {
   Argv a({"-j", "4", "--repeat", "3", "--seed", "0xdead", "--run-timeout",
           "1.5", "--fault-timer-drop", "0.25", "--record-trace",
-          "--lookahead-mode", "topology", "--max-horizon-windows", "128",
-          "extra"});
+          "--lookahead-mode", "topology", "extra"});
   const SweepCli cli = SweepCli::parse(a.argc(), a.argv());
   EXPECT_EQ(cli.threads, 4u);
   EXPECT_EQ(cli.repeat, 3);
   EXPECT_EQ(cli.lookahead_mode, sim::LookaheadMode::kTopology);
-  EXPECT_EQ(cli.max_horizon_windows, 128u);
   ASSERT_TRUE(cli.root_seed.has_value());
   EXPECT_EQ(*cli.root_seed, 0xdeadu);
   EXPECT_DOUBLE_EQ(cli.run_timeout_sec, 1.5);
@@ -206,8 +204,6 @@ TEST(SweepCliParse, BadNumbersExitWithCode2NotZero) {
       {{"--dispatch-test-kill", "2.5"}, "not a valid integer"},
       {{"--lookahead-mode", "sideways"}, "expected one of global topology"},
       {{"--lookahead-mode", "topo"}, "expected one of"},
-      {{"--max-horizon-windows", "lots"}, "not a valid integer"},
-      {{"--max-horizon-windows", "-1"}, "non-negative"},
   };
   for (const Case& c : cases) {
     Argv a(c.args);

@@ -1,7 +1,7 @@
 // Cluster-layer tests: placement determinism, single-host equivalence
 // with a plain core::System, steal-aware rebalancing, migration blackout
-// accounting, and bit-identity across engine-thread counts and sweep
-// fan-out.
+// accounting, bit-identity across engine-thread counts, lookahead modes
+// and sweep fan-out, and the sweep settings cluster runs reject.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +15,7 @@
 #include "core/dispatch/dispatch.hpp"
 #include "core/dispatch/transport.hpp"
 #include "core/experiment.hpp"
+#include "core/record_replay/record_replay.hpp"
 #include "core/sweep.hpp"
 #include "core/system.hpp"
 #include "workload/micro.hpp"
@@ -116,7 +117,6 @@ TEST(Cluster, SingleHostMatchesPlainSystemBitForBit) {
   vm.guest.tick_mode = guest::TickMode::kDynticksIdle;
   vm.guest.steal.enabled = true;
   vm.guest.seed = derive_seed(derive_seed(derive_seed(seed, kVmSeedSalt), 0), 0);
-  vm.partition_key = 0;
   vm.setup = [](guest::GuestKernel& k) { busy_storm(k, 0.4); };
   sys.vms.push_back(vm);
   System plain(std::move(sys));
@@ -186,26 +186,60 @@ TEST(Cluster, MigrationBlackoutLandsInWakeLatency) {
   EXPECT_GE(worst, 777.0);
 }
 
-TEST(Cluster, EngineThreadCountDoesNotChangeResults) {
-  ClusterSpec one = tenant_cluster(4, 2, 33);
-  ClusterSpec four = tenant_cluster(4, 2, 33);
-  one.engine_threads = 1;
-  four.engine_threads = 4;
-  ClusterResult a = Cluster(std::move(one)).run();
-  ClusterResult b = Cluster(std::move(four)).run();
-  EXPECT_EQ(a.state_digest, b.state_digest);
-  EXPECT_EQ(a.placement, b.placement);
-  EXPECT_EQ(a.migrations, b.migrations);
-  EXPECT_EQ(a.merged.exits_total, b.merged.exits_total);
-  EXPECT_EQ(a.merged.events_executed, b.merged.events_executed);
-  ASSERT_EQ(a.merged.vms.size(), b.merged.vms.size());
-  for (std::size_t g = 0; g < a.merged.vms.size(); ++g) {
-    EXPECT_EQ(a.merged.vms[g].exits_total, b.merged.vms[g].exits_total);
-    EXPECT_EQ(a.merged.vms[g].steal_time.nanoseconds(),
-              b.merged.vms[g].steal_time.nanoseconds());
-    EXPECT_EQ(a.merged.vms[g].wakeup_latency_us.mean(),
-              b.merged.vms[g].wakeup_latency_us.mean());
+// The parallel engine's determinism gate on the one scenario that drives
+// it: rebalancing migrations boot guests across partitions, and the
+// telemetry star gives host 0 a tight inbound link the other hosts lack.
+// 8 engine threads exceed the 3 partitions.
+TEST(Cluster, IdenticalAcrossEngineThreadsAndLookaheadModes) {
+  const auto run = [](unsigned threads, sim::LookaheadMode mode) {
+    ClusterSpec cs = tenant_cluster(3, 2, 33);
+    cs.duration = SimTime::ms(40);
+    cs.telemetry_period = SimTime::us(200);
+    cs.telemetry_latency = SimTime::us(50);
+    cs.workload = [](guest::GuestKernel& k, int g) {
+      if (g % 3 == 0) busy_storm(k, 0.9);  // global VMs 0 and 3 on host 0
+    };
+    cs.engine_threads = threads;
+    cs.lookahead_mode = mode;
+    return Cluster(std::move(cs)).run();
+  };
+  const ClusterResult ref = run(1, sim::LookaheadMode::kGlobal);
+  ASSERT_GT(ref.migrations, 0u);
+  ASSERT_GT(ref.telemetry_received, 0u);
+  std::uint64_t windows[2] = {0, 0};
+  for (const sim::LookaheadMode mode :
+       {sim::LookaheadMode::kGlobal, sim::LookaheadMode::kTopology}) {
+    for (const unsigned threads : {1u, 4u, 8u}) {
+      SCOPED_TRACE(std::string(sim::to_string(mode)) + " x" +
+                   std::to_string(threads));
+      const ClusterResult r = run(threads, mode);
+      EXPECT_EQ(r.state_digest, ref.state_digest);
+      EXPECT_EQ(r.placement, ref.placement);
+      EXPECT_EQ(r.migrations, ref.migrations);
+      EXPECT_EQ(r.telemetry_received, ref.telemetry_received);
+      EXPECT_EQ(r.profile.events_committed, ref.profile.events_committed);
+      EXPECT_EQ(r.profile.cross_messages, ref.profile.cross_messages);
+      EXPECT_EQ(r.merged.exits_total, ref.merged.exits_total);
+      EXPECT_EQ(r.merged.exits_timer_related, ref.merged.exits_timer_related);
+      EXPECT_EQ(r.merged.events_executed, ref.merged.events_executed);
+      EXPECT_EQ(r.merged.events_scheduled, ref.merged.events_scheduled);
+      ASSERT_EQ(r.merged.vms.size(), ref.merged.vms.size());
+      for (std::size_t g = 0; g < r.merged.vms.size(); ++g) {
+        EXPECT_EQ(r.merged.vms[g].exits_total, ref.merged.vms[g].exits_total);
+        EXPECT_EQ(r.merged.vms[g].steal_time.nanoseconds(),
+                  ref.merged.vms[g].steal_time.nanoseconds());
+        EXPECT_EQ(r.merged.vms[g].wakeup_latency_us.mean(),
+                  ref.merged.vms[g].wakeup_latency_us.mean());
+      }
+      // Window counters depend on the mode, never on the thread count.
+      std::uint64_t& w = windows[mode == sim::LookaheadMode::kTopology];
+      if (threads == 1) w = r.profile.quanta;
+      EXPECT_EQ(r.profile.quanta, w);
+      EXPECT_EQ(r.merged.par_windows, w);
+    }
   }
+  EXPECT_GT(windows[1], 0u);
+  EXPECT_LE(windows[1], windows[0]);
 }
 
 SweepConfig cluster_sweep(unsigned threads) {
@@ -219,16 +253,8 @@ SweepConfig cluster_sweep(unsigned threads) {
   cfg.root_seed = 4242;
   cfg.threads = threads;
   cfg.base.scenario.run = [](const ExperimentSpec& exp, guest::TickMode mode) {
-    ClusterSpec cs;
-    cs.hosts = 2;
-    cs.vms_per_host = exp.scenario.effective_copies();
-    cs.vcpus_per_vm = exp.vcpus;
-    cs.machine = exp.machine;
-    cs.host = exp.host;
-    cs.guest.tick_mode = mode;
+    ClusterSpec cs = cluster_spec_for(exp, mode, 2);
     cs.guest.steal.enabled = true;
-    cs.duration = exp.max_duration;
-    cs.seed = exp.guest_seed;
     cs.rebalance_period = SimTime::ms(5);
     cs.workload = [until = exp.max_duration,
                    seed = exp.guest_seed](guest::GuestKernel& k, int g) {
@@ -272,6 +298,44 @@ TEST(Cluster, RejectsNonsenseSpecs) {
   Cluster c(std::move(once));
   (void)c.run();
   EXPECT_SIM_ERROR((void)c.run(), "only run once");
+}
+
+// Cluster runs honour none of the per-run sweep extras; asking for one
+// must fail loudly instead of running an unrecorded, unfaulted cluster.
+TEST(Cluster, SpecForRejectsSweepSettingsItCannotHonour) {
+  ExperimentSpec exp;
+  exp.fault_seed = 99;  // the sweep always derives one: inert without faults
+  EXPECT_EQ(cluster_spec_for(exp, guest::TickMode::kParatick, 3).hosts, 3);
+
+  record_replay::TraceRecorder recorder;
+  ExperimentSpec observed;
+  observed.observer = &recorder;
+  EXPECT_SIM_ERROR((void)cluster_spec_for(observed, guest::TickMode::kParatick, 2),
+                   "--record-trace");
+  ExperimentSpec faulted;
+  faulted.fault.timer_drop_prob = 0.1;
+  EXPECT_SIM_ERROR((void)cluster_spec_for(faulted, guest::TickMode::kParatick, 2),
+                   "--chaos");
+  ExperimentSpec watched;
+  watched.watchdog = true;
+  EXPECT_SIM_ERROR((void)cluster_spec_for(watched, guest::TickMode::kParatick, 2),
+                   "--watchdog");
+  ExperimentSpec limited;
+  limited.wall_limit_sec = 5.0;
+  EXPECT_SIM_ERROR((void)cluster_spec_for(limited, guest::TickMode::kParatick, 2),
+                   "--run-timeout");
+
+  SweepConfig cfg;
+  EXPECT_EQ(unsupported_cluster_flag(cfg), nullptr);
+  cfg.record_trace = true;
+  EXPECT_STREQ(unsupported_cluster_flag(cfg), "--record-trace");
+  cfg = SweepConfig{};
+  cfg.fault.steal_burst_prob = 0.5;
+  cfg.watchdog = true;  // --chaos sets both; the fault flag is named first
+  EXPECT_STREQ(unsupported_cluster_flag(cfg), "--chaos / --fault-<knob>");
+  cfg = SweepConfig{};
+  cfg.run_timeout_sec = 2.0;
+  EXPECT_STREQ(unsupported_cluster_flag(cfg), "--run-timeout");
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // subsets, and crash isolation + crash replay of runs that abort().
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <cstdlib>
@@ -102,6 +103,90 @@ TEST(DispatchPlan, HeaderRoundTripsAndDetectsSkew) {
   skewed.cells[1].vcpus = 99;
   EXPECT_FALSE(dispatch::plans_match(plan, skewed, &why));
   EXPECT_NE(why.find("cell 1"), std::string::npos);
+}
+
+// u64 fields travel as decimal strings; trailing junk must fail naming the
+// field instead of parsing the digits before it (or 0 for pure garbage).
+TEST(DispatchProtocol, MalformedU64StringsNameTheField) {
+  const auto garble = [](std::string text, const std::string& from,
+                         const std::string& to) {
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return text.replace(at, from.size(), to);
+  };
+
+  SweepRun run;
+  run.run_index = 3;
+  run.seed = 12345;
+  run.executed = true;
+  run.ok = true;
+  const std::string record = run_record_to_json(run);
+  EXPECT_EQ(parse_run_record(record).seed, 12345u);
+  EXPECT_SIM_ERROR((void)parse_run_record(garble(record, "\"seed\": \"12345\"",
+                                                 "\"seed\": \"12345x\"")),
+                   "seed: not a valid integer");
+
+  PartialSnapshot ckpt;
+  ckpt.root_seed = 77;
+  const std::string snapshot = to_json(ckpt);
+  EXPECT_EQ(parse_partial_snapshot(snapshot).root_seed, 77u);
+  EXPECT_SIM_ERROR(
+      (void)parse_partial_snapshot(garble(snapshot, "\"root_seed\": \"77\"",
+                                          "\"root_seed\": \"7x7\"")),
+      "root_seed: not a valid integer");
+
+  const std::string plan = dispatch::to_json(dispatch::plan_info_for(tiny_sweep()));
+  EXPECT_SIM_ERROR(
+      (void)dispatch::parse_plan_info(garble(plan, "\"root_seed\": \"77\"",
+                                             "\"root_seed\": \"77x\"")),
+      "plan header: root_seed");
+}
+
+// A worker announcing "#run 0x" used to be taken for run 0; the corrupt
+// announcement must abort the dispatch, naming the line.
+TEST(DispatchProtocol, MalformedRunLineNamesTheField) {
+  class GarbledRunTransport final : public dispatch::WorkerTransport {
+   public:
+    explicit GarbledRunTransport(const SweepConfig& cfg)
+        : plan_(dispatch::plan_info_for(cfg)) {}
+    const char* name() const override { return "garbled"; }
+    dispatch::PlanInfo plan() override { return plan_; }
+    dispatch::WorkerProcess launch(const std::vector<std::size_t>&) override {
+      int fds[2];
+      if (::pipe(fds) != 0) std::abort();
+      const pid_t pid = ::fork();
+      if (pid == 0) {
+        ::close(fds[0]);
+        const std::string text =
+            "#plan " + dispatch::to_json(plan_) + "\n#run 0x\n";
+        std::_Exit(write_all(fds[1], text.data(), text.size()) ? 0 : 1);
+      }
+      ::close(fds[1]);
+      return {pid, fds[0], -1};
+    }
+
+   private:
+    dispatch::PlanInfo plan_;
+  };
+
+  dispatch::SweepDispatcher d(
+      std::make_unique<GarbledRunTransport>(tiny_sweep(1)), fast_opts(1));
+  EXPECT_SIM_ERROR((void)d.run(), "#run: not a valid integer");
+}
+
+// A "#limit 1x" control line used to truncate the slice to one run; the
+// worker must refuse it, naming the line, with its heartbeat thread joined.
+TEST(DispatchProtocol, MalformedLimitLineNamesTheField) {
+  int ctl[2];
+  ASSERT_EQ(::pipe(ctl), 0);
+  const std::string line = "#limit 1x\n";
+  ASSERT_TRUE(write_all(ctl[1], line.data(), line.size()));
+  const int out = ::open("/dev/null", O_WRONLY);
+  ASSERT_GE(out, 0);
+  EXPECT_SIM_ERROR(
+      (void)dispatch::run_worker_slice(tiny_sweep(1), {0, 1}, out, ctl[0]),
+      "#limit: not a valid integer");
+  for (const int fd : {out, ctl[0], ctl[1]}) ::close(fd);
 }
 
 // ---- byte-identity --------------------------------------------------------

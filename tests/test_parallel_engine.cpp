@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/parallel_scenario.hpp"
 #include "sim/engine.hpp"
 #include "sim/parallel/parallel_engine.hpp"
 #include "sim/rng.hpp"
@@ -473,44 +472,3 @@ TEST(ParallelEngine, TopologyLookaheadElidesBarriersOnSparseStar) {
 
 }  // namespace
 }  // namespace paratick::sim
-
-namespace paratick::core {
-namespace {
-
-PartitionedScenarioSpec scenario_spec(unsigned engine_threads) {
-  PartitionedScenarioSpec spec;
-  spec.vms = 3;
-  spec.duration = sim::SimTime::ms(5);
-  spec.server.workers = 1;
-  spec.server.requests_per_worker = 50;
-  spec.engine_threads = engine_threads;
-  spec.record_trace = true;
-  return spec;
-}
-
-TEST(PartitionedScenario, ExportsAndTraceBitIdenticalAcrossEngineThreads) {
-  const PartitionedRunResult ref = run_partitioned_scenario(scenario_spec(1));
-  const PartitionedRunResult par = run_partitioned_scenario(scenario_spec(4));
-
-  EXPECT_EQ(ref.state_digest, par.state_digest);
-  EXPECT_EQ(ref.trace_chain, par.trace_chain);
-  EXPECT_EQ(ref.trace_events, par.trace_events);
-  EXPECT_EQ(ref.to_csv(), par.to_csv());
-  EXPECT_EQ(ref.to_json(), par.to_json());
-  ASSERT_GT(ref.profile.cross_messages, 0u);
-  EXPECT_EQ(ref.profile.cross_messages, par.profile.cross_messages);
-}
-
-TEST(PartitionedScenario, CrossVmWakeIpisReachTheGuests) {
-  const PartitionedRunResult res = run_partitioned_scenario(scenario_spec(1));
-  ASSERT_EQ(res.vms.size(), 3u);
-  for (const metrics::RunResult& r : res.vms) {
-    // Each VM received the ring pacer's wake IPIs: the wake-ipi exit cause
-    // (or wakes from idle) must show up in its exit accounting.
-    EXPECT_GT(r.exits_total, 0u);
-    EXPECT_EQ(r.wall, sim::SimTime::ms(5));
-  }
-}
-
-}  // namespace
-}  // namespace paratick::core

@@ -384,6 +384,22 @@ TEST(RecordReplay, CheckReplayRefusesCrashBundles) {
                    "forked child");
 }
 
+// Seeds travel as decimal strings; trailing junk must fail naming the
+// field instead of replaying the digits before it.
+TEST(RecordReplay, MalformedBundleSeedNamesTheField) {
+  ReplayBundle bundle;
+  bundle.seed = 4242;
+  const std::string text = to_json(bundle);
+  EXPECT_EQ(parse_replay_bundle(text).seed, 4242u);
+  const std::string from = "\"seed\": \"4242\"";
+  const std::size_t at = text.find(from);
+  ASSERT_NE(at, std::string::npos);
+  std::string bad = text;
+  bad.replace(at, from.size(), "\"seed\": \"42z42\"");
+  EXPECT_SIM_ERROR((void)parse_replay_bundle(bad),
+                   "replay bundle: seed: not a valid integer");
+}
+
 TEST(RecordReplay, TraceBytesIdenticalAcrossThreadsAndDispatch) {
   // The determinism contract extends to traces: any -j, local or
   // dispatched, byte-identical trace files per run index. The dispatch leg
