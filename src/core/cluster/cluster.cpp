@@ -91,15 +91,8 @@ Cluster::Cluster(ClusterSpec spec) : spec_(std::move(spec)) {
                      "migration blackout must be > 0 (it is the declared "
                      "cross-host link latency)");
 
-  if (spec_.scheduler != nullptr) {
-    scheduler_ = spec_.scheduler;
-  } else {
-    owned_scheduler_ = std::make_unique<GreedyStealScheduler>();
-    scheduler_ = owned_scheduler_.get();
-  }
-
   const int total_vms = spec_.hosts * spec_.vms_per_host;
-  const std::vector<int> placement = scheduler_->place(spec_.hosts, total_vms);
+  const std::vector<int> placement = place(spec_.hosts, total_vms);
   PARATICK_CHECK_MSG(placement.size() == static_cast<std::size_t>(total_vms),
                      "scheduler placement size mismatch");
 
@@ -238,52 +231,50 @@ void Cluster::rebalance_at_barrier() {
     gv.last_steal_estimate = est;
   }
 
-  const std::vector<Migration> migrations =
-      scheduler_->rebalance(views, spec_.hosts);
-  for (const Migration& mig : migrations) {
-    PARATICK_CHECK_MSG(mig.global_vm >= 0 &&
-                           mig.global_vm < static_cast<int>(vms_.size()),
-                       "scheduler migrated a nonexistent VM");
-    PARATICK_CHECK_MSG(mig.to_host >= 0 && mig.to_host < spec_.hosts,
-                       "scheduler migrated to a nonexistent host");
-    GlobalVm& gv = vms_[static_cast<std::size_t>(mig.global_vm)];
-    if (!gv.live || mig.to_host == gv.host) continue;
+  const std::optional<Migration> mig = rebalance(views, spec_.hosts);
+  if (!mig) return;
+  PARATICK_CHECK_MSG(mig->global_vm >= 0 && mig->global_vm < static_cast<int>(vms_.size()),
+                     "scheduler migrated a nonexistent VM");
+  PARATICK_CHECK_MSG(mig->to_host >= 0 && mig->to_host < spec_.hosts,
+                     "scheduler migrated to a nonexistent host");
+  GlobalVm& gv = vms_[static_cast<std::size_t>(mig->global_vm)];
+  PARATICK_CHECK_MSG(gv.live && mig->to_host != gv.host,
+                     "scheduler migrated an in-flight VM or onto its own host");
 
-    const int src = gv.host;
-    System& src_sys = *hosts_[static_cast<std::size_t>(src)];
-    System& dst_sys = *hosts_[static_cast<std::size_t>(mig.to_host)];
+  const int src = gv.host;
+  System& src_sys = *hosts_[static_cast<std::size_t>(src)];
+  System& dst_sys = *hosts_[static_cast<std::size_t>(mig->to_host)];
 
-    // Stop-and-copy: park the source incarnation, burn the dirty-page
-    // copy on both ends, and boot the next incarnation on the
-    // destination one blackout later — carried as a regular fabric
-    // message, so it obeys the declared link latency like any other
-    // cross-host traffic.
-    src_sys.freeze_vm(gv.local_index);
-    src_sys.machine().cpu(0).charge_cycles(hw::CycleCategory::kHostKernel,
-                                           spec_.migration_dirty_cycles);
-    dst_sys.machine().cpu(0).charge_cycles(hw::CycleCategory::kHostKernel,
-                                           spec_.migration_dirty_cycles);
-    gv.past.emplace_back(src, gv.local_index);
-    gv.live = false;
-    gv.last_steal_estimate = sim::SimTime::zero();
-    ++gv.migrations;
-    ++migrations_;
+  // Stop-and-copy: park the source incarnation, burn the dirty-page
+  // copy on both ends, and boot the next incarnation on the
+  // destination one blackout later — carried as a regular fabric
+  // message, so it obeys the declared link latency like any other
+  // cross-host traffic.
+  src_sys.freeze_vm(gv.local_index);
+  src_sys.machine().cpu(0).charge_cycles(hw::CycleCategory::kHostKernel,
+                                         spec_.migration_dirty_cycles);
+  dst_sys.machine().cpu(0).charge_cycles(hw::CycleCategory::kHostKernel,
+                                         spec_.migration_dirty_cycles);
+  gv.past.emplace_back(src, gv.local_index);
+  gv.live = false;
+  gv.last_steal_estimate = sim::SimTime::zero();
+  ++gv.migrations;
+  ++migrations_;
 
-    // Heap-allocated: a VmSpec is far larger than the engine's inline
-    // callback capacity, and the boot callback outlives this frame.
-    auto vspec = std::make_shared<const VmSpec>(
-        make_vm_spec(mig.global_vm, gv.migrations));
-    GlobalVm* gvp = &gv;
-    System* dst_ptr = &dst_sys;
-    fabric_->send(static_cast<sim::PartitionId>(src),
-                  static_cast<sim::PartitionId>(mig.to_host),
-                  spec_.migration_blackout,
-                  [dst_ptr, vspec, gvp, to = mig.to_host] {
-                    gvp->local_index = dst_ptr->attach_vm_live(*vspec);
-                    gvp->host = to;
-                    gvp->live = true;
-                  });
-  }
+  // Heap-allocated: a VmSpec is far larger than the engine's inline
+  // callback capacity, and the boot callback outlives this frame.
+  auto vspec = std::make_shared<const VmSpec>(
+      make_vm_spec(mig->global_vm, gv.migrations));
+  GlobalVm* gvp = &gv;
+  System* dst_ptr = &dst_sys;
+  fabric_->send(static_cast<sim::PartitionId>(src),
+                static_cast<sim::PartitionId>(mig->to_host),
+                spec_.migration_blackout,
+                [dst_ptr, vspec, gvp, to = mig->to_host] {
+                  gvp->local_index = dst_ptr->attach_vm_live(*vspec);
+                  gvp->host = to;
+                  gvp->live = true;
+                });
 }
 
 ClusterResult Cluster::run() {

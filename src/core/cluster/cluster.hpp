@@ -6,8 +6,8 @@
 // cluster run across hosts. The cluster driver owns the event loop: it
 // advances all hosts in lockstep windows of `rebalance_period`, and at
 // each window barrier feeds the guests' own steal-time estimates (never
-// hypervisor ground truth) to a pluggable ClusterScheduler, executing
-// the migrations it returns.
+// hypervisor ground truth) to the greedy steal-driven rebalancer
+// (core/cluster/scheduler.hpp), executing the migration it returns.
 //
 // Live migration is modeled as its two dominant costs: a stop-and-copy
 // blackout carried over the declared cross-host fabric link (the VM is
@@ -59,9 +59,6 @@ struct ClusterSpec {
 
   /// Rebalance barrier period; zero = place once, never rebalance.
   sim::SimTime rebalance_period;
-  /// Non-owning; must outlive the Cluster. Null = a default
-  /// GreedyStealScheduler owned by the cluster.
-  ClusterScheduler* scheduler = nullptr;
   /// Stop-and-copy blackout: the frozen VM's resume delay, and the
   /// declared cross-host migration-link latency.
   sim::SimTime migration_blackout = sim::SimTime::us(500);
@@ -170,8 +167,6 @@ class Cluster {
   [[nodiscard]] ClusterResult collect();
 
   ClusterSpec spec_;
-  std::unique_ptr<ClusterScheduler> owned_scheduler_;
-  ClusterScheduler* scheduler_ = nullptr;
   std::vector<std::unique_ptr<System>> hosts_;
   std::vector<GlobalVm> vms_;
   std::unique_ptr<sim::ParallelEngine> fabric_;  // hosts > 1 only

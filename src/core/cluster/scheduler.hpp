@@ -1,5 +1,5 @@
-// Pluggable cluster scheduling: initial VM placement plus periodic
-// steal-aware rebalancing decisions.
+// Cluster scheduling: initial VM placement plus periodic steal-aware
+// rebalancing decisions.
 //
 // The scheduler never sees hypervisor ground truth. Its load signal is
 // the guest-side steal estimate (guest/steal_estimator.hpp) sampled at
@@ -9,6 +9,7 @@
 // cluster runs bit-identical across engine-thread counts and backends.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -32,42 +33,16 @@ struct Migration {
   int to_host = 0;
 };
 
-class ClusterScheduler {
- public:
-  virtual ~ClusterScheduler() = default;
+/// Initial placement, round-robin: host index for each of `global_vms`
+/// VMs, values in [0, hosts). Every host receives at least one VM.
+[[nodiscard]] std::vector<int> place(int hosts, int global_vms);
 
-  /// Initial placement: host index for each of `global_vms` VMs, values
-  /// in [0, hosts). Every host must receive at least one VM.
-  [[nodiscard]] virtual std::vector<int> place(int hosts, int global_vms) = 0;
-
-  /// Called at every rebalance barrier with the live VMs' load views
-  /// (in-flight migrations excluded). Returned migrations are applied in
-  /// order; entries naming a VM's current host are ignored.
-  [[nodiscard]] virtual std::vector<Migration> rebalance(
-      const std::vector<VmLoadView>& vms, int hosts) = 0;
-};
-
-/// Default policy: round-robin placement, then greedy consolidation —
-/// when the most-stolen host's per-window steal exceeds the least-stolen
-/// host's by `min_imbalance`, move the most-stolen VM off the hot host.
-class GreedyStealScheduler final : public ClusterScheduler {
- public:
-  struct Config {
-    /// Minimum (hottest host − coolest host) per-window steal gap before
-    /// a migration is worth its blackout + dirty-page cost.
-    sim::SimTime min_imbalance = sim::SimTime::ms(1);
-    int max_migrations_per_round = 1;
-  };
-
-  GreedyStealScheduler() = default;
-  explicit GreedyStealScheduler(Config config) : config_(config) {}
-
-  [[nodiscard]] std::vector<int> place(int hosts, int global_vms) override;
-  [[nodiscard]] std::vector<Migration> rebalance(
-      const std::vector<VmLoadView>& vms, int hosts) override;
-
- private:
-  Config config_;
-};
+/// Greedy consolidation, one migration per rebalance barrier: when the
+/// most-stolen host's per-window steal exceeds the least-stolen host's
+/// by at least 1 ms, move the hot host's most-stolen VM to the cool
+/// host. `vms` are the live VMs' load views (in-flight migrations
+/// excluded). Never drains a host of its last VM.
+[[nodiscard]] std::optional<Migration> rebalance(const std::vector<VmLoadView>& vms,
+                                                 int hosts);
 
 }  // namespace paratick::core

@@ -29,6 +29,10 @@ namespace paratick::core::dispatch {
 
 namespace {
 
+/// Minimum wall-clock gap between two checkpoint writes (the final one
+/// at shutdown is forced).
+constexpr double kCheckpointIntervalSec = 5.0;
+
 double monotonic_sec() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -199,7 +203,7 @@ class Coordinator {
   void maybe_checkpoint(double now, bool force) {
     if (opts_.checkpoint_path.empty()) return;
     if (!force && (!checkpoint_dirty_ ||
-                   now - last_checkpoint_ < opts_.checkpoint_interval_sec)) {
+                   now - last_checkpoint_ < kCheckpointIntervalSec)) {
       return;
     }
     if (force && !checkpoint_dirty_) return;

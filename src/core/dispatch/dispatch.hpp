@@ -67,7 +67,6 @@ struct DispatchOptions {
   /// periodically written here as an atomic partial snapshot, and an
   /// existing matching snapshot is resumed from on startup.
   std::string checkpoint_path;
-  double checkpoint_interval_sec = 5.0;
   /// Stamped into checkpoint snapshots.
   std::string bench_name;
   bool progress = false;

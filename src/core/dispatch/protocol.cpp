@@ -58,8 +58,8 @@ PlanInfo parse_plan_info(const std::string& text) {
   PARATICK_CHECK_MSG(seed != nullptr && seed->type == json::Value::Type::kString,
                      "plan header: missing root_seed");
   p.root_seed = parse_u64_flag("plan header: root_seed", seed->str);
-  p.repeat = static_cast<int>(json::num_field(doc, "repeat", 1.0));
-  p.total_runs = static_cast<std::size_t>(json::num_field(doc, "total_runs"));
+  p.repeat = json::int_field<int>(doc, "repeat", 1);
+  p.total_runs = json::int_field<std::size_t>(doc, "total_runs");
   const json::Value* cells = doc.find("cells");
   PARATICK_CHECK_MSG(cells != nullptr && cells->type == json::Value::Type::kArray,
                      "plan header: missing cells array");
@@ -70,7 +70,7 @@ PlanInfo parse_plan_info(const std::string& text) {
     key.variant = json::str_field(cell, "variant");
     key.mode = guest::tick_mode_from_string(json::str_field(cell, "mode"));
     key.tick_freq_hz = json::num_field(cell, "tick_freq_hz");
-    key.vcpus = static_cast<int>(json::num_field(cell, "vcpus"));
+    key.vcpus = json::int_field<int>(cell, "vcpus");
     key.overcommit = json::num_field(cell, "overcommit");
     p.cells.push_back(std::move(key));
   }

@@ -51,10 +51,6 @@ ForkWorkerTransport::ForkWorkerTransport(SweepConfig cfg, WorkerOptions wopts)
   // Workers must not interleave per-run progress lines with the
   // coordinator's own; the dispatcher reports progress itself.
   cfg_.progress = false;
-  // A forked worker executes its whole slice regardless of what other
-  // workers saw fail — fail-fast is the coordinator's call, and sharing
-  // the flag would make which runs get skipped scheduling-dependent.
-  cfg_.max_failures = 0;
 }
 
 PlanInfo ForkWorkerTransport::plan() { return plan_info_for(cfg_); }

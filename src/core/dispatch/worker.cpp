@@ -153,9 +153,7 @@ int run_worker_slice(const SweepConfig& cfg,
     run.host_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    if (!run.ok && run.failure &&
-        run.failure->kind != RunFailure::Kind::kSkipped &&
-        !failure_dir.empty()) {
+    if (!run.ok && run.failure && !failure_dir.empty()) {
       run.bundle_path =
           write_replay_bundle(cfg, run, failure_dir, keys[run.cell].label());
     }

@@ -69,8 +69,6 @@ struct ExperimentSpec {
   fault::FaultConfig fault;
   std::uint64_t fault_seed = 0;
   bool watchdog = false;
-  sim::SimTime watchdog_period = sim::SimTime::ms(5);
-  sim::SimTime watchdog_timer_grace = sim::SimTime::ms(5);
   double wall_limit_sec = 0.0;
   /// Engine dispatch-loop observer (see SystemSpec::observer).
   sim::EventObserver* observer = nullptr;

@@ -34,7 +34,7 @@ Snapshot parse_snapshot(const std::string& text) {
                      "snapshot: top level must be an object");
   Snapshot snap;
   snap.wall_seconds = json::num_field(root, "wall_seconds");
-  snap.threads = static_cast<unsigned>(json::num_field(root, "threads"));
+  snap.threads = json::int_field<unsigned>(root, "threads");
 
   const json::Value* cells = root.find("cells");
   PARATICK_CHECK_MSG(cells != nullptr && cells->type == json::Value::Type::kArray,
@@ -46,9 +46,9 @@ Snapshot parse_snapshot(const std::string& text) {
     cell.variant = json::str_field(c, "variant");
     cell.mode = json::str_field(c, "mode");
     cell.tick_freq_hz = json::num_field(c, "tick_freq_hz");
-    cell.vcpus = static_cast<int>(json::num_field(c, "vcpus"));
+    cell.vcpus = json::int_field<int>(c, "vcpus");
     cell.overcommit = json::num_field(c, "overcommit");
-    cell.replicas = static_cast<std::uint64_t>(json::num_field(c, "replicas"));
+    cell.replicas = json::int_field<std::uint64_t>(c, "replicas");
     for (const auto& [name, v] : c.object) {
       if (v.type != json::Value::Type::kObject) continue;  // metrics only
       if (name == "wake_us_hist") {
@@ -56,7 +56,8 @@ Snapshot parse_snapshot(const std::string& text) {
         if (const json::Value* b = v.find("buckets");
             b != nullptr && b->type == json::Value::Type::kArray) {
           for (const json::Value& n : b->array) {
-            cell.wake_hist.push_back(static_cast<std::uint64_t>(n.number));
+            cell.wake_hist.push_back(
+                json::to_int<std::uint64_t>(n.number, "wake_us_hist"));
           }
         }
         continue;
@@ -67,8 +68,7 @@ Snapshot parse_snapshot(const std::string& text) {
       m.stddev = json::num_field(v, "stddev");
       // exits/timer_exits/busy_cycles carry no per-metric n: the replica
       // count is their sample count.
-      m.n = static_cast<std::uint64_t>(
-          json::num_field(v, "n", static_cast<double>(cell.replicas)));
+      m.n = json::int_field<std::uint64_t>(v, "n", cell.replicas);
       cell.metrics.push_back(std::move(m));
     }
     snap.cells.push_back(std::move(cell));

@@ -1,6 +1,8 @@
 #include "core/json.hpp"
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -197,6 +199,21 @@ double num_field(const Value& obj, const char* key, double fallback) {
   const Value* v = obj.find(key);
   if (v == nullptr || v->type != Value::Type::kNumber) return fallback;
   return v->number;
+}
+
+void check_integer(double v, int digits, bool is_signed, const char* what) {
+  const double bound = std::ldexp(1.0, digits);
+  if (std::isfinite(v) && v == std::trunc(v) && v >= (is_signed ? -bound : 0.0) &&
+      v < bound) {
+    return;
+  }
+  char num[32];
+  std::snprintf(num, sizeof num, "%.17g", v);
+  const std::string msg = std::string("json: field \"") + what +
+                          "\" is not a valid " + (is_signed ? "" : "non-negative ") +
+                          std::to_string(digits + (is_signed ? 1 : 0)) +
+                          "-bit integer: " + num;
+  PARATICK_CHECK_MSG(false, msg.c_str());
 }
 
 std::string str_field(const Value& obj, const char* key) {

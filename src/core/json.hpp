@@ -6,7 +6,9 @@
 // not UB.
 #pragma once
 
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -37,5 +39,29 @@ struct Value {
 [[nodiscard]] double num_field(const Value& obj, const char* key,
                                double fallback = 0.0);
 [[nodiscard]] std::string str_field(const Value& obj, const char* key);
+
+/// Throws sim::SimError naming `what` unless `v` is finite, has no
+/// fractional part and lies in [-2^digits, 2^digits) (signed) or
+/// [0, 2^digits) (unsigned). Use to_int / int_field instead.
+void check_integer(double v, int digits, bool is_signed, const char* what);
+
+/// Checked number -> integer conversion for numbers read from files and
+/// pipes: a value such as -1 for an unsigned field, 2.5 or 1e300 is a
+/// SimError naming `what`, never a silently wrapped (or undefined) cast.
+template <typename T>
+[[nodiscard]] T to_int(double v, const char* what) {
+  static_assert(std::is_integral_v<T>);
+  check_integer(v, std::numeric_limits<T>::digits, std::is_signed_v<T>, what);
+  return static_cast<T>(v);
+}
+
+/// Integer object field: `fallback` when absent or not a number,
+/// otherwise to_int named after `key`.
+template <typename T>
+[[nodiscard]] T int_field(const Value& obj, const char* key, T fallback = 0) {
+  const Value* v = obj.find(key);
+  if (v == nullptr || v->type != Value::Type::kNumber) return fallback;
+  return to_int<T>(v->number, key);
+}
 
 }  // namespace paratick::core::json

@@ -28,11 +28,7 @@ namespace paratick::core::record_replay {
 
 class TraceRecorder final : public sim::EventObserver {
  public:
-  /// `expected_events` pre-sizes the trace buffer (EngineProfile's
-  /// events_executed from a prior run, or a bundle's failure event count).
-  explicit TraceRecorder(std::uint64_t expected_events = 0) {
-    trace_.reserve_events(expected_events > 0 ? expected_events : 1 << 16);
-  }
+  TraceRecorder() { trace_.reserve_events(kReserveEvents); }
 
   void on_event_executed(sim::Engine& engine, sim::SimTime when,
                          std::uint64_t seq) override {
@@ -43,6 +39,8 @@ class TraceRecorder final : public sim::EventObserver {
   [[nodiscard]] EventTrace take() { return std::move(trace_); }
 
  private:
+  /// Initial trace buffer size, in events; longer runs grow it.
+  static constexpr std::uint64_t kReserveEvents = 1 << 16;
   EventTrace trace_;
 };
 

@@ -6,12 +6,17 @@
 
 #include "core/safe_io.hpp"
 #include "sim/check.hpp"
+#include "sim/error.hpp"
 
 namespace paratick::core::record_replay {
 
 namespace {
 
 constexpr char kMagic[8] = {'P', 'T', 'K', 'T', 'R', 'C', '0', '1'};
+/// Serialized header: magic, then count, chain digest and stream size as
+/// u64le. The varint stream follows, so stream offset + kHeader is the
+/// byte offset in a trace file.
+constexpr std::size_t kHeader = sizeof kMagic + 3 * 8;
 
 constexpr std::uint64_t mix64(std::uint64_t z) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
@@ -96,11 +101,17 @@ void EventTrace::append(std::int64_t time_ns, std::uint64_t seq,
 
 bool EventTrace::Cursor::next(TraceRecord* out) {
   if (index_ >= trace_->count_) return false;
+  const std::size_t record_start = pos_;
   std::uint64_t dt = 0, dseq = 0, digest = 0;
   const bool ok = get_varint(trace_->data_, pos_, &dt) &&
                   get_varint(trace_->data_, pos_, &dseq) &&
                   get_varint(trace_->data_, pos_, &digest);
-  PARATICK_CHECK_MSG(ok, "event trace: varint stream truncated");
+  if (!ok) {
+    const std::string msg = "event trace: varint stream truncated in record " +
+                            std::to_string(index_) + " at byte offset " +
+                            std::to_string(kHeader + record_start);
+    PARATICK_CHECK_MSG(false, msg.c_str());
+  }
   out->time_ns = prev_time_ + unzigzag(dt);
   out->seq = static_cast<std::uint64_t>(
       static_cast<std::int64_t>(prev_seq_ + 1) + unzigzag(dseq));
@@ -141,7 +152,7 @@ std::uint64_t EventTrace::chain_at(std::uint64_t n) const {
 
 std::string EventTrace::serialize() const {
   std::string out;
-  out.reserve(sizeof kMagic + 3 * 8 + data_.size());
+  out.reserve(kHeader + data_.size());
   out.append(kMagic, sizeof kMagic);
   put_u64le(out, count_);
   put_u64le(out, chain_);
@@ -151,7 +162,6 @@ std::string EventTrace::serialize() const {
 }
 
 EventTrace EventTrace::deserialize(const std::string& bytes) {
-  constexpr std::size_t kHeader = sizeof kMagic + 3 * 8;
   PARATICK_CHECK_MSG(bytes.size() >= kHeader, "event trace: file too short");
   PARATICK_CHECK_MSG(std::memcmp(bytes.data(), kMagic, sizeof kMagic) == 0,
                      "event trace: bad magic (not a trace file?)");
@@ -195,7 +205,13 @@ EventTrace load_trace_file(const std::string& path) {
   std::size_t n = 0;
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, n);
   std::fclose(f);
-  return EventTrace::deserialize(bytes);
+  try {
+    return EventTrace::deserialize(bytes);
+  } catch (const sim::SimError& e) {
+    throw sim::SimError(e.kind(), e.expr(), e.file(), e.line(),
+                        e.msg() + " (trace file " + path + ")", e.sim_time(),
+                        e.events_executed());
+  }
 }
 
 }  // namespace paratick::core::record_replay

@@ -9,9 +9,8 @@
 // prefix with a single integer comparison, which is what bench_replay's
 // divergence bisection binary-searches over.
 //
-// Buffers are pre-sized from EngineProfile::events_executed (a prior
-// run's counter, or the replay bundle's failure event count), so
-// recording a known-size run never reallocates mid-flight.
+// Recording buffers start at a fixed size (TraceRecorder) and grow with
+// the run.
 #pragma once
 
 #include <cstdint>
@@ -78,8 +77,9 @@ class EventTrace {
 
   /// Binary serialization: fixed little-endian header (magic, version,
   /// count, chain digest, stream size) + the varint stream. deserialize
-  /// PARATICK_CHECKs (throws sim::SimError) on bad magic, truncation, or
-  /// a chain digest that does not match the re-decoded stream.
+  /// PARATICK_CHECKs (throws sim::SimError) on bad magic, truncation (a
+  /// truncated varint names its byte offset), or a chain digest that
+  /// does not match the re-decoded stream.
   [[nodiscard]] std::string serialize() const;
   [[nodiscard]] static EventTrace deserialize(const std::string& bytes);
 
@@ -94,7 +94,8 @@ class EventTrace {
 };
 
 /// Write / read a serialized trace. write creates parent directories and
-/// returns the path; load PARATICK_CHECKs with the path in the message.
+/// returns the path; every load error (unreadable file, bad magic, size
+/// or digest mismatch, truncated varint) is a SimError naming the path.
 std::string write_trace_file(const EventTrace& trace, const std::string& path);
 [[nodiscard]] EventTrace load_trace_file(const std::string& path);
 

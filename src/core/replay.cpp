@@ -34,7 +34,7 @@ std::uint64_t seed_field(const json::Value& obj, const char* key) {
   }
   PARATICK_CHECK_MSG(v->type == json::Value::Type::kNumber,
                      "replay bundle: seed is neither string nor number");
-  return static_cast<std::uint64_t>(v->number);
+  return json::to_int<std::uint64_t>(v->number, key);
 }
 
 }  // namespace
@@ -62,8 +62,6 @@ std::string to_json(const ReplayBundle& b) {
                            metrics::json_escape(b.trace_path).c_str());
   }
   out += metrics::format("  \"watchdog\": %s,\n", b.watchdog ? "true" : "false");
-  out += metrics::format("  \"watchdog_timer_grace_ns\": %lld,\n",
-                         static_cast<long long>(ns(b.watchdog_timer_grace)));
   out += metrics::format(
       "  \"fault\": {\"timer_drop_prob\": %.17g, \"timer_late_prob\": %.17g, "
       "\"timer_late_max_ns\": %lld, \"timer_coalesce_prob\": %.17g, "
@@ -106,7 +104,6 @@ std::string write_replay_bundle(const SweepConfig& cfg, const SweepRun& run,
   b.seed = run.seed;
   b.cell_label = cell_label;
   b.watchdog = cfg.watchdog;
-  b.watchdog_timer_grace = cfg.watchdog_timer_grace;
   b.fault = cfg.fault;
   b.failure = *run.failure;
   b.trace_path = run.trace_path;
@@ -135,8 +132,8 @@ ReplayBundle parse_replay_bundle(const std::string& json_text) {
   b.bench = json::str_field(doc, "bench");
   b.scenario = json::str_field(doc, "scenario");
   b.root_seed = seed_field(doc, "root_seed");
-  b.repeat = static_cast<int>(json::num_field(doc, "repeat", 1));
-  b.run_index = static_cast<std::size_t>(json::num_field(doc, "run_index"));
+  b.repeat = json::int_field<int>(doc, "repeat", 1);
+  b.run_index = json::int_field<std::size_t>(doc, "run_index");
   b.seed = seed_field(doc, "seed");
   if (const json::Value* cell = doc.find("cell");
       cell != nullptr && cell->type == json::Value::Type::kString) {
@@ -150,8 +147,9 @@ ReplayBundle parse_replay_bundle(const std::string& json_text) {
       wd != nullptr && wd->type == json::Value::Type::kBool) {
     b.watchdog = wd->boolean;
   }
-  b.watchdog_timer_grace = sim::SimTime::ns(static_cast<std::int64_t>(
-      json::num_field(doc, "watchdog_timer_grace_ns", 5e6)));
+  // Bundles written before the watchdog timer grace became a constant
+  // still carry "watchdog_timer_grace_ns"; it was always 5 ms, the
+  // constant's value, so the key is ignored.
 
   const json::Value* f = doc.find("fault");
   PARATICK_CHECK_MSG(f != nullptr && f->type == json::Value::Type::kObject,
@@ -159,18 +157,18 @@ ReplayBundle parse_replay_bundle(const std::string& json_text) {
   fault::FaultConfig& fc = b.fault;
   fc.timer_drop_prob = json::num_field(*f, "timer_drop_prob");
   fc.timer_late_prob = json::num_field(*f, "timer_late_prob");
-  fc.timer_late_max = sim::SimTime::ns(
-      static_cast<std::int64_t>(json::num_field(*f, "timer_late_max_ns")));
+  fc.timer_late_max =
+      sim::SimTime::ns(json::int_field<std::int64_t>(*f, "timer_late_max_ns"));
   fc.timer_coalesce_prob = json::num_field(*f, "timer_coalesce_prob");
-  fc.timer_coalesce_window = sim::SimTime::ns(static_cast<std::int64_t>(
-      json::num_field(*f, "timer_coalesce_window_ns")));
+  fc.timer_coalesce_window =
+      sim::SimTime::ns(json::int_field<std::int64_t>(*f, "timer_coalesce_window_ns"));
   fc.tsc_drift_ppm = json::num_field(*f, "tsc_drift_ppm");
   fc.io_error_prob = json::num_field(*f, "io_error_prob");
   fc.io_spike_prob = json::num_field(*f, "io_spike_prob");
   fc.io_spike_factor = json::num_field(*f, "io_spike_factor", 20.0);
   fc.steal_burst_prob = json::num_field(*f, "steal_burst_prob");
-  fc.steal_burst_max = sim::SimTime::ns(
-      static_cast<std::int64_t>(json::num_field(*f, "steal_burst_max_ns")));
+  fc.steal_burst_max =
+      sim::SimTime::ns(json::int_field<std::int64_t>(*f, "steal_burst_max_ns"));
   fc.tick_delay_prob = json::num_field(*f, "tick_delay_prob");
   fc.softirq_spurious_prob = json::num_field(*f, "softirq_spurious_prob");
   fc.softirq_drop_prob = json::num_field(*f, "softirq_drop_prob");
@@ -187,15 +185,14 @@ ReplayBundle parse_replay_bundle(const std::string& json_text) {
       fi != nullptr && fi->type == json::Value::Type::kString) {
     b.failure.file = fi->str;
   }
-  b.failure.line = static_cast<int>(json::num_field(*fail, "line"));
+  b.failure.line = json::int_field<int>(*fail, "line");
   if (const json::Value* m = fail->find("message");
       m != nullptr && m->type == json::Value::Type::kString) {
     b.failure.message = m->str;
   }
-  b.failure.sim_time_ns =
-      static_cast<std::int64_t>(json::num_field(*fail, "sim_time_ns", -1.0));
-  b.failure.events_executed = static_cast<std::uint64_t>(
-      json::num_field(*fail, "events_executed"));
+  b.failure.sim_time_ns = json::int_field<std::int64_t>(*fail, "sim_time_ns", -1);
+  b.failure.events_executed =
+      json::int_field<std::uint64_t>(*fail, "events_executed");
   return b;
 }
 
@@ -219,11 +216,9 @@ SweepRun replay_run(SweepConfig cfg, const ReplayBundle& b) {
   cfg.repeat = b.repeat;
   cfg.fault = b.fault;
   cfg.watchdog = b.watchdog;
-  cfg.watchdog_timer_grace = b.watchdog_timer_grace;
   // Wall-clock timeouts are not part of the deterministic identity; a
   // timed-out run replays without the budget (it may simply run longer).
   cfg.run_timeout_sec = 0.0;
-  cfg.max_failures = 0;
   // Never clobber the original sweep's artifacts: a replay writes no new
   // bundles or traces. (cfg.observer is kept — that is how bench_replay
   // attaches its trace checker.)

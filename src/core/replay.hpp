@@ -26,7 +26,6 @@ struct ReplayBundle {
   std::uint64_t seed = 0;  // derived run seed, for cross-checking
   std::string cell_label;  // human-readable cell identity
   bool watchdog = false;
-  sim::SimTime watchdog_timer_grace = sim::SimTime::ms(5);
   fault::FaultConfig fault;
   RunFailure failure;  // the failure observed by the original sweep
   /// Event trace of the failed run (--record-trace); "" = none recorded.

@@ -36,25 +36,6 @@ double pct_ratio(double treatment, double baseline) {
   return (treatment / baseline - 1.0) * 100.0;
 }
 
-/// Fail-fast record: the --max-failures budget was already spent when this
-/// run's turn came. Counts as executed, so aggregation bumps
-/// replicas_skipped.
-SweepRun skipped_run(const SweepPlan& plan, std::size_t run_index) {
-  const SweepWorkItem w = plan.item(run_index);
-  SweepRun out;
-  out.run_index = w.run_index;
-  out.cell = w.cell;
-  out.replica = w.replica;
-  out.seed = w.seed;
-  out.executed = true;
-  out.ok = false;
-  RunFailure f;
-  f.kind = RunFailure::Kind::kSkipped;
-  f.message = "skipped: --max-failures budget spent";
-  out.failure = std::move(f);
-  return out;
-}
-
 void progress_line(const SweepPlan& plan, const SweepRun& run,
                    std::size_t finished, std::size_t total) {
   std::fprintf(stderr, "[sweep %zu/%zu] %s r%d seed=%016llx %.2fs%s%s\n",
@@ -78,7 +59,6 @@ const char* RunFailure::kind_name(Kind k) {
     case Kind::kWatchdog: return "watchdog";
     case Kind::kTimeout: return "timeout";
     case Kind::kException: return "exception";
-    case Kind::kSkipped: return "skipped";
     case Kind::kCrash: return "crash";
     case Kind::kDivergence: return "divergence";
   }
@@ -87,7 +67,7 @@ const char* RunFailure::kind_name(Kind k) {
 
 RunFailure::Kind RunFailure::kind_from_name(const std::string& name) {
   for (const Kind k : {Kind::kCheck, Kind::kWatchdog, Kind::kTimeout,
-                       Kind::kException, Kind::kSkipped, Kind::kCrash,
+                       Kind::kException, Kind::kCrash,
                        Kind::kDivergence}) {
     if (name == kind_name(k)) return k;
   }
@@ -113,13 +93,9 @@ void aggregate_sweep_runs(SweepResult& res) {
     if (!r.executed) continue;
     SweepCellSummary& cell = res.cells[r.cell];
     if (!r.ok) {
-      if (r.failure && r.failure->kind == RunFailure::Kind::kSkipped) {
-        ++cell.replicas_skipped;
-      } else {
-        ++cell.replicas_failed;
-        if (r.failure && r.failure->kind == RunFailure::Kind::kTimeout) {
-          ++cell.replicas_timed_out;
-        }
+      ++cell.replicas_failed;
+      if (r.failure && r.failure->kind == RunFailure::Kind::kTimeout) {
+        ++cell.replicas_timed_out;
       }
       continue;
     }
@@ -184,26 +160,16 @@ SweepResult SweepRunner::run() const {
 
   std::mutex progress_mu;
   std::atomic<std::size_t> done{0};
-  std::atomic<std::size_t> failures{0};
   const std::size_t total = res.runs.size();
 
   const auto sweep_start = std::chrono::steady_clock::now();
   parallel_for_index(total, res.threads_used, [&](std::size_t i) {
     SweepRun& out = res.runs[i];
-    // Fail-fast: once the failure budget is spent, remaining runs become
-    // kSkipped records (which runs get skipped is scheduling-dependent; the
-    // flag trades -j-bit-identity for wall-clock on broken builds).
-    if (cfg_.max_failures > 0 &&
-        failures.load(std::memory_order_relaxed) >= cfg_.max_failures) {
-      out = skipped_run(plan, i);
-      return;
-    }
     const auto t0 = std::chrono::steady_clock::now();
     out = plan.execute(i);
     out.host_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    if (!out.ok) failures.fetch_add(1, std::memory_order_relaxed);
     if (cfg_.progress) {
       const std::size_t finished = done.fetch_add(1) + 1;
       std::scoped_lock lock(progress_mu);
@@ -216,16 +182,13 @@ SweepResult SweepRunner::run() const {
 
   aggregate_sweep_runs(res);
 
-  // Replay bundles for real failures, written in run-index order so bundle
+  // Replay bundles for failed runs, written in run-index order so bundle
   // file names are deterministic.
   const std::string failure_dir =
       resolve_output_path(cfg_.output_dir, cfg_.failure_dir);
   if (!failure_dir.empty()) {
     for (SweepRun& r : res.runs) {
-      if (!r.executed || r.ok || !r.failure ||
-          r.failure->kind == RunFailure::Kind::kSkipped) {
-        continue;
-      }
+      if (!r.executed || r.ok || !r.failure) continue;
       r.bundle_path = write_replay_bundle(cfg_, r, failure_dir,
                                           res.cells[r.cell].key.label());
       if (cfg_.progress) {
@@ -262,8 +225,7 @@ const SweepCellSummary* SweepResult::find(const std::string& variant,
 std::vector<const SweepRun*> SweepResult::failed_runs() const {
   std::vector<const SweepRun*> out;
   for (const auto& r : runs) {
-    if (r.executed && !r.ok && r.failure &&
-        r.failure->kind != RunFailure::Kind::kSkipped) {
+    if (r.executed && !r.ok && r.failure) {
       out.push_back(&r);
     }
   }
@@ -353,7 +315,7 @@ std::string SweepResult::to_json() const {
     out += metrics::format(
         "    {\"variant\": \"%s\", \"mode\": \"%s\", \"tick_freq_hz\": %g, "
         "\"vcpus\": %d, \"overcommit\": %g, \"replicas\": %llu, "
-        "\"failed\": %llu, \"timed_out\": %llu, \"skipped\": %llu, "
+        "\"failed\": %llu, \"timed_out\": %llu, "
         "\"exits\": {\"mean\": %.1f, \"stddev\": %.2f}, "
         "\"timer_exits\": {\"mean\": %.1f, \"stddev\": %.2f}, "
         "\"busy_cycles\": {\"mean\": %.1f, \"stddev\": %.2f}, "
@@ -375,7 +337,6 @@ std::string SweepResult::to_json() const {
         static_cast<unsigned long long>(cell.exits_total.count()),
         static_cast<unsigned long long>(cell.replicas_failed),
         static_cast<unsigned long long>(cell.replicas_timed_out),
-        static_cast<unsigned long long>(cell.replicas_skipped),
         cell.exits_total.mean(), cell.exits_total.stddev(),
         cell.exits_timer.mean(), cell.exits_timer.stddev(),
         cell.busy_cycles.mean(), cell.busy_cycles.stddev(),
@@ -490,9 +451,6 @@ SweepCli parse_sweep_cli(int argc, char** argv) {
       cli.failure_dir = need_value(i, "--failure-dir");
     } else if (std::strcmp(arg, "--record-trace") == 0) {
       cli.record_trace = true;
-    } else if (std::strcmp(arg, "--max-failures") == 0) {
-      cli.max_failures = static_cast<std::size_t>(
-          parse_u64_flag("--max-failures", need_value(i, "--max-failures")));
     } else if (std::strcmp(arg, "--run-timeout") == 0) {
       cli.run_timeout_sec =
           parse_double_flag("--run-timeout", need_value(i, "--run-timeout"));
@@ -575,7 +533,6 @@ void SweepCli::apply(SweepConfig& cfg) const {
   if (watchdog) cfg.watchdog = true;
   if (!failure_dir.empty()) cfg.failure_dir = failure_dir;
   if (record_trace) cfg.record_trace = true;
-  if (max_failures > 0) cfg.max_failures = max_failures;
   if (run_timeout_sec > 0.0) cfg.run_timeout_sec = run_timeout_sec;
   for (const auto& [knob, value] : fault_overrides) {
     set_fault_knob(cfg.fault, knob, value);

@@ -80,13 +80,8 @@ struct SweepConfig {
   fault::FaultConfig fault;
   /// Run the invariant watchdog inside every run (see SystemSpec).
   bool watchdog = false;
-  sim::SimTime watchdog_timer_grace = sim::SimTime::ms(5);
   /// Directory for replay bundles of failed runs; empty = don't write.
   std::string failure_dir;
-  /// Fail fast: after this many failed runs, remaining runs are skipped
-  /// (recorded as kSkipped). 0 = run everything. Which runs get skipped
-  /// depends on scheduling, so fail-fast sweeps are NOT -j-bit-identical.
-  std::size_t max_failures = 0;
   /// Per-run wall-clock timeout in seconds; > 0 makes hung runs fail with
   /// kTimeout. Wall-clock dependent, so timed-out runs are not replayable
   /// to the same event.
@@ -105,9 +100,6 @@ struct SweepConfig {
   /// the first divergence. Recording is observational — results and
   /// exports stay byte-identical to an unrecorded sweep.
   bool record_trace = false;
-  /// Pre-size for per-run trace buffers (events per run); 0 = a sane
-  /// default. Feed it EngineProfile::events_executed from a prior run.
-  std::uint64_t trace_reserve_events = 0;
   /// Attach an external engine observer to every run (replay checking).
   /// Single-run use only (execute_run): the thread pool would share it
   /// across concurrent engines. Ignored when record_trace is set.
@@ -132,7 +124,6 @@ struct RunFailure {
     kWatchdog,   // watchdog invariant breach (SimError)
     kTimeout,    // per-run wall-clock budget exceeded (SimError)
     kException,  // any other std::exception
-    kSkipped,    // not executed: the --max-failures budget was spent
     kCrash,      // dispatch worker died mid-run (signal, exit, lease expiry)
     kDivergence, // a replayed run stopped matching its recorded trace
   };
@@ -206,11 +197,10 @@ struct SweepCellSummary {
   /// VMs — the tail the bench_diff KS gate compares.
   sim::LogHistogram wake_hist_us;
   metrics::RunResult first;  // first surviving replica, for drill-down
-  /// Crash isolation: replicas that failed / timed out (subset of failed)
-  /// / were skipped by --max-failures. Aggregates cover survivors only.
+  /// Crash isolation: replicas that failed / timed out (subset of
+  /// failed). Aggregates cover survivors only.
   std::uint64_t replicas_failed = 0;
   std::uint64_t replicas_timed_out = 0;
-  std::uint64_t replicas_skipped = 0;
 
   [[nodiscard]] bool degraded() const { return replicas_failed > 0; }
 };
@@ -229,7 +219,7 @@ struct SweepResult {
   [[nodiscard]] const SweepCellSummary* find(const std::string& variant,
                                              guest::TickMode mode) const;
 
-  /// Runs that failed (excluding --max-failures skips), run-index order.
+  /// Runs that failed, run-index order.
   [[nodiscard]] std::vector<const SweepRun*> failed_runs() const;
   [[nodiscard]] std::size_t ok_run_count() const;
   /// Cells with at least one failed replica.
@@ -333,7 +323,6 @@ class SweepRunner {
 ///   --record-trace    record a full event trace per run; failed runs'
 ///                     traces land next to their replay bundles (see
 ///                     core/record_replay and bench_replay --bisect)
-///   --max-failures N  fail fast after N failed runs
 ///   --run-timeout S   per-run wall-clock timeout in seconds
 ///   --fault-<knob> X  override one fault rate (see chaos docs), e.g.
 ///                     --fault-timer-drop 0.02 --fault-steal 0.05
@@ -382,7 +371,6 @@ struct SweepCli {
   bool watchdog = false;
   std::string failure_dir;
   bool record_trace = false;
-  std::size_t max_failures = 0;
   double run_timeout_sec = 0.0;
   /// (--fault-<knob>, value) pairs in CLI order; applied over --chaos
   /// defaults so individual rates can be overridden.

@@ -130,16 +130,13 @@ SweepRun SweepPlan::execute(std::size_t run_index) const {
   spec.host.seed = derive_seed(w.seed, 0x686f7374);  // independent host stream
   if (cfg_.fault.any()) spec.fault = cfg_.fault;
   spec.fault_seed = derive_seed(w.seed, 0x6661756c);  // independent fault plan
-  if (cfg_.watchdog) {
-    spec.watchdog = true;
-    spec.watchdog_timer_grace = cfg_.watchdog_timer_grace;
-  }
+  if (cfg_.watchdog) spec.watchdog = true;
   if (cfg_.run_timeout_sec > 0.0) spec.wall_limit_sec = cfg_.run_timeout_sec;
 
   // Trace recording hooks the run's own engine, so the thread pool and
   // dispatch workers alike produce their traces in-process; a worker
   // writes the file itself and ships the path back in its run record.
-  record_replay::TraceRecorder recorder(cfg_.trace_reserve_events);
+  record_replay::TraceRecorder recorder;
   if (cfg_.record_trace) {
     spec.observer = &recorder;
   } else if (cfg_.observer != nullptr) {

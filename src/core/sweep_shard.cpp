@@ -30,7 +30,7 @@ std::uint64_t u64_string_field(const json::Value& obj, const char* key) {
 }
 
 std::uint64_t u64_field(const json::Value& obj, const char* key) {
-  return static_cast<std::uint64_t>(json::num_field(obj, key));
+  return json::int_field<std::uint64_t>(obj, key);
 }
 
 void append_acc(std::string& out, const char* key, const sim::Accumulator& a) {
@@ -122,16 +122,18 @@ metrics::VmResult parse_vm(const json::Value& obj) {
   PARATICK_CHECK_MSG(causes.array.size() == hw::kExitCauseCount,
                      "run record: exit-cause count mismatch (format drift?)");
   for (std::size_t i = 0; i < hw::kExitCauseCount; ++i) {
-    vm.exits_by_cause[i] = static_cast<std::uint64_t>(causes.array[i].number);
+    vm.exits_by_cause[i] =
+        json::to_int<std::uint64_t>(causes.array[i].number, "exits_by_cause");
   }
   if (const json::Value* ct = obj.find("completion_ns")) {
-    vm.completion_time = sim::SimTime::ns(static_cast<std::int64_t>(ct->number));
+    vm.completion_time =
+        sim::SimTime::ns(json::to_int<std::int64_t>(ct->number, "completion_ns"));
   }
   const json::Value& policy = array_field(obj, "policy");
   PARATICK_CHECK_MSG(policy.array.size() == 7,
                      "run record: policy stats count mismatch (format drift?)");
   const auto pol = [&](std::size_t i) {
-    return static_cast<std::uint64_t>(policy.array[i].number);
+    return json::to_int<std::uint64_t>(policy.array[i].number, "policy");
   };
   vm.policy.ticks_handled = pol(0);
   vm.policy.virtual_ticks = pol(1);
@@ -148,15 +150,16 @@ metrics::VmResult parse_vm(const json::Value& obj) {
   std::vector<std::uint64_t> buckets;
   buckets.reserve(hist.array.size());
   for (const auto& b : hist.array) {
-    buckets.push_back(static_cast<std::uint64_t>(b.number));
+    buckets.push_back(json::to_int<std::uint64_t>(b.number, "wake_hist_us"));
   }
   vm.wakeup_latency_hist_us = sim::LogHistogram::from_buckets(std::move(buckets));
   vm.io_errors = u64_field(obj, "io_errors");
   if (const json::Value* st = obj.find("steal_ns")) {
-    vm.steal_time = sim::SimTime::ns(static_cast<std::int64_t>(st->number));
+    vm.steal_time = sim::SimTime::ns(json::to_int<std::int64_t>(st->number, "steal_ns"));
   }
   if (const json::Value* se = obj.find("steal_est_ns")) {
-    vm.steal_estimate = sim::SimTime::ns(static_cast<std::int64_t>(se->number));
+    vm.steal_estimate =
+        sim::SimTime::ns(json::to_int<std::int64_t>(se->number, "steal_est_ns"));
   }
   return vm;
 }
@@ -212,14 +215,14 @@ void append_result(std::string& out, const metrics::RunResult& r) {
 
 metrics::RunResult parse_result(const json::Value& obj) {
   metrics::RunResult r;
-  r.wall = sim::SimTime::ns(
-      static_cast<std::int64_t>(json::num_field(obj, "wall_ns")));
+  r.wall = sim::SimTime::ns(json::int_field<std::int64_t>(obj, "wall_ns"));
   const json::Value& cycles = array_field(obj, "cycles");
   PARATICK_CHECK_MSG(cycles.array.size() == hw::kCycleCategoryCount,
                      "run record: cycle category count mismatch (format drift?)");
   for (std::size_t i = 0; i < hw::kCycleCategoryCount; ++i) {
     r.cycles.charge(static_cast<hw::CycleCategory>(i),
-                    sim::Cycles{static_cast<std::int64_t>(cycles.array[i].number)});
+                    sim::Cycles{json::to_int<std::int64_t>(cycles.array[i].number,
+                                                           "cycles")});
   }
   r.exits_total = u64_field(obj, "exits_total");
   r.exits_timer_related = u64_field(obj, "exits_timer");
@@ -227,14 +230,15 @@ metrics::RunResult parse_result(const json::Value& obj) {
   PARATICK_CHECK_MSG(causes.array.size() == hw::kExitCauseCount,
                      "run record: exit-cause count mismatch (format drift?)");
   for (std::size_t i = 0; i < hw::kExitCauseCount; ++i) {
-    r.exits_by_cause[i] = static_cast<std::uint64_t>(causes.array[i].number);
+    r.exits_by_cause[i] =
+        json::to_int<std::uint64_t>(causes.array[i].number, "exits_by_cause");
   }
   r.events_executed = u64_field(obj, "events");
   if (const json::Value* profile = obj.find("profile")) {
     PARATICK_CHECK_MSG(profile->array.size() == 7,
                        "run record: profile counter count mismatch (format drift?)");
     const auto prof = [&](std::size_t i) {
-      return static_cast<std::uint64_t>(profile->array[i].number);
+      return json::to_int<std::uint64_t>(profile->array[i].number, "profile");
     };
     r.events_scheduled = prof(0);
     r.events_cancelled = prof(1);
@@ -249,7 +253,7 @@ metrics::RunResult parse_result(const json::Value& obj) {
         parallel->array.size() == 4,
         "run record: parallel counter count mismatch (format drift?)");
     const auto par = [&](std::size_t i) {
-      return static_cast<std::uint64_t>(parallel->array[i].number);
+      return json::to_int<std::uint64_t>(parallel->array[i].number, "parallel");
     };
     r.par_windows = par(0);
     r.par_windows_skipped = par(1);
@@ -260,7 +264,7 @@ metrics::RunResult parse_result(const json::Value& obj) {
   PARATICK_CHECK_MSG(faults.array.size() == 9,
                      "run record: fault counter count mismatch (format drift?)");
   const auto flt = [&](std::size_t i) {
-    return static_cast<std::uint64_t>(faults.array[i].number);
+    return json::to_int<std::uint64_t>(faults.array[i].number, "faults");
   };
   r.faults.timer_dropped = flt(0);
   r.faults.timer_delayed = flt(1);
@@ -281,9 +285,9 @@ metrics::RunResult parse_result(const json::Value& obj) {
 
 SweepRun parse_run_value(const json::Value& doc) {
   SweepRun run;
-  run.run_index = static_cast<std::size_t>(u64_field(doc, "run_index"));
-  run.cell = static_cast<std::size_t>(u64_field(doc, "cell"));
-  run.replica = static_cast<int>(json::num_field(doc, "replica"));
+  run.run_index = json::int_field<std::size_t>(doc, "run_index");
+  run.cell = json::int_field<std::size_t>(doc, "cell");
+  run.replica = json::int_field<int>(doc, "replica");
   run.seed = u64_string_field(doc, "seed");
   const json::Value* executed = doc.find("executed");
   run.executed = executed != nullptr && executed->boolean;
@@ -297,10 +301,9 @@ SweepRun parse_run_value(const json::Value& doc) {
     f.kind = RunFailure::kind_from_name(json::str_field(*failure, "kind"));
     f.expr = json::str_field(*failure, "expr");
     f.file = json::str_field(*failure, "file");
-    f.line = static_cast<int>(json::num_field(*failure, "line"));
+    f.line = json::int_field<int>(*failure, "line");
     f.message = json::str_field(*failure, "message");
-    f.sim_time_ns = static_cast<std::int64_t>(
-        json::num_field(*failure, "sim_time_ns", -1.0));
+    f.sim_time_ns = json::int_field<std::int64_t>(*failure, "sim_time_ns", -1);
     f.events_executed = u64_field(*failure, "events");
     run.failure = std::move(f);
   }
@@ -403,8 +406,8 @@ PartialSnapshot parse_partial_snapshot(const std::string& text) {
   PartialSnapshot p;
   p.bench = json::str_field(doc, "bench");
   p.root_seed = u64_string_field(doc, "root_seed");
-  p.repeat = static_cast<int>(json::num_field(doc, "repeat"));
-  p.total_runs = static_cast<std::size_t>(u64_field(doc, "total_runs"));
+  p.repeat = json::int_field<int>(doc, "repeat");
+  p.total_runs = json::int_field<std::size_t>(doc, "total_runs");
   for (const auto& cell : array_field(doc, "cells").array) {
     PARATICK_CHECK_MSG(cell.type == json::Value::Type::kObject,
                        "partial snapshot: cell entry is not an object");
@@ -412,7 +415,7 @@ PartialSnapshot parse_partial_snapshot(const std::string& text) {
     key.variant = json::str_field(cell, "variant");
     key.mode = guest::tick_mode_from_string(json::str_field(cell, "mode"));
     key.tick_freq_hz = json::num_field(cell, "tick_freq_hz");
-    key.vcpus = static_cast<int>(json::num_field(cell, "vcpus"));
+    key.vcpus = json::int_field<int>(cell, "vcpus");
     key.overcommit = json::num_field(cell, "overcommit");
     p.cells.push_back(std::move(key));
   }

@@ -9,6 +9,15 @@
 
 namespace paratick::core {
 
+namespace {
+/// Invariant-watchdog sweep period.
+constexpr sim::SimTime kWatchdogPeriod = sim::SimTime::ms(5);
+/// How long an armed guest timer may stay past its deadline before the
+/// timer-liveness check declares the interrupt lost. Must exceed the
+/// worst benign delivery delay (late/coalesce faults, steal bursts).
+constexpr sim::SimTime kWatchdogTimerGrace = sim::SimTime::ms(5);
+}  // namespace
+
 System::System(SystemSpec spec)
     : spec_(std::move(spec)),
       machine_(spec_.machine),
@@ -111,7 +120,7 @@ void System::wire_completion(std::size_t vm_index) {
 }
 
 void System::install_watchdog() {
-  watchdog_ = std::make_unique<sim::Watchdog>(engine_, spec_.watchdog_period);
+  watchdog_ = std::make_unique<sim::Watchdog>(engine_, kWatchdogPeriod);
 
   auto last = std::make_shared<sim::SimTime>(engine_.now());
   watchdog_->add_check(
@@ -138,7 +147,7 @@ void System::install_watchdog() {
       for (int i = 0; i < vm->vcpu_count(); ++i) {
         const hv::Vcpu& v = vm->vcpu(i);
         if (v.guest_deadline &&
-            *v.guest_deadline + spec_.watchdog_timer_grace < engine_.now()) {
+            *v.guest_deadline + kWatchdogTimerGrace < engine_.now()) {
           return "vCPU " + std::to_string(v.id()) + " guest timer deadline " +
                  sim::to_string(*v.guest_deadline) + " still armed at " +
                  sim::to_string(engine_.now()) + " — timer interrupt lost";

@@ -64,11 +64,6 @@ struct SystemSpec {
   /// Run the invariant watchdog alongside the engine. Off by default:
   /// its periodic sweeps add events, perturbing baseline-comparable runs.
   bool watchdog = false;
-  sim::SimTime watchdog_period = sim::SimTime::ms(5);
-  /// How long an armed guest timer may stay past its deadline before the
-  /// timer-liveness check declares the interrupt lost. Must exceed the
-  /// worst benign delivery delay (late/coalesce faults, steal bursts).
-  sim::SimTime watchdog_timer_grace = sim::SimTime::ms(5);
 
   /// Wall-clock budget for run(); > 0 makes the engine throw
   /// SimError{kTimeout} when exceeded (hung-run detection).

@@ -12,6 +12,13 @@ namespace paratick::guest {
 namespace {
 // Fast-path user-space cost of an uncontended futex operation.
 constexpr sim::Cycles kFutexFastPath{60};
+// RCU grace period, in scheduler ticks observed after the last enqueue.
+constexpr unsigned kRcuGraceTicks = 1;
+// Probability that a blocking/wake path enqueues an RCU callback. Low on
+// purpose: on real systems grace periods complete quickly, so most idle
+// entries find the CPU RCU-quiet and NO_HZ stops the tick (paying the
+// MSR-write exits) — the §3.2 behaviour.
+constexpr double kRcuEnqueueProb = 0.0005;
 }  // namespace
 
 // ===========================================================================
@@ -22,7 +29,7 @@ class GuestCpu::Api final : public TaskApi {
  public:
   explicit Api(GuestCpu& cpu) : cpu_(cpu) {}
 
-  [[nodiscard]] sim::SimTime now() const override { return cpu_.port().now(); }
+  [[nodiscard]] sim::SimTime now() const override { return cpu_.now(); }
   [[nodiscard]] int task_id() const override {
     PARATICK_CHECK(cpu_.current() != nullptr);
     return cpu_.current()->id;
@@ -34,10 +41,10 @@ class GuestCpu::Api final : public TaskApi {
   }
 
   void compute(sim::Cycles c, std::function<void()> done) override {
-    cpu_.port().run(c, hw::CycleCategory::kGuestUser,
-                    [this, done = std::move(done)]() mutable {
-                      cpu_.maybe_preempt(std::move(done));
-                    });
+    cpu_.kvm().port_run(cpu_.vcpu(), c, hw::CycleCategory::kGuestUser,
+                        [this, done = std::move(done)]() mutable {
+                          cpu_.maybe_preempt(std::move(done));
+                        });
   }
 
   void barrier_wait(int barrier_id, std::function<void()> done) override {
@@ -67,30 +74,30 @@ class GuestCpu::Api final : public TaskApi {
   void sleep_for(sim::SimTime d, std::function<void()> done) override {
     PARATICK_CHECK(d > sim::SimTime::zero());
     auto& cpu = cpu_;
-    cpu.port().run(cpu.costs().syscall, hw::CycleCategory::kGuestKernel,
-                   [&cpu, d, done = std::move(done)]() mutable {
-                     GuestTask* t = cpu.current();
-                     PARATICK_CHECK(t != nullptr);
-                     const sim::SimTime deadline = cpu.port().now() + d;
-                     auto wake = [&cpu, t] { cpu.kernel().wake_task(*t, cpu); };
-                     cpu.kernel().maybe_enqueue_rcu(cpu);
-                     if (d < 4 * cpu.tick_period()) {
-                       // High-res path: the hardware must fire at the
-                       // hrtimer's deadline, not at the next tick.
-                       cpu.hrtimers().add(deadline, wake);
-                       cpu.maybe_program_hrtimer(
-                           deadline, [&cpu, done = std::move(done)]() mutable {
-                             cpu.block_current(std::move(done));
-                           });
-                       return;
-                     }
-                     cpu.wheel().add(cpu.jiffy_of(deadline), wake);
-                     cpu.block_current(std::move(done));
-                   });
+    cpu.kvm().port_run(cpu.vcpu(), cpu.costs().syscall, hw::CycleCategory::kGuestKernel,
+                       [&cpu, d, done = std::move(done)]() mutable {
+                         GuestTask* t = cpu.current();
+                         PARATICK_CHECK(t != nullptr);
+                         const sim::SimTime deadline = cpu.now() + d;
+                         auto wake = [&cpu, t] { cpu.kernel().wake_task(*t, cpu); };
+                         cpu.kernel().maybe_enqueue_rcu(cpu);
+                         if (d < 4 * cpu.tick_period()) {
+                           // High-res path: the hardware must fire at the
+                           // hrtimer's deadline, not at the next tick.
+                           cpu.hrtimers().add(deadline, wake);
+                           cpu.maybe_program_hrtimer(
+                               deadline, [&cpu, done = std::move(done)]() mutable {
+                                 cpu.block_current(std::move(done));
+                               });
+                           return;
+                         }
+                         cpu.wheel().add(cpu.jiffy_of(deadline), wake);
+                         cpu.block_current(std::move(done));
+                       });
   }
 
   void background_fault(std::function<void()> done) override {
-    cpu_.port().background_exit(std::move(done));
+    cpu_.kvm().port_background_exit(cpu_.vcpu(), std::move(done));
   }
 
   void finish() override { cpu_.kernel().task_finished(cpu_); }
@@ -103,18 +110,15 @@ class GuestCpu::Api final : public TaskApi {
 // GuestCpu
 // ===========================================================================
 
-GuestCpu::GuestCpu(GuestKernel& kernel, int index, hv::VcpuPort& port)
-    : kernel_(kernel),
-      index_(index),
-      port_(port),
-      rcu_(kernel.config().rcu_grace_ticks) {
+GuestCpu::GuestCpu(GuestKernel& kernel, int index, hv::Kvm& kvm, hv::Vcpu& vcpu)
+    : kernel_(kernel), index_(index), kvm_(kvm), vcpu_(vcpu), rcu_(kRcuGraceTicks) {
   policy_ = make_tick_policy(kernel.config().tick_mode, *this);
   api_ = std::make_unique<Api>(*this);
 }
 
 GuestCpu::~GuestCpu() = default;
 
-sim::SimTime GuestCpu::now() const { return port_.now(); }
+sim::SimTime GuestCpu::now() const { return kvm_.engine().now(); }
 
 sim::SimTime GuestCpu::tick_period() const {
   return kernel_.config().tick_freq.period();
@@ -144,11 +148,11 @@ void GuestCpu::power_on() {
 // --- interrupt path ---------------------------------------------------------
 
 void GuestCpu::handle_interrupt(hw::Vector v) {
-  port_.run(costs().irq_entry, hw::CycleCategory::kGuestKernel, [this, v] {
+  kvm_.port_run(vcpu_, costs().irq_entry, hw::CycleCategory::kGuestKernel, [this, v] {
     // Expire due timers first (hrtimer_interrupt semantics): the policy's
     // re-arm below must see only *pending* events.
     expire_timers([this, v] {
-      dispatch_vector(v, [this] { post_irq_work([this] { port_.iret(); }); });
+      dispatch_vector(v, [this] { post_irq_work([this] { kvm_.port_iret(vcpu_); }); });
     });
   });
 }
@@ -162,20 +166,20 @@ void GuestCpu::dispatch_vector(hw::Vector v, std::function<void()> done) {
       policy_->on_virtual_tick(std::move(done));
       return;
     case hw::vectors::kBlockDevice: {
-      std::vector<hw::IoRequest> completions = port_.drain_io_completions();
+      std::vector<hw::IoRequest> completions = kvm_.port_drain_io_completions(vcpu_);
       if (completions.empty()) {
         done();
         return;
       }
       const sim::Cycles c =
           costs().blk_complete * static_cast<std::int64_t>(completions.size());
-      port_.run(c, hw::CycleCategory::kGuestKernel,
-                [this, completions = std::move(completions),
-                 done = std::move(done)]() mutable {
-                  for (const auto& req : completions) kernel_.io_complete(*this, req);
-                  // Acknowledge the device interrupt (virtio ISR access).
-                  port_.io_ack(std::move(done));
-                });
+      kvm_.port_run(vcpu_, c, hw::CycleCategory::kGuestKernel,
+                    [this, completions = std::move(completions),
+                     done = std::move(done)]() mutable {
+                      for (const auto& req : completions) kernel_.io_complete(*this, req);
+                      // Acknowledge the device interrupt (virtio ISR access).
+                      kvm_.port_io_ack(vcpu_, std::move(done));
+                    });
       return;
     }
     case hw::vectors::kRescheduleIpi:
@@ -191,7 +195,8 @@ void GuestCpu::dispatch_vector(hw::Vector v, std::function<void()> done) {
 
 void GuestCpu::post_irq_work(std::function<void()> done) {
   flush_kicks([this, done = std::move(done)]() mutable {
-    port_.run(costs().irq_exit, hw::CycleCategory::kGuestKernel, std::move(done));
+    kvm_.port_run(vcpu_, costs().irq_exit, hw::CycleCategory::kGuestKernel,
+                  std::move(done));
   });
 }
 
@@ -205,8 +210,8 @@ void GuestCpu::expire_timers(std::function<void()> done) {
     return;
   }
   const std::uint64_t fired_before = wheel_.fired_count() + hrtimers_.fired_count();
-  wheel_.advance(jiffy_of(port_.now()));
-  hrtimers_.expire(port_.now());
+  wheel_.advance(jiffy_of(now()));
+  hrtimers_.expire(now());
   const std::uint64_t fired =
       wheel_.fired_count() + hrtimers_.fired_count() - fired_before;
   sim::Cycles c = sim::Cycles(0);
@@ -222,17 +227,17 @@ void GuestCpu::expire_timers(std::function<void()> done) {
     done();
     return;
   }
-  port_.run(c, hw::CycleCategory::kGuestKernel, std::move(done));
+  kvm_.port_run(vcpu_, c, hw::CycleCategory::kGuestKernel, std::move(done));
 }
 
 void GuestCpu::maybe_program_hrtimer(sim::SimTime deadline, std::function<void()> done) {
   const auto armed = policy_->armed_deadline();
-  if (armed && *armed <= deadline && *armed > port_.now()) {
+  if (armed && *armed <= deadline && *armed > now()) {
     done();  // something earlier is already armed
     return;
   }
   policy_->note_hardware_deadline(deadline);
-  port_.write_tsc_deadline(deadline, std::move(done));
+  kvm_.port_write_tsc_deadline(vcpu_, deadline, std::move(done));
 }
 
 void GuestCpu::queue_kick(int target_cpu) {
@@ -249,35 +254,35 @@ void GuestCpu::flush_kicks(std::function<void()> done) {
   }
   const int target = pending_kicks_.back();
   pending_kicks_.pop_back();
-  port_.send_ipi(target, hw::vectors::kRescheduleIpi,
-                 [this, done = std::move(done)]() mutable {
-                   flush_kicks(std::move(done));
-                 });
+  kvm_.port_send_ipi(vcpu_, target, hw::vectors::kRescheduleIpi,
+                     [this, done = std::move(done)]() mutable {
+                       flush_kicks(std::move(done));
+                     });
 }
 
 // --- tick services -----------------------------------------------------------
 
 void GuestCpu::do_tick_work(std::function<void()> done) {
-  port_.run(costs().tick_work, hw::CycleCategory::kGuestKernel,
-            [this, done = std::move(done)]() mutable {
-              const std::uint64_t drained = rcu_.on_tick();
-              if (current_ != nullptr && !runq_.empty()) need_resched_ = true;
-              if (drained > 0) {
-                port_.run(costs().rcu_cb_batch, hw::CycleCategory::kGuestKernel,
-                          std::move(done));
-              } else {
-                done();
-              }
-            });
+  kvm_.port_run(vcpu_, costs().tick_work, hw::CycleCategory::kGuestKernel,
+                [this, done = std::move(done)]() mutable {
+                  const std::uint64_t drained = rcu_.on_tick();
+                  if (current_ != nullptr && !runq_.empty()) need_resched_ = true;
+                  if (drained > 0) {
+                    kvm_.port_run(vcpu_, costs().rcu_cb_batch,
+                                  hw::CycleCategory::kGuestKernel, std::move(done));
+                  } else {
+                    done();
+                  }
+                });
 }
 
 void GuestCpu::kernel_work(sim::Cycles c, std::function<void()> done) {
-  port_.run(c, hw::CycleCategory::kGuestKernel, std::move(done));
+  kvm_.port_run(vcpu_, c, hw::CycleCategory::kGuestKernel, std::move(done));
 }
 
 void GuestCpu::write_tsc_deadline(std::optional<sim::SimTime> deadline,
                                   std::function<void()> done) {
-  port_.write_tsc_deadline(deadline, std::move(done));
+  kvm_.port_write_tsc_deadline(vcpu_, deadline, std::move(done));
 }
 
 void GuestCpu::paratick_hypercall(sim::SimTime period, std::function<void()> done) {
@@ -285,7 +290,7 @@ void GuestCpu::paratick_hypercall(sim::SimTime period, std::function<void()> don
   req.kind = hv::HypercallRequest::Kind::kDeclareTickFreq;
   req.guest_tick_period = period;
   req.enable_paratick = true;
-  port_.hypercall(req, std::move(done));
+  kvm_.port_hypercall(vcpu_, req, std::move(done));
 }
 
 TickCpu::IdleSnapshot GuestCpu::idle_snapshot() const {
@@ -350,7 +355,7 @@ void GuestCpu::enter_idle() {
       policy_->on_idle_exit([this] { schedule(); });
       return;
     }
-    port_.hlt();
+    kvm_.port_hlt(vcpu_);
   });
 }
 
@@ -401,7 +406,7 @@ GuestKernel::GuestKernel(hv::Kvm& kvm, hv::Vm& vm, GuestConfig config)
   cpus_.reserve(static_cast<std::size_t>(vm.vcpu_count()));
   for (int i = 0; i < vm.vcpu_count(); ++i) {
     hv::Vcpu& vcpu = vm.vcpu(i);
-    cpus_.push_back(std::make_unique<GuestCpu>(*this, i, kvm.port(vcpu)));
+    cpus_.push_back(std::make_unique<GuestCpu>(*this, i, kvm, vcpu));
     kvm.attach_guest(vcpu, cpus_.back().get());
   }
 }
@@ -477,7 +482,7 @@ void GuestKernel::wake_task(GuestTask& t, GuestCpu& waker) {
 }
 
 void GuestKernel::maybe_enqueue_rcu(GuestCpu& c) {
-  if (rng_.bernoulli(config_.rcu_enqueue_prob)) c.rcu().enqueue();
+  if (rng_.bernoulli(kRcuEnqueueProb)) c.rcu().enqueue();
 }
 
 void GuestKernel::barrier_arrive(GuestCpu& c, int barrier_id,
@@ -497,20 +502,20 @@ void GuestKernel::barrier_arrive(GuestCpu& c, int barrier_id,
     const sim::Cycles cost =
         c.costs().syscall +
         c.costs().futex_wake * static_cast<std::int64_t>(waiting.size());
-    c.port().run(cost, hw::CycleCategory::kGuestKernel,
-                 [&c, done = std::move(done)]() mutable {
-                   c.flush_kicks(std::move(done));
-                 });
+    kvm_.port_run(c.vcpu(), cost, hw::CycleCategory::kGuestKernel,
+                  [&c, done = std::move(done)]() mutable {
+                    c.flush_kicks(std::move(done));
+                  });
     return;
   }
 
   b.waiting.push_back(t);
-  c.port().run(c.costs().syscall + c.costs().futex_block,
-               hw::CycleCategory::kGuestKernel,
-               [&c, t, done = std::move(done)]() mutable {
-                 PARATICK_CHECK(c.current() == t);
-                 c.block_current(std::move(done));
-               });
+  kvm_.port_run(c.vcpu(), c.costs().syscall + c.costs().futex_block,
+                hw::CycleCategory::kGuestKernel,
+                [&c, t, done = std::move(done)]() mutable {
+                  PARATICK_CHECK(c.current() == t);
+                  c.block_current(std::move(done));
+                });
 }
 
 void GuestKernel::mutex_lock(GuestCpu& c, int mutex_id, std::function<void()> done) {
@@ -521,33 +526,33 @@ void GuestKernel::mutex_lock(GuestCpu& c, int mutex_id, std::function<void()> do
 
   if (m.holder == nullptr) {
     m.holder = t;
-    c.port().run(kFutexFastPath, hw::CycleCategory::kGuestUser, std::move(done));
+    kvm_.port_run(c.vcpu(), kFutexFastPath, hw::CycleCategory::kGuestUser, std::move(done));
     return;
   }
 
   ++m.contended_acquires;
   // Adaptive mutex: spin briefly (PLE-visible on the host), then sleep.
-  c.port().spin(c.costs().spin_before_block,
-                [this, &c, &m, t, done = std::move(done)]() mutable {
-                  if (m.holder == nullptr) {
-                    m.holder = t;
-                    done();
-                    return;
-                  }
-                  c.port().run(c.costs().syscall + c.costs().futex_block,
-                               hw::CycleCategory::kGuestKernel,
-                               [this, &c, &m, t, done = std::move(done)]() mutable {
-                                 if (m.holder == nullptr) {
-                                   // Released during the futex path.
-                                   m.holder = t;
-                                   done();
-                                   return;
-                                 }
-                                 m.waiters.push_back(t);
-                                 maybe_enqueue_rcu(c);
-                                 c.block_current(std::move(done));
-                               });
-                });
+  kvm_.port_spin(c.vcpu(), c.costs().spin_before_block,
+                 [this, &c, &m, t, done = std::move(done)]() mutable {
+                   if (m.holder == nullptr) {
+                     m.holder = t;
+                     done();
+                     return;
+                   }
+                   kvm_.port_run(c.vcpu(), c.costs().syscall + c.costs().futex_block,
+                                 hw::CycleCategory::kGuestKernel,
+                                 [this, &c, &m, t, done = std::move(done)]() mutable {
+                                   if (m.holder == nullptr) {
+                                     // Released during the futex path.
+                                     m.holder = t;
+                                     done();
+                                     return;
+                                   }
+                                   m.waiters.push_back(t);
+                                   maybe_enqueue_rcu(c);
+                                   c.block_current(std::move(done));
+                                 });
+                 });
 }
 
 void GuestKernel::mutex_unlock(GuestCpu& c, int mutex_id, std::function<void()> done) {
@@ -563,14 +568,14 @@ void GuestKernel::mutex_unlock(GuestCpu& c, int mutex_id, std::function<void()> 
     m.waiters.pop_front();
     m.holder = next;  // ownership handoff
     wake_task(*next, c);
-    c.port().run(c.costs().futex_wake, hw::CycleCategory::kGuestKernel,
-                 [&c, done = std::move(done)]() mutable {
-                   c.flush_kicks(std::move(done));
-                 });
+    kvm_.port_run(c.vcpu(), c.costs().futex_wake, hw::CycleCategory::kGuestKernel,
+                  [&c, done = std::move(done)]() mutable {
+                    c.flush_kicks(std::move(done));
+                  });
     return;
   }
   m.holder = nullptr;
-  c.port().run(kFutexFastPath, hw::CycleCategory::kGuestUser, std::move(done));
+  kvm_.port_run(c.vcpu(), kFutexFastPath, hw::CycleCategory::kGuestUser, std::move(done));
 }
 
 void GuestKernel::sem_wait(GuestCpu& c, int sem_id, std::function<void()> done) {
@@ -580,23 +585,23 @@ void GuestKernel::sem_wait(GuestCpu& c, int sem_id, std::function<void()> done) 
   if (s.count > 0) {
     // Fast path: a post is already available (userspace futex check).
     --s.count;
-    c.port().run(kFutexFastPath, hw::CycleCategory::kGuestUser, std::move(done));
+    kvm_.port_run(c.vcpu(), kFutexFastPath, hw::CycleCategory::kGuestUser, std::move(done));
     return;
   }
   ++s.blocked_waits;
   maybe_enqueue_rcu(c);
-  c.port().run(c.costs().syscall + c.costs().futex_block,
-               hw::CycleCategory::kGuestKernel,
-               [this, &c, sem_id, t, done = std::move(done)]() mutable {
-                 Semaphore& sem = semaphores_[sem_id];
-                 if (sem.count > 0) {
-                   --sem.count;  // a post raced with the futex path
-                   done();
-                   return;
-                 }
-                 sem.waiters.push_back(t);
-                 c.block_current(std::move(done));
-               });
+  kvm_.port_run(c.vcpu(), c.costs().syscall + c.costs().futex_block,
+                hw::CycleCategory::kGuestKernel,
+                [this, &c, sem_id, t, done = std::move(done)]() mutable {
+                  Semaphore& sem = semaphores_[sem_id];
+                  if (sem.count > 0) {
+                    --sem.count;  // a post raced with the futex path
+                    done();
+                    return;
+                  }
+                  sem.waiters.push_back(t);
+                  c.block_current(std::move(done));
+                });
 }
 
 void GuestKernel::sem_post(GuestCpu& c, int sem_id, std::function<void()> done) {
@@ -607,14 +612,14 @@ void GuestKernel::sem_post(GuestCpu& c, int sem_id, std::function<void()> done) 
     s.waiters.pop_front();
     wake_task(*w, c);
     maybe_enqueue_rcu(c);
-    c.port().run(c.costs().futex_wake, hw::CycleCategory::kGuestKernel,
-                 [&c, done = std::move(done)]() mutable {
-                   c.flush_kicks(std::move(done));
-                 });
+    kvm_.port_run(c.vcpu(), c.costs().futex_wake, hw::CycleCategory::kGuestKernel,
+                  [&c, done = std::move(done)]() mutable {
+                    c.flush_kicks(std::move(done));
+                  });
     return;
   }
   ++s.count;
-  c.port().run(kFutexFastPath, hw::CycleCategory::kGuestUser, std::move(done));
+  kvm_.port_run(c.vcpu(), kFutexFastPath, hw::CycleCategory::kGuestUser, std::move(done));
 }
 
 void GuestKernel::sync_io(GuestCpu& c, const hw::IoRequest& req,
@@ -627,21 +632,21 @@ void GuestKernel::sync_io(GuestCpu& c, const hw::IoRequest& req,
   tagged.cookie = cookie;
   maybe_enqueue_rcu(c);
 
-  c.port().run(c.costs().blk_submit, hw::CycleCategory::kGuestKernel,
-               [this, &c, tagged, done = std::move(done)]() mutable {
-                 c.port().io_submit(
-                     tagged, [this, &c, cookie = tagged.cookie,
-                              done = std::move(done)]() mutable {
-                       auto it = io_waits_.find(cookie);
-                       if (it == io_waits_.end() || it->second.completed_early) {
-                         io_waits_.erase(cookie);
-                         done();
-                         return;
-                       }
-                       it->second.blocked = true;
-                       c.block_current(std::move(done));
-                     });
-               });
+  kvm_.port_run(c.vcpu(), c.costs().blk_submit, hw::CycleCategory::kGuestKernel,
+                [this, &c, tagged, done = std::move(done)]() mutable {
+                  kvm_.port_io_submit(
+                      c.vcpu(), tagged,
+                      [this, &c, cookie = tagged.cookie, done = std::move(done)]() mutable {
+                        auto it = io_waits_.find(cookie);
+                        if (it == io_waits_.end() || it->second.completed_early) {
+                          io_waits_.erase(cookie);
+                          done();
+                          return;
+                        }
+                        it->second.blocked = true;
+                        c.block_current(std::move(done));
+                      });
+                });
 }
 
 void GuestKernel::io_complete(GuestCpu& c, const hw::IoRequest& req) {

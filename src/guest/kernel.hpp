@@ -24,6 +24,7 @@
 #include "guest/timer_wheel.hpp"
 #include "hv/kvm.hpp"
 #include "hv/port.hpp"
+#include "hv/vcpu.hpp"
 
 namespace paratick::fault {
 class FaultInjector;
@@ -35,12 +36,6 @@ struct GuestConfig {
   TickMode tick_mode = TickMode::kDynticksIdle;
   sim::Frequency tick_freq{250.0};
   GuestCostModel costs;
-  unsigned rcu_grace_ticks = 1;
-  /// Probability that a blocking/wake path enqueues an RCU callback.
-  /// Low by default: on real systems grace periods complete quickly, so
-  /// most idle entries find the CPU RCU-quiet and NO_HZ stops the tick
-  /// (paying the MSR-write exits) — the §3.2 behaviour.
-  double rcu_enqueue_prob = 0.0005;
   std::uint64_t seed = 1234;
   /// Optional chaos injector (spurious/dropped softirqs). Not owned; must
   /// outlive the kernel. Null = no guest-level faults.
@@ -55,7 +50,7 @@ class GuestKernel;
 
 class GuestCpu final : public hv::GuestCpuIface, public TickCpu {
  public:
-  GuestCpu(GuestKernel& kernel, int index, hv::VcpuPort& port);
+  GuestCpu(GuestKernel& kernel, int index, hv::Kvm& kvm, hv::Vcpu& vcpu);
   ~GuestCpu() override;
 
   GuestCpu(const GuestCpu&) = delete;
@@ -89,7 +84,10 @@ class GuestCpu final : public hv::GuestCpuIface, public TickCpu {
   [[nodiscard]] int index() const { return index_; }
   [[nodiscard]] std::size_t runqueue_depth() const { return runq_.size(); }
   [[nodiscard]] TickPolicy& policy() { return *policy_; }
-  [[nodiscard]] hv::VcpuPort& port() { return port_; }
+  /// The hypervisor and vCPU this guest CPU executes on: guest code
+  /// drives them through the Kvm::port_* verbs.
+  [[nodiscard]] hv::Kvm& kvm() { return kvm_; }
+  [[nodiscard]] hv::Vcpu& vcpu() { return vcpu_; }
   [[nodiscard]] TimerWheel& wheel() { return wheel_; }
   [[nodiscard]] HrtimerQueue& hrtimers() { return hrtimers_; }
   [[nodiscard]] RcuState& rcu() { return rcu_; }
@@ -122,7 +120,8 @@ class GuestCpu final : public hv::GuestCpuIface, public TickCpu {
 
   GuestKernel& kernel_;
   int index_;
-  hv::VcpuPort& port_;
+  hv::Kvm& kvm_;
+  hv::Vcpu& vcpu_;
   std::unique_ptr<TickPolicy> policy_;
   std::unique_ptr<TaskApi> api_;
 

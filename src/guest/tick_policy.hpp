@@ -1,9 +1,11 @@
 // Scheduler-tick management policies — the unit under test.
 //
-// Three implementations mirror the paper:
+// Four implementations mirror the paper:
 //  * PeriodicTickPolicy — classic periodic tick (§2, §3.1),
 //  * DynticksPolicy     — Linux NO_HZ "dynticks idle" (Figure 1),
-//  * ParatickPolicy     — virtual scheduler ticks (Figures 2/3, §5.2).
+//  * ParatickPolicy     — virtual scheduler ticks (Figures 2/3, §5.2),
+//  * FullDynticksPolicy — NO_HZ_FULL "full dynticks" (§2): the tick also
+//                         stops on a busy CPU with one runnable task.
 //
 // Policies act on a narrow TickCpu interface so they can be unit-tested
 // against a mock CPU as well as run on the full guest kernel.

@@ -11,54 +11,12 @@ namespace paratick::hv {
 
 namespace {
 constexpr auto kLogDebug = sim::LogLevel::kDebug;
+/// KVM's halt_poll_ns_grow / halt_poll_ns_shrink defaults: adaptive halt
+/// polling doubles the per-vCPU window after a short block and halves it
+/// after a long one.
+constexpr std::int64_t kHaltPollGrow = 2;
+constexpr std::int64_t kHaltPollShrink = 2;
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// The per-vCPU port adapter guest code drives.
-// ---------------------------------------------------------------------------
-
-class KvmVcpuPort final : public VcpuPort {
- public:
-  KvmVcpuPort(Kvm& kvm, Vcpu& vcpu) : kvm_(kvm), vcpu_(vcpu) {}
-
-  [[nodiscard]] sim::SimTime now() const override { return kvm_.engine().now(); }
-  [[nodiscard]] int vcpu_index() const override { return vcpu_.index_in_vm(); }
-
-  void run(sim::Cycles c, hw::CycleCategory cat, std::function<void()> done) override {
-    kvm_.port_run(vcpu_, c, cat, std::move(done));
-  }
-  void write_tsc_deadline(std::optional<sim::SimTime> deadline,
-                          std::function<void()> done) override {
-    kvm_.port_write_tsc_deadline(vcpu_, deadline, std::move(done));
-  }
-  void hypercall(const HypercallRequest& req, std::function<void()> done) override {
-    kvm_.port_hypercall(vcpu_, req, std::move(done));
-  }
-  void hlt() override { kvm_.port_hlt(vcpu_); }
-  void iret() override { kvm_.port_iret(vcpu_); }
-  void io_submit(const hw::IoRequest& req, std::function<void()> done) override {
-    kvm_.port_io_submit(vcpu_, req, std::move(done));
-  }
-  std::vector<hw::IoRequest> drain_io_completions() override {
-    return std::exchange(vcpu_.io_completions, {});
-  }
-  void io_ack(std::function<void()> done) override {
-    kvm_.port_io_ack(vcpu_, std::move(done));
-  }
-  void send_ipi(int target, hw::Vector v, std::function<void()> done) override {
-    kvm_.port_send_ipi(vcpu_, target, v, std::move(done));
-  }
-  void background_exit(std::function<void()> done) override {
-    kvm_.port_background_exit(vcpu_, std::move(done));
-  }
-  void spin(sim::Cycles c, std::function<void()> done) override {
-    kvm_.port_spin(vcpu_, c, std::move(done));
-  }
-
- private:
-  Kvm& kvm_;
-  Vcpu& vcpu_;
-};
 
 // ---------------------------------------------------------------------------
 // Construction / wiring
@@ -96,7 +54,6 @@ Vm& Kvm::create_vm(const VmConfig& config) {
         [this, vid] { on_aux_timer_fire(*vcpus_[vid]); });
     vm->vcpus_.emplace_back(raw);
     vcpus_.push_back(raw);
-    ports_.push_back(std::make_unique<KvmVcpuPort>(*this, *raw));
 
     // Home-CPU assignment: explicit pinning if given, else spread.
     if (static_cast<std::size_t>(i) < config.pinning.size()) {
@@ -154,8 +111,6 @@ void Kvm::attach_guest(Vcpu& vcpu, GuestCpuIface* guest) {
   PARATICK_CHECK(guest != nullptr);
   vcpu.guest = guest;
 }
-
-VcpuPort& Kvm::port(const Vcpu& vcpu) { return *ports_[vcpu.id()]; }
 
 void Kvm::attach_block_device(Vm& vm, hw::BlockDevice& device) {
   vm_disks_[vm.id()] = &device;
@@ -527,6 +482,10 @@ void Kvm::port_io_submit(Vcpu& vcpu, const hw::IoRequest& req,
           });
 }
 
+std::vector<hw::IoRequest> Kvm::port_drain_io_completions(Vcpu& vcpu) {
+  return std::exchange(vcpu.io_completions, {});
+}
+
 void Kvm::port_io_ack(Vcpu& vcpu, std::function<void()> done) {
   PARATICK_CHECK(vcpu.state == VcpuState::kInGuest && !vcpu.current.active);
   do_exit(vcpu, hw::ExitCause::kIoAck, [this, &vcpu, done = std::move(done)]() mutable {
@@ -626,11 +585,10 @@ void Kvm::adapt_poll_window(Vcpu& vcpu, sim::SimTime block_duration) {
     const sim::SimTime grown =
         vcpu.halt_poll_window == sim::SimTime::zero()
             ? config_.halt_poll_window / 8
-            : vcpu.halt_poll_window * static_cast<std::int64_t>(config_.halt_poll_grow);
+            : vcpu.halt_poll_window * kHaltPollGrow;
     vcpu.halt_poll_window = std::min(grown, config_.halt_poll_window);
   } else {
-    vcpu.halt_poll_window =
-        vcpu.halt_poll_window / static_cast<std::int64_t>(config_.halt_poll_shrink);
+    vcpu.halt_poll_window = vcpu.halt_poll_window / kHaltPollShrink;
   }
 }
 

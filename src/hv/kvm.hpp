@@ -6,9 +6,9 @@
 // host CPU scheduler in both pinned (paper's §6 setup) and time-shared
 // (overcommit, §3.1) modes.
 //
-// Guest code runs in continuation-passing style: the guest kernel asks
-// its VcpuPort to consume cycles or touch virtual hardware, and Kvm
-// advances simulated time, pausing and resuming guest segments around
+// Guest code runs in continuation-passing style: the guest kernel calls
+// the port_* verbs below to consume cycles or touch virtual hardware, and
+// Kvm advances simulated time, pausing and resuming guest segments around
 // exits exactly where a real VMX transition would preempt the guest.
 #pragma once
 
@@ -16,6 +16,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "hv/vcpu.hpp"
 #include "hv/vm.hpp"
 #include "hw/block_device.hpp"
+#include "hw/cycle_ledger.hpp"
 #include "hw/deadline_timer.hpp"
 #include "hw/machine.hpp"
 #include "hw/vmx.hpp"
@@ -48,10 +50,8 @@ struct HostConfig {
   bool halt_polling = false;                          // paper disables it (§6)
   sim::SimTime halt_poll_window = sim::SimTime::us(50);
   /// KVM-style adaptive sizing of the per-vCPU poll window: successful
-  /// polls and short blocks grow it, long blocks shrink it.
+  /// polls and short blocks double it, long blocks halve it.
   bool halt_poll_adaptive = false;
-  unsigned halt_poll_grow = 2;
-  unsigned halt_poll_shrink = 2;
   bool pause_loop_exiting = false;                    // paper disables it (§6)
   sim::Cycles ple_window{8192};                       // spin length that triggers one PLE exit
   SchedMode sched_mode = SchedMode::kPinned;
@@ -75,9 +75,6 @@ class Kvm {
 
   /// Wire a guest CPU implementation to a vCPU (must precede power_on).
   void attach_guest(Vcpu& vcpu, GuestCpuIface* guest);
-
-  /// Port through which guest code drives a given vCPU.
-  [[nodiscard]] VcpuPort& port(const Vcpu& vcpu);
 
   /// Attach a block device whose completions are routed back into `vm`.
   void attach_block_device(Vm& vm, hw::BlockDevice& device);
@@ -110,21 +107,41 @@ class Kvm {
   [[nodiscard]] sim::Engine& engine() { return engine_; }
   [[nodiscard]] const std::vector<std::unique_ptr<Vm>>& vms() const { return vms_; }
 
-  // ---- internal operations, public for the port implementation & tests ----
-
   /// Interrupt delivery from any source (device, IPI, timers).
   void deliver_interrupt(Vcpu& vcpu, hw::Vector vector, hw::ExitCause cause_if_running);
 
+  // ---- the guest<->host port: what guest code on `vcpu` can execute ----
+  // Every verb with a `done` completes asynchronously so the simulation
+  // clock can advance; `done` is never invoked synchronously. The guest's
+  // clock is engine().now() and its CPU number Vcpu::index_in_vm().
+
+  /// Consume `c` guest cycles attributed to `cat`, then call `done`.
+  /// The segment may be transparently paused/resumed around VM exits.
   void port_run(Vcpu& vcpu, sim::Cycles c, hw::CycleCategory cat, std::function<void()> done);
+  /// Write the TSC_DEADLINE MSR (nullopt = 0 = disarm). Always costs a VM
+  /// exit — the whole point of the paper.
   void port_write_tsc_deadline(Vcpu& vcpu, std::optional<sim::SimTime> deadline,
                                std::function<void()> done);
+  /// Issue a hypercall (costs a VM exit).
   void port_hypercall(Vcpu& vcpu, const HypercallRequest& req, std::function<void()> done);
+  /// Halt until the next interrupt. No continuation: execution resumes
+  /// inside GuestCpuIface::handle_interrupt.
   void port_hlt(Vcpu& vcpu);
+  /// Return from interrupt: unmask and resume whatever was interrupted.
   void port_iret(Vcpu& vcpu);
+  /// Submit block I/O (costs an I/O exit); completion arrives later as a
+  /// kBlockDevice interrupt. `done` resumes the submitting code path.
   void port_io_submit(Vcpu& vcpu, const hw::IoRequest& req, std::function<void()> done);
+  /// Drain completed I/O requests (reading the virtio used ring — no exit).
+  [[nodiscard]] std::vector<hw::IoRequest> port_drain_io_completions(Vcpu& vcpu);
+  /// Acknowledge a device interrupt (virtio ISR access) — costs an exit.
   void port_io_ack(Vcpu& vcpu, std::function<void()> done);
+  /// Send an IPI to a sibling vCPU of the same VM.
   void port_send_ipi(Vcpu& vcpu, int target_index, hw::Vector v, std::function<void()> done);
+  /// Model a non-timer "background" VM exit (page fault, cpuid, ...).
   void port_background_exit(Vcpu& vcpu, std::function<void()> done);
+  /// Busy-wait for `c` cycles (lock spinning). With pause-loop exiting
+  /// enabled on the host, long spins additionally cost PLE exits.
   void port_spin(Vcpu& vcpu, sim::Cycles c, std::function<void()> done);
 
  private:
@@ -138,7 +155,7 @@ class Kvm {
   // --- time/cost helpers ---
   // Continuations on the exit/entry hot path are sim::InlineCallback:
   // every capture lives in the event slot, no per-exit heap allocation.
-  // (The public port API keeps std::function — those `done` completions
+  // (The public port verbs keep std::function — those `done` completions
   // are captured *into* the inline continuations below.)
   void charge_and_then(hw::CpuId cpu, hw::CycleCategory cat, sim::Cycles c,
                        sim::InlineCallback then);
@@ -190,7 +207,6 @@ class Kvm {
   HostConfig config_;
   sim::Rng rng_;
   std::vector<std::unique_ptr<Vm>> vms_;
-  std::vector<std::unique_ptr<VcpuPort>> ports_;  // indexed by global vcpu id
   std::vector<Vcpu*> vcpus_;                      // indexed by global vcpu id
   std::vector<PcpuState> pcpus_;
   std::vector<hw::BlockDevice*> vm_disks_;        // indexed by vm id (nullable)

@@ -1,20 +1,15 @@
-// The hypervisor/guest boundary.
+// The hypervisor/guest boundary, guest side.
 //
-// VcpuPort is what guest-kernel code "executes on": consuming CPU,
-// touching timer hardware (which triggers VM exits), halting, submitting
-// I/O. GuestCpuIface is what the hypervisor calls back into: boot and
-// interrupt delivery. Keeping both as pure interfaces lets the guest
-// module stay free of hypervisor internals and makes the tick policies
-// unit-testable against a mock port.
+// Guest-kernel code "executes on" the Kvm::port_* verbs (hv/kvm.hpp):
+// consuming CPU, touching timer hardware (which triggers VM exits),
+// halting, submitting I/O. GuestCpuIface is what the hypervisor calls
+// back into: boot and interrupt delivery. It stays an interface so the
+// hypervisor tests can drive the run loop with a scripted stub guest;
+// the tick policies are unit-tested through guest::TickCpu instead.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
-#include <vector>
 
-#include "hw/block_device.hpp"
-#include "hw/cycle_ledger.hpp"
 #include "hw/interrupt.hpp"
 #include "sim/types.hpp"
 
@@ -28,56 +23,6 @@ struct HypercallRequest {
   bool enable_paratick = false;
 };
 
-/// Everything a virtual CPU lets guest code do. All operations complete
-/// asynchronously via `done` so that the simulation clock can advance;
-/// implementations must never invoke `done` synchronously.
-class VcpuPort {
- public:
-  virtual ~VcpuPort() = default;
-
-  [[nodiscard]] virtual sim::SimTime now() const = 0;
-  [[nodiscard]] virtual int vcpu_index() const = 0;
-
-  /// Consume `c` guest cycles attributed to `cat`, then call `done`.
-  /// The segment may be transparently paused/resumed around VM exits.
-  virtual void run(sim::Cycles c, hw::CycleCategory cat, std::function<void()> done) = 0;
-
-  /// Write the TSC_DEADLINE MSR (nullopt = 0 = disarm). Always costs a VM
-  /// exit — the whole point of the paper.
-  virtual void write_tsc_deadline(std::optional<sim::SimTime> deadline,
-                                  std::function<void()> done) = 0;
-
-  /// Issue a hypercall (costs a VM exit).
-  virtual void hypercall(const HypercallRequest& req, std::function<void()> done) = 0;
-
-  /// Halt until the next interrupt. No continuation: execution resumes
-  /// inside GuestCpuIface::handle_interrupt.
-  virtual void hlt() = 0;
-
-  /// Return from interrupt: unmask and resume whatever was interrupted.
-  virtual void iret() = 0;
-
-  /// Submit block I/O (costs an I/O exit); completion arrives later as a
-  /// kBlockDevice interrupt. `done` resumes the submitting code path.
-  virtual void io_submit(const hw::IoRequest& req, std::function<void()> done) = 0;
-
-  /// Drain completed I/O requests (reading the virtio used ring — no exit).
-  virtual std::vector<hw::IoRequest> drain_io_completions() = 0;
-
-  /// Acknowledge a device interrupt (virtio ISR access) — costs an exit.
-  virtual void io_ack(std::function<void()> done) = 0;
-
-  /// Send an IPI to a sibling vCPU of the same VM.
-  virtual void send_ipi(int target_vcpu_index, hw::Vector v, std::function<void()> done) = 0;
-
-  /// Model a non-timer "background" VM exit (page fault, cpuid, ...).
-  virtual void background_exit(std::function<void()> done) = 0;
-
-  /// Busy-wait for `c` cycles (lock spinning). With pause-loop exiting
-  /// enabled on the host, long spins additionally cost PLE exits.
-  virtual void spin(sim::Cycles c, std::function<void()> done) = 0;
-};
-
 /// The hypervisor's view of one guest CPU.
 class GuestCpuIface {
  public:
@@ -87,7 +32,7 @@ class GuestCpuIface {
   virtual void power_on() = 0;
 
   /// An interrupt was injected. Guest interrupts are masked until the
-  /// handler calls VcpuPort::iret().
+  /// handler calls Kvm::port_iret().
   virtual void handle_interrupt(hw::Vector v) = 0;
 
   /// Control returned to the idle loop after a HLT was interrupted

@@ -65,11 +65,11 @@ TEST(ParseU64Flag, RejectsOutOfRange) {
 
 TEST(ParseU64Flag, ErrorNamesTheFlagAndTheOffendingText) {
   try {
-    (void)parse_u64_flag("--max-failures", "nope");
+    (void)parse_u64_flag("--max-retries", "nope");
     FAIL() << "expected SimError";
   } catch (const sim::SimError& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("--max-failures"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("--max-retries"), std::string::npos) << msg;
     EXPECT_NE(msg.find("\"nope\""), std::string::npos) << msg;
   }
 }
@@ -193,7 +193,7 @@ TEST(SweepCliParse, BadNumbersExitWithCode2NotZero) {
       {{"--repeat", "-2"}, "non-negative"},
       {{"--seed", "0xzz"}, "not a valid integer"},
       {{"--seed", "99999999999999999999999"}, "out of range"},
-      {{"--max-failures", ""}, "empty value"},
+      {{"--repeat", ""}, "empty value"},
       {{"--run-timeout", "fast"}, "not a valid number"},
       {{"--fault-timer-drop", "-0.5"}, "negative"},
       {{"--workers", "many"}, "not a valid integer"},

@@ -105,6 +105,20 @@ TEST(DispatchPlan, HeaderRoundTripsAndDetectsSkew) {
   EXPECT_NE(why.find("cell 1"), std::string::npos);
 }
 
+// Numeric integer fields must be integral and in range: 2.5 replicas is a
+// corrupt record, not replica 2.
+TEST(DispatchProtocol, FractionalIntegerFieldNamesTheField) {
+  SweepRun run;
+  run.replica = 0;
+  const std::string record = run_record_to_json(run);
+  const std::string from = "\"replica\": 0";
+  const std::size_t at = record.find(from);
+  ASSERT_NE(at, std::string::npos);
+  std::string bad = record;
+  bad.replace(at, from.size(), "\"replica\": 2.5");
+  EXPECT_SIM_ERROR((void)parse_run_record(bad), "field \"replica\"");
+}
+
 // u64 fields travel as decimal strings; trailing junk must fail naming the
 // field instead of parsing the digits before it (or 0 for pure garbage).
 TEST(DispatchProtocol, MalformedU64StringsNameTheField) {

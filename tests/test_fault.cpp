@@ -405,23 +405,32 @@ TEST(ChaosSweep, ReplayBundleReproducesTheIdenticalError) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(ChaosSweep, MaxFailuresSkipsRemainingRuns) {
-  core::SweepConfig cfg = split_outcome_sweep(1);
-  cfg.modes = {guest::TickMode::kDynticksIdle};  // every run fails
-  cfg.repeat = 5;
-  cfg.max_failures = 1;
-  const core::SweepResult res = core::SweepRunner(cfg).run();
-  ASSERT_EQ(res.runs.size(), 5u);
-  std::size_t skipped = 0;
-  for (const auto& run : res.runs) {
-    if (run.failure && run.failure->kind == core::RunFailure::Kind::kSkipped) {
-      ++skipped;
-      EXPECT_EQ(run.seed, core::derive_seed(cfg.root_seed, run.run_index));
-    }
-  }
-  EXPECT_GE(res.failed_runs().size(), 1u);
-  EXPECT_GE(skipped, 1u);
-  EXPECT_EQ(res.cells[0].replicas_skipped, skipped);
+// A bundle exactly as `bench_chaos tick-loss --repeat 2 --failure-dir D`
+// wrote it while the watchdog timer grace was still a bundle field: the
+// reader ignores "watchdog_timer_grace_ns" (it was always the 5 ms the
+// System now hard-codes), and the failure must still reproduce to the
+// same event.
+TEST(ChaosSweep, BundleWithWatchdogGraceFieldStillReproduces) {
+  const std::string text = R"json({
+  "bench": "bench_chaos",
+  "scenario": "tick-loss",
+  "root_seed": "20260806",
+  "repeat": 2,
+  "run_index": 0,
+  "seed": "17424753966244126401",
+  "cell": "base/dynticks-idle f=250Hz v=1 oc=1",
+  "watchdog": true,
+  "watchdog_timer_grace_ns": 5000000,
+  "fault": {"timer_drop_prob": 1, "timer_late_prob": 0, "timer_late_max_ns": 300000, "timer_coalesce_prob": 0, "timer_coalesce_window_ns": 800000, "tsc_drift_ppm": 0, "io_error_prob": 0, "io_spike_prob": 0, "io_spike_factor": 20, "steal_burst_prob": 0, "steal_burst_max_ns": 2000000, "tick_delay_prob": 0, "softirq_spurious_prob": 0, "softirq_drop_prob": 0},
+  "failure": {"kind": "watchdog", "expr": "timer-liveness", "file": "", "line": 0, "message": "vCPU 0 guest timer deadline 4.002ms still armed at 10.000ms — timer interrupt lost", "sim_time_ns": 10000000, "events_executed": 32}
+}
+)json";
+  const core::ReplayBundle bundle = core::parse_replay_bundle(text);
+  EXPECT_EQ(bundle.scenario, "tick-loss");
+  EXPECT_EQ(bundle.failure.kind, core::RunFailure::Kind::kWatchdog);
+  const core::SweepRun replayed = core::replay_bundle(bundle);
+  std::string detail;
+  EXPECT_TRUE(core::reproduces(bundle, replayed, &detail)) << detail;
 }
 
 TEST(ChaosSweep, RunTimeoutMarksCellsTimedOut) {
@@ -452,14 +461,15 @@ TEST(ChaosScenarios, RegistryBuildsEveryScenario) {
 }
 
 TEST(SweepCli, ParsesChaosAndFaultFlags) {
-  const char* argv[] = {"bench",          "--chaos",        "--max-failures",
-                        "3",              "--run-timeout",  "2.5",
-                        "--failure-dir",  "/tmp/failures",  "--fault-timer-drop",
-                        "0.5",            "--fault-steal",  "0.25"};
+  const char* argv[] = {"bench",
+                        "--chaos",
+                        "--run-timeout", "2.5",
+                        "--failure-dir", "/tmp/failures",
+                        "--fault-timer-drop", "0.5",
+                        "--fault-steal", "0.25"};
   const core::SweepCli cli = core::SweepCli::parse(
       static_cast<int>(std::size(argv)), const_cast<char**>(argv));
   EXPECT_TRUE(cli.chaos);
-  EXPECT_EQ(cli.max_failures, 3u);
   EXPECT_DOUBLE_EQ(cli.run_timeout_sec, 2.5);
   EXPECT_EQ(cli.failure_dir, "/tmp/failures");
   ASSERT_EQ(cli.fault_overrides.size(), 2u);

@@ -7,6 +7,7 @@
 
 #include "core/history.hpp"
 #include "core/sweep.hpp"
+#include "expect_error.hpp"
 #include "sim/error.hpp"
 
 namespace paratick::core {
@@ -267,6 +268,16 @@ TEST(History, ParserHandlesEscapesAndNumbers) {
   ASSERT_NE(exits, nullptr);
   EXPECT_DOUBLE_EQ(exits->mean, -1.5e-3);
   EXPECT_EQ(exits->n, 1u);
+}
+
+// Integer fields must be integers that fit: 1e300 vCPUs is not a cast
+// away from a plausible count, it is a corrupt snapshot.
+TEST(History, OutOfRangeIntegerNamesTheField) {
+  const std::string json =
+      "{\"threads\": 1, \"cells\": [{\"variant\": \"a\", \"mode\": \"paratick\", "
+      "\"tick_freq_hz\": 250, \"vcpus\": 1e300, \"overcommit\": 0, "
+      "\"replicas\": 1}]}";
+  EXPECT_SIM_ERROR((void)parse_snapshot(json), "field \"vcpus\"");
 }
 
 }  // namespace

@@ -17,7 +17,9 @@ using sim::SimTime;
 
 class StubGuest final : public GuestCpuIface {
  public:
-  VcpuPort* port = nullptr;
+  // The hypervisor and vCPU this stub executes on (Kvm::port_* verbs).
+  Kvm* kvm = nullptr;
+  Vcpu* vcpu = nullptr;
   std::function<void(StubGuest&)> on_power_on;             // default: halt
   std::function<void(StubGuest&, hw::Vector)> on_irq;      // default: iret
   std::function<void(StubGuest&)> on_idle;                 // default: halt
@@ -31,7 +33,7 @@ class StubGuest final : public GuestCpuIface {
     if (on_power_on) {
       on_power_on(*this);
     } else {
-      port->hlt();
+      kvm->port_hlt(*vcpu);
     }
   }
   void handle_interrupt(hw::Vector v) override {
@@ -39,7 +41,7 @@ class StubGuest final : public GuestCpuIface {
     if (on_irq) {
       on_irq(*this, v);
     } else {
-      port->iret();
+      kvm->port_iret(*vcpu);
     }
   }
   void idle_resume() override {
@@ -47,7 +49,7 @@ class StubGuest final : public GuestCpuIface {
     if (on_idle) {
       on_idle(*this);
     } else {
-      port->hlt();
+      kvm->port_hlt(*vcpu);
     }
   }
 };
@@ -63,7 +65,8 @@ class KvmTest : public ::testing::Test {
     guests_.resize(static_cast<std::size_t>(vcpus));
     for (int i = 0; i < vcpus; ++i) {
       auto& g = guests_[static_cast<std::size_t>(i)];
-      g.port = &kvm_->port(vm_->vcpu(i));
+      g.kvm = &*kvm_;
+      g.vcpu = &vm_->vcpu(i);
       kvm_->attach_guest(vm_->vcpu(i), &g);
     }
   }
@@ -90,9 +93,9 @@ TEST_F(KvmTest, RunConsumesTimeAndChargesCycles) {
   build(1, 1);
   SimTime finished;
   guest().on_power_on = [&](StubGuest& g) {
-    g.port->run(Cycles{200'000}, hw::CycleCategory::kGuestUser, [&, &g = g] {
-      finished = g.port->now();
-      g.port->hlt();
+    g.kvm->port_run(*g.vcpu, Cycles{200'000}, hw::CycleCategory::kGuestUser, [&, &g = g] {
+      finished = g.kvm->engine().now();
+      g.kvm->port_hlt(*g.vcpu);
     });
   };
   kvm_->power_on_all();
@@ -107,7 +110,8 @@ TEST_F(KvmTest, RunConsumesTimeAndChargesCycles) {
 TEST_F(KvmTest, MsrWriteCostsTimerArmExitAndArmsTimer) {
   build(1, 1);
   guest().on_power_on = [&](StubGuest& g) {
-    g.port->write_tsc_deadline(SimTime::ms(2), [&g] { g.port->hlt(); });
+    g.kvm->port_write_tsc_deadline(*g.vcpu, SimTime::ms(2),
+                                   [&g] { g.kvm->port_hlt(*g.vcpu); });
   };
   kvm_->power_on_all();
   engine_.run_until(SimTime::ms(1));
@@ -118,7 +122,8 @@ TEST_F(KvmTest, MsrWriteCostsTimerArmExitAndArmsTimer) {
 TEST_F(KvmTest, TimerFireWakesHaltedVcpuWithLocalTimerVector) {
   build(1, 1);
   guest().on_power_on = [&](StubGuest& g) {
-    g.port->write_tsc_deadline(SimTime::ms(2), [&g] { g.port->hlt(); });
+    g.kvm->port_write_tsc_deadline(*g.vcpu, SimTime::ms(2),
+                                   [&g] { g.kvm->port_hlt(*g.vcpu); });
   };
   kvm_->power_on_all();
   engine_.run_until(SimTime::ms(3));
@@ -130,10 +135,10 @@ TEST_F(KvmTest, TimerFireWakesHaltedVcpuWithLocalTimerVector) {
 TEST_F(KvmTest, TimerFireWhileRunningIsPreemptionTimerExit) {
   build(1, 1);
   guest().on_power_on = [&](StubGuest& g) {
-    g.port->write_tsc_deadline(SimTime::us(50), [&g] {
+    g.kvm->port_write_tsc_deadline(*g.vcpu, SimTime::us(50), [&g] {
       // Long busy segment so the deadline hits while running.
-      g.port->run(Cycles{1'000'000}, hw::CycleCategory::kGuestUser,
-                  [&g] { g.port->hlt(); });
+      g.kvm->port_run(*g.vcpu, Cycles{1'000'000}, hw::CycleCategory::kGuestUser,
+                      [&g] { g.kvm->port_hlt(*g.vcpu); });
     });
   };
   kvm_->power_on_all();
@@ -148,10 +153,10 @@ TEST_F(KvmTest, InterruptedSegmentResumesAndCompletes) {
   static bool completed;
   completed = false;
   guest().on_power_on = [&](StubGuest& g) {
-    g.port->write_tsc_deadline(SimTime::us(50), [&g] {
-      g.port->run(Cycles{1'000'000}, hw::CycleCategory::kGuestUser, [&g] {
+    g.kvm->port_write_tsc_deadline(*g.vcpu, SimTime::us(50), [&g] {
+      g.kvm->port_run(*g.vcpu, Cycles{1'000'000}, hw::CycleCategory::kGuestUser, [&g] {
         completed = true;
-        g.port->hlt();
+        g.kvm->port_hlt(*g.vcpu);
       });
     });
   };
@@ -167,7 +172,8 @@ TEST_F(KvmTest, InterruptedSegmentResumesAndCompletes) {
 TEST_F(KvmTest, HltWithPendingVectorReturnsImmediately) {
   build(1, 1);
   guest().on_power_on = [&](StubGuest& g) {
-    g.port->run(Cycles{2000}, hw::CycleCategory::kGuestUser, [&g] { g.port->hlt(); });
+    g.kvm->port_run(*g.vcpu, Cycles{2000}, hw::CycleCategory::kGuestUser,
+                    [&g] { g.kvm->port_hlt(*g.vcpu); });
   };
   // Raise a vector while the vCPU is inside the HLT exit window (~8 us
   // after the ~2.7 us boot+segment): HLT must return without sleeping.
@@ -185,8 +191,9 @@ TEST_F(KvmTest, HltWithPendingVectorReturnsImmediately) {
 TEST_F(KvmTest, HostTickExitsAccrueWhileRunning) {
   build(1, 1);
   guest().on_power_on = [&](StubGuest& g) {
-    g.port->run(Cycles{40'000'000}, hw::CycleCategory::kGuestUser,  // 20 ms busy
-                [&g] { g.port->hlt(); });
+    g.kvm->port_run(*g.vcpu, Cycles{40'000'000},  // 20 ms busy
+                    hw::CycleCategory::kGuestUser,
+                    [&g] { g.kvm->port_hlt(*g.vcpu); });
   };
   kvm_->power_on_all();
   engine_.run_until(SimTime::ms(25));
@@ -209,9 +216,10 @@ TEST_F(KvmTest, ParatickHookInjectsVector235AtTickRate) {
     HypercallRequest req;
     req.enable_paratick = true;
     req.guest_tick_period = SimTime::ms(4);
-    g.port->hypercall(req, [&g] {
-      g.port->run(Cycles{40'000'000}, hw::CycleCategory::kGuestUser,  // 20 ms
-                  [&g] { g.port->hlt(); });
+    g.kvm->port_hypercall(*g.vcpu, req, [&g] {
+      g.kvm->port_run(*g.vcpu, Cycles{40'000'000},  // 20 ms
+                      hw::CycleCategory::kGuestUser,
+                      [&g] { g.kvm->port_hlt(*g.vcpu); });
     });
   };
   kvm_->power_on_all();
@@ -232,9 +240,9 @@ TEST_F(KvmTest, ParatickPendingLocalTimerSuppressesInjection) {
     HypercallRequest req;
     req.enable_paratick = true;
     req.guest_tick_period = SimTime::ms(4);
-    g.port->hypercall(req, [&g] {
-      g.port->write_tsc_deadline(g.port->now() + SimTime::ms(5),
-                                 [&g] { g.port->hlt(); });
+    g.kvm->port_hypercall(*g.vcpu, req, [&g] {
+      g.kvm->port_write_tsc_deadline(*g.vcpu, g.kvm->engine().now() + SimTime::ms(5),
+                                     [&g] { g.kvm->port_hlt(*g.vcpu); });
     });
   };
   kvm_->power_on_all();
@@ -251,7 +259,7 @@ TEST_F(KvmTest, IdleParatickVcpuGetsNoVirtualTicks) {
   guest().on_power_on = [&](StubGuest& g) {
     HypercallRequest req;
     req.enable_paratick = true;
-    g.port->hypercall(req, [&g] { g.port->hlt(); });
+    g.kvm->port_hypercall(*g.vcpu, req, [&g] { g.kvm->port_hlt(*g.vcpu); });
   };
   kvm_->power_on_all();
   engine_.run_until(SimTime::sec(1));
@@ -266,9 +274,10 @@ TEST_F(KvmTest, AuxTimerBacksIncompatibleFrequencies) {
     HypercallRequest req;
     req.enable_paratick = true;
     req.guest_tick_period = SimTime::ms(4);
-    g.port->hypercall(req, [&g] {
-      g.port->run(Cycles{80'000'000}, hw::CycleCategory::kGuestUser,  // 40 ms
-                  [&g] { g.port->hlt(); });
+    g.kvm->port_hypercall(*g.vcpu, req, [&g] {
+      g.kvm->port_run(*g.vcpu, Cycles{80'000'000},  // 40 ms
+                      hw::CycleCategory::kGuestUser,
+                      [&g] { g.kvm->port_hlt(*g.vcpu); });
     });
   };
   kvm_->power_on_all();
@@ -283,9 +292,10 @@ TEST_F(KvmTest, AuxTimerBacksIncompatibleFrequencies) {
 
 TEST_F(KvmTest, IpiSendCostsExitAndWakesTarget) {
   build(2, 2);
-  guest(1).on_power_on = [](StubGuest& g) { g.port->hlt(); };
+  guest(1).on_power_on = [](StubGuest& g) { g.kvm->port_hlt(*g.vcpu); };
   guest(0).on_power_on = [&](StubGuest& g) {
-    g.port->send_ipi(1, hw::vectors::kRescheduleIpi, [&g] { g.port->hlt(); });
+    g.kvm->port_send_ipi(*g.vcpu, 1, hw::vectors::kRescheduleIpi,
+                         [&g] { g.kvm->port_hlt(*g.vcpu); });
   };
   kvm_->power_on_all();
   engine_.run_until(SimTime::ms(1));
@@ -297,12 +307,13 @@ TEST_F(KvmTest, IpiSendCostsExitAndWakesTarget) {
 TEST_F(KvmTest, IpiToRunningTargetCausesWakeIpiExit) {
   build(2, 2);
   guest(1).on_power_on = [](StubGuest& g) {
-    g.port->run(Cycles{10'000'000}, hw::CycleCategory::kGuestUser,
-                [&g] { g.port->hlt(); });
+    g.kvm->port_run(*g.vcpu, Cycles{10'000'000}, hw::CycleCategory::kGuestUser,
+                    [&g] { g.kvm->port_hlt(*g.vcpu); });
   };
   guest(0).on_power_on = [&](StubGuest& g) {
-    g.port->run(Cycles{100'000}, hw::CycleCategory::kGuestUser, [&, &g = g] {
-      g.port->send_ipi(1, hw::vectors::kRescheduleIpi, [&g] { g.port->hlt(); });
+    g.kvm->port_run(*g.vcpu, Cycles{100'000}, hw::CycleCategory::kGuestUser, [&, &g = g] {
+      g.kvm->port_send_ipi(*g.vcpu, 1, hw::vectors::kRescheduleIpi,
+                           [&g] { g.kvm->port_hlt(*g.vcpu); });
     });
   };
   kvm_->power_on_all();
@@ -318,16 +329,16 @@ TEST_F(KvmTest, BlockIoRoundTrip) {
   std::vector<hw::IoRequest> drained;
   guest().on_irq = [&](StubGuest& g, hw::Vector v) {
     if (v == hw::vectors::kBlockDevice) {
-      auto got = g.port->drain_io_completions();
+      auto got = g.kvm->port_drain_io_completions(*g.vcpu);
       drained.insert(drained.end(), got.begin(), got.end());
     }
-    g.port->iret();
+    g.kvm->port_iret(*g.vcpu);
   };
   guest().on_power_on = [&](StubGuest& g) {
     hw::IoRequest req;
     req.bytes = 4096;
     req.cookie = 4242;  // guest cookie must round-trip through the backend
-    g.port->io_submit(req, [&g] { g.port->hlt(); });
+    g.kvm->port_io_submit(*g.vcpu, req, [&g] { g.kvm->port_hlt(*g.vcpu); });
   };
   kvm_->power_on_all();
   engine_.run_until(SimTime::ms(5));
@@ -342,8 +353,8 @@ TEST_F(KvmTest, HaltPollingAvoidsScheduleOutForFastWakes) {
   config.halt_poll_window = SimTime::us(200);
   build(1, 1, config);
   guest().on_power_on = [&](StubGuest& g) {
-    g.port->write_tsc_deadline(g.port->now() + SimTime::us(50),
-                               [&g] { g.port->hlt(); });
+    g.kvm->port_write_tsc_deadline(*g.vcpu, g.kvm->engine().now() + SimTime::us(50),
+                                   [&g] { g.kvm->port_hlt(*g.vcpu); });
   };
   kvm_->power_on_all();
   engine_.run_until(SimTime::ms(1));
@@ -375,10 +386,11 @@ TEST_F(KvmTest, SharedModeRunsMoreVcpusThanCpus) {
   std::vector<bool> finished(3, false);
   for (int i = 0; i < 3; ++i) {
     guest(i).on_power_on = [&, i](StubGuest& g) {
-      g.port->run(Cycles{8'000'000}, hw::CycleCategory::kGuestUser, [&, i, &g = g] {
-        finished[static_cast<std::size_t>(i)] = true;
-        g.port->hlt();
-      });
+      g.kvm->port_run(*g.vcpu, Cycles{8'000'000}, hw::CycleCategory::kGuestUser,
+                      [&, i, &g = g] {
+                        finished[static_cast<std::size_t>(i)] = true;
+                        g.kvm->port_hlt(*g.vcpu);
+                      });
     };
   }
   kvm_->power_on_all();
@@ -395,12 +407,12 @@ TEST_F(KvmTest, SharedModePreemptsOnTimeslice) {
   build(1, 2, config);
   SimTime second_started;
   guest(0).on_power_on = [&](StubGuest& g) {
-    g.port->run(Cycles{20'000'000}, hw::CycleCategory::kGuestUser,  // 10 ms
-                [&g] { g.port->hlt(); });
+    g.kvm->port_run(*g.vcpu, Cycles{20'000'000}, hw::CycleCategory::kGuestUser,  // 10 ms
+                    [&g] { g.kvm->port_hlt(*g.vcpu); });
   };
   guest(1).on_power_on = [&](StubGuest& g) {
-    second_started = g.port->now();
-    g.port->hlt();
+    second_started = g.kvm->engine().now();
+    g.kvm->port_hlt(*g.vcpu);
   };
   kvm_->power_on_all();
   engine_.run_until(SimTime::ms(30));
@@ -415,15 +427,16 @@ TEST_F(KvmTest, ExitStatsTrackPerVm) {
   vconf2.vcpus = 1;
   Vm& vm2 = kvm_->create_vm(vconf2);
   StubGuest g2;
-  g2.port = &kvm_->port(vm2.vcpu(0));
+  g2.kvm = &*kvm_;
+  g2.vcpu = &vm2.vcpu(0);
   kvm_->attach_guest(vm2.vcpu(0), &g2);
 
   guest(0).on_power_on = [&](StubGuest& g) {
-    g.port->background_exit([&g] { g.port->hlt(); });
+    g.kvm->port_background_exit(*g.vcpu, [&g] { g.kvm->port_hlt(*g.vcpu); });
   };
   g2.on_power_on = [&](StubGuest& g) {
-    g.port->background_exit([&g] {
-      g.port->background_exit([&g] { g.port->hlt(); });
+    g.kvm->port_background_exit(*g.vcpu, [&g] {
+      g.kvm->port_background_exit(*g.vcpu, [&g] { g.kvm->port_hlt(*g.vcpu); });
     });
   };
   kvm_->power_on_all();
@@ -452,7 +465,7 @@ TEST_F(KvmTest, ChainedInterruptsDeliverBackToBack) {
 TEST_F(KvmTest, PleDisabledSpinsWithoutPauseExits) {
   build(1, 1);
   guest().on_power_on = [&](StubGuest& g) {
-    g.port->spin(Cycles{100'000}, [&g] { g.port->hlt(); });
+    g.kvm->port_spin(*g.vcpu, Cycles{100'000}, [&g] { g.kvm->port_hlt(*g.vcpu); });
   };
   kvm_->power_on_all();
   engine_.run_until(SimTime::ms(1));
@@ -465,7 +478,7 @@ TEST_F(KvmTest, PleEnabledAddsPauseExitsForLongSpins) {
   config.ple_window = Cycles{8192};
   build(1, 1, config);
   guest().on_power_on = [&](StubGuest& g) {
-    g.port->spin(Cycles{100'000}, [&g] { g.port->hlt(); });
+    g.kvm->port_spin(*g.vcpu, Cycles{100'000}, [&g] { g.kvm->port_hlt(*g.vcpu); });
   };
   kvm_->power_on_all();
   engine_.run_until(SimTime::ms(2));
@@ -477,8 +490,9 @@ TEST_F(KvmTest, PleEnabledAddsPauseExitsForLongSpins) {
 TEST_F(KvmTest, DisarmingDeadlineCancelsTimer) {
   build(1, 1);
   guest().on_power_on = [&](StubGuest& g) {
-    g.port->write_tsc_deadline(SimTime::ms(1), [&g] {
-      g.port->write_tsc_deadline(std::nullopt, [&g] { g.port->hlt(); });
+    g.kvm->port_write_tsc_deadline(*g.vcpu, SimTime::ms(1), [&g] {
+      g.kvm->port_write_tsc_deadline(*g.vcpu, std::nullopt,
+                                     [&g] { g.kvm->port_hlt(*g.vcpu); });
     });
   };
   kvm_->power_on_all();

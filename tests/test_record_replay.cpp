@@ -108,6 +108,40 @@ TEST(EventTrace, FileRoundTrip) {
                    "cannot open trace file");
 }
 
+TEST(EventTrace, FileErrorsNameThePath) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "paratick_rr_test" / "file_errors";
+  fs::remove_all(dir);
+  EventTrace t;
+  for (std::uint32_t i = 0; i < 16; ++i) t.append(100 * i, i, 7 * i);
+  const std::string bytes = t.serialize();
+  const auto write = [&](const std::string& name, const std::string& content) {
+    fs::create_directories(dir);
+    const std::string path = (dir / name).string();
+    std::ofstream(path, std::ios::binary) << content;
+    return path;
+  };
+
+  const std::string truncated = write("truncated.trace", bytes.substr(0, bytes.size() - 3));
+  EXPECT_SIM_ERROR((void)load_trace_file(truncated), truncated);
+
+  std::string flipped_bytes = bytes;
+  flipped_bytes[bytes.size() - 2] ^= 0x01;
+  const std::string flipped = write("flipped.trace", flipped_bytes);
+  EXPECT_SIM_ERROR((void)load_trace_file(flipped), flipped);
+
+  // A consistent header over a stream that stops mid-varint: the error
+  // names the record and its byte offset in the file, as well as the path.
+  std::string cut = bytes.substr(0, bytes.size() - 1);
+  cut.back() = static_cast<char>(static_cast<unsigned char>(cut.back()) | 0x80);
+  const std::uint64_t stream = cut.size() - 32;
+  for (std::size_t i = 0; i < 8; ++i) cut[24 + i] = static_cast<char>(stream >> (8 * i));
+  const std::string mid_varint = write("mid_varint.trace", cut);
+  EXPECT_SIM_ERROR((void)load_trace_file(mid_varint), "truncated in record 15 at byte offset");
+  EXPECT_SIM_ERROR((void)load_trace_file(mid_varint), mid_varint);
+  fs::remove_all(dir);
+}
+
 // ---- record -> replay round trip -----------------------------------------
 
 /// Healthy single-cell config: one short paratick run, no faults.
@@ -398,6 +432,20 @@ TEST(RecordReplay, MalformedBundleSeedNamesTheField) {
   bad.replace(at, from.size(), "\"seed\": \"42z42\"");
   EXPECT_SIM_ERROR((void)parse_replay_bundle(bad),
                    "replay bundle: seed: not a valid integer");
+}
+
+// A negative run index used to wrap to 2^64 - 1 and replay nothing
+// useful; it must fail naming the field.
+TEST(RecordReplay, NegativeRunIndexNamesTheField) {
+  ReplayBundle bundle;
+  bundle.run_index = 3;
+  const std::string text = to_json(bundle);
+  const std::string from = "\"run_index\": 3";
+  const std::size_t at = text.find(from);
+  ASSERT_NE(at, std::string::npos);
+  std::string bad = text;
+  bad.replace(at, from.size(), "\"run_index\": -1");
+  EXPECT_SIM_ERROR((void)parse_replay_bundle(bad), "field \"run_index\"");
 }
 
 TEST(RecordReplay, TraceBytesIdenticalAcrossThreadsAndDispatch) {
