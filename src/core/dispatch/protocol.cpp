@@ -1,7 +1,5 @@
 #include "core/dispatch/protocol.hpp"
 
-#include <cstdlib>
-
 #include "core/cli_parse.hpp"
 #include "core/json.hpp"
 #include "core/sweep_plan.hpp"
@@ -116,25 +114,35 @@ std::string encode_slice(const std::vector<std::size_t>& indices) {
   return out;
 }
 
-std::vector<std::size_t> decode_slice(const std::string& text) {
+std::vector<std::size_t> decode_slice(const std::string& text, std::size_t run_count) {
   std::vector<std::size_t> out;
   std::size_t pos = 0;
   PARATICK_CHECK_MSG(!text.empty(), "slice spec: empty");
-  while (pos < text.size()) {
-    char* end = nullptr;
-    const char* start = text.c_str() + pos;
-    const ull first = std::strtoull(start, &end, 10);
-    PARATICK_CHECK_MSG(end != start, "slice spec: expected a run index");
-    pos = static_cast<std::size_t>(end - text.c_str());
-    ull last = first;
-    if (pos < text.size() && text[pos] == '-') {
-      start = text.c_str() + pos + 1;
-      last = std::strtoull(start, &end, 10);
-      PARATICK_CHECK_MSG(end != start && last >= first,
-                         "slice spec: bad range");
-      pos = static_cast<std::size_t>(end - text.c_str());
+  // One run index: decimal digits only (no sign, no whitespace), checked
+  // against the plan digit by digit so no value can overflow or expand
+  // into a range the plan does not have.
+  const auto index = [&] {
+    const std::size_t begin = pos;
+    std::size_t v = 0;
+    while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') {
+      const auto digit = static_cast<std::size_t>(text[pos] - '0');
+      PARATICK_CHECK_MSG(run_count > digit && v <= (run_count - 1 - digit) / 10,
+                         "slice spec: run index outside the plan");
+      v = v * 10 + digit;
+      ++pos;
     }
-    for (ull v = first; v <= last; ++v) out.push_back(static_cast<std::size_t>(v));
+    PARATICK_CHECK_MSG(pos != begin, "slice spec: expected a run index");
+    return v;
+  };
+  while (pos < text.size()) {
+    const std::size_t first = index();
+    std::size_t last = first;
+    if (pos < text.size() && text[pos] == '-') {
+      ++pos;
+      last = index();
+      PARATICK_CHECK_MSG(last >= first, "slice spec: bad range");
+    }
+    for (std::size_t v = first; v <= last; ++v) out.push_back(v);
     if (pos < text.size()) {
       PARATICK_CHECK_MSG(text[pos] == ',', "slice spec: expected ','");
       ++pos;

@@ -66,8 +66,10 @@ struct PlanInfo {
                                std::string* why);
 
 /// Compact encoding of a run-index set: "0-5,9,12-14" — ascending,
-/// inclusive ranges. decode PARATICK_CHECKs on malformed input.
+/// inclusive ranges. decode PARATICK_CHECKs on malformed input and on any
+/// index at or past `run_count`, the plan's run count.
 [[nodiscard]] std::string encode_slice(const std::vector<std::size_t>& indices);
-[[nodiscard]] std::vector<std::size_t> decode_slice(const std::string& text);
+[[nodiscard]] std::vector<std::size_t> decode_slice(const std::string& text,
+                                                    std::size_t run_count);
 
 }  // namespace paratick::core::dispatch

@@ -77,17 +77,13 @@ Snapshot parse_snapshot(const std::string& text) {
 }
 
 Snapshot load_snapshot(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    const std::string msg = "cannot open snapshot file: " + path;
-    PARATICK_CHECK_MSG(false, msg.c_str());
+  const std::string text = read_file(path, "snapshot file");
+  try {
+    return parse_snapshot(text);
+  } catch (const sim::SimError& e) {
+    PARATICK_CHECK_MSG(false, ("snapshot file " + path + ": " + e.msg()).c_str());
+    throw;  // unreachable; CHECK above always throws
   }
-  std::string content;
-  char buf[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) content.append(buf, got);
-  std::fclose(f);
-  return parse_snapshot(content);
 }
 
 std::optional<Snapshot> try_load_snapshot(const std::string& path,
@@ -95,7 +91,7 @@ std::optional<Snapshot> try_load_snapshot(const std::string& path,
   try {
     return load_snapshot(path);
   } catch (const sim::SimError& e) {
-    if (error != nullptr) *error = path + ": " + e.msg();
+    if (error != nullptr) *error = e.msg();  // names the path already
     return std::nullopt;
   }
 }

@@ -1,6 +1,5 @@
 #include "core/record_replay/trace.hpp"
 
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 
@@ -196,15 +195,7 @@ std::string write_trace_file(const EventTrace& trace, const std::string& path) {
 }
 
 EventTrace load_trace_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    PARATICK_CHECK_MSG(false, ("cannot open trace file " + path).c_str());
-  }
-  std::string bytes;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, n);
-  std::fclose(f);
+  const std::string bytes = core::read_file(path, "trace file");
   try {
     return EventTrace::deserialize(bytes);
   } catch (const sim::SimError& e) {

@@ -1,6 +1,5 @@
 #include "core/replay.hpp"
 
-#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -15,6 +14,7 @@
 #include "core/scenarios.hpp"
 #include "metrics/report.hpp"
 #include "sim/check.hpp"
+#include "sim/error.hpp"
 
 namespace paratick::core {
 
@@ -197,16 +197,13 @@ ReplayBundle parse_replay_bundle(const std::string& json_text) {
 }
 
 ReplayBundle load_replay_bundle(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    PARATICK_CHECK_MSG(false, "cannot open replay bundle");
+  const std::string text = read_file(path, "replay bundle");
+  try {
+    return parse_replay_bundle(text);
+  } catch (const sim::SimError& e) {
+    PARATICK_CHECK_MSG(false, ("replay bundle " + path + ": " + e.msg()).c_str());
+    throw;  // unreachable; CHECK above always throws
   }
-  std::string text;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  return parse_replay_bundle(text);
 }
 
 SweepRun replay_run(SweepConfig cfg, const ReplayBundle& b) {

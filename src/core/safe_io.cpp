@@ -4,6 +4,7 @@
 
 #include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include "sim/check.hpp"
@@ -76,6 +77,28 @@ void write_file_atomic(const std::string& path, const std::string& content) {
     std::remove(tmp.c_str());
     PARATICK_CHECK_MSG(false, ("atomic write failed for: " + path).c_str());
   }
+}
+
+std::string read_file(const std::string& path, const char* what) {
+  const auto fail = [&](const char* verb) {
+    const std::string msg = std::string("cannot ") + verb + " " + what + " " + path +
+                            ": " + std::strerror(errno);
+    PARATICK_CHECK_MSG(false, msg.c_str());
+  };
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) fail("open");
+  std::string out;
+  char buf[1 << 16];
+  std::size_t got = 0;
+  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, got);
+  const bool read_failed = std::ferror(f) != 0;
+  const int read_errno = errno;
+  std::fclose(f);
+  if (read_failed) {
+    errno = read_errno;
+    fail("read");
+  }
+  return out;
 }
 
 }  // namespace paratick::core

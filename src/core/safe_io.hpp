@@ -14,7 +14,8 @@
 // EINTR (and write_all handles short writes), and write_file_atomic
 // stages content in a same-directory temp file and rename()s it into
 // place, so readers only ever observe the old file or the complete new
-// one — never a partial write.
+// one — never a partial write. Its reading side, read_file, tells a read
+// error from end of file and names the path in every failure.
 #pragma once
 
 #include <sys/types.h>
@@ -41,5 +42,10 @@ namespace paratick::core {
 /// PARATICK_CHECKs (throws sim::SimError) on any I/O failure, removing
 /// the temp file first.
 void write_file_atomic(const std::string& path, const std::string& content);
+
+/// Whole-file read. PARATICK_CHECKs (throws sim::SimError) when `path`
+/// cannot be opened or read — a directory, an I/O error — with a message
+/// naming `what` (the kind of file), the path and the system error.
+[[nodiscard]] std::string read_file(const std::string& path, const char* what);
 
 }  // namespace paratick::core

@@ -614,7 +614,9 @@ SweepResult SweepCli::run_sweep(SweepConfig cfg) const {
       dispatch::WorkerOptions wopts;
       wopts.heartbeat_sec = heartbeat_sec;
       std::exit(dispatch::run_worker_slice(cfg,
-                                           dispatch::decode_slice(worker_slice),
+                                           dispatch::decode_slice(
+                                               worker_slice,
+                                               SweepPlan::make(cfg).total_runs()),
                                            STDOUT_FILENO, STDIN_FILENO, wopts));
     } catch (const sim::SimError& e) {
       std::fprintf(stderr, "%s\n", e.msg().c_str());

@@ -1,6 +1,5 @@
 #include "core/sweep_shard.hpp"
 
-#include <cstdio>
 #include <utility>
 
 #include "core/cli_parse.hpp"
@@ -428,14 +427,7 @@ PartialSnapshot parse_partial_snapshot(const std::string& text) {
 }
 
 PartialSnapshot load_partial_snapshot(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  PARATICK_CHECK_MSG(f != nullptr,
-                     ("cannot open partial snapshot: " + path).c_str());
-  std::string text;
-  char buf[1 << 16];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, got);
-  std::fclose(f);
+  const std::string text = read_file(path, "partial snapshot");
   try {
     return parse_partial_snapshot(text);
   } catch (const sim::SimError& e) {

@@ -85,7 +85,7 @@ class GuestCpu::Api final : public TaskApi {
                            // High-res path: the hardware must fire at the
                            // hrtimer's deadline, not at the next tick.
                            cpu.hrtimers().add(deadline, wake);
-                           cpu.maybe_program_hrtimer(
+                           cpu.policy().program_hrtimer(
                                deadline, [&cpu, done = std::move(done)]() mutable {
                                  cpu.block_current(std::move(done));
                                });
@@ -140,8 +140,8 @@ void GuestCpu::power_on() {
     // full period out, and a queue-only add would sit unseen until some
     // unrelated event expires it — phantom lateness on sample #1.
     steal_estimator_.arm(*this, kernel_.config().steal);
-    maybe_program_hrtimer(steal_estimator_.next_deadline(),
-                          [this] { schedule(); });
+    policy_->program_hrtimer(steal_estimator_.next_deadline(),
+                             [this] { schedule(); });
   });
 }
 
@@ -228,16 +228,6 @@ void GuestCpu::expire_timers(std::function<void()> done) {
     return;
   }
   kvm_.port_run(vcpu_, c, hw::CycleCategory::kGuestKernel, std::move(done));
-}
-
-void GuestCpu::maybe_program_hrtimer(sim::SimTime deadline, std::function<void()> done) {
-  const auto armed = policy_->armed_deadline();
-  if (armed && *armed <= deadline && *armed > now()) {
-    done();  // something earlier is already armed
-    return;
-  }
-  policy_->note_hardware_deadline(deadline);
-  kvm_.port_write_tsc_deadline(vcpu_, deadline, std::move(done));
 }
 
 void GuestCpu::queue_kick(int target_cpu) {

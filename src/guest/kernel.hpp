@@ -1,6 +1,7 @@
 // The modeled guest kernel: per-vCPU contexts, task scheduling, blocking
-// synchronization, block-I/O waits, soft timers, RCU — and a pluggable
-// scheduler-tick policy (periodic / dynticks / paratick).
+// synchronization, block-I/O waits, soft timers, RCU — and a
+// scheduler-tick policy (tick-sched in its periodic, dynticks-idle or
+// full-dynticks mode, or paratick).
 //
 // GuestCpu implements both the hypervisor-facing interface (boot,
 // interrupt delivery, idle resumption) and the TickCpu interface the
@@ -99,10 +100,6 @@ class GuestCpu final : public hv::GuestCpuIface, public TickCpu {
 
   /// Queue a wake IPI to a sibling vCPU (sent before returning to tasks).
   void queue_kick(int target_cpu);
-
-  /// High-res mode: if `deadline` is sooner than the armed hardware
-  /// deadline, reprogram it (an MSR-write exit), then continue.
-  void maybe_program_hrtimer(sim::SimTime deadline, std::function<void()> done);
 
   [[nodiscard]] std::uint64_t jiffy_of(sim::SimTime t) const;
 

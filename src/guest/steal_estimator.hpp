@@ -49,7 +49,7 @@ class StealEstimator {
   [[nodiscard]] sim::SimTime estimate() const { return estimate_; }
   [[nodiscard]] std::uint64_t samples() const { return samples_; }
   /// Deadline of the pending sample — the boot path hands this to
-  /// maybe_program_hrtimer so sample #1 actually reaches the hardware.
+  /// TickPolicy::program_hrtimer so sample #1 actually reaches the hardware.
   [[nodiscard]] sim::SimTime next_deadline() const { return expected_; }
 
  private:

@@ -1,13 +1,7 @@
 // Paratick guest side (paper Figures 3a-3d, §5.2).
 #include "guest/tick_policies.hpp"
 
-#include <string>
-
-#include "sim/check.hpp"
-
 namespace paratick::guest {
-
-ParatickPolicy::ParatickPolicy(TickCpu& cpu) : cpu_(cpu) {}
 
 // §5.2.1: declare the tick frequency to the host and enable virtual tick
 // injection. The guest never arms a periodic tick of its own.
@@ -42,14 +36,12 @@ void ParatickPolicy::on_physical_tick(std::function<void()> done) {
 // §5.2.4: arm the idle wake-up only when the existing timer (never
 // disarmed on idle exit — the §4.1 heuristic) cannot cover the deadline.
 void ParatickPolicy::maybe_program(sim::SimTime target, std::function<void()> done) {
-  if (armed_ && *armed_ <= target && *armed_ > cpu_.now()) {
+  if (armed_covers(target)) {
     ++stats_.msr_writes_avoided;  // a sooner (or equal) wake-up is already armed
     done();
     return;
   }
-  ++stats_.msr_writes;
-  armed_ = target;
-  cpu_.write_tsc_deadline(target, std::move(done));
+  arm(target, std::move(done));
 }
 
 // Figure 3c: idle entry.
@@ -75,28 +67,6 @@ void ParatickPolicy::on_idle_enter(std::function<void()> done) {
 void ParatickPolicy::on_idle_exit(std::function<void()> done) {
   ++stats_.idle_exits;
   done();
-}
-
-// ---------------------------------------------------------------------------
-
-TickMode tick_mode_from_string(std::string_view name) {
-  for (const auto m : {TickMode::kPeriodic, TickMode::kDynticksIdle,
-                       TickMode::kFullDynticks, TickMode::kParatick}) {
-    if (name == to_string(m)) return m;
-  }
-  PARATICK_CHECK_MSG(false, ("unknown tick mode: " + std::string(name)).c_str());
-  return TickMode::kDynticksIdle;
-}
-
-std::unique_ptr<TickPolicy> make_tick_policy(TickMode mode, TickCpu& cpu) {
-  switch (mode) {
-    case TickMode::kPeriodic: return std::make_unique<PeriodicTickPolicy>(cpu);
-    case TickMode::kDynticksIdle: return std::make_unique<DynticksPolicy>(cpu);
-    case TickMode::kFullDynticks: return std::make_unique<FullDynticksPolicy>(cpu);
-    case TickMode::kParatick: return std::make_unique<ParatickPolicy>(cpu);
-  }
-  PARATICK_CHECK_MSG(false, "unknown tick mode");
-  return nullptr;
 }
 
 }  // namespace paratick::guest

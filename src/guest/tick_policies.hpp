@@ -6,67 +6,43 @@
 
 namespace paratick::guest {
 
-class PeriodicTickPolicy final : public TickPolicy {
+/// Linux's tick-sched state machine (kernel/time/tick-sched.c) in the
+/// mode it is built with. The tick runs on an absolute grid and re-arms
+/// on every tick; the modes differ only in when it may stop:
+///  * periodic      — never (§2/§3.1): two exits per tick period;
+///  * dynticks-idle — on idle entry (Figure 1), restarted on idle exit —
+///                    each of which writes TSC_DEADLINE, a VM exit (§3.2);
+///  * full-dynticks — also while busy with at most one runnable task and
+///                    a quiet kernel (NO_HZ_FULL, §2), keeping a 1 s
+///                    housekeeping tick. Every adaptive decision is still
+///                    an MSR write, which is why it does not solve the
+///                    paper's problem.
+class TickSchedPolicy final : public TickPolicy {
  public:
-  explicit PeriodicTickPolicy(TickCpu& cpu);
-
-  [[nodiscard]] TickMode mode() const override { return TickMode::kPeriodic; }
-  void on_boot(std::function<void()> done) override;
-  void on_physical_tick(std::function<void()> done) override;
-  void on_virtual_tick(std::function<void()> done) override;
-  void on_idle_enter(std::function<void()> done) override;
-  void on_idle_exit(std::function<void()> done) override;
-
- private:
-  TickCpu& cpu_;
-  sim::SimTime next_tick_;
-};
-
-/// Linux NO_HZ idle ("dynticks idle", paper Figure 1). The tick is
-/// stopped/deferred on idle entry and restarted on idle exit — each of
-/// which writes TSC_DEADLINE and therefore costs a VM exit (§3.2).
-class DynticksPolicy final : public TickPolicy {
- public:
-  explicit DynticksPolicy(TickCpu& cpu);
-
-  [[nodiscard]] TickMode mode() const override { return TickMode::kDynticksIdle; }
-  void on_boot(std::function<void()> done) override;
-  void on_physical_tick(std::function<void()> done) override;
-  void on_virtual_tick(std::function<void()> done) override;
-  void on_idle_enter(std::function<void()> done) override;
-  void on_idle_exit(std::function<void()> done) override;
-
-  [[nodiscard]] bool tick_stopped() const { return tick_stopped_; }
-
- private:
-  TickCpu& cpu_;
-  sim::SimTime next_tick_;
-  bool tick_stopped_ = false;
-};
-
-/// NO_HZ_FULL extension (paper §2's "full dynticks" mode): the tick also
-/// stops while busy when at most one task is runnable, retaining a 1 Hz
-/// housekeeping tick. Still pays MSR-write exits for every adaptive
-/// decision — which is exactly why it does not solve the paper's problem.
-class FullDynticksPolicy final : public TickPolicy {
- public:
-  explicit FullDynticksPolicy(TickCpu& cpu);
+  TickSchedPolicy(TickMode mode, TickCpu& cpu);
 
   static constexpr sim::SimTime kHousekeepingPeriod = sim::SimTime::sec(1);
 
-  [[nodiscard]] TickMode mode() const override { return TickMode::kFullDynticks; }
+  [[nodiscard]] TickMode mode() const override { return mode_; }
   void on_boot(std::function<void()> done) override;
   void on_physical_tick(std::function<void()> done) override;
-  void on_virtual_tick(std::function<void()> done) override;
   void on_idle_enter(std::function<void()> done) override;
   void on_idle_exit(std::function<void()> done) override;
 
   [[nodiscard]] bool tick_stopped() const { return tick_stopped_; }
 
  private:
+  /// May the tick stop on idle entry? Every mode but periodic.
+  [[nodiscard]] bool stops_when_idle() const { return mode_ != TickMode::kPeriodic; }
+  /// May the tick stop on a busy CPU? Full-dynticks only.
+  [[nodiscard]] bool stops_when_busy() const { return mode_ == TickMode::kFullDynticks; }
+  /// NO_HZ_FULL's busy-stop test: a mode that stops when busy, at most
+  /// one runnable task, and no kernel component needing the tick.
   [[nodiscard]] bool can_stop_while_busy() const;
+  /// `target`, or the next pending soft event if that is sooner.
+  [[nodiscard]] sim::SimTime bounded_by_next_event(sim::SimTime target) const;
 
-  TickCpu& cpu_;
+  TickMode mode_;
   sim::SimTime next_tick_;
   bool tick_stopped_ = false;
 };
@@ -77,7 +53,7 @@ class FullDynticksPolicy final : public TickPolicy {
 /// soft timers need a wake-up, and — heuristically — never disarmed.
 class ParatickPolicy final : public TickPolicy {
  public:
-  explicit ParatickPolicy(TickCpu& cpu);
+  explicit ParatickPolicy(TickCpu& cpu) : TickPolicy(cpu) {}
 
   [[nodiscard]] TickMode mode() const override { return TickMode::kParatick; }
   void on_boot(std::function<void()> done) override;
@@ -91,8 +67,6 @@ class ParatickPolicy final : public TickPolicy {
   /// (§5.2.4): the never-disarm heuristic makes an already-armed earlier
   /// deadline reusable for free.
   void maybe_program(sim::SimTime target, std::function<void()> done);
-
-  TickCpu& cpu_;
 };
 
 }  // namespace paratick::guest

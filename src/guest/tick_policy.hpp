@@ -1,14 +1,16 @@
 // Scheduler-tick management policies — the unit under test.
 //
-// Four implementations mirror the paper:
-//  * PeriodicTickPolicy — classic periodic tick (§2, §3.1),
-//  * DynticksPolicy     — Linux NO_HZ "dynticks idle" (Figure 1),
-//  * ParatickPolicy     — virtual scheduler ticks (Figures 2/3, §5.2),
-//  * FullDynticksPolicy — NO_HZ_FULL "full dynticks" (§2): the tick also
-//                         stops on a busy CPU with one runnable task.
+// Two implementations mirror the paper:
+//  * TickSchedPolicy — Linux's tick-sched state machine (§2, Figure 1),
+//                      built from its TickMode: the periodic tick, NO_HZ
+//                      "dynticks idle" and NO_HZ_FULL "full dynticks"
+//                      differ only in when the tick may stop;
+//  * ParatickPolicy  — virtual scheduler ticks (Figures 2/3, §5.2).
 //
 // Policies act on a narrow TickCpu interface so they can be unit-tested
-// against a mock CPU as well as run on the full guest kernel.
+// against a mock CPU as well as run on the full guest kernel. The policy
+// is the only writer of its armed-deadline record: tick decisions go
+// through arm(), the hrtimer subsystem through program_hrtimer().
 #pragma once
 
 #include <cstdint>
@@ -83,6 +85,7 @@ class TickCpu {
 
 class TickPolicy {
  public:
+  explicit TickPolicy(TickCpu& cpu) : cpu_(cpu) {}
   virtual ~TickPolicy() = default;
 
   [[nodiscard]] virtual TickMode mode() const = 0;
@@ -95,14 +98,19 @@ class TickPolicy {
   virtual void on_physical_tick(std::function<void()> done) = 0;
 
   /// The virtual tick (vector 235) handler (Figure 3a). Non-paratick
-  /// kernels treat it as spurious.
-  virtual void on_virtual_tick(std::function<void()> done) = 0;
+  /// kernels never asked for virtual ticks and treat one as spurious.
+  virtual void on_virtual_tick(std::function<void()> done) { done(); }
 
   /// Idle-loop entry, before HLT (Figures 1b / 3c).
   virtual void on_idle_enter(std::function<void()> done) = 0;
 
   /// Idle-loop exit, before running tasks again (Figure 1c / 3d).
   virtual void on_idle_exit(std::function<void()> done) = 0;
+
+  /// High-res mode: the hrtimer subsystem arms an expiring hrtimer on
+  /// the hardware directly, unless a pending deadline at or before it is
+  /// already armed. Not a tick decision: not counted in msr_writes.
+  void program_hrtimer(sim::SimTime deadline, std::function<void()> done);
 
   // --- introspection for tests & metrics ---
   struct Stats {
@@ -127,12 +135,16 @@ class TickPolicy {
     return tick_intervals_us_;
   }
 
-  /// The hrtimer subsystem reprogrammed the hardware underneath the
-  /// policy (high-res mode arms the earliest expiring hrtimer directly);
-  /// keep the policy's record coherent.
-  void note_hardware_deadline(sim::SimTime deadline) { armed_ = deadline; }
-
  protected:
+  /// A tick decision that programs the timer: count it, record it as the
+  /// armed deadline and write TSC_DEADLINE (nullopt = disarm).
+  void arm(std::optional<sim::SimTime> deadline, std::function<void()> done);
+
+  /// An armed deadline at or before `target` is still pending.
+  [[nodiscard]] bool armed_covers(sim::SimTime target) const {
+    return armed_ && *armed_ <= target && *armed_ > cpu_.now();
+  }
+
   /// Called by implementations whenever tick work is performed.
   void note_tick(sim::SimTime now) {
     if (last_tick_seen_) {
@@ -141,6 +153,7 @@ class TickPolicy {
     last_tick_seen_ = now;
   }
 
+  TickCpu& cpu_;
   Stats stats_;
   std::optional<sim::SimTime> armed_;
   sim::Accumulator tick_intervals_us_;

@@ -16,6 +16,8 @@ constexpr auto kLogDebug = sim::LogLevel::kDebug;
 /// after a long one.
 constexpr std::int64_t kHaltPollGrow = 2;
 constexpr std::int64_t kHaltPollShrink = 2;
+/// Host work of the exits that only cost their exit.
+constexpr auto kNoHostWork = [](Kvm&, Vcpu&) {};
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -360,37 +362,44 @@ void Kvm::port_run(Vcpu& vcpu, sim::Cycles c, hw::CycleCategory cat,
       engine_.schedule_after(freq.time_for(c), [this, &vcpu] { segment_complete(vcpu); });
 }
 
-void Kvm::port_write_tsc_deadline(Vcpu& vcpu, std::optional<sim::SimTime> deadline,
-                                  std::function<void()> done) {
+template <typename HostWork>
+void Kvm::exit_and_reenter(Vcpu& vcpu, hw::ExitCause cause, std::function<void()> done,
+                           HostWork host_work) {
   PARATICK_CHECK(vcpu.state == VcpuState::kInGuest && !vcpu.current.active);
-  do_exit(vcpu, hw::ExitCause::kGuestTimerArm,
-          [this, &vcpu, deadline, done = std::move(done)]() mutable {
-            // KVM tracks the guest deadline and backs it with the
-            // preemption timer (running) or a host hrtimer (descheduled);
-            // both are the same DeadlineTimer here.
-            if (deadline) {
-              vcpu.guest_deadline = *deadline;
-              vcpu.guest_timer.arm(*deadline);
-            } else {
-              vcpu.guest_deadline.reset();
-              vcpu.guest_timer.disarm();
-            }
+  do_exit(vcpu, cause,
+          [this, &vcpu, done = std::move(done), host_work = std::move(host_work)]() mutable {
+            host_work(*this, vcpu);
             vmentry(vcpu, AfterEntry::kThunk, std::move(done));
           });
 }
 
+void Kvm::port_write_tsc_deadline(Vcpu& vcpu, std::optional<sim::SimTime> deadline,
+                                  std::function<void()> done) {
+  exit_and_reenter(vcpu, hw::ExitCause::kGuestTimerArm, std::move(done),
+                   [deadline](Kvm&, Vcpu& v) {
+                     // KVM tracks the guest deadline and backs it with the
+                     // preemption timer (running) or a host hrtimer
+                     // (descheduled); both are the same DeadlineTimer here.
+                     if (deadline) {
+                       v.guest_deadline = *deadline;
+                       v.guest_timer.arm(*deadline);
+                     } else {
+                       v.guest_deadline.reset();
+                       v.guest_timer.disarm();
+                     }
+                   });
+}
+
 void Kvm::port_hypercall(Vcpu& vcpu, const HypercallRequest& req,
                          std::function<void()> done) {
-  PARATICK_CHECK(vcpu.state == VcpuState::kInGuest && !vcpu.current.active);
-  do_exit(vcpu, hw::ExitCause::kHypercall,
-          [this, &vcpu, req, done = std::move(done)]() mutable {
-            if (req.kind == HypercallRequest::Kind::kDeclareTickFreq) {
-              vcpu.paratick_enabled = req.enable_paratick;
-              vcpu.paratick_period = req.guest_tick_period;
-              vcpu.last_tick = engine_.now();
-            }
-            vmentry(vcpu, AfterEntry::kThunk, std::move(done));
-          });
+  exit_and_reenter(vcpu, hw::ExitCause::kHypercall, std::move(done),
+                   [req](Kvm& kvm, Vcpu& v) {
+                     if (req.kind == HypercallRequest::Kind::kDeclareTickFreq) {
+                       v.paratick_enabled = req.enable_paratick;
+                       v.paratick_period = req.guest_tick_period;
+                       v.last_tick = kvm.engine_.now();
+                     }
+                   });
 }
 
 void Kvm::port_hlt(Vcpu& vcpu) {
@@ -468,18 +477,16 @@ void Kvm::port_iret(Vcpu& vcpu) {
 
 void Kvm::port_io_submit(Vcpu& vcpu, const hw::IoRequest& req,
                          std::function<void()> done) {
-  PARATICK_CHECK(vcpu.state == VcpuState::kInGuest && !vcpu.current.active);
-  do_exit(vcpu, hw::ExitCause::kIoKick,
-          [this, &vcpu, req, done = std::move(done)]() mutable {
-            hw::BlockDevice* disk = vm_disks_[vcpu.vm()->id()];
-            PARATICK_CHECK_MSG(disk != nullptr, "VM has no attached block device");
-            hw::IoRequest tagged = req;
-            const std::uint64_t tag = next_io_tag_++;
-            pending_io_.emplace(tag, PendingIo{&vcpu, req.cookie});
-            tagged.cookie = tag;
-            disk->submit(tagged);
-            vmentry(vcpu, AfterEntry::kThunk, std::move(done));
-          });
+  exit_and_reenter(vcpu, hw::ExitCause::kIoKick, std::move(done),
+                   [req](Kvm& kvm, Vcpu& v) {
+                     hw::BlockDevice* disk = kvm.vm_disks_[v.vm()->id()];
+                     PARATICK_CHECK_MSG(disk != nullptr, "VM has no attached block device");
+                     hw::IoRequest tagged = req;
+                     const std::uint64_t tag = kvm.next_io_tag_++;
+                     kvm.pending_io_.emplace(tag, PendingIo{&v, req.cookie});
+                     tagged.cookie = tag;
+                     disk->submit(tagged);
+                   });
 }
 
 std::vector<hw::IoRequest> Kvm::port_drain_io_completions(Vcpu& vcpu) {
@@ -487,14 +494,12 @@ std::vector<hw::IoRequest> Kvm::port_drain_io_completions(Vcpu& vcpu) {
 }
 
 void Kvm::port_io_ack(Vcpu& vcpu, std::function<void()> done) {
-  PARATICK_CHECK(vcpu.state == VcpuState::kInGuest && !vcpu.current.active);
-  do_exit(vcpu, hw::ExitCause::kIoAck, [this, &vcpu, done = std::move(done)]() mutable {
-    vmentry(vcpu, AfterEntry::kThunk, std::move(done));
-  });
+  exit_and_reenter(vcpu, hw::ExitCause::kIoAck, std::move(done), kNoHostWork);
 }
 
 void Kvm::port_send_ipi(Vcpu& vcpu, int target_index, hw::Vector v,
                         std::function<void()> done) {
+  // The hop is priced from the sender's pCPU, read before the exit.
   PARATICK_CHECK(vcpu.state == VcpuState::kInGuest && !vcpu.current.active);
   Vm* vm = vcpu.vm();
   PARATICK_CHECK(target_index >= 0 && target_index < vm->vcpu_count());
@@ -505,20 +510,16 @@ void Kvm::port_send_ipi(Vcpu& vcpu, int target_index, hw::Vector v,
   const sim::SimTime hop = machine_.same_socket(src, dst)
                                ? sim::SimTime::zero()
                                : machine_.spec().cross_socket_penalty;
-  do_exit(vcpu, hw::ExitCause::kIpiSend,
-          [this, &target, v, hop, &vcpu, done = std::move(done)]() mutable {
-            engine_.schedule_after(hop, [this, &target, v] {
-              deliver_interrupt(target, v, hw::ExitCause::kWakeIpi);
-            });
-            vmentry(vcpu, AfterEntry::kThunk, std::move(done));
-          });
+  exit_and_reenter(vcpu, hw::ExitCause::kIpiSend, std::move(done),
+                   [&target, hop, v](Kvm& kvm, Vcpu&) {
+                     kvm.engine_.schedule_after(hop, [&kvm, &target, v] {
+                       kvm.deliver_interrupt(target, v, hw::ExitCause::kWakeIpi);
+                     });
+                   });
 }
 
 void Kvm::port_background_exit(Vcpu& vcpu, std::function<void()> done) {
-  PARATICK_CHECK(vcpu.state == VcpuState::kInGuest && !vcpu.current.active);
-  do_exit(vcpu, hw::ExitCause::kBackground, [this, &vcpu, done = std::move(done)]() mutable {
-    vmentry(vcpu, AfterEntry::kThunk, std::move(done));
-  });
+  exit_and_reenter(vcpu, hw::ExitCause::kBackground, std::move(done), kNoHostWork);
 }
 
 void Kvm::port_spin(Vcpu& vcpu, sim::Cycles c, std::function<void()> done) {
@@ -530,13 +531,11 @@ void Kvm::port_spin(Vcpu& vcpu, sim::Cycles c, std::function<void()> done) {
   const sim::Cycles window = config_.ple_window;
   port_run(vcpu, window, hw::CycleCategory::kGuestUser,
            [this, &vcpu, rest = c - window, done = std::move(done)]() mutable {
-             do_exit(vcpu, hw::ExitCause::kPauseLoop,
-                     [this, &vcpu, rest, done = std::move(done)]() mutable {
-                       vmentry(vcpu, AfterEntry::kThunk,
-                               [this, &vcpu, rest, done = std::move(done)]() mutable {
-                                 port_spin(vcpu, rest, std::move(done));
-                               });
-                     });
+             exit_and_reenter(vcpu, hw::ExitCause::kPauseLoop,
+                              [this, &vcpu, rest, done = std::move(done)]() mutable {
+                                port_spin(vcpu, rest, std::move(done));
+                              },
+                              kNoHostWork);
            });
 }
 
@@ -719,46 +718,22 @@ void Kvm::on_host_tick(hw::CpuId cpu) {
 
 void Kvm::on_guest_timer_fire(Vcpu& vcpu) {
   vcpu.guest_deadline.reset();
-  vcpu.pending.raise(hw::vectors::kLocalTimer);
-  switch (vcpu.state) {
-    case VcpuState::kInGuest:
-      // KVM's preemption-timer optimization: a cheaper exit than a full
-      // LAPIC-timer intercept (§3).
-      do_exit(vcpu, hw::ExitCause::kGuestTimerFire,
-              [this, &vcpu] { vmentry(vcpu, AfterEntry::kResume); });
-      break;
-    case VcpuState::kInHost:
-    case VcpuState::kReady:
-    case VcpuState::kUninitialized:
-      break;
-    case VcpuState::kHaltPolling: {
-      engine_.cancel(vcpu.halt_poll_end);
-      ++vcpu.poll_hits;
-      const sim::SimTime polled = engine_.now() - vcpu.halt_start;
-      const auto freq = machine_.cpu(vcpu.pcpu).frequency();
-      machine_.cpu(vcpu.pcpu).charge_cycles(hw::CycleCategory::kHaltPoll,
-                                            freq.cycles_in(polled));
-      vcpu.state = VcpuState::kInHost;
-      ++vcpu.wakeups;
-      vmentry(vcpu, AfterEntry::kResume);
-      break;
-    }
-    case VcpuState::kHalted: {
-      // The vCPU is descheduled: its deadline is backed by a host hrtimer on
-      // its home CPU. If another guest is running there, it takes the
-      // interrupt as a VM exit — the §3.1 "suspended for a descheduled
-      // vCPU's tick" effect.
-      machine_.cpu(vcpu.home_pcpu).charge_cycles(hw::CycleCategory::kHostKernel,
-                                                 config_.host_costs.hrtimer_fire);
-      Vcpu* other = pcpus_[vcpu.home_pcpu].occupant;
-      if (other != nullptr && other != &vcpu && other->state == VcpuState::kInGuest) {
-        do_exit(*other, hw::ExitCause::kGuestTimerHostFire,
-                [this, other] { vmentry(*other, AfterEntry::kResume); });
-      }
-      wake_vcpu(vcpu);
-      break;
+  if (vcpu.state == VcpuState::kHalted) {
+    // The vCPU is descheduled: its deadline is backed by a host hrtimer on
+    // its home CPU. If another guest is running there, it takes the
+    // interrupt as a VM exit — the §3.1 "suspended for a descheduled
+    // vCPU's tick" effect.
+    machine_.cpu(vcpu.home_pcpu).charge_cycles(hw::CycleCategory::kHostKernel,
+                                               config_.host_costs.hrtimer_fire);
+    Vcpu* other = pcpus_[vcpu.home_pcpu].occupant;
+    if (other != nullptr && other != &vcpu && other->state == VcpuState::kInGuest) {
+      do_exit(*other, hw::ExitCause::kGuestTimerHostFire,
+              [this, other] { vmentry(*other, AfterEntry::kResume); });
     }
   }
+  // A running guest takes KVM's preemption-timer exit, cheaper than a
+  // full LAPIC-timer intercept (§3).
+  deliver_interrupt(vcpu, hw::vectors::kLocalTimer, hw::ExitCause::kGuestTimerFire);
 }
 
 // ---------------------------------------------------------------------------

@@ -172,6 +172,13 @@ class Kvm {
   enum class AfterEntry : std::uint8_t { kResume, kThunk };
   void vmentry(Vcpu& vcpu, AfterEntry kind, std::function<void()> thunk = nullptr);
   void do_exit(Vcpu& vcpu, hw::ExitCause cause, sim::InlineCallback host_work_then_entry);
+  /// A synchronous port exit: exit for `cause`, run host_work(*this, vcpu)
+  /// once the exit cost is paid, re-enter and continue the guest at
+  /// `done`. The work takes the Kvm as an argument rather than capturing
+  /// `this`, keeping the continuation within InlineCallback::kCapacity.
+  template <typename HostWork>
+  void exit_and_reenter(Vcpu& vcpu, hw::ExitCause cause, std::function<void()> done,
+                        HostWork host_work);
   void give_control_to_guest(Vcpu& vcpu);
 
   // --- scheduling ---

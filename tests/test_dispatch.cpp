@@ -71,13 +71,28 @@ dispatch::DispatchOptions fast_opts(unsigned workers) {
 TEST(DispatchSlice, CodecRoundTripsAndRejectsGarbage) {
   const std::vector<std::size_t> indices = {0, 1, 2, 3, 7, 9, 10, 11, 20};
   EXPECT_EQ(dispatch::encode_slice(indices), "0-3,7,9-11,20");
-  EXPECT_EQ(dispatch::decode_slice("0-3,7,9-11,20"), indices);
-  EXPECT_EQ(dispatch::decode_slice("5"), (std::vector<std::size_t>{5}));
+  EXPECT_EQ(dispatch::decode_slice("0-3,7,9-11,20", 21), indices);
+  EXPECT_EQ(dispatch::decode_slice("5", 6), (std::vector<std::size_t>{5}));
   EXPECT_EQ(dispatch::encode_slice({}), "");
-  EXPECT_SIM_ERROR((void)dispatch::decode_slice(""), "slice spec");
-  EXPECT_SIM_ERROR((void)dispatch::decode_slice("3-1"), "bad range");
-  EXPECT_SIM_ERROR((void)dispatch::decode_slice("1,,2"), "slice spec");
-  EXPECT_SIM_ERROR((void)dispatch::decode_slice("1,"), "trailing");
+  EXPECT_SIM_ERROR((void)dispatch::decode_slice("", 21), "slice spec");
+  EXPECT_SIM_ERROR((void)dispatch::decode_slice("3-1", 21), "bad range");
+  EXPECT_SIM_ERROR((void)dispatch::decode_slice("1,,2", 21), "slice spec");
+  EXPECT_SIM_ERROR((void)dispatch::decode_slice("1,", 21), "trailing");
+}
+
+TEST(DispatchSlice, RejectsIndicesOutsideThePlanBeforeExpanding) {
+  // A sign, whitespace or an index past the plan is rejected before any
+  // range expands; an unbounded range would exhaust memory.
+  EXPECT_SIM_ERROR((void)dispatch::decode_slice("0--1", 24), "slice spec");
+  EXPECT_SIM_ERROR((void)dispatch::decode_slice("0-99999999999", 24), "slice spec");
+  EXPECT_SIM_ERROR((void)dispatch::decode_slice("0-99999999999999999999999", 24),
+                   "slice spec");
+  EXPECT_SIM_ERROR((void)dispatch::decode_slice(" 3", 24), "slice spec");
+  EXPECT_SIM_ERROR((void)dispatch::decode_slice("+3", 24), "slice spec");
+  EXPECT_SIM_ERROR((void)dispatch::decode_slice("24", 24), "outside the plan");
+  EXPECT_SIM_ERROR((void)dispatch::decode_slice("0", 0), "outside the plan");
+  EXPECT_EQ(dispatch::decode_slice("20-23", 24),
+            (std::vector<std::size_t>{20, 21, 22, 23}));
 }
 
 TEST(DispatchPlan, HeaderRoundTripsAndDetectsSkew) {

@@ -104,6 +104,15 @@ TEST(History, CorruptSnapshotGivesActionableError) {
   EXPECT_THROW((void)load_snapshot("/no/such/file.json"), sim::SimError);
 }
 
+TEST(History, TruncatedSnapshotNamesThePath) {
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() / "paratick_truncated_snapshot.json";
+  std::ofstream(path) << "{\"bench\": \"bench_tab";
+  EXPECT_SIM_ERROR((void)load_snapshot(path.string()), path.string());
+  EXPECT_SIM_ERROR((void)load_snapshot(path.string()), "byte offset");
+  std::filesystem::remove(path);
+}
+
 TEST(History, KsDistanceFlagsTailShift) {
   const Snapshot base = parse_snapshot(sample_result().to_json());
   ASSERT_FALSE(base.cells[0].wake_hist.empty());

@@ -142,6 +142,27 @@ TEST(EventTrace, FileErrorsNameThePath) {
   fs::remove_all(dir);
 }
 
+TEST(ReplayBundle, FileErrorsNameThePath) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "paratick_rr_test" / "bundle_errors";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+
+  const std::string missing = (dir / "missing.json").string();
+  EXPECT_SIM_ERROR((void)load_replay_bundle(missing), "cannot open replay bundle " + missing);
+
+  // A directory opens but cannot be read: a read error, not an empty file.
+  const std::string directory = (dir / "a_directory.json").string();
+  fs::create_directories(directory);
+  EXPECT_SIM_ERROR((void)load_replay_bundle(directory), "cannot read replay bundle " + directory);
+
+  const std::string truncated = (dir / "truncated.json").string();
+  std::ofstream(truncated) << "{\"kind\": \"paratick-r";
+  EXPECT_SIM_ERROR((void)load_replay_bundle(truncated), truncated);
+  EXPECT_SIM_ERROR((void)load_replay_bundle(truncated), "byte offset");
+  fs::remove_all(dir);
+}
+
 // ---- record -> replay round trip -----------------------------------------
 
 /// Healthy single-cell config: one short paratick run, no faults.

@@ -1,9 +1,15 @@
-// Unit tests of the three scheduler-tick policies against the paper's
-// Figures 1 (tickless) and 3 (paratick), using a synchronous mock CPU.
+// Unit tests of the scheduler-tick policies — the tick-sched class in its
+// periodic, dynticks-idle and full-dynticks modes, and paratick — against
+// the paper's Figures 1 (tickless) and 3 (paratick), using a synchronous
+// mock CPU.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstring>
 
 #include "guest/tick_policies.hpp"
 #include "mock_tick_cpu.hpp"
+#include "sim/rng.hpp"
 
 namespace paratick::guest {
 namespace {
@@ -96,7 +102,7 @@ TEST_F(DynticksTest, Fig1b_TickNeededKeepsTickWithoutMsrWrite) {
   cpu.snapshot.tick_needed = true;  // RCU / softirq pending
   p->on_idle_enter(count_done());
   EXPECT_EQ(cpu.msr_writes.size(), writes);
-  auto* d = dynamic_cast<DynticksPolicy*>(p.get());
+  auto* d = dynamic_cast<TickSchedPolicy*>(p.get());
   ASSERT_NE(d, nullptr);
   EXPECT_FALSE(d->tick_stopped());
 }
@@ -112,7 +118,7 @@ TEST_F(DynticksTest, Fig1b_NearEventKeepsTickButArmsEarlierHrtimer) {
   // grid point.
   EXPECT_EQ(cpu.msr_writes.size(), writes + 1);
   EXPECT_EQ(cpu.msr_writes.back().deadline, SimTime::ms(2));
-  auto* d = dynamic_cast<DynticksPolicy*>(p.get());
+  auto* d = dynamic_cast<TickSchedPolicy*>(p.get());
   ASSERT_NE(d, nullptr);
   EXPECT_FALSE(d->tick_stopped());
 }
@@ -132,7 +138,7 @@ TEST_F(DynticksTest, Fig1b_FarEventDefersTimerToIt) {
   cpu.snapshot.next_event = SimTime::ms(40);
   p->on_idle_enter(count_done());
   EXPECT_EQ(cpu.msr_writes.back().deadline, SimTime::ms(40));
-  auto* d = dynamic_cast<DynticksPolicy*>(p.get());
+  auto* d = dynamic_cast<TickSchedPolicy*>(p.get());
   EXPECT_TRUE(d->tick_stopped());
 }
 
@@ -150,7 +156,7 @@ TEST_F(DynticksTest, Fig1c_IdleExitRestartsStoppedTick) {
   cpu.clock = SimTime::ms(10);
   p->on_idle_exit(count_done());
   EXPECT_EQ(cpu.msr_writes.back().deadline, SimTime::ms(14));
-  auto* d = dynamic_cast<DynticksPolicy*>(p.get());
+  auto* d = dynamic_cast<TickSchedPolicy*>(p.get());
   EXPECT_FALSE(d->tick_stopped());
 }
 
@@ -218,7 +224,7 @@ TEST_F(FullDynticksTest, SingleTaskStopsTickWhileBusy) {
   // Deferred to the 1 s housekeeping horizon instead of the next period.
   ASSERT_TRUE(cpu.msr_writes.back().deadline.has_value());
   EXPECT_EQ(*cpu.msr_writes.back().deadline,
-            SimTime::ms(4) + FullDynticksPolicy::kHousekeepingPeriod);
+            SimTime::ms(4) + TickSchedPolicy::kHousekeepingPeriod);
   EXPECT_EQ(p->stats().busy_stops, 1u);
 }
 
@@ -261,7 +267,7 @@ TEST_F(FullDynticksTest, IdleExitWithSingleTaskStaysAdaptive) {
   p->on_idle_exit(count_done());
   ASSERT_TRUE(cpu.msr_writes.back().deadline.has_value());
   EXPECT_EQ(*cpu.msr_writes.back().deadline,
-            SimTime::ms(10) + FullDynticksPolicy::kHousekeepingPeriod);
+            SimTime::ms(10) + TickSchedPolicy::kHousekeepingPeriod);
 }
 
 TEST_F(FullDynticksTest, StillPaysMsrWritePerAdaptiveDecision) {
@@ -498,11 +504,140 @@ TEST_P(AllPolicies, TickIntervalsAreObserved) {
   EXPECT_DOUBLE_EQ(intervals.stddev(), 0.0);
 }
 
+// FNV-1a over 64-bit words.
+class Digest {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xffu;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  void add(SimTime t) { add(static_cast<std::uint64_t>(t.nanoseconds())); }
+  void add(const std::optional<SimTime>& t) {
+    add(std::uint64_t{t.has_value()});
+    if (t) add(*t);
+  }
+  void add(double d) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof bits);
+    add(bits);
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+// A fixed-seed random walk over every policy entry point, clock steps and
+// CPU states, folded into one digest of everything the policy did.
+std::uint64_t scripted_digest(TickMode mode) {
+  MockTickCpu cpu;
+  done_calls = 0;
+  auto p = make_tick_policy(mode, cpu);
+  sim::Rng rng(0x7a11c0de);
+  p->on_boot(count_done());
+  for (int step = 0; step < 4000; ++step) {
+    cpu.clock += SimTime::us(rng.uniform_int(0, 9000));
+    cpu.running = static_cast<int>(rng.uniform_int(0, 3));
+    cpu.snapshot.tick_needed = rng.bernoulli(0.25);
+    if (rng.bernoulli(0.3)) {
+      cpu.snapshot.next_event.reset();
+    } else {
+      cpu.snapshot.next_event = cpu.clock + SimTime::us(rng.uniform_int(-1000, 60000));
+    }
+    switch (rng.uniform_int(0, 5)) {
+      case 0:
+        p->on_physical_tick(count_done());
+        break;
+      case 1:
+        p->on_virtual_tick(count_done());
+        break;
+      case 2:
+        p->on_idle_enter(count_done());
+        cpu.idle = true;
+        break;
+      case 3:
+        p->on_idle_exit(count_done());
+        cpu.idle = false;
+        break;
+      case 4:
+        p->program_hrtimer(cpu.clock + SimTime::us(rng.uniform_int(1, 20000)),
+                           count_done());
+        break;
+      default:
+        cpu.idle = rng.bernoulli(0.5);  // state change with no policy call
+        break;
+    }
+  }
+  Digest d;
+  for (const auto& w : cpu.msr_writes) {
+    d.add(w.at);
+    d.add(w.deadline);
+  }
+  d.add(static_cast<std::uint64_t>(cpu.kernel_cycles.count()));
+  d.add(static_cast<std::uint64_t>(cpu.tick_work_calls));
+  d.add(static_cast<std::uint64_t>(cpu.hypercalls));
+  d.add(static_cast<std::uint64_t>(done_calls));
+  const auto& s = p->stats();
+  for (const std::uint64_t v : {s.ticks_handled, s.virtual_ticks, s.msr_writes,
+                                s.msr_writes_avoided, s.idle_entries, s.idle_exits,
+                                s.busy_stops}) {
+    d.add(v);
+  }
+  d.add(p->armed_deadline());
+  d.add(static_cast<std::uint64_t>(p->tick_intervals_us().count()));
+  d.add(p->tick_intervals_us().mean());
+  return d.value();
+}
+
+TEST_P(AllPolicies, ScriptedOracleDigestIsUnchanged) {
+  // Golden values: any change to a policy's decisions, counters or timer
+  // writes changes its digest.
+  std::uint64_t expected = 0;
+  switch (GetParam()) {
+    case TickMode::kPeriodic: expected = 0x6fc2044c70b43eb0ull; break;
+    case TickMode::kDynticksIdle: expected = 0x90edbc1d1d9994f6ull; break;
+    case TickMode::kFullDynticks: expected = 0xf1ba16ce89119c91ull; break;
+    case TickMode::kParatick: expected = 0xb37e8c6d62d5fabcull; break;
+  }
+  EXPECT_EQ(scripted_digest(GetParam()), expected);
+}
+
 INSTANTIATE_TEST_SUITE_P(Modes, AllPolicies,
                          ::testing::Values(TickMode::kPeriodic,
                                            TickMode::kDynticksIdle,
                                            TickMode::kFullDynticks,
                                            TickMode::kParatick));
+
+// ---------------------------------------------------------------------------
+// hrtimer path coherence: a deadline armed by the hrtimer subsystem is the
+// policy's armed deadline, so idle entry does not write it a second time.
+// ---------------------------------------------------------------------------
+
+class HrtimerCoherence : public ::testing::TestWithParam<TickMode> {};
+
+TEST_P(HrtimerCoherence, IdleEntrySeesDeadlineArmedByHrtimerPath) {
+  MockTickCpu cpu;
+  done_calls = 0;
+  auto p = make_tick_policy(GetParam(), cpu);
+  p->on_boot(count_done());  // NO_HZ modes arm the tick at 4 ms
+  const auto policy_writes = p->stats().msr_writes;
+  p->program_hrtimer(SimTime::ms(2), count_done());  // earlier: reprogram
+  ASSERT_EQ(cpu.msr_writes.back().deadline, SimTime::ms(2));
+  EXPECT_EQ(p->armed_deadline(), SimTime::ms(2));
+  const auto writes = cpu.msr_writes.size();
+  cpu.clock = SimTime::us(100);
+  cpu.snapshot.next_event = SimTime::ms(2);
+  p->on_idle_enter(count_done());
+  EXPECT_EQ(cpu.msr_writes.size(), writes);  // no second write for the same event
+  EXPECT_EQ(p->stats().msr_writes, policy_writes);  // hrtimer writes are not counted
+  EXPECT_EQ(done_calls, 3);
+}
+
+INSTANTIATE_TEST_SUITE_P(NoHzModes, HrtimerCoherence,
+                         ::testing::Values(TickMode::kDynticksIdle,
+                                           TickMode::kFullDynticks));
 
 }  // namespace
 }  // namespace paratick::guest
