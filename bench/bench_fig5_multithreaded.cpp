@@ -40,6 +40,14 @@ constexpr SizeSpec kSizes[] = {
 
 int main(int argc, char** argv) {
   const core::SweepCli cli = core::SweepCli::parse(argc, argv);
+  std::vector<std::string> sizes{"all"};
+  for (const auto& size : kSizes) sizes.emplace_back(size.name);
+  std::vector<std::string> benchmarks;
+  for (const auto& profile : workload::parsec_suite()) benchmarks.emplace_back(profile.name);
+  if (!bench::positionals_valid("bench_fig5_multithreaded", cli.positional,
+                                {{"size", sizes}, {"benchmark", benchmarks}})) {
+    return 2;
+  }
   const char* size_arg = !cli.positional.empty() ? cli.positional[0].c_str() : "all";
   const char* bench_arg =
       cli.positional.size() > 1 ? cli.positional[1].c_str() : nullptr;

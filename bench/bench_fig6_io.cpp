@@ -37,6 +37,12 @@ double mbps(double exec_ms, std::uint64_t bytes) {
 
 int main(int argc, char** argv) {
   const core::SweepCli cli = core::SweepCli::parse(argc, argv);
+  std::vector<std::string> categories;
+  for (const auto& cat : workload::fio_categories()) categories.emplace_back(cat.name);
+  if (!bench::positionals_valid("bench_fig6_io", cli.positional,
+                                {{"category", categories}})) {
+    return 2;
+  }
   const char* only = cli.positional.empty() ? nullptr : cli.positional[0].c_str();
 
   core::SweepConfig cfg;

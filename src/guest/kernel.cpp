@@ -22,89 +22,66 @@ constexpr double kRcuEnqueueProb = 0.0005;
 }  // namespace
 
 // ===========================================================================
-// GuestCpu::Api — the task-facing syscall surface
+// TaskApi — the task-facing syscall surface
 // ===========================================================================
 
-class GuestCpu::Api final : public TaskApi {
- public:
-  explicit Api(GuestCpu& cpu) : cpu_(cpu) {}
+sim::SimTime TaskApi::now() const { return cpu_.now(); }
 
-  [[nodiscard]] sim::SimTime now() const override { return cpu_.now(); }
-  [[nodiscard]] int task_id() const override {
-    PARATICK_CHECK(cpu_.current() != nullptr);
-    return cpu_.current()->id;
-  }
-  [[nodiscard]] sim::Rng& rng() override {
-    GuestTask* t = cpu_.current();
-    PARATICK_CHECK(t != nullptr && t->rng.has_value());
-    return *t->rng;
-  }
+sim::Rng& TaskApi::rng() {
+  GuestTask* t = cpu_.current();
+  PARATICK_CHECK(t != nullptr && t->rng.has_value());
+  return *t->rng;
+}
 
-  void compute(sim::Cycles c, std::function<void()> done) override {
-    cpu_.kvm().port_run(cpu_.vcpu(), c, hw::CycleCategory::kGuestUser,
-                        [this, done = std::move(done)]() mutable {
-                          cpu_.maybe_preempt(std::move(done));
-                        });
-  }
+void TaskApi::compute(sim::Cycles c) {
+  auto& cpu = cpu_;
+  cpu.kvm().port_run(cpu.vcpu(), c, hw::CycleCategory::kGuestUser,
+                     [&cpu] { cpu.maybe_preempt(); });
+}
 
-  void barrier_wait(int barrier_id, std::function<void()> done) override {
-    cpu_.kernel().barrier_arrive(cpu_, barrier_id, std::move(done));
-  }
+void TaskApi::barrier_wait(int barrier_id) {
+  cpu_.kernel().barrier_arrive(cpu_, barrier_id);
+}
 
-  void mutex_lock(int mutex_id, std::function<void()> done) override {
-    cpu_.kernel().mutex_lock(cpu_, mutex_id, std::move(done));
-  }
+void TaskApi::mutex_lock(int mutex_id) { cpu_.kernel().mutex_lock(cpu_, mutex_id); }
 
-  void mutex_unlock(int mutex_id, std::function<void()> done) override {
-    cpu_.kernel().mutex_unlock(cpu_, mutex_id, std::move(done));
-  }
+void TaskApi::mutex_unlock(int mutex_id) { cpu_.kernel().mutex_unlock(cpu_, mutex_id); }
 
-  void sem_wait(int sem_id, std::function<void()> done) override {
-    cpu_.kernel().sem_wait(cpu_, sem_id, std::move(done));
-  }
+void TaskApi::sem_wait(int sem_id) { cpu_.kernel().sem_wait(cpu_, sem_id); }
 
-  void sem_post(int sem_id, std::function<void()> done) override {
-    cpu_.kernel().sem_post(cpu_, sem_id, std::move(done));
-  }
+void TaskApi::sem_post(int sem_id) { cpu_.kernel().sem_post(cpu_, sem_id); }
 
-  void sync_io(const hw::IoRequest& req, std::function<void()> done) override {
-    cpu_.kernel().sync_io(cpu_, req, std::move(done));
-  }
+void TaskApi::sync_io(const hw::IoRequest& req) { cpu_.kernel().sync_io(cpu_, req); }
 
-  void sleep_for(sim::SimTime d, std::function<void()> done) override {
-    PARATICK_CHECK(d > sim::SimTime::zero());
-    auto& cpu = cpu_;
-    cpu.kvm().port_run(cpu.vcpu(), cpu.costs().syscall, hw::CycleCategory::kGuestKernel,
-                       [&cpu, d, done = std::move(done)]() mutable {
-                         GuestTask* t = cpu.current();
-                         PARATICK_CHECK(t != nullptr);
-                         const sim::SimTime deadline = cpu.now() + d;
-                         auto wake = [&cpu, t] { cpu.kernel().wake_task(*t, cpu); };
-                         cpu.kernel().maybe_enqueue_rcu(cpu);
-                         if (d < 4 * cpu.tick_period()) {
-                           // High-res path: the hardware must fire at the
-                           // hrtimer's deadline, not at the next tick.
-                           cpu.hrtimers().add(deadline, wake);
-                           cpu.policy().program_hrtimer(
-                               deadline, [&cpu, done = std::move(done)]() mutable {
-                                 cpu.block_current(std::move(done));
-                               });
-                           return;
-                         }
-                         cpu.wheel().add(cpu.jiffy_of(deadline), wake);
-                         cpu.block_current(std::move(done));
-                       });
-  }
+void TaskApi::sleep_for(sim::SimTime d) {
+  PARATICK_CHECK(d > sim::SimTime::zero());
+  auto& cpu = cpu_;
+  cpu.kvm().port_run(cpu.vcpu(), cpu.costs().syscall, hw::CycleCategory::kGuestKernel,
+                     [&cpu, d] {
+                       GuestTask* t = cpu.current();
+                       PARATICK_CHECK(t != nullptr);
+                       const sim::SimTime deadline = cpu.now() + d;
+                       auto wake = [&cpu, t] { cpu.kernel().wake_task(*t, cpu); };
+                       cpu.kernel().maybe_enqueue_rcu(cpu);
+                       if (d < 4 * cpu.tick_period()) {
+                         // High-res path: the hardware must fire at the
+                         // hrtimer's deadline, not at the next tick.
+                         cpu.hrtimers().add(deadline, wake);
+                         cpu.policy().program_hrtimer(deadline,
+                                                      [&cpu] { cpu.block_current(); });
+                         return;
+                       }
+                       cpu.wheel().add(cpu.jiffy_of(deadline), wake);
+                       cpu.block_current();
+                     });
+}
 
-  void background_fault(std::function<void()> done) override {
-    cpu_.kvm().port_background_exit(cpu_.vcpu(), std::move(done));
-  }
+void TaskApi::background_fault() {
+  auto& cpu = cpu_;
+  cpu.kvm().port_background_exit(cpu.vcpu(), [&cpu] { cpu.resume_current(); });
+}
 
-  void finish() override { cpu_.kernel().task_finished(cpu_); }
-
- private:
-  GuestCpu& cpu_;
-};
+void TaskApi::finish() { cpu_.kernel().task_finished(cpu_); }
 
 // ===========================================================================
 // GuestCpu
@@ -113,7 +90,6 @@ class GuestCpu::Api final : public TaskApi {
 GuestCpu::GuestCpu(GuestKernel& kernel, int index, hv::Kvm& kvm, hv::Vcpu& vcpu)
     : kernel_(kernel), index_(index), kvm_(kvm), vcpu_(vcpu), rcu_(kRcuGraceTicks) {
   policy_ = make_tick_policy(kernel.config().tick_mode, *this);
-  api_ = std::make_unique<Api>(*this);
 }
 
 GuestCpu::~GuestCpu() = default;
@@ -325,15 +301,13 @@ void GuestCpu::run_current() {
     t.measure_wake = false;
     kernel_.record_wakeup_latency((now() - t.woken_at).microseconds());
   }
-  if (!t.started) {
-    t.started = true;
-    t.body(*api_);
-  } else {
-    auto resume = std::move(t.resume_fn);
-    t.resume_fn = nullptr;
-    PARATICK_CHECK_MSG(resume != nullptr, "resumed task has no continuation");
-    resume();
-  }
+  resume_current();
+}
+
+void GuestCpu::resume_current() {
+  PARATICK_CHECK(current_ != nullptr);
+  TaskApi api(*this);
+  current_->body(api);
 }
 
 void GuestCpu::enter_idle() {
@@ -357,31 +331,30 @@ void GuestCpu::idle_resume() {
   }
 }
 
-void GuestCpu::block_current(std::function<void()> resume_fn) {
+void GuestCpu::block_current() {
   PARATICK_CHECK(current_ != nullptr);
   GuestTask& t = *current_;
   if (t.wake_pending) {
     // The wake beat us to sleep (futex pre-sleep check): keep running.
     t.wake_pending = false;
-    resume_fn();
+    resume_current();
     return;
   }
   t.state = GuestTask::State::kBlocked;
-  t.resume_fn = std::move(resume_fn);
   ++t.blocks;
   current_ = nullptr;
   schedule();
 }
 
-void GuestCpu::maybe_preempt(std::function<void()> done) {
-  if (!need_resched_ || runq_.empty() || current_ == nullptr) {
-    done();
+void GuestCpu::maybe_preempt() {
+  PARATICK_CHECK(current_ != nullptr);
+  if (!need_resched_ || runq_.empty()) {
+    resume_current();
     return;
   }
   need_resched_ = false;
   GuestTask& t = *current_;
   t.state = GuestTask::State::kRunnable;
-  t.resume_fn = std::move(done);
   runq_.push_back(&t);
   current_ = nullptr;
   schedule();
@@ -475,8 +448,7 @@ void GuestKernel::maybe_enqueue_rcu(GuestCpu& c) {
   if (rng_.bernoulli(kRcuEnqueueProb)) c.rcu().enqueue();
 }
 
-void GuestKernel::barrier_arrive(GuestCpu& c, int barrier_id,
-                                 std::function<void()> done) {
+void GuestKernel::barrier_arrive(GuestCpu& c, int barrier_id) {
   auto it = barriers_.find(barrier_id);
   PARATICK_CHECK_MSG(it != barriers_.end(), "barrier_wait on unknown barrier");
   Barrier& b = it->second;
@@ -492,23 +464,21 @@ void GuestKernel::barrier_arrive(GuestCpu& c, int barrier_id,
     const sim::Cycles cost =
         c.costs().syscall +
         c.costs().futex_wake * static_cast<std::int64_t>(waiting.size());
-    kvm_.port_run(c.vcpu(), cost, hw::CycleCategory::kGuestKernel,
-                  [&c, done = std::move(done)]() mutable {
-                    c.flush_kicks(std::move(done));
-                  });
+    kvm_.port_run(c.vcpu(), cost, hw::CycleCategory::kGuestKernel, [&c] {
+      c.flush_kicks([&c] { c.resume_current(); });
+    });
     return;
   }
 
   b.waiting.push_back(t);
   kvm_.port_run(c.vcpu(), c.costs().syscall + c.costs().futex_block,
-                hw::CycleCategory::kGuestKernel,
-                [&c, t, done = std::move(done)]() mutable {
+                hw::CycleCategory::kGuestKernel, [&c, t] {
                   PARATICK_CHECK(c.current() == t);
-                  c.block_current(std::move(done));
+                  c.block_current();
                 });
 }
 
-void GuestKernel::mutex_lock(GuestCpu& c, int mutex_id, std::function<void()> done) {
+void GuestKernel::mutex_lock(GuestCpu& c, int mutex_id) {
   Mutex& m = mutexes_[mutex_id];
   GuestTask* t = c.current();
   PARATICK_CHECK(t != nullptr);
@@ -516,36 +486,37 @@ void GuestKernel::mutex_lock(GuestCpu& c, int mutex_id, std::function<void()> do
 
   if (m.holder == nullptr) {
     m.holder = t;
-    kvm_.port_run(c.vcpu(), kFutexFastPath, hw::CycleCategory::kGuestUser, std::move(done));
+    kvm_.port_run(c.vcpu(), kFutexFastPath, hw::CycleCategory::kGuestUser,
+                  [&c] { c.resume_current(); });
     return;
   }
 
   ++m.contended_acquires;
   // Adaptive mutex: spin briefly (PLE-visible on the host), then sleep.
-  kvm_.port_spin(c.vcpu(), c.costs().spin_before_block,
-                 [this, &c, &m, t, done = std::move(done)]() mutable {
-                   if (m.holder == nullptr) {
-                     m.holder = t;
-                     done();
-                     return;
-                   }
-                   kvm_.port_run(c.vcpu(), c.costs().syscall + c.costs().futex_block,
-                                 hw::CycleCategory::kGuestKernel,
-                                 [this, &c, &m, t, done = std::move(done)]() mutable {
-                                   if (m.holder == nullptr) {
-                                     // Released during the futex path.
-                                     m.holder = t;
-                                     done();
-                                     return;
-                                   }
-                                   m.waiters.push_back(t);
-                                   maybe_enqueue_rcu(c);
-                                   c.block_current(std::move(done));
-                                 });
-                 });
+  // The task stays current until it blocks, so the callbacks read it from
+  // `c` instead of capturing it.
+  kvm_.port_spin(c.vcpu(), c.costs().spin_before_block, [&c, &m] {
+    if (m.holder == nullptr) {
+      m.holder = c.current();
+      c.resume_current();
+      return;
+    }
+    c.kvm().port_run(c.vcpu(), c.costs().syscall + c.costs().futex_block,
+                     hw::CycleCategory::kGuestKernel, [&c, &m] {
+                       if (m.holder == nullptr) {
+                         // Released during the futex path.
+                         m.holder = c.current();
+                         c.resume_current();
+                         return;
+                       }
+                       m.waiters.push_back(c.current());
+                       c.kernel().maybe_enqueue_rcu(c);
+                       c.block_current();
+                     });
+  });
 }
 
-void GuestKernel::mutex_unlock(GuestCpu& c, int mutex_id, std::function<void()> done) {
+void GuestKernel::mutex_unlock(GuestCpu& c, int mutex_id) {
   auto it = mutexes_.find(mutex_id);
   PARATICK_CHECK_MSG(it != mutexes_.end(), "unlock of unknown mutex");
   Mutex& m = it->second;
@@ -559,42 +530,39 @@ void GuestKernel::mutex_unlock(GuestCpu& c, int mutex_id, std::function<void()> 
     m.holder = next;  // ownership handoff
     wake_task(*next, c);
     kvm_.port_run(c.vcpu(), c.costs().futex_wake, hw::CycleCategory::kGuestKernel,
-                  [&c, done = std::move(done)]() mutable {
-                    c.flush_kicks(std::move(done));
-                  });
+                  [&c] { c.flush_kicks([&c] { c.resume_current(); }); });
     return;
   }
   m.holder = nullptr;
-  kvm_.port_run(c.vcpu(), kFutexFastPath, hw::CycleCategory::kGuestUser, std::move(done));
+  kvm_.port_run(c.vcpu(), kFutexFastPath, hw::CycleCategory::kGuestUser,
+                [&c] { c.resume_current(); });
 }
 
-void GuestKernel::sem_wait(GuestCpu& c, int sem_id, std::function<void()> done) {
+void GuestKernel::sem_wait(GuestCpu& c, int sem_id) {
   Semaphore& s = semaphores_[sem_id];
-  GuestTask* t = c.current();
-  PARATICK_CHECK(t != nullptr);
+  PARATICK_CHECK(c.current() != nullptr);
   if (s.count > 0) {
     // Fast path: a post is already available (userspace futex check).
     --s.count;
-    kvm_.port_run(c.vcpu(), kFutexFastPath, hw::CycleCategory::kGuestUser, std::move(done));
+    kvm_.port_run(c.vcpu(), kFutexFastPath, hw::CycleCategory::kGuestUser,
+                  [&c] { c.resume_current(); });
     return;
   }
   ++s.blocked_waits;
   maybe_enqueue_rcu(c);
   kvm_.port_run(c.vcpu(), c.costs().syscall + c.costs().futex_block,
-                hw::CycleCategory::kGuestKernel,
-                [this, &c, sem_id, t, done = std::move(done)]() mutable {
-                  Semaphore& sem = semaphores_[sem_id];
-                  if (sem.count > 0) {
-                    --sem.count;  // a post raced with the futex path
-                    done();
+                hw::CycleCategory::kGuestKernel, [&c, &s] {
+                  if (s.count > 0) {
+                    --s.count;  // a post raced with the futex path
+                    c.resume_current();
                     return;
                   }
-                  sem.waiters.push_back(t);
-                  c.block_current(std::move(done));
+                  s.waiters.push_back(c.current());
+                  c.block_current();
                 });
 }
 
-void GuestKernel::sem_post(GuestCpu& c, int sem_id, std::function<void()> done) {
+void GuestKernel::sem_post(GuestCpu& c, int sem_id) {
   Semaphore& s = semaphores_[sem_id];
   ++s.posts;
   if (!s.waiters.empty()) {
@@ -603,39 +571,37 @@ void GuestKernel::sem_post(GuestCpu& c, int sem_id, std::function<void()> done) 
     wake_task(*w, c);
     maybe_enqueue_rcu(c);
     kvm_.port_run(c.vcpu(), c.costs().futex_wake, hw::CycleCategory::kGuestKernel,
-                  [&c, done = std::move(done)]() mutable {
-                    c.flush_kicks(std::move(done));
-                  });
+                  [&c] { c.flush_kicks([&c] { c.resume_current(); }); });
     return;
   }
   ++s.count;
-  kvm_.port_run(c.vcpu(), kFutexFastPath, hw::CycleCategory::kGuestUser, std::move(done));
+  kvm_.port_run(c.vcpu(), kFutexFastPath, hw::CycleCategory::kGuestUser,
+                [&c] { c.resume_current(); });
 }
 
-void GuestKernel::sync_io(GuestCpu& c, const hw::IoRequest& req,
-                          std::function<void()> done) {
+void GuestKernel::sync_io(GuestCpu& c, const hw::IoRequest& req) {
   GuestTask* t = c.current();
   PARATICK_CHECK(t != nullptr);
   const std::uint64_t cookie = next_io_cookie_++;
-  io_waits_.emplace(cookie, IoWait{t, false, false});
   hw::IoRequest tagged = req;
   tagged.cookie = cookie;
+  io_waits_.emplace(cookie, IoWait{t, tagged, false, false});
   maybe_enqueue_rcu(c);
 
   kvm_.port_run(c.vcpu(), c.costs().blk_submit, hw::CycleCategory::kGuestKernel,
-                [this, &c, tagged, done = std::move(done)]() mutable {
-                  kvm_.port_io_submit(
-                      c.vcpu(), tagged,
-                      [this, &c, cookie = tagged.cookie, done = std::move(done)]() mutable {
-                        auto it = io_waits_.find(cookie);
-                        if (it == io_waits_.end() || it->second.completed_early) {
-                          io_waits_.erase(cookie);
-                          done();
-                          return;
-                        }
-                        it->second.blocked = true;
-                        c.block_current(std::move(done));
-                      });
+                [&c, cookie] {
+                  const hw::IoRequest& submit = c.kernel().io_waits_.at(cookie).req;
+                  c.kvm().port_io_submit(c.vcpu(), submit, [&c, cookie] {
+                    auto& waits = c.kernel().io_waits_;
+                    auto it = waits.find(cookie);
+                    if (it == waits.end() || it->second.completed_early) {
+                      waits.erase(cookie);
+                      c.resume_current();
+                      return;
+                    }
+                    it->second.blocked = true;
+                    c.block_current();
+                  });
                 });
 }
 

@@ -80,7 +80,10 @@ class GuestCpu final : public hv::GuestCpuIface, public TickCpu {
   // --- scheduling / kernel services ---
   void enqueue_task(GuestTask& t);
   void schedule();
-  void block_current(std::function<void()> resume_fn);
+  /// Re-enter the current task's body: where every task op completes.
+  void resume_current();
+  void block_current();
+  void maybe_preempt();
   [[nodiscard]] GuestTask* current() const { return current_; }
   [[nodiscard]] int index() const { return index_; }
   [[nodiscard]] std::size_t runqueue_depth() const { return runq_.size(); }
@@ -92,7 +95,6 @@ class GuestCpu final : public hv::GuestCpuIface, public TickCpu {
   [[nodiscard]] TimerWheel& wheel() { return wheel_; }
   [[nodiscard]] HrtimerQueue& hrtimers() { return hrtimers_; }
   [[nodiscard]] RcuState& rcu() { return rcu_; }
-  [[nodiscard]] TaskApi& api() { return *api_; }
   [[nodiscard]] GuestKernel& kernel() { return kernel_; }
   [[nodiscard]] const StealEstimator& steal_estimator() const {
     return steal_estimator_;
@@ -104,7 +106,6 @@ class GuestCpu final : public hv::GuestCpuIface, public TickCpu {
   [[nodiscard]] std::uint64_t jiffy_of(sim::SimTime t) const;
 
  private:
-  class Api;
   friend class GuestKernel;
 
   void dispatch_vector(hw::Vector v, std::function<void()> done);
@@ -113,14 +114,12 @@ class GuestCpu final : public hv::GuestCpuIface, public TickCpu {
   void flush_kicks(std::function<void()> done);
   void enter_idle();
   void run_current();
-  void maybe_preempt(std::function<void()> done);
 
   GuestKernel& kernel_;
   int index_;
   hv::Kvm& kvm_;
   hv::Vcpu& vcpu_;
   std::unique_ptr<TickPolicy> policy_;
-  std::unique_ptr<TaskApi> api_;
 
   TimerWheel wheel_;
   HrtimerQueue hrtimers_;
@@ -192,14 +191,15 @@ class GuestKernel {
     wakeup_hist_us_.add(us);
   }
 
-  // --- services used by GuestCpu / Api (kernel-wide state) ---
+  // --- services used by GuestCpu / TaskApi (kernel-wide state) ---
+  // Each task service ends in cpu.resume_current() or cpu.block_current().
   void wake_task(GuestTask& t, GuestCpu& waker);
-  void barrier_arrive(GuestCpu& cpu, int barrier_id, std::function<void()> done);
-  void mutex_lock(GuestCpu& cpu, int mutex_id, std::function<void()> done);
-  void mutex_unlock(GuestCpu& cpu, int mutex_id, std::function<void()> done);
-  void sem_wait(GuestCpu& cpu, int sem_id, std::function<void()> done);
-  void sem_post(GuestCpu& cpu, int sem_id, std::function<void()> done);
-  void sync_io(GuestCpu& cpu, const hw::IoRequest& req, std::function<void()> done);
+  void barrier_arrive(GuestCpu& cpu, int barrier_id);
+  void mutex_lock(GuestCpu& cpu, int mutex_id);
+  void mutex_unlock(GuestCpu& cpu, int mutex_id);
+  void sem_wait(GuestCpu& cpu, int sem_id);
+  void sem_post(GuestCpu& cpu, int sem_id);
+  void sync_io(GuestCpu& cpu, const hw::IoRequest& req);
   void io_complete(GuestCpu& cpu, const hw::IoRequest& req);
   void task_finished(GuestCpu& cpu);
   void maybe_enqueue_rcu(GuestCpu& cpu);
@@ -217,6 +217,7 @@ class GuestKernel {
   };
   struct IoWait {
     GuestTask* task = nullptr;
+    hw::IoRequest req;  // tagged with the wait's cookie
     bool completed_early = false;  // completion irq beat the blocking path
     bool blocked = false;
   };

@@ -1,10 +1,13 @@
 // Guest tasks and the syscall-ish API workload code runs against.
 //
-// A task body is a continuation-passing function: it receives a TaskApi
-// and chains operations (compute, synchronize, I/O, sleep) through `done`
-// callbacks. The guest kernel schedules tasks onto vCPUs, blocks them on
-// sync/I/O/timers and wakes them from interrupt handlers — generating
-// exactly the idle-transition patterns whose cost the paper studies.
+// A task body is a resumable step: the kernel calls it whenever the task
+// runs again (first dispatch, after each op completes, after a wake or a
+// preemption), and each call issues at most one TaskApi op — or finishes
+// the task — and returns. The body keeps its own progress (a program
+// counter), so ops take no continuation. The guest kernel schedules tasks
+// onto vCPUs, blocks them on sync/I/O/timers and wakes them from interrupt
+// handlers — generating exactly the idle-transition patterns whose cost
+// the paper studies.
 #pragma once
 
 #include <cstdint>
@@ -17,39 +20,45 @@
 
 namespace paratick::guest {
 
+class GuestCpu;
+
+/// The ops a task body may issue, bound to the vCPU the task runs on.
+/// Every op except finish() ends by re-entering the task's body.
 class TaskApi {
  public:
-  virtual ~TaskApi() = default;
+  explicit TaskApi(GuestCpu& cpu) : cpu_(cpu) {}
 
-  [[nodiscard]] virtual sim::SimTime now() const = 0;
-  [[nodiscard]] virtual int task_id() const = 0;
-  [[nodiscard]] virtual sim::Rng& rng() = 0;
+  [[nodiscard]] sim::SimTime now() const;
+  [[nodiscard]] sim::Rng& rng();
 
-  /// Burn `c` user cycles, then continue (may be preempted at the boundary).
-  virtual void compute(sim::Cycles c, std::function<void()> done) = 0;
+  /// Burn `c` user cycles (the task may be preempted at the boundary).
+  void compute(sim::Cycles c);
 
   /// Blocking barrier (futex-based, like pthread_barrier_wait).
-  virtual void barrier_wait(int barrier_id, std::function<void()> done) = 0;
+  void barrier_wait(int barrier_id);
 
   /// Blocking mutex with an adaptive spin before sleeping.
-  virtual void mutex_lock(int mutex_id, std::function<void()> done) = 0;
-  virtual void mutex_unlock(int mutex_id, std::function<void()> done) = 0;
+  void mutex_lock(int mutex_id);
+  void mutex_unlock(int mutex_id);
 
   /// Counting semaphore (producer/consumer queues, condvar-style waits).
-  virtual void sem_wait(int sem_id, std::function<void()> done) = 0;
-  virtual void sem_post(int sem_id, std::function<void()> done) = 0;
+  void sem_wait(int sem_id);
+  void sem_post(int sem_id);
 
   /// Synchronous block I/O: submit and sleep until the completion irq.
-  virtual void sync_io(const hw::IoRequest& req, std::function<void()> done) = 0;
+  void sync_io(const hw::IoRequest& req);
 
   /// Sleep for `d` (hrtimer or timer-wheel backed).
-  virtual void sleep_for(sim::SimTime d, std::function<void()> done) = 0;
+  void sleep_for(sim::SimTime d);
 
   /// Model a non-timer VM exit (page fault etc.) on this task's path.
-  virtual void background_fault(std::function<void()> done) = 0;
+  void background_fault();
 
-  /// Task is finished; never returns control to the body.
-  virtual void finish() = 0;
+  /// Task is finished; its body is never called again.
+  void finish();
+
+ private:
+  GuestCpu& cpu_;
 };
 
 struct GuestTask {
@@ -58,13 +67,12 @@ struct GuestTask {
   int id = 0;
   int home_cpu = 0;
   State state = State::kRunnable;
-  bool started = false;
   /// A wake arrived while the task was still on its way to sleep (the
   /// futex "value changed before sleeping" case): the next block_current
   /// consumes it and continues without blocking.
   bool wake_pending = false;
-  std::function<void(TaskApi&)> body;   // entry point, invoked once
-  std::function<void()> resume_fn;      // continuation after wake/preempt
+  /// The task's one resume entry, called each time it runs again.
+  std::function<void(TaskApi&)> body;
 
   /// Per-task random stream: draws are identical across tick modes no
   /// matter how scheduling interleaves, keeping A/B comparisons exact.

@@ -1,6 +1,5 @@
 #include "workload/program.hpp"
 
-#include <memory>
 #include <utility>
 
 #include "sim/check.hpp"
@@ -25,87 +24,94 @@ std::int64_t Program::mean_compute_cycles_per_iteration() const {
 
 namespace {
 
-/// Interpreter state; shared_ptr-owned so continuations can outlive the
-/// stack frame that created them.
-struct Interp : std::enable_shared_from_this<Interp> {
+/// Interpreter state, owned by the task body. Each call runs the program
+/// up to its next op, issues it and returns; the op's completion calls
+/// step() again.
+struct Interp {
+  /// Where a kCritical op is: lock -> hold -> unlock, one step each.
+  enum class Critical : std::uint8_t { kOff, kLocked, kHeld };
+
   Program program;
   std::size_t pc = 0;
   int iteration = 0;
-
-  explicit Interp(Program p) : program(std::move(p)) {}
+  Critical critical = Critical::kOff;
+  int critical_lock = 0;
 
   void step(guest::TaskApi& api) {
-    if (pc >= program.ops().size()) {
-      pc = 0;
-      if (++iteration >= program.repeat_count()) {
-        api.finish();
+    switch (critical) {
+      case Critical::kOff:
+        break;
+      case Critical::kLocked:
+        critical = Critical::kHeld;
+        api.compute(sim::Cycles{program.ops()[pc - 1].cycles});
         return;
-      }
+      case Critical::kHeld:
+        critical = Critical::kOff;
+        api.mutex_unlock(critical_lock);
+        return;
     }
-    const Op& op = program.ops()[pc++];
-    auto self = shared_from_this();
-    auto cont = [self, &api] { self->step(api); };
+    for (;;) {
+      if (pc >= program.ops().size()) {
+        pc = 0;
+        if (++iteration >= program.repeat_count()) {
+          api.finish();
+          return;
+        }
+      }
+      const Op& op = program.ops()[pc++];
+      // A probability-gated op that does not fire this iteration.
+      if (op.prob < 1.0 && !api.rng().bernoulli(op.prob)) continue;
 
-    if (op.prob < 1.0 && !api.rng().bernoulli(op.prob)) {
-      cont();
-      return;
+      switch (op.kind) {
+        case Op::Kind::kCompute:
+          api.compute(sim::Cycles{op.cycles});
+          return;
+        case Op::Kind::kComputeExp: {
+          const double c = api.rng().exponential(static_cast<double>(op.cycles));
+          api.compute(sim::Cycles{static_cast<std::int64_t>(c) + 1});
+          return;
+        }
+        case Op::Kind::kComputeNorm: {
+          const double mean = static_cast<double>(op.cycles);
+          const double c = api.rng().normal(mean, mean * op.cv, 1.0);
+          api.compute(sim::Cycles{static_cast<std::int64_t>(c)});
+          return;
+        }
+        case Op::Kind::kBarrier:
+          api.barrier_wait(op.sync_id);
+          return;
+        case Op::Kind::kSemWait:
+          api.sem_wait(op.sync_id);
+          return;
+        case Op::Kind::kSemPost:
+          api.sem_post(op.sync_id);
+          return;
+        case Op::Kind::kCritical:
+          critical_lock = static_cast<int>(api.rng().uniform_int(0, op.sync_id - 1));
+          critical = Critical::kLocked;
+          api.mutex_lock(critical_lock);
+          return;
+        case Op::Kind::kLock:
+          api.mutex_lock(op.sync_id);
+          return;
+        case Op::Kind::kUnlock:
+          api.mutex_unlock(op.sync_id);
+          return;
+        case Op::Kind::kIo:
+          api.sync_io(op.io);
+          return;
+        case Op::Kind::kSleep:
+          api.sleep_for(op.duration);
+          return;
+        case Op::Kind::kSleepExp:
+          api.sleep_for(api.rng().exp_time(op.duration));
+          return;
+        case Op::Kind::kFault:
+          api.background_fault();
+          return;
+      }
+      PARATICK_CHECK_MSG(false, "unknown op kind");
     }
-
-    switch (op.kind) {
-      case Op::Kind::kCompute:
-        api.compute(sim::Cycles{op.cycles}, std::move(cont));
-        return;
-      case Op::Kind::kComputeExp: {
-        const double c = api.rng().exponential(static_cast<double>(op.cycles));
-        api.compute(sim::Cycles{static_cast<std::int64_t>(c) + 1}, std::move(cont));
-        return;
-      }
-      case Op::Kind::kComputeNorm: {
-        const double mean = static_cast<double>(op.cycles);
-        const double c = api.rng().normal(mean, mean * op.cv, 1.0);
-        api.compute(sim::Cycles{static_cast<std::int64_t>(c)}, std::move(cont));
-        return;
-      }
-      case Op::Kind::kBarrier:
-        api.barrier_wait(op.sync_id, std::move(cont));
-        return;
-      case Op::Kind::kSemWait:
-        api.sem_wait(op.sync_id, std::move(cont));
-        return;
-      case Op::Kind::kSemPost:
-        api.sem_post(op.sync_id, std::move(cont));
-        return;
-      case Op::Kind::kCritical: {
-        const int lock_id =
-            static_cast<int>(api.rng().uniform_int(0, op.sync_id - 1));
-        const sim::Cycles hold{op.cycles};
-        api.mutex_lock(lock_id, [self, &api, lock_id, hold, cont] {
-          api.compute(hold, [self, &api, lock_id, cont] {
-            api.mutex_unlock(lock_id, cont);
-          });
-        });
-        return;
-      }
-      case Op::Kind::kLock:
-        api.mutex_lock(op.sync_id, std::move(cont));
-        return;
-      case Op::Kind::kUnlock:
-        api.mutex_unlock(op.sync_id, std::move(cont));
-        return;
-      case Op::Kind::kIo:
-        api.sync_io(op.io, std::move(cont));
-        return;
-      case Op::Kind::kSleep:
-        api.sleep_for(op.duration, std::move(cont));
-        return;
-      case Op::Kind::kSleepExp:
-        api.sleep_for(api.rng().exp_time(op.duration), std::move(cont));
-        return;
-      case Op::Kind::kFault:
-        api.background_fault(std::move(cont));
-        return;
-    }
-    PARATICK_CHECK_MSG(false, "unknown op kind");
   }
 };
 
@@ -113,9 +119,8 @@ struct Interp : std::enable_shared_from_this<Interp> {
 
 std::function<void(guest::TaskApi&)> make_task_body(Program program) {
   PARATICK_CHECK_MSG(!program.empty(), "empty workload program");
-  return [program = std::move(program)](guest::TaskApi& api) {
-    auto interp = std::make_shared<Interp>(program);
-    interp->step(api);
+  return [interp = Interp{std::move(program)}](guest::TaskApi& api) mutable {
+    interp.step(api);
   };
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <memory>
 #include <vector>
 
 #include "guest/kernel.hpp"
@@ -39,16 +38,20 @@ double rate_scale_at(const TenantTrafficSpec& spec,
 }
 
 /// One open-loop request worker: sleep an Exp(1/λ(t)) inter-arrival,
-/// service the request, repeat until the spec's horizon. Same
-/// continuation-passing shape as the Program interpreter.
-struct TenantWorker : std::enable_shared_from_this<TenantWorker> {
+/// service the request, repeat until the spec's horizon. Owned by its
+/// task body as a two-phase resumable step: each call issues the sleep or
+/// the service compute, and that op's completion calls step() again.
+struct TenantWorker {
   TenantTrafficSpec spec;
   std::vector<sim::SimTime> flash_starts;
-
-  TenantWorker(TenantTrafficSpec s, std::vector<sim::SimTime> f)
-      : spec(s), flash_starts(std::move(f)) {}
+  bool sleeping = false;
 
   void step(guest::TaskApi& api) {
+    if (sleeping) {
+      sleeping = false;
+      api.compute(sim::Cycles{spec.service_cycles});
+      return;
+    }
     if (api.now() >= spec.until) {
       api.finish();
       return;
@@ -58,11 +61,8 @@ struct TenantWorker : std::enable_shared_from_this<TenantWorker> {
         static_cast<double>(spec.mean_interarrival.nanoseconds()) / scale));
     const sim::SimTime wait =
         api.rng().exp_time(sim::SimTime::ns(std::max<std::int64_t>(mean_ns, 1)));
-    auto self = shared_from_this();
-    api.sleep_for(wait, [self, &api] {
-      api.compute(sim::Cycles{self->spec.service_cycles},
-                  [self, &api] { self->step(api); });
-    });
+    sleeping = true;
+    api.sleep_for(wait);
   }
 };
 
@@ -98,8 +98,8 @@ void install_tenant_traffic(guest::GuestKernel& kernel,
   }
 
   for (int w = 0; w < spec.workers; ++w) {
-    auto worker = std::make_shared<TenantWorker>(spec, flash_starts);
-    kernel.add_task([worker](guest::TaskApi& api) { worker->step(api); },
+    kernel.add_task([worker = TenantWorker{spec, flash_starts}](
+                        guest::TaskApi& api) mutable { worker.step(api); },
                     w % kernel.cpu_count());
   }
 }

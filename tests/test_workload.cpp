@@ -9,6 +9,7 @@
 #include "workload/micro.hpp"
 #include "workload/parsec.hpp"
 #include "workload/program.hpp"
+#include "workload/tenant_traffic.hpp"
 
 namespace paratick::workload {
 namespace {
@@ -257,6 +258,125 @@ TEST(Micro, PureComputeNeverBlocks) {
   ASSERT_TRUE(r.completion_time().has_value());
   EXPECT_NEAR(r.completion_time()->milliseconds(), 25.0, 2.0);  // 50M @ 2 GHz
 }
+
+// ---------------------------------------------------------------------------
+// Interpreter oracle: a fixed-seed run of every op kind (and of the tenant
+// traffic workers) in every tick mode, folded into one digest of what each
+// task did and what the host saw. Any change to the order in which tasks
+// draw random numbers, issue ops or resume changes the digest.
+// ---------------------------------------------------------------------------
+
+// FNV-1a over 64-bit words.
+class Digest {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xffu;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  void add(SimTime t) { add(static_cast<std::uint64_t>(t.nanoseconds())); }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+std::uint64_t oracle_digest(guest::TickMode mode,
+                            std::function<void(guest::GuestKernel&)> setup) {
+  core::SystemSpec spec;
+  spec.machine = hw::MachineSpec::small(2);
+  spec.max_duration = SimTime::sec(10);
+  core::VmSpec vm;
+  vm.vcpus = 2;
+  vm.attach_disk = true;
+  vm.guest.tick_mode = mode;
+  vm.setup = std::move(setup);
+  spec.vms.push_back(std::move(vm));
+  core::System system(std::move(spec));
+  const auto r = system.run();
+  Digest d;
+  guest::GuestKernel& k = system.kernel(0);
+  d.add(static_cast<std::uint64_t>(k.task_count()));
+  for (int i = 0; i < k.task_count(); ++i) {
+    const guest::GuestTask& t = k.task(i);
+    d.add(t.finished_at);
+    d.add(t.blocks);
+    d.add(t.wakes);
+  }
+  for (const std::uint64_t n : r.exits_by_cause) d.add(n);
+  d.add(r.events_executed);
+  return d.value();
+}
+
+// Three tasks on two vCPUs (so the tick preempts), sharing one hot lock
+// (so `critical` contends). Probability-gated I/O and faults exercise the
+// skipped-op path; Exp(10 ms) sleeps land on the hrtimer path (< 4 ticks)
+// and on the timer wheel (>= 16 ms at 250 Hz).
+void install_every_op(guest::GuestKernel& k) {
+  hw::IoRequest req;
+  req.dir = hw::IoDir::kRead;
+  req.pattern = hw::IoPattern::kRandom;
+  req.bytes = 8192;
+  Program p;
+  p.compute(5'000)
+      .compute_exp(3'000)
+      .compute_norm(4'000, 0.3)
+      .critical(1, 20'000)
+      .lock(1)
+      .compute(2'000)
+      .unlock(1)
+      .sem_post(0)
+      .sem_wait(0)
+      .io(req, 0.5)
+      .fault(0.3)
+      .sleep(SimTime::us(50))
+      .sleep_exp(SimTime::ms(10))
+      .barrier(0)
+      .repeat(40);
+  k.create_barrier(0, 3);
+  for (int t = 0; t < 3; ++t) k.add_task(make_task_body(p), t % k.cpu_count());
+}
+
+void install_tenants(guest::GuestKernel& k) {
+  TenantTrafficSpec spec;
+  spec.workers = 3;
+  spec.until = SimTime::ms(80);
+  spec.mean_interarrival = SimTime::us(300);
+  spec.flash_duration = SimTime::ms(5);
+  install_tenant_traffic(k, spec);
+}
+
+class InterpOracle : public ::testing::TestWithParam<guest::TickMode> {};
+
+TEST_P(InterpOracle, ProgramDigestIsUnchanged) {
+  // Golden values: any change to what a task does, or when, changes them.
+  std::uint64_t expected = 0;
+  switch (GetParam()) {
+    case guest::TickMode::kPeriodic: expected = 0xf1bb79b2354d4249ull; break;
+    case guest::TickMode::kDynticksIdle: expected = 0x0be326534a2fae42ull; break;
+    case guest::TickMode::kFullDynticks: expected = 0x9b3cf4b4a640e9bfull; break;
+    case guest::TickMode::kParatick: expected = 0x358b168ef0067589ull; break;
+  }
+  EXPECT_EQ(oracle_digest(GetParam(), install_every_op), expected);
+}
+
+TEST_P(InterpOracle, TenantTrafficDigestIsUnchanged) {
+  std::uint64_t expected = 0;
+  switch (GetParam()) {
+    case guest::TickMode::kPeriodic: expected = 0x2e664c11b2247f45ull; break;
+    case guest::TickMode::kDynticksIdle: expected = 0xe861e940fd43170cull; break;
+    case guest::TickMode::kFullDynticks: expected = 0xae3567d63cb15e3aull; break;
+    case guest::TickMode::kParatick: expected = 0xfbc0ba1de10b2046ull; break;
+  }
+  EXPECT_EQ(oracle_digest(GetParam(), install_tenants), expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, InterpOracle,
+                         ::testing::Values(guest::TickMode::kPeriodic,
+                                           guest::TickMode::kDynticksIdle,
+                                           guest::TickMode::kFullDynticks,
+                                           guest::TickMode::kParatick));
 
 }  // namespace
 }  // namespace paratick::workload
