@@ -19,6 +19,7 @@
 // bench errors. Shared CLI flags in core/sweep.hpp.
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/scenarios.hpp"
 #include "core/sweep.hpp"
@@ -26,24 +27,11 @@
 
 using namespace paratick;
 
-namespace {
-
-int usage() {
-  std::fputs("usage: bench_chaos <scenario> [sweep flags]\nscenarios:", stderr);
-  for (const char* name : core::chaos_scenario_names()) {
-    std::fprintf(stderr, " %s", name);
-  }
-  std::fputc('\n', stderr);
-  return 2;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const core::SweepCli cli = core::SweepCli::parse(argc, argv);
-  if (cli.positional.size() != 1 || !core::is_chaos_scenario(cli.positional[0])) {
-    return usage();
-  }
+  const auto names = core::chaos_scenario_names();
+  const core::SweepCli cli = core::SweepCli::parse(
+      argc, argv, {},
+      {{"scenario", std::vector<std::string>(names.begin(), names.end()), true}});
   const std::string& scenario = cli.positional[0];
 
   core::SweepConfig cfg = core::build_chaos_scenario(scenario);

@@ -12,28 +12,16 @@
 // overcommit axis resizes the per-host machine exactly like the
 // single-host benches, so rows self-describe the vCPU:pCPU ratio.
 //
-// Cluster flags (strict numeric parsing, exit 2 on garbage):
-//   --hosts N                  single hosts-axis point (default: 2 and 4)
-//   --vms-per-host M           VMs per host (default 4)
-//   --overcommit X             single overcommit point (default: 1 and 2)
-//   --rebalance-period MS      steal-aware rebalance barrier period in ms;
-//                              0 disables rebalancing (default 10)
-//   --migration-blackout-us U  stop-and-copy blackout (default 500)
-//   --migration-dirty-mcycles C dirty-page copy cost per end (default 2)
-//   --duration-ms MS           simulated time per run (default 100)
-//   --telemetry-period-us U    hosts 1..N-1 stream a load report to host 0
-//                              every U us over a dedicated low-latency
-//                              link; 0 disables the star (default 0). The
-//                              heterogeneous-link topology is where
-//                              --lookahead-mode topology beats global.
-//   --telemetry-latency-us U   declared latency of those links (default 50)
-// Plus the shared sweep CLI (core/sweep.hpp): -j, --engine-threads,
-// --lookahead-mode, --repeat, --seed, --dispatch, --sweep-csv/json,
-// --history-dir, ... Cluster runs take no trace recorder, faults,
-// watchdog or wall-clock limit: --record-trace, --chaos, --fault-*,
-// --watchdog and --run-timeout exit 2 before the sweep starts.
+// Flags: `bench_cluster --help` lists the cluster flags (--hosts,
+// --vms-per-host, --overcommit, rebalancing, migration and telemetry
+// knobs, --engine-threads, --lookahead-mode) and the shared sweep CLI.
+// With --telemetry-period-us U, hosts 1..N-1 stream a load report to
+// host 0 every U us over a dedicated low-latency link: the
+// heterogeneous-link topology where --lookahead-mode topology beats
+// global. Cluster runs take no trace recorder, faults, watchdog or
+// wall-clock limit: --record-trace, --chaos, --fault-*, --watchdog and
+// --run-timeout exit 2 before the sweep starts.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,18 +30,11 @@
 #include "core/cli_parse.hpp"
 #include "core/cluster/cluster.hpp"
 #include "core/sweep.hpp"
-#include "sim/check.hpp"
-#include "sim/error.hpp"
 #include "workload/tenant_traffic.hpp"
 
 using namespace paratick;
 
 namespace {
-
-[[noreturn]] void usage_error(const std::string& msg) {
-  PARATICK_CHECK_MSG(false, msg.c_str());
-  std::abort();  // unreachable; PARATICK_CHECK_MSG throws
-}
 
 struct ClusterOpts {
   std::vector<int> hosts = {2, 4};
@@ -65,89 +46,86 @@ struct ClusterOpts {
   sim::SimTime duration = sim::SimTime::ms(100);
   sim::SimTime telemetry_period;  // zero = no telemetry star
   sim::SimTime telemetry_latency = sim::SimTime::us(50);
+  unsigned engine_threads = 1;
+  sim::LookaheadMode lookahead_mode = sim::LookaheadMode::kGlobal;
 };
 
-/// Consume the bench's own flags from the sweep CLI's positional residue.
-/// Anything left over is an unknown flag — reject it loudly instead of
-/// silently benchmarking a different cluster than the user asked for.
-ClusterOpts parse_cluster_opts(const std::vector<std::string>& args) {
-  ClusterOpts opts;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    const auto value = [&](const char* flag) -> const std::string& {
-      if (i + 1 >= args.size()) {
-        usage_error(std::string(flag) + " requires a value");
-      }
-      return args[++i];
+/// The bench's own flags, parsed strictly into `opts` (exit 2 on garbage).
+std::vector<core::CliFlag> cluster_flags(ClusterOpts& opts) {
+  const auto us = [](const char* flag, sim::SimTime& out, std::uint64_t max) {
+    return [flag, &out, max](const std::string& v) {
+      out = sim::SimTime::us(
+          static_cast<std::int64_t>(core::parse_u64_flag(flag, v, max)));
     };
-    if (a == "--hosts") {
-      opts.hosts = {static_cast<int>(core::parse_u64_flag("--hosts", value(a.c_str()), 64))};
-      if (opts.hosts.front() < 1) usage_error("--hosts must be >= 1");
-    } else if (a == "--vms-per-host") {
-      opts.vms_per_host = static_cast<int>(
-          core::parse_u64_flag("--vms-per-host", value(a.c_str()), 256));
-      if (opts.vms_per_host < 1) usage_error("--vms-per-host must be >= 1");
-    } else if (a == "--overcommit") {
-      opts.overcommit = {
-          core::parse_double_flag("--overcommit", value(a.c_str()), 0.01)};
-    } else if (a == "--rebalance-period") {
-      opts.rebalance_period = sim::SimTime::from_seconds(
-          core::parse_double_flag("--rebalance-period", value(a.c_str()), 0.0) /
-          1e3);
-    } else if (a == "--migration-blackout-us") {
-      opts.migration_blackout = sim::SimTime::us(static_cast<std::int64_t>(
-          core::parse_u64_flag("--migration-blackout-us", value(a.c_str()),
-                               1'000'000)));
-    } else if (a == "--migration-dirty-mcycles") {
-      opts.migration_dirty_mcycles = static_cast<std::int64_t>(
-          core::parse_u64_flag("--migration-dirty-mcycles", value(a.c_str()),
-                               1'000'000));
-    } else if (a == "--duration-ms") {
-      opts.duration = sim::SimTime::from_seconds(
-          core::parse_double_flag("--duration-ms", value(a.c_str()), 0.001) /
-          1e3);
-    } else if (a == "--telemetry-period-us") {
-      opts.telemetry_period = sim::SimTime::us(static_cast<std::int64_t>(
-          core::parse_u64_flag("--telemetry-period-us", value(a.c_str()),
-                               1'000'000'000)));
-    } else if (a == "--telemetry-latency-us") {
-      opts.telemetry_latency = sim::SimTime::us(static_cast<std::int64_t>(
-          core::parse_u64_flag("--telemetry-latency-us", value(a.c_str()),
-                               1'000'000'000)));
-    } else {
-      usage_error("unknown bench_cluster flag: " + a);
-    }
+  };
+  const auto ms = [](const char* flag, sim::SimTime& out, double min) {
+    return [flag, &out, min](const std::string& v) {
+      out = sim::SimTime::from_seconds(core::parse_double_flag(flag, v, min) / 1e3);
+    };
+  };
+  std::vector<core::CliFlag> flags = {
+      {"--hosts", "N", "single hosts-axis point (default: 2 and 4)",
+       [&opts](const std::string& v) {
+         opts.hosts = {static_cast<int>(core::parse_u64_flag("--hosts", v, 64))};
+       }},
+      core::uint_flag("--vms-per-host", "M", "VMs per host (default 4)",
+                      opts.vms_per_host, 256),
+      {"--overcommit", "X", "single overcommit point (default: 1 and 2)",
+       [&opts](const std::string& v) {
+         opts.overcommit = {core::parse_double_flag("--overcommit", v, 0.01)};
+       }},
+      {"--rebalance-period", "MS", "rebalance barrier period, 0 = off (default 10)",
+       ms("--rebalance-period", opts.rebalance_period, 0.0)},
+      {"--migration-blackout-us", "U", "stop-and-copy blackout (default 500)",
+       us("--migration-blackout-us", opts.migration_blackout, 1'000'000)},
+      core::uint_flag("--migration-dirty-mcycles", "C",
+                      "dirty-page copy cost per end (default 2)",
+                      opts.migration_dirty_mcycles, 1'000'000),
+      {"--duration-ms", "MS", "simulated time per run (default 100)",
+       ms("--duration-ms", opts.duration, 0.001)},
+      {"--telemetry-period-us", "U", "load-report period to host 0, 0 = off (default 0)",
+       us("--telemetry-period-us", opts.telemetry_period, 1'000'000'000)},
+      {"--telemetry-latency-us", "U", "latency of the telemetry links (default 50)",
+       us("--telemetry-latency-us", opts.telemetry_latency, 1'000'000'000)},
+  };
+  for (core::CliFlag& f :
+       core::cluster_engine_flags(opts.engine_threads, opts.lookahead_mode)) {
+    flags.push_back(std::move(f));
   }
+  return flags;
+}
+
+/// The checks made after the parse; nullptr = consistent.
+const char* opts_error(const ClusterOpts& opts) {
+  if (opts.hosts.front() < 1) return "--hosts must be >= 1";
+  if (opts.vms_per_host < 1) return "--vms-per-host must be >= 1";
   if (opts.migration_blackout <= sim::SimTime::zero()) {
-    usage_error("--migration-blackout-us must be >= 1");
+    return "--migration-blackout-us must be >= 1";
   }
   if (opts.telemetry_period > sim::SimTime::zero()) {
     if (opts.telemetry_latency <= sim::SimTime::zero()) {
-      usage_error("--telemetry-latency-us must be >= 1");
+      return "--telemetry-latency-us must be >= 1";
     }
     if (opts.telemetry_period < opts.telemetry_latency) {
-      usage_error(
-          "--telemetry-period-us below --telemetry-latency-us would queue "
-          "unbounded in-flight reports");
+      return "--telemetry-period-us below --telemetry-latency-us would queue "
+             "unbounded in-flight reports";
     }
   }
-  return opts;
+  return nullptr;
 }
 
 /// The scenario factory one hosts-axis variant plugs into the sweep: the
 /// materialized experiment (machine sized by the overcommit axis, per-run
 /// seed derived) becomes a ClusterSpec.
 std::function<metrics::RunResult(const core::ExperimentSpec&, guest::TickMode)>
-make_cluster_runner(int hosts, const ClusterOpts& opts, unsigned engine_threads,
-                    sim::LookaheadMode lookahead_mode) {
-  return [hosts, opts, engine_threads, lookahead_mode](
-             const core::ExperimentSpec& exp, guest::TickMode mode) {
+make_cluster_runner(int hosts, const ClusterOpts& opts) {
+  return [hosts, opts](const core::ExperimentSpec& exp, guest::TickMode mode) {
     core::ClusterSpec cs = core::cluster_spec_for(exp, mode, hosts);
     // The guests' own estimators feed the scheduler AND the exported
     // estimator-error metric (steal_est_err columns).
     cs.guest.steal.enabled = true;
-    cs.engine_threads = engine_threads;
-    cs.lookahead_mode = lookahead_mode;
+    cs.engine_threads = opts.engine_threads;
+    cs.lookahead_mode = opts.lookahead_mode;
     cs.telemetry_period = opts.telemetry_period;
     cs.telemetry_latency = opts.telemetry_latency;
     cs.rebalance_period = opts.rebalance_period;
@@ -173,12 +151,10 @@ std::string variant_name(int hosts) { return metrics::format("hosts=%d", hosts);
 }  // namespace
 
 int main(int argc, char** argv) {
-  const core::SweepCli cli = core::SweepCli::parse(argc, argv);
   ClusterOpts opts;
-  try {
-    opts = parse_cluster_opts(cli.positional);
-  } catch (const sim::SimError& e) {
-    std::fprintf(stderr, "bench_cluster: %s\n", e.what());
+  const core::SweepCli cli = core::SweepCli::parse(argc, argv, cluster_flags(opts));
+  if (const char* error = opts_error(opts)) {
+    std::fprintf(stderr, "bench_cluster: %s\n", error);
     return 2;
   }
 
@@ -193,9 +169,8 @@ int main(int argc, char** argv) {
   cfg.root_seed = 4242;
   for (const int hosts : opts.hosts) {
     cfg.variants.push_back(
-        {variant_name(hosts), [hosts, &opts, &cli](core::ExperimentSpec& exp) {
-           exp.scenario.run = make_cluster_runner(
-               hosts, opts, cli.engine_threads, cli.lookahead_mode);
+        {variant_name(hosts), [hosts, &opts](core::ExperimentSpec& exp) {
+           exp.scenario.run = make_cluster_runner(hosts, opts);
          }});
   }
   cli.apply(cfg);
@@ -215,7 +190,7 @@ int main(int argc, char** argv) {
                 opts.rebalance_period.milliseconds());
     std::printf("(%zu runs, %.2fs wall on %u threads, engine-threads %u)\n\n",
                 res.runs.size(), res.wall_seconds, res.threads_used,
-                cli.engine_threads);
+                opts.engine_threads);
   }
 
   metrics::Table t({"hosts", "overcommit", "policy", "total exits",

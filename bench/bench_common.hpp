@@ -1,7 +1,6 @@
 // Shared helpers for the paper-reproduction bench binaries.
 #pragma once
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -20,41 +19,6 @@ inline std::string mean_ci(const sim::Accumulator& a, int precision = 0) {
   if (a.count() < 2) return metrics::format("%.*f", precision, a.mean());
   return metrics::format("%.*f ±%.*f", precision, a.mean(),
                          precision > 0 ? precision : 1, a.ci95_half_width());
-}
-
-/// One positional argument a bench accepts: what it selects, and the
-/// names that select something.
-struct PositionalSlot {
-  const char* what;  // "benchmark", "size", ...
-  std::vector<std::string> names;
-};
-
-/// Checks the bench's positionals: the i-th must be one of slots[i].names
-/// and there may be no more of them than slots. On a mismatch it prints
-/// the problem and every slot's valid names to stderr and returns false;
-/// the bench then exits 2 rather than run an empty selection.
-inline bool positionals_valid(const char* bench, const std::vector<std::string>& positional,
-                              const std::vector<PositionalSlot>& slots) {
-  bool ok = positional.size() <= slots.size();
-  if (!ok) {
-    std::fprintf(stderr, "%s: too many arguments (%zu given, at most %zu)\n", bench,
-                 positional.size(), slots.size());
-  }
-  for (std::size_t i = 0; ok && i < positional.size(); ++i) {
-    const auto& names = slots[i].names;
-    if (std::find(names.begin(), names.end(), positional[i]) == names.end()) {
-      std::fprintf(stderr, "%s: unknown %s '%s'\n", bench, slots[i].what,
-                   positional[i].c_str());
-      ok = false;
-    }
-  }
-  if (ok) return true;
-  for (const PositionalSlot& slot : slots) {
-    std::fprintf(stderr, "  valid %s names:", slot.what);
-    for (const auto& name : slot.names) std::fprintf(stderr, " %s", name.c_str());
-    std::fputc('\n', stderr);
-  }
-  return false;
 }
 
 /// Paper-vs-measured aggregate row (used by EXPERIMENTS.md).

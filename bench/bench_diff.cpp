@@ -4,74 +4,40 @@
 // stddev-aware threshold. Wired into CI against the committed baseline;
 // see EXPERIMENTS.md ("Refreshing the bench baseline").
 //
-// Usage: bench_diff <baseline.json> <current.json>
-//                   [--z T]        Welch z-score threshold (default 4.0)
-//                   [--rel-min R]  relative-change floor (default 0.001)
-//                   [--ks D]       wake_us histogram KS threshold (default 0.15)
-//                   [--metric M]   compare only metric M (repeatable;
-//                                  default: all, "wake_us_hist" = KS gate)
-//                   [--allow-grid-drift]  added/removed cells don't fail
-//                   [--quiet]      findings only, no summary on success
+// Usage: bench_diff <baseline.json> <current.json> [flags]; --help
+// lists the thresholds (--z, --rel-min, --ks: finite and >= 0), --metric,
+// --allow-grid-drift and --quiet.
 //
 // Exit codes: 0 clean, 1 regression, 2 usage or unreadable/corrupt input
 // (with a hint to regenerate the baseline — see EXPERIMENTS.md).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <vector>
 
+#include "core/cli_parse.hpp"
 #include "core/history.hpp"
 
 using namespace paratick;
 
-namespace {
-
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s <baseline.json> <current.json> [--z T] [--rel-min R]\n"
-               "          [--ks D] [--metric M]... [--allow-grid-drift] [--quiet]\n",
-               argv0);
-  return 2;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   core::DiffConfig cfg;
   bool quiet = false;
-  const char* baseline_path = nullptr;
-  const char* current_path = nullptr;
-
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const auto need_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(arg, "--z") == 0) {
-      cfg.z_threshold = std::strtod(need_value("--z"), nullptr);
-    } else if (std::strcmp(arg, "--rel-min") == 0) {
-      cfg.rel_min = std::strtod(need_value("--rel-min"), nullptr);
-    } else if (std::strcmp(arg, "--ks") == 0) {
-      cfg.ks_threshold = std::strtod(need_value("--ks"), nullptr);
-    } else if (std::strcmp(arg, "--metric") == 0) {
-      cfg.metrics.emplace_back(need_value("--metric"));
-    } else if (std::strcmp(arg, "--allow-grid-drift") == 0) {
-      cfg.grid_must_match = false;
-    } else if (std::strcmp(arg, "--quiet") == 0) {
-      quiet = true;
-    } else if (baseline_path == nullptr) {
-      baseline_path = arg;
-    } else if (current_path == nullptr) {
-      current_path = arg;
-    } else {
-      return usage(argv[0]);
-    }
-  }
-  if (baseline_path == nullptr || current_path == nullptr) return usage(argv[0]);
+  const std::vector<std::string> paths = core::parse_cli(
+      argc, argv,
+      {core::double_flag("--z", "T", "Welch z-score threshold (default 4.0)",
+                         cfg.z_threshold),
+       core::double_flag("--rel-min", "R", "relative-change floor (default 0.001)",
+                         cfg.rel_min),
+       core::double_flag("--ks", "D", "wake_us histogram KS threshold (default 0.15)",
+                         cfg.ks_threshold),
+       {"--metric", "M", "compare only metric M (repeatable; wake_us_hist = KS)",
+        [&cfg](const std::string& v) { cfg.metrics.push_back(v); }},
+       core::switch_flag("--allow-grid-drift", "added/removed cells don't fail",
+                         cfg.grid_must_match, false),
+       core::switch_flag("--quiet", "findings only, no summary on success", quiet)},
+      {{"baseline.json", {}, true}, {"current.json", {}, true}});
+  const char* baseline_path = paths[0].c_str();
+  const char* current_path = paths[1].c_str();
 
   // A missing or corrupt snapshot is an infrastructure problem, not a
   // regression: report what is wrong and how to fix it, and exit 2 so CI

@@ -16,13 +16,10 @@
 using namespace paratick;
 
 int main(int argc, char** argv) {
-  const core::SweepCli cli = core::SweepCli::parse(argc, argv);
   std::vector<std::string> benchmarks;
   for (const auto& profile : workload::parsec_suite()) benchmarks.emplace_back(profile.name);
-  if (!bench::positionals_valid("bench_fig4_sequential", cli.positional,
-                                {{"benchmark", benchmarks}})) {
-    return 2;
-  }
+  const core::SweepCli cli =
+      core::SweepCli::parse(argc, argv, {}, {{"benchmark", benchmarks}});
   const char* only = cli.positional.empty() ? nullptr : cli.positional.front().c_str();
 
   core::SweepConfig cfg;

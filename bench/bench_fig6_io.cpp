@@ -36,13 +36,10 @@ double mbps(double exec_ms, std::uint64_t bytes) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const core::SweepCli cli = core::SweepCli::parse(argc, argv);
   std::vector<std::string> categories;
   for (const auto& cat : workload::fio_categories()) categories.emplace_back(cat.name);
-  if (!bench::positionals_valid("bench_fig6_io", cli.positional,
-                                {{"category", categories}})) {
-    return 2;
-  }
+  const core::SweepCli cli =
+      core::SweepCli::parse(argc, argv, {}, {{"category", categories}});
   const char* only = cli.positional.empty() ? nullptr : cli.positional[0].c_str();
 
   core::SweepConfig cfg;

@@ -30,20 +30,20 @@
 // partchurn's counters are additionally invariant to --engine-threads —
 // that is the parallel engine's contract.
 //
-// Usage: bench_microbench [--repeat N] [--seed S] [--json FILE]
-//                         [--history-dir D] [--history-tag T]
-//                         [--engine-threads N] [--profile] [--quiet]
+// Usage: bench_microbench [flags]; --help lists them (--repeat, --seed,
+// --json, --history-dir/--history-tag, --engine-threads, --profile,
+// --quiet).
 //
 // The JSON output is a SweepResult::to_json()-shaped snapshot (variant =
 // case name, mode = "microbench"), so bench_diff consumes it unchanged.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "core/cli_parse.hpp"
 #include "core/history.hpp"
 #include "guest/timer_wheel.hpp"
 #include "sim/check.hpp"
@@ -439,16 +439,6 @@ void write_file(const std::string& path, const std::string& text) {
   std::fclose(f);
 }
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--repeat N] [--seed S] [--json FILE]\n"
-               "          [--history-dir D] [--history-tag T] "
-               "[--engine-threads N]\n"
-               "          [--profile] [--quiet]\n",
-               argv0);
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -458,37 +448,22 @@ int main(int argc, char** argv) {
   bool profile = false;
   bool quiet = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const auto need_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(arg, "--repeat") == 0) {
-      repeat = static_cast<int>(std::strtol(need_value("--repeat"), nullptr, 10));
-    } else if (std::strcmp(arg, "--seed") == 0) {
-      root_seed = std::strtoull(need_value("--seed"), nullptr, 0);
-    } else if (std::strcmp(arg, "--json") == 0) {
-      json_path = need_value("--json");
-    } else if (std::strcmp(arg, "--history-dir") == 0) {
-      history_dir = need_value("--history-dir");
-    } else if (std::strcmp(arg, "--history-tag") == 0) {
-      history_tag = need_value("--history-tag");
-    } else if (std::strcmp(arg, "--engine-threads") == 0) {
-      g_engine_threads = static_cast<unsigned>(
-          std::strtoul(need_value("--engine-threads"), nullptr, 10));
-      if (g_engine_threads == 0) g_engine_threads = 1;
-    } else if (std::strcmp(arg, "--profile") == 0) {
-      profile = true;
-    } else if (std::strcmp(arg, "--quiet") == 0) {
-      quiet = true;
-    } else {
-      return usage(argv[0]);
-    }
-  }
+  core::parse_cli(
+      argc, argv,
+      {core::uint_flag("--repeat", "N", "replicas per case (default 3)", repeat),
+       core::uint_flag("--seed", "S", "root seed (decimal or 0x hex)", root_seed,
+                       ~0ull, 0),
+       core::text_flag("--json", "FILE", "write the snapshot JSON to FILE", json_path),
+       core::text_flag("--history-dir", "D",
+                       "write the snapshot to D/bench_microbench/<tag>.json",
+                       history_dir),
+       core::text_flag("--history-tag", "T",
+                       "snapshot tag (default: the current git commit)", history_tag),
+       core::uint_flag("--engine-threads", "N", "partchurn engine threads (default 1)",
+                       g_engine_threads),
+       core::switch_flag("--profile", "print per-case engine counters", profile),
+       core::switch_flag("--quiet", "suppress per-replica progress lines", quiet)});
+  if (g_engine_threads == 0) g_engine_threads = 1;
   if (repeat < 1) repeat = 1;
 
   const auto bench_t0 = std::chrono::steady_clock::now();

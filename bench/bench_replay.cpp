@@ -10,15 +10,11 @@
 // event-by-event (core/record_replay): a reproduction must match every
 // recorded (time, event, state digest) triple, not just the final error.
 //
-// Usage: bench_replay <bundle.json | failure-dir>... [options]
-//   --quiet           suppress per-bundle detail
-//   --bisect          on a trace mismatch, binary-search chain-digest
-//                     prefixes to pin the exact first divergent event
-//   --trace P         use trace file P instead of the bundle's own
-//                     (single bundle only)
-//   --fault-<knob> X  override one fault rate before replaying — the
-//                     canonical way to force a divergence on purpose and
-//                     watch --bisect find where behavior first changed
+// Usage: bench_replay <bundle.json | failure-dir>... [flags]; --help
+// lists them. --bisect binary-searches chain-digest prefixes to pin the
+// exact first divergent event; --fault-<knob> X overrides one fault rate
+// before replaying — the canonical way to force a divergence on purpose
+// and watch --bisect find where behavior first changed.
 //
 // A directory argument is scanned for bundles in both layouts:
 // <dir>/<bench>/run<idx>.json (current) and <dir>/<bench>-run<idx>.json
@@ -30,14 +26,13 @@
 // nothing to replay.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <filesystem>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "core/cli_parse.hpp"
 #include "core/record_replay/bisect.hpp"
 #include "core/record_replay/trace.hpp"
 #include "core/replay.hpp"
@@ -218,54 +213,19 @@ int replay_one(const std::string& path, const Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const auto need_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(arg, "--quiet") == 0) {
-      opt.quiet = true;
-    } else if (std::strcmp(arg, "--bisect") == 0) {
-      opt.bisect = true;
-    } else if (std::strcmp(arg, "--trace") == 0) {
-      opt.trace_override = need_value("--trace");
-    } else if (std::strncmp(arg, "--fault-", 8) == 0) {
-      const std::string knob = arg + 8;
-      bool known = false;
-      for (const char* k : core::fault_knob_names()) {
-        if (knob == k) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) {
-        std::fprintf(stderr, "unknown fault knob --fault-%s\n", knob.c_str());
-        return 2;
-      }
-      const char* value = need_value(arg);
-      char* end = nullptr;
-      const double v = std::strtod(value, &end);
-      if (end == value || *end != '\0') {
-        std::fprintf(stderr, "--fault-%s: not a valid number: \"%s\"\n",
-                     knob.c_str(), value);
-        return 2;
-      }
-      opt.fault_overrides.emplace_back(knob, v);
-    } else {
-      opt.paths.emplace_back(arg);
-    }
+  std::vector<core::CliFlag> flags = {
+      core::switch_flag("--quiet", "suppress per-bundle detail", opt.quiet),
+      core::switch_flag("--bisect", "on a trace mismatch, pin the first divergent event",
+                        opt.bisect),
+      core::text_flag("--trace", "P",
+                      "use trace file P instead of the bundle's (one bundle)",
+                      opt.trace_override),
+  };
+  for (core::CliFlag& f : core::fault_knob_flags(opt.fault_overrides)) {
+    flags.push_back(std::move(f));
   }
-  if (opt.paths.empty()) {
-    std::fputs(
-        "usage: bench_replay <bundle.json | failure-dir>... "
-        "[--quiet] [--bisect] [--trace file] [--fault-<knob> value]\n",
-        stderr);
-    return 2;
-  }
+  opt.paths = core::parse_cli(argc, argv, flags,
+                              {{"bundle.json|failure-dir", {}, true, true}});
 
   std::vector<std::string> bundles;
   for (const std::string& arg : opt.paths) {

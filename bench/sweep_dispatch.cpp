@@ -19,9 +19,9 @@
 //
 // Exit codes: 0 when the sweep completes (including with degraded cells —
 // exhausting --max-retries is graceful degradation, not failure), 1 on
-// coordinator faults (broken worker command, plan skew), 2 on bad usage.
+// coordinator faults (broken worker command, plan skew), 2 on bad usage
+// (--help lists the flags).
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,27 +33,9 @@
 using namespace paratick;
 
 int main(int argc, char** argv) {
-  int split = -1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--") == 0) {
-      split = i;
-      break;
-    }
-  }
-  if (split < 0 || split + 1 >= argc) {
-    std::fputs(
-        "usage: sweep_dispatch [--workers N] [--max-retries N] [--no-steal]\n"
-        "           [--lease S] [--retry-backoff S] [--checkpoint P]\n"
-        "           [--dispatch-cmd 'ssh -T host {cmd}'] [--failure-dir D]\n"
-        "           [--sweep-csv P] [--sweep-json P] [--csv]\n"
-        "           -- <bench command line...>\n"
-        "       runs the bench's sweep through the fault-tolerant dispatcher\n",
-        stderr);
-    return 2;
-  }
-
-  const core::SweepCli cli = core::SweepCli::parse(split, argv);
-  std::vector<std::string> worker_cmd(argv + split + 1, argv + argc);
+  const core::SweepCli cli = core::SweepCli::parse(
+      argc, argv, {}, {{"command", {}, true, true}});
+  const std::vector<std::string>& worker_cmd = cli.positional;
 
   try {
     auto transport = std::make_unique<core::dispatch::CommandWorkerTransport>(
@@ -65,9 +47,6 @@ int main(int argc, char** argv) {
     core::dispatch::DispatchOptions opts;
     opts.workers = cli.dispatch_workers;
     opts.max_retries = cli.max_retries;
-    opts.steal = cli.steal;
-    opts.lease_sec = cli.lease_sec;
-    opts.retry_backoff_sec = cli.retry_backoff_sec;
     opts.checkpoint_path =
         core::resolve_output_path(cli.output_dir, cli.checkpoint_path);
     opts.bench_name = plan.bench;

@@ -15,9 +15,9 @@
 // the VM's global index, so they no longer shift when hosts are added).
 //
 // Build & run: cmake --build build && ./build/examples/consolidation
-// Flags: --hosts N, --rebalance-period MS (0 = off, the default), plus
-// the shared sweep CLI: -j N, --engine-threads N, --repeat N, --seed S,
-// --sweep-csv P, --sweep-json P, --quiet
+// Flags: --hosts N, --rebalance-period MS (0 = off, the default),
+// --engine-threads N, --lookahead-mode M, plus the shared sweep CLI
+// (-j N, --repeat N, --seed S, --sweep-csv P, ...; see --help).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -27,7 +27,6 @@
 #include "core/sweep.hpp"
 #include "metrics/report.hpp"
 #include "sim/check.hpp"
-#include "sim/error.hpp"
 #include "workload/micro.hpp"
 
 using namespace paratick;
@@ -40,42 +39,36 @@ constexpr sim::SimTime kDuration = sim::SimTime::sec(2);
 struct Opts {
   int hosts = 1;
   sim::SimTime rebalance_period;  // zero = place once, never rebalance
+  unsigned engine_threads = 1;
+  sim::LookaheadMode lookahead_mode = sim::LookaheadMode::kGlobal;
 };
 
-Opts parse_opts(const std::vector<std::string>& args) {
-  Opts opts;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const auto value = [&](const char* flag) -> const std::string& {
-      PARATICK_CHECK_MSG(i + 1 < args.size(), flag);
-      return args[++i];
-    };
-    if (args[i] == "--hosts") {
-      opts.hosts =
-          static_cast<int>(core::parse_u64_flag("--hosts", value("--hosts"), 64));
-      PARATICK_CHECK_MSG(opts.hosts >= 1, "--hosts must be >= 1");
-    } else if (args[i] == "--rebalance-period") {
-      opts.rebalance_period = sim::SimTime::from_seconds(
-          core::parse_double_flag("--rebalance-period",
-                                  value("--rebalance-period"), 0.0) /
-          1e3);
-    } else {
-      PARATICK_CHECK_MSG(false, ("unknown consolidation flag: " + args[i]).c_str());
-    }
+std::vector<core::CliFlag> consolidation_flags(Opts& opts) {
+  std::vector<core::CliFlag> flags = {
+      {"--hosts", "N", "hosts in the cluster (default 1)",
+       [&opts](const std::string& v) {
+         opts.hosts = static_cast<int>(core::parse_u64_flag("--hosts", v, 64));
+         PARATICK_CHECK_MSG(opts.hosts >= 1, "--hosts must be >= 1");
+       }},
+      {"--rebalance-period", "MS", "rebalance barrier period, 0 = off (default 0)",
+       [&opts](const std::string& v) {
+         opts.rebalance_period = sim::SimTime::from_seconds(
+             core::parse_double_flag("--rebalance-period", v, 0.0) / 1e3);
+       }},
+  };
+  for (core::CliFlag& f :
+       core::cluster_engine_flags(opts.engine_threads, opts.lookahead_mode)) {
+    flags.push_back(std::move(f));
   }
-  return opts;
+  return flags;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const core::SweepCli cli = core::SweepCli::parse(argc, argv);
   Opts opts;
-  try {
-    opts = parse_opts(cli.positional);
-  } catch (const sim::SimError& e) {
-    std::fprintf(stderr, "consolidation: %s\n", e.what());
-    return 2;
-  }
+  const core::SweepCli cli =
+      core::SweepCli::parse(argc, argv, consolidation_flags(opts));
 
   core::SweepConfig cfg;
   cfg.base.machine = hw::MachineSpec::small(8);  // per host
@@ -89,12 +82,12 @@ int main(int argc, char** argv) {
   // Every grid cell runs one core::Cluster; the host boundary is the
   // parallel-engine partition boundary, so --engine-threads spreads a
   // multi-host cell across threads without changing a single byte.
-  cfg.base.scenario.run = [opts, engine_threads = cli.engine_threads](
-                              const core::ExperimentSpec& exp,
-                              guest::TickMode mode) {
+  cfg.base.scenario.run = [opts](const core::ExperimentSpec& exp,
+                                 guest::TickMode mode) {
     core::ClusterSpec cs = core::cluster_spec_for(exp, mode, opts.hosts);
     cs.guest.steal.enabled = opts.rebalance_period > sim::SimTime::zero();
-    cs.engine_threads = engine_threads;
+    cs.engine_threads = opts.engine_threads;
+    cs.lookahead_mode = opts.lookahead_mode;
     cs.rebalance_period = opts.rebalance_period;
     // 4 VMs with individually tuned light, bursty service loads, keyed
     // by global index so a VM keeps its personality across migrations.

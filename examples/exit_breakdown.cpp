@@ -2,14 +2,17 @@
 // the full per-cause VM-exit table plus tick-policy statistics — the view
 // you would get from `perf kvm stat` on the real system.
 //
-// Usage: exit_breakdown [benchmark] [threads]
-//        exit_breakdown fio            (the I/O scenario)
+// Usage: exit_breakdown [benchmark] [threads]   (PARSEC name, default
+//        fluidanimate on 4 threads; threads >= 1)
+//        exit_breakdown fio                    (the I/O scenario)
 #include <cstdio>
-#include <cstdlib>
 #include <string>
+#include <vector>
 
+#include "core/cli_parse.hpp"
 #include "core/experiment.hpp"
 #include "metrics/report.hpp"
+#include "sim/check.hpp"
 #include "workload/fio.hpp"
 #include "workload/parsec.hpp"
 
@@ -59,8 +62,21 @@ void print_breakdown(const char* label, const metrics::RunResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string bench = argc > 1 ? argv[1] : "fluidanimate";
-  const int threads = argc > 2 ? std::atoi(argv[2]) : 4;
+  std::string bench = "fluidanimate";
+  int threads = 4;
+  std::vector<std::string> benchmarks;
+  for (const auto& profile : workload::parsec_suite()) {
+    benchmarks.emplace_back(profile.name);
+  }
+  benchmarks.emplace_back("fio");
+  core::parse_cli(
+      argc, argv, {},
+      {{"benchmark", benchmarks, false, false,
+        [&bench](const std::string& v) { bench = v; }},
+       {"threads", {}, false, false, [&threads](const std::string& v) {
+          threads = static_cast<int>(core::parse_u64_flag("threads", v, 256));
+          PARATICK_CHECK_MSG(threads >= 1, "threads must be >= 1");
+        }}});
 
   core::ExperimentSpec exp;
   if (bench == "fio") {

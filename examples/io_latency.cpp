@@ -7,13 +7,15 @@
 // Build & run: cmake --build build && ./build/examples/io_latency
 #include <cstdio>
 
+#include "core/cli_parse.hpp"
 #include "core/experiment.hpp"
 #include "metrics/report.hpp"
 #include "workload/fio.hpp"
 
 using namespace paratick;
 
-int main() {
+int main(int argc, char** argv) {
+  core::parse_cli(argc, argv, {});  // no flags: only --help
   struct Device {
     const char* name;
     hw::BlockDeviceSpec spec;

@@ -5,13 +5,15 @@
 // Build & run:  cmake --build build && ./build/examples/quickstart
 #include <cstdio>
 
+#include "core/cli_parse.hpp"
 #include "core/experiment.hpp"
 #include "metrics/report.hpp"
 #include "workload/parsec.hpp"
 
 using namespace paratick;
 
-int main() {
+int main(int argc, char** argv) {
+  core::parse_cli(argc, argv, {});  // no flags: only --help
   core::ExperimentSpec exp;
   exp.machine = hw::MachineSpec::small(4);
   exp.vcpus = 4;

@@ -6,13 +6,15 @@
 // Build & run: cmake --build build && ./build/examples/tick_freq_mismatch
 #include <cstdio>
 
+#include "core/cli_parse.hpp"
 #include "core/experiment.hpp"
 #include "metrics/report.hpp"
 #include "workload/micro.hpp"
 
 using namespace paratick;
 
-int main() {
+int main(int argc, char** argv) {
+  core::parse_cli(argc, argv, {});  // no flags: only --help
   std::puts("Guest declares 250 Hz; host tick frequency varies. 2 s busy guest.\n");
   metrics::Table t({"host Hz", "ratio", "strategy", "virtual ticks/s",
                     "timer exits/s"});

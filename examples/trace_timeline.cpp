@@ -3,11 +3,13 @@
 // first milliseconds side by side — the Figure 1 vs Figure 3 behaviour,
 // visible event by event.
 //
-// Usage: trace_timeline [dynticks|paratick|periodic|full-dynticks] [--csv]
+// Usage: trace_timeline [periodic|dynticks-idle|full-dynticks|paratick]
+//                       [--csv]   (default: dynticks-idle)
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <vector>
 
+#include "core/cli_parse.hpp"
 #include "core/system.hpp"
 #include "workload/micro.hpp"
 
@@ -16,13 +18,16 @@ using namespace paratick;
 int main(int argc, char** argv) {
   guest::TickMode mode = guest::TickMode::kDynticksIdle;
   bool csv = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "paratick") mode = guest::TickMode::kParatick;
-    if (arg == "periodic") mode = guest::TickMode::kPeriodic;
-    if (arg == "full-dynticks") mode = guest::TickMode::kFullDynticks;
-    if (arg == "--csv") csv = true;
+  std::vector<std::string> modes;
+  for (const auto m : {guest::TickMode::kPeriodic, guest::TickMode::kDynticksIdle,
+                       guest::TickMode::kFullDynticks, guest::TickMode::kParatick}) {
+    modes.emplace_back(guest::to_string(m));
   }
+  core::parse_cli(argc, argv,
+                  {core::switch_flag("--csv", "print the full trace as CSV", csv)},
+                  {{"mode", modes, false, false, [&mode](const std::string& v) {
+                      mode = guest::tick_mode_from_string(v);
+                    }}});
 
   core::SystemSpec spec;
   spec.machine = hw::MachineSpec::small(1);

@@ -1,11 +1,15 @@
 #include "core/cli_parse.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "sim/check.hpp"
+#include "sim/error.hpp"
 
 namespace paratick::core {
 
@@ -16,6 +20,13 @@ namespace {
   const std::string msg = std::string(flag) + ": " + why + ": \"" + text + "\"";
   PARATICK_CHECK_MSG(false, msg.c_str());
   std::abort();  // unreachable; PARATICK_CHECK_MSG throws
+}
+
+[[noreturn]] void usage_exit(const std::string& program, const std::string& msg,
+                             const std::string& listing) {
+  std::fprintf(stderr, "%s: %s\n%s", program.c_str(), msg.c_str(),
+               listing.c_str());
+  std::exit(2);
 }
 
 }  // namespace
@@ -71,6 +82,137 @@ std::size_t parse_choice_flag(const char* flag, const std::string& text,
     expected += c;
   }
   reject(flag, text, expected.c_str());
+}
+
+CliFlag switch_flag(std::string name, const char* help, bool& out, bool to) {
+  return {std::move(name), nullptr, help,
+          [&out, to](const std::string&) { out = to; }};
+}
+
+CliFlag text_flag(std::string name, const char* value, const char* help,
+                  std::string& out) {
+  return {std::move(name), value, help,
+          [&out](const std::string& v) { out = v; }};
+}
+
+CliFlag double_flag(std::string name, const char* value, const char* help,
+                    double& out, double min) {
+  return {name, value, help, [name, &out, min](const std::string& v) {
+            out = parse_double_flag(name.c_str(), v, min);
+          }};
+}
+
+std::string cli_listing(const std::string& program,
+                        const std::vector<CliFlag>& flags,
+                        const std::vector<CliSlot>& slots) {
+  std::string out = "usage: " + program + " [flags]";
+  for (const CliSlot& slot : slots) {
+    out += slot.required ? " <" : " [";
+    out += slot.name;
+    out += slot.required ? ">" : "]";
+    if (slot.repeats) out += "...";
+  }
+  out += '\n';
+  for (const CliSlot& slot : slots) {
+    if (slot.choices.empty()) continue;
+    out += "  " + slot.name + ":";
+    for (const std::string& c : slot.choices) out += " " + c;
+    out += '\n';
+  }
+  out += "flags:\n";
+  const auto spelled = [](const CliFlag& f) {
+    return f.value == nullptr ? f.name : f.name + " " + f.value;
+  };
+  std::size_t width = 6;  // "--help"
+  for (const CliFlag& f : flags) {
+    if (f.help != nullptr) width = std::max(width, spelled(f).size());
+  }
+  const auto line = [&](const std::string& flag, const char* help) {
+    out += "  " + flag + std::string(width - flag.size() + 2, ' ') + help + '\n';
+  };
+  for (const CliFlag& f : flags) {
+    if (f.help != nullptr) line(spelled(f), f.help);
+  }
+  line("--help", "print this listing and exit");
+  return out;
+}
+
+std::vector<std::string> parse_cli(int argc, char** argv,
+                                   const std::vector<CliFlag>& flags,
+                                   const std::vector<CliSlot>& slots) {
+  std::string program = argc > 0 ? argv[0] : "?";
+  program = program.substr(program.rfind('/') + 1);
+  const auto listing = [&] { return cli_listing(program, flags, slots); };
+
+  std::vector<std::string> positional;
+  try {
+    bool flags_done = false;
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (flags_done || arg.size() < 2 || arg[0] != '-') {
+        positional.push_back(arg);
+        continue;
+      }
+      if (arg == "--") {
+        flags_done = true;
+        continue;
+      }
+      if (arg == "--help") {
+        std::fputs(listing().c_str(), stdout);
+        std::exit(0);
+      }
+      const CliFlag* flag = nullptr;
+      std::string value;
+      bool attached = false;
+      for (const CliFlag& f : flags) {
+        if (arg == f.name) {
+          flag = &f;
+          break;
+        }
+        if (f.value != nullptr && f.name.size() == 2 && f.name[1] != '-' &&
+            arg.starts_with(f.name)) {
+          flag = &f;
+          value = arg.substr(2);
+          attached = true;
+          break;
+        }
+      }
+      if (flag == nullptr) {
+        usage_exit(program, "unknown flag " + arg, listing());
+      }
+      if (flag->value != nullptr && !attached) {
+        if (i + 1 >= argc) {
+          usage_exit(program, flag->name + " requires a value", listing());
+        }
+        value = argv[++i];
+      }
+      flag->set(value);
+    }
+
+    std::size_t slot = 0;    // slot the next positional goes to
+    std::size_t filled = 0;  // slots holding at least one value
+    for (const std::string& v : positional) {
+      if (slot >= slots.size()) {
+        usage_exit(program, "unexpected argument '" + v + "'", listing());
+      }
+      const CliSlot& s = slots[slot];
+      if (!s.choices.empty() &&
+          std::find(s.choices.begin(), s.choices.end(), v) == s.choices.end()) {
+        usage_exit(program, "unknown " + s.name + " '" + v + "'", listing());
+      }
+      if (s.set) s.set(v);
+      filled = slot + 1;
+      if (!s.repeats) ++slot;
+    }
+    for (std::size_t k = filled; k < slots.size(); ++k) {
+      if (slots[k].required) {
+        usage_exit(program, "missing " + slots[k].name, listing());
+      }
+    }
+  } catch (const sim::SimError& e) {
+    usage_exit(program, e.msg(), listing());
+  }
+  return positional;
 }
 
 }  // namespace paratick::core

@@ -253,7 +253,7 @@ class Coordinator {
   }
 
   void maybe_steal(double now) {
-    if (!opts_.steal || active_.size() >= opts_.workers) return;
+    if (active_.size() >= opts_.workers) return;
     for (const Pending& p : pending_) {
       if (p.eligible_at <= now) return;  // real work is ready; no need
     }

@@ -8,7 +8,7 @@
 //
 //   lease       any protocol traffic (records, #run announcements, #hb
 //               heartbeats) renews a worker's lease; a worker silent for
-//               --lease seconds is presumed wedged, SIGKILLed, and its
+//               lease_sec (30 s) is presumed wedged, SIGKILLed, and its
 //               unfinished work re-enqueued.
 //   attribution an unclean death charges exactly the announced in-flight
 //               run (retry with exponential backoff + deterministic
@@ -56,7 +56,6 @@ struct DispatchOptions {
   /// Extra attempts per run after the first; exceeding it degrades the
   /// run to a kCrash record instead of failing the sweep.
   std::size_t max_retries = 2;
-  bool steal = true;
   /// Lease: a worker with no protocol traffic for this long is presumed
   /// wedged and killed. Must be comfortably above the worker heartbeat.
   double lease_sec = 30.0;

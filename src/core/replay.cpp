@@ -229,7 +229,6 @@ SweepRun replay_run(SweepConfig cfg, const ReplayBundle& b) {
     dispatch::DispatchOptions opts;
     opts.workers = 1;
     opts.max_retries = 0;
-    opts.steal = false;
     dispatch::SweepDispatcher dispatcher(
         std::make_unique<dispatch::ForkWorkerTransport>(std::move(cfg)),
         std::move(opts));

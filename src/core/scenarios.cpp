@@ -37,7 +37,19 @@ constexpr const char* kScenarios[] = {"timer-storm", "sync-storm", "io-storm",
 
 }  // namespace
 
-std::span<const char* const> fault_knob_names() { return kFaultKnobs; }
+std::vector<CliFlag> fault_knob_flags(
+    std::vector<std::pair<std::string, double>>& overrides) {
+  std::vector<CliFlag> flags;
+  for (const char* knob : kFaultKnobs) {
+    const std::string name = std::string("--fault-") + knob;
+    flags.push_back({name, "X", "override this chaos fault knob",
+                     [&overrides, knob, name](const std::string& v) {
+                       overrides.emplace_back(
+                           knob, parse_double_flag(name.c_str(), v));
+                     }});
+  }
+  return flags;
+}
 
 void set_fault_knob(fault::FaultConfig& cfg, const std::string& knob,
                     double value) {

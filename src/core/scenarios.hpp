@@ -9,7 +9,10 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
+#include "core/cli_parse.hpp"
 #include "core/sweep.hpp"
 #include "fault/fault.hpp"
 
@@ -20,8 +23,10 @@ namespace paratick::core {
 /// not so hot that every run degrades.
 [[nodiscard]] fault::FaultConfig default_chaos_faults();
 
-/// Names accepted as --fault-<knob> overrides, e.g. --fault-timer-drop.
-[[nodiscard]] std::span<const char* const> fault_knob_names();
+/// One --fault-<knob> X flag per knob (e.g. --fault-timer-drop 0.02):
+/// each appends (knob, X) to `overrides`, X a finite number >= 0.
+[[nodiscard]] std::vector<CliFlag> fault_knob_flags(
+    std::vector<std::pair<std::string, double>>& overrides);
 
 /// Set one knob by CLI name. Probabilities take the value verbatim;
 /// duration knobs (timer-late-max, coalesce-window, steal-burst-max) read

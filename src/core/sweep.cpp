@@ -7,7 +7,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -390,134 +389,82 @@ void SweepResult::write_json(const std::string& path) const {
 
 namespace {
 
-/// The body of SweepCli::parse. Checked numeric parsing throws
-/// sim::SimError on bad input (core/cli_parse.hpp); the public wrapper
-/// turns that into exit(2) so `-j garbage` or `--seed 0xzz` fail loudly
-/// instead of silently parsing to 0.
-SweepCli parse_sweep_cli(int argc, char** argv) {
-  SweepCli cli;
-  cli.raw_args.assign(argv, argv + argc);
-  const auto need_value = [&](int& i, const char* flag) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "%s requires a value\n", flag);
-      std::exit(2);
-    }
-    return argv[++i];
+/// The flags every sweep binary shares, writing into `cli`.
+std::vector<CliFlag> shared_sweep_flags(SweepCli& cli) {
+  std::vector<CliFlag> flags = {
+      uint_flag("-j", "N", "worker threads (also -jN; default: all cores)",
+                cli.threads),
+      uint_flag("--repeat", "N", "seed replicas per cell (default 1)",
+                cli.repeat),
+      {"--seed", "S", "root seed (decimal or 0x hex)",
+       [&cli](const std::string& v) {
+         cli.root_seed = parse_u64_flag("--seed", v, ~0ull, 0);
+       }},
+      switch_flag("--csv", "machine-readable stdout (per-bench table)",
+                  cli.csv),
+      switch_flag("--quiet", "suppress per-run progress lines (stderr)",
+                  cli.progress, false),
+      text_flag("--sweep-csv", "P", "export the per-cell grid as CSV to P",
+                cli.sweep_csv),
+      text_flag("--sweep-json", "P", "export the per-cell grid as JSON to P",
+                cli.sweep_json),
+      text_flag("--history-dir", "D",
+                "write the JSON grid to D/<bench>/<tag>.json",
+                cli.history_dir),
+      text_flag("--history-tag", "T",
+                "snapshot tag (default: the current git commit)",
+                cli.history_tag),
+      switch_flag("--profile", "print the engine hot-path profile",
+                  cli.profile),
+      text_flag("--output-dir", "D",
+                "base for relative --failure-dir/--checkpoint paths",
+                cli.output_dir),
+      switch_flag("--chaos", "default fault mix + invariant watchdog",
+                  cli.chaos),
+      switch_flag("--watchdog", "invariant watchdog without faults",
+                  cli.watchdog),
+      text_flag("--failure-dir", "D", "write a replay bundle per failed run",
+                cli.failure_dir),
+      switch_flag("--record-trace",
+                  "record an event trace per run (bench_replay --bisect)",
+                  cli.record_trace),
+      double_flag("--run-timeout", "S", "per-run wall-clock budget in seconds",
+                  cli.run_timeout_sec),
+      switch_flag("--dispatch",
+                  "run the sweep through the fault-tolerant dispatcher",
+                  cli.dispatch),
+      uint_flag("--workers", "N", "dispatcher worker processes (default 2)",
+                cli.dispatch_workers),
+      uint_flag("--max-retries", "N",
+                "attempts per run before its cell degrades (default 2)",
+                cli.max_retries),
+      text_flag("--dispatch-cmd", "T",
+                "launch workers via a shell template ({cmd} = worker command)",
+                cli.dispatch_cmd),
+      text_flag("--checkpoint", "P",
+                "crash-safe dispatcher snapshot, resumed from if present",
+                cli.checkpoint_path),
+      uint_flag("--dispatch-test-kill", "N", nullptr, cli.dispatch_test_kill),
+      text_flag("--worker-slice", "SPEC", nullptr, cli.worker_slice),
+      switch_flag("--worker-plan", nullptr, cli.worker_plan),
   };
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "-j") == 0) {
-      cli.threads = static_cast<unsigned>(
-          parse_u64_flag("-j", need_value(i, "-j"), ~0u));
-    } else if (std::strncmp(arg, "-j", 2) == 0 && arg[2] != '\0') {
-      cli.threads = static_cast<unsigned>(parse_u64_flag("-j", arg + 2, ~0u));
-    } else if (std::strcmp(arg, "--engine-threads") == 0) {
-      cli.engine_threads = static_cast<unsigned>(parse_u64_flag(
-          "--engine-threads", need_value(i, "--engine-threads"), ~0u));
-    } else if (std::strcmp(arg, "--lookahead-mode") == 0) {
-      cli.lookahead_mode = parse_choice_flag("--lookahead-mode",
-                                             need_value(i, "--lookahead-mode"),
-                                             {"global", "topology"}) == 0
-                               ? sim::LookaheadMode::kGlobal
-                               : sim::LookaheadMode::kTopology;
-    } else if (std::strcmp(arg, "--repeat") == 0) {
-      cli.repeat = static_cast<int>(parse_u64_flag(
-          "--repeat", need_value(i, "--repeat"), 0x7FFFFFFFull));
-    } else if (std::strcmp(arg, "--seed") == 0) {
-      // base 0: decimal or 0x-prefixed hex, full 64-bit range.
-      cli.root_seed =
-          parse_u64_flag("--seed", need_value(i, "--seed"), ~0ull, 0);
-    } else if (std::strcmp(arg, "--csv") == 0) {
-      cli.csv = true;
-    } else if (std::strcmp(arg, "--quiet") == 0) {
-      cli.progress = false;
-    } else if (std::strcmp(arg, "--sweep-csv") == 0) {
-      cli.sweep_csv = need_value(i, "--sweep-csv");
-    } else if (std::strcmp(arg, "--sweep-json") == 0) {
-      cli.sweep_json = need_value(i, "--sweep-json");
-    } else if (std::strcmp(arg, "--history-dir") == 0) {
-      cli.history_dir = need_value(i, "--history-dir");
-    } else if (std::strcmp(arg, "--history-tag") == 0) {
-      cli.history_tag = need_value(i, "--history-tag");
-    } else if (std::strcmp(arg, "--profile") == 0) {
-      cli.profile = true;
-    } else if (std::strcmp(arg, "--output-dir") == 0) {
-      cli.output_dir = need_value(i, "--output-dir");
-    } else if (std::strcmp(arg, "--chaos") == 0) {
-      cli.chaos = true;
-    } else if (std::strcmp(arg, "--watchdog") == 0) {
-      cli.watchdog = true;
-    } else if (std::strcmp(arg, "--failure-dir") == 0) {
-      cli.failure_dir = need_value(i, "--failure-dir");
-    } else if (std::strcmp(arg, "--record-trace") == 0) {
-      cli.record_trace = true;
-    } else if (std::strcmp(arg, "--run-timeout") == 0) {
-      cli.run_timeout_sec =
-          parse_double_flag("--run-timeout", need_value(i, "--run-timeout"));
-    } else if (std::strcmp(arg, "--dispatch") == 0) {
-      cli.dispatch = true;
-    } else if (std::strcmp(arg, "--workers") == 0) {
-      cli.dispatch_workers = static_cast<unsigned>(
-          parse_u64_flag("--workers", need_value(i, "--workers"), ~0u));
-    } else if (std::strcmp(arg, "--max-retries") == 0) {
-      cli.max_retries = static_cast<std::size_t>(
-          parse_u64_flag("--max-retries", need_value(i, "--max-retries")));
-    } else if (std::strcmp(arg, "--steal") == 0) {
-      cli.steal = true;
-    } else if (std::strcmp(arg, "--no-steal") == 0) {
-      cli.steal = false;
-    } else if (std::strcmp(arg, "--lease") == 0) {
-      cli.lease_sec = parse_double_flag("--lease", need_value(i, "--lease"));
-    } else if (std::strcmp(arg, "--retry-backoff") == 0) {
-      cli.retry_backoff_sec = parse_double_flag(
-          "--retry-backoff", need_value(i, "--retry-backoff"));
-    } else if (std::strcmp(arg, "--heartbeat") == 0) {
-      cli.heartbeat_sec =
-          parse_double_flag("--heartbeat", need_value(i, "--heartbeat"));
-    } else if (std::strcmp(arg, "--dispatch-cmd") == 0) {
-      cli.dispatch_cmd = need_value(i, "--dispatch-cmd");
-    } else if (std::strcmp(arg, "--checkpoint") == 0) {
-      cli.checkpoint_path = need_value(i, "--checkpoint");
-    } else if (std::strcmp(arg, "--dispatch-test-kill") == 0) {
-      cli.dispatch_test_kill = static_cast<std::size_t>(parse_u64_flag(
-          "--dispatch-test-kill", need_value(i, "--dispatch-test-kill")));
-    } else if (std::strcmp(arg, "--worker-slice") == 0) {
-      cli.worker_slice = need_value(i, "--worker-slice");
-    } else if (std::strcmp(arg, "--worker-plan") == 0) {
-      cli.worker_plan = true;
-    } else if (std::strncmp(arg, "--fault-", 8) == 0) {
-      const std::string knob = arg + 8;
-      bool known = false;
-      for (const char* k : fault_knob_names()) {
-        if (knob == k) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) {
-        std::fprintf(stderr, "unknown fault knob --fault-%s\n", knob.c_str());
-        std::exit(2);
-      }
-      cli.fault_overrides.emplace_back(
-          knob, parse_double_flag(arg, need_value(i, arg)));
-    } else {
-      cli.positional.emplace_back(arg);
-    }
+  for (CliFlag& f : fault_knob_flags(cli.fault_overrides)) {
+    flags.push_back(std::move(f));
   }
-  if (cli.repeat < 1) cli.repeat = 1;
-  return cli;
+  return flags;
 }
 
 }  // namespace
 
-SweepCli SweepCli::parse(int argc, char** argv) {
-  try {
-    return parse_sweep_cli(argc, argv);
-  } catch (const sim::SimError& e) {
-    // Bad flag values are user errors, not bugs: report cleanly, exit 2.
-    std::fprintf(stderr, "%s\n", e.msg().c_str());
-    std::exit(2);
-  }
+SweepCli SweepCli::parse(int argc, char** argv, std::vector<CliFlag> extra,
+                         const std::vector<CliSlot>& slots) {
+  SweepCli cli;
+  cli.raw_args.assign(argv, argv + argc);
+  std::vector<CliFlag> flags = shared_sweep_flags(cli);
+  for (CliFlag& f : extra) flags.push_back(std::move(f));
+  cli.positional = parse_cli(argc, argv, flags, slots);
+  if (cli.repeat < 1) cli.repeat = 1;
+  return cli;
 }
 
 void SweepCli::apply(SweepConfig& cfg) const {
@@ -549,9 +496,6 @@ SweepResult run_dispatched(const SweepCli& cli, const SweepConfig& cfg) {
   dispatch::DispatchOptions opts;
   opts.workers = cli.dispatch_workers;
   opts.max_retries = cli.max_retries;
-  opts.steal = cli.steal;
-  opts.lease_sec = cli.lease_sec;
-  opts.retry_backoff_sec = cli.retry_backoff_sec;
   opts.checkpoint_path =
       resolve_output_path(cfg.output_dir, cli.checkpoint_path);
   opts.bench_name = cfg.bench_name;
@@ -573,11 +517,9 @@ SweepResult run_dispatched(const SweepCli& cli, const SweepConfig& cfg) {
     };
   }
 
-  dispatch::WorkerOptions wopts;
-  wopts.heartbeat_sec = cli.heartbeat_sec;
   std::unique_ptr<dispatch::WorkerTransport> transport;
   if (cli.dispatch_cmd.empty()) {
-    transport = std::make_unique<dispatch::ForkWorkerTransport>(cfg, wopts);
+    transport = std::make_unique<dispatch::ForkWorkerTransport>(cfg);
   } else {
     transport = std::make_unique<dispatch::CommandWorkerTransport>(
         cli.raw_args, cli.dispatch_cmd);
@@ -611,13 +553,11 @@ SweepResult SweepCli::run_sweep(SweepConfig cfg) const {
   }
   if (!worker_slice.empty()) {
     try {
-      dispatch::WorkerOptions wopts;
-      wopts.heartbeat_sec = heartbeat_sec;
       std::exit(dispatch::run_worker_slice(cfg,
                                            dispatch::decode_slice(
                                                worker_slice,
                                                SweepPlan::make(cfg).total_runs()),
-                                           STDOUT_FILENO, STDIN_FILENO, wopts));
+                                           STDOUT_FILENO, STDIN_FILENO));
     } catch (const sim::SimError& e) {
       std::fprintf(stderr, "%s\n", e.msg().c_str());
       std::exit(2);

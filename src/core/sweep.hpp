@@ -29,10 +29,11 @@
 #include <utility>
 #include <vector>
 
+#include "core/cli_parse.hpp"
 #include "core/experiment.hpp"
 #include "fault/fault.hpp"
 #include "metrics/run_metrics.hpp"
-#include "sim/parallel/parallel_engine.hpp"
+#include "sim/engine.hpp"
 #include "sim/stats.hpp"
 
 namespace paratick::core {
@@ -295,68 +296,13 @@ class SweepRunner {
   SweepConfig cfg_;
 };
 
-/// Shared CLI for the sweep-driven bench/example binaries:
-///   -j N | -jN        worker threads (default: hardware_concurrency)
-///   --engine-threads N  threads inside each cluster run's parallel
-///                     engine (core::Cluster scenarios only; orthogonal to
-///                     -j, results bit-identical for any N; default 1)
-///   --lookahead-mode M  parallel-engine window bounds: "global" (default,
-///                     one conservative window = min link latency) or
-///                     "topology" (per-partition safe horizons from the
-///                     declared links; identical results, fewer barriers)
-///   --repeat N        seed replicas per cell (default 1)
-///   --seed S          root seed
-///   --csv             machine-readable stdout (per-bench table)
-///   --sweep-csv P     write the per-cell summary grid as CSV to P
-///   --sweep-json P    same as JSON
-///   --history-dir D   append the JSON snapshot as D/<bench>/<tag>.json
-///                     (tag defaults to the current git commit; see
-///                     core/history.hpp and the bench_diff gate)
-///   --history-tag T   override the snapshot tag
-///   --profile         print the engine hot-path profile (events/sec,
-///                     callback spills, slot high-water, compactions)
-///   --output-dir D    resolve relative failure/checkpoint paths against D
-///   --quiet           suppress per-run progress lines
-///   --chaos           enable the default chaos fault mix + watchdog
-///   --watchdog        enable only the invariant watchdog
-///   --failure-dir P   write replay bundles for failed runs under P
-///   --record-trace    record a full event trace per run; failed runs'
-///                     traces land next to their replay bundles (see
-///                     core/record_replay and bench_replay --bisect)
-///   --run-timeout S   per-run wall-clock timeout in seconds
-///   --fault-<knob> X  override one fault rate (see chaos docs), e.g.
-///                     --fault-timer-drop 0.02 --fault-steal 0.05
-/// Distributed dispatch (core/dispatch, see DESIGN.md):
-///   --dispatch        supervise the sweep through the fault-tolerant
-///                     dispatcher instead of the local thread pool: worker
-///                     subprocesses with lease-based slice ownership,
-///                     crash retry with backoff, work stealing, and
-///                     graceful degradation after --max-retries (a run
-///                     that segfaults or aborts becomes a kCrash replica)
-///   --workers N       dispatcher worker slots (default 2)
-///   --max-retries N   failed attempts allowed per run before its cell
-///                     degrades (default 2); the sweep still exits 0
-///   --steal / --no-steal  work stealing on idle slots (default on)
-///   --lease S         kill workers silent for S seconds (default 30)
-///   --retry-backoff S base of the exponential retry backoff (default .25)
-///   --heartbeat S     worker heartbeat period (default 0.5)
-///   --dispatch-cmd T  launch workers through a shell template instead of
-///                     fork(): T with "{cmd}" replaced by the quoted
-///                     worker command, e.g. "ssh -T host2 {cmd}"
-///   --checkpoint P    crash-safe dispatcher progress snapshot: written
-///                     atomically as records arrive, resumed from on
-///                     restart (only missing runs re-execute)
-/// Hidden (appended by the dispatcher when relaunching this binary):
-///   --worker-slice SPEC   execute run indices "0-5,9" as a protocol
-///                         worker (streams records on stdout, exits)
-///   --worker-plan         print the #plan identity header and exit
-///   --dispatch-test-kill N  test hook: SIGKILL the worker that delivered
-///                         the Nth record
-/// Unrecognized arguments are collected as positionals.
+/// Shared CLI for the sweep-driven bench/example binaries: threads,
+/// replicas, seed, exports, history, chaos and dispatch flags, listed with
+/// one help line each by `<binary> --help`. The dispatcher appends the
+/// hidden --worker-slice / --worker-plan flags when it relaunches a
+/// binary as a worker; --dispatch-test-kill is a test hook.
 struct SweepCli {
   unsigned threads = 0;
-  unsigned engine_threads = 1;
-  sim::LookaheadMode lookahead_mode = sim::LookaheadMode::kGlobal;
   int repeat = 1;
   std::optional<std::uint64_t> root_seed;
   bool csv = false;
@@ -379,10 +325,6 @@ struct SweepCli {
   bool dispatch = false;
   unsigned dispatch_workers = 2;
   std::size_t max_retries = 2;
-  bool steal = true;
-  double lease_sec = 30.0;
-  double retry_backoff_sec = 0.25;
-  double heartbeat_sec = 0.5;
   std::string dispatch_cmd;        // worker launch template; "" = fork()
   std::string checkpoint_path;
   std::size_t dispatch_test_kill = 0;
@@ -393,7 +335,12 @@ struct SweepCli {
   std::vector<std::string> raw_args;
   std::vector<std::string> positional;
 
-  [[nodiscard]] static SweepCli parse(int argc, char** argv);
+  /// Parse the shared flags plus the binary's own `extra` flags and
+  /// positional `slots` (core/cli_parse.hpp: usage errors exit 2,
+  /// --help exits 0).
+  [[nodiscard]] static SweepCli parse(int argc, char** argv,
+                                      std::vector<CliFlag> extra = {},
+                                      const std::vector<CliSlot>& slots = {});
 
   /// Copy the flags onto a config (root_seed only if given on the CLI).
   void apply(SweepConfig& cfg) const;

@@ -5,8 +5,10 @@
 #include <vector>
 
 #include "core/cli_parse.hpp"
+#include "core/cluster/cluster.hpp"
 #include "core/sweep.hpp"
 #include "expect_error.hpp"
+#include "sim/check.hpp"
 
 namespace paratick::core {
 namespace {
@@ -128,9 +130,9 @@ TEST(ParseChoiceFlag, RejectsUnknownSpellingsListingTheChoices) {
                    "expected one of");
 }
 
-// ---- SweepCli end to end -------------------------------------------------
+// ---- parse_cli: the table-driven parser ---------------------------------
 
-/// Build a mutable argv for SweepCli::parse.
+/// Build a mutable argv for parse_cli / SweepCli::parse.
 struct Argv {
   explicit Argv(std::vector<std::string> args) : storage(std::move(args)) {
     ptrs.push_back(const_cast<char*>("bench"));
@@ -142,14 +144,133 @@ struct Argv {
   std::vector<char*> ptrs;
 };
 
+/// A small table: a switch, a numeric flag, a single-dash flag and one
+/// hidden flag, all writing into a Parsed.
+struct Parsed {
+  bool csv = false;
+  std::uint64_t repeat = 0;
+  std::uint64_t threads = 0;
+  std::string hidden;
+};
+
+std::vector<CliFlag> table(Parsed& p) {
+  return {
+      {"--csv", nullptr, "machine-readable output",
+       [&p](const std::string&) { p.csv = true; }},
+      {"--repeat", "N", "replicas",
+       [&p](const std::string& v) { p.repeat = parse_u64_flag("--repeat", v); }},
+      {"-j", "N", "worker threads",
+       [&p](const std::string& v) { p.threads = parse_u64_flag("-j", v); }},
+      {"--secret", "X", nullptr, [&p](const std::string& v) { p.hidden = v; }},
+  };
+}
+
+TEST(ParseCli, SetsFlagsInAnyOrderAndReturnsPositionals) {
+  Parsed p;
+  Argv a({"small", "--repeat", "3", "--csv", "ferret", "--secret", "s"});
+  const std::vector<std::string> pos = parse_cli(
+      a.argc(), a.argv(), table(p), {{"size"}, {"benchmark"}});
+  EXPECT_TRUE(p.csv);
+  EXPECT_EQ(p.repeat, 3u);
+  EXPECT_EQ(p.hidden, "s");
+  EXPECT_EQ(pos, (std::vector<std::string>{"small", "ferret"}));
+}
+
+TEST(ParseCli, DashJTakesAnAttachedOrASeparateValue) {
+  for (const auto& args : {std::vector<std::string>{"-j4"},
+                           std::vector<std::string>{"-j", "4"}}) {
+    Parsed p;
+    Argv a(args);
+    (void)parse_cli(a.argc(), a.argv(), table(p));
+    EXPECT_EQ(p.threads, 4u) << args.front();
+  }
+}
+
+TEST(ParseCli, DoubleDashEndsTheFlags) {
+  Parsed p;
+  Argv a({"--repeat", "2", "--", "./bench", "--csv", "-j4"});
+  const std::vector<std::string> pos = parse_cli(
+      a.argc(), a.argv(), table(p), {{"command", {}, true, true}});
+  EXPECT_EQ(p.repeat, 2u);
+  EXPECT_FALSE(p.csv);
+  EXPECT_EQ(p.threads, 0u);
+  EXPECT_EQ(pos, (std::vector<std::string>{"./bench", "--csv", "-j4"}));
+}
+
+TEST(ParseCli, SlotSettersSeeEachValue) {
+  Parsed p;
+  std::vector<std::string> seen;
+  Argv a({"a", "b", "c"});
+  (void)parse_cli(a.argc(), a.argv(), table(p),
+                  {{"first"},
+                   {"rest", {}, false, true,
+                    [&seen](const std::string& v) { seen.push_back(v); }}});
+  EXPECT_EQ(seen, (std::vector<std::string>{"b", "c"}));
+}
+
+TEST(ParseCli, UsageErrorsExitWithCode2AndListTheTable) {
+  struct Case {
+    std::vector<std::string> args;
+    const char* why;
+  };
+  const Case cases[] = {
+      {{"--no-such-flag"}, "unknown flag --no-such-flag.*--repeat N.*--help"},
+      {{"-x"}, "unknown flag -x"},
+      {{"--repeat"}, "--repeat requires a value"},
+      {{"--repeat", "many"}, "not a valid integer.*usage: bench"},
+      {{"-jx"}, "not a valid integer"},
+      {{"huge"}, "unknown size 'huge'.*size: small large"},
+      {{"small", "ferret", "extra"}, "unexpected argument 'extra'"},
+      {{}, "missing size"},
+  };
+  for (const Case& c : cases) {
+    Parsed p;
+    Argv a(c.args);
+    EXPECT_EXIT((void)parse_cli(a.argc(), a.argv(), table(p),
+                                {{"size", {"small", "large"}, true},
+                                 {"benchmark"}}),
+                ::testing::ExitedWithCode(2), c.why)
+        << "args: " << (c.args.empty() ? "(none)" : c.args.front());
+  }
+}
+
+TEST(ParseCli, SlotSetterErrorsExitWithCode2) {
+  Parsed p;
+  Argv a({"0"});
+  EXPECT_EXIT((void)parse_cli(a.argc(), a.argv(), table(p),
+                              {{"threads", {}, false, false,
+                                [](const std::string& v) {
+                                  PARATICK_CHECK_MSG(parse_u64_flag("threads", v) >= 1,
+                                                     "threads must be >= 1");
+                                }}}),
+              ::testing::ExitedWithCode(2), "threads must be >= 1");
+}
+
+TEST(ParseCli, HelpPrintsTheListingAndExits0) {
+  Parsed p;
+  const std::string listing =
+      cli_listing("bench", table(p), {{"size", {"small", "large"}}});
+  EXPECT_NE(listing.find("usage: bench [flags] [size]"), std::string::npos);
+  EXPECT_NE(listing.find("  size: small large\n"), std::string::npos);
+  EXPECT_NE(listing.find("  --csv "), std::string::npos);
+  EXPECT_NE(listing.find("  --repeat N "), std::string::npos);
+  EXPECT_NE(listing.find("  -j N "), std::string::npos);
+  EXPECT_NE(listing.find("  --help "), std::string::npos);
+  EXPECT_EQ(listing.find("--secret"), std::string::npos);  // hidden
+
+  Argv a({"--repeat", "2", "--help", "--no-such-flag"});
+  EXPECT_EXIT((void)parse_cli(a.argc(), a.argv(), table(p)),
+              ::testing::ExitedWithCode(0), "");
+}
+
+// ---- SweepCli end to end -------------------------------------------------
+
 TEST(SweepCliParse, AcceptsValidNumericFlags) {
   Argv a({"-j", "4", "--repeat", "3", "--seed", "0xdead", "--run-timeout",
-          "1.5", "--fault-timer-drop", "0.25", "--record-trace",
-          "--lookahead-mode", "topology", "extra"});
-  const SweepCli cli = SweepCli::parse(a.argc(), a.argv());
+          "1.5", "--fault-timer-drop", "0.25", "--record-trace", "extra"});
+  const SweepCli cli = SweepCli::parse(a.argc(), a.argv(), {}, {{"word"}});
   EXPECT_EQ(cli.threads, 4u);
   EXPECT_EQ(cli.repeat, 3);
-  EXPECT_EQ(cli.lookahead_mode, sim::LookaheadMode::kTopology);
   ASSERT_TRUE(cli.root_seed.has_value());
   EXPECT_EQ(*cli.root_seed, 0xdeadu);
   EXPECT_DOUBLE_EQ(cli.run_timeout_sec, 1.5);
@@ -161,17 +282,12 @@ TEST(SweepCliParse, AcceptsValidNumericFlags) {
 }
 
 TEST(SweepCliParse, AcceptsDispatchFlags) {
-  Argv a({"--dispatch", "--workers", "3", "--max-retries", "5", "--no-steal",
-          "--lease", "2.5", "--retry-backoff", "0.125", "--heartbeat", "0.2",
+  Argv a({"--dispatch", "--workers", "3", "--max-retries", "5",
           "--checkpoint", "ckpt.json", "--dispatch-cmd", "ssh -T n{cmd}"});
   const SweepCli cli = SweepCli::parse(a.argc(), a.argv());
   EXPECT_TRUE(cli.dispatch);
   EXPECT_EQ(cli.dispatch_workers, 3u);
   EXPECT_EQ(cli.max_retries, 5u);
-  EXPECT_FALSE(cli.steal);
-  EXPECT_DOUBLE_EQ(cli.lease_sec, 2.5);
-  EXPECT_DOUBLE_EQ(cli.retry_backoff_sec, 0.125);
-  EXPECT_DOUBLE_EQ(cli.heartbeat_sec, 0.2);
   EXPECT_EQ(cli.checkpoint_path, "ckpt.json");
   EXPECT_EQ(cli.dispatch_cmd, "ssh -T n{cmd}");
   // The dispatcher relaunches workers from the original argv; parse must
@@ -180,9 +296,20 @@ TEST(SweepCliParse, AcceptsDispatchFlags) {
   EXPECT_EQ(cli.raw_args[1], "--dispatch");
 }
 
+TEST(SweepCliParse, AcceptsTheBinarysOwnFlags) {
+  unsigned engine_threads = 1;
+  sim::LookaheadMode mode = sim::LookaheadMode::kGlobal;
+  Argv a({"--engine-threads", "4", "--lookahead-mode", "topology", "-j2"});
+  const SweepCli cli = SweepCli::parse(
+      a.argc(), a.argv(), cluster_engine_flags(engine_threads, mode));
+  EXPECT_EQ(cli.threads, 2u);
+  EXPECT_EQ(engine_threads, 4u);
+  EXPECT_EQ(mode, sim::LookaheadMode::kTopology);
+}
+
 TEST(SweepCliParse, BadNumbersExitWithCode2NotZero) {
-  // The bug this PR fixes: `-j garbage` used to strtoul to 0 and run the
-  // sweep single-threaded as if nothing happened.
+  // The bug this parser exists for: `-j garbage` used to strtoul to 0 and
+  // run the sweep single-threaded as if nothing happened.
   struct Case {
     std::vector<std::string> args;
     const char* why;
@@ -196,14 +323,10 @@ TEST(SweepCliParse, BadNumbersExitWithCode2NotZero) {
       {{"--repeat", ""}, "empty value"},
       {{"--run-timeout", "fast"}, "not a valid number"},
       {{"--fault-timer-drop", "-0.5"}, "negative"},
+      {{"--fault-timer-drop", "nan"}, "out of range"},
       {{"--workers", "many"}, "not a valid integer"},
       {{"--max-retries", "-1"}, "non-negative"},
-      {{"--lease", "fast"}, "not a valid number"},
-      {{"--retry-backoff", "0.1s"}, "not a valid number"},
-      {{"--heartbeat", ""}, "empty value"},
       {{"--dispatch-test-kill", "2.5"}, "not a valid integer"},
-      {{"--lookahead-mode", "sideways"}, "expected one of global topology"},
-      {{"--lookahead-mode", "topo"}, "expected one of"},
   };
   for (const Case& c : cases) {
     Argv a(c.args);
@@ -213,41 +336,32 @@ TEST(SweepCliParse, BadNumbersExitWithCode2NotZero) {
   }
 }
 
-// ---- bench_cluster flags -------------------------------------------------
-// The cluster bench parses its own flags out of the sweep CLI's
-// positional residue with the same strict helpers; these pin down the
-// (flag, bound) pairs it uses so garbage can't silently reshape the
-// cluster under test.
-
-TEST(ClusterFlags, AcceptsSaneValues) {
-  EXPECT_EQ(parse_u64_flag("--hosts", "8", 64), 8u);
-  EXPECT_EQ(parse_u64_flag("--vms-per-host", "32", 256), 32u);
-  EXPECT_EQ(parse_u64_flag("--migration-blackout-us", "500", 1'000'000), 500u);
-  EXPECT_EQ(parse_u64_flag("--migration-dirty-mcycles", "2", 1'000'000), 2u);
-  EXPECT_DOUBLE_EQ(parse_double_flag("--overcommit", "2.5", 0.01), 2.5);
-  EXPECT_DOUBLE_EQ(parse_double_flag("--rebalance-period", "0", 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(parse_double_flag("--duration-ms", "100", 0.001), 100.0);
+TEST(SweepCliParse, UnknownAndRemovedFlagsExitWithCode2) {
+  // Flags the shared CLI does not have — typos, removed dispatch knobs, and
+  // the cluster-only engine flags — fail loudly instead of being ignored.
+  for (const char* flag : {"--no-such-flag", "--fault-nosuch", "--no-steal",
+                           "--lease", "--heartbeat", "--engine-threads"}) {
+    Argv a({flag, "1"});
+    EXPECT_EXIT((void)SweepCli::parse(a.argc(), a.argv()),
+                ::testing::ExitedWithCode(2),
+                std::string("unknown flag ") + flag)
+        << flag;
+  }
+  Argv stray({"stray"});
+  EXPECT_EXIT((void)SweepCli::parse(stray.argc(), stray.argv()),
+              ::testing::ExitedWithCode(2), "unexpected argument 'stray'");
 }
 
-TEST(ClusterFlags, RejectsGarbageAndOutOfRange) {
-  EXPECT_SIM_ERROR((void)parse_u64_flag("--hosts", "lots", 64),
-                   "not a valid integer");
-  EXPECT_SIM_ERROR((void)parse_u64_flag("--hosts", "65", 64), "out of range");
-  EXPECT_SIM_ERROR((void)parse_u64_flag("--vms-per-host", "257", 256),
-                   "out of range");
-  EXPECT_SIM_ERROR((void)parse_u64_flag("--vms-per-host", "-4", 256),
-                   "non-negative");
-  EXPECT_SIM_ERROR((void)parse_u64_flag("--migration-blackout-us", "1e6",
-                                        1'000'000),
-                   "not a valid integer");
-  EXPECT_SIM_ERROR((void)parse_double_flag("--overcommit", "fast", 0.01),
-                   "not a valid number");
-  EXPECT_SIM_ERROR((void)parse_double_flag("--overcommit", "-1", 0.01),
-                   "negative");
-  EXPECT_SIM_ERROR((void)parse_double_flag("--rebalance-period", "", 0.0),
-                   "empty value");
-  EXPECT_SIM_ERROR((void)parse_double_flag("--duration-ms", "10ms", 0.001),
-                   "not a valid number");
+TEST(ClusterEngineFlags, RejectUnknownLookaheadModes) {
+  for (const char* bad : {"sideways", "topo", "Global"}) {
+    unsigned engine_threads = 1;
+    sim::LookaheadMode mode = sim::LookaheadMode::kGlobal;
+    Argv a({"--lookahead-mode", bad});
+    EXPECT_EXIT((void)parse_cli(a.argc(), a.argv(),
+                                cluster_engine_flags(engine_threads, mode)),
+                ::testing::ExitedWithCode(2), "expected one of global topology")
+        << bad;
+  }
 }
 
 }  // namespace

@@ -232,8 +232,9 @@ TEST(SweepCli, ParsesHistoryFlags) {
 TEST(SweepCli, ParsesFlagsAndPositionals) {
   const char* argv[] = {"bench", "-j4",     "--repeat", "3",  "--seed",
                         "99",    "--quiet", "--csv",    "small"};
-  const SweepCli cli = SweepCli::parse(static_cast<int>(std::size(argv)),
-                                       const_cast<char**>(argv));
+  const SweepCli cli =
+      SweepCli::parse(static_cast<int>(std::size(argv)), const_cast<char**>(argv),
+                      {}, {{"size", {"small", "large"}}});
   EXPECT_EQ(cli.threads, 4u);
   EXPECT_EQ(cli.repeat, 3);
   ASSERT_TRUE(cli.root_seed.has_value());
