@@ -52,10 +52,11 @@ struct ClusterOpts {
 
 /// The bench's own flags, parsed strictly into `opts` (exit 2 on garbage).
 std::vector<core::CliFlag> cluster_flags(ClusterOpts& opts) {
-  const auto us = [](const char* flag, sim::SimTime& out, std::uint64_t max) {
-    return [flag, &out, max](const std::string& v) {
+  const auto us = [](const char* flag, sim::SimTime& out, std::uint64_t min,
+                     std::uint64_t max) {
+    return [flag, &out, min, max](const std::string& v) {
       out = sim::SimTime::us(
-          static_cast<std::int64_t>(core::parse_u64_flag(flag, v, max)));
+          static_cast<std::int64_t>(core::parse_u64_flag(flag, v, max, 10, min)));
     };
   };
   const auto ms = [](const char* flag, sim::SimTime& out, double min) {
@@ -66,10 +67,10 @@ std::vector<core::CliFlag> cluster_flags(ClusterOpts& opts) {
   std::vector<core::CliFlag> flags = {
       {"--hosts", "N", "single hosts-axis point (default: 2 and 4)",
        [&opts](const std::string& v) {
-         opts.hosts = {static_cast<int>(core::parse_u64_flag("--hosts", v, 64))};
+         opts.hosts = {static_cast<int>(core::parse_u64_flag("--hosts", v, 64, 10, 1))};
        }},
       core::uint_flag("--vms-per-host", "M", "VMs per host (default 4)",
-                      opts.vms_per_host, 256),
+                      opts.vms_per_host, 1, 256),
       {"--overcommit", "X", "single overcommit point (default: 1 and 2)",
        [&opts](const std::string& v) {
          opts.overcommit = {core::parse_double_flag("--overcommit", v, 0.01)};
@@ -77,16 +78,16 @@ std::vector<core::CliFlag> cluster_flags(ClusterOpts& opts) {
       {"--rebalance-period", "MS", "rebalance barrier period, 0 = off (default 10)",
        ms("--rebalance-period", opts.rebalance_period, 0.0)},
       {"--migration-blackout-us", "U", "stop-and-copy blackout (default 500)",
-       us("--migration-blackout-us", opts.migration_blackout, 1'000'000)},
+       us("--migration-blackout-us", opts.migration_blackout, 1, 1'000'000)},
       core::uint_flag("--migration-dirty-mcycles", "C",
                       "dirty-page copy cost per end (default 2)",
-                      opts.migration_dirty_mcycles, 1'000'000),
+                      opts.migration_dirty_mcycles, 0, 1'000'000),
       {"--duration-ms", "MS", "simulated time per run (default 100)",
        ms("--duration-ms", opts.duration, 0.001)},
       {"--telemetry-period-us", "U", "load-report period to host 0, 0 = off (default 0)",
-       us("--telemetry-period-us", opts.telemetry_period, 1'000'000'000)},
+       us("--telemetry-period-us", opts.telemetry_period, 0, 1'000'000'000)},
       {"--telemetry-latency-us", "U", "latency of the telemetry links (default 50)",
-       us("--telemetry-latency-us", opts.telemetry_latency, 1'000'000'000)},
+       us("--telemetry-latency-us", opts.telemetry_latency, 0, 1'000'000'000)},
   };
   for (core::CliFlag& f :
        core::cluster_engine_flags(opts.engine_threads, opts.lookahead_mode)) {
@@ -95,13 +96,8 @@ std::vector<core::CliFlag> cluster_flags(ClusterOpts& opts) {
   return flags;
 }
 
-/// The checks made after the parse; nullptr = consistent.
+/// The cross-field checks made after the parse; nullptr = consistent.
 const char* opts_error(const ClusterOpts& opts) {
-  if (opts.hosts.front() < 1) return "--hosts must be >= 1";
-  if (opts.vms_per_host < 1) return "--vms-per-host must be >= 1";
-  if (opts.migration_blackout <= sim::SimTime::zero()) {
-    return "--migration-blackout-us must be >= 1";
-  }
   if (opts.telemetry_period > sim::SimTime::zero()) {
     if (opts.telemetry_latency <= sim::SimTime::zero()) {
       return "--telemetry-latency-us must be >= 1";

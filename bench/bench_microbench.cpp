@@ -452,7 +452,7 @@ int main(int argc, char** argv) {
       argc, argv,
       {core::uint_flag("--repeat", "N", "replicas per case (default 3)", repeat),
        core::uint_flag("--seed", "S", "root seed (decimal or 0x hex)", root_seed,
-                       ~0ull, 0),
+                       0, ~0ull, 0),
        core::text_flag("--json", "FILE", "write the snapshot JSON to FILE", json_path),
        core::text_flag("--history-dir", "D",
                        "write the snapshot to D/bench_microbench/<tag>.json",

@@ -34,7 +34,9 @@ using namespace paratick;
 
 int main(int argc, char** argv) {
   const core::SweepCli cli = core::SweepCli::parse(
-      argc, argv, {}, {{"command", {}, true, true}});
+      argc, argv, {},
+      {{.name = "command", .required = true, .repeats = true,
+        .after_dashdash = true}});
   const std::vector<std::string>& worker_cmd = cli.positional;
 
   try {

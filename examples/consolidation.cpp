@@ -26,7 +26,6 @@
 #include "core/cluster/cluster.hpp"
 #include "core/sweep.hpp"
 #include "metrics/report.hpp"
-#include "sim/check.hpp"
 #include "workload/micro.hpp"
 
 using namespace paratick;
@@ -47,8 +46,7 @@ std::vector<core::CliFlag> consolidation_flags(Opts& opts) {
   std::vector<core::CliFlag> flags = {
       {"--hosts", "N", "hosts in the cluster (default 1)",
        [&opts](const std::string& v) {
-         opts.hosts = static_cast<int>(core::parse_u64_flag("--hosts", v, 64));
-         PARATICK_CHECK_MSG(opts.hosts >= 1, "--hosts must be >= 1");
+         opts.hosts = static_cast<int>(core::parse_u64_flag("--hosts", v, 64, 10, 1));
        }},
       {"--rebalance-period", "MS", "rebalance barrier period, 0 = off (default 0)",
        [&opts](const std::string& v) {

@@ -12,7 +12,6 @@
 #include "core/cli_parse.hpp"
 #include "core/experiment.hpp"
 #include "metrics/report.hpp"
-#include "sim/check.hpp"
 #include "workload/fio.hpp"
 #include "workload/parsec.hpp"
 
@@ -74,8 +73,7 @@ int main(int argc, char** argv) {
       {{"benchmark", benchmarks, false, false,
         [&bench](const std::string& v) { bench = v; }},
        {"threads", {}, false, false, [&threads](const std::string& v) {
-          threads = static_cast<int>(core::parse_u64_flag("threads", v, 256));
-          PARATICK_CHECK_MSG(threads >= 1, "threads must be >= 1");
+          threads = static_cast<int>(core::parse_u64_flag("threads", v, 256, 10, 1));
         }}});
 
   core::ExperimentSpec exp;

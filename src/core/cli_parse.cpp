@@ -32,7 +32,8 @@ namespace {
 }  // namespace
 
 std::uint64_t parse_u64_flag(const char* flag, const std::string& text,
-                             std::uint64_t max_value, int base) {
+                             std::uint64_t max_value, int base,
+                             std::uint64_t min_value) {
   if (text.empty()) reject(flag, text, "expected a number, got empty value");
   // strtoull happily parses "-3" by wrapping it to 2^64-3; for a flag
   // that counts things that is never what the user meant.
@@ -49,6 +50,9 @@ std::uint64_t parse_u64_flag(const char* flag, const std::string& text,
   }
   if (errno == ERANGE || v > max_value) {
     reject(flag, text, "value out of range");
+  }
+  if (v < min_value) {
+    reject(flag, text, ("value must be >= " + std::to_string(min_value)).c_str());
   }
   return v;
 }
@@ -107,6 +111,7 @@ std::string cli_listing(const std::string& program,
                         const std::vector<CliSlot>& slots) {
   std::string out = "usage: " + program + " [flags]";
   for (const CliSlot& slot : slots) {
+    if (slot.after_dashdash) out += " --";
     out += slot.required ? " <" : " [";
     out += slot.name;
     out += slot.required ? ">" : "]";
@@ -147,10 +152,12 @@ std::vector<std::string> parse_cli(int argc, char** argv,
   std::vector<std::string> positional;
   try {
     bool flags_done = false;
+    std::size_t before_dashdash = 0;  // positionals seen before `--`
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (flags_done || arg.size() < 2 || arg[0] != '-') {
         positional.push_back(arg);
+        if (!flags_done) before_dashdash = positional.size();
         continue;
       }
       if (arg == "--") {
@@ -191,11 +198,16 @@ std::vector<std::string> parse_cli(int argc, char** argv,
 
     std::size_t slot = 0;    // slot the next positional goes to
     std::size_t filled = 0;  // slots holding at least one value
-    for (const std::string& v : positional) {
+    for (std::size_t j = 0; j < positional.size(); ++j) {
+      const std::string& v = positional[j];
       if (slot >= slots.size()) {
         usage_exit(program, "unexpected argument '" + v + "'", listing());
       }
       const CliSlot& s = slots[slot];
+      if (s.after_dashdash && j < before_dashdash) {
+        usage_exit(program, s.name + " must follow -- (got '" + v + "')",
+                   listing());
+      }
       if (!s.choices.empty() &&
           std::find(s.choices.begin(), s.choices.end(), v) == s.choices.end()) {
         usage_exit(program, "unknown " + s.name + " '" + v + "'", listing());

@@ -27,10 +27,11 @@ namespace paratick::core {
 
 /// Parse an unsigned integer flag value. base 10 by default; base 0
 /// accepts 0x-prefixed hex (--seed). Rejects empty/garbage/trailing
-/// junk, leading '-', and values above `max_value`.
+/// junk, leading '-', and values outside [min_value, max_value].
 [[nodiscard]] std::uint64_t parse_u64_flag(
     const char* flag, const std::string& text,
-    std::uint64_t max_value = ~0ull, int base = 10);
+    std::uint64_t max_value = ~0ull, int base = 10,
+    std::uint64_t min_value = 0);
 
 /// Parse a finite double flag value (rejects empty/garbage/trailing
 /// junk, inf/nan, and anything below `min_value`).
@@ -60,7 +61,7 @@ struct CliFlag {
 
 /// Table entries for the common shapes: a switch that stores `to`, a
 /// text value, a checked finite double (at least `min`) and a checked
-/// unsigned count (at most `max`; base 0 also takes 0x hex).
+/// unsigned count (in [min, max]; base 0 also takes 0x hex).
 [[nodiscard]] CliFlag switch_flag(std::string name, const char* help, bool& out,
                                   bool to = true);
 [[nodiscard]] CliFlag text_flag(std::string name, const char* value,
@@ -71,22 +72,26 @@ struct CliFlag {
 template <typename T>
 [[nodiscard]] CliFlag uint_flag(
     std::string name, const char* value, const char* help, T& out,
+    std::uint64_t min = 0,
     std::uint64_t max = static_cast<std::uint64_t>(std::numeric_limits<T>::max()),
     int base = 10) {
-  return {name, value, help, [name, &out, max, base](const std::string& v) {
-            out = static_cast<T>(parse_u64_flag(name.c_str(), v, max, base));
+  return {name, value, help, [name, &out, min, max, base](const std::string& v) {
+            out = static_cast<T>(parse_u64_flag(name.c_str(), v, max, base, min));
           }};
 }
 
 /// One positional slot. A value must be one of `choices` unless that is
 /// empty. A `repeats` slot (the last one) takes every remaining value.
-/// `set`, if given, converts or checks each value.
+/// `set`, if given, converts or checks each value. An `after_dashdash`
+/// slot takes only values that follow `--`, so a command line that
+/// leaves `--` out cannot hand the slot's flags to this binary.
 struct CliSlot {
   std::string name;  // "benchmark", "size"
   std::vector<std::string> choices = {};
   bool required = false;
   bool repeats = false;
   std::function<void(const std::string&)> set = {};
+  bool after_dashdash = false;
 };
 
 /// The --help text: a usage line naming the slots, each slot's choices,

@@ -1,7 +1,6 @@
 #include "core/cluster/cluster.hpp"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
 #include "core/sweep.hpp"
@@ -80,22 +79,6 @@ const char* unsupported_cluster_flag(const SweepConfig& cfg) {
   if (cfg.watchdog) return "--watchdog";
   if (cfg.run_timeout_sec > 0.0) return "--run-timeout";
   return nullptr;
-}
-
-std::vector<CliFlag> cluster_engine_flags(unsigned& engine_threads,
-                                          sim::LookaheadMode& lookahead_mode) {
-  return {
-      uint_flag("--engine-threads", "N",
-                "threads inside each cluster run's parallel engine (default 1)",
-                engine_threads),
-      {"--lookahead-mode", "M", "engine window bounds: global or topology",
-       [&lookahead_mode](const std::string& v) {
-         lookahead_mode = parse_choice_flag("--lookahead-mode", v,
-                                            {"global", "topology"}) == 0
-                              ? sim::LookaheadMode::kGlobal
-                              : sim::LookaheadMode::kTopology;
-       }},
-  };
 }
 
 Cluster::Cluster(ClusterSpec spec) : spec_(std::move(spec)) {

@@ -29,7 +29,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/cli_parse.hpp"
 #include "core/cluster/scheduler.hpp"
 #include "core/system.hpp"
 #include "metrics/run_metrics.hpp"
@@ -120,12 +119,6 @@ struct SweepConfig;
 /// "--watchdog", "--run-timeout"), or nullptr. Cluster binaries check it
 /// after SweepCli::apply and exit 2 before the sweep starts.
 [[nodiscard]] const char* unsupported_cluster_flag(const SweepConfig& cfg);
-
-/// The parallel-engine flags of the cluster binaries (bench_cluster,
-/// consolidation): --engine-threads N and --lookahead-mode M, written
-/// into the two ClusterSpec knobs of the same names.
-[[nodiscard]] std::vector<CliFlag> cluster_engine_flags(
-    unsigned& engine_threads, sim::LookaheadMode& lookahead_mode);
 
 class Cluster {
  public:

@@ -46,8 +46,8 @@ std::string render_template(const std::string& shell_template,
 
 }  // namespace
 
-ForkWorkerTransport::ForkWorkerTransport(SweepConfig cfg, WorkerOptions wopts)
-    : cfg_(std::move(cfg)), wopts_(wopts) {
+ForkWorkerTransport::ForkWorkerTransport(SweepConfig cfg)
+    : cfg_(std::move(cfg)) {
   // Workers must not interleave per-run progress lines with the
   // coordinator's own; the dispatcher reports progress itself.
   cfg_.progress = false;
@@ -75,8 +75,7 @@ WorkerProcess ForkWorkerTransport::launch(
   if (pid == 0) {
     ::close(out_fds[0]);
     ::close(ctl_fds[1]);
-    const int rc = run_worker_slice(cfg_, indices, out_fds[1], ctl_fds[0],
-                                    wopts_);
+    const int rc = run_worker_slice(cfg_, indices, out_fds[1], ctl_fds[0]);
     // _Exit: no destructors, no atexit — the coordinator holds the real
     // state, and flushing shared stdio buffers would duplicate output.
     std::_Exit(rc);

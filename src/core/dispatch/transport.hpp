@@ -54,7 +54,7 @@ class WorkerTransport {
 /// fork()-without-exec workers sharing the coordinator's SweepConfig.
 class ForkWorkerTransport final : public WorkerTransport {
  public:
-  explicit ForkWorkerTransport(SweepConfig cfg, WorkerOptions wopts = {});
+  explicit ForkWorkerTransport(SweepConfig cfg);
 
   [[nodiscard]] const char* name() const override { return "fork"; }
   [[nodiscard]] PlanInfo plan() override;
@@ -63,7 +63,6 @@ class ForkWorkerTransport final : public WorkerTransport {
 
  private:
   SweepConfig cfg_;
-  WorkerOptions wopts_;
 };
 
 /// fork()+exec workers built from a bench command line. The plan is

@@ -24,6 +24,9 @@ namespace paratick::core::dispatch {
 
 namespace {
 
+/// Heartbeat period; the coordinator's lease must stay well above it.
+constexpr double kHeartbeatSec = 0.5;
+
 /// Serializes the record stream against the heartbeat thread: a `#hb`
 /// landing inside a half-written record would corrupt the frame.
 class LineWriter {
@@ -49,7 +52,7 @@ class LineWriter {
 
 int run_worker_slice(const SweepConfig& cfg,
                      const std::vector<std::size_t>& indices, int out_fd,
-                     int ctl_fd, const WorkerOptions& opts) {
+                     int ctl_fd) {
   // A dead coordinator must surface as a failed write, not SIGPIPE death.
   ::signal(SIGPIPE, SIG_IGN);
 
@@ -103,22 +106,17 @@ int run_worker_slice(const SweepConfig& cfg,
   std::mutex hb_mu;
   std::condition_variable hb_cv;
   bool hb_stop = false;
-  std::thread hb;
-  if (opts.heartbeat_sec > 0.0) {
-    hb = std::thread([&] {
-      std::unique_lock<std::mutex> lock(hb_mu);
-      while (true) {
-        if (hb_cv.wait_for(lock,
-                           std::chrono::duration<double>(opts.heartbeat_sec),
-                           [&] { return hb_stop; })) {
-          return;
-        }
-        if (!out.write_line("#hb")) return;
+  std::thread hb([&] {
+    std::unique_lock<std::mutex> lock(hb_mu);
+    while (true) {
+      if (hb_cv.wait_for(lock, std::chrono::duration<double>(kHeartbeatSec),
+                         [&] { return hb_stop; })) {
+        return;
       }
-    });
-  }
+      if (!out.write_line("#hb")) return;
+    }
+  });
   const auto join_hb = [&] {
-    if (!hb.joinable()) return;
     {
       std::lock_guard<std::mutex> lock(hb_mu);
       hb_stop = true;
@@ -134,9 +132,7 @@ int run_worker_slice(const SweepConfig& cfg,
   } hb_joiner{join_hb};
 
   const std::string failure_dir =
-      opts.write_bundles
-          ? resolve_output_path(cfg.output_dir, cfg.failure_dir)
-          : std::string();
+      resolve_output_path(cfg.output_dir, cfg.failure_dir);
   const auto& keys = plan.cell_keys();
 
   int rc = 0;

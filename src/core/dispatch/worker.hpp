@@ -17,22 +17,14 @@
 
 namespace paratick::core::dispatch {
 
-struct WorkerOptions {
-  /// Heartbeat period in seconds; <= 0 disables the heartbeat thread
-  /// (tests that exercise lease expiry on a wedged worker).
-  double heartbeat_sec = 0.5;
-  /// Write replay bundles (and thereby traces, via the plan) for failed
-  /// runs under cfg.failure_dir, as a local sweep would.
-  bool write_bundles = true;
-};
-
 /// Execute `indices` of cfg's plan in order, streaming the dispatch
 /// protocol to `out_fd`. `ctl_fd` (pass -1 for none) carries the
 /// coordinator's `#limit` lines; EOF on it means the coordinator is gone
-/// and the worker stops taking new work. Returns 0 on a clean (possibly
-/// truncated) finish, 1 if the output pipe died mid-stream.
+/// and the worker stops taking new work. Replay bundles for failed runs
+/// go under cfg.failure_dir, as in a local sweep. Returns 0 on a clean
+/// (possibly truncated) finish, 1 if the output pipe died mid-stream.
 int run_worker_slice(const SweepConfig& cfg,
                      const std::vector<std::size_t>& indices, int out_fd,
-                     int ctl_fd, const WorkerOptions& opts = {});
+                     int ctl_fd);
 
 }  // namespace paratick::core::dispatch

@@ -34,6 +34,7 @@
 #include "fault/fault.hpp"
 #include "metrics/run_metrics.hpp"
 #include "sim/engine.hpp"
+#include "sim/parallel/parallel_engine.hpp"
 #include "sim/stats.hpp"
 
 namespace paratick::core {
@@ -357,5 +358,12 @@ struct SweepCli {
   void export_results(const SweepResult& result,
                       const std::string& bench_name = {}) const;
 };
+
+/// The parallel-engine flags of the cluster binaries (bench_cluster,
+/// consolidation), passed to SweepCli::parse as extra flags:
+/// --engine-threads N and --lookahead-mode M, written into the two
+/// ClusterSpec knobs of the same names.
+[[nodiscard]] std::vector<CliFlag> cluster_engine_flags(
+    unsigned& engine_threads, sim::LookaheadMode& lookahead_mode);
 
 }  // namespace paratick::core

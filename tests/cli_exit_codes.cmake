@@ -69,10 +69,12 @@ expect(2 "missing scenario" "${BENCH_DIR}/bench_chaos")
 expect(2 "--repeat: not a valid integer" "${BENCH_DIR}/bench_microbench" --repeat many)
 expect(2 "--seed: not a valid integer" "${BENCH_DIR}/bench_microbench" --seed 0xzz)
 
-expect(2 "--hosts must be >= 1" "${BENCH_DIR}/bench_cluster" --hosts 0)
+expect(2 "--hosts: value must be >= 1" "${BENCH_DIR}/bench_cluster" --hosts 0)
+expect(2 "--vms-per-host: value must be >= 1" "${BENCH_DIR}/bench_cluster"
+       --vms-per-host 0)
 expect(2 "expected one of global topology" "${BENCH_DIR}/bench_cluster"
        --lookahead-mode sideways)
-expect(2 "--migration-blackout-us must be >= 1" "${BENCH_DIR}/bench_cluster"
+expect(2 "--migration-blackout-us: value must be >= 1" "${BENCH_DIR}/bench_cluster"
        --migration-blackout-us 0)
 expect(2 "--chaos / --fault-<knob> is not supported" "${BENCH_DIR}/bench_cluster" --chaos)
 
@@ -90,6 +92,8 @@ expect(2 "--fault-timer-drop: value must not be negative" "${BENCH_DIR}/bench_re
 expect(2 "missing bundle" "${BENCH_DIR}/bench_replay" --quiet)
 
 expect(2 "missing command" "${BENCH_DIR}/sweep_dispatch" --workers 2)
+expect(2 "command must follow --" "${BENCH_DIR}/sweep_dispatch"
+       --workers 2 ./bench_table1 --repeat 4)
 expect(2 "--workers: not a valid integer" "${BENCH_DIR}/sweep_dispatch"
        --workers many -- true)
 
@@ -98,9 +102,9 @@ foreach(e quickstart io_latency tick_freq_mismatch)
 endforeach()
 expect(2 "unknown benchmark 'nosuchbench'" "${EXAMPLE_DIR}/exit_breakdown" nosuchbench)
 expect(2 "threads: not a valid integer" "${EXAMPLE_DIR}/exit_breakdown" fluidanimate abc)
-expect(2 "threads must be >= 1" "${EXAMPLE_DIR}/exit_breakdown" fluidanimate 0)
+expect(2 "threads: value must be >= 1" "${EXAMPLE_DIR}/exit_breakdown" fluidanimate 0)
 expect(2 "unknown mode 'paratik'" "${EXAMPLE_DIR}/trace_timeline" paratik)
-expect(2 "--hosts must be >= 1" "${EXAMPLE_DIR}/consolidation" --hosts 0)
+expect(2 "--hosts: value must be >= 1" "${EXAMPLE_DIR}/consolidation" --hosts 0)
 expect(2 "expected one of global topology" "${EXAMPLE_DIR}/consolidation"
        --lookahead-mode sideways)
 

@@ -197,6 +197,26 @@ TEST(ParseCli, DoubleDashEndsTheFlags) {
   EXPECT_EQ(pos, (std::vector<std::string>{"./bench", "--csv", "-j4"}));
 }
 
+TEST(ParseCli, AfterDashdashSlotRejectsValuesBeforeIt) {
+  const std::vector<CliSlot> slots = {{.name = "command",
+                                       .required = true,
+                                       .repeats = true,
+                                       .after_dashdash = true}};
+  Parsed p;
+  Argv ok({"--", "./bench", "--repeat", "4"});
+  EXPECT_EQ(parse_cli(ok.argc(), ok.argv(), table(p), slots),
+            (std::vector<std::string>{"./bench", "--repeat", "4"}));
+  EXPECT_EQ(p.repeat, 0u);
+  EXPECT_NE(cli_listing("bench", table(p), slots).find("[flags] -- <command>..."),
+            std::string::npos);
+
+  // Without `--` the command's own flags would configure this binary.
+  Argv missing({"./bench", "--repeat", "4"});
+  EXPECT_EXIT((void)parse_cli(missing.argc(), missing.argv(), table(p), slots),
+              ::testing::ExitedWithCode(2),
+              "command must follow -- \\(got './bench'\\)");
+}
+
 TEST(ParseCli, SlotSettersSeeEachValue) {
   Parsed p;
   std::vector<std::string> seen;
