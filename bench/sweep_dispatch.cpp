@@ -11,7 +11,7 @@
 //
 // Everything left of `--` configures the dispatcher and the exports;
 // everything right of it is the worker command, relaunched with the
-// hidden --worker-plan / --worker-slice flags appended. The grid itself
+// hidden --worker-plan / --worker flags appended. The grid itself
 // lives inside the bench binary (variants are C++ closures), so the plan
 // is probed once via --worker-plan and every worker's #plan header is
 // validated against it — fleet hosts running a skewed binary or flags are
@@ -68,13 +68,12 @@ int main(int argc, char** argv) {
           res.runs.size(), st.workers_launched, res.wall_seconds,
           res.ok_run_count(), res.failed_runs().size(),
           res.degraded_cell_count());
-      if (st.workers_died + st.leases_expired + st.steals + st.retries > 0) {
+      if (st.workers_died + st.leases_expired + st.retries > 0) {
         std::printf(
             "  fault log: %zu worker deaths, %zu expired leases, %zu "
-            "steals, %zu retries, %zu duplicate records, %zu runs "
-            "degraded, %zu resumed from checkpoint\n",
-            st.workers_died, st.leases_expired, st.steals, st.retries,
-            st.duplicate_records, st.runs_degraded, st.runs_resumed);
+            "retries, %zu runs degraded, %zu resumed from checkpoint\n",
+            st.workers_died, st.leases_expired, st.retries, st.runs_degraded,
+            st.runs_resumed);
       }
     }
     cli.export_results(

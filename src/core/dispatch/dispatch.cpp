@@ -12,12 +12,10 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
-#include <numeric>
 #include <optional>
 #include <utility>
 #include <vector>
 
-#include "core/cli_parse.hpp"
 #include "core/experiment.hpp"
 #include "core/safe_io.hpp"
 #include "core/sweep_shard.hpp"
@@ -55,7 +53,7 @@ class Coordinator {
   }
 
   SweepResult run(const std::optional<std::vector<std::size_t>>& subset) {
-    // Writing #limit to a worker that died must not kill the coordinator.
+    // Assigning a run to a worker that died must not kill the coordinator.
     ::signal(SIGPIPE, SIG_IGN);
 
     const double start = monotonic_sec();
@@ -86,26 +84,27 @@ class Coordinator {
     }
 
     while (done_count_ < target) {
-      const double now = monotonic_sec();
-      fill_slots(now);
-      maybe_steal(now);
+      assign_work(monotonic_sec());
       if (active_.empty()) {
         // Everything unfinished is waiting out a retry backoff.
         ::poll(nullptr, 0, 20);
         continue;
       }
-      poll_workers(now);
+      poll_workers(monotonic_sec());
       expire_leases(monotonic_sec());
       maybe_checkpoint(monotonic_sec(), /*force=*/false);
     }
 
-    // Steal races can leave workers re-executing runs someone else already
-    // delivered; their records are no longer needed.
+    // Every wanted run is in and no worker holds an assignment: EOF on the
+    // control lines tells the idle workers to exit.
     for (Active& w : active_) {
-      ::kill(w.proc.pid, SIGKILL);
-      reap(w);
+      ::close(w.proc.ctl_fd);
+      w.proc.ctl_fd = -1;
     }
-    active_.clear();
+    while (!active_.empty()) {
+      poll_workers(monotonic_sec());
+      expire_leases(monotonic_sec());
+    }
     maybe_checkpoint(monotonic_sec(), /*force=*/true);
 
     SweepResult res;
@@ -131,16 +130,12 @@ class Coordinator {
 
   struct Active {
     WorkerProcess proc;
-    std::vector<std::size_t> slice;     // assignment, executed in order
-    std::size_t limit = 0;              // effective end (stealing shrinks it)
-    std::size_t records_seen = 0;       // record lines received
-    std::optional<std::size_t> current; // announced in-flight run
-    std::string buf;                    // partial protocol line
+    std::optional<std::size_t> assigned;  // the one run it holds
+    std::string buf;                      // partial protocol line
     double last_activity = 0.0;
     bool got_plan = false;
-    bool lease_expired = false;
-    bool protocol_error = false;
-    int status = 0;  // waitpid status, valid after reap()
+    std::string killed;  // why the coordinator killed it; "" = it did not
+    int status = 0;      // waitpid status, valid after reap()
   };
 
   void note(const char* fmt, ...) const __attribute__((format(printf, 2, 3))) {
@@ -221,78 +216,51 @@ class Coordinator {
     last_checkpoint_ = now;
   }
 
-  void fill_slots(double now) {
+  /// Hand every idle worker its next run, then launch workers for
+  /// eligible runs nobody could take. Each launch comes with a run, so no
+  /// more workers start than there are runs left.
+  void assign_work(double now) {
+    for (Active& w : active_) {
+      if (w.assigned || !w.killed.empty()) continue;
+      const std::optional<std::size_t> idx = take_eligible(now);
+      if (!idx) return;
+      assign(w, *idx);
+    }
     while (active_.size() < opts_.workers) {
-      std::vector<std::size_t> eligible;
-      for (const Pending& p : pending_) {
-        if (p.eligible_at <= now) eligible.push_back(p.idx);
-      }
-      if (eligible.empty()) return;
-      const std::size_t free_slots = opts_.workers - active_.size();
-      const std::size_t take =
-          (eligible.size() + free_slots - 1) / free_slots;
-      eligible.resize(take);
-      for (const std::size_t idx : eligible) {
-        for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-          if (it->idx == idx) {
-            pending_.erase(it);
-            break;
-          }
-        }
-      }
+      const std::optional<std::size_t> idx = take_eligible(now);
+      if (!idx) return;
       Active w;
-      w.proc = transport_.launch(eligible);
-      w.slice = std::move(eligible);
-      w.limit = w.slice.size();
+      w.proc = transport_.launch();
       w.last_activity = now;
       ++stats_.workers_launched;
-      note("worker %d <- %zu runs [%zu..%zu]", static_cast<int>(w.proc.pid),
-           w.slice.size(), w.slice.front(), w.slice.back());
+      note("worker %d launched", static_cast<int>(w.proc.pid));
       active_.push_back(std::move(w));
+      assign(active_.back(), *idx);
     }
   }
 
-  void maybe_steal(double now) {
-    if (active_.size() >= opts_.workers) return;
-    for (const Pending& p : pending_) {
-      if (p.eligible_at <= now) return;  // real work is ready; no need
-    }
-    // Victim: the worker with the most unstarted assigned work.
-    Active* victim = nullptr;
-    std::size_t best = 0;
-    for (Active& w : active_) {
-      if (w.proc.ctl_fd < 0) continue;  // transport without a control line
-      const std::size_t next_pos = w.records_seen + (w.current ? 1 : 0);
-      const std::size_t end = std::min(w.limit, w.slice.size());
-      const std::size_t stealable = end > next_pos ? end - next_pos : 0;
-      if (stealable >= 2 && stealable > best) {
-        best = stealable;
-        victim = &w;
+  std::optional<std::size_t> take_eligible(double now) {
+    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+      if (it->eligible_at <= now) {
+        const std::size_t idx = it->idx;
+        pending_.erase(it);
+        return idx;
       }
     }
-    if (victim == nullptr) return;
-    const std::size_t next_pos =
-        victim->records_seen + (victim->current ? 1 : 0);
-    const std::size_t keep = (best + 1) / 2;
-    const std::size_t new_limit = next_pos + keep;
-    const std::string msg = "#limit " + std::to_string(new_limit) + "\n";
-    (void)write_all(victim->proc.ctl_fd, msg.data(), msg.size());
-    std::vector<std::size_t> stolen;
-    for (std::size_t k = new_limit; k < std::min(victim->limit,
-                                                 victim->slice.size());
-         ++k) {
-      if (!done_[victim->slice[k]]) stolen.push_back(victim->slice[k]);
+    return std::nullopt;
+  }
+
+  void assign(Active& w, std::size_t idx) {
+    w.assigned = idx;
+    const std::string line = assignment_line(idx) + "\n";
+    if (!write_all(w.proc.ctl_fd, line.data(), line.size())) {
+      kill_worker(w, "closed its control line");
     }
-    victim->limit = new_limit;
-    if (stolen.empty()) return;
-    ++stats_.steals;
-    stats_.stolen_indices += stolen.size();
-    note("stole %zu runs from worker %d", stolen.size(),
-         static_cast<int>(victim->proc.pid));
-    // Front of the queue, original order: the thief picks them up next.
-    for (auto it = stolen.rbegin(); it != stolen.rend(); ++it) {
-      pending_.push_front({*it, 0.0});
-    }
+  }
+
+  void kill_worker(Active& w, std::string why) {
+    w.killed = std::move(why);
+    ::kill(w.proc.pid, SIGKILL);
   }
 
   void poll_workers(double now) {
@@ -318,14 +286,16 @@ class Coordinator {
         dead.push_back(i);
         continue;
       }
+      // A killed worker's pipe is drained to EOF, but nothing it still
+      // says counts.
+      if (!w.killed.empty()) continue;
       w.buf.append(buf, static_cast<std::size_t>(got));
       w.last_activity = now;
       std::size_t nl;
-      while ((nl = w.buf.find('\n')) != std::string::npos) {
+      while (w.killed.empty() && (nl = w.buf.find('\n')) != std::string::npos) {
         const std::string line = w.buf.substr(0, nl);
         w.buf.erase(0, nl + 1);
         process_line(w, line);
-        if (w.protocol_error) break;
       }
     }
     for (auto it = dead.rbegin(); it != dead.rend(); ++it) {
@@ -341,17 +311,17 @@ class Coordinator {
         run = parse_run_record(line);
       } catch (const sim::SimError& e) {
         // A worker emitting garbage is as dead as one emitting nothing:
-        // kill it and let the EOF path requeue its work.
-        std::fprintf(stderr,
-                     "dispatch: worker %d sent a corrupt record (%s); "
-                     "killing it\n",
-                     static_cast<int>(w.proc.pid), e.msg().c_str());
-        w.protocol_error = true;
-        ::kill(w.proc.pid, SIGKILL);
+        // kill it and let the EOF path charge its assignment.
+        protocol_error(w, "sent a corrupt record (" + e.msg() + ")");
         return;
       }
-      ++w.records_seen;
-      if (w.current && *w.current == run.run_index) w.current.reset();
+      if (!w.assigned || *w.assigned != run.run_index) {
+        protocol_error(w, "sent a record for run " +
+                              std::to_string(run.run_index) +
+                              ", which it was not assigned");
+        return;
+      }
+      w.assigned.reset();
       ++stats_.records_received;
       accept_record(run);
       if (opts_.test_kill_after != 0 && !test_killed_ &&
@@ -359,7 +329,7 @@ class Coordinator {
         test_killed_ = true;
         note("test hook: SIGKILL worker %d after record %zu",
              static_cast<int>(w.proc.pid), stats_.records_received);
-        ::kill(w.proc.pid, SIGKILL);
+        kill_worker(w, "killed by the test hook");
       }
       return;
     }
@@ -384,37 +354,25 @@ class Coordinator {
       w.got_plan = true;
       return;
     }
-    if (line.rfind("#run ", 0) == 0) {
-      w.current = static_cast<std::size_t>(parse_u64_flag("#run", line.substr(5)));
-      return;
-    }
-    // "#hb", "#end", transport banner noise: lease renewal already
-    // happened on byte arrival; nothing else to do.
+    // "#hb", transport banner noise: lease renewal already happened on
+    // byte arrival; nothing else to do.
   }
 
+  void protocol_error(Active& w, const std::string& what) {
+    std::fprintf(stderr, "dispatch: worker %d %s; killing it\n",
+                 static_cast<int>(w.proc.pid), what.c_str());
+    kill_worker(w, "broke the protocol");
+  }
+
+  /// Record a run nobody else holds: a worker's own assignment or a
+  /// degraded run.
   void accept_record(const SweepRun& run) {
     const std::size_t idx = run.run_index;
-    // Corrupt-but-parseable, or outside this dispatch's subset: drop.
-    if (idx >= runs_.size() || !wanted_[idx]) return;
-    if (done_[idx]) {
-      ++stats_.duplicate_records;
-      // Identical by determinism; prefer an ok record over a degraded one
-      // in case a synthesized crash raced a late completion.
-      if (run.ok && !runs_[idx].ok) runs_[idx] = run;
-      return;
-    }
     runs_[idx] = run;
     runs_[idx].executed = true;
     done_[idx] = true;
     ++done_count_;
     checkpoint_dirty_ = true;
-    // Steal races: someone else may still have this queued.
-    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-      if (it->idx == idx) {
-        pending_.erase(it);
-        break;
-      }
-    }
   }
 
   void reap(Active& w) {
@@ -431,9 +389,10 @@ class Coordinator {
   void finalize(std::size_t slot) {
     Active w = std::move(active_[slot]);
     active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(slot));
+    const int pid = static_cast<int>(w.proc.pid);
     reap(w);
-    const bool clean = !w.protocol_error && !w.lease_expired &&
-                       WIFEXITED(w.status) && WEXITSTATUS(w.status) == 0;
+    const bool clean =
+        w.killed.empty() && WIFEXITED(w.status) && WEXITSTATUS(w.status) == 0;
 
     // Transport sanity: workers that die without ever speaking the
     // protocol (exec failure, wrong binary) would otherwise respawn until
@@ -450,56 +409,28 @@ class Coordinator {
       barren_deaths_ = 0;
     }
 
-    const std::size_t end = std::min(w.limit, w.slice.size());
-    const std::size_t next_pos = std::min(w.records_seen, end);
-    std::vector<std::size_t> outstanding;
-    for (std::size_t k = next_pos; k < end; ++k) {
-      if (!done_[w.slice[k]]) outstanding.push_back(w.slice[k]);
-    }
-
-    if (clean) {
-      if (outstanding.empty()) return;
-      // Clean exit but records are missing (worker stopped early without
-      // being truncated): penalize so a chronically lazy worker cannot
-      // spin the sweep forever.
-      note("worker exited cleanly but left %zu runs unexecuted",
-           outstanding.size());
-      for (const std::size_t idx : outstanding) {
-        last_death_[idx] = "worker exited cleanly without running it";
-        requeue(idx, true);
-      }
+    if (!clean) ++stats_.workers_died;
+    if (clean && !w.assigned) return;
+    const std::string cause = death_cause(w);
+    note("worker %d %s%s", pid, cause.c_str(),
+         w.assigned ? " holding an assignment" : "");
+    if (!w.assigned) return;
+    if (!w.got_plan) {
+      // It died before speaking the protocol, so it never started the run;
+      // the barren-death check above catches a broken worker command.
+      pending_.push_front({*w.assigned, 0.0});
       return;
     }
-
-    ++stats_.workers_died;
-    const std::string cause = death_cause(w);
-    const std::size_t in_flight =
-        w.current && !done_[*w.current] ? *w.current
-                                        : static_cast<std::size_t>(-1);
-    note("worker died (%s)%s: %zu runs back to the queue", cause.c_str(),
-         in_flight != static_cast<std::size_t>(-1) ? " mid-run" : "",
-         outstanding.size());
-    // The in-flight run is charged with the death (it may be the poison
-    // pill); the untouched tail re-enqueues penalty-free at the front so
-    // run-index locality survives crashes.
-    std::vector<std::size_t> tail;
-    for (const std::size_t idx : outstanding) {
-      if (idx != in_flight) tail.push_back(idx);
-    }
-    for (auto it = tail.rbegin(); it != tail.rend(); ++it) {
-      pending_.push_front({*it, 0.0});
-    }
-    if (in_flight != static_cast<std::size_t>(-1)) {
-      last_death_[in_flight] = "worker " + cause;
-      requeue(in_flight, true);
-    }
+    // Whatever the exit status, a worker gone with an assignment is
+    // charged for that run: it may be the poison pill.
+    last_death_[*w.assigned] = "worker " + cause;
+    requeue(*w.assigned);
   }
 
   /// Why a reaped worker died, for the log and for the kCrash record of a
   /// run that exhausts its retries.
   static std::string death_cause(const Active& w) {
-    if (w.lease_expired) return "lease expired";
-    if (w.protocol_error) return "sent a corrupt record";
+    if (!w.killed.empty()) return w.killed;
     if (WIFSIGNALED(w.status)) {
       const int sig = WTERMSIG(w.status);
       return metrics::format("killed by signal %d (%s)", sig, strsignal(sig));
@@ -508,18 +439,17 @@ class Coordinator {
                            WIFEXITED(w.status) ? WEXITSTATUS(w.status) : -1);
   }
 
-  void requeue(std::size_t idx, bool penalized) {
-    if (done_[idx]) return;
-    if (penalized) {
-      ++attempts_[idx];
-      ++stats_.retries;
-    }
+  /// Charge a failed attempt to `idx`: retry it after a backoff, or
+  /// degrade it once its attempts exceed --max-retries.
+  void requeue(std::size_t idx) {
+    ++attempts_[idx];
+    ++stats_.retries;
     if (attempts_[idx] > opts_.max_retries) {
       degrade(idx);
       return;
     }
     double delay = 0.0;
-    if (penalized && opts_.retry_backoff_sec > 0.0) {
+    if (opts_.retry_backoff_sec > 0.0) {
       const unsigned exp = std::min(attempts_[idx] - 1u, 6u);
       delay = opts_.retry_backoff_sec * static_cast<double>(1u << exp);
       // Deterministic jitter in [1.0, 1.5): de-synchronizes fleet retries
@@ -532,11 +462,7 @@ class Coordinator {
   }
 
   void degrade(std::size_t idx) {
-    SweepRun run;
-    run.run_index = idx;
-    run.cell = idx / static_cast<std::size_t>(plan_.repeat);
-    run.replica = static_cast<int>(idx % static_cast<std::size_t>(plan_.repeat));
-    run.seed = derive_seed(plan_.root_seed, idx);
+    SweepRun run = runs_[idx];  // the identity stamped from the plan
     run.executed = true;
     run.ok = false;
     RunFailure f;
@@ -554,13 +480,12 @@ class Coordinator {
   void expire_leases(double now) {
     if (opts_.lease_sec <= 0.0) return;
     for (Active& w : active_) {
-      if (w.lease_expired) continue;
+      if (!w.killed.empty()) continue;
       if (now - w.last_activity <= opts_.lease_sec) continue;
-      w.lease_expired = true;
       ++stats_.leases_expired;
       note("lease expired on worker %d (silent %.1fs); killing it",
            static_cast<int>(w.proc.pid), now - w.last_activity);
-      ::kill(w.proc.pid, SIGKILL);
+      kill_worker(w, "lease expired");
     }
   }
 

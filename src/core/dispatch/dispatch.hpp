@@ -1,26 +1,22 @@
-// Fault-tolerant sweep dispatcher: lease-based slice ownership, work
-// stealing, retry with backoff, and graceful degradation.
+// Fault-tolerant sweep dispatcher: pull-based run assignment, leases,
+// retry with backoff, and graceful degradation.
 //
 // The coordinator owns the full run-index space of one sweep plan and
-// hands contiguous slices to workers launched through a WorkerTransport.
-// Supervision is a single-threaded poll() loop over the workers' protocol
-// streams (core/dispatch/protocol.hpp):
+// hands runs to workers launched through a WorkerTransport, one at a
+// time: a worker gets its next `#run N` only after delivering the record
+// of the last, so load balances at the finest grain. Supervision is a
+// single-threaded poll() loop over the workers' protocol streams
+// (core/dispatch/protocol.hpp):
 //
-//   lease       any protocol traffic (records, #run announcements, #hb
-//               heartbeats) renews a worker's lease; a worker silent for
-//               lease_sec (30 s) is presumed wedged, SIGKILLed, and its
-//               unfinished work re-enqueued.
-//   attribution an unclean death charges exactly the announced in-flight
-//               run (retry with exponential backoff + deterministic
-//               jitter); the untouched tail re-enqueues penalty-free at
-//               the queue front.
-//   stealing    when the queue is empty but slots are free, the idle slot
-//               steals the back half of the busiest worker's remaining
-//               slice (a #limit line truncates the victim). The victim
-//               may already be past the limit when it lands — both sides
-//               then execute the contested run, and since runs are pure
-//               in (root_seed, run_index) the duplicate records are
-//               identical; the coordinator keeps the first.
+//   lease       any protocol traffic (records, #hb heartbeats) renews a
+//               worker's lease; a worker silent for lease_sec (30 s) is
+//               presumed wedged and SIGKILLed.
+//   attribution each worker holds at most one assignment, so a worker
+//               that exits or is killed while holding one is charged for
+//               exactly that run, whatever its exit status (retry with
+//               exponential backoff + deterministic jitter). A record
+//               for any other run is a protocol error: the worker is
+//               killed and charged the same way.
 //   degradation a run whose attempts exceed --max-retries is recorded as
 //               a kCrash failure naming the last worker death (signal,
 //               exit status or lease expiry; identity reconstructed from
@@ -83,10 +79,7 @@ class SweepDispatcher {
     std::size_t workers_launched = 0;
     std::size_t workers_died = 0;      // unclean exits (signal / rc != 0)
     std::size_t leases_expired = 0;
-    std::size_t steals = 0;
-    std::size_t stolen_indices = 0;
-    std::size_t retries = 0;           // penalized re-enqueues
-    std::size_t duplicate_records = 0; // steal-race double executions
+    std::size_t retries = 0;           // charged re-enqueues
     std::size_t runs_degraded = 0;     // retries exhausted
     std::size_t records_received = 0;
     std::size_t runs_resumed = 0;      // taken from a checkpoint snapshot

@@ -97,59 +97,24 @@ bool plans_match(const PlanInfo& a, const PlanInfo& b, std::string* why) {
   return true;
 }
 
-std::string encode_slice(const std::vector<std::size_t>& indices) {
-  std::string out;
-  std::size_t i = 0;
-  while (i < indices.size()) {
-    std::size_t j = i;
-    while (j + 1 < indices.size() && indices[j + 1] == indices[j] + 1) ++j;
-    if (!out.empty()) out += ',';
-    out += std::to_string(indices[i]);
-    if (j > i) {
-      out += '-';
-      out += std::to_string(indices[j]);
-    }
-    i = j + 1;
-  }
-  return out;
+std::string assignment_line(std::size_t idx) {
+  return "#run " + std::to_string(idx);
 }
 
-std::vector<std::size_t> decode_slice(const std::string& text, std::size_t run_count) {
-  std::vector<std::size_t> out;
-  std::size_t pos = 0;
-  PARATICK_CHECK_MSG(!text.empty(), "slice spec: empty");
-  // One run index: decimal digits only (no sign, no whitespace), checked
-  // against the plan digit by digit so no value can overflow or expand
-  // into a range the plan does not have.
-  const auto index = [&] {
-    const std::size_t begin = pos;
-    std::size_t v = 0;
-    while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') {
-      const auto digit = static_cast<std::size_t>(text[pos] - '0');
-      PARATICK_CHECK_MSG(run_count > digit && v <= (run_count - 1 - digit) / 10,
-                         "slice spec: run index outside the plan");
-      v = v * 10 + digit;
-      ++pos;
-    }
-    PARATICK_CHECK_MSG(pos != begin, "slice spec: expected a run index");
-    return v;
-  };
-  while (pos < text.size()) {
-    const std::size_t first = index();
-    std::size_t last = first;
-    if (pos < text.size() && text[pos] == '-') {
-      ++pos;
-      last = index();
-      PARATICK_CHECK_MSG(last >= first, "slice spec: bad range");
-    }
-    for (std::size_t v = first; v <= last; ++v) out.push_back(v);
-    if (pos < text.size()) {
-      PARATICK_CHECK_MSG(text[pos] == ',', "slice spec: expected ','");
-      ++pos;
-      PARATICK_CHECK_MSG(pos < text.size(), "slice spec: trailing ','");
-    }
+std::size_t parse_assignment(const std::string& line, std::size_t run_count) {
+  if (line.rfind("#run ", 0) != 0) {
+    const std::string msg = "#run: expected an assignment \"#run N\", got \"" +
+                            line.substr(0, 40) + "\"";
+    PARATICK_CHECK_MSG(false, msg.c_str());
   }
-  return out;
+  const std::uint64_t idx = parse_u64_flag("#run", line.substr(5));
+  if (idx >= run_count) {
+    const std::string msg = "#run: run index " + std::to_string(idx) +
+                            " is outside the plan (" +
+                            std::to_string(run_count) + " runs)";
+    PARATICK_CHECK_MSG(false, msg.c_str());
+  }
+  return static_cast<std::size_t>(idx);
 }
 
 }  // namespace paratick::core::dispatch

@@ -8,30 +8,24 @@
 //                 coordinator refuses workers whose plan disagrees with
 //                 its own — catching skew between fleet hosts before any
 //                 records are merged.
-//   #run N        announcement: about to execute run index N. This is
-//                 what lets the coordinator attribute an unclean death to
-//                 exactly the in-flight run (retry it with a penalty) and
-//                 re-enqueue the untouched tail penalty-free.
 //   {...}         one completed run: the exact-round-trip record of
 //                 core/sweep_shard.hpp (also a checkpoint's run entry).
+//                 It must be the run the worker was assigned.
 //   #hb           heartbeat from a worker-side timer thread — proves
 //                 liveness while a long run is executing, so leases only
 //                 expire on genuinely wedged or dead workers.
-//   #end          slice finished (complete or truncated); clean exit next.
 //
-// The coordinator owns one control line (worker stdin):
+// The coordinator owns one control line (worker stdin), and work flows
+// only over it:
 //
-//   #limit N      work stealing: execute only the first N entries of the
-//                 originally assigned slice, then stop. N only ever
-//                 decreases. The race where the worker is already past N
-//                 when the line lands is benign: both worker and thief
-//                 execute the contested index, the records are
-//                 bit-identical (runs are pure in (root_seed, index)),
-//                 and the coordinator keeps the first one.
+//   #run N        execute run index N, stream its record, then wait for
+//                 the next line. A worker holds at most one assignment,
+//                 so the coordinator always knows which run a dying
+//                 worker was on. EOF means no more work: exit 0.
 //
-// Only '#'-prefixed tags and '{'-prefixed records are meaningful; other
-// lines are ignored so transports may inject banners (ssh MOTDs must
-// still be avoided — use ssh -T and a quiet shell).
+// Only '#'-prefixed tags and '{'-prefixed records are meaningful on the
+// worker stream; other lines are ignored so transports may inject banners
+// (ssh MOTDs must still be avoided — use ssh -T and a quiet shell).
 #pragma once
 
 #include <cstdint>
@@ -65,11 +59,13 @@ struct PlanInfo {
 [[nodiscard]] bool plans_match(const PlanInfo& a, const PlanInfo& b,
                                std::string* why);
 
-/// Compact encoding of a run-index set: "0-5,9,12-14" — ascending,
-/// inclusive ranges. decode PARATICK_CHECKs on malformed input and on any
-/// index at or past `run_count`, the plan's run count.
-[[nodiscard]] std::string encode_slice(const std::vector<std::size_t>& indices);
-[[nodiscard]] std::vector<std::size_t> decode_slice(const std::string& text,
-                                                    std::size_t run_count);
+/// The coordinator's assignment line for run `idx` (no newline).
+[[nodiscard]] std::string assignment_line(std::size_t idx);
+
+/// Parse one assignment line. Throws sim::SimError naming "#run" when the
+/// line is not "#run N" with N a decimal index below `run_count`, the
+/// plan's run count.
+[[nodiscard]] std::size_t parse_assignment(const std::string& line,
+                                           std::size_t run_count);
 
 }  // namespace paratick::core::dispatch

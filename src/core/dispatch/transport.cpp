@@ -55,8 +55,7 @@ ForkWorkerTransport::ForkWorkerTransport(SweepConfig cfg)
 
 PlanInfo ForkWorkerTransport::plan() { return plan_info_for(cfg_); }
 
-WorkerProcess ForkWorkerTransport::launch(
-    const std::vector<std::size_t>& indices) {
+WorkerProcess ForkWorkerTransport::launch() {
   int out_fds[2];
   int ctl_fds[2];
   PARATICK_CHECK_MSG(::pipe(out_fds) == 0, "dispatch: pipe() failed");
@@ -75,7 +74,13 @@ WorkerProcess ForkWorkerTransport::launch(
   if (pid == 0) {
     ::close(out_fds[0]);
     ::close(ctl_fds[1]);
-    const int rc = run_worker_slice(cfg_, indices, out_fds[1], ctl_fds[0]);
+    // Nothing may unwind out of the child into the coordinator frames it
+    // was forked from; a malformed assignment exits 2, as --worker does.
+    int rc = 2;
+    try {
+      rc = run_worker(cfg_, ctl_fds[0], out_fds[1]);
+    } catch (...) {
+    }
     // _Exit: no destructors, no atexit — the coordinator holds the real
     // state, and flushing shared stdio buffers would duplicate output.
     std::_Exit(rc);
@@ -176,10 +181,8 @@ PlanInfo CommandWorkerTransport::plan() {
   return plan_;  // unreachable
 }
 
-WorkerProcess CommandWorkerTransport::launch(
-    const std::vector<std::size_t>& indices) {
-  return spawn({"--worker-slice", encode_slice(indices), "--quiet"},
-               /*want_ctl=*/true);
+WorkerProcess CommandWorkerTransport::launch() {
+  return spawn({"--worker", "--quiet"}, /*want_ctl=*/true);
 }
 
 }  // namespace paratick::core::dispatch

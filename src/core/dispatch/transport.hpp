@@ -1,5 +1,6 @@
-// Worker transports: how the dispatcher turns "execute these run indices"
-// into a live worker process streaming the dispatch protocol.
+// Worker transports: how the dispatcher starts a live worker process that
+// takes `#run N` assignments on its control line and streams the dispatch
+// protocol back.
 //
 // Two implementations cover the fleet shapes this repo cares about:
 //
@@ -9,7 +10,7 @@
 //                           and the unit tests: zero serialization, full
 //                           crash isolation.
 //   CommandWorkerTransport  fork()+exec of a bench command line with the
-//                           hidden worker flags appended; the worker
+//                           hidden --worker flag appended; the worker
 //                           rebuilds the plan from its own argv (validated
 //                           against the coordinator's via the #plan
 //                           header). An optional shell template ("ssh
@@ -33,7 +34,7 @@ namespace paratick::core::dispatch {
 struct WorkerProcess {
   pid_t pid = -1;
   int out_fd = -1;  // read end of the worker's protocol stream
-  int ctl_fd = -1;  // write end of the #limit control line; -1 = none
+  int ctl_fd = -1;  // write end of the worker's control line (#run N)
 };
 
 class WorkerTransport {
@@ -43,12 +44,11 @@ class WorkerTransport {
   /// The sweep identity this transport's workers execute. Every launched
   /// worker's #plan header must match it (the coordinator enforces this).
   [[nodiscard]] virtual PlanInfo plan() = 0;
-  /// Launch one worker on `indices`, executed in the given order.
-  /// PARATICK_CHECKs (throws sim::SimError) if the process cannot be
-  /// created at all; a worker that launches but misbehaves is the
-  /// dispatcher's problem.
-  [[nodiscard]] virtual WorkerProcess launch(
-      const std::vector<std::size_t>& indices) = 0;
+  /// Launch one worker that serves assignments until its control line
+  /// reaches EOF. PARATICK_CHECKs (throws sim::SimError) if the process
+  /// cannot be created at all; a worker that launches but misbehaves is
+  /// the dispatcher's problem.
+  [[nodiscard]] virtual WorkerProcess launch() = 0;
 };
 
 /// fork()-without-exec workers sharing the coordinator's SweepConfig.
@@ -58,8 +58,7 @@ class ForkWorkerTransport final : public WorkerTransport {
 
   [[nodiscard]] const char* name() const override { return "fork"; }
   [[nodiscard]] PlanInfo plan() override;
-  [[nodiscard]] WorkerProcess launch(
-      const std::vector<std::size_t>& indices) override;
+  [[nodiscard]] WorkerProcess launch() override;
 
  private:
   SweepConfig cfg_;
@@ -79,8 +78,7 @@ class CommandWorkerTransport final : public WorkerTransport {
 
   [[nodiscard]] const char* name() const override { return "command"; }
   [[nodiscard]] PlanInfo plan() override;
-  [[nodiscard]] WorkerProcess launch(
-      const std::vector<std::size_t>& indices) override;
+  [[nodiscard]] WorkerProcess launch() override;
 
  private:
   [[nodiscard]] WorkerProcess spawn(const std::vector<std::string>& extra,

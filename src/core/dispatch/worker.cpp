@@ -1,9 +1,5 @@
 #include "core/dispatch/worker.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
@@ -12,7 +8,6 @@
 #include <string>
 #include <thread>
 
-#include "core/cli_parse.hpp"
 #include "core/dispatch/protocol.hpp"
 #include "core/replay.hpp"
 #include "core/safe_io.hpp"
@@ -48,60 +43,36 @@ class LineWriter {
   bool ok_ = true;
 };
 
+/// Longest control line accepted: "#run " plus a 20-digit index, with room
+/// to spare. Anything longer is not an assignment.
+constexpr std::size_t kMaxCtlLine = 64;
+
+/// Block for the next control line (newline stripped). False on EOF at a
+/// line boundary: the coordinator has no more work.
+bool read_ctl_line(int fd, std::string& line) {
+  line.clear();
+  while (true) {
+    char c;
+    const ssize_t got = read_retry(fd, &c, 1);
+    if (got <= 0) {
+      PARATICK_CHECK_MSG(line.empty(), "#run: assignment line cut off by EOF");
+      return false;
+    }
+    if (c == '\n') return true;
+    line += c;
+    PARATICK_CHECK_MSG(line.size() <= kMaxCtlLine, "#run: assignment line too long");
+  }
+}
+
 }  // namespace
 
-int run_worker_slice(const SweepConfig& cfg,
-                     const std::vector<std::size_t>& indices, int out_fd,
-                     int ctl_fd) {
+int run_worker(const SweepConfig& cfg, int ctl_fd, int out_fd) {
   // A dead coordinator must surface as a failed write, not SIGPIPE death.
   ::signal(SIGPIPE, SIG_IGN);
 
   const SweepPlan plan = SweepPlan::make(cfg);
-  for (const std::size_t idx : indices) {
-    PARATICK_CHECK_MSG(idx < plan.total_runs(),
-                       "worker slice: run index outside the plan");
-  }
-
   LineWriter out(out_fd);
   if (!out.write_line("#plan " + to_json(plan_info_for(cfg)))) return 1;
-
-  // The coordinator's control line is read non-blockingly between runs:
-  // stealing only truncates *future* work, never the run in flight.
-  if (ctl_fd >= 0) {
-    const int flags = ::fcntl(ctl_fd, F_GETFL, 0);
-    if (flags >= 0) ::fcntl(ctl_fd, F_SETFL, flags | O_NONBLOCK);
-  }
-  std::size_t limit = indices.size();
-  bool ctl_eof = false;
-  std::string ctl_buf;
-  const auto poll_ctl = [&] {
-    if (ctl_fd < 0 || ctl_eof) return;
-    char buf[4096];
-    while (true) {
-      const ssize_t got = ::read(ctl_fd, buf, sizeof buf);
-      if (got > 0) {
-        ctl_buf.append(buf, static_cast<std::size_t>(got));
-        continue;
-      }
-      if (got == 0) {
-        ctl_eof = true;  // coordinator is gone: stop taking new work
-        break;
-      }
-      if (errno == EINTR) continue;
-      break;  // EAGAIN: no control traffic right now
-    }
-    std::size_t nl;
-    while ((nl = ctl_buf.find('\n')) != std::string::npos) {
-      const std::string line = ctl_buf.substr(0, nl);
-      ctl_buf.erase(0, nl + 1);
-      if (line.rfind("#limit ", 0) == 0) {
-        const auto n =
-            static_cast<std::size_t>(parse_u64_flag("#limit", line.substr(7)));
-        if (n < limit) limit = n;
-      }
-    }
-    if (ctl_eof) limit = 0;
-  };
 
   std::mutex hb_mu;
   std::condition_variable hb_cv;
@@ -124,8 +95,8 @@ int run_worker_slice(const SweepConfig& cfg,
     hb_cv.notify_all();
     hb.join();
   };
-  // Join on every way out: a corrupt #limit line throws from poll_ctl(),
-  // and a joinable thread left behind would std::terminate the worker.
+  // Join on every way out: a corrupt assignment throws, and a joinable
+  // thread left behind would std::terminate the worker.
   struct HbJoiner {
     decltype(join_hb)& join;
     ~HbJoiner() { join(); }
@@ -135,15 +106,9 @@ int run_worker_slice(const SweepConfig& cfg,
       resolve_output_path(cfg.output_dir, cfg.failure_dir);
   const auto& keys = plan.cell_keys();
 
-  int rc = 0;
-  for (std::size_t k = 0; k < indices.size(); ++k) {
-    poll_ctl();
-    if (k >= limit) break;
-    const std::size_t idx = indices[k];
-    if (!out.write_line("#run " + std::to_string(idx))) {
-      rc = 1;
-      break;
-    }
+  std::string line;
+  while (read_ctl_line(ctl_fd, line)) {
+    const std::size_t idx = parse_assignment(line, plan.total_runs());
     const auto t0 = std::chrono::steady_clock::now();
     SweepRun run = plan.execute(idx);
     run.host_seconds =
@@ -153,13 +118,9 @@ int run_worker_slice(const SweepConfig& cfg,
       run.bundle_path =
           write_replay_bundle(cfg, run, failure_dir, keys[run.cell].label());
     }
-    if (!out.write_line(run_record_to_json(run))) {
-      rc = 1;
-      break;
-    }
+    if (!out.write_line(run_record_to_json(run))) return 1;
   }
-  if (rc == 0) (void)out.write_line("#end");
-  return rc;
+  return 0;
 }
 
 }  // namespace paratick::core::dispatch

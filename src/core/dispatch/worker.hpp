@@ -1,30 +1,25 @@
-// Worker side of the dispatch protocol: execute a slice of a sweep plan
-// in order, streaming the line protocol of core/dispatch/protocol.hpp.
+// Worker side of the dispatch protocol: take run assignments from the
+// coordinator one at a time, streaming the line protocol of
+// core/dispatch/protocol.hpp.
 //
-// A worker is deliberately dumb: it owns no retry, lease or steal logic.
-// It announces each run before executing it, streams the exact-round-trip
-// record after, keeps a heartbeat alive from a timer thread so the
-// coordinator's lease never expires under a long-but-healthy run, and
-// honors `#limit` truncations (work stealing) between runs. Failed runs
-// get their replay bundle written worker-side — the worker has the full
-// SweepConfig, the coordinator may not (command transports).
+// A worker is deliberately dumb: it owns no retry, lease or scheduling
+// logic. It runs each `#run N` it reads, streams the exact-round-trip
+// record back, and keeps a heartbeat alive from a timer thread so the
+// coordinator's lease never expires under a long-but-healthy run. Failed
+// runs get their replay bundle written worker-side — the worker has the
+// full SweepConfig, the coordinator may not (command transports).
 #pragma once
-
-#include <cstddef>
-#include <vector>
 
 #include "core/sweep.hpp"
 
 namespace paratick::core::dispatch {
 
-/// Execute `indices` of cfg's plan in order, streaming the dispatch
-/// protocol to `out_fd`. `ctl_fd` (pass -1 for none) carries the
-/// coordinator's `#limit` lines; EOF on it means the coordinator is gone
-/// and the worker stops taking new work. Replay bundles for failed runs
-/// go under cfg.failure_dir, as in a local sweep. Returns 0 on a clean
-/// (possibly truncated) finish, 1 if the output pipe died mid-stream.
-int run_worker_slice(const SweepConfig& cfg,
-                     const std::vector<std::size_t>& indices, int out_fd,
-                     int ctl_fd);
+/// Serve cfg's plan: read `#run N` assignments from `ctl_fd`, execute each
+/// and stream the dispatch protocol to `out_fd`. Replay bundles for failed
+/// runs go under cfg.failure_dir, as in a local sweep. Returns 0 on EOF
+/// of `ctl_fd` (no more work), 1 if the output pipe died mid-stream.
+/// Throws sim::SimError naming "#run" on a malformed or out-of-plan
+/// assignment.
+int run_worker(const SweepConfig& cfg, int ctl_fd, int out_fd);
 
 }  // namespace paratick::core::dispatch

@@ -13,6 +13,11 @@ namespace paratick::core::json {
 
 namespace {
 
+/// Deepest array/object nesting accepted. The documents this repo writes
+/// nest a handful of levels; the bound keeps a hostile input from
+/// recursing the parser off the end of the stack.
+constexpr int kMaxDepth = 256;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : s_(text) {}
@@ -48,13 +53,22 @@ class Parser {
   }
 
   Value value() {
-    switch (peek()) {
-      case '{': return object();
-      case '[': return array();
+    const char c = peek();
+    if (c == '{' || c == '[') {
+      if (++depth_ > kMaxDepth) {
+        const std::string msg = "json: arrays/objects nested more than " +
+                                std::to_string(kMaxDepth) + " deep";
+        PARATICK_CHECK_MSG(false, msg.c_str());
+      }
+      Value v = c == '{' ? object() : array();
+      --depth_;
+      return v;
+    }
+    switch (c) {
       case '"': return string();
       case 't':
-      case 'f':
-      case 'n': return literal();
+      case 'f': return literal();
+      case 'n': return s_.compare(i_, 4, "null") == 0 ? literal() : number();
       default: return number();
     }
   }
@@ -111,6 +125,10 @@ class Parser {
         case 'f': v.str += '\f'; break;
         case 'u': {
           PARATICK_CHECK_MSG(i_ + 4 <= s_.size(), "json: bad \\u escape");
+          for (std::size_t k = i_; k < i_ + 4; ++k) {
+            PARATICK_CHECK_MSG(std::isxdigit(static_cast<unsigned char>(s_[k])),
+                               "json: \\u escape needs four hex digits");
+          }
           const unsigned long code = std::strtoul(s_.substr(i_, 4).c_str(), nullptr, 16);
           i_ += 4;
           // Exporter strings are ASCII control chars at most; encode the
@@ -172,6 +190,7 @@ class Parser {
   }
 
   const std::string& s_;
+  int depth_ = 0;
 
  public:
   std::size_t i_ = 0;

@@ -117,9 +117,10 @@ std::string write_replay_bundle(const SweepConfig& cfg, const SweepRun& run,
   const std::string path =
       bundle_dir + metrics::format("/run%llu.json",
                                    static_cast<unsigned long long>(run.run_index));
-  // Atomic write: duplicate executions (dispatcher lease expiry / steal
-  // races) may write the same bundle concurrently; each rename publishes
-  // a complete document, so readers never see a torn file.
+  // Atomic write: a dispatcher lease expiry can leave the killed worker
+  // and the run's next worker writing the same bundle concurrently; each
+  // rename publishes a complete document, so readers never see a torn
+  // file.
   write_file_atomic(path, to_json(b));
   return path;
 }

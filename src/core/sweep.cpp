@@ -445,7 +445,7 @@ std::vector<CliFlag> shared_sweep_flags(SweepCli& cli) {
                 "crash-safe dispatcher snapshot, resumed from if present",
                 cli.checkpoint_path),
       uint_flag("--dispatch-test-kill", "N", nullptr, cli.dispatch_test_kill),
-      text_flag("--worker-slice", "SPEC", nullptr, cli.worker_slice),
+      switch_flag("--worker", nullptr, cli.worker),
       switch_flag("--worker-plan", nullptr, cli.worker_plan),
   };
   for (CliFlag& f : fault_knob_flags(cli.fault_overrides)) {
@@ -547,11 +547,10 @@ SweepResult run_dispatched(const SweepCli& cli, const SweepConfig& cfg) {
   if (cfg.progress) {
     std::fprintf(stderr,
                  "dispatch: %zu records from %zu workers (%zu died, %zu "
-                 "leases expired, %zu steals, %zu retries, %zu duplicates, "
-                 "%zu resumed, %zu degraded)\n",
+                 "leases expired, %zu retries, %zu resumed, %zu degraded)\n",
                  st.records_received, st.workers_launched, st.workers_died,
-                 st.leases_expired, st.steals, st.retries,
-                 st.duplicate_records, st.runs_resumed, st.runs_degraded);
+                 st.leases_expired, st.retries, st.runs_resumed,
+                 st.runs_degraded);
   }
   return res;
 }
@@ -567,13 +566,9 @@ SweepResult SweepCli::run_sweep(SweepConfig cfg) const {
                 dispatch::to_json(dispatch::plan_info_for(cfg)).c_str());
     std::exit(0);
   }
-  if (!worker_slice.empty()) {
+  if (worker) {
     try {
-      std::exit(dispatch::run_worker_slice(cfg,
-                                           dispatch::decode_slice(
-                                               worker_slice,
-                                               SweepPlan::make(cfg).total_runs()),
-                                           STDOUT_FILENO, STDIN_FILENO));
+      std::exit(dispatch::run_worker(cfg, STDIN_FILENO, STDOUT_FILENO));
     } catch (const sim::SimError& e) {
       std::fprintf(stderr, "%s\n", e.msg().c_str());
       std::exit(2);

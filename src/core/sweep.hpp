@@ -300,8 +300,8 @@ class SweepRunner {
 /// Shared CLI for the sweep-driven bench/example binaries: threads,
 /// replicas, seed, exports, history, chaos and dispatch flags, listed with
 /// one help line each by `<binary> --help`. The dispatcher appends the
-/// hidden --worker-slice / --worker-plan flags when it relaunches a
-/// binary as a worker; --dispatch-test-kill is a test hook.
+/// hidden --worker / --worker-plan flags when it relaunches a binary as
+/// a worker; --dispatch-test-kill is a test hook.
 struct SweepCli {
   unsigned threads = 0;
   int repeat = 1;
@@ -329,7 +329,7 @@ struct SweepCli {
   std::string dispatch_cmd;        // worker launch template; "" = fork()
   std::string checkpoint_path;
   std::size_t dispatch_test_kill = 0;
-  std::string worker_slice;        // hidden worker mode (run these indices)
+  bool worker = false;             // hidden worker mode (serve #run N on stdin)
   bool worker_plan = false;        // hidden worker mode (print plan header)
   /// The full argv this CLI was parsed from: what a command transport
   /// relaunches (with the hidden worker flags appended) on other hosts.

@@ -8,9 +8,14 @@
 cmake_minimum_required(VERSION 3.16)
 
 # Run `bin args...`; its exit code must be `code` and its stdout+stderr
-# must match `pattern` (if not empty).
+# must match `pattern` (if not empty). Its stdin is the file named by
+# `expect_input`, when set.
 function(expect code pattern bin)
-  execute_process(COMMAND ${bin} ${ARGN} RESULT_VARIABLE rc
+  set(input)
+  if(DEFINED expect_input)
+    set(input INPUT_FILE "${expect_input}")
+  endif()
+  execute_process(COMMAND ${bin} ${ARGN} ${input} RESULT_VARIABLE rc
                   OUTPUT_VARIABLE out ERROR_VARIABLE err)
   get_filename_component(name "${bin}" NAME)
   if(NOT rc STREQUAL "${code}")
@@ -96,6 +101,19 @@ expect(2 "command must follow --" "${BENCH_DIR}/sweep_dispatch"
        --workers 2 ./bench_table1 --repeat 4)
 expect(2 "--workers: not a valid integer" "${BENCH_DIR}/sweep_dispatch"
        --workers many -- true)
+
+# A dispatch worker (the hidden --worker mode) reads `#run N` assignments
+# on stdin: EOF is a clean exit, and a line that does not parse or names a
+# run outside the plan exits 2 naming the field.
+function(expect_worker code pattern input)
+  set(expect_input "${CMAKE_CURRENT_BINARY_DIR}/cli_exit_codes_worker_stdin.txt")
+  file(WRITE "${expect_input}" "${input}")
+  expect(${code} "${pattern}" "${BENCH_DIR}/bench_table1" --worker --quiet)
+endfunction()
+expect_worker(0 "#plan " "")
+expect_worker(2 "#run: not a valid integer" "#run 1x\n")
+expect_worker(2 "#run: run index 999999 is outside the plan" "#run 999999\n")
+expect_worker(2 "#run: expected an assignment" "#limit 1\n")
 
 foreach(e quickstart io_latency tick_freq_mismatch)
   expect(2 "unexpected argument 'stray'" "${EXAMPLE_DIR}/${e}" stray)

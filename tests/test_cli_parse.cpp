@@ -360,7 +360,8 @@ TEST(SweepCliParse, UnknownAndRemovedFlagsExitWithCode2) {
   // Flags the shared CLI does not have — typos, removed dispatch knobs, and
   // the cluster-only engine flags — fail loudly instead of being ignored.
   for (const char* flag : {"--no-such-flag", "--fault-nosuch", "--no-steal",
-                           "--lease", "--heartbeat", "--engine-threads"}) {
+                           "--lease", "--heartbeat", "--worker-slice",
+                           "--engine-threads"}) {
     Argv a({flag, "1"});
     EXPECT_EXIT((void)SweepCli::parse(a.argc(), a.argv()),
                 ::testing::ExitedWithCode(2),

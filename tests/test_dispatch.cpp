@@ -1,18 +1,22 @@
 // Fault-tolerance tests for the distributed sweep dispatcher
-// (core/dispatch): byte-identity of dispatched results against local
-// execution, crash retry and work stealing after a SIGKILLed worker,
-// duplicate-record handling on steal races, graceful degradation after
-// --max-retries, lease expiry on wedged workers, checkpoint resume, run
-// subsets, and crash isolation + crash replay of runs that abort().
+// (core/dispatch): the pull protocol's wire formats (strict parsing and a
+// deterministic mutation fuzz), byte-identity of dispatched results
+// against local execution, retry after a SIGKILLed worker, protocol
+// errors, graceful degradation after --max-retries, lease expiry on
+// wedged workers, checkpoint resume, run subsets, and crash isolation +
+// crash replay of runs that abort().
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,6 +24,8 @@
 #include "core/dispatch/dispatch.hpp"
 #include "core/dispatch/protocol.hpp"
 #include "core/dispatch/transport.hpp"
+#include "core/dispatch/worker.hpp"
+#include "core/json.hpp"
 #include "core/replay.hpp"
 #include "core/safe_io.hpp"
 #include "core/sweep.hpp"
@@ -66,34 +72,70 @@ dispatch::DispatchOptions fast_opts(unsigned workers) {
   return opts;
 }
 
+/// Fork a fake worker that speaks the pull protocol: it sends `header` as
+/// its #plan line, then calls `serve(idx, put)` for every `#run N` it
+/// reads from its control pipe, and exits 0 on EOF, as a real worker does.
+/// `put` writes one protocol line. Every fake transport below is built on
+/// this, so each differs from a real worker only in what `serve` does.
+template <typename Serve>
+dispatch::WorkerProcess fork_fake_worker(const dispatch::PlanInfo& header,
+                                         Serve serve) {
+  int out[2];
+  int ctl[2];
+  if (::pipe(out) != 0 || ::pipe(ctl) != 0) std::abort();
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::close(out[0]);
+    ::close(ctl[1]);
+    const auto put = [&](const std::string& line) {
+      const std::string framed = line + "\n";
+      if (!write_all(out[1], framed.data(), framed.size())) std::_Exit(1);
+    };
+    put("#plan " + dispatch::to_json(header));
+    std::string line;
+    char c;
+    while (read_retry(ctl[0], &c, 1) == 1) {
+      if (c != '\n') {
+        line += c;
+        continue;
+      }
+      std::size_t idx = 0;
+      try {
+        idx = dispatch::parse_assignment(line, header.total_runs);
+      } catch (...) {
+        std::_Exit(2);  // never unwind into the test's own frames
+      }
+      serve(idx, put);
+      line.clear();
+    }
+    std::_Exit(0);
+  }
+  ::close(out[1]);
+  ::close(ctl[0]);
+  return {pid, out[0], ctl[1]};
+}
+
+/// Base of the fake transports: the true plan of `cfg`, and its records.
+class FakeTransport : public dispatch::WorkerTransport {
+ public:
+  explicit FakeTransport(SweepConfig cfg) : cfg_(std::move(cfg)) {
+    cfg_.progress = false;
+  }
+  dispatch::PlanInfo plan() override { return dispatch::plan_info_for(cfg_); }
+
+ protected:
+  [[nodiscard]] std::string record(std::size_t idx) const {
+    return run_record_to_json(SweepPlan::make(cfg_).execute(idx));
+  }
+  /// A real worker, heartbeat included.
+  [[nodiscard]] dispatch::WorkerProcess honest_worker() {
+    return dispatch::ForkWorkerTransport(cfg_).launch();
+  }
+
+  SweepConfig cfg_;
+};
+
 // ---- protocol -------------------------------------------------------------
-
-TEST(DispatchSlice, CodecRoundTripsAndRejectsGarbage) {
-  const std::vector<std::size_t> indices = {0, 1, 2, 3, 7, 9, 10, 11, 20};
-  EXPECT_EQ(dispatch::encode_slice(indices), "0-3,7,9-11,20");
-  EXPECT_EQ(dispatch::decode_slice("0-3,7,9-11,20", 21), indices);
-  EXPECT_EQ(dispatch::decode_slice("5", 6), (std::vector<std::size_t>{5}));
-  EXPECT_EQ(dispatch::encode_slice({}), "");
-  EXPECT_SIM_ERROR((void)dispatch::decode_slice("", 21), "slice spec");
-  EXPECT_SIM_ERROR((void)dispatch::decode_slice("3-1", 21), "bad range");
-  EXPECT_SIM_ERROR((void)dispatch::decode_slice("1,,2", 21), "slice spec");
-  EXPECT_SIM_ERROR((void)dispatch::decode_slice("1,", 21), "trailing");
-}
-
-TEST(DispatchSlice, RejectsIndicesOutsideThePlanBeforeExpanding) {
-  // A sign, whitespace or an index past the plan is rejected before any
-  // range expands; an unbounded range would exhaust memory.
-  EXPECT_SIM_ERROR((void)dispatch::decode_slice("0--1", 24), "slice spec");
-  EXPECT_SIM_ERROR((void)dispatch::decode_slice("0-99999999999", 24), "slice spec");
-  EXPECT_SIM_ERROR((void)dispatch::decode_slice("0-99999999999999999999999", 24),
-                   "slice spec");
-  EXPECT_SIM_ERROR((void)dispatch::decode_slice(" 3", 24), "slice spec");
-  EXPECT_SIM_ERROR((void)dispatch::decode_slice("+3", 24), "slice spec");
-  EXPECT_SIM_ERROR((void)dispatch::decode_slice("24", 24), "outside the plan");
-  EXPECT_SIM_ERROR((void)dispatch::decode_slice("0", 0), "outside the plan");
-  EXPECT_EQ(dispatch::decode_slice("20-23", 24),
-            (std::vector<std::size_t>{20, 21, 22, 23}));
-}
 
 TEST(DispatchPlan, HeaderRoundTripsAndDetectsSkew) {
   SweepConfig cfg = tiny_sweep();
@@ -171,51 +213,166 @@ TEST(DispatchProtocol, MalformedU64StringsNameTheField) {
       "plan header: root_seed");
 }
 
-// A worker announcing "#run 0x" used to be taken for run 0; the corrupt
-// announcement must abort the dispatch, naming the line.
-TEST(DispatchProtocol, MalformedRunLineNamesTheField) {
-  class GarbledRunTransport final : public dispatch::WorkerTransport {
-   public:
-    explicit GarbledRunTransport(const SweepConfig& cfg)
-        : plan_(dispatch::plan_info_for(cfg)) {}
-    const char* name() const override { return "garbled"; }
-    dispatch::PlanInfo plan() override { return plan_; }
-    dispatch::WorkerProcess launch(const std::vector<std::size_t>&) override {
-      int fds[2];
-      if (::pipe(fds) != 0) std::abort();
-      const pid_t pid = ::fork();
-      if (pid == 0) {
-        ::close(fds[0]);
-        const std::string text =
-            "#plan " + dispatch::to_json(plan_) + "\n#run 0x\n";
-        std::_Exit(write_all(fds[1], text.data(), text.size()) ? 0 : 1);
-      }
-      ::close(fds[1]);
-      return {pid, fds[0], -1};
-    }
-
-   private:
-    dispatch::PlanInfo plan_;
-  };
-
-  dispatch::SweepDispatcher d(
-      std::make_unique<GarbledRunTransport>(tiny_sweep(1)), fast_opts(1));
-  EXPECT_SIM_ERROR((void)d.run(), "#run: not a valid integer");
+// An assignment is "#run N" with N inside the plan, nothing else: "#run 0x"
+// is not run 0, and an index past the plan is not clamped to it.
+TEST(DispatchProtocol, AssignmentLinesParseStrictly) {
+  EXPECT_EQ(dispatch::parse_assignment(dispatch::assignment_line(5), 8), 5u);
+  EXPECT_EQ(dispatch::parse_assignment("#run 0", 1), 0u);
+  EXPECT_SIM_ERROR((void)dispatch::parse_assignment("#run 0x", 8),
+                   "#run: not a valid integer");
+  EXPECT_SIM_ERROR((void)dispatch::parse_assignment("#run ", 8), "#run");
+  EXPECT_SIM_ERROR((void)dispatch::parse_assignment("#run -1", 8), "#run");
+  EXPECT_SIM_ERROR((void)dispatch::parse_assignment("#run  3", 8), "#run");
+  EXPECT_SIM_ERROR((void)dispatch::parse_assignment("#limit 3", 8),
+                   "#run: expected an assignment");
+  EXPECT_SIM_ERROR((void)dispatch::parse_assignment("#run 8", 8),
+                   "#run: run index 8 is outside the plan (8 runs)");
+  EXPECT_SIM_ERROR((void)dispatch::parse_assignment("#run 0", 0),
+                   "outside the plan");
+  EXPECT_SIM_ERROR(
+      (void)dispatch::parse_assignment("#run 99999999999999999999999", 8),
+      "#run: value out of range");
 }
 
-// A "#limit 1x" control line used to truncate the slice to one run; the
-// worker must refuse it, naming the line, with its heartbeat thread joined.
-TEST(DispatchProtocol, MalformedLimitLineNamesTheField) {
+/// Run a worker on `input` as its whole control stream, output discarded.
+int run_worker_on(const SweepConfig& cfg, const std::string& input) {
   int ctl[2];
-  ASSERT_EQ(::pipe(ctl), 0);
-  const std::string line = "#limit 1x\n";
-  ASSERT_TRUE(write_all(ctl[1], line.data(), line.size()));
+  EXPECT_EQ(::pipe(ctl), 0);
+  EXPECT_TRUE(write_all(ctl[1], input.data(), input.size()));
+  ::close(ctl[1]);
   const int out = ::open("/dev/null", O_WRONLY);
-  ASSERT_GE(out, 0);
-  EXPECT_SIM_ERROR(
-      (void)dispatch::run_worker_slice(tiny_sweep(1), {0, 1}, out, ctl[0]),
-      "#limit: not a valid integer");
-  for (const int fd : {out, ctl[0], ctl[1]}) ::close(fd);
+  EXPECT_GE(out, 0);
+  struct Closer {
+    int a, b;
+    ~Closer() {
+      ::close(a);
+      ::close(b);
+    }
+  } closer{ctl[0], out};
+  return dispatch::run_worker(cfg, ctl[0], out);
+}
+
+// A malformed or out-of-plan assignment is input from outside the program:
+// the worker refuses it naming the field, with its heartbeat thread joined.
+TEST(DispatchProtocol, WorkerRejectsMalformedAndOutOfPlanAssignments) {
+  const SweepConfig cfg = tiny_sweep(1);  // 4 runs
+  EXPECT_EQ(run_worker_on(cfg, ""), 0);   // EOF before any work: clean exit
+  EXPECT_EQ(run_worker_on(cfg, "#run 0\n#run 3\n"), 0);
+  EXPECT_SIM_ERROR((void)run_worker_on(cfg, "#run 1x\n"),
+                   "#run: not a valid integer");
+  EXPECT_SIM_ERROR((void)run_worker_on(cfg, "#run 0\n#run 4\n"),
+                   "#run: run index 4 is outside the plan (4 runs)");
+  EXPECT_SIM_ERROR((void)run_worker_on(cfg, "#limit 1\n"),
+                   "#run: expected an assignment");
+  EXPECT_SIM_ERROR((void)run_worker_on(cfg, "#run 1"), "cut off by EOF");
+  EXPECT_SIM_ERROR((void)run_worker_on(cfg, std::string(100, '7') + "\n"),
+                   "too long");
+}
+
+// The JSON reader behind records, #plan headers, checkpoints, replay
+// bundles and history snapshots bounds its recursion and rejects short
+// \u escapes; the inf/nan tokens %.17g writes for empty accumulators
+// still parse.
+TEST(DispatchProtocol, JsonReaderBoundsNestingAndEscapes) {
+  EXPECT_SIM_ERROR((void)json::parse(std::string(100'000, '[')),
+                   "nested more than 256 deep (at byte offset");
+  std::string objects;
+  for (int i = 0; i < 100'000; ++i) objects += "{\"a\": ";
+  EXPECT_SIM_ERROR((void)json::parse(objects), "nested");
+  EXPECT_SIM_ERROR((void)json::parse(std::string(1'000, '[')), "nested");
+  const std::string deep = std::string(200, '[') + std::string(200, ']');
+  EXPECT_EQ(json::parse(deep).type, json::Value::Type::kArray);
+
+  EXPECT_SIM_ERROR((void)json::parse("\"\\u12zz\""),
+                   "\\u escape needs four hex digits");
+  EXPECT_SIM_ERROR((void)json::parse("\"\\u-123\""), "four hex digits");
+  EXPECT_SIM_ERROR((void)json::parse("\"\\u12\""), "\\u escape");
+  EXPECT_EQ(json::parse("\"\\u0041\\u00e9\"").str, "A\xc3\xa9");
+
+  const json::Value nums = json::parse("[inf, -inf, nan, null]");
+  ASSERT_EQ(nums.array.size(), 4u);
+  EXPECT_TRUE(std::isinf(nums.array[0].number) && nums.array[0].number > 0);
+  EXPECT_TRUE(std::isinf(nums.array[1].number) && nums.array[1].number < 0);
+  EXPECT_TRUE(std::isnan(nums.array[2].number));
+  EXPECT_EQ(nums.array[3].type, json::Value::Type::kNull);
+}
+
+// Deterministic mutation fuzz of the four dispatch wire formats: every
+// byte-flipped, truncated or spliced input must parse or throw SimError.
+// Any other exception fails here; UB or a crash fails the sanitizer build.
+TEST(DispatchFuzz, WireFormatsParseOrThrowSimError) {
+  const SweepConfig cfg = tiny_sweep(1);
+  const SweepRunner runner(cfg);
+  const SweepRun storm = runner.execute_run(2);
+  PartialSnapshot snap;
+  snap.bench = "fuzz";
+  snap.root_seed = cfg.root_seed;
+  snap.repeat = cfg.repeat;
+  snap.total_runs = 4;
+  snap.cells = dispatch::plan_info_for(cfg).cells;
+  snap.runs = {runner.execute_run(0), storm};
+
+  const std::size_t runs = snap.total_runs;
+  struct Format {
+    const char* name;
+    std::string seed;
+    std::function<void(const std::string&)> parse;
+  };
+  const std::vector<Format> formats = {
+      {"#plan", dispatch::to_json(dispatch::plan_info_for(cfg)),
+       [](const std::string& s) { (void)dispatch::parse_plan_info(s); }},
+      {"record", run_record_to_json(storm),
+       [](const std::string& s) { (void)parse_run_record(s); }},
+      {"snapshot", to_json(snap),
+       [](const std::string& s) { (void)parse_partial_snapshot(s); }},
+      {"#run", dispatch::assignment_line(3),
+       [runs](const std::string& s) { (void)dispatch::parse_assignment(s, runs); }},
+  };
+
+  std::mt19937_64 rng(0x5eed);  // fixed: the same inputs on every run
+  const auto pick = [&rng](std::size_t n) {
+    return n == 0 ? 0 : static_cast<std::size_t>(rng() % n);
+  };
+  constexpr int kInputsPerFormat = 3000;
+  for (const Format& f : formats) {
+    // The seed itself must parse: a fuzz over inputs that all fail to
+    // parse checks nothing.
+    EXPECT_NO_THROW(f.parse(f.seed)) << f.name;
+    std::size_t parsed = 0;
+    for (int i = 0; i < kInputsPerFormat; ++i) {
+      std::string in = f.seed;
+      switch (i % 3) {
+        case 0:  // flip one to four bytes
+          for (std::size_t k = 1 + pick(4); k > 0; --k) {
+            in[pick(in.size())] = static_cast<char>(rng());
+          }
+          break;
+        case 1:  // truncate
+          in.resize(pick(in.size()));
+          break;
+        default: {  // splice a chunk of any seed over any position
+          const std::string& donor = formats[pick(formats.size())].seed;
+          const std::size_t from = pick(donor.size());
+          const std::string chunk = donor.substr(from, 1 + pick(64));
+          const std::size_t at = pick(in.size() + 1);
+          in.replace(at, pick(8), chunk);
+          break;
+        }
+      }
+      try {
+        f.parse(in);
+        ++parsed;
+      } catch (const sim::SimError&) {
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << f.name << " input " << i << " threw " << e.what();
+      } catch (...) {
+        ADD_FAILURE() << f.name << " input " << i << " threw a non-exception";
+      }
+    }
+    // Some mutations land in string contents or whitespace and still
+    // parse; none at all would mean the seed is rejected outright.
+    EXPECT_GT(parsed, 0u) << f.name;
+  }
 }
 
 // ---- byte-identity --------------------------------------------------------
@@ -232,49 +389,38 @@ TEST(Dispatch, ForkWorkersMatchLocalRunByteForByte) {
   EXPECT_EQ(res.to_json(), reference.to_json());
   EXPECT_EQ(d.stats().records_received, reference.runs.size());
   EXPECT_EQ(d.stats().runs_degraded, 0u);
+  // Workers pull run after run: three launches serve all eight, and each
+  // exits cleanly when its control line closes.
+  EXPECT_EQ(d.stats().workers_launched, 3u);
+  EXPECT_EQ(d.stats().workers_died, 0u);
 }
 
-/// Fork workers that pause between records. tiny_sweep runs finish in
-/// microseconds — an unpaced worker drains its whole slice into the pipe
-/// buffer and exits before any mid-slice SIGKILL can land, so fault
-/// injection needs workers that are still alive when the coordinator
-/// reacts to their records.
-class PacedTransport final : public dispatch::WorkerTransport {
- public:
-  explicit PacedTransport(SweepConfig cfg) : cfg_(std::move(cfg)) {
-    cfg_.progress = false;
-  }
-  const char* name() const override { return "paced"; }
-  dispatch::PlanInfo plan() override { return dispatch::plan_info_for(cfg_); }
-  dispatch::WorkerProcess launch(
-      const std::vector<std::size_t>& indices) override {
-    int fds[2];
-    EXPECT_EQ(::pipe(fds), 0);
-    const pid_t pid = ::fork();
-    if (pid == 0) {
-      ::close(fds[0]);
-      const SweepPlan plan = SweepPlan::make(cfg_);
-      const auto put = [&](const std::string& s) {
-        if (!write_all(fds[1], s.data(), s.size())) std::_Exit(1);
-      };
-      put("#plan " + dispatch::to_json(dispatch::plan_info_for(cfg_)) + "\n");
-      for (const std::size_t idx : indices) {
-        put("#run " + std::to_string(idx) + "\n");
-        put(run_record_to_json(plan.execute(idx)) + "\n");
-        ::usleep(30'000);  // window for the coordinator to kill us mid-slice
-      }
-      put("#end\n");
-      std::_Exit(0);
-    }
-    ::close(fds[1]);
-    return {pid, fds[0], -1};
-  }
+TEST(Dispatch, LaunchesNoMoreWorkersThanRuns) {
+  const SweepResult reference = SweepRunner(tiny_sweep(1)).run();  // 4 runs
+  dispatch::SweepDispatcher d(
+      std::make_unique<dispatch::ForkWorkerTransport>(tiny_sweep(1)),
+      fast_opts(8));
+  const SweepResult res = d.run();
+  EXPECT_EQ(d.stats().workers_launched, 4u);
+  EXPECT_EQ(res.to_csv(), reference.to_csv());
+}
 
- private:
-  SweepConfig cfg_;
+/// Fake workers that pause after each record. tiny_sweep runs finish in
+/// microseconds; the pause keeps a worker alive long enough for the
+/// coordinator's SIGKILL to land while it still has work ahead.
+class PacedTransport final : public FakeTransport {
+ public:
+  using FakeTransport::FakeTransport;
+  const char* name() const override { return "paced"; }
+  dispatch::WorkerProcess launch() override {
+    return fork_fake_worker(plan(), [this](std::size_t idx, const auto& put) {
+      put(record(idx));
+      ::usleep(30'000);
+    });
+  }
 };
 
-TEST(Dispatch, WorkerKilledMidSliceRetriesAndStaysByteIdentical) {
+TEST(Dispatch, WorkerKilledMidSweepRetriesAndStaysByteIdentical) {
   const SweepResult reference = SweepRunner(tiny_sweep()).run();
 
   dispatch::DispatchOptions opts = fast_opts(2);
@@ -283,100 +429,64 @@ TEST(Dispatch, WorkerKilledMidSliceRetriesAndStaysByteIdentical) {
                               std::move(opts));
   const SweepResult res = d.run();
 
-  EXPECT_GE(d.stats().workers_died, 1u);
+  EXPECT_EQ(d.stats().workers_died, 1u);
+  EXPECT_EQ(d.stats().workers_launched, 3u);  // the killed one is replaced
   EXPECT_EQ(d.stats().runs_degraded, 0u);
-  // The killed worker's tail was re-enqueued (and possibly stolen); the
-  // merged artifacts must not betray any of it.
   EXPECT_EQ(res.to_csv(), reference.to_csv());
   EXPECT_EQ(res.to_json(), reference.to_json());
 }
 
-// ---- duplicate records (steal races) --------------------------------------
+// ---- protocol errors ------------------------------------------------------
 
-/// Workers that emit every record twice: the deterministic stand-in for a
-/// steal race where victim and thief both execute the contested index.
-class EchoTwiceTransport final : public dispatch::WorkerTransport {
+/// The first worker answers every assignment with the record of the next
+/// run index; later launches are honest.
+class GarbledTransport final : public FakeTransport {
  public:
-  explicit EchoTwiceTransport(SweepConfig cfg) : cfg_(std::move(cfg)) {
-    cfg_.progress = false;
-  }
-  const char* name() const override { return "echo-twice"; }
-  dispatch::PlanInfo plan() override { return dispatch::plan_info_for(cfg_); }
-  dispatch::WorkerProcess launch(
-      const std::vector<std::size_t>& indices) override {
-    int fds[2];
-    EXPECT_EQ(::pipe(fds), 0);
-    const pid_t pid = ::fork();
-    if (pid == 0) {
-      ::close(fds[0]);
-      const SweepPlan plan = SweepPlan::make(cfg_);
-      const auto put = [&](const std::string& s) {
-        if (!write_all(fds[1], s.data(), s.size())) std::_Exit(1);
-      };
-      put("#plan " + dispatch::to_json(dispatch::plan_info_for(cfg_)) + "\n");
-      for (const std::size_t idx : indices) {
-        put("#run " + std::to_string(idx) + "\n");
-        const std::string rec = run_record_to_json(plan.execute(idx)) + "\n";
-        put(rec);
-        put(rec);
-      }
-      put("#end\n");
-      std::_Exit(0);
-    }
-    ::close(fds[1]);
-    return {pid, fds[0], -1};
+  using FakeTransport::FakeTransport;
+  const char* name() const override { return "garbled"; }
+  dispatch::WorkerProcess launch() override {
+    if (launched_++ > 0) return honest_worker();
+    const dispatch::PlanInfo header = plan();
+    return fork_fake_worker(header, [this, header](std::size_t idx,
+                                                   const auto& put) {
+      put(record((idx + 1) % header.total_runs));
+    });
   }
 
  private:
-  SweepConfig cfg_;
+  int launched_ = 0;
 };
 
-TEST(Dispatch, DuplicateRecordsKeepFirstAndStayByteIdentical) {
+TEST(Dispatch, RecordForUnassignedRunKillsWorkerAndStaysByteIdentical) {
   const SweepResult reference = SweepRunner(tiny_sweep()).run();
 
   dispatch::SweepDispatcher d(
-      std::make_unique<EchoTwiceTransport>(tiny_sweep()), fast_opts(2));
+      std::make_unique<GarbledTransport>(tiny_sweep()), fast_opts(1));
   const SweepResult res = d.run();
 
-  // Identical records: last-write-wins and keep-first are the same
-  // verdict, and the duplicates must be invisible in the artifacts.
-  // The dispatcher stops reading the moment the last run completes, so a
-  // duplicate still sitting in a pipe at shutdown is dropped unread — the
-  // counter may legitimately run one short of the run count.
-  EXPECT_GE(d.stats().duplicate_records + 1, reference.runs.size());
-  EXPECT_LE(d.stats().duplicate_records, reference.runs.size());
+  // The record is dropped, the worker killed and charged its assignment,
+  // which a fresh worker then runs.
+  EXPECT_EQ(d.stats().workers_died, 1u);
+  EXPECT_EQ(d.stats().retries, 1u);
+  EXPECT_EQ(d.stats().runs_degraded, 0u);
+  EXPECT_EQ(d.stats().records_received, reference.runs.size());
   EXPECT_EQ(res.to_csv(), reference.to_csv());
   EXPECT_EQ(res.to_json(), reference.to_json());
 }
 
 // ---- graceful degradation -------------------------------------------------
 
-/// Workers that announce their first run and then die on a signal —
-/// every attempt, forever. Nothing ever completes.
-class AlwaysCrashTransport final : public dispatch::WorkerTransport {
+/// Workers that take their first assignment and then exit — every
+/// attempt, forever. Nothing ever completes.
+class AlwaysCrashTransport final : public FakeTransport {
  public:
-  explicit AlwaysCrashTransport(SweepConfig cfg) : cfg_(std::move(cfg)) {}
+  using FakeTransport::FakeTransport;
   const char* name() const override { return "always-crash"; }
-  dispatch::PlanInfo plan() override { return dispatch::plan_info_for(cfg_); }
-  dispatch::WorkerProcess launch(
-      const std::vector<std::size_t>& indices) override {
-    int fds[2];
-    EXPECT_EQ(::pipe(fds), 0);
-    const pid_t pid = ::fork();
-    if (pid == 0) {
-      ::close(fds[0]);
-      const std::string head =
-          "#plan " + dispatch::to_json(dispatch::plan_info_for(cfg_)) +
-          "\n#run " + std::to_string(indices.front()) + "\n";
-      (void)write_all(fds[1], head.data(), head.size());
+  dispatch::WorkerProcess launch() override {
+    return fork_fake_worker(plan(), [](std::size_t, const auto&) {
       std::_Exit(1);  // crashed mid-run, as far as the coordinator knows
-    }
-    ::close(fds[1]);
-    return {pid, fds[0], -1};
+    });
   }
-
- private:
-  SweepConfig cfg_;
 };
 
 TEST(Dispatch, RetriesExhaustedDegradeCellsInsteadOfFailing) {
@@ -394,6 +504,8 @@ TEST(Dispatch, RetriesExhaustedDegradeCellsInsteadOfFailing) {
   const SweepResult res = d.run();  // completes; does NOT throw
 
   EXPECT_EQ(d.stats().runs_degraded, res.runs.size());
+  // Each death is charged to exactly the run its worker held.
+  EXPECT_EQ(d.stats().retries, 2 * res.runs.size());
   EXPECT_EQ(bundles, res.runs.size());
   EXPECT_EQ(res.degraded_cell_count(), res.cells.size());
   for (const SweepRun& run : res.runs) {
@@ -414,51 +526,35 @@ TEST(Dispatch, RetriesExhaustedDegradeCellsInsteadOfFailing) {
 
 // ---- lease expiry ---------------------------------------------------------
 
-/// First worker wedges after its plan header (no heartbeat, no records);
-/// all later launches are normal fork workers.
-class WedgeFirstTransport final : public dispatch::WorkerTransport {
+/// The first worker wedges on its first assignment (no heartbeat, no
+/// record); later launches are honest.
+class WedgeFirstTransport final : public FakeTransport {
  public:
-  explicit WedgeFirstTransport(SweepConfig cfg)
-      : inner_(cfg), cfg_(std::move(cfg)) {}
+  using FakeTransport::FakeTransport;
   const char* name() const override { return "wedge-first"; }
-  dispatch::PlanInfo plan() override { return dispatch::plan_info_for(cfg_); }
-  dispatch::WorkerProcess launch(
-      const std::vector<std::size_t>& indices) override {
-    if (!wedged_once_) {
-      wedged_once_ = true;
-      int fds[2];
-      EXPECT_EQ(::pipe(fds), 0);
-      const pid_t pid = ::fork();
-      if (pid == 0) {
-        ::close(fds[0]);
-        const std::string head =
-            "#plan " + dispatch::to_json(dispatch::plan_info_for(cfg_)) + "\n";
-        (void)write_all(fds[1], head.data(), head.size());
-        for (;;) ::pause();  // wedged: only the coordinator's lease saves us
-      }
-      ::close(fds[1]);
-      return {pid, fds[0], -1};
-    }
-    return inner_.launch(indices);
+  dispatch::WorkerProcess launch() override {
+    if (launched_++ > 0) return honest_worker();
+    return fork_fake_worker(plan(), [](std::size_t, const auto&) {
+      for (;;) ::pause();  // wedged: only the coordinator's lease saves us
+    });
   }
 
  private:
-  dispatch::ForkWorkerTransport inner_;
-  SweepConfig cfg_;
-  bool wedged_once_ = false;
+  int launched_ = 0;
 };
 
-TEST(Dispatch, LeaseExpiryReassignsWedgedWorkersSlice) {
+TEST(Dispatch, LeaseExpiryReassignsWedgedWorkersRun) {
   const SweepResult reference = SweepRunner(tiny_sweep()).run();
 
   dispatch::DispatchOptions opts = fast_opts(2);
-  opts.lease_sec = 0.3;
+  opts.lease_sec = 1.0;  // twice the heartbeat: the idle honest worker lives
   dispatch::SweepDispatcher d(
       std::make_unique<WedgeFirstTransport>(tiny_sweep()), std::move(opts));
   const SweepResult res = d.run();
 
   EXPECT_EQ(d.stats().leases_expired, 1u);
-  EXPECT_GE(d.stats().workers_died, 1u);
+  EXPECT_EQ(d.stats().workers_died, 1u);
+  EXPECT_EQ(d.stats().retries, 1u);
   EXPECT_EQ(d.stats().runs_degraded, 0u);
   EXPECT_EQ(res.to_csv(), reference.to_csv());
   EXPECT_EQ(res.to_json(), reference.to_json());
@@ -530,25 +626,54 @@ TEST(Dispatch, BrokenWorkerCommandFailsFastInsteadOfBurningRetries) {
   EXPECT_SIM_ERROR((void)transport->plan(), "#plan");
 }
 
+// Workers that die before their #plan header never started their run: no
+// retry is charged, even at --max-retries 0, and the third such death in
+// a row stops the dispatch as a broken worker command.
+TEST(Dispatch, BarrenWorkersAreNotChargedAndStopTheDispatch) {
+  class BarrenTransport final : public FakeTransport {
+   public:
+    using FakeTransport::FakeTransport;
+    const char* name() const override { return "barren"; }
+    dispatch::WorkerProcess launch() override {
+      int out[2];
+      int ctl[2];
+      if (::pipe(out) != 0 || ::pipe(ctl) != 0) std::abort();
+      const pid_t pid = ::fork();
+      if (pid == 0) std::_Exit(127);  // as a failed exec does
+      ::close(out[1]);
+      ::close(ctl[0]);
+      return {pid, out[0], ctl[1]};
+    }
+  };
+
+  dispatch::DispatchOptions opts = fast_opts(1);
+  opts.max_retries = 0;
+  dispatch::SweepDispatcher d(std::make_unique<BarrenTransport>(tiny_sweep(1)),
+                              std::move(opts));
+  EXPECT_SIM_ERROR((void)d.run(), "3 consecutive workers died without a #plan");
+  EXPECT_EQ(d.stats().workers_launched, 3u);
+  EXPECT_EQ(d.stats().retries, 0u);
+  EXPECT_EQ(d.stats().runs_degraded, 0u);
+}
+
 TEST(Dispatch, DispatcherRejectsPlanSkewedWorkers) {
   // Transport whose #plan probe says one thing but whose workers run
   // another sweep: the first worker header must abort the dispatch.
-  class SkewTransport final : public dispatch::WorkerTransport {
+  class SkewTransport final : public FakeTransport {
    public:
-    explicit SkewTransport(SweepConfig cfg) : inner_(cfg) {
-      lie_ = dispatch::plan_info_for(cfg);
-      lie_.root_seed ^= 1;  // coordinator believes a different seed
-    }
+    using FakeTransport::FakeTransport;
     const char* name() const override { return "skew"; }
-    dispatch::PlanInfo plan() override { return lie_; }
-    dispatch::WorkerProcess launch(
-        const std::vector<std::size_t>& indices) override {
-      return inner_.launch(indices);
+    dispatch::PlanInfo plan() override {
+      dispatch::PlanInfo lie = FakeTransport::plan();
+      lie.root_seed ^= 1;  // coordinator believes a different seed
+      return lie;
     }
-
-   private:
-    dispatch::ForkWorkerTransport inner_;
-    dispatch::PlanInfo lie_;
+    dispatch::WorkerProcess launch() override {
+      return fork_fake_worker(FakeTransport::plan(),
+                              [this](std::size_t idx, const auto& put) {
+                                put(record(idx));
+                              });
+    }
   };
 
   dispatch::SweepDispatcher d(std::make_unique<SkewTransport>(tiny_sweep()),
@@ -626,11 +751,11 @@ TEST(DispatchCrash, ChildAbortBecomesFailedReplicaWithReplayBundle) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(DispatchCrash, MidBatchCrashKeepsFinishedRunsAndRequeuesTail) {
-  // One worker gets [ok, boom, tail] as a single slice. The completed "ok"
-  // record must survive the worker's SIGABRT, "boom" becomes the kCrash
-  // replica (with a bundle pointing at exactly that run), and the
-  // never-started "tail" run is re-enqueued and executed by a fresh worker.
+TEST(DispatchCrash, CrashMidSweepKeepsFinishedRunsAndServesTheRest) {
+  // One worker slot pulls ok, then boom, then tail. The completed "ok"
+  // record must survive the worker's SIGABRT on "boom", which becomes the
+  // kCrash replica (with a bundle pointing at exactly that run), and
+  // "tail" is pulled by the fresh worker launched in its place.
   const std::string dir = ::testing::TempDir() + "dispatch_batch_crash";
   std::filesystem::remove_all(dir);
   const auto make = [&](const std::string& failure_dir) {
