@@ -35,8 +35,8 @@ sim::Rng& TaskApi::rng() {
 
 void TaskApi::compute(sim::Cycles c) {
   auto& cpu = cpu_;
-  cpu.kvm().port_run(cpu.vcpu(), c, hw::CycleCategory::kGuestUser,
-                     [&cpu] { cpu.maybe_preempt(); });
+  cpu.push_frame([&cpu] { cpu.maybe_preempt(); });
+  cpu.kvm().port_run(cpu.vcpu(), c, hw::CycleCategory::kGuestUser);
 }
 
 void TaskApi::barrier_wait(int barrier_id) {
@@ -56,29 +56,30 @@ void TaskApi::sync_io(const hw::IoRequest& req) { cpu_.kernel().sync_io(cpu_, re
 void TaskApi::sleep_for(sim::SimTime d) {
   PARATICK_CHECK(d > sim::SimTime::zero());
   auto& cpu = cpu_;
-  cpu.kvm().port_run(cpu.vcpu(), cpu.costs().syscall, hw::CycleCategory::kGuestKernel,
-                     [&cpu, d] {
-                       GuestTask* t = cpu.current();
-                       PARATICK_CHECK(t != nullptr);
-                       const sim::SimTime deadline = cpu.now() + d;
-                       auto wake = [&cpu, t] { cpu.kernel().wake_task(*t, cpu); };
-                       cpu.kernel().maybe_enqueue_rcu(cpu);
-                       if (d < 4 * cpu.tick_period()) {
-                         // High-res path: the hardware must fire at the
-                         // hrtimer's deadline, not at the next tick.
-                         cpu.hrtimers().add(deadline, wake);
-                         cpu.policy().program_hrtimer(deadline,
-                                                      [&cpu] { cpu.block_current(); });
-                         return;
-                       }
-                       cpu.wheel().add(cpu.jiffy_of(deadline), wake);
-                       cpu.block_current();
-                     });
+  cpu.push_frame([&cpu, d] {
+    GuestTask* t = cpu.current();
+    PARATICK_CHECK(t != nullptr);
+    const sim::SimTime deadline = cpu.now() + d;
+    auto wake = [&cpu, t] { cpu.kernel().wake_task(*t, cpu); };
+    cpu.kernel().maybe_enqueue_rcu(cpu);
+    if (d < 4 * cpu.tick_period()) {
+      // High-res path: the hardware must fire at the hrtimer's deadline,
+      // not at the next tick.
+      cpu.hrtimers().add(deadline, wake);
+      cpu.push_frame([&cpu] { cpu.block_current(); });
+      cpu.policy().program_hrtimer(deadline);
+      return;
+    }
+    cpu.wheel().add(cpu.jiffy_of(deadline), wake);
+    cpu.block_current();
+  });
+  cpu.kvm().port_run(cpu.vcpu(), cpu.costs().syscall, hw::CycleCategory::kGuestKernel);
 }
 
 void TaskApi::background_fault() {
   auto& cpu = cpu_;
-  cpu.kvm().port_background_exit(cpu.vcpu(), [&cpu] { cpu.resume_current(); });
+  cpu.push_frame([&cpu] { cpu.resume_current(); });
+  cpu.kvm().port_background_exit(cpu.vcpu());
 }
 
 void TaskApi::finish() { cpu_.kernel().task_finished(cpu_); }
@@ -107,7 +108,7 @@ std::uint64_t GuestCpu::jiffy_of(sim::SimTime t) const {
 }
 
 void GuestCpu::power_on() {
-  policy_->on_boot([this] {
+  push_frame([this] {
     if (!kernel_.config().steal.enabled) {
       schedule();
       return;
@@ -116,73 +117,70 @@ void GuestCpu::power_on() {
     // full period out, and a queue-only add would sit unseen until some
     // unrelated event expires it — phantom lateness on sample #1.
     steal_estimator_.arm(*this, kernel_.config().steal);
-    policy_->program_hrtimer(steal_estimator_.next_deadline(),
-                             [this] { schedule(); });
+    push_frame([this] { schedule(); });
+    policy_->program_hrtimer(steal_estimator_.next_deadline());
   });
+  policy_->on_boot();
 }
 
 // --- interrupt path ---------------------------------------------------------
 
 void GuestCpu::handle_interrupt(hw::Vector v) {
-  kvm_.port_run(vcpu_, costs().irq_entry, hw::CycleCategory::kGuestKernel, [this, v] {
-    // Expire due timers first (hrtimer_interrupt semantics): the policy's
-    // re-arm below must see only *pending* events.
-    expire_timers([this, v] {
-      dispatch_vector(v, [this] { post_irq_work([this] { kvm_.port_iret(vcpu_); }); });
-    });
+  // The handler's steps, pushed last first: each runs when the step
+  // before it returns. Timers expire before dispatch (hrtimer_interrupt
+  // semantics): the policy's re-arm must see only *pending* events.
+  push_frame([this] { kvm_.port_iret(vcpu_); });
+  push_frame([this] {
+    kvm_.port_run(vcpu_, costs().irq_exit, hw::CycleCategory::kGuestKernel);
   });
+  push_frame([this] { flush_kicks(); });
+  push_frame([this, v] { dispatch_vector(v); });
+  push_frame([this] { expire_timers(); });
+  kvm_.port_run(vcpu_, costs().irq_entry, hw::CycleCategory::kGuestKernel);
 }
 
-void GuestCpu::dispatch_vector(hw::Vector v, std::function<void()> done) {
+void GuestCpu::dispatch_vector(hw::Vector v) {
   switch (v) {
     case hw::vectors::kLocalTimer:
-      policy_->on_physical_tick(std::move(done));
+      policy_->on_physical_tick();
       return;
     case hw::vectors::kParatick:
-      policy_->on_virtual_tick(std::move(done));
+      policy_->on_virtual_tick();
       return;
     case hw::vectors::kBlockDevice: {
-      std::vector<hw::IoRequest> completions = kvm_.port_drain_io_completions(vcpu_);
-      if (completions.empty()) {
-        done();
+      kvm_.port_drain_io_completions(vcpu_, io_done_);
+      if (io_done_.empty()) {
+        ret();
         return;
       }
       const sim::Cycles c =
-          costs().blk_complete * static_cast<std::int64_t>(completions.size());
-      kvm_.port_run(vcpu_, c, hw::CycleCategory::kGuestKernel,
-                    [this, completions = std::move(completions),
-                     done = std::move(done)]() mutable {
-                      for (const auto& req : completions) kernel_.io_complete(*this, req);
-                      // Acknowledge the device interrupt (virtio ISR access).
-                      kvm_.port_io_ack(vcpu_, std::move(done));
-                    });
+          costs().blk_complete * static_cast<std::int64_t>(io_done_.size());
+      push_frame([this] {
+        for (const auto& req : io_done_) kernel_.io_complete(*this, req);
+        // Acknowledge the device interrupt (virtio ISR access).
+        kvm_.port_io_ack(vcpu_);
+      });
+      kvm_.port_run(vcpu_, c, hw::CycleCategory::kGuestKernel);
       return;
     }
     case hw::vectors::kRescheduleIpi:
       // The waker already placed the task on our runqueue; the post-irq
       // path will notice it when the idle loop resumes.
-      done();
+      ret();
       return;
     default:
-      done();  // spurious
+      ret();  // spurious
       return;
   }
 }
 
-void GuestCpu::post_irq_work(std::function<void()> done) {
-  flush_kicks([this, done = std::move(done)]() mutable {
-    kvm_.port_run(vcpu_, costs().irq_exit, hw::CycleCategory::kGuestKernel,
-                  std::move(done));
-  });
-}
-
-void GuestCpu::expire_timers(std::function<void()> done) {
+void GuestCpu::expire_timers() {
   fault::FaultInjector* inj = kernel_.config().fault;
   if (inj != nullptr && inj->drop_softirq()) {
     // Fault: the timer softirq is lost. Wheel and hrtimer entries stay
     // pending until the next interrupt re-runs this pass (the irq-entry
     // cost already advanced time, so re-fires terminate).
-    done();
+    ret();
     return;
   }
   const std::uint64_t fired_before = wheel_.fired_count() + hrtimers_.fired_count();
@@ -200,10 +198,10 @@ void GuestCpu::expire_timers(std::function<void()> done) {
     c = c + costs().timer_softirq;
   }
   if (c == sim::Cycles(0)) {
-    done();
+    ret();
     return;
   }
-  kvm_.port_run(vcpu_, c, hw::CycleCategory::kGuestKernel, std::move(done));
+  kvm_.port_run(vcpu_, c, hw::CycleCategory::kGuestKernel);
 }
 
 void GuestCpu::queue_kick(int target_cpu) {
@@ -213,50 +211,46 @@ void GuestCpu::queue_kick(int target_cpu) {
   }
 }
 
-void GuestCpu::flush_kicks(std::function<void()> done) {
+void GuestCpu::flush_kicks() {
   if (pending_kicks_.empty()) {
-    done();
+    ret();
     return;
   }
   const int target = pending_kicks_.back();
   pending_kicks_.pop_back();
-  kvm_.port_send_ipi(vcpu_, target, hw::vectors::kRescheduleIpi,
-                     [this, done = std::move(done)]() mutable {
-                       flush_kicks(std::move(done));
-                     });
+  push_frame([this] { flush_kicks(); });
+  kvm_.port_send_ipi(vcpu_, target, hw::vectors::kRescheduleIpi);
 }
 
 // --- tick services -----------------------------------------------------------
 
-void GuestCpu::do_tick_work(std::function<void()> done) {
-  kvm_.port_run(vcpu_, costs().tick_work, hw::CycleCategory::kGuestKernel,
-                [this, done = std::move(done)]() mutable {
-                  const std::uint64_t drained = rcu_.on_tick();
-                  if (current_ != nullptr && !runq_.empty()) need_resched_ = true;
-                  if (drained > 0) {
-                    kvm_.port_run(vcpu_, costs().rcu_cb_batch,
-                                  hw::CycleCategory::kGuestKernel, std::move(done));
-                  } else {
-                    done();
-                  }
-                });
+void GuestCpu::do_tick_work() {
+  push_frame([this] {
+    const std::uint64_t drained = rcu_.on_tick();
+    if (current_ != nullptr && !runq_.empty()) need_resched_ = true;
+    if (drained > 0) {
+      kvm_.port_run(vcpu_, costs().rcu_cb_batch, hw::CycleCategory::kGuestKernel);
+      return;
+    }
+    ret();
+  });
+  kvm_.port_run(vcpu_, costs().tick_work, hw::CycleCategory::kGuestKernel);
 }
 
-void GuestCpu::kernel_work(sim::Cycles c, std::function<void()> done) {
-  kvm_.port_run(vcpu_, c, hw::CycleCategory::kGuestKernel, std::move(done));
+void GuestCpu::kernel_work(sim::Cycles c) {
+  kvm_.port_run(vcpu_, c, hw::CycleCategory::kGuestKernel);
 }
 
-void GuestCpu::write_tsc_deadline(std::optional<sim::SimTime> deadline,
-                                  std::function<void()> done) {
-  kvm_.port_write_tsc_deadline(vcpu_, deadline, std::move(done));
+void GuestCpu::write_tsc_deadline(std::optional<sim::SimTime> deadline) {
+  kvm_.port_write_tsc_deadline(vcpu_, deadline);
 }
 
-void GuestCpu::paratick_hypercall(sim::SimTime period, std::function<void()> done) {
+void GuestCpu::paratick_hypercall(sim::SimTime period) {
   hv::HypercallRequest req;
   req.kind = hv::HypercallRequest::Kind::kDeclareTickFreq;
   req.guest_tick_period = period;
   req.enable_paratick = true;
-  kvm_.port_hypercall(vcpu_, req, std::move(done));
+  kvm_.port_hypercall(vcpu_, req);
 }
 
 TickCpu::IdleSnapshot GuestCpu::idle_snapshot() const {
@@ -282,7 +276,7 @@ void GuestCpu::enqueue_task(GuestTask& t) {
 }
 
 void GuestCpu::schedule() {
-  kernel_work(costs().sched_pick, [this] {
+  push_frame([this] {
     if (runq_.empty()) {
       enter_idle();
       return;
@@ -290,8 +284,10 @@ void GuestCpu::schedule() {
     current_ = runq_.front();
     runq_.pop_front();
     current_->state = GuestTask::State::kRunning;
-    kernel_work(costs().ctx_switch, [this] { run_current(); });
+    push_frame([this] { run_current(); });
+    kernel_work(costs().ctx_switch);
   });
+  kernel_work(costs().sched_pick);
 }
 
 void GuestCpu::run_current() {
@@ -312,20 +308,29 @@ void GuestCpu::resume_current() {
 
 void GuestCpu::enter_idle() {
   PARATICK_CHECK(current_ == nullptr);
-  policy_->on_idle_enter([this] {
+  push_frame([this] {
     // Re-check: an interrupt during the idle-entry path (e.g. the MSR
     // write exit window) may have woken a task.
     if (!runq_.empty()) {
-      policy_->on_idle_exit([this] { schedule(); });
+      exit_idle();
       return;
     }
+    // The idle loop is the bottom of this vCPU's kernel paths; a frame
+    // left here would never run again.
+    PARATICK_CHECK_MSG(stack_.empty(), "hlt with guest kernel frames pending");
     kvm_.port_hlt(vcpu_);
   });
+  policy_->on_idle_enter();
+}
+
+void GuestCpu::exit_idle() {
+  push_frame([this] { schedule(); });
+  policy_->on_idle_exit();
 }
 
 void GuestCpu::idle_resume() {
   if (!runq_.empty()) {
-    policy_->on_idle_exit([this] { schedule(); });
+    exit_idle();
   } else {
     enter_idle();
   }
@@ -457,25 +462,26 @@ void GuestKernel::barrier_arrive(GuestCpu& c, int barrier_id) {
   maybe_enqueue_rcu(c);
 
   if (static_cast<int>(b.waiting.size()) + 1 >= b.parties) {
-    // Last arrival releases everyone and continues without blocking.
-    std::vector<GuestTask*> waiting = std::move(b.waiting);
-    b.waiting.clear();
-    for (GuestTask* w : waiting) wake_task(*w, c);
+    // Last arrival releases everyone and continues without blocking. The
+    // waiting list keeps its buffer for the next round.
+    for (GuestTask* w : b.waiting) wake_task(*w, c);
     const sim::Cycles cost =
         c.costs().syscall +
-        c.costs().futex_wake * static_cast<std::int64_t>(waiting.size());
-    kvm_.port_run(c.vcpu(), cost, hw::CycleCategory::kGuestKernel, [&c] {
-      c.flush_kicks([&c] { c.resume_current(); });
-    });
+        c.costs().futex_wake * static_cast<std::int64_t>(b.waiting.size());
+    b.waiting.clear();
+    c.push_frame([&c] { c.resume_current(); });
+    c.push_frame([&c] { c.flush_kicks(); });
+    kvm_.port_run(c.vcpu(), cost, hw::CycleCategory::kGuestKernel);
     return;
   }
 
   b.waiting.push_back(t);
+  c.push_frame([&c, t] {
+    PARATICK_CHECK(c.current() == t);
+    c.block_current();
+  });
   kvm_.port_run(c.vcpu(), c.costs().syscall + c.costs().futex_block,
-                hw::CycleCategory::kGuestKernel, [&c, t] {
-                  PARATICK_CHECK(c.current() == t);
-                  c.block_current();
-                });
+                hw::CycleCategory::kGuestKernel);
 }
 
 void GuestKernel::mutex_lock(GuestCpu& c, int mutex_id) {
@@ -486,34 +492,36 @@ void GuestKernel::mutex_lock(GuestCpu& c, int mutex_id) {
 
   if (m.holder == nullptr) {
     m.holder = t;
-    kvm_.port_run(c.vcpu(), kFutexFastPath, hw::CycleCategory::kGuestUser,
-                  [&c] { c.resume_current(); });
+    c.push_frame([&c] { c.resume_current(); });
+    kvm_.port_run(c.vcpu(), kFutexFastPath, hw::CycleCategory::kGuestUser);
     return;
   }
 
   ++m.contended_acquires;
   // Adaptive mutex: spin briefly (PLE-visible on the host), then sleep.
-  // The task stays current until it blocks, so the callbacks read it from
+  // The task stays current until it blocks, so the frames read it from
   // `c` instead of capturing it.
-  kvm_.port_spin(c.vcpu(), c.costs().spin_before_block, [&c, &m] {
+  c.push_frame([&c, &m] {
     if (m.holder == nullptr) {
       m.holder = c.current();
       c.resume_current();
       return;
     }
+    c.push_frame([&c, &m] {
+      if (m.holder == nullptr) {
+        // Released during the futex path.
+        m.holder = c.current();
+        c.resume_current();
+        return;
+      }
+      m.waiters.push_back(c.current());
+      c.kernel().maybe_enqueue_rcu(c);
+      c.block_current();
+    });
     c.kvm().port_run(c.vcpu(), c.costs().syscall + c.costs().futex_block,
-                     hw::CycleCategory::kGuestKernel, [&c, &m] {
-                       if (m.holder == nullptr) {
-                         // Released during the futex path.
-                         m.holder = c.current();
-                         c.resume_current();
-                         return;
-                       }
-                       m.waiters.push_back(c.current());
-                       c.kernel().maybe_enqueue_rcu(c);
-                       c.block_current();
-                     });
+                     hw::CycleCategory::kGuestKernel);
   });
+  kvm_.port_spin(c.vcpu(), c.costs().spin_before_block);
 }
 
 void GuestKernel::mutex_unlock(GuestCpu& c, int mutex_id) {
@@ -529,13 +537,14 @@ void GuestKernel::mutex_unlock(GuestCpu& c, int mutex_id) {
     m.waiters.pop_front();
     m.holder = next;  // ownership handoff
     wake_task(*next, c);
-    kvm_.port_run(c.vcpu(), c.costs().futex_wake, hw::CycleCategory::kGuestKernel,
-                  [&c] { c.flush_kicks([&c] { c.resume_current(); }); });
+    c.push_frame([&c] { c.resume_current(); });
+    c.push_frame([&c] { c.flush_kicks(); });
+    kvm_.port_run(c.vcpu(), c.costs().futex_wake, hw::CycleCategory::kGuestKernel);
     return;
   }
   m.holder = nullptr;
-  kvm_.port_run(c.vcpu(), kFutexFastPath, hw::CycleCategory::kGuestUser,
-                [&c] { c.resume_current(); });
+  c.push_frame([&c] { c.resume_current(); });
+  kvm_.port_run(c.vcpu(), kFutexFastPath, hw::CycleCategory::kGuestUser);
 }
 
 void GuestKernel::sem_wait(GuestCpu& c, int sem_id) {
@@ -544,22 +553,23 @@ void GuestKernel::sem_wait(GuestCpu& c, int sem_id) {
   if (s.count > 0) {
     // Fast path: a post is already available (userspace futex check).
     --s.count;
-    kvm_.port_run(c.vcpu(), kFutexFastPath, hw::CycleCategory::kGuestUser,
-                  [&c] { c.resume_current(); });
+    c.push_frame([&c] { c.resume_current(); });
+    kvm_.port_run(c.vcpu(), kFutexFastPath, hw::CycleCategory::kGuestUser);
     return;
   }
   ++s.blocked_waits;
   maybe_enqueue_rcu(c);
+  c.push_frame([&c, &s] {
+    if (s.count > 0) {
+      --s.count;  // a post raced with the futex path
+      c.resume_current();
+      return;
+    }
+    s.waiters.push_back(c.current());
+    c.block_current();
+  });
   kvm_.port_run(c.vcpu(), c.costs().syscall + c.costs().futex_block,
-                hw::CycleCategory::kGuestKernel, [&c, &s] {
-                  if (s.count > 0) {
-                    --s.count;  // a post raced with the futex path
-                    c.resume_current();
-                    return;
-                  }
-                  s.waiters.push_back(c.current());
-                  c.block_current();
-                });
+                hw::CycleCategory::kGuestKernel);
 }
 
 void GuestKernel::sem_post(GuestCpu& c, int sem_id) {
@@ -570,13 +580,14 @@ void GuestKernel::sem_post(GuestCpu& c, int sem_id) {
     s.waiters.pop_front();
     wake_task(*w, c);
     maybe_enqueue_rcu(c);
-    kvm_.port_run(c.vcpu(), c.costs().futex_wake, hw::CycleCategory::kGuestKernel,
-                  [&c] { c.flush_kicks([&c] { c.resume_current(); }); });
+    c.push_frame([&c] { c.resume_current(); });
+    c.push_frame([&c] { c.flush_kicks(); });
+    kvm_.port_run(c.vcpu(), c.costs().futex_wake, hw::CycleCategory::kGuestKernel);
     return;
   }
   ++s.count;
-  kvm_.port_run(c.vcpu(), kFutexFastPath, hw::CycleCategory::kGuestUser,
-                [&c] { c.resume_current(); });
+  c.push_frame([&c] { c.resume_current(); });
+  kvm_.port_run(c.vcpu(), kFutexFastPath, hw::CycleCategory::kGuestUser);
 }
 
 void GuestKernel::sync_io(GuestCpu& c, const hw::IoRequest& req) {
@@ -585,36 +596,50 @@ void GuestKernel::sync_io(GuestCpu& c, const hw::IoRequest& req) {
   const std::uint64_t cookie = next_io_cookie_++;
   hw::IoRequest tagged = req;
   tagged.cookie = cookie;
-  io_waits_.emplace(cookie, IoWait{t, tagged, false, false});
+  io_waits_.push_back(IoWait{t, tagged, false, false});
   maybe_enqueue_rcu(c);
 
-  kvm_.port_run(c.vcpu(), c.costs().blk_submit, hw::CycleCategory::kGuestKernel,
-                [&c, cookie] {
-                  const hw::IoRequest& submit = c.kernel().io_waits_.at(cookie).req;
-                  c.kvm().port_io_submit(c.vcpu(), submit, [&c, cookie] {
-                    auto& waits = c.kernel().io_waits_;
-                    auto it = waits.find(cookie);
-                    if (it == waits.end() || it->second.completed_early) {
-                      waits.erase(cookie);
-                      c.resume_current();
-                      return;
-                    }
-                    it->second.blocked = true;
-                    c.block_current();
-                  });
-                });
+  c.push_frame([&c, cookie] {
+    const IoWait* submit = c.kernel().find_io_wait(cookie);
+    PARATICK_CHECK(submit != nullptr);
+    c.push_frame([&c, cookie] {
+      GuestKernel& k = c.kernel();
+      IoWait* w = k.find_io_wait(cookie);
+      if (w == nullptr || w->completed_early) {
+        if (w != nullptr) k.erase_io_wait(*w);
+        c.resume_current();
+        return;
+      }
+      w->blocked = true;
+      c.block_current();
+    });
+    c.kvm().port_io_submit(c.vcpu(), submit->req);
+  });
+  kvm_.port_run(c.vcpu(), c.costs().blk_submit, hw::CycleCategory::kGuestKernel);
+}
+
+GuestKernel::IoWait* GuestKernel::find_io_wait(std::uint64_t cookie) {
+  for (IoWait& w : io_waits_) {
+    if (w.req.cookie == cookie) return &w;
+  }
+  return nullptr;
+}
+
+void GuestKernel::erase_io_wait(IoWait& w) {
+  w = io_waits_.back();
+  io_waits_.pop_back();
 }
 
 void GuestKernel::io_complete(GuestCpu& c, const hw::IoRequest& req) {
   if (req.failed) ++io_errors_;
-  auto it = io_waits_.find(req.cookie);
-  if (it == io_waits_.end()) return;  // spurious / already handled
-  if (!it->second.blocked) {
-    it->second.completed_early = true;
+  IoWait* w = find_io_wait(req.cookie);
+  if (w == nullptr) return;  // spurious / already handled
+  if (!w->blocked) {
+    w->completed_early = true;
     return;
   }
-  GuestTask* t = it->second.task;
-  io_waits_.erase(it);
+  GuestTask* t = w->task;
+  erase_io_wait(*w);
   wake_task(*t, c);
 }
 

@@ -4,12 +4,13 @@
 // full-dynticks mode, or paratick).
 //
 // GuestCpu implements both the hypervisor-facing interface (boot,
-// interrupt delivery, idle resumption) and the TickCpu interface the
-// tick policies act on.
+// interrupt delivery, idle resumption, port-verb completion) and the
+// TickCpu interface the tick policies act on. Its kernel paths continue
+// through the per-vCPU KernelStack (guest/kernel_stack.hpp), never
+// through heap-allocated continuations.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -18,6 +19,7 @@
 #include "guest/cost_model.hpp"
 #include "sim/stats.hpp"
 #include "guest/hrtimer.hpp"
+#include "guest/kernel_stack.hpp"
 #include "guest/rcu.hpp"
 #include "guest/steal_estimator.hpp"
 #include "guest/task.hpp"
@@ -26,6 +28,7 @@
 #include "hv/kvm.hpp"
 #include "hv/port.hpp"
 #include "hv/vcpu.hpp"
+#include "sim/ring_queue.hpp"
 
 namespace paratick::fault {
 class FaultInjector;
@@ -61,6 +64,7 @@ class GuestCpu final : public hv::GuestCpuIface, public TickCpu {
   void power_on() override;
   void handle_interrupt(hw::Vector v) override;
   void idle_resume() override;
+  void port_done() override { stack_.ret(); }
 
   // --- TickCpu (what the tick policy sees) ---
   [[nodiscard]] sim::SimTime now() const override;
@@ -70,11 +74,12 @@ class GuestCpu final : public hv::GuestCpuIface, public TickCpu {
     return static_cast<int>(runq_.size()) + (current_ != nullptr ? 1 : 0);
   }
   [[nodiscard]] const GuestCostModel& costs() const override;
-  void do_tick_work(std::function<void()> done) override;
-  void kernel_work(sim::Cycles c, std::function<void()> done) override;
-  void write_tsc_deadline(std::optional<sim::SimTime> deadline,
-                          std::function<void()> done) override;
-  void paratick_hypercall(sim::SimTime period, std::function<void()> done) override;
+  void push_frame(sim::InlineCallback next) override { stack_.push(std::move(next)); }
+  void ret() override { stack_.ret(); }
+  void do_tick_work() override;
+  void kernel_work(sim::Cycles c) override;
+  void write_tsc_deadline(std::optional<sim::SimTime> deadline) override;
+  void paratick_hypercall(sim::SimTime period) override;
   [[nodiscard]] IdleSnapshot idle_snapshot() const override;
 
   // --- scheduling / kernel services ---
@@ -108,11 +113,11 @@ class GuestCpu final : public hv::GuestCpuIface, public TickCpu {
  private:
   friend class GuestKernel;
 
-  void dispatch_vector(hw::Vector v, std::function<void()> done);
-  void post_irq_work(std::function<void()> done);
-  void expire_timers(std::function<void()> done);
-  void flush_kicks(std::function<void()> done);
+  void dispatch_vector(hw::Vector v);
+  void expire_timers();
+  void flush_kicks();
   void enter_idle();
+  void exit_idle();
   void run_current();
 
   GuestKernel& kernel_;
@@ -125,11 +130,13 @@ class GuestCpu final : public hv::GuestCpuIface, public TickCpu {
   HrtimerQueue hrtimers_;
   RcuState rcu_;
   StealEstimator steal_estimator_;
+  KernelStack stack_;
 
-  std::deque<GuestTask*> runq_;
+  sim::RingQueue<GuestTask*> runq_;
   GuestTask* current_ = nullptr;
   bool need_resched_ = false;
   std::vector<int> pending_kicks_;
+  std::vector<hw::IoRequest> io_done_;  // completions drained by the block irq
 };
 
 class GuestKernel {
@@ -211,7 +218,7 @@ class GuestKernel {
   };
   struct Mutex {
     GuestTask* holder = nullptr;
-    std::deque<GuestTask*> waiters;
+    sim::RingQueue<GuestTask*> waiters;
     std::uint64_t contended_acquires = 0;
     std::uint64_t acquires = 0;
   };
@@ -223,10 +230,14 @@ class GuestKernel {
   };
   struct Semaphore {
     std::int64_t count = 0;
-    std::deque<GuestTask*> waiters;
+    sim::RingQueue<GuestTask*> waiters;
     std::uint64_t posts = 0;
     std::uint64_t blocked_waits = 0;
   };
+
+  /// The wait with `cookie`, or nullptr once it has been retired.
+  [[nodiscard]] IoWait* find_io_wait(std::uint64_t cookie);
+  void erase_io_wait(IoWait& w);
 
   hv::Kvm& kvm_;
   hv::Vm& vm_;
@@ -237,7 +248,10 @@ class GuestKernel {
   std::unordered_map<int, Barrier> barriers_;
   std::unordered_map<int, Mutex> mutexes_;
   std::unordered_map<int, Semaphore> semaphores_;
-  std::unordered_map<std::uint64_t, IoWait> io_waits_;
+  /// Outstanding sync I/O waits, looked up by cookie. A flat vector: a
+  /// handful are outstanding at once, and erasing by swapping with the
+  /// last keeps it allocation-free once warm.
+  std::vector<IoWait> io_waits_;
   std::uint64_t next_io_cookie_ = 1;
   std::uint64_t io_errors_ = 0;
   int tasks_done_ = 0;

@@ -24,10 +24,10 @@ class TickSchedPolicy final : public TickPolicy {
   static constexpr sim::SimTime kHousekeepingPeriod = sim::SimTime::sec(1);
 
   [[nodiscard]] TickMode mode() const override { return mode_; }
-  void on_boot(std::function<void()> done) override;
-  void on_physical_tick(std::function<void()> done) override;
-  void on_idle_enter(std::function<void()> done) override;
-  void on_idle_exit(std::function<void()> done) override;
+  void on_boot() override;
+  void on_physical_tick() override;
+  void on_idle_enter() override;
+  void on_idle_exit() override;
 
   [[nodiscard]] bool tick_stopped() const { return tick_stopped_; }
 
@@ -56,17 +56,17 @@ class ParatickPolicy final : public TickPolicy {
   explicit ParatickPolicy(TickCpu& cpu) : TickPolicy(cpu) {}
 
   [[nodiscard]] TickMode mode() const override { return TickMode::kParatick; }
-  void on_boot(std::function<void()> done) override;
-  void on_physical_tick(std::function<void()> done) override;
-  void on_virtual_tick(std::function<void()> done) override;
-  void on_idle_enter(std::function<void()> done) override;
-  void on_idle_exit(std::function<void()> done) override;
+  void on_boot() override;
+  void on_physical_tick() override;
+  void on_virtual_tick() override;
+  void on_idle_enter() override;
+  void on_idle_exit() override;
 
  private:
   /// Program the idle wake-up timer only if nothing earlier is armed
   /// (§5.2.4): the never-disarm heuristic makes an already-armed earlier
   /// deadline reusable for free.
-  void maybe_program(sim::SimTime target, std::function<void()> done);
+  void maybe_program(sim::SimTime target);
 };
 
 }  // namespace paratick::guest

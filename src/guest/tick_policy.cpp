@@ -7,19 +7,19 @@
 
 namespace paratick::guest {
 
-void TickPolicy::arm(std::optional<sim::SimTime> deadline, std::function<void()> done) {
+void TickPolicy::arm(std::optional<sim::SimTime> deadline) {
   ++stats_.msr_writes;
   armed_ = deadline;
-  cpu_.write_tsc_deadline(deadline, std::move(done));
+  cpu_.write_tsc_deadline(deadline);
 }
 
-void TickPolicy::program_hrtimer(sim::SimTime deadline, std::function<void()> done) {
+void TickPolicy::program_hrtimer(sim::SimTime deadline) {
   if (armed_covers(deadline)) {
-    done();  // something earlier is already armed
+    cpu_.ret();  // something earlier is already armed
     return;
   }
   armed_ = deadline;
-  cpu_.write_tsc_deadline(deadline, std::move(done));
+  cpu_.write_tsc_deadline(deadline);
 }
 
 TickMode tick_mode_from_string(std::string_view name) {

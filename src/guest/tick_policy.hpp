@@ -11,15 +11,21 @@
 // against a mock CPU as well as run on the full guest kernel. The policy
 // is the only writer of its armed-deadline record: tick decisions go
 // through arm(), the hrtimer subsystem through program_hrtimer().
+//
+// Policy entry points and the TickCpu services are kernel paths in the
+// sense of guest/kernel_stack.hpp: they take no continuation. Each one
+// completes by returning to the frame its caller pushed — through a
+// TickCpu service it ends with, or through TickCpu::ret(). A policy that
+// has more to do after a service pushes that rest first (push_frame).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string_view>
 
 #include "guest/cost_model.hpp"
+#include "sim/inline_callback.hpp"
 #include "sim/stats.hpp"
 #include "sim/types.hpp"
 
@@ -61,19 +67,26 @@ class TickCpu {
   [[nodiscard]] virtual int nr_running() const = 0;
   [[nodiscard]] virtual const GuestCostModel& costs() const = 0;
 
+  // --- kernel-path continuations (guest/kernel_stack.hpp) ---
+  /// Push the rest of the running kernel path: it runs when the next
+  /// service or path returns.
+  virtual void push_frame(sim::InlineCallback next) = 0;
+  /// Return from the running kernel path now: pop the top frame, run it.
+  virtual void ret() = 0;
+
+  // --- services; each returns once done ---
   /// Full scheduler-tick work: time accounting, scheduler tick, RCU
   /// progress, timer-softirq processing.
-  virtual void do_tick_work(std::function<void()> done) = 0;
+  virtual void do_tick_work() = 0;
 
   /// Consume guest-kernel cycles (policy decision logic itself).
-  virtual void kernel_work(sim::Cycles c, std::function<void()> done) = 0;
+  virtual void kernel_work(sim::Cycles c) = 0;
 
   /// Program the tick timer hardware — always a VM exit (§3).
-  virtual void write_tsc_deadline(std::optional<sim::SimTime> deadline,
-                                  std::function<void()> done) = 0;
+  virtual void write_tsc_deadline(std::optional<sim::SimTime> deadline) = 0;
 
   /// Declare the guest tick frequency to the host (§4.1) — a VM exit.
-  virtual void paratick_hypercall(sim::SimTime period, std::function<void()> done) = 0;
+  virtual void paratick_hypercall(sim::SimTime period) = 0;
 
   /// Inputs to the idle-entry decision (Figures 1b / 3c).
   struct IdleSnapshot {
@@ -91,26 +104,28 @@ class TickPolicy {
   [[nodiscard]] virtual TickMode mode() const = 0;
   [[nodiscard]] std::string_view name() const { return to_string(mode()); }
 
+  // Every entry point returns to its caller's frame once done.
+
   /// One-time switch from early-boot periodic mode (§5.2.1).
-  virtual void on_boot(std::function<void()> done) = 0;
+  virtual void on_boot() = 0;
 
   /// The LAPIC/physical timer interrupt handler (Figures 1a / 3b).
-  virtual void on_physical_tick(std::function<void()> done) = 0;
+  virtual void on_physical_tick() = 0;
 
   /// The virtual tick (vector 235) handler (Figure 3a). Non-paratick
   /// kernels never asked for virtual ticks and treat one as spurious.
-  virtual void on_virtual_tick(std::function<void()> done) { done(); }
+  virtual void on_virtual_tick() { cpu_.ret(); }
 
   /// Idle-loop entry, before HLT (Figures 1b / 3c).
-  virtual void on_idle_enter(std::function<void()> done) = 0;
+  virtual void on_idle_enter() = 0;
 
   /// Idle-loop exit, before running tasks again (Figure 1c / 3d).
-  virtual void on_idle_exit(std::function<void()> done) = 0;
+  virtual void on_idle_exit() = 0;
 
   /// High-res mode: the hrtimer subsystem arms an expiring hrtimer on
   /// the hardware directly, unless a pending deadline at or before it is
   /// already armed. Not a tick decision: not counted in msr_writes.
-  void program_hrtimer(sim::SimTime deadline, std::function<void()> done);
+  void program_hrtimer(sim::SimTime deadline);
 
   // --- introspection for tests & metrics ---
   struct Stats {
@@ -138,7 +153,7 @@ class TickPolicy {
  protected:
   /// A tick decision that programs the timer: count it, record it as the
   /// armed deadline and write TSC_DEADLINE (nullopt = disarm).
-  void arm(std::optional<sim::SimTime> deadline, std::function<void()> done);
+  void arm(std::optional<sim::SimTime> deadline);
 
   /// An armed deadline at or before `target` is still pending.
   [[nodiscard]] bool armed_covers(sim::SimTime target) const {

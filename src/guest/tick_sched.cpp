@@ -23,18 +23,18 @@ sim::SimTime TickSchedPolicy::bounded_by_next_event(sim::SimTime target) const {
   return next && *next < target ? *next : target;
 }
 
-void TickSchedPolicy::on_boot(std::function<void()> done) {
+void TickSchedPolicy::on_boot() {
   next_tick_ = cpu_.now() + cpu_.tick_period();
-  arm(next_tick_, std::move(done));
+  arm(next_tick_);
 }
 
 // Figure 1a: perform tick work; re-arm unless the tick was stopped by the
 // time the interrupt is handled.
-void TickSchedPolicy::on_physical_tick(std::function<void()> done) {
+void TickSchedPolicy::on_physical_tick() {
   ++stats_.ticks_handled;
   note_tick(cpu_.now());
   armed_.reset();  // the deadline just fired
-  cpu_.do_tick_work([this, done = std::move(done)]() mutable {
+  cpu_.push_frame([this] {
     sim::SimTime target;
     if (!cpu_.is_idle() && can_stop_while_busy()) {
       // Adaptive tick: with a single runnable task and a quiet kernel,
@@ -44,7 +44,7 @@ void TickSchedPolicy::on_physical_tick(std::function<void()> done) {
     } else if (tick_stopped_) {
       // Deferred/disabled in the meantime — skip the re-arm (Figure 1a's
       // "tick disabled?" branch).
-      done();
+      cpu_.ret();
       return;
     } else {
       // Advance along the absolute tick grid; skip any periods lost to
@@ -58,23 +58,24 @@ void TickSchedPolicy::on_physical_tick(std::function<void()> done) {
     // *during* tick work is programmed as-is: a past TSC deadline fires
     // immediately, re-entering the expiry path — skipping it would
     // silently defer the timer a full grid period.
-    arm(bounded_by_next_event(target), std::move(done));
+    arm(bounded_by_next_event(target));
   });
+  cpu_.do_tick_work();
 }
 
 // Figure 1b: on idle entry, keep the tick if some component still needs
 // it or the next event falls within one tick period; otherwise defer the
 // timer to the next soft event, or disable it entirely.
-void TickSchedPolicy::on_idle_enter(std::function<void()> done) {
+void TickSchedPolicy::on_idle_enter() {
   ++stats_.idle_entries;
   if (!stops_when_idle()) {
-    done();  // periodic: the tick keeps running while idle — the whole problem
+    cpu_.ret();  // periodic: the tick keeps running while idle — the whole problem
     return;
   }
-  cpu_.kernel_work(cpu_.costs().idle_governor, [this, done = std::move(done)]() mutable {
+  cpu_.push_frame([this] {
     const TickCpu::IdleSnapshot snap = cpu_.idle_snapshot();
     if (snap.tick_needed) {
-      done();  // RCU / softirq pending: tick retained, enter idle directly
+      cpu_.ret();  // RCU / softirq pending: tick retained, enter idle directly
       return;
     }
     if (snap.next_event && *snap.next_event <= cpu_.now() + cpu_.tick_period()) {
@@ -83,10 +84,10 @@ void TickSchedPolicy::on_idle_enter(std::function<void()> done) {
       // it beats the programmed tick — otherwise the event would sit
       // until the grid point and look like phantom steal to the guest.
       if (armed_ && *armed_ <= *snap.next_event) {
-        done();
+        cpu_.ret();
         return;
       }
-      arm(*snap.next_event, std::move(done));
+      arm(*snap.next_event);
       return;
     }
     tick_stopped_ = true;
@@ -94,18 +95,19 @@ void TickSchedPolicy::on_idle_enter(std::function<void()> done) {
       // Already programmed at exactly this expiry (e.g. repeated idle
       // entries with an unchanged timer list): skip the MSR write.
       ++stats_.msr_writes_avoided;
-      done();
+      cpu_.ret();
       return;
     }
-    arm(snap.next_event, std::move(done));  // nullopt = disable
+    arm(snap.next_event);  // nullopt = disable
   });
+  cpu_.kernel_work(cpu_.costs().idle_governor);
 }
 
 // Figure 1c: on idle exit, restart the tick if it was deferred/disabled.
-void TickSchedPolicy::on_idle_exit(std::function<void()> done) {
+void TickSchedPolicy::on_idle_exit() {
   ++stats_.idle_exits;
   if (!tick_stopped_) {
-    done();
+    cpu_.ret();
     return;
   }
   tick_stopped_ = false;
@@ -122,7 +124,7 @@ void TickSchedPolicy::on_idle_exit(std::function<void()> done) {
   // Only NO_HZ_FULL's restart honours a sooner pending event; NO_HZ idle
   // restarts one full period out.
   if (stops_when_busy()) target = bounded_by_next_event(target);
-  arm(target, std::move(done));
+  arm(target);
 }
 
 }  // namespace paratick::guest

@@ -191,6 +191,24 @@ void Kvm::charge_and_then(hw::CpuId cpu, hw::CycleCategory cat, sim::Cycles c,
 // Guest segment management
 // ---------------------------------------------------------------------------
 
+void Kvm::start_segment(Vcpu& vcpu, sim::Cycles c, hw::CycleCategory cat, Resume then) {
+  PARATICK_CHECK(vcpu.state == VcpuState::kInGuest);
+  PARATICK_CHECK_MSG(!vcpu.current.active && !vcpu.current.suspended,
+                     "run() while a segment is outstanding");
+  PARATICK_CHECK(c >= sim::Cycles::zero());
+  auto& cur = vcpu.current;
+  cur.active = true;
+  cur.suspended = false;
+  cur.started = engine_.now();
+  cur.total = c;
+  cur.remaining = c;
+  cur.category = cat;
+  cur.then = then;
+  const auto freq = machine_.cpu(vcpu.pcpu).frequency();
+  cur.completion =
+      engine_.schedule_after(freq.time_for(c), [this, &vcpu] { segment_complete(vcpu); });
+}
+
 void Kvm::pause_current(Vcpu& vcpu) {
   auto& cur = vcpu.current;
   if (!cur.active) return;
@@ -225,9 +243,7 @@ void Kvm::segment_complete(Vcpu& vcpu) {
   cur.remaining = sim::Cycles::zero();
   cur.active = false;
   cur.suspended = false;
-  auto done = std::move(cur.done);
-  cur.done = nullptr;
-  done();
+  continue_guest(vcpu, cur.then);
 }
 
 // ---------------------------------------------------------------------------
@@ -249,6 +265,24 @@ void Kvm::do_exit(Vcpu& vcpu, hw::ExitCause cause,
                   std::move(host_work_then_entry));
 }
 
+void Kvm::continue_guest(Vcpu& vcpu, Resume then) {
+  switch (then) {
+    case Resume::kInterrupted:
+      give_control_to_guest(vcpu);
+      return;
+    case Resume::kPortDone:
+      vcpu.guest->port_done();
+      return;
+    case Resume::kPauseExit:
+      do_exit(vcpu, hw::ExitCause::kPauseLoop,
+              [this, &vcpu] { vmentry(vcpu, Resume::kSpin); });
+      return;
+    case Resume::kSpin:
+      port_spin(vcpu, vcpu.spin_left);
+      return;
+  }
+}
+
 void Kvm::give_control_to_guest(Vcpu& vcpu) {
   if (vcpu.current.suspended) {
     resume_current(vcpu);
@@ -260,12 +294,12 @@ void Kvm::give_control_to_guest(Vcpu& vcpu) {
   }
 }
 
-void Kvm::vmentry(Vcpu& vcpu, AfterEntry kind, std::function<void()> thunk) {
+void Kvm::vmentry(Vcpu& vcpu, Resume then) {
   if (vcpu.state == VcpuState::kUninitialized) {
     // Frozen (live migration) or powered off while an exit-path charge
     // was in flight: the host work completes, the entry finds the vCPU
-    // gone and drops out. Any thunk continuation belongs to the frozen
-    // guest and dies with it.
+    // gone and drops out. The guest path waiting on it stays parked with
+    // the frozen guest.
     return;
   }
   PARATICK_CHECK(vcpu.state == VcpuState::kInHost && vcpu.pcpu != kNoCpu);
@@ -279,17 +313,16 @@ void Kvm::vmentry(Vcpu& vcpu, AfterEntry kind, std::function<void()> thunk) {
       machine_.cpu(vcpu.pcpu).charge_cycles(hw::CycleCategory::kHostKernel,
                                             freq.cycles_in(burst));
       vcpu.steal_total += burst;
-      engine_.schedule_after(
-          burst, [this, &vcpu, kind, thunk = std::move(thunk)]() mutable {
-            if (vcpu.state != VcpuState::kInHost) return;
-            vmentry(vcpu, kind, std::move(thunk));
-          });
+      engine_.schedule_after(burst, [this, &vcpu, then] {
+        if (vcpu.state != VcpuState::kInHost) return;
+        vmentry(vcpu, then);
+      });
       return;
     }
   }
   charge_and_then(
       vcpu.pcpu, hw::CycleCategory::kExitOverhead, config_.exit_costs.vmentry,
-      [this, &vcpu, kind, thunk = std::move(thunk)]() mutable {
+      [this, &vcpu, then] {
         // The vCPU may have been preempted/requeued while the entry cost was
         // being paid (shared mode); in that case the dispatch path will
         // re-enter later.
@@ -301,19 +334,13 @@ void Kvm::vmentry(Vcpu& vcpu, AfterEntry kind, std::function<void()> thunk) {
           const hw::Vector v = *vcpu.pending.ack();
           // Stash what the injection interrupts so iret can restore it.
           if (vcpu.current.suspended) {
-            PARATICK_CHECK(kind == AfterEntry::kResume);
-            vcpu.interrupted.push_back(SavedContext{vcpu.current.remaining,
-                                                    vcpu.current.category,
-                                                    std::move(vcpu.current.done)});
-            vcpu.current = Vcpu::CurrentSegment{};
-          } else if (kind == AfterEntry::kThunk) {
-            vcpu.interrupted.push_back(
-                SavedContext{sim::Cycles::zero(), hw::CycleCategory::kGuestUser,
-                             std::move(thunk)});
-          } else {
+            PARATICK_CHECK(then == Resume::kInterrupted);
             vcpu.interrupted.push_back(SavedContext{
-                sim::Cycles::zero(), hw::CycleCategory::kGuestUser,
-                [this, &vcpu] { give_control_to_guest(vcpu); }});
+                vcpu.current.remaining, vcpu.current.category, vcpu.current.then});
+            vcpu.current = Vcpu::CurrentSegment{};
+          } else {
+            vcpu.interrupted.push_back(
+                SavedContext{sim::Cycles::zero(), hw::CycleCategory::kGuestUser, then});
           }
           vcpu.guest_irqs_enabled = false;
           ++vcpu.injections;
@@ -331,11 +358,7 @@ void Kvm::vmentry(Vcpu& vcpu, AfterEntry kind, std::function<void()> thunk) {
 
         vcpu.state = VcpuState::kInGuest;
         tracer_.record(engine_.now(), vcpu.id(), TraceKind::kEntry, 0);
-        if (kind == AfterEntry::kThunk) {
-          thunk();
-        } else {
-          give_control_to_guest(vcpu);
-        }
+        continue_guest(vcpu, then);
       });
 }
 
@@ -343,39 +366,21 @@ void Kvm::vmentry(Vcpu& vcpu, AfterEntry kind, std::function<void()> thunk) {
 // Port operations (synchronous guest->host requests)
 // ---------------------------------------------------------------------------
 
-void Kvm::port_run(Vcpu& vcpu, sim::Cycles c, hw::CycleCategory cat,
-                   std::function<void()> done) {
-  PARATICK_CHECK(vcpu.state == VcpuState::kInGuest);
-  PARATICK_CHECK_MSG(!vcpu.current.active && !vcpu.current.suspended,
-                     "run() while a segment is outstanding");
-  PARATICK_CHECK(c >= sim::Cycles::zero());
-  auto& cur = vcpu.current;
-  cur.active = true;
-  cur.suspended = false;
-  cur.started = engine_.now();
-  cur.total = c;
-  cur.remaining = c;
-  cur.category = cat;
-  cur.done = std::move(done);
-  const auto freq = machine_.cpu(vcpu.pcpu).frequency();
-  cur.completion =
-      engine_.schedule_after(freq.time_for(c), [this, &vcpu] { segment_complete(vcpu); });
+void Kvm::port_run(Vcpu& vcpu, sim::Cycles c, hw::CycleCategory cat) {
+  start_segment(vcpu, c, cat, Resume::kPortDone);
 }
 
 template <typename HostWork>
-void Kvm::exit_and_reenter(Vcpu& vcpu, hw::ExitCause cause, std::function<void()> done,
-                           HostWork host_work) {
+void Kvm::exit_and_reenter(Vcpu& vcpu, hw::ExitCause cause, HostWork host_work) {
   PARATICK_CHECK(vcpu.state == VcpuState::kInGuest && !vcpu.current.active);
-  do_exit(vcpu, cause,
-          [this, &vcpu, done = std::move(done), host_work = std::move(host_work)]() mutable {
-            host_work(*this, vcpu);
-            vmentry(vcpu, AfterEntry::kThunk, std::move(done));
-          });
+  do_exit(vcpu, cause, [this, &vcpu, host_work] {
+    host_work(*this, vcpu);
+    vmentry(vcpu, Resume::kPortDone);
+  });
 }
 
-void Kvm::port_write_tsc_deadline(Vcpu& vcpu, std::optional<sim::SimTime> deadline,
-                                  std::function<void()> done) {
-  exit_and_reenter(vcpu, hw::ExitCause::kGuestTimerArm, std::move(done),
+void Kvm::port_write_tsc_deadline(Vcpu& vcpu, std::optional<sim::SimTime> deadline) {
+  exit_and_reenter(vcpu, hw::ExitCause::kGuestTimerArm,
                    [deadline](Kvm&, Vcpu& v) {
                      // KVM tracks the guest deadline and backs it with the
                      // preemption timer (running) or a host hrtimer
@@ -390,9 +395,8 @@ void Kvm::port_write_tsc_deadline(Vcpu& vcpu, std::optional<sim::SimTime> deadli
                    });
 }
 
-void Kvm::port_hypercall(Vcpu& vcpu, const HypercallRequest& req,
-                         std::function<void()> done) {
-  exit_and_reenter(vcpu, hw::ExitCause::kHypercall, std::move(done),
+void Kvm::port_hypercall(Vcpu& vcpu, const HypercallRequest& req) {
+  exit_and_reenter(vcpu, hw::ExitCause::kHypercall,
                    [req](Kvm& kvm, Vcpu& v) {
                      if (req.kind == HypercallRequest::Kind::kDeclareTickFreq) {
                        v.paratick_enabled = req.enable_paratick;
@@ -411,7 +415,7 @@ void Kvm::port_hlt(Vcpu& vcpu) {
     if (vcpu.state != VcpuState::kInHost) return;  // frozen mid-exit (migration)
     if (vcpu.pending.any_pending()) {
       // HLT with a wake already pending: return to the guest immediately.
-      vmentry(vcpu, AfterEntry::kResume);
+      vmentry(vcpu, Resume::kInterrupted);
       return;
     }
     vcpu.halt_start = engine_.now();  // block-duration anchor for adaptation
@@ -459,7 +463,7 @@ void Kvm::port_iret(Vcpu& vcpu) {
     return;
   }
   vcpu.guest_irqs_enabled = true;
-  SavedContext ctx = std::move(vcpu.interrupted.back());
+  const SavedContext ctx = vcpu.interrupted.back();
   vcpu.interrupted.pop_back();
   if (ctx.remaining > sim::Cycles::zero()) {
     auto& cur = vcpu.current;
@@ -468,37 +472,36 @@ void Kvm::port_iret(Vcpu& vcpu) {
     cur.remaining = ctx.remaining;
     cur.total = ctx.remaining;
     cur.category = ctx.category;
-    cur.done = std::move(ctx.done);
+    cur.then = ctx.then;
     resume_current(vcpu);
   } else {
-    ctx.done();
+    continue_guest(vcpu, ctx.then);
   }
 }
 
-void Kvm::port_io_submit(Vcpu& vcpu, const hw::IoRequest& req,
-                         std::function<void()> done) {
-  exit_and_reenter(vcpu, hw::ExitCause::kIoKick, std::move(done),
+void Kvm::port_io_submit(Vcpu& vcpu, const hw::IoRequest& req) {
+  exit_and_reenter(vcpu, hw::ExitCause::kIoKick,
                    [req](Kvm& kvm, Vcpu& v) {
                      hw::BlockDevice* disk = kvm.vm_disks_[v.vm()->id()];
                      PARATICK_CHECK_MSG(disk != nullptr, "VM has no attached block device");
                      hw::IoRequest tagged = req;
                      const std::uint64_t tag = kvm.next_io_tag_++;
-                     kvm.pending_io_.emplace(tag, PendingIo{&v, req.cookie});
+                     kvm.pending_io_.push_back(PendingIo{tag, &v, req.cookie});
                      tagged.cookie = tag;
                      disk->submit(tagged);
                    });
 }
 
-std::vector<hw::IoRequest> Kvm::port_drain_io_completions(Vcpu& vcpu) {
-  return std::exchange(vcpu.io_completions, {});
+void Kvm::port_drain_io_completions(Vcpu& vcpu, std::vector<hw::IoRequest>& out) {
+  out.clear();
+  out.swap(vcpu.io_completions);
 }
 
-void Kvm::port_io_ack(Vcpu& vcpu, std::function<void()> done) {
-  exit_and_reenter(vcpu, hw::ExitCause::kIoAck, std::move(done), kNoHostWork);
+void Kvm::port_io_ack(Vcpu& vcpu) {
+  exit_and_reenter(vcpu, hw::ExitCause::kIoAck, kNoHostWork);
 }
 
-void Kvm::port_send_ipi(Vcpu& vcpu, int target_index, hw::Vector v,
-                        std::function<void()> done) {
+void Kvm::port_send_ipi(Vcpu& vcpu, int target_index, hw::Vector v) {
   // The hop is priced from the sender's pCPU, read before the exit.
   PARATICK_CHECK(vcpu.state == VcpuState::kInGuest && !vcpu.current.active);
   Vm* vm = vcpu.vm();
@@ -510,7 +513,7 @@ void Kvm::port_send_ipi(Vcpu& vcpu, int target_index, hw::Vector v,
   const sim::SimTime hop = machine_.same_socket(src, dst)
                                ? sim::SimTime::zero()
                                : machine_.spec().cross_socket_penalty;
-  exit_and_reenter(vcpu, hw::ExitCause::kIpiSend, std::move(done),
+  exit_and_reenter(vcpu, hw::ExitCause::kIpiSend,
                    [&target, hop, v](Kvm& kvm, Vcpu&) {
                      kvm.engine_.schedule_after(hop, [&kvm, &target, v] {
                        kvm.deliver_interrupt(target, v, hw::ExitCause::kWakeIpi);
@@ -518,25 +521,20 @@ void Kvm::port_send_ipi(Vcpu& vcpu, int target_index, hw::Vector v,
                    });
 }
 
-void Kvm::port_background_exit(Vcpu& vcpu, std::function<void()> done) {
-  exit_and_reenter(vcpu, hw::ExitCause::kBackground, std::move(done), kNoHostWork);
+void Kvm::port_background_exit(Vcpu& vcpu) {
+  exit_and_reenter(vcpu, hw::ExitCause::kBackground, kNoHostWork);
 }
 
-void Kvm::port_spin(Vcpu& vcpu, sim::Cycles c, std::function<void()> done) {
+void Kvm::port_spin(Vcpu& vcpu, sim::Cycles c) {
+  PARATICK_CHECK_MSG(vcpu.guest_irqs_enabled, "spin inside an interrupt handler");
   if (!config_.pause_loop_exiting || c < config_.ple_window) {
-    port_run(vcpu, c, hw::CycleCategory::kGuestUser, std::move(done));
+    port_run(vcpu, c, hw::CycleCategory::kGuestUser);
     return;
   }
-  // Burn one PLE window, take a pause exit, then continue spinning.
-  const sim::Cycles window = config_.ple_window;
-  port_run(vcpu, window, hw::CycleCategory::kGuestUser,
-           [this, &vcpu, rest = c - window, done = std::move(done)]() mutable {
-             exit_and_reenter(vcpu, hw::ExitCause::kPauseLoop,
-                              [this, &vcpu, rest, done = std::move(done)]() mutable {
-                                port_spin(vcpu, rest, std::move(done));
-                              },
-                              kNoHostWork);
-           });
+  // Burn one PLE window, take a pause exit (Resume::kPauseExit), then
+  // continue spinning the rest (Resume::kSpin).
+  vcpu.spin_left = c - config_.ple_window;
+  start_segment(vcpu, config_.ple_window, hw::CycleCategory::kGuestUser, Resume::kPauseExit);
 }
 
 // ---------------------------------------------------------------------------
@@ -551,7 +549,7 @@ void Kvm::deliver_interrupt(Vcpu& vcpu, hw::Vector vector, hw::ExitCause cause_i
       // is no engine gap between segments in guest mode).
       PARATICK_CHECK_MSG(vcpu.current.active,
                          "interrupt delivered synchronously from guest context");
-      do_exit(vcpu, cause_if_running, [this, &vcpu] { vmentry(vcpu, AfterEntry::kResume); });
+      do_exit(vcpu, cause_if_running, [this, &vcpu] { vmentry(vcpu, Resume::kInterrupted); });
       break;
     case VcpuState::kInHost:
     case VcpuState::kReady:
@@ -567,7 +565,7 @@ void Kvm::deliver_interrupt(Vcpu& vcpu, hw::Vector vector, hw::ExitCause cause_i
                                             freq.cycles_in(polled));
       vcpu.state = VcpuState::kInHost;
       ++vcpu.wakeups;
-      vmentry(vcpu, AfterEntry::kResume);
+      vmentry(vcpu, Resume::kInterrupted);
       break;
     }
     case VcpuState::kHalted:
@@ -642,7 +640,7 @@ void Kvm::schedule_in(Vcpu& vcpu, hw::CpuId cpu) {
   charge_and_then(cpu, hw::CycleCategory::kHostKernel, config_.host_costs.sched_in,
                   [this, &vcpu] {
                     if (vcpu.state == VcpuState::kInHost) {
-                      vmentry(vcpu, AfterEntry::kResume);
+                      vmentry(vcpu, Resume::kInterrupted);
                     }
                   });
 }
@@ -707,7 +705,7 @@ void Kvm::on_host_tick(hw::CpuId cpu) {
                         release_pcpu(occ);
                         return;
                       }
-                      vmentry(occ, AfterEntry::kResume);
+                      vmentry(occ, Resume::kInterrupted);
                     });
   });
 }
@@ -728,7 +726,7 @@ void Kvm::on_guest_timer_fire(Vcpu& vcpu) {
     Vcpu* other = pcpus_[vcpu.home_pcpu].occupant;
     if (other != nullptr && other != &vcpu && other->state == VcpuState::kInGuest) {
       do_exit(*other, hw::ExitCause::kGuestTimerHostFire,
-              [this, other] { vmentry(*other, AfterEntry::kResume); });
+              [this, other] { vmentry(*other, Resume::kInterrupted); });
     }
   }
   // A running guest takes KVM's preemption-timer exit, cheaper than a
@@ -785,7 +783,7 @@ void Kvm::maybe_arm_aux_timer(Vcpu& vcpu) {
 void Kvm::on_aux_timer_fire(Vcpu& vcpu) {
   if (vcpu.state != VcpuState::kInGuest) return;  // idle vCPUs get no virtual ticks
   do_exit(vcpu, hw::ExitCause::kAuxParatickTimer,
-          [this, &vcpu] { vmentry(vcpu, AfterEntry::kResume); });
+          [this, &vcpu] { vmentry(vcpu, Resume::kInterrupted); });
 }
 
 // ---------------------------------------------------------------------------
@@ -794,12 +792,14 @@ void Kvm::on_aux_timer_fire(Vcpu& vcpu) {
 
 void Kvm::on_block_completion(VmId vm, const hw::IoRequest& req) {
   (void)vm;
-  auto it = pending_io_.find(req.cookie);
+  auto it = std::find_if(pending_io_.begin(), pending_io_.end(),
+                         [&req](const PendingIo& p) { return p.tag == req.cookie; });
   PARATICK_CHECK_MSG(it != pending_io_.end(), "completion for unknown I/O tag");
-  Vcpu* submitter = it->second.submitter;
+  Vcpu* submitter = it->submitter;
   hw::IoRequest original = req;
-  original.cookie = it->second.guest_cookie;
-  pending_io_.erase(it);
+  original.cookie = it->guest_cookie;
+  *it = pending_io_.back();
+  pending_io_.pop_back();
   submitter->io_completions.push_back(original);
   deliver_interrupt(*submitter, hw::vectors::kBlockDevice,
                     hw::ExitCause::kDeviceCompletion);

@@ -6,18 +6,17 @@
 // host CPU scheduler in both pinned (paper's §6 setup) and time-shared
 // (overcommit, §3.1) modes.
 //
-// Guest code runs in continuation-passing style: the guest kernel calls
-// the port_* verbs below to consume cycles or touch virtual hardware, and
-// Kvm advances simulated time, pausing and resuming guest segments around
-// exits exactly where a real VMX transition would preempt the guest.
+// Guest code drives the port_* verbs below to consume cycles or touch
+// virtual hardware, and Kvm advances simulated time, pausing and resuming
+// guest segments around exits exactly where a real VMX transition would
+// preempt the guest. A verb takes no continuation: when it completes, the
+// vCPU re-enters the guest through GuestCpuIface::port_done(), and the
+// guest kernel keeps its own next step (guest/kernel_stack.hpp).
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "hv/cost_model.hpp"
@@ -32,6 +31,7 @@
 #include "hw/machine.hpp"
 #include "hw/vmx.hpp"
 #include "sim/engine.hpp"
+#include "sim/ring_queue.hpp"
 #include "sim/rng.hpp"
 
 namespace paratick::fault {
@@ -111,43 +111,47 @@ class Kvm {
   void deliver_interrupt(Vcpu& vcpu, hw::Vector vector, hw::ExitCause cause_if_running);
 
   // ---- the guest<->host port: what guest code on `vcpu` can execute ----
-  // Every verb with a `done` completes asynchronously so the simulation
-  // clock can advance; `done` is never invoked synchronously. The guest's
-  // clock is engine().now() and its CPU number Vcpu::index_in_vm().
+  // The synchronous verbs (all but port_hlt, port_iret and the drain)
+  // complete asynchronously so the simulation clock can advance, and then
+  // call vcpu.guest->port_done() exactly once, never from inside the verb.
+  // The guest's clock is engine().now() and its CPU number
+  // Vcpu::index_in_vm().
 
-  /// Consume `c` guest cycles attributed to `cat`, then call `done`.
-  /// The segment may be transparently paused/resumed around VM exits.
-  void port_run(Vcpu& vcpu, sim::Cycles c, hw::CycleCategory cat, std::function<void()> done);
+  /// Consume `c` guest cycles attributed to `cat`. The segment may be
+  /// transparently paused/resumed around VM exits.
+  void port_run(Vcpu& vcpu, sim::Cycles c, hw::CycleCategory cat);
   /// Write the TSC_DEADLINE MSR (nullopt = 0 = disarm). Always costs a VM
   /// exit — the whole point of the paper.
-  void port_write_tsc_deadline(Vcpu& vcpu, std::optional<sim::SimTime> deadline,
-                               std::function<void()> done);
+  void port_write_tsc_deadline(Vcpu& vcpu, std::optional<sim::SimTime> deadline);
   /// Issue a hypercall (costs a VM exit).
-  void port_hypercall(Vcpu& vcpu, const HypercallRequest& req, std::function<void()> done);
-  /// Halt until the next interrupt. No continuation: execution resumes
-  /// inside GuestCpuIface::handle_interrupt.
+  void port_hypercall(Vcpu& vcpu, const HypercallRequest& req);
+  /// Halt until the next interrupt. Execution resumes inside
+  /// GuestCpuIface::handle_interrupt.
   void port_hlt(Vcpu& vcpu);
   /// Return from interrupt: unmask and resume whatever was interrupted.
   void port_iret(Vcpu& vcpu);
   /// Submit block I/O (costs an I/O exit); completion arrives later as a
-  /// kBlockDevice interrupt. `done` resumes the submitting code path.
-  void port_io_submit(Vcpu& vcpu, const hw::IoRequest& req, std::function<void()> done);
-  /// Drain completed I/O requests (reading the virtio used ring — no exit).
-  [[nodiscard]] std::vector<hw::IoRequest> port_drain_io_completions(Vcpu& vcpu);
+  /// kBlockDevice interrupt.
+  void port_io_submit(Vcpu& vcpu, const hw::IoRequest& req);
+  /// Drain completed I/O requests into `out`, replacing its contents
+  /// (reading the virtio used ring — no exit). The two buffers swap, so a
+  /// caller that keeps `out` reuses both.
+  void port_drain_io_completions(Vcpu& vcpu, std::vector<hw::IoRequest>& out);
   /// Acknowledge a device interrupt (virtio ISR access) — costs an exit.
-  void port_io_ack(Vcpu& vcpu, std::function<void()> done);
+  void port_io_ack(Vcpu& vcpu);
   /// Send an IPI to a sibling vCPU of the same VM.
-  void port_send_ipi(Vcpu& vcpu, int target_index, hw::Vector v, std::function<void()> done);
+  void port_send_ipi(Vcpu& vcpu, int target_index, hw::Vector v);
   /// Model a non-timer "background" VM exit (page fault, cpuid, ...).
-  void port_background_exit(Vcpu& vcpu, std::function<void()> done);
-  /// Busy-wait for `c` cycles (lock spinning). With pause-loop exiting
-  /// enabled on the host, long spins additionally cost PLE exits.
-  void port_spin(Vcpu& vcpu, sim::Cycles c, std::function<void()> done);
+  void port_background_exit(Vcpu& vcpu);
+  /// Busy-wait for `c` cycles (lock spinning, task code only). With
+  /// pause-loop exiting enabled on the host, long spins additionally cost
+  /// PLE exits.
+  void port_spin(Vcpu& vcpu, sim::Cycles c);
 
  private:
   struct PcpuState {
     Vcpu* occupant = nullptr;
-    std::deque<Vcpu*> runqueue;  // shared mode: Ready vCPUs waiting for this pCPU
+    sim::RingQueue<Vcpu*> runqueue;  // shared mode: Ready vCPUs waiting for this pCPU
     std::unique_ptr<hw::DeadlineTimer> host_tick;
     sim::SimTime tick_phase;
   };
@@ -155,30 +159,28 @@ class Kvm {
   // --- time/cost helpers ---
   // Continuations on the exit/entry hot path are sim::InlineCallback:
   // every capture lives in the event slot, no per-exit heap allocation.
-  // (The public port verbs keep std::function — those `done` completions
-  // are captured *into* the inline continuations below.)
   void charge_and_then(hw::CpuId cpu, hw::CycleCategory cat, sim::Cycles c,
                        sim::InlineCallback then);
 
   // --- segment management ---
+  void start_segment(Vcpu& vcpu, sim::Cycles c, hw::CycleCategory cat, Resume then);
   void pause_current(Vcpu& vcpu);
   void resume_current(Vcpu& vcpu);
   void segment_complete(Vcpu& vcpu);
 
   // --- the run loop ---
-  // After a VM entry, control either resumes whatever the exit interrupted
-  // (kResume: a suspended segment, or the guest idle loop) or continues an
-  // explicit thunk (kThunk: a synchronous port-op completion).
-  enum class AfterEntry : std::uint8_t { kResume, kThunk };
-  void vmentry(Vcpu& vcpu, AfterEntry kind, std::function<void()> thunk = nullptr);
+  /// Re-enter the guest, then continue at `then`: kInterrupted after an
+  /// asynchronous exit, kPortDone or kSpin after a synchronous one.
+  void vmentry(Vcpu& vcpu, Resume then);
   void do_exit(Vcpu& vcpu, hw::ExitCause cause, sim::InlineCallback host_work_then_entry);
   /// A synchronous port exit: exit for `cause`, run host_work(*this, vcpu)
-  /// once the exit cost is paid, re-enter and continue the guest at
-  /// `done`. The work takes the Kvm as an argument rather than capturing
-  /// `this`, keeping the continuation within InlineCallback::kCapacity.
+  /// once the exit cost is paid, re-enter and complete the verb. The work
+  /// takes the Kvm as an argument rather than capturing `this`, keeping
+  /// the continuation within InlineCallback::kCapacity.
   template <typename HostWork>
-  void exit_and_reenter(Vcpu& vcpu, hw::ExitCause cause, std::function<void()> done,
-                        HostWork host_work);
+  void exit_and_reenter(Vcpu& vcpu, hw::ExitCause cause, HostWork host_work);
+  /// Continue guest execution (the vCPU is in guest mode) at `then`.
+  void continue_guest(Vcpu& vcpu, Resume then);
   void give_control_to_guest(Vcpu& vcpu);
 
   // --- scheduling ---
@@ -218,10 +220,14 @@ class Kvm {
   std::vector<PcpuState> pcpus_;
   std::vector<hw::BlockDevice*> vm_disks_;        // indexed by vm id (nullable)
   struct PendingIo {
+    std::uint64_t tag;  // the cookie the device sees
     Vcpu* submitter;
     std::uint64_t guest_cookie;
   };
-  std::unordered_map<std::uint64_t, PendingIo> pending_io_;
+  /// Requests in flight on every device, looked up by tag on completion.
+  /// A flat vector: a handful are in flight at once, and erasing by
+  /// swapping with the last keeps it allocation-free once warm.
+  std::vector<PendingIo> pending_io_;
   std::uint64_t next_io_tag_ = 1;
   ExitStats exits_;
   Tracer tracer_;

@@ -3,11 +3,11 @@
 // Mirrors the relevant parts of KVM's kvm_vcpu, including the `last_tick`
 // field paratick adds (§5.1). The execution context (a paused guest code
 // segment plus a stack of interrupted contexts) is what lets the
-// event-driven simulator pause guest code around VM exits.
+// event-driven simulator pause guest code around VM exits. It is plain
+// data: where guest code continues is a Resume value, never a callable.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -46,12 +46,24 @@ enum class VcpuState : std::uint8_t {
   return "?";
 }
 
-/// A paused piece of guest execution: either a partially-run CPU segment
-/// (remaining > 0) or a bare continuation (remaining == 0).
+/// What guest execution continues with once the current step ends: a
+/// segment's completion, a VM entry, or an iret back to an interrupted
+/// context.
+enum class Resume : std::uint8_t {
+  kInterrupted,  // what an asynchronous exit interrupted: the suspended
+                 // segment, else the idle loop (boot on the first entry)
+  kPortDone,     // the port verb completed: GuestCpuIface::port_done()
+  kPauseExit,    // a spin used up its PLE window: take the pause-loop exit
+  kSpin,         // the pause-loop exit returned: spin Vcpu::spin_left more
+};
+
+/// A paused piece of guest execution: a partially run segment
+/// (remaining > 0) that continues at `then` once it completes, or
+/// (remaining == 0) just `then`.
 struct SavedContext {
   sim::Cycles remaining;
   hw::CycleCategory category = hw::CycleCategory::kGuestUser;
-  std::function<void()> done;
+  Resume then = Resume::kInterrupted;
 };
 
 class Vm;
@@ -103,10 +115,13 @@ class Vcpu {
     sim::Cycles remaining;
     hw::CycleCategory category = hw::CycleCategory::kGuestUser;
     sim::EventId completion;
-    std::function<void()> done;
+    Resume then = Resume::kPortDone;  // what follows the segment's completion
   };
   CurrentSegment current;
   std::vector<SavedContext> interrupted;  // stack of guest-visible interruptions
+  /// Cycles a pause-loop-exiting spin still has to burn after its pause
+  /// exit. One per vCPU suffices: only task code spins, never a handler.
+  sim::Cycles spin_left;
 
   // --- halt bookkeeping ---
   sim::SimTime halt_start;

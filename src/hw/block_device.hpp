@@ -9,10 +9,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "sim/engine.hpp"
+#include "sim/ring_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
 #include "sim/types.hpp"
@@ -90,7 +90,7 @@ class BlockDevice {
   sim::Rng rng_;
   CompletionFn on_complete_;
   FaultHook fault_hook_;
-  std::deque<IoRequest> queue_;
+  sim::RingQueue<IoRequest> queue_;
   bool busy_ = false;
   std::uint64_t completed_ = 0;
   std::uint64_t bytes_done_ = 0;

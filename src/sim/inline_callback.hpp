@@ -8,9 +8,12 @@
 // error, so hot-path regressions are caught at build time instead of
 // showing up as allocator traffic.
 //
-// The capacity is sized to the largest continuation the hypervisor
-// schedules (hv::Kvm's do_exit lambdas: this + two references + a small
-// request struct + a std::function completion = 72 bytes).
+// The capacity was sized to hv::Kvm's do_exit lambdas when they still
+// carried a std::function port completion (72 bytes). Port verbs now
+// complete through hv::GuestCpuIface::port_done(), and the largest
+// capture in the tree is 40 bytes (this + vCPU + a 24-byte request, in
+// Kvm::exit_and_reenter); the capacity stays until a smaller one is
+// measured to pay.
 //
 // Escape hatch: InlineCallback::spill(fn) boxes an oversized callable on
 // the heap and records its size, which the EventQueue surfaces as the

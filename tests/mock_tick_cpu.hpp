@@ -1,11 +1,14 @@
 // A synchronous mock of TickCpu for unit-testing tick policies against
-// the paper's Figures 1 and 3 without a full simulation.
+// the paper's Figures 1 and 3 without a full simulation. Every service
+// returns at once; a return with no frame left goes back to the test,
+// which counts it in `returns`.
 #pragma once
 
 #include <optional>
 #include <vector>
 
 #include "guest/cost_model.hpp"
+#include "guest/kernel_stack.hpp"
 #include "guest/tick_policy.hpp"
 
 namespace paratick::guest::testing {
@@ -30,6 +33,8 @@ class MockTickCpu final : public TickCpu {
   int hypercalls = 0;
   sim::SimTime declared_period;
   sim::Cycles kernel_cycles;
+  int returns = 0;  // policy entry points that returned to the test
+  KernelStack frames;
 
   // --- TickCpu ---
   [[nodiscard]] sim::SimTime now() const override { return clock; }
@@ -38,23 +43,30 @@ class MockTickCpu final : public TickCpu {
   [[nodiscard]] int nr_running() const override { return running; }
   [[nodiscard]] const GuestCostModel& costs() const override { return cost_model; }
 
-  void do_tick_work(std::function<void()> done) override {
+  void push_frame(sim::InlineCallback next) override { frames.push(std::move(next)); }
+  void ret() override {
+    if (frames.empty()) {
+      ++returns;
+      return;
+    }
+    frames.ret();
+  }
+  void do_tick_work() override {
     ++tick_work_calls;
-    done();
+    ret();
   }
-  void kernel_work(sim::Cycles c, std::function<void()> done) override {
+  void kernel_work(sim::Cycles c) override {
     kernel_cycles += c;
-    done();
+    ret();
   }
-  void write_tsc_deadline(std::optional<sim::SimTime> deadline,
-                          std::function<void()> done) override {
+  void write_tsc_deadline(std::optional<sim::SimTime> deadline) override {
     msr_writes.push_back({clock, deadline});
-    done();
+    ret();
   }
-  void paratick_hypercall(sim::SimTime declared, std::function<void()> done) override {
+  void paratick_hypercall(sim::SimTime declared) override {
     ++hypercalls;
     declared_period = declared;
-    done();
+    ret();
   }
   [[nodiscard]] IdleSnapshot idle_snapshot() const override { return snapshot; }
 };

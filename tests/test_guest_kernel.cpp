@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "core/system.hpp"
+#include "expect_error.hpp"
+#include "guest/kernel_stack.hpp"
 #include "workload/program.hpp"
 
 namespace paratick::guest {
@@ -269,6 +271,83 @@ TEST(GuestKernel, FaultOpCausesBackgroundExit) {
                 hw::ExitCause::kBackground)],
             25u);
 }
+
+TEST(KernelStack, ReturnsLastFrameFirstAndRejectsOverflowAndUnderflow) {
+  KernelStack stack;
+  std::vector<int> ran;
+  stack.push([&ran] { ran.push_back(1); });
+  stack.push([&ran] { ran.push_back(2); });
+  stack.ret();
+  stack.ret();
+  EXPECT_EQ(ran, (std::vector<int>{2, 1}));
+  EXPECT_TRUE(stack.empty());
+  EXPECT_SIM_ERROR(stack.ret(), "no frame to return to");
+  for (std::size_t i = 0; i < KernelStack::kCapacity; ++i) stack.push([] {});
+  EXPECT_SIM_ERROR(stack.push([] {}), "stack overflow");
+}
+
+// An interrupt injected at the VM entry that completes a synchronous port
+// verb: a wake IPI lands while the vCPU is in the TSC_DEADLINE write exit
+// of a short sleep. The hypervisor saves the verb's completion as the
+// interrupted context; the sleep path must continue (block the task)
+// exactly once, and only at the handler's iret.
+class InterruptedVerb : public ::testing::TestWithParam<TickMode> {};
+
+TEST_P(InterruptedVerb, PathContinuesOnceAfterTheHandlersIret) {
+  core::SystemSpec spec = base_spec(1, GetParam());
+  spec.vms[0].setup = [](GuestKernel& k) {
+    Program p;
+    p.sleep(SimTime::us(50)).compute(1000);  // hrtimer path: an MSR write
+    k.add_task(make_task_body(p));
+  };
+  core::System system(std::move(spec));
+  hv::Vcpu& vcpu = system.kvm().vms()[0]->vcpu(0);
+  GuestCpu& cpu = system.kernel(0).cpu(0);
+  GuestTask& task = system.kernel(0).task(0);
+  system.power_on();
+
+  // Step into the MSR write exit of the sleep's hrtimer programming.
+  while (!(cpu.hrtimers().pending_count() > 0 && vcpu.state == hv::VcpuState::kInHost)) {
+    ASSERT_TRUE(system.engine().step());
+  }
+  ASSERT_FALSE(vcpu.current.active);  // a synchronous exit, not a preemption
+  const std::uint64_t arm_exits = system.kvm().exits().count(hw::ExitCause::kGuestTimerArm);
+  const std::uint64_t injections = vcpu.injections;
+  system.kvm().deliver_interrupt(vcpu, hw::vectors::kRescheduleIpi,
+                                 hw::ExitCause::kWakeIpi);
+
+  bool saw_handler = false;
+  while (task.blocks == 0) {
+    const bool in_handler = !vcpu.interrupted.empty();
+    ASSERT_TRUE(system.engine().step());
+    if (!vcpu.interrupted.empty() && !saw_handler) {
+      saw_handler = true;
+      // Injected at the entry completing the write: the saved context is
+      // the verb's completion, not a partial segment or the idle loop.
+      EXPECT_EQ(vcpu.interrupted.back().then, hv::Resume::kPortDone);
+      EXPECT_EQ(vcpu.interrupted.back().remaining, Cycles{0});
+    }
+    if (task.blocks != 0) {
+      // The path continued in the step that ran the handler's iret.
+      EXPECT_TRUE(in_handler);
+      EXPECT_TRUE(vcpu.interrupted.empty());
+    }
+  }
+  EXPECT_TRUE(saw_handler);
+  EXPECT_EQ(vcpu.injections, injections + 1);
+  EXPECT_EQ(system.kvm().exits().count(hw::ExitCause::kGuestTimerArm), arm_exits);
+
+  system.engine().run_until(SimTime::sec(1));
+  const auto result = system.finish();
+  EXPECT_EQ(system.kernel(0).tasks_done(), 1);
+  EXPECT_EQ(task.blocks, 1u);  // continued once: one block, one wake
+  EXPECT_EQ(task.wakes, 1u);
+  EXPECT_TRUE(result.completion_time().has_value());
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, InterruptedVerb,
+                         ::testing::Values(TickMode::kPeriodic, TickMode::kDynticksIdle,
+                                           TickMode::kFullDynticks, TickMode::kParatick));
 
 }  // namespace
 }  // namespace paratick::guest

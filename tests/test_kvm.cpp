@@ -27,6 +27,15 @@ class StubGuest final : public GuestCpuIface {
   std::vector<hw::Vector> irqs;
   int power_ons = 0;
   int idle_resumes = 0;
+  /// Continuations of issued synchronous verbs; port_done runs the top.
+  std::vector<std::function<void()>> frames;
+
+  /// Continue at `next` once the verb issued next completes.
+  void then(std::function<void()> next) { frames.push_back(std::move(next)); }
+  /// Halt once the verb issued next completes.
+  void then_halt() {
+    then([this] { kvm->port_hlt(*vcpu); });
+  }
 
   void power_on() override {
     ++power_ons;
@@ -51,6 +60,12 @@ class StubGuest final : public GuestCpuIface {
     } else {
       kvm->port_hlt(*vcpu);
     }
+  }
+  void port_done() override {
+    ASSERT_FALSE(frames.empty()) << "verb completed with no continuation";
+    auto next = std::move(frames.back());
+    frames.pop_back();
+    next();
   }
 };
 
@@ -93,10 +108,11 @@ TEST_F(KvmTest, RunConsumesTimeAndChargesCycles) {
   build(1, 1);
   SimTime finished;
   guest().on_power_on = [&](StubGuest& g) {
-    g.kvm->port_run(*g.vcpu, Cycles{200'000}, hw::CycleCategory::kGuestUser, [&, &g = g] {
+    g.then([&, &g = g] {
       finished = g.kvm->engine().now();
       g.kvm->port_hlt(*g.vcpu);
     });
+    g.kvm->port_run(*g.vcpu, Cycles{200'000}, hw::CycleCategory::kGuestUser);
   };
   kvm_->power_on_all();
   engine_.run_until(SimTime::ms(5));
@@ -110,8 +126,8 @@ TEST_F(KvmTest, RunConsumesTimeAndChargesCycles) {
 TEST_F(KvmTest, MsrWriteCostsTimerArmExitAndArmsTimer) {
   build(1, 1);
   guest().on_power_on = [&](StubGuest& g) {
-    g.kvm->port_write_tsc_deadline(*g.vcpu, SimTime::ms(2),
-                                   [&g] { g.kvm->port_hlt(*g.vcpu); });
+    g.then_halt();
+    g.kvm->port_write_tsc_deadline(*g.vcpu, SimTime::ms(2));
   };
   kvm_->power_on_all();
   engine_.run_until(SimTime::ms(1));
@@ -122,8 +138,8 @@ TEST_F(KvmTest, MsrWriteCostsTimerArmExitAndArmsTimer) {
 TEST_F(KvmTest, TimerFireWakesHaltedVcpuWithLocalTimerVector) {
   build(1, 1);
   guest().on_power_on = [&](StubGuest& g) {
-    g.kvm->port_write_tsc_deadline(*g.vcpu, SimTime::ms(2),
-                                   [&g] { g.kvm->port_hlt(*g.vcpu); });
+    g.then_halt();
+    g.kvm->port_write_tsc_deadline(*g.vcpu, SimTime::ms(2));
   };
   kvm_->power_on_all();
   engine_.run_until(SimTime::ms(3));
@@ -135,11 +151,12 @@ TEST_F(KvmTest, TimerFireWakesHaltedVcpuWithLocalTimerVector) {
 TEST_F(KvmTest, TimerFireWhileRunningIsPreemptionTimerExit) {
   build(1, 1);
   guest().on_power_on = [&](StubGuest& g) {
-    g.kvm->port_write_tsc_deadline(*g.vcpu, SimTime::us(50), [&g] {
+    g.then([&g] {
       // Long busy segment so the deadline hits while running.
-      g.kvm->port_run(*g.vcpu, Cycles{1'000'000}, hw::CycleCategory::kGuestUser,
-                      [&g] { g.kvm->port_hlt(*g.vcpu); });
+      g.then_halt();
+      g.kvm->port_run(*g.vcpu, Cycles{1'000'000}, hw::CycleCategory::kGuestUser);
     });
+    g.kvm->port_write_tsc_deadline(*g.vcpu, SimTime::us(50));
   };
   kvm_->power_on_all();
   engine_.run_until(SimTime::ms(2));
@@ -153,12 +170,14 @@ TEST_F(KvmTest, InterruptedSegmentResumesAndCompletes) {
   static bool completed;
   completed = false;
   guest().on_power_on = [&](StubGuest& g) {
-    g.kvm->port_write_tsc_deadline(*g.vcpu, SimTime::us(50), [&g] {
-      g.kvm->port_run(*g.vcpu, Cycles{1'000'000}, hw::CycleCategory::kGuestUser, [&g] {
+    g.then([&g] {
+      g.then([&g] {
         completed = true;
         g.kvm->port_hlt(*g.vcpu);
       });
+      g.kvm->port_run(*g.vcpu, Cycles{1'000'000}, hw::CycleCategory::kGuestUser);
     });
+    g.kvm->port_write_tsc_deadline(*g.vcpu, SimTime::us(50));
   };
   // default irq handler irets, which must resume the interrupted segment
   kvm_->power_on_all();
@@ -172,8 +191,8 @@ TEST_F(KvmTest, InterruptedSegmentResumesAndCompletes) {
 TEST_F(KvmTest, HltWithPendingVectorReturnsImmediately) {
   build(1, 1);
   guest().on_power_on = [&](StubGuest& g) {
-    g.kvm->port_run(*g.vcpu, Cycles{2000}, hw::CycleCategory::kGuestUser,
-                    [&g] { g.kvm->port_hlt(*g.vcpu); });
+    g.then_halt();
+    g.kvm->port_run(*g.vcpu, Cycles{2000}, hw::CycleCategory::kGuestUser);
   };
   // Raise a vector while the vCPU is inside the HLT exit window (~8 us
   // after the ~2.7 us boot+segment): HLT must return without sleeping.
@@ -191,9 +210,9 @@ TEST_F(KvmTest, HltWithPendingVectorReturnsImmediately) {
 TEST_F(KvmTest, HostTickExitsAccrueWhileRunning) {
   build(1, 1);
   guest().on_power_on = [&](StubGuest& g) {
+    g.then_halt();
     g.kvm->port_run(*g.vcpu, Cycles{40'000'000},  // 20 ms busy
-                    hw::CycleCategory::kGuestUser,
-                    [&g] { g.kvm->port_hlt(*g.vcpu); });
+                    hw::CycleCategory::kGuestUser);
   };
   kvm_->power_on_all();
   engine_.run_until(SimTime::ms(25));
@@ -216,11 +235,12 @@ TEST_F(KvmTest, ParatickHookInjectsVector235AtTickRate) {
     HypercallRequest req;
     req.enable_paratick = true;
     req.guest_tick_period = SimTime::ms(4);
-    g.kvm->port_hypercall(*g.vcpu, req, [&g] {
+    g.then([&g] {
+      g.then_halt();
       g.kvm->port_run(*g.vcpu, Cycles{40'000'000},  // 20 ms
-                      hw::CycleCategory::kGuestUser,
-                      [&g] { g.kvm->port_hlt(*g.vcpu); });
+                      hw::CycleCategory::kGuestUser);
     });
+    g.kvm->port_hypercall(*g.vcpu, req);
   };
   kvm_->power_on_all();
   engine_.run_until(SimTime::ms(30));
@@ -240,10 +260,11 @@ TEST_F(KvmTest, ParatickPendingLocalTimerSuppressesInjection) {
     HypercallRequest req;
     req.enable_paratick = true;
     req.guest_tick_period = SimTime::ms(4);
-    g.kvm->port_hypercall(*g.vcpu, req, [&g] {
-      g.kvm->port_write_tsc_deadline(*g.vcpu, g.kvm->engine().now() + SimTime::ms(5),
-                                     [&g] { g.kvm->port_hlt(*g.vcpu); });
+    g.then([&g] {
+      g.then_halt();
+      g.kvm->port_write_tsc_deadline(*g.vcpu, g.kvm->engine().now() + SimTime::ms(5));
     });
+    g.kvm->port_hypercall(*g.vcpu, req);
   };
   kvm_->power_on_all();
   engine_.run_until(SimTime::ms(10));
@@ -259,7 +280,8 @@ TEST_F(KvmTest, IdleParatickVcpuGetsNoVirtualTicks) {
   guest().on_power_on = [&](StubGuest& g) {
     HypercallRequest req;
     req.enable_paratick = true;
-    g.kvm->port_hypercall(*g.vcpu, req, [&g] { g.kvm->port_hlt(*g.vcpu); });
+    g.then_halt();
+    g.kvm->port_hypercall(*g.vcpu, req);
   };
   kvm_->power_on_all();
   engine_.run_until(SimTime::sec(1));
@@ -274,11 +296,12 @@ TEST_F(KvmTest, AuxTimerBacksIncompatibleFrequencies) {
     HypercallRequest req;
     req.enable_paratick = true;
     req.guest_tick_period = SimTime::ms(4);
-    g.kvm->port_hypercall(*g.vcpu, req, [&g] {
+    g.then([&g] {
+      g.then_halt();
       g.kvm->port_run(*g.vcpu, Cycles{80'000'000},  // 40 ms
-                      hw::CycleCategory::kGuestUser,
-                      [&g] { g.kvm->port_hlt(*g.vcpu); });
+                      hw::CycleCategory::kGuestUser);
     });
+    g.kvm->port_hypercall(*g.vcpu, req);
   };
   kvm_->power_on_all();
   engine_.run_until(SimTime::ms(50));
@@ -294,8 +317,8 @@ TEST_F(KvmTest, IpiSendCostsExitAndWakesTarget) {
   build(2, 2);
   guest(1).on_power_on = [](StubGuest& g) { g.kvm->port_hlt(*g.vcpu); };
   guest(0).on_power_on = [&](StubGuest& g) {
-    g.kvm->port_send_ipi(*g.vcpu, 1, hw::vectors::kRescheduleIpi,
-                         [&g] { g.kvm->port_hlt(*g.vcpu); });
+    g.then_halt();
+    g.kvm->port_send_ipi(*g.vcpu, 1, hw::vectors::kRescheduleIpi);
   };
   kvm_->power_on_all();
   engine_.run_until(SimTime::ms(1));
@@ -307,14 +330,15 @@ TEST_F(KvmTest, IpiSendCostsExitAndWakesTarget) {
 TEST_F(KvmTest, IpiToRunningTargetCausesWakeIpiExit) {
   build(2, 2);
   guest(1).on_power_on = [](StubGuest& g) {
-    g.kvm->port_run(*g.vcpu, Cycles{10'000'000}, hw::CycleCategory::kGuestUser,
-                    [&g] { g.kvm->port_hlt(*g.vcpu); });
+    g.then_halt();
+    g.kvm->port_run(*g.vcpu, Cycles{10'000'000}, hw::CycleCategory::kGuestUser);
   };
   guest(0).on_power_on = [&](StubGuest& g) {
-    g.kvm->port_run(*g.vcpu, Cycles{100'000}, hw::CycleCategory::kGuestUser, [&, &g = g] {
-      g.kvm->port_send_ipi(*g.vcpu, 1, hw::vectors::kRescheduleIpi,
-                           [&g] { g.kvm->port_hlt(*g.vcpu); });
+    g.then([&g] {
+      g.then_halt();
+      g.kvm->port_send_ipi(*g.vcpu, 1, hw::vectors::kRescheduleIpi);
     });
+    g.kvm->port_run(*g.vcpu, Cycles{100'000}, hw::CycleCategory::kGuestUser);
   };
   kvm_->power_on_all();
   engine_.run_until(SimTime::ms(10));
@@ -329,7 +353,8 @@ TEST_F(KvmTest, BlockIoRoundTrip) {
   std::vector<hw::IoRequest> drained;
   guest().on_irq = [&](StubGuest& g, hw::Vector v) {
     if (v == hw::vectors::kBlockDevice) {
-      auto got = g.kvm->port_drain_io_completions(*g.vcpu);
+      std::vector<hw::IoRequest> got;
+      g.kvm->port_drain_io_completions(*g.vcpu, got);
       drained.insert(drained.end(), got.begin(), got.end());
     }
     g.kvm->port_iret(*g.vcpu);
@@ -338,7 +363,8 @@ TEST_F(KvmTest, BlockIoRoundTrip) {
     hw::IoRequest req;
     req.bytes = 4096;
     req.cookie = 4242;  // guest cookie must round-trip through the backend
-    g.kvm->port_io_submit(*g.vcpu, req, [&g] { g.kvm->port_hlt(*g.vcpu); });
+    g.then_halt();
+    g.kvm->port_io_submit(*g.vcpu, req);
   };
   kvm_->power_on_all();
   engine_.run_until(SimTime::ms(5));
@@ -353,8 +379,8 @@ TEST_F(KvmTest, HaltPollingAvoidsScheduleOutForFastWakes) {
   config.halt_poll_window = SimTime::us(200);
   build(1, 1, config);
   guest().on_power_on = [&](StubGuest& g) {
-    g.kvm->port_write_tsc_deadline(*g.vcpu, g.kvm->engine().now() + SimTime::us(50),
-                                   [&g] { g.kvm->port_hlt(*g.vcpu); });
+    g.then_halt();
+    g.kvm->port_write_tsc_deadline(*g.vcpu, g.kvm->engine().now() + SimTime::us(50));
   };
   kvm_->power_on_all();
   engine_.run_until(SimTime::ms(1));
@@ -386,11 +412,11 @@ TEST_F(KvmTest, SharedModeRunsMoreVcpusThanCpus) {
   std::vector<bool> finished(3, false);
   for (int i = 0; i < 3; ++i) {
     guest(i).on_power_on = [&, i](StubGuest& g) {
-      g.kvm->port_run(*g.vcpu, Cycles{8'000'000}, hw::CycleCategory::kGuestUser,
-                      [&, i, &g = g] {
-                        finished[static_cast<std::size_t>(i)] = true;
-                        g.kvm->port_hlt(*g.vcpu);
-                      });
+      g.then([&, i, &g = g] {
+        finished[static_cast<std::size_t>(i)] = true;
+        g.kvm->port_hlt(*g.vcpu);
+      });
+      g.kvm->port_run(*g.vcpu, Cycles{8'000'000}, hw::CycleCategory::kGuestUser);
     };
   }
   kvm_->power_on_all();
@@ -407,8 +433,8 @@ TEST_F(KvmTest, SharedModePreemptsOnTimeslice) {
   build(1, 2, config);
   SimTime second_started;
   guest(0).on_power_on = [&](StubGuest& g) {
-    g.kvm->port_run(*g.vcpu, Cycles{20'000'000}, hw::CycleCategory::kGuestUser,  // 10 ms
-                    [&g] { g.kvm->port_hlt(*g.vcpu); });
+    g.then_halt();
+    g.kvm->port_run(*g.vcpu, Cycles{20'000'000}, hw::CycleCategory::kGuestUser);  // 10 ms
   };
   guest(1).on_power_on = [&](StubGuest& g) {
     second_started = g.kvm->engine().now();
@@ -432,12 +458,15 @@ TEST_F(KvmTest, ExitStatsTrackPerVm) {
   kvm_->attach_guest(vm2.vcpu(0), &g2);
 
   guest(0).on_power_on = [&](StubGuest& g) {
-    g.kvm->port_background_exit(*g.vcpu, [&g] { g.kvm->port_hlt(*g.vcpu); });
+    g.then_halt();
+    g.kvm->port_background_exit(*g.vcpu);
   };
   g2.on_power_on = [&](StubGuest& g) {
-    g.kvm->port_background_exit(*g.vcpu, [&g] {
-      g.kvm->port_background_exit(*g.vcpu, [&g] { g.kvm->port_hlt(*g.vcpu); });
+    g.then([&g] {
+      g.then_halt();
+      g.kvm->port_background_exit(*g.vcpu);
     });
+    g.kvm->port_background_exit(*g.vcpu);
   };
   kvm_->power_on_all();
   engine_.run_until(SimTime::ms(1));
@@ -465,7 +494,8 @@ TEST_F(KvmTest, ChainedInterruptsDeliverBackToBack) {
 TEST_F(KvmTest, PleDisabledSpinsWithoutPauseExits) {
   build(1, 1);
   guest().on_power_on = [&](StubGuest& g) {
-    g.kvm->port_spin(*g.vcpu, Cycles{100'000}, [&g] { g.kvm->port_hlt(*g.vcpu); });
+    g.then_halt();
+    g.kvm->port_spin(*g.vcpu, Cycles{100'000});
   };
   kvm_->power_on_all();
   engine_.run_until(SimTime::ms(1));
@@ -478,7 +508,8 @@ TEST_F(KvmTest, PleEnabledAddsPauseExitsForLongSpins) {
   config.ple_window = Cycles{8192};
   build(1, 1, config);
   guest().on_power_on = [&](StubGuest& g) {
-    g.kvm->port_spin(*g.vcpu, Cycles{100'000}, [&g] { g.kvm->port_hlt(*g.vcpu); });
+    g.then_halt();
+    g.kvm->port_spin(*g.vcpu, Cycles{100'000});
   };
   kvm_->power_on_all();
   engine_.run_until(SimTime::ms(2));
@@ -490,10 +521,11 @@ TEST_F(KvmTest, PleEnabledAddsPauseExitsForLongSpins) {
 TEST_F(KvmTest, DisarmingDeadlineCancelsTimer) {
   build(1, 1);
   guest().on_power_on = [&](StubGuest& g) {
-    g.kvm->port_write_tsc_deadline(*g.vcpu, SimTime::ms(1), [&g] {
-      g.kvm->port_write_tsc_deadline(*g.vcpu, std::nullopt,
-                                     [&g] { g.kvm->port_hlt(*g.vcpu); });
+    g.then([&g] {
+      g.then_halt();
+      g.kvm->port_write_tsc_deadline(*g.vcpu, std::nullopt);
     });
+    g.kvm->port_write_tsc_deadline(*g.vcpu, SimTime::ms(1));
   };
   kvm_->power_on_all();
   engine_.run_until(SimTime::ms(5));

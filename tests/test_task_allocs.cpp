@@ -1,9 +1,12 @@
-// Heap allocations on the task hot path. The binary replaces the global
-// operator new with a counting one, so it is its own test executable.
+// Heap allocations on the simulation hot path. The binary replaces the
+// global operator new with a counting one, so it is its own test
+// executable.
 //
 // A workload op (compute, lock, unlock) travels from the task body through
 // the guest kernel into Kvm::port_* and back; none of those hops should
-// need the heap once the system is built.
+// need the heap once the system is built. The same holds for the
+// interrupt, idle, tick, IPI and block-I/O paths of the paper's workloads
+// once their queues and buffers have grown to their working size.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +14,9 @@
 #include <new>
 
 #include "core/system.hpp"
+#include "workload/fio.hpp"
+#include "workload/micro.hpp"
+#include "workload/parsec.hpp"
 #include "workload/program.hpp"
 
 namespace {
@@ -86,6 +92,118 @@ TEST_P(TaskAllocs, CriticalSectionsDoNotAllocate) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, TaskAllocs,
+                         ::testing::Values(guest::TickMode::kPeriodic,
+                                           guest::TickMode::kDynticksIdle,
+                                           guest::TickMode::kFullDynticks,
+                                           guest::TickMode::kParatick));
+
+// ---------------------------------------------------------------------------
+// Run phase of the paper's workloads: after a short warm-up, in which run
+// queues, timer lists and I/O buffers reach their working size, no
+// executed event may need the heap. The bound leaves room for a rare
+// late growth, not for a per-path allocation.
+// ---------------------------------------------------------------------------
+
+constexpr double kMaxAllocsPerEvent = 0.001;
+
+struct RunPhase {
+  std::uint64_t allocs = 0;
+  std::uint64_t events = 0;
+  [[nodiscard]] double per_event() const {
+    return static_cast<double>(allocs) / static_cast<double>(events);
+  }
+};
+
+/// Heap allocations and executed events after `warmup` of simulated time,
+/// up to `spec.max_duration` or the workload's end.
+RunPhase run_phase(core::SystemSpec spec, SimTime warmup) {
+  const SimTime horizon = spec.max_duration;
+  core::System system(std::move(spec));
+  system.power_on();
+  system.engine().run_until(warmup);
+  const std::uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t events_before = system.engine().events_executed();
+  system.engine().run_until(horizon);
+  RunPhase r;
+  r.allocs = g_allocs.load(std::memory_order_relaxed) - allocs_before;
+  r.events = system.engine().events_executed() - events_before;
+  EXPECT_GT(r.events, 20'000u) << "too little run phase to measure";
+  return r;
+}
+
+void expect_allocation_free(const RunPhase& r) {
+  EXPECT_LT(r.per_event(), kMaxAllocsPerEvent)
+      << r.allocs << " heap allocations over " << r.events << " events";
+}
+
+class RunPhaseAllocs : public ::testing::TestWithParam<guest::TickMode> {
+ protected:
+  [[nodiscard]] guest::GuestConfig guest_config() const {
+    guest::GuestConfig g;
+    g.tick_mode = GetParam();
+    return g;
+  }
+};
+
+// Figure 5 shape: a barrier profile and a pipeline profile side by side in
+// two 8-vCPU VMs on a 2-socket host, so idle entries, wake IPIs (also
+// cross-socket), ticks, MSR writes and block I/O all occur.
+TEST_P(RunPhaseAllocs, ParsecFig5ShapeDoesNotAllocate) {
+  core::SystemSpec spec;
+  spec.machine = hw::MachineSpec{2, 8, sim::CpuFrequency{2.0}, SimTime::ns(300)};
+  spec.max_duration = SimTime::ms(300);
+  for (const char* name : {"streamcluster", "dedup"}) {
+    core::VmSpec vm;
+    vm.vcpus = 8;
+    vm.guest = guest_config();
+    vm.attach_disk = true;
+    vm.setup = [name](guest::GuestKernel& k) {
+      install_parsec(k, parsec_profile(name), 8);
+    };
+    spec.vms.push_back(std::move(vm));
+  }
+  expect_allocation_free(run_phase(std::move(spec), SimTime::ms(50)));
+}
+
+// Table 1 W3: 16 threads synchronizing 1000x/s through one barrier.
+TEST_P(RunPhaseAllocs, Table1SyncStormDoesNotAllocate) {
+  core::SystemSpec spec;
+  spec.machine = hw::MachineSpec::small(16);
+  spec.max_duration = SimTime::sec(2);
+  core::VmSpec vm;
+  vm.vcpus = 16;
+  vm.guest = guest_config();
+  vm.setup = [](guest::GuestKernel& k) {
+    SyncStormSpec storm;
+    storm.threads = 16;
+    storm.sync_rate_hz = 1000.0 / 15;
+    storm.duration = SimTime::sec(2);
+    install_sync_storm(k, storm);
+  };
+  spec.vms.push_back(std::move(vm));
+  expect_allocation_free(run_phase(std::move(spec), SimTime::ms(200)));
+}
+
+// Figure 6: one fio job doing synchronous random 4 KiB reads.
+TEST_P(RunPhaseAllocs, FioSyncIoDoesNotAllocate) {
+  core::SystemSpec spec;
+  spec.machine = hw::MachineSpec::small(1);
+  spec.max_duration = SimTime::sec(10);
+  core::VmSpec vm;
+  vm.vcpus = 1;
+  vm.guest = guest_config();
+  vm.attach_disk = true;
+  vm.setup = [](guest::GuestKernel& k) {
+    FioSpec fio;
+    fio.pattern = hw::IoPattern::kRandom;
+    fio.ops = 2000;
+    install_fio(k, fio);
+  };
+  spec.vms.push_back(std::move(vm));
+  expect_allocation_free(run_phase(std::move(spec), SimTime::ms(5)));
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, RunPhaseAllocs,
                          ::testing::Values(guest::TickMode::kPeriodic,
                                            guest::TickMode::kDynticksIdle,
                                            guest::TickMode::kFullDynticks,
