@@ -9,21 +9,20 @@
 // an event trace of the failed run and the replay is checked against it
 // event-by-event (core/record_replay): a reproduction must match every
 // recorded (time, event, state digest) triple, not just the final error.
+// The first event that stops matching is printed as FIRST DIVERGENCE.
 //
 // Usage: bench_replay <bundle.json | failure-dir>... [flags]; --help
-// lists them. --bisect binary-searches chain-digest prefixes to pin the
-// exact first divergent event; --fault-<knob> X overrides one fault rate
-// before replaying — the canonical way to force a divergence on purpose
-// and watch --bisect find where behavior first changed.
+// lists them. --fault-<knob> X overrides one fault rate before replaying —
+// the canonical way to force a divergence on purpose and see where
+// behavior first changed.
 //
 // A directory argument is scanned for bundles in both layouts:
 // <dir>/<bench>/run<idx>.json (current) and <dir>/<bench>-run<idx>.json
 // (pre-directory layout), so old failure archives stay replayable.
 //
 // Exit codes: 0 every failure reproduced exactly (and every checked
-// trace matched, unless --bisect was asked to explain a divergence),
-// 1 at least one replay diverged, 2 bad bundle / unregistered scenario /
-// nothing to replay.
+// trace matched), 1 at least one replay diverged, 2 bad bundle /
+// unregistered scenario / nothing to replay.
 #include <algorithm>
 #include <cstdio>
 #include <exception>
@@ -33,7 +32,7 @@
 #include <vector>
 
 #include "core/cli_parse.hpp"
-#include "core/record_replay/bisect.hpp"
+#include "core/record_replay/record_replay.hpp"
 #include "core/record_replay/trace.hpp"
 #include "core/replay.hpp"
 #include "core/scenarios.hpp"
@@ -46,7 +45,6 @@ namespace {
 
 struct Options {
   bool quiet = false;
-  bool bisect = false;
   std::string trace_override;
   std::vector<std::pair<std::string, double>> fault_overrides;
   std::vector<std::string> paths;
@@ -86,11 +84,6 @@ std::string resolve_trace_path(const std::string& bundle_path,
   return bundle.trace_path;  // let the loader report the original path
 }
 
-void print_divergence(const rr::Divergence& d) {
-  std::printf("FIRST DIVERGENCE at event #%llu: %s\n",
-              static_cast<unsigned long long>(d.index), d.describe().c_str());
-}
-
 // 0 reproduced, 1 diverged, 2 machinery error.
 int replay_one(const std::string& path, const Options& opt) {
   core::ReplayBundle bundle;
@@ -111,7 +104,7 @@ int replay_one(const std::string& path, const Options& opt) {
   }
   // Fault overrides mutate the bundle's own fault identity (replay_run
   // re-applies it over the scenario config): the replay then legitimately
-  // diverges wherever behavior first changed, which is the --bisect demo.
+  // diverges wherever behavior first changed.
   for (const auto& [knob, value] : opt.fault_overrides) {
     core::set_fault_knob(bundle.fault, knob, value);
   }
@@ -136,13 +129,6 @@ int replay_one(const std::string& path, const Options& opt) {
   // No trace (pre-trace bundle, or a crash that died before writing one):
   // plain disposition replay, as before.
   if (trace_path.empty()) {
-    if (opt.bisect) {
-      std::fprintf(stderr,
-                   "bench_replay: %s carries no event trace; re-run the sweep "
-                   "with --record-trace to enable --bisect\n",
-                   path.c_str());
-      return 2;
-    }
     core::SweepRun replayed;
     try {
       replayed = core::replay_bundle(bundle);
@@ -168,32 +154,14 @@ int replay_one(const std::string& path, const Options& opt) {
   }
 
   try {
-    const core::SweepConfig cfg = core::build_chaos_scenario(bundle.scenario);
-    if (opt.bisect) {
-      const rr::BisectReport rep =
-          rr::bisect_divergence(cfg, bundle, trace, !opt.quiet);
-      if (!rep.diverged) {
-        std::printf("NO DIVERGENCE: %s: %s\n", path.c_str(), rep.note.c_str());
-        std::string detail;
-        const bool ok = core::reproduces(bundle, rep.run, &detail);
-        std::printf("%s: %s: %s\n", ok ? "REPRODUCED" : "DIVERGED",
-                    path.c_str(), detail.c_str());
-        return ok ? 0 : 1;
-      }
-      print_divergence(*rep.first);
-      std::printf("bisect: %s (%llu recorded events)\n", rep.note.c_str(),
-                  static_cast<unsigned long long>(rep.recorded_events));
-      // --bisect exists to explain a divergence; finding one is success.
-      return 0;
-    }
-
-    const rr::ReplayCheckResult checked = rr::check_replay(cfg, bundle, trace);
+    const rr::ReplayCheckResult checked = rr::check_replay(
+        core::build_chaos_scenario(bundle.scenario), bundle, trace);
     if (checked.divergence) {
-      std::printf("DIVERGED: %s: replay stopped matching its trace\n",
-                  path.c_str());
-      print_divergence(*checked.divergence);
-      std::printf("(run bench_replay --bisect on this bundle to cross-check "
-                  "with a chain-digest binary search)\n");
+      const rr::Divergence& d = *checked.divergence;
+      std::printf("DIVERGED: %s: replay stopped matching its trace\n"
+                  "FIRST DIVERGENCE at event #%llu: %s\n",
+                  path.c_str(), static_cast<unsigned long long>(d.index),
+                  d.describe().c_str());
       return 1;
     }
     std::string detail;
@@ -215,8 +183,6 @@ int main(int argc, char** argv) {
   Options opt;
   std::vector<core::CliFlag> flags = {
       core::switch_flag("--quiet", "suppress per-bundle detail", opt.quiet),
-      core::switch_flag("--bisect", "on a trace mismatch, pin the first divergent event",
-                        opt.bisect),
       core::text_flag("--trace", "P",
                       "use trace file P instead of the bundle's (one bundle)",
                       opt.trace_override),

@@ -1,8 +1,9 @@
 #include "core/record_replay/record_replay.hpp"
 
-#include <algorithm>
 #include <cstdio>
+#include <utility>
 
+#include "sim/check.hpp"
 #include "sim/error.hpp"
 
 namespace paratick::core::record_replay {
@@ -52,20 +53,14 @@ std::string Divergence::describe() const {
   return out;
 }
 
-TraceChecker::TraceChecker(const EventTrace& trace, Mode mode,
-                           std::uint64_t check_limit)
-    : trace_(trace), cursor_(trace), mode_(mode), limit_(check_limit) {}
+TraceChecker::TraceChecker(const EventTrace& trace)
+    : trace_(trace), cursor_(trace) {}
 
 void TraceChecker::on_event_executed(sim::Engine& engine, sim::SimTime when,
                                      std::uint64_t seq) {
-  if (seen_ >= limit_) return;  // past the probe prefix: ignore
   const TraceRecord observed{when.nanoseconds(), seq,
                              digest32(engine.state_digest())};
   const std::uint64_t index = seen_++;
-  chain_ = chain_mix(chain_, observed);
-  last_observed_ = observed;
-
-  if (mode_ == Mode::kChainOnly) return;
 
   TraceRecord recorded;
   if (!cursor_.next(&recorded)) {
@@ -90,21 +85,33 @@ void TraceChecker::on_event_executed(sim::Engine& engine, sim::SimTime when,
 
 std::optional<Divergence> TraceChecker::check_complete() {
   if (divergence_) return divergence_;
-  const std::uint64_t expected = std::min(trace_.count(), limit_);
-  if (seen_ >= expected) return std::nullopt;
+  if (seen_ >= trace_.count()) return std::nullopt;
   // The replay fell silent while the trace still has events: report the
   // first unmatched record.
   TraceRecord recorded;
-  if (mode_ == Mode::kChainOnly) {
-    // The chain-only cursor never advanced; skip to the first unmatched.
-    EventTrace::Cursor cur(trace_);
-    for (std::uint64_t i = 0; i <= seen_; ++i) cur.next(&recorded);
-  } else {
-    cursor_.next(&recorded);
-  }
+  cursor_.next(&recorded);
   divergence_ = Divergence{Divergence::What::kMissingEvent, seen_, recorded,
                            TraceRecord{}};
   return divergence_;
+}
+
+ReplayCheckResult check_replay(SweepConfig cfg, const ReplayBundle& b,
+                               const EventTrace& trace) {
+  PARATICK_CHECK_MSG(
+      b.failure.kind != RunFailure::Kind::kCrash,
+      "crash bundles replay in a forked child; their traces cannot be "
+      "checked in-process");
+  // An observational pass: write no sweep artifacts, print no progress.
+  cfg.record_trace = false;
+  cfg.progress = false;
+  cfg.failure_dir.clear();
+  TraceChecker checker(trace);
+  cfg.observer = &checker;
+  ReplayCheckResult out;
+  out.run = replay_run(std::move(cfg), b);
+  out.divergence = checker.check_complete();
+  out.events_checked = checker.events_seen();
+  return out;
 }
 
 }  // namespace paratick::core::record_replay

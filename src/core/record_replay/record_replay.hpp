@@ -6,10 +6,13 @@
 // sim::SimError{kDivergence} — with the full recorded-vs-observed context
 // — at the FIRST event that stops matching. Byte-identity of the event
 // stream is the divergence predicate: same time, same event seq, same
-// post-event state digest, for every event.
+// post-event state digest, for every event. check_replay() re-executes a
+// failure bundle's run with a TraceChecker attached: that one pass is how
+// bench_replay locates a divergence.
 //
-// Both are observational: attaching them never changes what the engine
-// executes, so a recorded sweep stays bit-identical to an unrecorded one.
+// Recorder and checker are observational: attaching them never changes
+// what the engine executes, so a recorded sweep stays bit-identical to an
+// unrecorded one.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +20,8 @@
 #include <string>
 
 #include "core/record_replay/trace.hpp"
+#include "core/replay.hpp"
+#include "core/sweep.hpp"
 #include "sim/engine.hpp"
 
 namespace paratick::core::record_replay {
@@ -66,53 +71,47 @@ struct Divergence {
 
 class TraceChecker final : public sim::EventObserver {
  public:
-  enum class Mode : std::uint8_t {
-    /// Compare every observed event against the trace; on the first
-    /// mismatch store the Divergence and throw SimError{kDivergence}.
-    kPerEvent,
-    /// Fold observed events into a chain digest only — no per-event
-    /// comparison, never throws. The bisection driver's probe mode.
-    kChainOnly,
-  };
-  static constexpr std::uint64_t kNoLimit = ~0ull;
-
-  /// Check the replay against `trace` (which must outlive the checker).
-  /// Events with index >= `check_limit` are ignored entirely — prefix
-  /// probes for the bisection binary search.
-  explicit TraceChecker(const EventTrace& trace, Mode mode = Mode::kPerEvent,
-                        std::uint64_t check_limit = kNoLimit);
+  /// Check the replay against `trace` (which must outlive the checker):
+  /// every observed event is compared with the next recorded one, and the
+  /// first mismatch is stored and thrown as SimError{kDivergence}.
+  explicit TraceChecker(const EventTrace& trace);
 
   void on_event_executed(sim::Engine& engine, sim::SimTime when,
                          std::uint64_t seq) override;
 
-  /// Observed events so far (capped at check_limit).
+  /// Observed events so far.
   [[nodiscard]] std::uint64_t events_seen() const { return seen_; }
-  /// Chain digest over the observed events (kChainOnly accumulates it;
-  /// kPerEvent keeps it too, for reporting).
-  [[nodiscard]] std::uint64_t observed_chain() const { return chain_; }
-  /// The last observed record inside the limit (probe context).
-  [[nodiscard]] const std::optional<TraceRecord>& last_observed() const {
-    return last_observed_;
-  }
-  /// Set when a kPerEvent check threw: the full mismatch context.
+  /// Set when the check threw: the full mismatch context.
   [[nodiscard]] const std::optional<Divergence>& divergence() const {
     return divergence_;
   }
 
   /// Call after the replay ran to completion without failing: a replay
-  /// that observed fewer events than min(trace.count, limit) silently
-  /// ended early — returns that kMissingEvent divergence.
+  /// that observed fewer events than the trace holds silently ended
+  /// early — returns that kMissingEvent divergence.
   [[nodiscard]] std::optional<Divergence> check_complete();
 
  private:
   const EventTrace& trace_;
   EventTrace::Cursor cursor_;
-  Mode mode_;
-  std::uint64_t limit_;
   std::uint64_t seen_ = 0;
-  std::uint64_t chain_ = kChainSeed;
-  std::optional<TraceRecord> last_observed_;
   std::optional<Divergence> divergence_;
 };
+
+/// Outcome of one trace-checked replay.
+struct ReplayCheckResult {
+  SweepRun run;  // disposition of the replay (failure may be kDivergence)
+  std::optional<Divergence> divergence;  // first mismatch, if any
+  std::uint64_t events_checked = 0;
+};
+
+/// Replay the bundle's run with a TraceChecker attached: one pass that
+/// stops at the first divergent event. PARATICK_CHECKs on crash bundles:
+/// those replay in a forked child, so an in-process checker would never
+/// see their events (and a faithful reproduction would take the checker
+/// down with it).
+[[nodiscard]] ReplayCheckResult check_replay(SweepConfig cfg,
+                                             const ReplayBundle& b,
+                                             const EventTrace& trace);
 
 }  // namespace paratick::core::record_replay

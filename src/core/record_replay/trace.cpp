@@ -69,14 +69,17 @@ std::uint64_t get_u64le(const std::string& bytes, std::size_t pos) {
   return v;
 }
 
-}  // namespace
-
+/// One chain step: fold `r` into the running digest `h`. Mixing all three
+/// fields means the chain pins event times and identities, not just the
+/// truncated state digests.
 std::uint64_t chain_mix(std::uint64_t h, const TraceRecord& r) {
   h = mix64(h ^ static_cast<std::uint64_t>(r.time_ns));
   h = mix64(h ^ r.seq);
   h = mix64(h ^ r.digest);
   return h;
 }
+
+}  // namespace
 
 void EventTrace::reserve_events(std::uint64_t events) {
   // Typical record: small time delta + near-consecutive seq + digest —
@@ -105,15 +108,23 @@ bool EventTrace::Cursor::next(TraceRecord* out) {
   const bool ok = get_varint(trace_->data_, pos_, &dt) &&
                   get_varint(trace_->data_, pos_, &dseq) &&
                   get_varint(trace_->data_, pos_, &digest);
-  if (!ok) {
-    const std::string msg = "event trace: varint stream truncated in record " +
-                            std::to_string(index_) + " at byte offset " +
+  const auto fail = [&](const char* what) {
+    const std::string msg = std::string("event trace: ") + what +
+                            " in record " + std::to_string(index_) +
+                            " at byte offset " +
                             std::to_string(kHeader + record_start);
     PARATICK_CHECK_MSG(false, msg.c_str());
+  };
+  if (!ok) fail("varint stream truncated");
+  std::int64_t seq = 0;
+  if (__builtin_add_overflow(prev_time_, unzigzag(dt), &out->time_ns)) {
+    fail("time delta overflows");
   }
-  out->time_ns = prev_time_ + unzigzag(dt);
-  out->seq = static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(prev_seq_ + 1) + unzigzag(dseq));
+  if (__builtin_add_overflow(static_cast<std::int64_t>(prev_seq_ + 1),
+                             unzigzag(dseq), &seq)) {
+    fail("seq delta overflows");
+  }
+  out->seq = static_cast<std::uint64_t>(seq);
   out->digest = static_cast<std::uint32_t>(digest);
   prev_time_ = out->time_ns;
   prev_seq_ = out->seq;
@@ -135,18 +146,6 @@ EventTrace EventTrace::from_records(const std::vector<TraceRecord>& records) {
   t.reserve_events(records.size());
   for (const TraceRecord& r : records) t.append(r.time_ns, r.seq, r.digest);
   return t;
-}
-
-std::uint64_t EventTrace::chain_at(std::uint64_t n) const {
-  PARATICK_CHECK_MSG(n <= count_, "event trace: chain_at past end of trace");
-  std::uint64_t h = kChainSeed;
-  Cursor cur(*this);
-  TraceRecord r;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    cur.next(&r);
-    h = chain_mix(h, r);
-  }
-  return h;
 }
 
 std::string EventTrace::serialize() const {
@@ -179,6 +178,14 @@ EventTrace EventTrace::deserialize(const std::string& bytes) {
   Cursor cur(t);
   TraceRecord r;
   while (cur.next(&r)) h = chain_mix(h, r);
+  if (cur.offset() != t.data_.size()) {
+    const std::string msg =
+        "event trace: " + std::to_string(t.data_.size() - cur.offset()) +
+        " trailing bytes at byte offset " +
+        std::to_string(kHeader + cur.offset()) + " (header count " +
+        std::to_string(count) + ")";
+    PARATICK_CHECK_MSG(false, msg.c_str());
+  }
   PARATICK_CHECK_MSG(h == chain,
                      "event trace: chain digest mismatch (corrupt trace)");
   t.chain_ = chain;

@@ -4,10 +4,10 @@
 // event, the delta of the event's schedule-order sequence number, and a
 // 32-bit truncation of the engine state digest — all varint-encoded, so
 // a timer-heavy workload costs a few bytes per event. A running 64-bit
-// chain digest folds every record as it is appended; two traces (or a
-// recorded trace and a live replay) can therefore be compared over any
-// prefix with a single integer comparison, which is what bench_replay's
-// divergence bisection binary-searches over.
+// chain digest folds every record as it is appended and is stored in the
+// file header: deserialize() re-decodes the stream and rejects a file
+// whose records do not fold back to it. It is an integrity check only;
+// replays are compared with the trace record by record (TraceChecker).
 //
 // Recording buffers start at a fixed size (TraceRecorder) and grow with
 // the run.
@@ -33,11 +33,6 @@ struct TraceRecord {
 /// Seed of the chain digest ("paratick" in ASCII).
 inline constexpr std::uint64_t kChainSeed = 0x706172617469636bull;
 
-/// One chain step: fold `r` into the running digest `h`. Mixing all three
-/// fields means the chain pins event times and identities, not just the
-/// truncated state digests.
-[[nodiscard]] std::uint64_t chain_mix(std::uint64_t h, const TraceRecord& r);
-
 class EventTrace {
  public:
   /// Pre-size the byte buffer for about `events` records.
@@ -57,6 +52,8 @@ class EventTrace {
     /// Decode the next record into `out`; false at end of trace.
     bool next(TraceRecord* out);
     [[nodiscard]] std::uint64_t index() const { return index_; }
+    /// Stream bytes consumed so far.
+    [[nodiscard]] std::size_t offset() const { return pos_; }
 
    private:
     const EventTrace* trace_;
@@ -72,14 +69,13 @@ class EventTrace {
   [[nodiscard]] static EventTrace from_records(
       const std::vector<TraceRecord>& records);
 
-  /// Chain digest over the first `n` records; n must be <= count().
-  [[nodiscard]] std::uint64_t chain_at(std::uint64_t n) const;
-
   /// Binary serialization: fixed little-endian header (magic, version,
   /// count, chain digest, stream size) + the varint stream. deserialize
-  /// PARATICK_CHECKs (throws sim::SimError) on bad magic, truncation (a
-  /// truncated varint names its byte offset), or a chain digest that
-  /// does not match the re-decoded stream.
+  /// PARATICK_CHECKs (throws sim::SimError) on bad magic, a truncated
+  /// varint or a time or seq delta that overflows (both name the record
+  /// and its byte offset), bytes left over after the last record (named
+  /// by offset), or a chain digest that does not match the re-decoded
+  /// stream.
   [[nodiscard]] std::string serialize() const;
   [[nodiscard]] static EventTrace deserialize(const std::string& bytes);
 
@@ -95,7 +91,7 @@ class EventTrace {
 
 /// Write / read a serialized trace. write creates parent directories and
 /// returns the path; every load error (unreadable file, bad magic, size
-/// or digest mismatch, truncated varint) is a SimError naming the path.
+/// or digest mismatch, malformed record) is a SimError naming the path.
 std::string write_trace_file(const EventTrace& trace, const std::string& path);
 [[nodiscard]] EventTrace load_trace_file(const std::string& path);
 

@@ -30,7 +30,7 @@ struct ReplayBundle {
   RunFailure failure;  // the failure observed by the original sweep
   /// Event trace of the failed run (--record-trace); "" = none recorded.
   /// bench_replay uses it to verify a reproduction event-by-event and to
-  /// bisect the first divergent event (core/record_replay).
+  /// report the first divergent event (core/record_replay).
   std::string trace_path;
 };
 

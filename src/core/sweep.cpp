@@ -425,8 +425,7 @@ std::vector<CliFlag> shared_sweep_flags(SweepCli& cli) {
                   cli.watchdog),
       text_flag("--failure-dir", "D", "write a replay bundle per failed run",
                 cli.failure_dir),
-      switch_flag("--record-trace",
-                  "record an event trace per run (bench_replay --bisect)",
+      switch_flag("--record-trace", "record an event trace per run",
                   cli.record_trace),
       double_flag("--run-timeout", "S", "per-run wall-clock budget in seconds",
                   cli.run_timeout_sec),

@@ -98,8 +98,8 @@ struct SweepConfig {
   /// compact record per executed engine event. Traces of failed runs are
   /// written next to their replay bundles as
   /// <failure_dir>/<bench>/run<idx>.trace and referenced from the bundle,
-  /// so bench_replay can verify a reproduction event-by-event and bisect
-  /// the first divergence. Recording is observational — results and
+  /// so bench_replay can verify a reproduction event-by-event and report
+  /// the first divergent event. Recording is observational — results and
   /// exports stay byte-identical to an unrecorded sweep.
   bool record_trace = false;
   /// Attach an external engine observer to every run (replay checking).

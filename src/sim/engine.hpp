@@ -124,7 +124,6 @@ class Engine {
   /// Attach (or detach, with nullptr) the per-event observer. Non-owning;
   /// the observer must outlive the run.
   void set_observer(EventObserver* observer) { observer_ = observer; }
-  [[nodiscard]] EventObserver* observer() const { return observer_; }
 
   /// Cheap digest of the deterministic engine state (clock, executed and
   /// pending event counts, schedule/cancel totals). A pure function of

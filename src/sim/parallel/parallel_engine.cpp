@@ -64,13 +64,6 @@ const char* to_string(LookaheadMode mode) {
   return "?";
 }
 
-void ParallelEngine::WindowObserver::on_event_executed(Engine& engine,
-                                                       SimTime when,
-                                                       std::uint64_t seq) {
-  buffer.push_back({when, seq, engine.state_digest()});
-  if (inner != nullptr) inner->on_event_executed(engine, when, seq);
-}
-
 ParallelEngine::ParallelEngine(unsigned threads) : threads_(threads) {
   if (threads_ == 0) {
     threads_ = std::max(1u, std::thread::hardware_concurrency());
@@ -213,35 +206,6 @@ std::optional<SimTime> ParallelEngine::floor_of(const Partition& p) const {
   return f;
 }
 
-void ParallelEngine::flush_commit_records(SimTime frontier) {
-  if (!hook_) return;
-  // Records before the frontier are final: every partition's committed
-  // pending work — and hence everything it can still execute — lies at or
-  // past the frontier. Merge them in the global (time, partition, seq)
-  // order and hold the rest for a later barrier (kTopology horizons let a
-  // partition run ahead of the frontier).
-  struct Tagged {
-    CommitRecord rec;
-    PartitionId part;
-  };
-  std::vector<Tagged> ready;
-  for (PartitionId pid = 0; pid < parts_.size(); ++pid) {
-    std::vector<CommitRecord>& buf = parts_[pid].observer.buffer;
-    std::size_t n = 0;
-    while (n < buf.size() && buf[n].when < frontier) ++n;
-    for (std::size_t i = 0; i < n; ++i) ready.push_back({buf[i], pid});
-    buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(n));
-  }
-  std::sort(ready.begin(), ready.end(), [](const Tagged& a, const Tagged& b) {
-    if (a.rec.when != b.rec.when) return a.rec.when < b.rec.when;
-    if (a.part != b.part) return a.part < b.part;
-    return a.rec.seq < b.rec.seq;
-  });
-  for (const Tagged& t : ready) {
-    hook_(t.part, t.rec.when, t.rec.seq, t.rec.digest);
-  }
-}
-
 void ParallelEngine::run_partition_window(Partition& p) {
   // Alternate between draining local events and injecting inbox messages:
   // a message delivering at `t` enters the engine after every local event
@@ -314,29 +278,6 @@ void ParallelEngine::drive(std::optional<SimTime> deadline) {
   running_ = true;
   ScopedRunTimer timer(wall_ns_);
 
-  // With a commit hook attached, install the window observers (they also
-  // forward to whatever observer each partition engine already had) and
-  // restore the originals on exit. Without one, skip the per-event
-  // buffering entirely — the hook decision is taken at run start.
-  struct ObserverGuard {
-    ObserverGuard(std::vector<Partition>& parts, bool install)
-        : parts_(parts), install_(install) {
-      if (!install_) return;
-      for (Partition& p : parts_) {
-        p.observer.inner = p.engine->observer();
-        p.engine->set_observer(&p.observer);
-      }
-    }
-    ~ObserverGuard() {
-      if (!install_) return;
-      for (Partition& p : parts_) {
-        p.engine->set_observer(p.observer.inner);
-        p.observer.buffer.clear();
-      }
-    }
-    std::vector<Partition>& parts_;
-    bool install_;
-  } observer_guard(parts_, static_cast<bool>(hook_));
   struct RunningGuard {
     explicit RunningGuard(bool& flag) : flag_(flag) {}
     ~RunningGuard() { flag_ = false; }
@@ -362,8 +303,7 @@ void ParallelEngine::drive(std::optional<SimTime> deadline) {
     }
 
     // Per-partition floors (earliest committed pending work) and the
-    // global frontier. Everything any partition can still execute lies at
-    // or past its floor, so records before the minimum are final.
+    // global frontier: the earliest of them is the next window's start.
     std::optional<SimTime> next;
     for (PartitionId pid = 0; pid < parts_.size(); ++pid) {
       const std::optional<SimTime> f = floor_of(parts_[pid]);
@@ -371,10 +311,8 @@ void ParallelEngine::drive(std::optional<SimTime> deadline) {
       if (f && (!next || *f < *next)) next = *f;
     }
 
-    const bool ending = err || !next || (deadline && *next > *deadline);
-    flush_commit_records(ending ? SimTime::max() : *next);
     if (err) std::rethrow_exception(err);
-    if (ending) break;
+    if (!next || (deadline && *next > *deadline)) break;
 
     // Sparse barriers: the window start jumps directly to the earliest
     // committed work — count the empty global quanta that jump skipped.

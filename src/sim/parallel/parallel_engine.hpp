@@ -34,16 +34,17 @@
 // send seq) into the destination's inbox, and the destination *injects*
 // each message into its engine exactly when its own execution first
 // reaches the delivery time — a time-canonical point that does not
-// depend on which window delivered the message. The merged event stream,
-// every per-event digest, and every counter derived from them are
-// therefore bit-identical for ANY worker-thread count AND both lookahead
-// modes, which is what the engine-threads/lookahead-mode CI gates
-// compare. Only the window/barrier counters (quanta, windows_skipped,
+// depend on which window delivered the message. Each partition's event
+// stream (time, seq, state digest after every event) — and with it the
+// stream merged by (time, partition, seq) and every counter derived from
+// them — is therefore bit-identical for ANY worker-thread count AND both
+// lookahead modes, which is what the engine-threads/lookahead-mode CI
+// gates compare. Only the window/barrier counters (quanta, windows_skipped,
 // barriers_elided, horizon_max_ns) depend on the mode.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <exception>
 #include <memory>
 #include <optional>
 #include <string>
@@ -99,16 +100,6 @@ struct ParallelProfile {
   EngineProfile merged;
 };
 
-/// Committed-global-order tap: called once per executed event, in the
-/// deterministic merge order (time, partition, seq). Records are released
-/// at barriers once the global frontier passes them — with kTopology
-/// horizons a partition may run ahead of the frontier, so its records are
-/// held back until no earlier event can still appear. `digest` is the
-/// partition engine's state digest taken right after the event's callback
-/// ran — the record/replay layer's per-event fingerprint.
-using CommitHook = std::function<void(PartitionId partition, SimTime when,
-                                      std::uint64_t seq, std::uint64_t digest)>;
-
 class ParallelEngine {
  public:
   /// `threads == 1` runs every window inline on the calling thread (the
@@ -158,15 +149,10 @@ class ParallelEngine {
   /// order, so a follow-up drive resumes from identical state.
   void run_until(SimTime deadline);
 
-  /// Attach (or clear) the committed-order tap. Costs one buffered record
-  /// per event while attached; purely observational otherwise (with no
-  /// hook the per-event buffering is skipped — the decision is taken at
-  /// the start of each run()/run_until()).
-  void set_commit_hook(CommitHook hook) { hook_ = std::move(hook); }
-
   /// Select how window bounds are derived (default kGlobal). May be
-  /// changed between runs, never during one. The committed event stream
-  /// is identical in both modes; only window/barrier counters differ.
+  /// changed between runs, never during one. Every partition's event
+  /// stream is identical in both modes; only window/barrier counters
+  /// differ.
   void set_lookahead_mode(LookaheadMode mode);
   [[nodiscard]] LookaheadMode lookahead_mode() const { return mode_; }
 
@@ -195,22 +181,6 @@ class ParallelEngine {
   /// or no inbound links. Ignored in kGlobal. Results never depend on it.
   static constexpr std::int64_t kMaxHorizonWindows = 64;
 
-  struct CommitRecord {
-    SimTime when;
-    std::uint64_t seq;
-    std::uint64_t digest;
-  };
-
-  /// Per-partition committed-order buffer: records every event the window
-  /// executed, then forwards to whatever observer the partition already had.
-  class WindowObserver final : public EventObserver {
-   public:
-    void on_event_executed(Engine& engine, SimTime when,
-                           std::uint64_t seq) override;
-    std::vector<CommitRecord> buffer;
-    EventObserver* inner = nullptr;
-  };
-
   struct CrossMessage {
     SimTime deliver_at;
     PartitionId src = 0;
@@ -232,7 +202,6 @@ class ParallelEngine {
     SimTime window_bound;      // this window's execution bound
     bool runnable = false;     // has committed work before window_bound
     std::exception_ptr error;  // first failure inside a window
-    WindowObserver observer;
   };
 
   struct Link {
@@ -248,9 +217,6 @@ class ParallelEngine {
   /// Earliest committed pending work of partition `p` (local queue or
   /// undelivered inbox message); nullopt when fully idle.
   [[nodiscard]] std::optional<SimTime> floor_of(const Partition& p) const;
-  /// Release buffered commit records with `when < frontier` to the hook,
-  /// merged in (when, partition, seq) order.
-  void flush_commit_records(SimTime frontier);
   /// Run one partition's window: execute local events and inject inbox
   /// messages at their exact delivery times, up to the partition's bound.
   static void run_partition_window(Partition& p);
@@ -265,7 +231,6 @@ class ParallelEngine {
   std::vector<Link> links_;
   /// links_ indices grouped by destination (built lazily per drive).
   std::vector<std::vector<std::uint32_t>> incoming_;
-  CommitHook hook_;
   unsigned threads_ = 1;
   LookaheadMode mode_ = LookaheadMode::kGlobal;
   std::unique_ptr<core::ThreadPool> pool_;

@@ -95,6 +95,8 @@ expect(2 "--fault-timer-drop: value out of range" "${BENCH_DIR}/bench_replay"
 expect(2 "--fault-timer-drop: value must not be negative" "${BENCH_DIR}/bench_replay"
        --fault-timer-drop -1 bundle.json)
 expect(2 "missing bundle" "${BENCH_DIR}/bench_replay" --quiet)
+expect(2 "unknown flag --bisect.*--help +print this listing" "${BENCH_DIR}/bench_replay"
+       --bisect bundle.json)
 
 expect(2 "missing command" "${BENCH_DIR}/sweep_dispatch" --workers 2)
 expect(2 "command must follow --" "${BENCH_DIR}/sweep_dispatch"

@@ -122,20 +122,34 @@ TEST(ParallelEngine, LookaheadIsMinimumDeclaredLatency) {
   EXPECT_EQ(*par.lookahead(), SimTime::us(3));
 }
 
-struct CommitEvent {
-  PartitionId part;
+struct StreamEvent {
   std::int64_t when_ns;
   std::uint64_t seq;
   std::uint64_t digest;
-  bool operator==(const CommitEvent&) const = default;
+  bool operator==(const StreamEvent&) const = default;
 };
 
+/// One ordinary EventObserver per partition engine: it records every
+/// event that partition executes, with the engine's state digest taken
+/// right after the callback. Only the thread running that partition's
+/// window ever calls it. The merge key (time, partition, seq) is
+/// deterministic, so equal per-partition streams mean an equal merged
+/// stream.
+struct StreamRecorder final : EventObserver {
+  std::vector<StreamEvent> events;
+  void on_event_executed(Engine& engine, SimTime when,
+                         std::uint64_t seq) override {
+    events.push_back({when.nanoseconds(), seq, engine.state_digest()});
+  }
+};
+using Streams = std::vector<std::vector<StreamEvent>>;
+
 /// Run a 3-partition ring with local churn + cross traffic at the given
-/// thread count; return (sinks, digest, committed stream).
+/// thread count; return (sinks, digest, per-partition event streams).
 struct RingOutcome {
   std::vector<std::uint64_t> sinks;
   std::uint64_t digest = 0;
-  std::vector<CommitEvent> committed;
+  Streams streams;
   ParallelProfile profile;
 };
 
@@ -149,11 +163,8 @@ RingOutcome run_ring(unsigned threads) {
     par.declare_link(p, (p + 1) % kParts, SimTime::us(2));
   }
 
-  RingOutcome out;
-  par.set_commit_hook([&](PartitionId part, SimTime when, std::uint64_t seq,
-                          std::uint64_t digest) {
-    out.committed.push_back({part, when.nanoseconds(), seq, digest});
-  });
+  StreamRecorder taps[kParts];
+  for (PartitionId p = 0; p < kParts; ++p) engines[p].set_observer(&taps[p]);
 
   // Local churn: self-rescheduling pumps with different phases, plus a
   // cross ping from each partition to its successor every few events.
@@ -187,8 +198,10 @@ RingOutcome run_ring(unsigned threads) {
   }
   par.run();
 
+  RingOutcome out;
   out.sinks.assign(sinks, sinks + kParts);
   out.digest = par.state_digest();
+  for (StreamRecorder& t : taps) out.streams.push_back(std::move(t.events));
   out.profile = par.profile();
   return out;
 }
@@ -196,30 +209,15 @@ RingOutcome run_ring(unsigned threads) {
 TEST(ParallelEngine, ResultsBitIdenticalAcrossThreadCounts) {
   const RingOutcome ref = run_ring(1);
   ASSERT_GT(ref.profile.cross_messages, 0u);
-  ASSERT_FALSE(ref.committed.empty());
+  for (const auto& stream : ref.streams) ASSERT_FALSE(stream.empty());
   for (const unsigned threads : {2u, 4u, 8u}) {
     const RingOutcome got = run_ring(threads);
     EXPECT_EQ(got.sinks, ref.sinks) << threads << " threads";
     EXPECT_EQ(got.digest, ref.digest) << threads << " threads";
-    EXPECT_EQ(got.committed, ref.committed) << threads << " threads";
+    EXPECT_EQ(got.streams, ref.streams) << threads << " threads";
     EXPECT_EQ(got.profile.cross_messages, ref.profile.cross_messages);
     EXPECT_EQ(got.profile.events_committed, ref.profile.events_committed);
     EXPECT_EQ(got.profile.quanta, ref.profile.quanta);
-  }
-}
-
-TEST(ParallelEngine, CommitHookStreamIsGloballyTimeOrdered) {
-  const RingOutcome out = run_ring(4);
-  for (std::size_t i = 1; i < out.committed.size(); ++i) {
-    const CommitEvent& prev = out.committed[i - 1];
-    const CommitEvent& cur = out.committed[i];
-    // Merge order: (time, partition, seq), nondecreasing throughout.
-    const bool ordered =
-        prev.when_ns < cur.when_ns ||
-        (prev.when_ns == cur.when_ns &&
-         (prev.part < cur.part ||
-          (prev.part == cur.part && prev.seq < cur.seq)));
-    ASSERT_TRUE(ordered) << "committed stream out of order at " << i;
   }
 }
 
@@ -283,7 +281,9 @@ TEST(ParallelEngine, ProfileCountsPartitionsQuantaAndMessages) {
   const RingOutcome out = run_ring(1);
   EXPECT_EQ(out.profile.partitions, 3u);
   EXPECT_GT(out.profile.quanta, 1u);
-  EXPECT_EQ(out.profile.events_committed, out.committed.size());
+  std::size_t events = 0;
+  for (const auto& stream : out.streams) events += stream.size();
+  EXPECT_EQ(out.profile.events_committed, events);
   EXPECT_EQ(out.profile.merged.events_executed, out.profile.events_committed);
 }
 
@@ -311,7 +311,7 @@ struct DagPump {
 struct DagOutcome {
   std::vector<std::uint64_t> sinks;
   std::uint64_t digest = 0;
-  std::vector<CommitEvent> committed;
+  Streams streams;
   ParallelProfile profile;
 };
 
@@ -330,11 +330,8 @@ DagOutcome run_random_dag(unsigned threads, LookaheadMode mode) {
   par.set_lookahead_mode(mode);
   for (auto& e : engines) par.add_partition(e);
 
-  DagOutcome out;
-  par.set_commit_hook([&](PartitionId part, SimTime when, std::uint64_t seq,
-                          std::uint64_t digest) {
-    out.committed.push_back({part, when.nanoseconds(), seq, digest});
-  });
+  StreamRecorder taps[kParts];
+  for (PartitionId p = 0; p < kParts; ++p) engines[p].set_observer(&taps[p]);
 
   std::vector<std::unique_ptr<DagPump>> pumps;
   for (PartitionId s = 0; s < kParts; ++s) {
@@ -382,8 +379,10 @@ DagOutcome run_random_dag(unsigned threads, LookaheadMode mode) {
   }
   par.run();
 
+  DagOutcome out;
   out.sinks.assign(sinks, sinks + kParts);
   out.digest = par.state_digest();
+  for (StreamRecorder& t : taps) out.streams.push_back(std::move(t.events));
   out.profile = par.profile();
   return out;
 }
@@ -391,7 +390,7 @@ DagOutcome run_random_dag(unsigned threads, LookaheadMode mode) {
 TEST(ParallelEngine, RandomDagDeterministicAcrossThreadsAndModes) {
   const DagOutcome ref = run_random_dag(1, LookaheadMode::kGlobal);
   ASSERT_GT(ref.profile.cross_messages, 0u);
-  ASSERT_FALSE(ref.committed.empty());
+  for (const auto& stream : ref.streams) ASSERT_FALSE(stream.empty());
   std::uint64_t quanta_by_mode[2] = {ref.profile.quanta, 0};
   for (const unsigned threads : {1u, 2u, 4u}) {
     for (const LookaheadMode mode :
@@ -402,7 +401,7 @@ TEST(ParallelEngine, RandomDagDeterministicAcrossThreadsAndModes) {
                                 to_string(mode) + " lookahead";
       EXPECT_EQ(got.sinks, ref.sinks) << label;
       EXPECT_EQ(got.digest, ref.digest) << label;
-      EXPECT_EQ(got.committed, ref.committed) << label;
+      EXPECT_EQ(got.streams, ref.streams) << label;
       EXPECT_EQ(got.profile.cross_messages, ref.profile.cross_messages) << label;
       EXPECT_EQ(got.profile.events_committed, ref.profile.events_committed)
           << label;
