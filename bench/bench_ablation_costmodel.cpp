@@ -5,8 +5,6 @@
 //
 // Runs on the deterministic parallel sweep runner; shared CLI flags in
 // core/sweep.hpp.
-#include <cstdio>
-
 #include "bench_common.hpp"
 #include "core/sweep.hpp"
 #include "workload/parsec.hpp"
@@ -48,13 +46,6 @@ int main(int argc, char** argv) {
   cli.apply(cfg);
 
   const core::SweepResult res = cli.run_sweep(std::move(cfg));
-  cli.export_results(res, "bench_ablation_costmodel");
-
-  if (!cli.csv) {
-    std::printf("==== Ablation: indirect exit-cost sweep (fluidanimate + dedup, "
-                "4 vCPUs) ====\n(%zu runs, %.2fs wall on %u threads)\n\n",
-                res.runs.size(), res.wall_seconds, res.threads_used);
-  }
   metrics::Table t({"indirect cycles", "benchmark", "VM exits", "throughput",
                     "exec time"});
   for (const std::int64_t indirect : kIndirect) {
@@ -67,13 +58,11 @@ int main(int argc, char** argv) {
                  metrics::pct(c.exec_time_delta_pct)});
     }
   }
-  if (cli.csv) {
-    std::fputs(t.to_csv().c_str(), stdout);
-    return 0;
-  }
-  t.print();
-  std::printf("\nExit *counts* are cost-model independent; only the throughput/time\n"
-              "magnitudes scale with the pollution term (calibrated to 13k cycles,\n"
-              "see EXPERIMENTS.md).\n");
-  return 0;
+  return bench::report(
+      cli, res, "bench_ablation_costmodel",
+      "==== Ablation: indirect exit-cost sweep (fluidanimate + dedup, 4 vCPUs) ====",
+      {{"", t,
+        "\nExit *counts* are cost-model independent; only the throughput/time\n"
+        "magnitudes scale with the pollution term (calibrated to 13k cycles,\n"
+        "see EXPERIMENTS.md).\n"}});
 }

@@ -8,8 +8,6 @@
 // Runs on the deterministic parallel sweep runner; shared CLI flags
 // (-j N, --repeat N, --seed S, --csv, --sweep-csv/--sweep-json,
 // --history-dir) in core/sweep.hpp.
-#include <cstdio>
-
 #include "bench_common.hpp"
 #include "core/analytic.hpp"
 #include "core/sweep.hpp"
@@ -53,14 +51,6 @@ int main(int argc, char** argv) {
   cli.apply(cfg);
 
   const core::SweepResult res = cli.run_sweep(std::move(cfg));
-  cli.export_results(res, "bench_ablation_crossover");
-
-  if (!cli.csv) {
-    std::printf("==== Ablation: periodic vs tickless vs paratick crossover (§3.3) ====\n");
-    std::printf("8-vCPU VM, 2 s, 250 Hz; barrier-storm rate sweep "
-                "(%zu runs, %.2fs wall on %u threads)\n\n",
-                res.runs.size(), res.wall_seconds, res.threads_used);
-  }
   metrics::Table t({"barrier rate (Hz)", "idle transitions/s", "periodic", "tickless",
                     "paratick", "tickless/periodic"});
 
@@ -78,13 +68,11 @@ int main(int argc, char** argv) {
                                                  periodic->exits_timer.mean()
                                            : 0.0)});
   }
-  if (cli.csv) {
-    std::fputs(t.to_csv().c_str(), stdout);
-    return 0;
-  }
-  t.print();
-
-  std::printf("\nParatick stays below both policies at every rate — the §4.2\n"
-              "\"never worse than tickless\" guarantee.\n");
-  return 0;
+  return bench::report(
+      cli, res, "bench_ablation_crossover",
+      "==== Ablation: periodic vs tickless vs paratick crossover (§3.3) ====\n"
+      "8-vCPU VM, 2 s, 250 Hz; barrier-storm rate sweep",
+      {{"", t,
+        "\nParatick stays below both policies at every rate — the §4.2\n"
+        "\"never worse than tickless\" guarantee.\n"}});
 }

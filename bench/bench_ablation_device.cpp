@@ -5,7 +5,6 @@
 //
 // Runs on the deterministic parallel sweep runner; shared CLI flags in
 // core/sweep.hpp.
-#include <cstdio>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -65,13 +64,6 @@ int main(int argc, char** argv) {
   cli.apply(cfg);
 
   const core::SweepResult res = cli.run_sweep(std::move(cfg));
-  cli.export_results(res, "bench_ablation_device");
-
-  if (!cli.csv) {
-    std::printf("==== Ablation: device latency vs paratick benefit (fio 4k rndr) ====\n");
-    std::printf("(%zu runs, %.2fs wall on %u threads)\n\n", res.runs.size(),
-                res.wall_seconds, res.threads_used);
-  }
   metrics::Table t({"device", "read latency", "exits", "exec time",
                     "wake latency (dyn->para)"});
   for (const Device& dev : devices) {
@@ -85,12 +77,10 @@ int main(int argc, char** argv) {
                metrics::format("%.1f -> %.1f us", base->wakeup_latency_us.mean(),
                                treat->wakeup_latency_us.mean())});
   }
-  if (cli.csv) {
-    std::fputs(t.to_csv().c_str(), stdout);
-    return 0;
-  }
-  t.print();
-  std::printf("\nThe execution-time gain grows monotonically as device latency falls:\n"
-              "timer-management exits are a fixed per-operation tax (§6.3).\n");
-  return 0;
+  return bench::report(
+      cli, res, "bench_ablation_device",
+      "==== Ablation: device latency vs paratick benefit (fio 4k rndr) ====",
+      {{"", t,
+        "\nThe execution-time gain grows monotonically as device latency falls:\n"
+        "timer-management exits are a fixed per-operation tax (§6.3).\n"}});
 }

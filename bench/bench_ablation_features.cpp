@@ -5,8 +5,6 @@
 //
 // Runs on the deterministic parallel sweep runner; shared CLI flags in
 // core/sweep.hpp.
-#include <cstdio>
-
 #include "bench_common.hpp"
 #include "core/sweep.hpp"
 #include "workload/parsec.hpp"
@@ -52,41 +50,26 @@ int main(int argc, char** argv) {
   cli.apply(cfg);
 
   const core::SweepResult res = cli.run_sweep(std::move(cfg));
-  cli.export_results(res, "bench_ablation_features");
-
-  if (!cli.csv) {
-    std::printf("==== Ablation: halt polling / PLE (fluidanimate, 4 vCPUs) ====\n");
-    std::printf("(%zu runs, %.2fs wall on %u threads)\n\n", res.runs.size(),
-                res.wall_seconds, res.threads_used);
-  }
   metrics::Table t({"mode", "halt-poll", "PLE", "exits", "busy Mcycles",
                     "halt-poll Mcycles", "exec ms"});
+  constexpr auto kHaltPoll = static_cast<std::size_t>(hw::CycleCategory::kHaltPoll);
   for (auto mode : {guest::TickMode::kDynticksIdle, guest::TickMode::kParatick}) {
     for (int hp : {0, 1, 2}) {
       for (bool ple : {false, true}) {
         const auto* cell = res.find(variant_name(hp, ple), mode);
-        const sim::Accumulator poll_mcycles = res.metric_over_runs(
-            res.index_of(*cell), [](const metrics::RunResult& r) {
-              return static_cast<double>(
-                         r.cycles.total(hw::CycleCategory::kHaltPoll).count()) /
-                     1e6;
-            });
         t.add_row({std::string(guest::to_string(mode)), kHaltPollNames[hp],
                    ple ? "on" : "off", bench::mean_ci(cell->exits_total),
                    metrics::format("%.1f", cell->busy_cycles.mean() / 1e6),
-                   bench::mean_ci(poll_mcycles, 1),
+                   bench::mean_ci(cell->cycles[kHaltPoll], 1, 1e6),
                    bench::mean_ci(cell->exec_time_ms, 2)});
       }
     }
   }
-  if (cli.csv) {
-    std::fputs(t.to_csv().c_str(), stdout);
-    return 0;
-  }
-  t.print();
-  std::printf(
-      "\nHalt polling trades exits for burned CPU (paper §6: disabled because the\n"
-      "polled cycles mask the effect under study); PLE adds pause exits during\n"
-      "adaptive-mutex spins without helping in non-overcommitted runs.\n");
-  return 0;
+  return bench::report(
+      cli, res, "bench_ablation_features",
+      "==== Ablation: halt polling / PLE (fluidanimate, 4 vCPUs) ====",
+      {{"", t,
+        "\nHalt polling trades exits for burned CPU (paper §6: disabled because the\n"
+        "polled cycles mask the effect under study); PLE adds pause exits during\n"
+        "adaptive-mutex spins without helping in non-overcommitted runs.\n"}});
 }

@@ -8,8 +8,6 @@
 // Runs on the deterministic parallel sweep runner; shared CLI flags in
 // core/sweep.hpp. p99 is computed from the wake-latency histograms
 // merged across --repeat replicas.
-#include <cstdio>
-
 #include "bench_common.hpp"
 #include "core/sweep.hpp"
 #include "workload/micro.hpp"
@@ -50,44 +48,25 @@ int main(int argc, char** argv) {
   cli.apply(cfg);
 
   const core::SweepResult res = cli.run_sweep(std::move(cfg));
-  cli.export_results(res, "bench_ablation_latency_tail");
-
-  if (!cli.csv) {
-    std::printf("==== Ablation: request wake-latency tail (2-worker server) ====\n");
-    std::printf("(%zu runs, %.2fs wall on %u threads)\n\n", res.runs.size(),
-                res.wall_seconds, res.threads_used);
-  }
   metrics::Table t({"interarrival", "policy", "wakes", "mean us", "p99 us",
                     "max us", "exits"});
   for (const sim::SimTime interarrival : kInterarrivals) {
     for (auto mode : {guest::TickMode::kPeriodic, guest::TickMode::kDynticksIdle,
                       guest::TickMode::kFullDynticks, guest::TickMode::kParatick}) {
       const auto* cell = res.find(variant_name(interarrival), mode);
-      const std::size_t idx = res.index_of(*cell);
-      const sim::LogHistogram hist = res.merged_over_runs(
-          idx, [](const metrics::RunResult& r) -> const sim::LogHistogram& {
-            return r.vms[0].wakeup_latency_hist_us;
-          });
-      const sim::Accumulator wakes_per_run = res.metric_over_runs(
-          idx, [](const metrics::RunResult& r) {
-            return r.vms[0].wakeup_latency_us.count();
-          });
       t.add_row({metrics::format("%.1f ms", interarrival.milliseconds()),
-                 std::string(guest::to_string(mode)), bench::mean_ci(wakes_per_run),
+                 std::string(guest::to_string(mode)), bench::mean_ci(cell->wakes),
                  metrics::format("%.1f", cell->wakeup_latency_us.mean()),
-                 metrics::format("%.1f", hist.percentile(99.0)),
+                 metrics::format("%.1f", cell->wake_hist_us.percentile(99.0)),
                  metrics::format("%.1f", cell->wakeup_latency_us.max()),
                  bench::mean_ci(cell->exits_total)});
     }
   }
-  if (cli.csv) {
-    std::fputs(t.to_csv().c_str(), stdout);
-    return 0;
-  }
-  t.print();
-  std::printf(
-      "\nEvery request service starts with an idle exit; dynticks adds a tick\n"
-      "restart (MSR-write exit) to that path while paratick adds nothing — the\n"
-      "mean shifts by one exit cost and the tail follows (§3.3, §4.2).\n");
-  return 0;
+  return bench::report(
+      cli, res, "bench_ablation_latency_tail",
+      "==== Ablation: request wake-latency tail (2-worker server) ====",
+      {{"", t,
+        "\nEvery request service starts with an idle exit; dynticks adds a tick\n"
+        "restart (MSR-write exit) to that path while paratick adds nothing — the\n"
+        "mean shifts by one exit cost and the tail follows (§3.3, §4.2).\n"}});
 }

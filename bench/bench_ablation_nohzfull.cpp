@@ -7,8 +7,6 @@
 // Runs on the deterministic parallel sweep runner; shared CLI flags in
 // core/sweep.hpp. The workload classes resize the machine per variant,
 // so the grid's vcpus key self-describes each row.
-#include <cstdio>
-
 #include "bench_common.hpp"
 #include "core/sweep.hpp"
 #include "workload/fio.hpp"
@@ -68,13 +66,6 @@ int main(int argc, char** argv) {
   cli.apply(cfg);
 
   const core::SweepResult res = cli.run_sweep(std::move(cfg));
-  cli.export_results(res, "bench_ablation_nohzfull");
-
-  if (!cli.csv) {
-    std::printf("==== Ablation: NO_HZ_FULL vs the paper's policies ====\n");
-    std::printf("(%zu runs, %.2fs wall on %u threads)\n\n", res.runs.size(),
-                res.wall_seconds, res.threads_used);
-  }
   metrics::Table t({"workload", "policy", "exits", "timer exits", "busy Mcycles",
                     "exec ms"});
   for (const char* workload : kWorkloads) {
@@ -90,16 +81,13 @@ int main(int argc, char** argv) {
                      : std::string("-")});
     }
   }
-  if (cli.csv) {
-    std::fputs(t.to_csv().c_str(), stdout);
-    return 0;
-  }
-  t.print();
-  std::printf(
-      "\nNO_HZ_FULL matches paratick only for pinned single-task guests (its design\n"
-      "target); under blocking sync or sync I/O it degenerates to dynticks-idle\n"
-      "because every adaptive tick decision is still a TSC_DEADLINE write — i.e.\n"
-      "a VM exit. Paratick is the only policy whose cost does not scale with the\n"
-      "idle-transition rate (paper §4.2).\n");
-  return 0;
+  return bench::report(
+      cli, res, "bench_ablation_nohzfull",
+      "==== Ablation: NO_HZ_FULL vs the paper's policies ====",
+      {{"", t,
+        "\nNO_HZ_FULL matches paratick only for pinned single-task guests (its design\n"
+        "target); under blocking sync or sync I/O it degenerates to dynticks-idle\n"
+        "because every adaptive tick decision is still a TSC_DEADLINE write — i.e.\n"
+        "a VM exit. Paratick is the only policy whose cost does not scale with the\n"
+        "idle-transition rate (paper §4.2).\n"}});
 }

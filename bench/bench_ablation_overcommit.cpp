@@ -7,8 +7,6 @@
 // Runs on the deterministic parallel sweep runner; shared CLI flags in
 // core/sweep.hpp. The grid key's overcommit column is derived from the
 // materialized spec, so the exported rows self-describe the ratio.
-#include <cstdio>
-
 #include "bench_common.hpp"
 #include "core/sweep.hpp"
 #include "workload/micro.hpp"
@@ -51,35 +49,22 @@ int main(int argc, char** argv) {
   cli.apply(cfg);
 
   const core::SweepResult res = cli.run_sweep(std::move(cfg));
-  cli.export_results(res, "bench_ablation_overcommit");
-
-  if (!cli.csv) {
-    std::printf("==== Ablation: overcommit (8 pCPUs, 8-vCPU VMs at 20%% load) ====\n");
-    std::printf("(%zu runs, %.2fs wall on %u threads)\n\n", res.runs.size(),
-                res.wall_seconds, res.threads_used);
-  }
   metrics::Table t({"VMs", "overcommit", "policy", "total exits", "useful Mcycles"});
+  constexpr auto kGuestUser = static_cast<std::size_t>(hw::CycleCategory::kGuestUser);
   for (const int vms : kVmCounts) {
     for (auto mode : {guest::TickMode::kPeriodic, guest::TickMode::kDynticksIdle,
                       guest::TickMode::kParatick}) {
       const auto* cell = res.find(variant_name(vms), mode);
-      const sim::Accumulator useful = res.metric_over_runs(
-          res.index_of(*cell), [](const metrics::RunResult& r) {
-            return static_cast<double>(
-                       r.cycles.total(hw::CycleCategory::kGuestUser).count()) /
-                   1e6;
-          });
       t.add_row({metrics::format("%d", vms), metrics::format("%dx", vms),
                  std::string(guest::to_string(mode)),
-                 bench::mean_ci(cell->exits_total), bench::mean_ci(useful, 1)});
+                 bench::mean_ci(cell->exits_total),
+                 bench::mean_ci(cell->cycles[kGuestUser], 1, 1e6)});
     }
   }
-  if (cli.csv) {
-    std::fputs(t.to_csv().c_str(), stdout);
-    return 0;
-  }
-  t.print();
-  std::printf("\nPeriodic exits grow linearly with the VM count while useful cycles\n"
-              "stay flat; paratick's exit count is load-, not tick-, driven (§3.1).\n");
-  return 0;
+  return bench::report(
+      cli, res, "bench_ablation_overcommit",
+      "==== Ablation: overcommit (8 pCPUs, 8-vCPU VMs at 20% load) ====",
+      {{"", t,
+        "\nPeriodic exits grow linearly with the VM count while useful cycles\n"
+        "stay flat; paratick's exit count is load-, not tick-, driven (§3.1).\n"}});
 }

@@ -7,8 +7,6 @@
 // Runs on the deterministic parallel sweep runner; shared CLI flags in
 // core/sweep.hpp. Interval accumulators are merged across --repeat
 // replicas (metrics::VmResult::tick_intervals_us).
-#include <cstdio>
-
 #include "bench_common.hpp"
 #include "core/sweep.hpp"
 #include "workload/micro.hpp"
@@ -51,44 +49,25 @@ int main(int argc, char** argv) {
   cli.apply(cfg);
 
   const core::SweepResult res = cli.run_sweep(std::move(cfg));
-  cli.export_results(res, "bench_ablation_tick_jitter");
-
-  if (!cli.csv) {
-    std::printf("==== Ablation: tick-interval jitter (guest declares 250 Hz = 4000 us) ====\n");
-    std::printf("(%zu runs, %.2fs wall on %u threads)\n\n", res.runs.size(),
-                res.wall_seconds, res.threads_used);
-  }
   metrics::Table t({"workload", "policy", "ticks", "mean us", "stddev us", "max us"});
   for (const char* workload : {kBusy, kBursty}) {
     for (auto mode : {guest::TickMode::kPeriodic, guest::TickMode::kDynticksIdle,
                       guest::TickMode::kParatick}) {
       const auto* cell = res.find(workload, mode);
-      const std::size_t idx = res.index_of(*cell);
-      const sim::Accumulator ticks = res.metric_over_runs(
-          idx, [](const metrics::RunResult& r) {
-            return r.vms[0].policy.ticks_handled;
-          });
-      const sim::Accumulator intervals = res.merged_over_runs(
-          idx, [](const metrics::RunResult& r) -> const sim::Accumulator& {
-            return r.vms[0].tick_intervals_us;
-          });
       t.add_row({workload, std::string(guest::to_string(mode)),
-                 bench::mean_ci(ticks),
-                 metrics::format("%.1f", intervals.mean()),
-                 metrics::format("%.1f", intervals.stddev()),
-                 metrics::format("%.1f", intervals.max())});
+                 bench::mean_ci(cell->ticks),
+                 metrics::format("%.1f", cell->tick_intervals_us.mean()),
+                 metrics::format("%.1f", cell->tick_intervals_us.stddev()),
+                 metrics::format("%.1f", cell->tick_intervals_us.max())});
     }
   }
-  if (cli.csv) {
-    std::fputs(t.to_csv().c_str(), stdout);
-    return 0;
-  }
-  t.print();
-  std::printf(
-      "\nParatick's ticks ride on VM-entry opportunities: on a fully busy guest the\n"
-      "interval tracks the host tick closely; on bursty guests idle periods stretch\n"
-      "individual intervals (idle vCPUs deliberately receive no virtual ticks,\n"
-      "§4.1) — time is recovered on wake-up, but periodic bookkeeping is coarser.\n"
-      "This is the quantified cost of the paper's design choice.\n");
-  return 0;
+  return bench::report(
+      cli, res, "bench_ablation_tick_jitter",
+      "==== Ablation: tick-interval jitter (guest declares 250 Hz = 4000 us) ====",
+      {{"", t,
+        "\nParatick's ticks ride on VM-entry opportunities: on a fully busy guest the\n"
+        "interval tracks the host tick closely; on bursty guests idle periods stretch\n"
+        "individual intervals (idle vCPUs deliberately receive no virtual ticks,\n"
+        "§4.1) — time is recovered on wake-up, but periodic bookkeeping is coarser.\n"
+        "This is the quantified cost of the paper's design choice.\n"}});
 }

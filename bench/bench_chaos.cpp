@@ -15,15 +15,15 @@
 // (default results/failures) which `bench_replay <bundle.json>`
 // re-executes deterministically to the same failing event.
 //
-// Exit code 0 even with degraded cells — chaos failures are data, not
-// bench errors. Shared CLI flags in core/sweep.hpp.
-#include <cstdio>
+// The report names every degraded cell like any sweep bench's, but the
+// exit code stays 0 — chaos failures are data, not bench errors. Shared
+// CLI flags in core/sweep.hpp.
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/scenarios.hpp"
 #include "core/sweep.hpp"
-#include "metrics/report.hpp"
 
 using namespace paratick;
 
@@ -40,36 +40,31 @@ int main(int argc, char** argv) {
 
   const core::SweepResult res = cli.run_sweep(std::move(cfg));
 
-  if (cli.csv) {
-    std::fputs(res.to_csv().c_str(), stdout);
-  } else {
-    std::printf("chaos scenario %s: %zu runs (%zu ok, %zu failed, %zu cells"
-                " degraded), %.2fs on %u threads\n",
-                scenario.c_str(), res.runs.size(), res.ok_run_count(),
-                res.failed_runs().size(), res.degraded_cell_count(),
-                res.wall_seconds, res.threads_used);
-    std::printf("%-42s %8s %8s %8s %10s %10s\n", "cell", "ok", "failed",
-                "timedout", "exits", "wake_us");
-    for (const auto& cell : res.cells) {
-      std::printf("%-42s %8llu %8llu %8llu %10.0f %10.3f%s\n",
-                  cell.key.label().c_str(),
-                  static_cast<unsigned long long>(cell.exits_total.count()),
-                  static_cast<unsigned long long>(cell.replicas_failed),
-                  static_cast<unsigned long long>(cell.replicas_timed_out),
-                  cell.exits_total.mean(), cell.wakeup_latency_us.mean(),
-                  cell.degraded() ? "  DEGRADED" : "");
-    }
-    for (const core::SweepRun* run : res.failed_runs()) {
-      const core::RunFailure& f = *run->failure;
-      std::printf("failure run=%zu %s: %s %s%s%s [sim t=%lldns]%s%s\n",
-                  run->run_index, res.cells[run->cell].key.label().c_str(),
-                  core::RunFailure::kind_name(f.kind), f.expr.c_str(),
-                  f.message.empty() ? "" : " — ", f.message.c_str(),
-                  static_cast<long long>(f.sim_time_ns),
-                  run->bundle_path.empty() ? "" : " bundle=",
-                  run->bundle_path.c_str());
-    }
+  metrics::Table t({"cell", "ok", "failed", "timed out", "exits", "wake us"});
+  for (const auto& cell : res.cells) {
+    t.add_row({cell.key.label(), std::to_string(cell.exits_total.count()),
+               std::to_string(cell.replicas_failed),
+               std::to_string(cell.replicas_timed_out),
+               metrics::format("%.0f", cell.exits_total.mean()),
+               metrics::format("%.3f", cell.wakeup_latency_us.mean())});
   }
-  cli.export_results(res, "bench_chaos_" + scenario);
+  std::string failures;
+  for (const core::SweepRun* run : res.failed_runs()) {
+    const core::RunFailure& f = *run->failure;
+    failures += metrics::format(
+        "failure run=%zu %s: %s %s%s%s [sim t=%lldns]%s%s\n", run->run_index,
+        res.cells[run->cell].key.label().c_str(),
+        core::RunFailure::kind_name(f.kind), f.expr.c_str(),
+        f.message.empty() ? "" : " — ", f.message.c_str(),
+        static_cast<long long>(f.sim_time_ns),
+        run->bundle_path.empty() ? "" : " bundle=", run->bundle_path.c_str());
+  }
+  // Degraded cells are this bench's data: drop the report's status.
+  (void)bench::report(
+      cli, res, "bench_chaos_" + scenario,
+      metrics::format("chaos scenario %s (%zu ok, %zu failed, %zu cells degraded)",
+                      scenario.c_str(), res.ok_run_count(),
+                      res.failed_runs().size(), res.degraded_cell_count()),
+      {{"", t, failures}});
   return 0;
 }

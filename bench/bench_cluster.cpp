@@ -177,18 +177,6 @@ int main(int argc, char** argv) {
   }
 
   const core::SweepResult res = cli.run_sweep(std::move(cfg));
-  cli.export_results(res, "bench_cluster");
-
-  if (!cli.csv) {
-    std::printf("==== Cluster consolidation: hosts x %d tenant VMs/host, "
-                "%.0f ms, rebalance %.1f ms ====\n",
-                opts.vms_per_host, opts.duration.milliseconds(),
-                opts.rebalance_period.milliseconds());
-    std::printf("(%zu runs, %.2fs wall on %u threads, engine-threads %u)\n\n",
-                res.runs.size(), res.wall_seconds, res.threads_used,
-                opts.engine_threads);
-  }
-
   metrics::Table t({"hosts", "overcommit", "policy", "total exits",
                     "timer exits", "steal ms", "est err ms", "wake p99 us"});
   for (const auto& cell : res.cells) {
@@ -200,15 +188,10 @@ int main(int argc, char** argv) {
                bench::mean_ci(cell.steal_est_err_ms, 2),
                metrics::format("%.1f", cell.wake_hist_us.percentile(99.0))});
   }
-  if (cli.csv) {
-    std::fputs(t.to_csv().c_str(), stdout);
-    return 0;
-  }
-  t.print();
 
   // The paper's question at cluster scale: how much timer overhead does
   // paratick shave per overcommit ratio?
-  std::printf("\nparatick vs dynticks (timer-related exits):\n");
+  std::string note = "\nparatick vs dynticks (timer-related exits):\n";
   for (const auto& base : res.cells) {
     if (base.key.mode != guest::TickMode::kDynticksIdle) continue;
     for (const auto& treat : res.cells) {
@@ -218,13 +201,19 @@ int main(int argc, char** argv) {
         continue;
       }
       const metrics::Comparison c = core::SweepResult::compare_cells(base, treat);
-      std::printf("  %s oc=%g: exits %+.1f%%, timer exits %+.1f%%\n",
-                  base.key.variant.c_str(), base.key.overcommit,
-                  c.exit_delta_pct, c.timer_exit_delta_pct);
+      note += metrics::format("  %s oc=%g: exits %+.1f%%, timer exits %+.1f%%\n",
+                              base.key.variant.c_str(), base.key.overcommit,
+                              c.exit_delta_pct, c.timer_exit_delta_pct);
     }
   }
-  std::printf("\nSteal columns: hv ground truth summed over tenant VMs; est err\n"
-              "is the guests' platform-agnostic estimator minus that truth —\n"
-              "the signal the consolidation scheduler actually acted on.\n");
-  return 0;
+  note += "\nSteal columns: hv ground truth summed over tenant VMs; est err\n"
+          "is the guests' platform-agnostic estimator minus that truth —\n"
+          "the signal the consolidation scheduler actually acted on.\n";
+  return bench::report(
+      cli, res, "bench_cluster",
+      metrics::format("==== Cluster consolidation: hosts x %d tenant VMs/host, "
+                      "%.0f ms, rebalance %.1f ms, engine-threads %u ====",
+                      opts.vms_per_host, opts.duration.milliseconds(),
+                      opts.rebalance_period.milliseconds(), opts.engine_threads),
+      {{"", t, note}});
 }

@@ -8,7 +8,8 @@
 // lists the thresholds (--z, --rel-min, --ks: finite and >= 0), --metric,
 // --allow-grid-drift and --quiet.
 //
-// Exit codes: 0 clean, 1 regression, 2 usage or unreadable/corrupt input
+// Exit codes: 0 clean, 1 regression (a shifted metric, grid drift, or a
+// current cell with failed replicas), 2 usage or unreadable/corrupt input
 // (with a hint to regenerate the baseline — see EXPERIMENTS.md).
 #include <cstdio>
 #include <string>

@@ -5,7 +5,6 @@
 // Runs on the deterministic parallel sweep runner (see core/sweep.hpp).
 // Usage: bench_fig4_sequential [benchmark] [--csv] [-j N] [--repeat N]
 //                              [--seed S] [--sweep-csv P] [--sweep-json P]
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -43,13 +42,6 @@ int main(int argc, char** argv) {
   cli.apply(cfg);
 
   const core::SweepResult res = cli.run_sweep(std::move(cfg));
-  cli.export_results(res, "bench_fig4_sequential");
-
-  if (!cli.csv) {
-    std::printf("==== Figure 4 / Table 2: sequential PARSEC (1 vCPU) ====\n");
-    std::printf("(%zu runs, %.2fs wall on %u threads)\n", res.runs.size(),
-                res.wall_seconds, res.threads_used);
-  }
   metrics::Table fig({"benchmark", "VM exits", "throughput", "exec time"});
   std::vector<metrics::Comparison> comparisons;
   for (const auto& name : names) {
@@ -58,13 +50,10 @@ int main(int argc, char** argv) {
     fig.add_row(bench::figure_row(name, c));
     comparisons.push_back(c);
   }
-
-  if (cli.csv) {
-    std::fputs(fig.to_csv().c_str(), stdout);
-  } else {
-    fig.print();
-    bench::print_aggregate("Aggregate (Table 2)", {"Table 2", -50.0, +7.0, -2.0},
-                           metrics::average(comparisons));
-  }
-  return 0;
+  return bench::report(
+      cli, res, "bench_fig4_sequential",
+      "==== Figure 4 / Table 2: sequential PARSEC (1 vCPU) ====",
+      {{"", fig,
+        bench::aggregate_note("Aggregate (Table 2)", {"Table 2", -50.0, +7.0, -2.0},
+                              metrics::average(comparisons))}});
 }

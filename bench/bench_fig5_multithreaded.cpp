@@ -10,7 +10,6 @@
 //
 // Usage: bench_fig5_multithreaded [small|medium|large|all] [benchmark]
 //        [--csv] [-j N] [--repeat N] [--seed S] [--sweep-csv P] [--sweep-json P]
-#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -83,15 +82,10 @@ int main(int argc, char** argv) {
   cli.apply(cfg);
 
   const core::SweepResult res = cli.run_sweep(std::move(cfg));
-  cli.export_results(res, "bench_fig5_multithreaded");
-
+  std::vector<bench::Section> sections;
   for (const auto& size : kSizes) {
     if (std::strcmp(size_arg, "all") != 0 && std::strcmp(size_arg, size.name) != 0)
       continue;
-    if (!cli.csv) {
-      std::printf("\n==== Figure 5 / Table 3: %s VM (%d vCPUs) ====\n", size.name,
-                  size.vcpus);
-    }
     metrics::Table fig({"benchmark", "VM exits", "throughput", "exec time"});
     std::vector<metrics::Comparison> comparisons;
     for (const auto& row : rows) {
@@ -101,13 +95,14 @@ int main(int argc, char** argv) {
       fig.add_row(bench::figure_row(row.benchmark, c));
       comparisons.push_back(c);
     }
-    if (cli.csv) {
-      std::fputs(fig.to_csv().c_str(), stdout);
-      continue;
-    }
-    fig.print();
-    bench::print_aggregate("Aggregate (Table 3 row)", size.paper,
-                           metrics::average(comparisons));
+    sections.push_back(
+        {metrics::format("%s==== %s VM (%d vCPUs) ====\n",
+                         sections.empty() ? "" : "\n", size.name, size.vcpus),
+         std::move(fig),
+         bench::aggregate_note("Aggregate (Table 3 row)", size.paper,
+                               metrics::average(comparisons))});
   }
-  return 0;
+  return bench::report(cli, res, "bench_fig5_multithreaded",
+                       "==== Figure 5 / Table 3: multithreaded PARSEC ====",
+                       sections);
 }

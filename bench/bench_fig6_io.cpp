@@ -11,7 +11,6 @@
 // core/sweep.hpp. Each category x block-size pair is one sweep variant.
 //
 // Usage: bench_fig6_io [category]
-#include <cstdio>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -66,13 +65,6 @@ int main(int argc, char** argv) {
   cli.apply(cfg);
 
   const core::SweepResult res = cli.run_sweep(std::move(cfg));
-  cli.export_results(res, "bench_fig6_io");
-
-  if (!cli.csv) {
-    std::printf("==== Figure 6 / Table 4: fio sync I/O (1 vCPU) ====\n");
-    std::printf("(%zu runs, %.2fs wall on %u threads)\n\n", res.runs.size(),
-                res.wall_seconds, res.threads_used);
-  }
   metrics::Table fig(
       {"category", "VM exits", "I/O throughput", "cycle throughput", "exec time"});
   std::vector<metrics::Comparison> comparisons;
@@ -100,13 +92,9 @@ int main(int argc, char** argv) {
                  metrics::pct(avg.exec_time_delta_pct)});
     comparisons.push_back(avg);
   }
-
-  if (cli.csv) {
-    std::fputs(fig.to_csv().c_str(), stdout);
-  } else {
-    fig.print();
-    bench::print_aggregate("Aggregate (Table 4)", {"Table 4", -34.0, +20.0, -18.0},
-                           metrics::average(comparisons));
-  }
-  return 0;
+  return bench::report(
+      cli, res, "bench_fig6_io", "==== Figure 6 / Table 4: fio sync I/O (1 vCPU) ====",
+      {{"", fig,
+        bench::aggregate_note("Aggregate (Table 4)", {"Table 4", -34.0, +20.0, -18.0},
+                              metrics::average(comparisons))}});
 }

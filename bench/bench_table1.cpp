@@ -15,8 +15,7 @@
 // The 12 simulations (4 workloads x 3 tick modes) run on the deterministic
 // parallel sweep runner; see SweepCli in core/sweep.hpp for the flags
 // (-j N, --repeat N, --seed S, --sweep-csv/--sweep-json, --quiet).
-#include <cstdio>
-
+#include "bench_common.hpp"
 #include "core/analytic.hpp"
 #include "core/sweep.hpp"
 #include "metrics/report.hpp"
@@ -88,13 +87,6 @@ int main(int argc, char** argv) {
   cli.apply(cfg);
 
   const core::SweepResult res = cli.run_sweep(std::move(cfg));
-  cli.export_results(res, "bench_table1");
-
-  if (!cli.csv) {
-    std::printf("==== Table 1: timer-related VM exits, 10 s, 16 pCPUs, 250 Hz ====\n");
-    std::printf("(%zu runs, %.2fs wall on %u threads)\n\n", res.runs.size(),
-                res.wall_seconds, res.threads_used);
-  }
 
   const auto published = core::table1_published();
   const auto reconstructed = core::table1_reconstructed();
@@ -116,17 +108,14 @@ int main(int argc, char** argv) {
                metrics::format("%llu", (unsigned long long)timer_exits(
                                            res, sc.name, guest::TickMode::kParatick))});
   }
-  if (cli.csv) {
-    std::fputs(t.to_csv().c_str(), stdout);
-    return 0;
-  }
-  t.print();
-
   const auto crossover =
       core::crossover_idle_period(sim::Frequency{250.0}, 1.0);
-  std::printf(
-      "\n§3.3 crossover: with 250 Hz ticks and one vCPU per pCPU, tickless beats\n"
-      "periodic while the average idle period exceeds %.2f ms.\n",
-      crossover.milliseconds());
-  return 0;
+  return bench::report(
+      cli, res, "bench_table1",
+      "==== Table 1: timer-related VM exits, 10 s, 16 pCPUs, 250 Hz ====",
+      {{"", t,
+        metrics::format(
+            "\n§3.3 crossover: with 250 Hz ticks and one vCPU per pCPU, tickless beats\n"
+            "periodic while the average idle period exceeds %.2f ms.\n",
+            crossover.milliseconds())}});
 }

@@ -17,10 +17,12 @@
 // validated against it — fleet hosts running a skewed binary or flags are
 // rejected before any record merges.
 //
-// Exit codes: 0 when the sweep completes (including with degraded cells —
-// exhausting --max-retries is graceful degradation, not failure), 1 on
-// coordinator faults (broken worker command, plan skew), 2 on bad usage
-// (--help lists the flags).
+// Exit codes: 0 when the sweep completes, 1 on coordinator faults (broken
+// worker command, plan skew), 2 on bad usage (--help lists the flags).
+// Degraded cells still exit 0 here: this supervisor prints no bench
+// table, only the degraded count in its summary and the `failed` column
+// of every export, and bench_diff fails a snapshot that has one. The
+// bench binaries themselves exit 1 on a degraded cell.
 #include <cstdio>
 #include <memory>
 #include <string>

@@ -115,17 +115,16 @@ int main(int argc, char** argv) {
               opts.hosts);
   metrics::Table t({"policy", "total exits", "timer-related", "exit overhead Mcycles",
                     "host Mcycles"});
+  const auto mcycles = [](const core::SweepCellSummary& cell, hw::CycleCategory c) {
+    return metrics::format(
+        "%.1f", cell.cycles[static_cast<std::size_t>(c)].mean() / 1e6);
+  };
   for (const auto& cell : res.cells) {
-    // cell.first carries replica 0's full RunResult (cycle ledger included).
-    const metrics::RunResult& r = cell.first;
-    t.add_row(
-        {std::string(guest::to_string(cell.key.mode)),
-         metrics::format("%.0f", cell.exits_total.mean()),
-         metrics::format("%.0f", cell.exits_timer.mean()),
-         metrics::format("%.1f",
-                         (double)r.cycles.total(hw::CycleCategory::kExitOverhead).count() / 1e6),
-         metrics::format("%.1f",
-                         (double)r.cycles.total(hw::CycleCategory::kHostKernel).count() / 1e6)});
+    t.add_row({std::string(guest::to_string(cell.key.mode)),
+               metrics::format("%.0f", cell.exits_total.mean()),
+               metrics::format("%.0f", cell.exits_timer.mean()),
+               mcycles(cell, hw::CycleCategory::kExitOverhead),
+               mcycles(cell, hw::CycleCategory::kHostKernel)});
   }
   t.print();
   std::puts("\nPeriodic guests interrupt the host for every idle vCPU's tick; dynticks\n"

@@ -21,7 +21,7 @@
 //               a kCrash failure naming the last worker death (signal,
 //               exit status or lease expiry; identity reconstructed from
 //               the plan, replay bundle synthesized via bundle_writer) and
-//               its cell degrades — the sweep completes with exit 0.
+//               its cell degrades — the sweep still completes.
 //   checkpoint  completed records are periodically persisted as an atomic
 //               partial snapshot; a restarted dispatcher resumes from it
 //               and only re-executes the missing indices.

@@ -49,6 +49,7 @@ Snapshot parse_snapshot(const std::string& text) {
     cell.vcpus = json::int_field<int>(c, "vcpus");
     cell.overcommit = json::num_field(c, "overcommit");
     cell.replicas = json::int_field<std::uint64_t>(c, "replicas");
+    cell.failed = json::int_field<std::uint64_t>(c, "failed");
     for (const auto& [name, v] : c.object) {
       if (v.type != json::Value::Type::kObject) continue;  // metrics only
       if (name == "wake_us_hist") {
@@ -129,11 +130,17 @@ DiffResult diff_snapshots(const Snapshot& baseline, const Snapshot& current,
   std::unordered_map<std::string, const SnapshotCell*> base_by_key;
   for (const auto& c : baseline.cells) base_by_key.emplace(c.key(), &c);
 
-  if (cfg.grid_must_match) {
-    for (const auto& c : current.cells) {
-      if (base_by_key.count(c.key()) == 0) {
-        out.findings.push_back({DiffFinding::Kind::kCellAdded, c.key(), {}, 0, 0, 0, 0});
-      }
+  for (const auto& c : current.cells) {
+    if (cfg.grid_must_match && base_by_key.count(c.key()) == 0) {
+      out.findings.push_back({DiffFinding::Kind::kCellAdded, c.key(), {}, 0, 0, 0, 0});
+    }
+    if (c.failed > 0) {
+      DiffFinding f;
+      f.kind = DiffFinding::Kind::kDegraded;
+      f.cell = c.key();
+      f.failed = c.failed;
+      f.replicas = c.failed + c.replicas;
+      out.findings.push_back(f);
     }
   }
 
@@ -226,6 +233,12 @@ std::string describe(const DiffResult& diff, const DiffConfig& cfg) {
             "SHIFT %s :: %s  %.4g -> %.4g  (%+.2f%%, z=%s)\n", f.cell.c_str(),
             f.metric.c_str(), f.baseline_mean, f.current_mean, f.rel_delta * 100.0,
             std::isinf(f.z) ? "inf" : metrics::format("%.1f", f.z).c_str());
+        break;
+      case DiffFinding::Kind::kDegraded:
+        out += metrics::format(
+            "DEGRADED %s: %llu of %llu replicas failed\n", f.cell.c_str(),
+            static_cast<unsigned long long>(f.failed),
+            static_cast<unsigned long long>(f.replicas));
         break;
       case DiffFinding::Kind::kDistribution:
         out += metrics::format("DIST  %s :: %s  KS=%.3f (threshold %.3f)\n",

@@ -34,7 +34,8 @@ struct SnapshotCell {
   double tick_freq_hz = 0.0;
   int vcpus = 0;
   double overcommit = 0.0;
-  std::uint64_t replicas = 0;
+  std::uint64_t replicas = 0;  // surviving replicas
+  std::uint64_t failed = 0;    // replicas that failed (0 in older snapshots)
   std::vector<SnapshotMetric> metrics;
   /// wake_us LogHistogram bucket counts (empty in pre-histogram snapshots;
   /// the KS gate silently skips such cells).
@@ -94,7 +95,9 @@ struct DiffConfig {
 };
 
 struct DiffFinding {
-  enum class Kind { kShift, kCellAdded, kCellRemoved, kDistribution };
+  /// kDegraded: a current cell lost replicas, so its numbers cover fewer
+  /// runs than the baseline's — a finding whatever they say.
+  enum class Kind { kShift, kCellAdded, kCellRemoved, kDistribution, kDegraded };
   Kind kind = Kind::kShift;
   std::string cell;    // SnapshotCell::key()
   std::string metric;  // empty for grid findings
@@ -103,6 +106,8 @@ struct DiffFinding {
   double z = 0.0;        // +inf encoded as a large sentinel when se == 0;
                          // for kDistribution this is the KS distance
   double rel_delta = 0.0;  // (current - baseline) / |baseline|
+  std::uint64_t failed = 0;    // kDegraded: failed replicas of the cell
+  std::uint64_t replicas = 0;  // kDegraded: replicas the cell ran
 };
 
 struct DiffResult {

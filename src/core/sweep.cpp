@@ -104,18 +104,33 @@ void aggregate_sweep_runs(SweepResult& res) {
     if (const auto ct = r.result.completion_time()) {
       cell.exec_time_ms.add(ct->milliseconds());
     }
+    for (std::size_t i = 0; i < hw::kExitCauseCount; ++i) {
+      cell.exits_by_cause[i].add(static_cast<double>(r.result.exits_by_cause[i]));
+    }
+    for (std::size_t i = 0; i < hw::kCycleCategoryCount; ++i) {
+      cell.cycles[i].add(static_cast<double>(
+          r.result.cycles.total(static_cast<hw::CycleCategory>(i)).count()));
+    }
     sim::SimTime run_steal = sim::SimTime::zero();
     sim::SimTime run_est_err = sim::SimTime::zero();
     bool has_estimate = false;
+    std::uint64_t ticks = 0, virtual_ticks = 0, wakes = 0;
     for (const auto& vm : r.result.vms) {
       cell.wakeup_latency_us.merge(vm.wakeup_latency_us);
       cell.wake_hist_us.merge(vm.wakeup_latency_hist_us);
+      cell.tick_intervals_us.merge(vm.tick_intervals_us);
+      ticks += vm.policy.ticks_handled;
+      virtual_ticks += vm.policy.virtual_ticks;
+      wakes += vm.wakeup_latency_us.count();
       run_steal += vm.steal_time;
       if (vm.steal_estimate) {
         has_estimate = true;
         run_est_err += *vm.steal_estimate - vm.steal_time;
       }
     }
+    cell.ticks.add(static_cast<double>(ticks));
+    cell.virtual_ticks.add(static_cast<double>(virtual_ticks));
+    cell.wakes.add(static_cast<double>(wakes));
     cell.steal_ms.add(run_steal.milliseconds());
     if (has_estimate) cell.steal_est_err_ms.add(run_est_err.milliseconds());
     cell.events_executed.add(static_cast<double>(r.result.events_executed));

@@ -22,6 +22,7 @@
 // whether or not the sweep was dispatched.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -160,9 +161,11 @@ struct SweepRun {
   double host_seconds = 0.0;  // wall-clock cost of this run
 };
 
-/// Replica-aggregated view of one cell. Scalar metrics go through one
-/// Accumulator per metric; per-run wakeup-latency accumulators are merged
-/// across replicas and VMs with Accumulator::merge.
+/// Replica-aggregated view of one cell, filled only by
+/// aggregate_sweep_runs — the one place runs become numbers. Scalar
+/// metrics get one Accumulator sample per surviving run; per-VM
+/// distributions are merged across surviving replicas and VMs with
+/// Accumulator::merge. A failed run adds nothing but a degradation count.
 struct SweepCellSummary {
   SweepCellKey key;
   sim::Accumulator exits_total;
@@ -198,9 +201,22 @@ struct SweepCellSummary {
   /// Wake-to-run latency distribution merged over surviving replicas and
   /// VMs — the tail the bench_diff KS gate compares.
   sim::LogHistogram wake_hist_us;
+  // Drill-down for the ablation tables. Fixed-size, and printed by no
+  // export (to_csv, to_json, history snapshots), so adding one changes
+  // no committed file.
+  std::array<sim::Accumulator, hw::kExitCauseCount> exits_by_cause;
+  std::array<sim::Accumulator, hw::kCycleCategoryCount> cycles;
+  /// Per run, summed over the run's VMs: ticks handled, paratick virtual
+  /// ticks, and wake-latency samples.
+  sim::Accumulator ticks;
+  sim::Accumulator virtual_ticks;
+  sim::Accumulator wakes;
+  /// Intervals between consecutive ticks, merged over replicas and VMs.
+  sim::Accumulator tick_intervals_us;
   metrics::RunResult first;  // first surviving replica, for drill-down
   /// Crash isolation: replicas that failed / timed out (subset of
-  /// failed). Aggregates cover survivors only.
+  /// failed). Every aggregate above covers survivors only; a sweep bench
+  /// names each degraded cell and exits 1 (bench/bench_common.hpp).
   std::uint64_t replicas_failed = 0;
   std::uint64_t replicas_timed_out = 0;
 
@@ -226,33 +242,6 @@ struct SweepResult {
   [[nodiscard]] std::size_t ok_run_count() const;
   /// Cells with at least one failed replica.
   [[nodiscard]] std::size_t degraded_cell_count() const;
-
-  [[nodiscard]] std::size_t index_of(const SweepCellSummary& cell) const {
-    return static_cast<std::size_t>(&cell - cells.data());
-  }
-
-  /// Replica statistics for a metric SweepCellSummary does not
-  /// pre-aggregate: fold one scalar per run of `cell` (run-index order,
-  /// so the result is deterministic for any thread count).
-  template <typename F>
-  [[nodiscard]] sim::Accumulator metric_over_runs(std::size_t cell, F&& f) const {
-    sim::Accumulator acc;
-    for (const auto& r : runs) {
-      if (r.executed && r.cell == cell) acc.add(static_cast<double>(f(r.result)));
-    }
-    return acc;
-  }
-
-  /// Merge a per-run mergeable (Accumulator, LogHistogram) across the
-  /// replicas of `cell`, in run-index order.
-  template <typename F>
-  [[nodiscard]] auto merged_over_runs(std::size_t cell, F&& f) const {
-    std::decay_t<decltype(f(runs.front().result))> out{};
-    for (const auto& r : runs) {
-      if (r.executed && r.cell == cell) out.merge(f(r.result));
-    }
-    return out;
-  }
 
   /// Paper-style comparison between two cells' replica means.
   [[nodiscard]] static metrics::Comparison compare_cells(

@@ -71,6 +71,22 @@ expect(2 "unknown category 'nosuchcategory'" "${BENCH_DIR}/bench_fig6_io" nosuch
 expect(2 "unknown scenario 'nosuch'" "${BENCH_DIR}/bench_chaos" nosuch)
 expect(2 "missing scenario" "${BENCH_DIR}/bench_chaos")
 
+# A run that fails never passes as a number: with a one-microsecond run
+# budget every sweep bench names its degraded cells and exits 1. Only
+# bench_chaos, whose failures are its data, still exits 0.
+foreach(b bench_table1 bench_fig4_sequential "bench_fig5_multithreaded;small"
+          bench_fig6_io bench_ablation_features bench_ablation_tickfreq
+          bench_ablation_crossover bench_ablation_overcommit
+          bench_ablation_costmodel bench_ablation_nohzfull
+          bench_ablation_device bench_ablation_latency_tail
+          bench_ablation_tick_jitter)
+  list(POP_FRONT b bin)
+  expect(1 "DEGRADED .*: [0-9]+ of [0-9]+ replicas failed" "${BENCH_DIR}/${bin}"
+         ${b} --quiet --run-timeout 0.000001)
+endforeach()
+expect(0 "DEGRADED" "${BENCH_DIR}/bench_chaos" timer-storm --quiet
+       --run-timeout 0.000001)
+
 expect(2 "--repeat: not a valid integer" "${BENCH_DIR}/bench_microbench" --repeat many)
 expect(2 "--seed: not a valid integer" "${BENCH_DIR}/bench_microbench" --seed 0xzz)
 

@@ -327,11 +327,20 @@ TEST(ChaosSweep, CrashIsolatesRunsAndCompletesTheFullGrid) {
   EXPECT_EQ(dynticks->replicas_failed, 2u);
   EXPECT_TRUE(dynticks->degraded());
   EXPECT_EQ(dynticks->exits_total.count(), 0u);
+  // The drill-down accumulators the ablation tables read hold no sample
+  // of a failed run either: no zero is folded in for it.
+  EXPECT_EQ(dynticks->ticks.count(), 0u);
+  EXPECT_EQ(dynticks->wakes.count(), 0u);
+  EXPECT_EQ(dynticks->tick_intervals_us.count(), 0u);
+  for (const auto& acc : dynticks->cycles) EXPECT_EQ(acc.count(), 0u);
+  for (const auto& acc : dynticks->exits_by_cause) EXPECT_EQ(acc.count(), 0u);
 
   // Paratick: unharmed — aggregates cover both replicas.
   EXPECT_EQ(paratick->replicas_failed, 0u);
   EXPECT_FALSE(paratick->degraded());
   EXPECT_EQ(paratick->exits_total.count(), 2u);
+  EXPECT_EQ(paratick->virtual_ticks.count(), 2u);
+  EXPECT_GT(paratick->virtual_ticks.mean(), 0.0);
   EXPECT_GT(paratick->first.exits_total, 0u);
 
   EXPECT_EQ(res.degraded_cell_count(), 1u);

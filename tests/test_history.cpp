@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
 
 #include "core/history.hpp"
@@ -223,6 +224,27 @@ TEST(History, GridDriftIsAFinding) {
   EXPECT_EQ(diff2.findings[0].kind, DiffFinding::Kind::kCellAdded);
 }
 
+TEST(History, DegradedCurrentCellIsAFinding) {
+  // Same numbers, but one current cell lost a replica: its means cover
+  // fewer runs than asked for, so the gate must not pass it.
+  SweepResult degraded = sample_result();
+  degraded.cells[1].replicas_failed = 1;
+  const Snapshot base = parse_snapshot(sample_result().to_json());
+  const Snapshot cur = parse_snapshot(degraded.to_json());
+
+  const DiffResult diff = diff_snapshots(base, cur);
+  ASSERT_EQ(diff.findings.size(), 1u);
+  EXPECT_EQ(diff.findings[0].cell, cur.cells[1].key());
+  const DiffConfig cfg;
+  EXPECT_NE(describe(diff, cfg).find("DEGRADED storm, \"hostile\"|paratick"
+                                     "|f=250|v=2|oc=1: 1 of 4 replicas failed"),
+            std::string::npos)
+      << describe(diff, cfg);
+
+  // A degraded baseline is history, not a regression of this change.
+  EXPECT_TRUE(diff_snapshots(cur, base).clean());
+}
+
 TEST(History, DescribeNamesEveryFinding) {
   const Snapshot base = parse_snapshot(sample_result().to_json());
   Snapshot cur = base;
@@ -287,6 +309,51 @@ TEST(History, OutOfRangeIntegerNamesTheField) {
       "\"tick_freq_hz\": 250, \"vcpus\": 1e300, \"overcommit\": 0, "
       "\"replicas\": 1}]}";
   EXPECT_SIM_ERROR((void)parse_snapshot(json), "field \"vcpus\"");
+}
+
+// Hostile snapshot documents (a truncated upload, a corrupted baseline)
+// must fail the gate with a SimError, never crash or throw anything else.
+TEST(HistoryFuzz, SnapshotParseOrThrowSimError) {
+  const std::string seed = sample_result().to_json();
+  // The seed itself must parse: a fuzz over inputs that all fail to
+  // parse checks nothing.
+  ASSERT_NO_THROW((void)parse_snapshot(seed));
+
+  std::mt19937_64 rng(0x5eed);  // fixed: the same inputs on every run
+  const auto pick = [&rng](std::size_t n) {
+    return n == 0 ? 0 : static_cast<std::size_t>(rng() % n);
+  };
+  std::size_t parsed = 0;
+  for (int i = 0; i < 3000; ++i) {
+    std::string in = seed;
+    switch (i % 3) {
+      case 0:  // flip one to four bytes
+        for (std::size_t k = 1 + pick(4); k > 0; --k) {
+          in[pick(in.size())] = static_cast<char>(rng());
+        }
+        break;
+      case 1:  // truncate
+        in.resize(pick(in.size()));
+        break;
+      default: {  // splice a chunk of the seed over any position
+        const std::string chunk = seed.substr(pick(seed.size()), 1 + pick(64));
+        in.replace(pick(in.size() + 1), pick(8), chunk);
+        break;
+      }
+    }
+    try {
+      (void)parse_snapshot(in);
+      ++parsed;
+    } catch (const sim::SimError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "input " << i << " threw " << e.what();
+    } catch (...) {
+      ADD_FAILURE() << "input " << i << " threw a non-exception";
+    }
+  }
+  // Some mutations land in string contents or whitespace and still
+  // parse; none at all would mean the seed is rejected outright.
+  EXPECT_GT(parsed, 0u);
 }
 
 }  // namespace

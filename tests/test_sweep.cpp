@@ -96,6 +96,37 @@ TEST(SweepRunner, ParallelMatchesSerialBitExactly) {
   EXPECT_EQ(serial.to_csv(), parallel.to_csv());
 }
 
+TEST(SweepRunner, DrillDownAccumulatorsFoldEveryRun) {
+  const SweepResult res = SweepRunner(tiny_sweep(2)).run();
+  for (std::size_t c = 0; c < res.cells.size(); ++c) {
+    const SweepCellSummary& cell = res.cells[c];
+    double user_cycles = 0.0, host_ticks = 0.0, ticks = 0.0, wakes = 0.0;
+    std::uint64_t intervals = 0;
+    for (const SweepRun& r : res.runs) {
+      if (r.cell != c) continue;
+      user_cycles += static_cast<double>(
+          r.result.cycles.total(hw::CycleCategory::kGuestUser).count());
+      host_ticks += static_cast<double>(r.result.exits_by_cause[static_cast<
+          std::size_t>(hw::ExitCause::kHostTick)]);
+      for (const metrics::VmResult& vm : r.result.vms) {
+        ticks += static_cast<double>(vm.policy.ticks_handled);
+        wakes += static_cast<double>(vm.wakeup_latency_us.count());
+        intervals += vm.tick_intervals_us.count();
+      }
+    }
+    const auto& user =
+        cell.cycles[static_cast<std::size_t>(hw::CycleCategory::kGuestUser)];
+    EXPECT_EQ(user.count(), 2u);  // one sample per replica
+    EXPECT_EQ(user.sum(), user_cycles);
+    EXPECT_EQ(cell.exits_by_cause[static_cast<std::size_t>(hw::ExitCause::kHostTick)]
+                  .sum(),
+              host_ticks);
+    EXPECT_EQ(cell.ticks.sum(), ticks);
+    EXPECT_EQ(cell.wakes.sum(), wakes);
+    EXPECT_EQ(cell.tick_intervals_us.count(), intervals);
+  }
+}
+
 TEST(SweepRunner, ReplicasUseDistinctSeeds) {
   const SweepResult res = SweepRunner(tiny_sweep(2, 3)).run();
   std::set<std::uint64_t> seeds;
