@@ -16,12 +16,15 @@
 // the canonical way to force a divergence on purpose and see where
 // behavior first changed.
 //
-// A directory argument is scanned for bundles in both layouts:
-// <dir>/<bench>/run<idx>.json (current) and <dir>/<bench>-run<idx>.json
-// (pre-directory layout), so old failure archives stay replayable.
+// A directory argument is scanned recursively for *.json bundles
+// (<dir>/<bench>/run<idx>.json). Bundles written before the plan-header
+// format (core/replay.hpp) are refused with an error naming their path.
+// So is a bundle whose plan no longer matches its scenario's grid, or
+// whose recorded seed differs from the one derived for its run: its
+// index would re-run a different simulation.
 //
 // Exit codes: 0 every failure reproduced exactly (and every checked
-// trace matched), 1 at least one replay diverged, 2 bad bundle /
+// trace matched), 1 at least one replay diverged, 2 bad or stale bundle /
 // unregistered scenario / nothing to replay.
 #include <algorithm>
 #include <cstdio>
@@ -52,8 +55,7 @@ struct Options {
 
 // Collect bundle files from an explicit file or a failure directory.
 // Directories are walked recursively (covers the per-bench subdirectory
-// layout) and flat "<bench>-run<idx>.json" siblings are picked up by the
-// same *.json match, in sorted order for deterministic output.
+// layout), in sorted order for deterministic output.
 std::vector<std::string> collect_bundles(const std::string& path) {
   namespace fs = std::filesystem;
   std::vector<std::string> out;
@@ -76,12 +78,19 @@ std::vector<std::string> collect_bundles(const std::string& path) {
 std::string resolve_trace_path(const std::string& bundle_path,
                                const core::ReplayBundle& bundle) {
   namespace fs = std::filesystem;
-  if (fs::exists(bundle.trace_path)) return bundle.trace_path;
+  const std::string& recorded = bundle.run.trace_path;
+  if (fs::exists(recorded)) return recorded;
   const fs::path sibling =
       fs::path(bundle_path).parent_path() /
-      ("run" + std::to_string(bundle.run_index) + ".trace");
+      ("run" + std::to_string(bundle.run.run_index) + ".trace");
   if (fs::exists(sibling)) return sibling.string();
-  return bundle.trace_path;  // let the loader report the original path
+  return recorded;  // let the loader report the original path
+}
+
+// A SimError's own message (no CHECK site); what() for anything else.
+std::string error_text(const std::exception& e) {
+  const auto* sim_error = dynamic_cast<const sim::SimError*>(&e);
+  return sim_error != nullptr ? sim_error->msg() : e.what();
 }
 
 // 0 reproduced, 1 diverged, 2 machinery error.
@@ -110,31 +119,33 @@ int replay_one(const std::string& path, const Options& opt) {
   }
 
   if (!opt.quiet) {
-    std::printf("replaying %s: scenario=%s run=%zu seed=%016llx\n"
+    const core::RunFailure& f = *bundle.run.failure;
+    std::printf("replaying %s: scenario=%s cell=%s run=%zu seed=%016llx\n"
                 "recorded: %s \"%s\" at sim t=%lldns (event #%llu)\n",
-                path.c_str(), bundle.scenario.c_str(), bundle.run_index,
-                static_cast<unsigned long long>(bundle.seed),
-                core::RunFailure::kind_name(bundle.failure.kind),
-                bundle.failure.expr.c_str(),
-                static_cast<long long>(bundle.failure.sim_time_ns),
-                static_cast<unsigned long long>(bundle.failure.events_executed));
+                path.c_str(), bundle.scenario.c_str(),
+                bundle.plan.cells[bundle.run.cell].label().c_str(),
+                bundle.run.run_index,
+                static_cast<unsigned long long>(bundle.run.seed),
+                core::RunFailure::kind_name(f.kind), f.expr.c_str(),
+                static_cast<long long>(f.sim_time_ns),
+                static_cast<unsigned long long>(f.events_executed));
   }
 
   const std::string trace_path =
       !opt.trace_override.empty() ? opt.trace_override
-                                  : bundle.trace_path.empty()
+                                  : bundle.run.trace_path.empty()
                                         ? std::string{}
                                         : resolve_trace_path(path, bundle);
 
-  // No trace (pre-trace bundle, or a crash that died before writing one):
-  // plain disposition replay, as before.
+  // No trace (the sweep did not record one, or a crash that died before
+  // writing it): plain disposition replay.
   if (trace_path.empty()) {
     core::SweepRun replayed;
     try {
       replayed = core::replay_bundle(bundle);
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "bench_replay: replay machinery failed: %s\n",
-                   e.what());
+      std::fprintf(stderr, "bench_replay: cannot replay %s: %s\n",
+                   path.c_str(), error_text(e).c_str());
       return 2;
     }
     std::string detail;
@@ -171,8 +182,8 @@ int replay_one(const std::string& path, const Options& opt) {
                 static_cast<unsigned long long>(checked.events_checked));
     return ok ? 0 : 1;
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench_replay: replay machinery failed: %s\n",
-                 e.what());
+    std::fprintf(stderr, "bench_replay: cannot replay %s: %s\n", path.c_str(),
+                 error_text(e).c_str());
     return 2;
   }
 }

@@ -46,14 +46,13 @@ int main(int argc, char** argv) {
         worker_cmd, cli.dispatch_cmd);
     // Probe the plan up front so a broken command fails before any worker
     // fleet spins up.
-    const core::dispatch::PlanInfo plan = transport->plan();
+    const core::PlanInfo plan = transport->plan();
 
     core::dispatch::DispatchOptions opts;
     opts.workers = cli.dispatch_workers;
     opts.max_retries = cli.max_retries;
     opts.checkpoint_path =
         core::resolve_output_path(cli.output_dir, cli.checkpoint_path);
-    opts.bench_name = plan.bench;
     opts.progress = cli.progress;
     opts.test_kill_after = cli.dispatch_test_kill;
 

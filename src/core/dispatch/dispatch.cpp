@@ -18,7 +18,8 @@
 
 #include "core/experiment.hpp"
 #include "core/safe_io.hpp"
-#include "core/sweep_shard.hpp"
+#include "core/dispatch/protocol.hpp"
+#include "core/run_record.hpp"
 #include "metrics/report.hpp"
 #include "sim/check.hpp"
 #include "sim/error.hpp"
@@ -59,9 +60,6 @@ class Coordinator {
     const double start = monotonic_sec();
     plan_ = transport_.plan();
     const std::size_t total = plan_.total_runs;
-    PARATICK_CHECK_MSG(
-        total == plan_.cells.size() * static_cast<std::size_t>(plan_.repeat),
-        "dispatch: plan header is inconsistent (cells * repeat != runs)");
 
     runs_.resize(total);
     done_.assign(total, false);
@@ -110,14 +108,8 @@ class Coordinator {
     SweepResult res;
     res.backend_name = "dispatch";
     res.threads_used = opts_.workers;
-    res.cells.reserve(plan_.cells.size());
-    for (const SweepCellKey& key : plan_.cells) {
-      SweepCellSummary cell;
-      cell.key = key;
-      res.cells.push_back(std::move(cell));
-    }
     res.runs = std::move(runs_);
-    aggregate_sweep_runs(res);
+    aggregate_sweep_runs(res, plan_.cells);
     res.wall_seconds = monotonic_sec() - start;
     return res;
   }
@@ -170,13 +162,8 @@ class Coordinator {
                    e.msg().c_str());
       return;
     }
-    PlanInfo ckpt;
-    ckpt.root_seed = snap.root_seed;
-    ckpt.repeat = snap.repeat;
-    ckpt.total_runs = snap.total_runs;
-    ckpt.cells = snap.cells;
     std::string why;
-    if (!plans_match(plan_, ckpt, &why)) {
+    if (!plans_match(plan_, snap.plan, &why)) {
       std::fprintf(stderr,
                    "dispatch: checkpoint %s belongs to a different sweep "
                    "(%s differs); starting fresh\n",
@@ -184,8 +171,9 @@ class Coordinator {
       return;
     }
     for (const SweepRun& run : snap.runs) {
-      if (run.run_index >= runs_.size() || !run.executed) continue;
-      if (!wanted_[run.run_index] || done_[run.run_index]) continue;
+      if (!run.executed || !wanted_[run.run_index] || done_[run.run_index]) {
+        continue;
+      }
       runs_[run.run_index] = run;
       done_[run.run_index] = true;
       ++done_count_;
@@ -202,16 +190,11 @@ class Coordinator {
       return;
     }
     if (force && !checkpoint_dirty_) return;
-    PartialSnapshot snap;
-    snap.bench = opts_.bench_name;
-    snap.root_seed = plan_.root_seed;
-    snap.repeat = plan_.repeat;
-    snap.total_runs = runs_.size();
-    snap.cells = plan_.cells;
+    PartialSnapshot snap{plan_, {}};
     for (std::size_t i = 0; i < runs_.size(); ++i) {
       if (done_[i]) snap.runs.push_back(runs_[i]);
     }
-    (void)write_partial_snapshot(snap, opts_.checkpoint_path);
+    write_partial_snapshot(snap, opts_.checkpoint_path);
     checkpoint_dirty_ = false;
     last_checkpoint_ = now;
   }
@@ -308,7 +291,7 @@ class Coordinator {
     if (line[0] == '{') {
       SweepRun run;
       try {
-        run = parse_run_record(line);
+        run = parse_run_record(json::parse(line), plan_);
       } catch (const sim::SimError& e) {
         // A worker emitting garbage is as dead as one emitting nothing:
         // kill it and let the EOF path charge its assignment.
@@ -336,7 +319,7 @@ class Coordinator {
     if (line.rfind("#plan ", 0) == 0) {
       PlanInfo theirs;
       try {
-        theirs = parse_plan_info(line.substr(6));
+        theirs = parse_plan_info(json::parse(line.substr(6)));
       } catch (const sim::SimError& e) {
         const std::string msg =
             "dispatch: worker sent an unparseable #plan header: " + e.msg();

@@ -62,8 +62,6 @@ struct DispatchOptions {
   /// periodically written here as an atomic partial snapshot, and an
   /// existing matching snapshot is resumed from on startup.
   std::string checkpoint_path;
-  /// Stamped into checkpoint snapshots.
-  std::string bench_name;
   bool progress = false;
   /// Synthesize artifacts for a degraded run (write a replay bundle, set
   /// run.bundle_path). Workers write bundles for runs they complete; this

@@ -166,7 +166,7 @@ PlanInfo CommandWorkerTransport::plan() {
     if (nl == std::string::npos) nl = out.size();
     const std::string line = out.substr(pos, nl - pos);
     if (line.rfind("#plan ", 0) == 0) {
-      plan_ = parse_plan_info(line.substr(6));
+      plan_ = parse_plan_info(json::parse(line.substr(6)));
       plan_probed_ = true;
       return plan_;
     }

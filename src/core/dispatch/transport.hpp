@@ -25,8 +25,8 @@
 #include <string>
 #include <vector>
 
-#include "core/dispatch/protocol.hpp"
 #include "core/dispatch/worker.hpp"
+#include "core/run_record.hpp"
 
 namespace paratick::core::dispatch {
 

@@ -10,9 +10,9 @@
 
 #include "core/dispatch/protocol.hpp"
 #include "core/replay.hpp"
+#include "core/run_record.hpp"
 #include "core/safe_io.hpp"
 #include "core/sweep_plan.hpp"
-#include "core/sweep_shard.hpp"
 #include "sim/check.hpp"
 
 namespace paratick::core::dispatch {
@@ -104,7 +104,6 @@ int run_worker(const SweepConfig& cfg, int ctl_fd, int out_fd) {
 
   const std::string failure_dir =
       resolve_output_path(cfg.output_dir, cfg.failure_dir);
-  const auto& keys = plan.cell_keys();
 
   std::string line;
   while (read_ctl_line(ctl_fd, line)) {
@@ -115,8 +114,7 @@ int run_worker(const SweepConfig& cfg, int ctl_fd, int out_fd) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
     if (!run.ok && run.failure && !failure_dir.empty()) {
-      run.bundle_path =
-          write_replay_bundle(cfg, run, failure_dir, keys[run.cell].label());
+      run.bundle_path = write_replay_bundle(cfg, run, failure_dir);
     }
     if (!out.write_line(run_record_to_json(run))) return 1;
   }

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/cli_parse.hpp"
 #include "core/dispatch/dispatch.hpp"
 #include "core/dispatch/transport.hpp"
 #include "core/json.hpp"
@@ -22,45 +21,14 @@ namespace {
 
 std::int64_t ns(sim::SimTime t) { return t.nanoseconds(); }
 
-// Seeds are written as decimal strings (full 64-bit precision); accept a
-// bare number too for hand-written bundles, where precision is the
-// author's problem.
-std::uint64_t seed_field(const json::Value& obj, const char* key) {
-  const json::Value* v = obj.find(key);
-  PARATICK_CHECK_MSG(v != nullptr, "replay bundle: missing seed field");
-  if (v->type == json::Value::Type::kString) {
-    return parse_u64_flag(
-        (std::string("replay bundle: ") + key).c_str(), v->str);
-  }
-  PARATICK_CHECK_MSG(v->type == json::Value::Type::kNumber,
-                     "replay bundle: seed is neither string nor number");
-  return json::to_int<std::uint64_t>(v->number, key);
-}
-
 }  // namespace
 
 std::string to_json(const ReplayBundle& b) {
   const fault::FaultConfig& f = b.fault;
-  std::string out = "{\n";
-  out += metrics::format("  \"bench\": \"%s\",\n",
-                         metrics::json_escape(b.bench).c_str());
+  std::string out = "{\n  \"kind\": \"paratick-replay-bundle\",\n";
+  out += "  \"plan\": " + to_json(b.plan) + ",\n";
   out += metrics::format("  \"scenario\": \"%s\",\n",
                          metrics::json_escape(b.scenario).c_str());
-  // Seeds are full 64-bit values; a JSON number would round-trip through
-  // double and lose the low bits, so they travel as decimal strings.
-  out += metrics::format("  \"root_seed\": \"%llu\",\n",
-                         static_cast<unsigned long long>(b.root_seed));
-  out += metrics::format("  \"repeat\": %d,\n", b.repeat);
-  out += metrics::format("  \"run_index\": %llu,\n",
-                         static_cast<unsigned long long>(b.run_index));
-  out += metrics::format("  \"seed\": \"%llu\",\n",
-                         static_cast<unsigned long long>(b.seed));
-  out += metrics::format("  \"cell\": \"%s\",\n",
-                         metrics::json_escape(b.cell_label).c_str());
-  if (!b.trace_path.empty()) {
-    out += metrics::format("  \"trace\": \"%s\",\n",
-                           metrics::json_escape(b.trace_path).c_str());
-  }
   out += metrics::format("  \"watchdog\": %s,\n", b.watchdog ? "true" : "false");
   out += metrics::format(
       "  \"fault\": {\"timer_drop_prob\": %.17g, \"timer_late_prob\": %.17g, "
@@ -76,41 +44,26 @@ std::string to_json(const ReplayBundle& b) {
       f.io_error_prob, f.io_spike_prob, f.io_spike_factor, f.steal_burst_prob,
       static_cast<long long>(ns(f.steal_burst_max)), f.tick_delay_prob,
       f.softirq_spurious_prob, f.softirq_drop_prob);
-  out += metrics::format(
-      "  \"failure\": {\"kind\": \"%s\", \"expr\": \"%s\", \"file\": \"%s\", "
-      "\"line\": %d, \"message\": \"%s\", \"sim_time_ns\": %lld, "
-      "\"events_executed\": %llu}\n",
-      RunFailure::kind_name(b.failure.kind),
-      metrics::json_escape(b.failure.expr).c_str(),
-      metrics::json_escape(b.failure.file).c_str(), b.failure.line,
-      metrics::json_escape(b.failure.message).c_str(),
-      static_cast<long long>(b.failure.sim_time_ns),
-      static_cast<unsigned long long>(b.failure.events_executed));
-  out += "}\n";
+  out += "  \"run\": " + run_record_to_json(b.run) + "\n}\n";
   return out;
 }
 
 std::string write_replay_bundle(const SweepConfig& cfg, const SweepRun& run,
-                                const std::string& dir,
-                                const std::string& cell_label) {
+                                const std::string& dir) {
   PARATICK_CHECK_MSG(!run.ok && run.failure.has_value(),
                      "replay bundle: run did not fail");
   ReplayBundle b;
-  b.bench = cfg.bench_name;
+  b.plan = plan_info_for(cfg);
   b.scenario = cfg.scenario;
-  b.root_seed = cfg.root_seed;
-  b.repeat = cfg.repeat;
-  b.run_index = run.run_index;
-  b.seed = run.seed;
-  b.cell_label = cell_label;
   b.watchdog = cfg.watchdog;
   b.fault = cfg.fault;
-  b.failure = *run.failure;
-  b.trace_path = run.trace_path;
+  b.run = run;
+  // The run's host time is wall clock, the one value a local and a
+  // dispatched sweep disagree on; a bundle holds only what replays.
+  b.run.host_seconds = 0.0;
 
   // One directory per producing sweep keeps multi-bench failure dirs
-  // tidy: <dir>/<bench>/run<idx>.json. (Bundles from before this layout
-  // lived flat as <dir>/<bench>-run<idx>.json; bench_replay scans both.)
+  // tidy: <dir>/<bench>/run<idx>.json.
   const std::string name = cfg.bench_name.empty() ? "sweep" : cfg.bench_name;
   const std::string bundle_dir = dir + "/" + name;
   std::filesystem::create_directories(bundle_dir);
@@ -127,30 +80,18 @@ std::string write_replay_bundle(const SweepConfig& cfg, const SweepRun& run,
 
 ReplayBundle parse_replay_bundle(const std::string& json_text) {
   const json::Value doc = json::parse(json_text);
-  PARATICK_CHECK_MSG(doc.type == json::Value::Type::kObject,
-                     "replay bundle: document is not an object");
+  const json::Value* kind = doc.find("kind");
+  PARATICK_CHECK_MSG(
+      kind != nullptr && kind->str == "paratick-replay-bundle",
+      "replay bundle: wrong document kind (expected \"paratick-replay-bundle\"; "
+      "bundles written before the plan-header format are not replayable)");
   ReplayBundle b;
-  b.bench = json::str_field(doc, "bench");
+  const json::Value* plan = doc.find("plan");
+  PARATICK_CHECK_MSG(plan != nullptr, "replay bundle: missing plan");
+  b.plan = parse_plan_info(*plan);
   b.scenario = json::str_field(doc, "scenario");
-  b.root_seed = seed_field(doc, "root_seed");
-  b.repeat = json::int_field<int>(doc, "repeat", 1);
-  b.run_index = json::int_field<std::size_t>(doc, "run_index");
-  b.seed = seed_field(doc, "seed");
-  if (const json::Value* cell = doc.find("cell");
-      cell != nullptr && cell->type == json::Value::Type::kString) {
-    b.cell_label = cell->str;
-  }
-  if (const json::Value* trace = doc.find("trace");
-      trace != nullptr && trace->type == json::Value::Type::kString) {
-    b.trace_path = trace->str;
-  }
-  if (const json::Value* wd = doc.find("watchdog");
-      wd != nullptr && wd->type == json::Value::Type::kBool) {
-    b.watchdog = wd->boolean;
-  }
-  // Bundles written before the watchdog timer grace became a constant
-  // still carry "watchdog_timer_grace_ns"; it was always 5 ms, the
-  // constant's value, so the key is ignored.
+  const json::Value* wd = doc.find("watchdog");
+  b.watchdog = wd != nullptr && wd->boolean;
 
   const json::Value* f = doc.find("fault");
   PARATICK_CHECK_MSG(f != nullptr && f->type == json::Value::Type::kObject,
@@ -166,7 +107,7 @@ ReplayBundle parse_replay_bundle(const std::string& json_text) {
   fc.tsc_drift_ppm = json::num_field(*f, "tsc_drift_ppm");
   fc.io_error_prob = json::num_field(*f, "io_error_prob");
   fc.io_spike_prob = json::num_field(*f, "io_spike_prob");
-  fc.io_spike_factor = json::num_field(*f, "io_spike_factor", 20.0);
+  fc.io_spike_factor = json::num_field(*f, "io_spike_factor");
   fc.steal_burst_prob = json::num_field(*f, "steal_burst_prob");
   fc.steal_burst_max =
       sim::SimTime::ns(json::int_field<std::int64_t>(*f, "steal_burst_max_ns"));
@@ -174,26 +115,11 @@ ReplayBundle parse_replay_bundle(const std::string& json_text) {
   fc.softirq_spurious_prob = json::num_field(*f, "softirq_spurious_prob");
   fc.softirq_drop_prob = json::num_field(*f, "softirq_drop_prob");
 
-  const json::Value* fail = doc.find("failure");
-  PARATICK_CHECK_MSG(fail != nullptr && fail->type == json::Value::Type::kObject,
-                     "replay bundle: missing failure object");
-  b.failure.kind = RunFailure::kind_from_name(json::str_field(*fail, "kind"));
-  if (const json::Value* e = fail->find("expr");
-      e != nullptr && e->type == json::Value::Type::kString) {
-    b.failure.expr = e->str;
-  }
-  if (const json::Value* fi = fail->find("file");
-      fi != nullptr && fi->type == json::Value::Type::kString) {
-    b.failure.file = fi->str;
-  }
-  b.failure.line = json::int_field<int>(*fail, "line");
-  if (const json::Value* m = fail->find("message");
-      m != nullptr && m->type == json::Value::Type::kString) {
-    b.failure.message = m->str;
-  }
-  b.failure.sim_time_ns = json::int_field<std::int64_t>(*fail, "sim_time_ns", -1);
-  b.failure.events_executed =
-      json::int_field<std::uint64_t>(*fail, "events_executed");
+  const json::Value* run = doc.find("run");
+  PARATICK_CHECK_MSG(run != nullptr, "replay bundle: missing run");
+  b.run = parse_run_record(*run, b.plan);
+  PARATICK_CHECK_MSG(b.run.failure.has_value(),
+                     "replay bundle: the run carries no failure");
   return b;
 }
 
@@ -210,8 +136,8 @@ ReplayBundle load_replay_bundle(const std::string& path) {
 SweepRun replay_run(SweepConfig cfg, const ReplayBundle& b) {
   // The bundle's identity wins over whatever the caller-provided config
   // carries, so the replayed run is exactly the one that failed.
-  cfg.root_seed = b.root_seed;
-  cfg.repeat = b.repeat;
+  cfg.root_seed = b.plan.root_seed;
+  cfg.repeat = b.plan.repeat;
   cfg.fault = b.fault;
   cfg.watchdog = b.watchdog;
   // Wall-clock timeouts are not part of the deterministic identity; a
@@ -222,11 +148,28 @@ SweepRun replay_run(SweepConfig cfg, const ReplayBundle& b) {
   // attaches its trace checker.)
   cfg.failure_dir.clear();
   cfg.record_trace = false;
+  // A grid changed since the bundle was written would re-run a different
+  // cell under the recorded index.
+  std::string why;
+  if (!plans_match(b.plan, plan_info_for(cfg), &why)) {
+    const std::string msg =
+        "replay bundle: the sweep no longer matches the bundle's plan (" +
+        why + " differs)";
+    PARATICK_CHECK_MSG(false, msg.c_str());
+  }
+  const std::uint64_t seed = derive_seed(cfg.root_seed, b.run.run_index);
+  if (seed != b.run.seed) {
+    const std::string msg = metrics::format(
+        "replay bundle: run %zu seed differs: recorded %llu, derived %llu",
+        b.run.run_index, static_cast<unsigned long long>(b.run.seed),
+        static_cast<unsigned long long>(seed));
+    PARATICK_CHECK_MSG(false, msg.c_str());
+  }
   // A recorded crash (a dispatch worker died mid-run) would take the
   // replayer down too if re-executed in-process — rerun it the way the
   // sweep ran it: a one-index dispatch on one forked worker, with no
   // retries, so a second death degrades straight to a kCrash record.
-  if (b.failure.kind == RunFailure::Kind::kCrash) {
+  if (b.run.failure && b.run.failure->kind == RunFailure::Kind::kCrash) {
     dispatch::DispatchOptions opts;
     opts.workers = 1;
     opts.max_retries = 0;
@@ -234,11 +177,11 @@ SweepRun replay_run(SweepConfig cfg, const ReplayBundle& b) {
         std::make_unique<dispatch::ForkWorkerTransport>(std::move(cfg)),
         std::move(opts));
     SweepResult res =
-        dispatcher.run(std::vector<std::size_t>{b.run_index});
-    return std::move(res.runs[b.run_index]);
+        dispatcher.run(std::vector<std::size_t>{b.run.run_index});
+    return std::move(res.runs[b.run.run_index]);
   }
   SweepRunner runner(std::move(cfg));
-  return runner.execute_run(b.run_index);
+  return runner.execute_run(b.run.run_index);
 }
 
 SweepRun replay_bundle(const ReplayBundle& b) {
@@ -257,7 +200,9 @@ bool reproduces(const ReplayBundle& b, const SweepRun& replayed,
     note("replay completed without failing");
     return false;
   }
-  const RunFailure& want = b.failure;
+  PARATICK_CHECK_MSG(b.run.failure.has_value(),
+                     "replay bundle: the run carries no failure");
+  const RunFailure& want = *b.run.failure;
   const RunFailure& got = *replayed.failure;
   if (got.kind != want.kind) {
     note(metrics::format("failure kind differs: recorded %s, replayed %s",

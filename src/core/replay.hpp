@@ -2,54 +2,57 @@
 //
 // Because a sweep run is a pure function of (SweepConfig, run_index) —
 // seeds and fault plans are derived, never drawn from the schedule — a
-// failure reproduces from just the config identity plus the index. The
-// bundle serializes that identity (scenario name, root seed, repeat,
-// fault knobs) together with the observed failure, so `bench_replay`
-// can re-run the exact failing simulation to the same event and verify
-// the error matches bit-for-bit.
+// failure reproduces from the config identity plus the index. A bundle is
+// the sweep schema of core/run_record.hpp plus the knobs a plan does not
+// carry:
+//
+//   {"kind": "paratick-replay-bundle", "plan": <plan header>,
+//    "scenario": ..., "watchdog": ..., "fault": {...},
+//    "run": <the failed run's record>}
+//
+// so `bench_replay` can re-run the exact failing simulation to the same
+// event and verify the error matches. No wall-clock value enters a
+// bundle: a dispatched sweep writes the same bytes as a local -j1 one.
 #pragma once
 
 #include <string>
 
+#include "core/run_record.hpp"
 #include "core/sweep.hpp"
 #include "fault/fault.hpp"
 
 namespace paratick::core {
 
 struct ReplayBundle {
-  std::string bench;     // producing binary, e.g. "bench_chaos"
+  PlanInfo plan;         // the producing sweep's identity and grid
   std::string scenario;  // registered chaos scenario; "" = not replayable
                          // standalone (caller must supply the SweepConfig)
-  std::uint64_t root_seed = 0;
-  int repeat = 1;
-  std::size_t run_index = 0;
-  std::uint64_t seed = 0;  // derived run seed, for cross-checking
-  std::string cell_label;  // human-readable cell identity
   bool watchdog = false;
   fault::FaultConfig fault;
-  RunFailure failure;  // the failure observed by the original sweep
-  /// Event trace of the failed run (--record-trace); "" = none recorded.
-  /// bench_replay uses it to verify a reproduction event-by-event and to
-  /// report the first divergent event (core/record_replay).
-  std::string trace_path;
+  /// The failed run: index, derived seed, failure record and, with
+  /// --record-trace, the path of its event trace (core/record_replay).
+  SweepRun run;
 };
 
 /// Serialize / write a bundle for a failed run of `cfg`. Returns the file
-/// path: <dir>/<bench-or-sweep>-run<index>.json (directories are created).
+/// path: <dir>/<bench-or-sweep>/run<index>.json (directories are created).
 [[nodiscard]] std::string to_json(const ReplayBundle& b);
 [[nodiscard]] std::string write_replay_bundle(const SweepConfig& cfg,
                                               const SweepRun& run,
-                                              const std::string& dir,
-                                              const std::string& cell_label = "");
+                                              const std::string& dir);
 
-/// Parse / load a bundle. PARATICK_CHECKs (throws sim::SimError) on
-/// malformed documents; load includes the path in the error message.
+/// Parse / load a bundle. Throws sim::SimError on malformed documents,
+/// on a run outside the bundle's plan and on a run that did not fail;
+/// load includes the path in the error message.
 [[nodiscard]] ReplayBundle parse_replay_bundle(const std::string& json_text);
 [[nodiscard]] ReplayBundle load_replay_bundle(const std::string& path);
 
 /// Re-execute the bundle's run against an explicit sweep config. The
 /// bundle's identity fields (root seed, repeat, faults, watchdog)
 /// override the config's, so the run is exactly the one that failed.
+/// Throws sim::SimError naming the differing field when the config's grid
+/// no longer matches the bundle's plan, or the run's derived seed differs
+/// from the recorded one: the index would name a different run.
 /// kCrash bundles run as a one-index dispatch on a forked worker
 /// (core/dispatch); every other kind runs in-process.
 [[nodiscard]] SweepRun replay_run(SweepConfig cfg, const ReplayBundle& b);

@@ -1,10 +1,13 @@
-#include "core/sweep_shard.hpp"
+#include "core/run_record.hpp"
 
+#include <algorithm>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/cli_parse.hpp"
-#include "core/json.hpp"
 #include "core/safe_io.hpp"
+#include "core/sweep_plan.hpp"
 #include "metrics/report.hpp"
 #include "sim/check.hpp"
 #include "sim/error.hpp"
@@ -21,10 +24,18 @@ namespace {
 
 using ull = unsigned long long;
 
+/// The one encoder of a u64 seed: a quoted decimal string.
+std::string u64_string(std::uint64_t v) {
+  return metrics::format("\"%llu\"", static_cast<ull>(v));
+}
+
+/// The one decoder of a u64 seed; errors name `key`.
 std::uint64_t u64_string_field(const json::Value& obj, const char* key) {
   const json::Value* v = obj.find(key);
-  PARATICK_CHECK_MSG(v != nullptr && v->type == json::Value::Type::kString,
-                     "run record: missing u64 string field");
+  if (v == nullptr || v->type != json::Value::Type::kString) {
+    const std::string msg = std::string("missing u64 string field \"") + key + "\"";
+    PARATICK_CHECK_MSG(false, msg.c_str());
+  }
   return parse_u64_flag(key, v->str);
 }
 
@@ -65,9 +76,30 @@ void append_u64_array(std::string& out, const char* key, std::size_t n, Get get)
 
 const json::Value& array_field(const json::Value& obj, const char* key) {
   const json::Value* v = obj.find(key);
-  PARATICK_CHECK_MSG(v != nullptr && v->type == json::Value::Type::kArray,
-                     "run record: missing array field");
+  if (v == nullptr || v->type != json::Value::Type::kArray) {
+    const std::string msg = std::string("missing array field \"") + key + "\"";
+    PARATICK_CHECK_MSG(false, msg.c_str());
+  }
   return *v;
+}
+
+/// A u64 counter array; `n` > 0 fixes its length (a mismatch is format
+/// drift between writer and reader).
+std::vector<std::uint64_t> u64_array(const json::Value& obj, const char* key,
+                                     std::size_t n = 0) {
+  const json::Value& arr = array_field(obj, key);
+  if (n != 0 && arr.array.size() != n) {
+    const std::string msg = std::string("run record: field \"") + key +
+                            "\" has " + std::to_string(arr.array.size()) +
+                            " entries, expected " + std::to_string(n);
+    PARATICK_CHECK_MSG(false, msg.c_str());
+  }
+  std::vector<std::uint64_t> out;
+  out.reserve(arr.array.size());
+  for (const json::Value& v : arr.array) {
+    out.push_back(json::to_int<std::uint64_t>(v.number, key));
+  }
+  return out;
 }
 
 void append_vm(std::string& out, const metrics::VmResult& vm) {
@@ -99,12 +131,9 @@ void append_vm(std::string& out, const metrics::VmResult& vm) {
   append_u64_array(out, "wake_hist_us", buckets.size(),
                    [&](std::size_t i) { return buckets[i]; });
   out += metrics::format(", \"io_errors\": %llu", static_cast<ull>(vm.io_errors));
-  // Steal fields postdate the v1 record format; written only when present
-  // so old partial snapshots keep parsing (find-based reads below).
-  if (vm.steal_time > sim::SimTime::zero() || vm.steal_estimate) {
-    out += metrics::format(", \"steal_ns\": %lld",
-                           static_cast<long long>(vm.steal_time.nanoseconds()));
-  }
+  out += metrics::format(", \"steal_ns\": %lld",
+                         static_cast<long long>(vm.steal_time.nanoseconds()));
+  // Absent unless the VM ran the guest steal estimator.
   if (vm.steal_estimate) {
     out += metrics::format(
         ", \"steal_est_ns\": %lld",
@@ -117,45 +146,28 @@ metrics::VmResult parse_vm(const json::Value& obj) {
   metrics::VmResult vm;
   vm.exits_total = u64_field(obj, "exits_total");
   vm.exits_timer_related = u64_field(obj, "exits_timer");
-  const json::Value& causes = array_field(obj, "exits_by_cause");
-  PARATICK_CHECK_MSG(causes.array.size() == hw::kExitCauseCount,
-                     "run record: exit-cause count mismatch (format drift?)");
-  for (std::size_t i = 0; i < hw::kExitCauseCount; ++i) {
-    vm.exits_by_cause[i] =
-        json::to_int<std::uint64_t>(causes.array[i].number, "exits_by_cause");
-  }
+  const auto causes = u64_array(obj, "exits_by_cause", hw::kExitCauseCount);
+  std::copy(causes.begin(), causes.end(), vm.exits_by_cause.begin());
   if (const json::Value* ct = obj.find("completion_ns")) {
     vm.completion_time =
         sim::SimTime::ns(json::to_int<std::int64_t>(ct->number, "completion_ns"));
   }
-  const json::Value& policy = array_field(obj, "policy");
-  PARATICK_CHECK_MSG(policy.array.size() == 7,
-                     "run record: policy stats count mismatch (format drift?)");
-  const auto pol = [&](std::size_t i) {
-    return json::to_int<std::uint64_t>(policy.array[i].number, "policy");
-  };
-  vm.policy.ticks_handled = pol(0);
-  vm.policy.virtual_ticks = pol(1);
-  vm.policy.msr_writes = pol(2);
-  vm.policy.msr_writes_avoided = pol(3);
-  vm.policy.idle_entries = pol(4);
-  vm.policy.idle_exits = pol(5);
-  vm.policy.busy_stops = pol(6);
+  const auto pol = u64_array(obj, "policy", 7);
+  vm.policy.ticks_handled = pol[0];
+  vm.policy.virtual_ticks = pol[1];
+  vm.policy.msr_writes = pol[2];
+  vm.policy.msr_writes_avoided = pol[3];
+  vm.policy.idle_entries = pol[4];
+  vm.policy.idle_exits = pol[5];
+  vm.policy.busy_stops = pol[6];
   vm.tick_intervals_us = parse_acc(obj, "tick_intervals_us");
   vm.task_blocks = u64_field(obj, "task_blocks");
   vm.task_wakes = u64_field(obj, "task_wakes");
   vm.wakeup_latency_us = parse_acc(obj, "wakeup_latency_us");
-  const json::Value& hist = array_field(obj, "wake_hist_us");
-  std::vector<std::uint64_t> buckets;
-  buckets.reserve(hist.array.size());
-  for (const auto& b : hist.array) {
-    buckets.push_back(json::to_int<std::uint64_t>(b.number, "wake_hist_us"));
-  }
-  vm.wakeup_latency_hist_us = sim::LogHistogram::from_buckets(std::move(buckets));
+  vm.wakeup_latency_hist_us =
+      sim::LogHistogram::from_buckets(u64_array(obj, "wake_hist_us"));
   vm.io_errors = u64_field(obj, "io_errors");
-  if (const json::Value* st = obj.find("steal_ns")) {
-    vm.steal_time = sim::SimTime::ns(json::to_int<std::int64_t>(st->number, "steal_ns"));
-  }
+  vm.steal_time = sim::SimTime::ns(json::int_field<std::int64_t>(obj, "steal_ns"));
   if (const json::Value* se = obj.find("steal_est_ns")) {
     vm.steal_estimate =
         sim::SimTime::ns(json::to_int<std::int64_t>(se->number, "steal_est_ns"));
@@ -186,10 +198,7 @@ void append_result(std::string& out, const metrics::RunResult& r) {
       static_cast<ull>(r.callback_spill_bytes),
       static_cast<ull>(r.slot_high_water), static_cast<ull>(r.queue_compactions),
       static_cast<ull>(r.engine_wall_ns));
-  // Parallel-engine window counters, a separate array so the "profile"
-  // block keeps its exact historical length-7 shape (hard-checked by
-  // parse_result). Older snapshots simply lack the key; parsing treats
-  // that as all-zero.
+  // Parallel-engine window counters.
   out += metrics::format(
       "\"parallel\": [%llu,%llu,%llu,%llu], ",
       static_cast<ull>(r.par_windows), static_cast<ull>(r.par_windows_skipped),
@@ -215,65 +224,39 @@ void append_result(std::string& out, const metrics::RunResult& r) {
 metrics::RunResult parse_result(const json::Value& obj) {
   metrics::RunResult r;
   r.wall = sim::SimTime::ns(json::int_field<std::int64_t>(obj, "wall_ns"));
-  const json::Value& cycles = array_field(obj, "cycles");
-  PARATICK_CHECK_MSG(cycles.array.size() == hw::kCycleCategoryCount,
-                     "run record: cycle category count mismatch (format drift?)");
+  const auto cycles = u64_array(obj, "cycles", hw::kCycleCategoryCount);
   for (std::size_t i = 0; i < hw::kCycleCategoryCount; ++i) {
     r.cycles.charge(static_cast<hw::CycleCategory>(i),
-                    sim::Cycles{json::to_int<std::int64_t>(cycles.array[i].number,
-                                                           "cycles")});
+                    sim::Cycles{static_cast<std::int64_t>(cycles[i])});
   }
   r.exits_total = u64_field(obj, "exits_total");
   r.exits_timer_related = u64_field(obj, "exits_timer");
-  const json::Value& causes = array_field(obj, "exits_by_cause");
-  PARATICK_CHECK_MSG(causes.array.size() == hw::kExitCauseCount,
-                     "run record: exit-cause count mismatch (format drift?)");
-  for (std::size_t i = 0; i < hw::kExitCauseCount; ++i) {
-    r.exits_by_cause[i] =
-        json::to_int<std::uint64_t>(causes.array[i].number, "exits_by_cause");
-  }
+  const auto causes = u64_array(obj, "exits_by_cause", hw::kExitCauseCount);
+  std::copy(causes.begin(), causes.end(), r.exits_by_cause.begin());
   r.events_executed = u64_field(obj, "events");
-  if (const json::Value* profile = obj.find("profile")) {
-    PARATICK_CHECK_MSG(profile->array.size() == 7,
-                       "run record: profile counter count mismatch (format drift?)");
-    const auto prof = [&](std::size_t i) {
-      return json::to_int<std::uint64_t>(profile->array[i].number, "profile");
-    };
-    r.events_scheduled = prof(0);
-    r.events_cancelled = prof(1);
-    r.callback_spills = prof(2);
-    r.callback_spill_bytes = prof(3);
-    r.slot_high_water = prof(4);
-    r.queue_compactions = prof(5);
-    r.engine_wall_ns = prof(6);
-  }
-  if (const json::Value* parallel = obj.find("parallel")) {
-    PARATICK_CHECK_MSG(
-        parallel->array.size() == 4,
-        "run record: parallel counter count mismatch (format drift?)");
-    const auto par = [&](std::size_t i) {
-      return json::to_int<std::uint64_t>(parallel->array[i].number, "parallel");
-    };
-    r.par_windows = par(0);
-    r.par_windows_skipped = par(1);
-    r.par_barriers_elided = par(2);
-    r.par_horizon_max_ns = par(3);
-  }
-  const json::Value& faults = array_field(obj, "faults");
-  PARATICK_CHECK_MSG(faults.array.size() == 9,
-                     "run record: fault counter count mismatch (format drift?)");
-  const auto flt = [&](std::size_t i) {
-    return json::to_int<std::uint64_t>(faults.array[i].number, "faults");
-  };
-  r.faults.timer_dropped = flt(0);
-  r.faults.timer_delayed = flt(1);
-  r.faults.timer_coalesced = flt(2);
-  r.faults.io_errors = flt(3);
-  r.faults.io_spikes = flt(4);
-  r.faults.steal_bursts = flt(5);
-  r.faults.ticks_delayed = flt(6);
-  r.faults.softirq_spurious = flt(7);
-  r.faults.softirq_dropped = flt(8);
+  const auto prof = u64_array(obj, "profile", 7);
+  r.events_scheduled = prof[0];
+  r.events_cancelled = prof[1];
+  r.callback_spills = prof[2];
+  r.callback_spill_bytes = prof[3];
+  r.slot_high_water = prof[4];
+  r.queue_compactions = prof[5];
+  r.engine_wall_ns = prof[6];
+  const auto par = u64_array(obj, "parallel", 4);
+  r.par_windows = par[0];
+  r.par_windows_skipped = par[1];
+  r.par_barriers_elided = par[2];
+  r.par_horizon_max_ns = par[3];
+  const auto flt = u64_array(obj, "faults", 9);
+  r.faults.timer_dropped = flt[0];
+  r.faults.timer_delayed = flt[1];
+  r.faults.timer_coalesced = flt[2];
+  r.faults.io_errors = flt[3];
+  r.faults.io_spikes = flt[4];
+  r.faults.steal_bursts = flt[5];
+  r.faults.ticks_delayed = flt[6];
+  r.faults.softirq_spurious = flt[7];
+  r.faults.softirq_dropped = flt[8];
   for (const auto& vm : array_field(obj, "vms").array) {
     PARATICK_CHECK_MSG(vm.type == json::Value::Type::kObject,
                        "run record: vm entry is not an object");
@@ -282,45 +265,100 @@ metrics::RunResult parse_result(const json::Value& obj) {
   return r;
 }
 
-SweepRun parse_run_value(const json::Value& doc) {
-  SweepRun run;
-  run.run_index = json::int_field<std::size_t>(doc, "run_index");
-  run.cell = json::int_field<std::size_t>(doc, "cell");
-  run.replica = json::int_field<int>(doc, "replica");
-  run.seed = u64_string_field(doc, "seed");
-  const json::Value* executed = doc.find("executed");
-  run.executed = executed != nullptr && executed->boolean;
-  const json::Value* ok = doc.find("ok");
-  run.ok = ok != nullptr && ok->boolean;
-  run.host_seconds = json::num_field(doc, "host_seconds");
-  if (const json::Value* bundle = doc.find("bundle")) run.bundle_path = bundle->str;
-  if (const json::Value* trace = doc.find("trace")) run.trace_path = trace->str;
-  if (const json::Value* failure = doc.find("failure")) {
-    RunFailure f;
-    f.kind = RunFailure::kind_from_name(json::str_field(*failure, "kind"));
-    f.expr = json::str_field(*failure, "expr");
-    f.file = json::str_field(*failure, "file");
-    f.line = json::int_field<int>(*failure, "line");
-    f.message = json::str_field(*failure, "message");
-    f.sim_time_ns = json::int_field<std::int64_t>(*failure, "sim_time_ns", -1);
-    f.events_executed = u64_field(*failure, "events");
-    run.failure = std::move(f);
+/// Throws naming `what` unless `doc` is a JSON object.
+void check_object(const json::Value& doc, const char* what) {
+  if (doc.type != json::Value::Type::kObject) {
+    const std::string msg = std::string(what) + ": not a JSON object";
+    PARATICK_CHECK_MSG(false, msg.c_str());
   }
-  if (const json::Value* result = doc.find("result")) {
-    run.result = parse_result(*result);
-  }
-  return run;
 }
 
 }  // namespace
 
+PlanInfo plan_info_for(const SweepConfig& cfg) {
+  const SweepPlan plan = SweepPlan::make(cfg);
+  PlanInfo p;
+  p.bench = cfg.bench_name;
+  p.root_seed = plan.config().root_seed;
+  p.repeat = plan.config().repeat;
+  p.total_runs = plan.total_runs();
+  p.cells = plan.cell_keys();
+  return p;
+}
+
+bool plans_match(const PlanInfo& a, const PlanInfo& b, std::string* why) {
+  const auto fail = [&](const std::string& what) {
+    if (why != nullptr) *why = what;
+    return false;
+  };
+  if (a.root_seed != b.root_seed) return fail("root seed");
+  if (a.repeat != b.repeat) return fail("repeat count");
+  if (a.total_runs != b.total_runs) return fail("total run count");
+  if (a.cells.size() != b.cells.size()) return fail("cell grid size");
+  for (std::size_t i = 0; i < a.cells.size(); ++i) {
+    const SweepCellKey& x = a.cells[i];
+    const SweepCellKey& y = b.cells[i];
+    if (x.variant != y.variant || x.mode != y.mode ||
+        x.tick_freq_hz != y.tick_freq_hz || x.vcpus != y.vcpus ||
+        x.overcommit != y.overcommit) {
+      return fail("cell " + std::to_string(i) + " (" + x.label() + " vs " +
+                  y.label() + ")");
+    }
+  }
+  return true;
+}
+
+std::string to_json(const PlanInfo& p) {
+  std::string out = metrics::format(
+      "{\"kind\": \"paratick-dispatch-plan\", \"bench\": \"%s\", "
+      "\"root_seed\": %s, \"repeat\": %d, \"total_runs\": %llu, \"cells\": [",
+      metrics::json_escape(p.bench).c_str(), u64_string(p.root_seed).c_str(),
+      p.repeat, static_cast<ull>(p.total_runs));
+  for (std::size_t i = 0; i < p.cells.size(); ++i) {
+    const SweepCellKey& key = p.cells[i];
+    out += metrics::format(
+        "%s{\"variant\": \"%s\", \"mode\": \"%s\", \"tick_freq_hz\": %.17g, "
+        "\"vcpus\": %d, \"overcommit\": %.17g}",
+        i == 0 ? "" : ", ", metrics::json_escape(key.variant).c_str(),
+        std::string(guest::to_string(key.mode)).c_str(), key.tick_freq_hz,
+        key.vcpus, key.overcommit);
+  }
+  out += "]}";
+  return out;
+}
+
+PlanInfo parse_plan_info(const json::Value& doc) {
+  check_object(doc, "plan header");
+  const json::Value* kind = doc.find("kind");
+  PARATICK_CHECK_MSG(kind != nullptr && kind->str == "paratick-dispatch-plan",
+                     "plan header: wrong document kind");
+  PlanInfo p;
+  p.bench = json::str_field(doc, "bench");
+  p.root_seed = u64_string_field(doc, "root_seed");
+  p.repeat = json::int_field<int>(doc, "repeat");
+  p.total_runs = json::int_field<std::size_t>(doc, "total_runs");
+  for (const json::Value& cell : array_field(doc, "cells").array) {
+    check_object(cell, "plan header: cell entry");
+    SweepCellKey key;
+    key.variant = json::str_field(cell, "variant");
+    key.mode = guest::tick_mode_from_string(json::str_field(cell, "mode"));
+    key.tick_freq_hz = json::num_field(cell, "tick_freq_hz");
+    key.vcpus = json::int_field<int>(cell, "vcpus");
+    key.overcommit = json::num_field(cell, "overcommit");
+    p.cells.push_back(std::move(key));
+  }
+  PARATICK_CHECK_MSG(p.repeat >= 1 && p.total_runs == p.cells.size() *
+                                          static_cast<std::size_t>(p.repeat),
+                     "plan header: total_runs is not cells * repeat");
+  return p;
+}
+
 std::string run_record_to_json(const SweepRun& run) {
   std::string out = metrics::format(
       "{\"run_index\": %llu, \"cell\": %llu, \"replica\": %d, "
-      "\"seed\": \"%llu\", \"executed\": %s, \"ok\": %s, "
-      "\"host_seconds\": %.17g",
+      "\"seed\": %s, \"executed\": %s, \"ok\": %s, \"host_seconds\": %.17g",
       static_cast<ull>(run.run_index), static_cast<ull>(run.cell), run.replica,
-      static_cast<ull>(run.seed), run.executed ? "true" : "false",
+      u64_string(run.seed).c_str(), run.executed ? "true" : "false",
       run.ok ? "true" : "false", run.host_seconds);
   if (!run.bundle_path.empty()) {
     out += metrics::format(", \"bundle\": \"%s\"",
@@ -350,30 +388,47 @@ std::string run_record_to_json(const SweepRun& run) {
   return out;
 }
 
-SweepRun parse_run_record(const std::string& text) {
-  const json::Value doc = json::parse(text);
-  PARATICK_CHECK_MSG(doc.type == json::Value::Type::kObject,
-                     "run record: document is not a JSON object");
-  return parse_run_value(doc);
+SweepRun parse_run_record(const json::Value& doc, const PlanInfo& plan) {
+  check_object(doc, "run record");
+  SweepRun run;
+  run.run_index = json::int_field<std::size_t>(doc, "run_index");
+  run.cell = json::int_field<std::size_t>(doc, "cell");
+  if (run.run_index >= plan.total_runs || run.cell >= plan.cells.size()) {
+    const std::string msg = metrics::format(
+        "run record: run %zu (cell %zu) lies outside the plan (%zu runs, %zu "
+        "cells)",
+        run.run_index, run.cell, plan.total_runs, plan.cells.size());
+    PARATICK_CHECK_MSG(false, msg.c_str());
+  }
+  run.replica = json::int_field<int>(doc, "replica");
+  run.seed = u64_string_field(doc, "seed");
+  const json::Value* executed = doc.find("executed");
+  run.executed = executed != nullptr && executed->boolean;
+  const json::Value* ok = doc.find("ok");
+  run.ok = ok != nullptr && ok->boolean;
+  run.host_seconds = json::num_field(doc, "host_seconds");
+  if (const json::Value* bundle = doc.find("bundle")) run.bundle_path = bundle->str;
+  if (const json::Value* trace = doc.find("trace")) run.trace_path = trace->str;
+  if (const json::Value* failure = doc.find("failure")) {
+    RunFailure f;
+    f.kind = RunFailure::kind_from_name(json::str_field(*failure, "kind"));
+    f.expr = json::str_field(*failure, "expr");
+    f.file = json::str_field(*failure, "file");
+    f.line = json::int_field<int>(*failure, "line");
+    f.message = json::str_field(*failure, "message");
+    f.sim_time_ns = json::int_field<std::int64_t>(*failure, "sim_time_ns", -1);
+    f.events_executed = u64_field(*failure, "events");
+    run.failure = std::move(f);
+  }
+  if (const json::Value* result = doc.find("result")) {
+    run.result = parse_result(*result);
+  }
+  return run;
 }
 
 std::string to_json(const PartialSnapshot& p) {
-  std::string out = metrics::format(
-      "{\n  \"kind\": \"paratick-partial-sweep\",\n  \"version\": 1,\n"
-      "  \"bench\": \"%s\",\n  \"root_seed\": \"%llu\",\n  \"repeat\": %d,\n"
-      "  \"total_runs\": %llu,\n  \"cells\": [\n",
-      metrics::json_escape(p.bench).c_str(), static_cast<ull>(p.root_seed),
-      p.repeat, static_cast<ull>(p.total_runs));
-  for (std::size_t i = 0; i < p.cells.size(); ++i) {
-    const SweepCellKey& key = p.cells[i];
-    out += metrics::format(
-        "    {\"variant\": \"%s\", \"mode\": \"%s\", \"tick_freq_hz\": %.17g, "
-        "\"vcpus\": %d, \"overcommit\": %.17g}%s\n",
-        metrics::json_escape(key.variant).c_str(),
-        std::string(guest::to_string(key.mode)).c_str(), key.tick_freq_hz,
-        key.vcpus, key.overcommit, i + 1 < p.cells.size() ? "," : "");
-  }
-  out += "  ],\n  \"runs\": [\n";
+  std::string out = "{\n  \"kind\": \"paratick-partial-sweep\",\n  \"version\": 2,\n"
+                    "  \"plan\": " + to_json(p.plan) + ",\n  \"runs\": [\n";
   for (std::size_t i = 0; i < p.runs.size(); ++i) {
     out += "    ";
     out += run_record_to_json(p.runs[i]);
@@ -383,45 +438,27 @@ std::string to_json(const PartialSnapshot& p) {
   return out;
 }
 
-std::string write_partial_snapshot(const PartialSnapshot& p,
-                                   const std::string& path) {
-  // Atomic temp-file + rename: a coordinator killed mid-write must never
-  // leave a truncated checkpoint for the resuming dispatcher to choke on.
+void write_partial_snapshot(const PartialSnapshot& p, const std::string& path) {
   write_file_atomic(path, to_json(p));
-  return path;
 }
 
 PartialSnapshot parse_partial_snapshot(const std::string& text) {
   const json::Value doc = json::parse(text);
-  PARATICK_CHECK_MSG(doc.type == json::Value::Type::kObject,
-                     "partial snapshot: document is not a JSON object");
+  check_object(doc, "partial snapshot");
   const json::Value* kind = doc.find("kind");
   PARATICK_CHECK_MSG(kind != nullptr && kind->str == "paratick-partial-sweep",
                      "partial snapshot: wrong document kind (expected "
                      "\"paratick-partial-sweep\" — is this a --sweep-json "
                      "export instead of a --checkpoint file?)");
-  PARATICK_CHECK_MSG(json::num_field(doc, "version") == 1.0,
-                     "partial snapshot: unsupported version");
+  PARATICK_CHECK_MSG(json::num_field(doc, "version") == 2.0,
+                     "partial snapshot: unsupported version (only version 2, "
+                     "a plan header plus run records, is read)");
+  const json::Value* plan = doc.find("plan");
+  PARATICK_CHECK_MSG(plan != nullptr, "partial snapshot: missing plan");
   PartialSnapshot p;
-  p.bench = json::str_field(doc, "bench");
-  p.root_seed = u64_string_field(doc, "root_seed");
-  p.repeat = json::int_field<int>(doc, "repeat");
-  p.total_runs = json::int_field<std::size_t>(doc, "total_runs");
-  for (const auto& cell : array_field(doc, "cells").array) {
-    PARATICK_CHECK_MSG(cell.type == json::Value::Type::kObject,
-                       "partial snapshot: cell entry is not an object");
-    SweepCellKey key;
-    key.variant = json::str_field(cell, "variant");
-    key.mode = guest::tick_mode_from_string(json::str_field(cell, "mode"));
-    key.tick_freq_hz = json::num_field(cell, "tick_freq_hz");
-    key.vcpus = json::int_field<int>(cell, "vcpus");
-    key.overcommit = json::num_field(cell, "overcommit");
-    p.cells.push_back(std::move(key));
-  }
-  for (const auto& run : array_field(doc, "runs").array) {
-    PARATICK_CHECK_MSG(run.type == json::Value::Type::kObject,
-                       "partial snapshot: run entry is not an object");
-    p.runs.push_back(parse_run_value(run));
+  p.plan = parse_plan_info(*plan);
+  for (const json::Value& run : array_field(doc, "runs").array) {
+    p.runs.push_back(parse_run_record(run, p.plan));
   }
   return p;
 }

@@ -13,11 +13,11 @@
 
 #include "core/cli_parse.hpp"
 #include "core/dispatch/dispatch.hpp"
-#include "core/dispatch/protocol.hpp"
 #include "core/dispatch/transport.hpp"
 #include "core/dispatch/worker.hpp"
 #include "core/history.hpp"
 #include "core/replay.hpp"
+#include "core/run_record.hpp"
 #include "core/safe_io.hpp"
 #include "core/scenarios.hpp"
 #include "core/sweep_plan.hpp"
@@ -83,7 +83,15 @@ std::string SweepCellKey::label() const {
   return out;
 }
 
-void aggregate_sweep_runs(SweepResult& res) {
+void aggregate_sweep_runs(SweepResult& res,
+                          const std::vector<SweepCellKey>& keys) {
+  res.cells.clear();
+  res.cells.reserve(keys.size());
+  for (const SweepCellKey& key : keys) {
+    SweepCellSummary cell;
+    cell.key = key;
+    res.cells.push_back(std::move(cell));
+  }
   // Fold strictly in run-index order so replica merges are deterministic
   // for any thread count and for dispatched sweeps. Unexecuted slots
   // (outside a dispatched subset) are invisible; failed replicas only bump
@@ -163,10 +171,12 @@ std::size_t SweepRunner::total_runs() const {
 }
 
 SweepResult SweepRunner::run() const {
+  PARATICK_CHECK_MSG(cfg_.observer == nullptr,
+                     "SweepConfig::observer is for one run (execute_run); "
+                     "run() would share it across concurrent engines");
   const SweepPlan plan = SweepPlan::make(cfg_);
 
   SweepResult res;
-  res.cells = plan.make_cells();
   res.runs.resize(plan.total_runs());
   res.threads_used = cfg_.threads == 0
                          ? std::max(1u, std::thread::hardware_concurrency())
@@ -194,7 +204,7 @@ SweepResult SweepRunner::run() const {
                          std::chrono::steady_clock::now() - sweep_start)
                          .count();
 
-  aggregate_sweep_runs(res);
+  aggregate_sweep_runs(res, plan.cell_keys());
 
   // Replay bundles for failed runs, written in run-index order so bundle
   // file names are deterministic.
@@ -203,8 +213,7 @@ SweepResult SweepRunner::run() const {
   if (!failure_dir.empty()) {
     for (SweepRun& r : res.runs) {
       if (!r.executed || r.ok || !r.failure) continue;
-      r.bundle_path = write_replay_bundle(cfg_, r, failure_dir,
-                                          res.cells[r.cell].key.label());
+      r.bundle_path = write_replay_bundle(cfg_, r, failure_dir);
       if (cfg_.progress) {
         std::fprintf(stderr, "sweep: replay bundle -> %s\n", r.bundle_path.c_str());
       }
@@ -528,7 +537,6 @@ SweepResult run_dispatched(const SweepCli& cli, const SweepConfig& cfg) {
   opts.max_retries = cli.max_retries;
   opts.checkpoint_path =
       resolve_output_path(cfg.output_dir, cli.checkpoint_path);
-  opts.bench_name = cfg.bench_name;
   opts.progress = cfg.progress;
   opts.test_kill_after = cli.dispatch_test_kill;
 
@@ -539,11 +547,8 @@ SweepResult run_dispatched(const SweepCli& cli, const SweepConfig& cfg) {
     // worker ever finished (degraded after --max-retries) so the operator
     // can still replay the abandoned index locally.
     auto bundle_cfg = std::make_shared<SweepConfig>(cfg);
-    auto keys = std::make_shared<std::vector<SweepCellKey>>(
-        SweepPlan::make(cfg).cell_keys());
-    opts.bundle_writer = [bundle_cfg, keys, failure_dir](SweepRun& run) {
-      run.bundle_path = write_replay_bundle(*bundle_cfg, run, failure_dir,
-                                            (*keys)[run.cell].label());
+    opts.bundle_writer = [bundle_cfg, failure_dir](SweepRun& run) {
+      run.bundle_path = write_replay_bundle(*bundle_cfg, run, failure_dir);
     };
   }
 
@@ -576,8 +581,7 @@ SweepResult SweepCli::run_sweep(SweepConfig cfg) const {
   // a relaunched argv, so they must win over whatever mode flags (e.g.
   // --dispatch itself) rode along in the original command line.
   if (worker_plan) {
-    std::printf("#plan %s\n",
-                dispatch::to_json(dispatch::plan_info_for(cfg)).c_str());
+    std::printf("#plan %s\n", to_json(plan_info_for(cfg)).c_str());
     std::exit(0);
   }
   if (worker) {

@@ -103,9 +103,10 @@ struct SweepConfig {
   /// the first divergent event. Recording is observational — results and
   /// exports stay byte-identical to an unrecorded sweep.
   bool record_trace = false;
-  /// Attach an external engine observer to every run (replay checking).
-  /// Single-run use only (execute_run): the thread pool would share it
-  /// across concurrent engines. Ignored when record_trace is set.
+  /// Attach an external engine observer to a run (replay checking).
+  /// Single-run use only (execute_run): SweepRunner::run() refuses it,
+  /// since the thread pool would share it across concurrent engines. It
+  /// cannot be combined with record_trace (the plan refuses both).
   sim::EventObserver* observer = nullptr;
 };
 
@@ -259,12 +260,12 @@ struct SweepResult {
   void write_json(const std::string& path) const;
 };
 
-/// The merge layer's core: fold res.runs into res.cells, strictly in
-/// run-index order. res.cells must already carry their keys with all
-/// aggregates empty. Used identically by SweepRunner::run() after local
+/// The merge layer's core: build one empty summary per key of `keys`
+/// (grid order) into res.cells, then fold res.runs into them strictly in
+/// run-index order. Used identically by SweepRunner::run() after local
 /// execution and by the dispatcher on worker records — one code path is
 /// what makes dispatched results bit-identical to single-host runs.
-void aggregate_sweep_runs(SweepResult& res);
+void aggregate_sweep_runs(SweepResult& res, const std::vector<SweepCellKey>& keys);
 
 class SweepRunner {
  public:

@@ -40,6 +40,9 @@ ExperimentSpec materialize(const SweepConfig& cfg, const SweepVariant& variant,
 
 SweepPlan SweepPlan::make(SweepConfig cfg) {
   PARATICK_CHECK_MSG(cfg.repeat >= 1, "sweep repeat must be >= 1");
+  PARATICK_CHECK_MSG(cfg.observer == nullptr || !cfg.record_trace,
+                     "SweepConfig::observer and record_trace both attach an "
+                     "engine observer; set one");
   SweepPlan plan;
   Grid& g = plan.grid_;
   g.variants = cfg.variants.empty()
@@ -184,17 +187,6 @@ SweepRun SweepPlan::execute(std::size_t run_index) const {
                             static_cast<unsigned long long>(out.run_index)));
   }
   return out;
-}
-
-std::vector<SweepCellSummary> SweepPlan::make_cells() const {
-  std::vector<SweepCellSummary> cells;
-  cells.reserve(keys_.size());
-  for (const SweepCellKey& key : keys_) {
-    SweepCellSummary cell;
-    cell.key = key;
-    cells.push_back(std::move(cell));
-  }
-  return cells;
 }
 
 }  // namespace paratick::core

@@ -48,10 +48,6 @@ class SweepPlan {
   /// dispatcher's job.)
   [[nodiscard]] SweepRun execute(std::size_t run_index) const;
 
-  /// Fresh cell summaries for this plan: keys filled, aggregates empty —
-  /// the skeleton aggregate_sweep_runs() folds runs into.
-  [[nodiscard]] std::vector<SweepCellSummary> make_cells() const;
-
  private:
   /// The per-cell slice of the grid axes, resolved against the base spec.
   struct Grid {

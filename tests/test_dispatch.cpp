@@ -27,10 +27,10 @@
 #include "core/dispatch/worker.hpp"
 #include "core/json.hpp"
 #include "core/replay.hpp"
+#include "core/run_record.hpp"
 #include "core/safe_io.hpp"
 #include "core/sweep.hpp"
 #include "core/sweep_plan.hpp"
-#include "core/sweep_shard.hpp"
 #include "expect_error.hpp"
 #include "sim/error.hpp"
 #include "workload/micro.hpp"
@@ -78,7 +78,7 @@ dispatch::DispatchOptions fast_opts(unsigned workers) {
 /// `put` writes one protocol line. Every fake transport below is built on
 /// this, so each differs from a real worker only in what `serve` does.
 template <typename Serve>
-dispatch::WorkerProcess fork_fake_worker(const dispatch::PlanInfo& header,
+dispatch::WorkerProcess fork_fake_worker(const PlanInfo& header,
                                          Serve serve) {
   int out[2];
   int ctl[2];
@@ -91,7 +91,7 @@ dispatch::WorkerProcess fork_fake_worker(const dispatch::PlanInfo& header,
       const std::string framed = line + "\n";
       if (!write_all(out[1], framed.data(), framed.size())) std::_Exit(1);
     };
-    put("#plan " + dispatch::to_json(header));
+    put("#plan " + to_json(header));
     std::string line;
     char c;
     while (read_retry(ctl[0], &c, 1) == 1) {
@@ -121,7 +121,7 @@ class FakeTransport : public dispatch::WorkerTransport {
   explicit FakeTransport(SweepConfig cfg) : cfg_(std::move(cfg)) {
     cfg_.progress = false;
   }
-  dispatch::PlanInfo plan() override { return dispatch::plan_info_for(cfg_); }
+  PlanInfo plan() override { return plan_info_for(cfg_); }
 
  protected:
   [[nodiscard]] std::string record(std::size_t idx) const {
@@ -140,26 +140,49 @@ class FakeTransport : public dispatch::WorkerTransport {
 TEST(DispatchPlan, HeaderRoundTripsAndDetectsSkew) {
   SweepConfig cfg = tiny_sweep();
   cfg.bench_name = "test_bench";
-  const dispatch::PlanInfo plan = dispatch::plan_info_for(cfg);
+  const PlanInfo plan = plan_info_for(cfg);
   EXPECT_EQ(plan.total_runs, 8u);
   EXPECT_EQ(plan.cells.size(), 4u);
 
-  const dispatch::PlanInfo parsed =
-      dispatch::parse_plan_info(dispatch::to_json(plan));
+  const PlanInfo parsed = parse_plan_info(json::parse(to_json(plan)));
   std::string why;
-  EXPECT_TRUE(dispatch::plans_match(plan, parsed, &why)) << why;
+  EXPECT_TRUE(plans_match(plan, parsed, &why)) << why;
   EXPECT_EQ(parsed.bench, "test_bench");
   EXPECT_EQ(parsed.root_seed, 77u);
 
   // A fleet host running skewed flags must be detected field by field.
-  dispatch::PlanInfo skewed = plan;
+  PlanInfo skewed = plan;
   skewed.root_seed = 78;
-  EXPECT_FALSE(dispatch::plans_match(plan, skewed, &why));
+  EXPECT_FALSE(plans_match(plan, skewed, &why));
   EXPECT_NE(why.find("root seed"), std::string::npos);
   skewed = plan;
   skewed.cells[1].vcpus = 99;
-  EXPECT_FALSE(dispatch::plans_match(plan, skewed, &why));
+  EXPECT_FALSE(plans_match(plan, skewed, &why));
   EXPECT_NE(why.find("cell 1"), std::string::npos);
+
+  // Records are read against the plan's run count: it must be the grid's.
+  skewed = plan;
+  skewed.total_runs = 9;
+  EXPECT_SIM_ERROR((void)parse_plan_info(json::parse(to_json(skewed))),
+                   "total_runs is not cells * repeat");
+}
+
+/// Replace the first `from` in `text` with `to`.
+std::string garble(std::string text, const std::string& from,
+                   const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+SweepRun parse_record(const std::string& text, const SweepConfig& cfg) {
+  return parse_run_record(json::parse(text), plan_info_for(cfg));
 }
 
 // Numeric integer fields must be integral and in range: 2.5 replicas is a
@@ -167,50 +190,61 @@ TEST(DispatchPlan, HeaderRoundTripsAndDetectsSkew) {
 TEST(DispatchProtocol, FractionalIntegerFieldNamesTheField) {
   SweepRun run;
   run.replica = 0;
-  const std::string record = run_record_to_json(run);
-  const std::string from = "\"replica\": 0";
-  const std::size_t at = record.find(from);
-  ASSERT_NE(at, std::string::npos);
-  std::string bad = record;
-  bad.replace(at, from.size(), "\"replica\": 2.5");
-  EXPECT_SIM_ERROR((void)parse_run_record(bad), "field \"replica\"");
+  const std::string bad = garble(run_record_to_json(run), "\"replica\": 0",
+                                 "\"replica\": 2.5");
+  EXPECT_SIM_ERROR((void)parse_record(bad, tiny_sweep()), "field \"replica\"");
 }
 
 // u64 fields travel as decimal strings; trailing junk must fail naming the
 // field instead of parsing the digits before it (or 0 for pure garbage).
 TEST(DispatchProtocol, MalformedU64StringsNameTheField) {
-  const auto garble = [](std::string text, const std::string& from,
-                         const std::string& to) {
-    const std::size_t at = text.find(from);
-    EXPECT_NE(at, std::string::npos) << from;
-    return text.replace(at, from.size(), to);
-  };
-
   SweepRun run;
   run.run_index = 3;
   run.seed = 12345;
   run.executed = true;
   run.ok = true;
   const std::string record = run_record_to_json(run);
-  EXPECT_EQ(parse_run_record(record).seed, 12345u);
-  EXPECT_SIM_ERROR((void)parse_run_record(garble(record, "\"seed\": \"12345\"",
-                                                 "\"seed\": \"12345x\"")),
-                   "seed: not a valid integer");
+  EXPECT_EQ(parse_record(record, tiny_sweep()).seed, 12345u);
+  EXPECT_SIM_ERROR(
+      (void)parse_record(garble(record, "\"seed\": \"12345\"",
+                                "\"seed\": \"12345x\""),
+                         tiny_sweep()),
+      "seed: not a valid integer");
 
-  PartialSnapshot ckpt;
-  ckpt.root_seed = 77;
+  const PartialSnapshot ckpt{plan_info_for(tiny_sweep()), {run}};
   const std::string snapshot = to_json(ckpt);
-  EXPECT_EQ(parse_partial_snapshot(snapshot).root_seed, 77u);
+  EXPECT_EQ(parse_partial_snapshot(snapshot).plan.root_seed, 77u);
   EXPECT_SIM_ERROR(
       (void)parse_partial_snapshot(garble(snapshot, "\"root_seed\": \"77\"",
                                           "\"root_seed\": \"7x7\"")),
       "root_seed: not a valid integer");
 
-  const std::string plan = dispatch::to_json(dispatch::plan_info_for(tiny_sweep()));
+  const std::string plan = to_json(plan_info_for(tiny_sweep()));
   EXPECT_SIM_ERROR(
-      (void)dispatch::parse_plan_info(garble(plan, "\"root_seed\": \"77\"",
-                                             "\"root_seed\": \"77x\"")),
-      "plan header: root_seed");
+      (void)parse_plan_info(json::parse(garble(plan, "\"root_seed\": \"77\"",
+                                               "\"root_seed\": \"77x\""))),
+      "root_seed: not a valid integer");
+}
+
+// A record is read against its plan: a run index or cell the plan does
+// not have is a SimError, never an out-of-range slot.
+TEST(DispatchProtocol, RecordOutsideThePlanIsRejected) {
+  SweepRun run;
+  run.run_index = 7;
+  run.cell = 3;
+  const std::string record = run_record_to_json(run);
+  EXPECT_NO_THROW((void)parse_record(record, tiny_sweep()));
+  EXPECT_SIM_ERROR((void)parse_record(record, tiny_sweep(1)),
+                   "run 7 (cell 3) lies outside the plan (4 runs, 4 cells)");
+  EXPECT_SIM_ERROR(
+      (void)parse_record(garble(record, "\"cell\": 3", "\"cell\": 4"),
+                         tiny_sweep()),
+      "lies outside the plan");
+
+  const std::string snapshot = to_json(PartialSnapshot{plan_info_for(tiny_sweep()), {run}});
+  EXPECT_SIM_ERROR((void)parse_partial_snapshot(
+                       garble(snapshot, "\"run_index\": 7", "\"run_index\": 8")),
+                   "lies outside the plan");
 }
 
 // An assignment is "#run N" with N inside the plan, nothing else: "#run 0x"
@@ -297,32 +331,27 @@ TEST(DispatchProtocol, JsonReaderBoundsNestingAndEscapes) {
   EXPECT_EQ(nums.array[3].type, json::Value::Type::kNull);
 }
 
-// Deterministic mutation fuzz of the four dispatch wire formats: every
+// Deterministic mutation fuzz of the four sweep documents (#plan header,
+// run record, checkpoint, #run line): every
 // byte-flipped, truncated or spliced input must parse or throw SimError.
 // Any other exception fails here; UB or a crash fails the sanitizer build.
 TEST(DispatchFuzz, WireFormatsParseOrThrowSimError) {
   const SweepConfig cfg = tiny_sweep(1);
   const SweepRunner runner(cfg);
   const SweepRun storm = runner.execute_run(2);
-  PartialSnapshot snap;
-  snap.bench = "fuzz";
-  snap.root_seed = cfg.root_seed;
-  snap.repeat = cfg.repeat;
-  snap.total_runs = 4;
-  snap.cells = dispatch::plan_info_for(cfg).cells;
-  snap.runs = {runner.execute_run(0), storm};
-
-  const std::size_t runs = snap.total_runs;
+  const PartialSnapshot snap{plan_info_for(cfg), {runner.execute_run(0), storm}};
+  const PlanInfo plan = snap.plan;
+  const std::size_t runs = plan.total_runs;
   struct Format {
     const char* name;
     std::string seed;
     std::function<void(const std::string&)> parse;
   };
   const std::vector<Format> formats = {
-      {"#plan", dispatch::to_json(dispatch::plan_info_for(cfg)),
-       [](const std::string& s) { (void)dispatch::parse_plan_info(s); }},
+      {"#plan", to_json(plan),
+       [](const std::string& s) { (void)parse_plan_info(json::parse(s)); }},
       {"record", run_record_to_json(storm),
-       [](const std::string& s) { (void)parse_run_record(s); }},
+       [plan](const std::string& s) { (void)parse_run_record(json::parse(s), plan); }},
       {"snapshot", to_json(snap),
        [](const std::string& s) { (void)parse_partial_snapshot(s); }},
       {"#run", dispatch::assignment_line(3),
@@ -446,7 +475,7 @@ class GarbledTransport final : public FakeTransport {
   const char* name() const override { return "garbled"; }
   dispatch::WorkerProcess launch() override {
     if (launched_++ > 0) return honest_worker();
-    const dispatch::PlanInfo header = plan();
+    const PlanInfo header = plan();
     return fork_fake_worker(header, [this, header](std::size_t idx,
                                                    const auto& put) {
       put(record((idx + 1) % header.total_runs));
@@ -579,18 +608,12 @@ TEST(Dispatch, CheckpointResumeSkipsCompletedRuns) {
   }
   ASSERT_TRUE(std::filesystem::exists(ckpt));
 
-  // Checkpoints written by older builds carry a "shard" object and a
-  // "backend" field; the reader ignores both, so they still resume.
-  {
-    std::ifstream in(ckpt);
-    std::string text(std::istreambuf_iterator<char>(in), {});
-    const std::size_t at = text.find("  \"cells\"");
-    ASSERT_NE(at, std::string::npos);
-    text.insert(at,
-                "  \"shard\": {\"index\": 0, \"count\": 1},\n"
-                "  \"backend\": \"dispatch\",\n");
-    std::ofstream(ckpt, std::ios::trunc) << text;
-  }
+  // The checkpoint is the sweep schema: written back, a parsed checkpoint
+  // is the same bytes, and its plan is the sweep's plan header.
+  const std::string written = slurp(ckpt);
+  const PartialSnapshot snap = parse_partial_snapshot(written);
+  EXPECT_EQ(to_json(snap), written);
+  EXPECT_EQ(snap.runs.size(), reference.runs.size());
 
   // A fresh dispatcher sees the finished checkpoint: nothing re-executes.
   dispatch::DispatchOptions opts = fast_opts(2);
@@ -615,6 +638,28 @@ TEST(Dispatch, CheckpointResumeSkipsCompletedRuns) {
   const SweepResult res2 = d2.run();
   EXPECT_EQ(d2.stats().runs_resumed, 0u);
   EXPECT_GE(d2.stats().workers_launched, 1u);
+
+  // A version-1 checkpoint (the plan fields at top level, before the plan
+  // header was shared) is reported unreadable and the sweep starts fresh.
+  const std::string plan = to_json(plan_info_for(tiny_sweep()));
+  const std::string plan_fields =
+      plan.substr(plan.find("\"bench\""), plan.size() - 1 - plan.find("\"bench\""));
+  const std::string runs = written.substr(written.find("\"runs\""));
+  const std::string v1 = "{\"kind\": \"paratick-partial-sweep\", \"version\": 1, " +
+                         plan_fields + ", " + runs;
+  std::ofstream(ckpt, std::ios::trunc) << v1;
+  EXPECT_SIM_ERROR((void)load_partial_snapshot(ckpt), "unsupported version");
+  dispatch::DispatchOptions opts3 = fast_opts(2);
+  opts3.checkpoint_path = ckpt;
+  dispatch::SweepDispatcher d3(
+      std::make_unique<dispatch::ForkWorkerTransport>(tiny_sweep()),
+      std::move(opts3));
+  const SweepResult res3 = d3.run();
+  EXPECT_EQ(d3.stats().runs_resumed, 0u);
+  EXPECT_EQ(d3.stats().records_received, reference.runs.size());
+  EXPECT_EQ(res3.to_csv(), reference.to_csv());
+  // ...and the checkpoint it leaves is a version-2 one again.
+  EXPECT_EQ(parse_partial_snapshot(slurp(ckpt)).runs.size(), reference.runs.size());
   std::filesystem::remove_all(dir);
 }
 
@@ -663,8 +708,8 @@ TEST(Dispatch, DispatcherRejectsPlanSkewedWorkers) {
    public:
     using FakeTransport::FakeTransport;
     const char* name() const override { return "skew"; }
-    dispatch::PlanInfo plan() override {
-      dispatch::PlanInfo lie = FakeTransport::plan();
+    PlanInfo plan() override {
+      PlanInfo lie = FakeTransport::plan();
       lie.root_seed ^= 1;  // coordinator believes a different seed
       return lie;
     }
@@ -742,7 +787,7 @@ TEST(DispatchCrash, ChildAbortBecomesFailedReplicaWithReplayBundle) {
       << run.bundle_path;
   ASSERT_TRUE(std::filesystem::exists(run.bundle_path));
   const ReplayBundle bundle = load_replay_bundle(run.bundle_path);
-  EXPECT_EQ(bundle.failure.kind, RunFailure::Kind::kCrash);
+  EXPECT_EQ(bundle.run.failure->kind, RunFailure::Kind::kCrash);
   const SweepRun replayed = replay_run(crashing_sweep(""), bundle);
   ASSERT_TRUE(replayed.failure.has_value());
   EXPECT_EQ(replayed.failure->kind, RunFailure::Kind::kCrash);
@@ -802,10 +847,10 @@ TEST(DispatchCrash, OneIndexReplayOfHealthyRunMatchesInProcessRun) {
   // at a healthy run it must reproduce the in-process result exactly.
   const SweepConfig cfg = tiny_sweep();
   ReplayBundle bundle;
-  bundle.root_seed = cfg.root_seed;
-  bundle.repeat = cfg.repeat;
-  bundle.run_index = 3;
-  bundle.failure.kind = RunFailure::Kind::kCrash;
+  bundle.plan = plan_info_for(cfg);
+  bundle.run = SweepPlan::make(cfg).execute(3);
+  bundle.run.failure = RunFailure{};
+  bundle.run.failure->kind = RunFailure::Kind::kCrash;
   const SweepRun replayed = replay_run(cfg, bundle);
   ASSERT_TRUE(replayed.ok);
   EXPECT_EQ(scrubbed_record(replayed),
@@ -878,6 +923,70 @@ TEST(Dispatch, DegradedCellsMatchLocalRunByteForByte) {
 }
 
 // ---- checkpoint reader ----------------------------------------------------
+
+/// The line of `doc` that starts with `"plan": `, without that key and
+/// the trailing comma.
+std::string plan_line(const std::string& doc) {
+  const std::string key = "\"plan\": ";
+  const std::size_t at = doc.find(key);
+  if (at == std::string::npos) return "";
+  const std::size_t from = at + key.size();
+  const std::size_t end = doc.find(",\n", from);
+  return doc.substr(from, end - from);
+}
+
+// One sweep, one plan header: the worker's #plan line, the checkpoint's
+// "plan" and a replay bundle's "plan" are the same bytes. A bundle holds
+// no wall clock, so a dispatch worker writes the bytes a -j1 sweep does.
+TEST(DispatchCheckpoint, PlanHeaderIsByteIdenticalInEveryDocument) {
+  const std::string dir = ::testing::TempDir() + "dispatch_plan_bytes";
+  std::filesystem::remove_all(dir);
+  SweepConfig cfg = degraded_sweep();
+  cfg.bench_name = "plan_bytes";
+  cfg.failure_dir = dir + "/failures";
+  const std::string header = to_json(plan_info_for(cfg));
+
+  // The #plan line of a real worker (no assignments: it exits on EOF).
+  int ctl[2];
+  int out[2];
+  ASSERT_EQ(::pipe(ctl), 0);
+  ASSERT_EQ(::pipe(out), 0);
+  ::close(ctl[1]);
+  ASSERT_EQ(dispatch::run_worker(cfg, ctl[0], out[1]), 0);
+  ::close(ctl[0]);
+  ::close(out[1]);
+  std::string stream;
+  char buf[4096];
+  ssize_t got;
+  while ((got = read_retry(out[0], buf, sizeof buf)) > 0) {
+    stream.append(buf, static_cast<std::size_t>(got));
+  }
+  ::close(out[0]);
+  EXPECT_EQ(stream.substr(0, stream.find('\n')), "#plan " + header);
+
+  dispatch::DispatchOptions opts = fast_opts(2);
+  opts.checkpoint_path = dir + "/checkpoint.json";
+  dispatch::SweepDispatcher d(std::make_unique<dispatch::ForkWorkerTransport>(cfg),
+                              std::move(opts));
+  const SweepResult res = d.run();
+  EXPECT_EQ(plan_line(slurp(dir + "/checkpoint.json")), header);
+  ASSERT_FALSE(res.failed_runs().empty());
+  const std::string bundle = res.failed_runs().front()->bundle_path;
+  ASSERT_FALSE(bundle.empty());
+  EXPECT_EQ(plan_line(slurp(bundle)), header);
+
+  SweepConfig local = cfg;
+  local.threads = 1;
+  local.failure_dir = dir + "/local";
+  const SweepResult ref = SweepRunner(local).run();
+  ASSERT_EQ(ref.failed_runs().size(), res.failed_runs().size());
+  for (std::size_t i = 0; i < ref.failed_runs().size(); ++i) {
+    const std::string text = slurp(ref.failed_runs()[i]->bundle_path);
+    EXPECT_EQ(text, slurp(res.failed_runs()[i]->bundle_path)) << "failed run " << i;
+    EXPECT_EQ(to_json(parse_replay_bundle(text)), text);  // exact round trip
+  }
+  std::filesystem::remove_all(dir);
+}
 
 TEST(DispatchCheckpoint, CorruptCheckpointErrorNamesFileAndByteOffset) {
   const std::string dir = ::testing::TempDir() + "dispatch_corrupt_offset";

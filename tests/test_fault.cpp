@@ -399,10 +399,10 @@ TEST(ChaosSweep, ReplayBundleReproducesTheIdenticalError) {
   const core::SweepRun* failed = res.failed_runs().front();
   ASSERT_FALSE(failed->bundle_path.empty());
   const core::ReplayBundle bundle = core::load_replay_bundle(failed->bundle_path);
-  EXPECT_EQ(bundle.run_index, failed->run_index);
-  EXPECT_EQ(bundle.seed, failed->seed);
-  EXPECT_EQ(bundle.failure.kind, failed->failure->kind);
-  EXPECT_EQ(bundle.failure.sim_time_ns, failed->failure->sim_time_ns);
+  EXPECT_EQ(bundle.run.run_index, failed->run_index);
+  EXPECT_EQ(bundle.run.seed, failed->seed);
+  EXPECT_EQ(bundle.run.failure->kind, failed->failure->kind);
+  EXPECT_EQ(bundle.run.failure->sim_time_ns, failed->failure->sim_time_ns);
 
   // Re-execute against a *fresh* config (the bundle's identity overrides
   // root seed / repeat / faults) and demand the exact same error.
@@ -415,31 +415,47 @@ TEST(ChaosSweep, ReplayBundleReproducesTheIdenticalError) {
 }
 
 // A bundle exactly as `bench_chaos tick-loss --repeat 2 --failure-dir D`
-// wrote it while the watchdog timer grace was still a bundle field: the
-// reader ignores "watchdog_timer_grace_ns" (it was always the 5 ms the
-// System now hard-codes), and the failure must still reproduce to the
-// same event.
-TEST(ChaosSweep, BundleWithWatchdogGraceFieldStillReproduces) {
-  const std::string text = R"json({
-  "bench": "bench_chaos",
+// writes it: the plan header, the fault knobs and the failed run's record.
+// It must keep reproducing to the same event.
+constexpr const char* kPinnedBundle = R"json({
+  "kind": "paratick-replay-bundle",
+  "plan": {"kind": "paratick-dispatch-plan", "bench": "bench_chaos", "root_seed": "20260806", "repeat": 2, "total_runs": 4, "cells": [{"variant": "", "mode": "dynticks-idle", "tick_freq_hz": 250, "vcpus": 1, "overcommit": 1}, {"variant": "", "mode": "paratick", "tick_freq_hz": 250, "vcpus": 1, "overcommit": 1}]},
   "scenario": "tick-loss",
-  "root_seed": "20260806",
-  "repeat": 2,
-  "run_index": 0,
-  "seed": "17424753966244126401",
-  "cell": "base/dynticks-idle f=250Hz v=1 oc=1",
   "watchdog": true,
-  "watchdog_timer_grace_ns": 5000000,
   "fault": {"timer_drop_prob": 1, "timer_late_prob": 0, "timer_late_max_ns": 300000, "timer_coalesce_prob": 0, "timer_coalesce_window_ns": 800000, "tsc_drift_ppm": 0, "io_error_prob": 0, "io_spike_prob": 0, "io_spike_factor": 20, "steal_burst_prob": 0, "steal_burst_max_ns": 2000000, "tick_delay_prob": 0, "softirq_spurious_prob": 0, "softirq_drop_prob": 0},
-  "failure": {"kind": "watchdog", "expr": "timer-liveness", "file": "", "line": 0, "message": "vCPU 0 guest timer deadline 4.002ms still armed at 10.000ms — timer interrupt lost", "sim_time_ns": 10000000, "events_executed": 32}
+  "run": {"run_index": 0, "cell": 0, "replica": 0, "seed": "17424753966244126401", "executed": true, "ok": false, "host_seconds": 0, "failure": {"kind": "watchdog", "expr": "timer-liveness", "file": "", "line": 0, "message": "vCPU 0 guest timer deadline 4.002ms still armed at 10.000ms — timer interrupt lost", "sim_time_ns": 10000000, "events": 32}}
 }
 )json";
-  const core::ReplayBundle bundle = core::parse_replay_bundle(text);
+
+TEST(ChaosSweep, PinnedBundleStillReproduces) {
+  const core::ReplayBundle bundle = core::parse_replay_bundle(kPinnedBundle);
   EXPECT_EQ(bundle.scenario, "tick-loss");
-  EXPECT_EQ(bundle.failure.kind, core::RunFailure::Kind::kWatchdog);
+  EXPECT_EQ(bundle.plan.cells[bundle.run.cell].label(),
+            "base/dynticks-idle f=250Hz v=1 oc=1");
+  EXPECT_EQ(bundle.run.failure->kind, core::RunFailure::Kind::kWatchdog);
+  EXPECT_EQ(core::to_json(bundle), kPinnedBundle);  // exact round trip
   const core::SweepRun replayed = core::replay_bundle(bundle);
   std::string detail;
   EXPECT_TRUE(core::reproduces(bundle, replayed, &detail)) << detail;
+}
+
+// A bundle replayed against a grid that changed since it was written, or
+// whose run seed is not the one its index derives, would silently re-run
+// a different simulation: replay refuses it naming the field.
+TEST(ChaosSweep, BundleThatNoLongerMatchesItsGridIsRefused) {
+  const core::ReplayBundle pinned = core::parse_replay_bundle(kPinnedBundle);
+
+  core::ReplayBundle cell_edited = pinned;
+  cell_edited.plan.cells[1].tick_freq_hz = 100.0;
+  EXPECT_SIM_ERROR((void)core::replay_bundle(cell_edited), "cell 1");
+
+  core::ReplayBundle seed_edited = pinned;
+  seed_edited.run.seed += 1;
+  EXPECT_SIM_ERROR((void)core::replay_bundle(seed_edited), "seed differs");
+
+  core::ReplayBundle root_edited = pinned;
+  root_edited.plan.root_seed += 1;
+  EXPECT_SIM_ERROR((void)core::replay_bundle(root_edited), "seed differs");
 }
 
 TEST(ChaosSweep, RunTimeoutMarksCellsTimedOut) {

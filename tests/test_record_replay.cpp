@@ -15,7 +15,7 @@
 #include "core/record_replay/trace.hpp"
 #include "core/replay.hpp"
 #include "core/sweep.hpp"
-#include "core/sweep_shard.hpp"
+#include "core/run_record.hpp"
 #include "expect_error.hpp"
 #include "workload/micro.hpp"
 
@@ -407,8 +407,8 @@ TEST(RecordReplay, ChaosSweepWritesTracesNextToBundles) {
     // The bundle references its trace, and the checked replay reproduces
     // the watchdog failure with every recorded event matching.
     const ReplayBundle bundle = load_replay_bundle(run->bundle_path);
-    EXPECT_EQ(bundle.trace_path, run->trace_path);
-    const EventTrace trace = load_trace_file(bundle.trace_path);
+    EXPECT_EQ(bundle.run.trace_path, run->trace_path);
+    const EventTrace trace = load_trace_file(bundle.run.trace_path);
     EXPECT_GT(trace.count(), 0u);
 
     const ReplayCheckResult checked = check_replay(chaos_sweep(1), bundle, trace);
@@ -433,7 +433,7 @@ TEST(RecordReplay, CheckReplayPinsInjectedDivergenceToTheExactEvent) {
   const auto failed = res.failed_runs();
   ASSERT_FALSE(failed.empty());
   const ReplayBundle bundle = load_replay_bundle(failed.front()->bundle_path);
-  const EventTrace trace = load_trace_file(bundle.trace_path);
+  const EventTrace trace = load_trace_file(bundle.run.trace_path);
   ASSERT_GT(trace.count(), 8u);
 
   // Intact trace: every event matches.
@@ -466,7 +466,7 @@ TEST(RecordReplay, FaultKnobChangeDivergesFromTheRecordedTrace) {
   const auto failed = res.failed_runs();
   ASSERT_FALSE(failed.empty());
   ReplayBundle bundle = load_replay_bundle(failed.front()->bundle_path);
-  const EventTrace trace = load_trace_file(bundle.trace_path);
+  const EventTrace trace = load_trace_file(bundle.run.trace_path);
 
   bundle.fault.timer_drop_prob = 0.0;  // the watchdog kill switch, off
   const ReplayCheckResult checked = check_replay(chaos_sweep(1), bundle, trace);
@@ -476,41 +476,83 @@ TEST(RecordReplay, FaultKnobChangeDivergesFromTheRecordedTrace) {
 
 TEST(RecordReplay, CheckReplayRefusesCrashBundles) {
   ReplayBundle bundle;
-  bundle.failure.kind = RunFailure::Kind::kCrash;
+  bundle.run.failure = RunFailure{};
+  bundle.run.failure->kind = RunFailure::Kind::kCrash;
   EventTrace trace;
   trace.append(1, 0, 0);
   EXPECT_SIM_ERROR((void)check_replay(chaos_sweep(1), bundle, trace),
                    "forked child");
 }
 
+/// A well-formed bundle for run `idx` of chaos_sweep: the documents the
+/// parser tests below mutate.
+ReplayBundle chaos_bundle(std::size_t idx) {
+  const SweepConfig cfg = chaos_sweep(1);
+  ReplayBundle bundle;
+  bundle.plan = plan_info_for(cfg);
+  bundle.scenario = "tick-loss";
+  bundle.watchdog = true;
+  bundle.fault.timer_drop_prob = 1.0;
+  bundle.run.run_index = idx;
+  bundle.run.cell = idx / 2;
+  bundle.run.replica = static_cast<int>(idx % 2);
+  bundle.run.seed = derive_seed(cfg.root_seed, idx);
+  bundle.run.executed = true;
+  bundle.run.failure = RunFailure{};
+  bundle.run.failure->kind = RunFailure::Kind::kWatchdog;
+  bundle.run.failure->expr = "timer-liveness";
+  bundle.run.failure->message = "guest timer deadline still armed";
+  bundle.run.failure->sim_time_ns = 10'000'000;
+  bundle.run.failure->events_executed = 32;
+  bundle.run.trace_path = "failures/rrtest/run1.trace";
+  return bundle;
+}
+
+std::string replaced(std::string text, const std::string& from,
+                     const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
 // Seeds travel as decimal strings; trailing junk must fail naming the
 // field instead of replaying the digits before it.
 TEST(RecordReplay, MalformedBundleSeedNamesTheField) {
-  ReplayBundle bundle;
-  bundle.seed = 4242;
+  ReplayBundle bundle = chaos_bundle(1);
+  bundle.run.seed = 4242;
   const std::string text = to_json(bundle);
-  EXPECT_EQ(parse_replay_bundle(text).seed, 4242u);
-  const std::string from = "\"seed\": \"4242\"";
-  const std::size_t at = text.find(from);
-  ASSERT_NE(at, std::string::npos);
-  std::string bad = text;
-  bad.replace(at, from.size(), "\"seed\": \"42z42\"");
-  EXPECT_SIM_ERROR((void)parse_replay_bundle(bad),
-                   "replay bundle: seed: not a valid integer");
+  EXPECT_EQ(parse_replay_bundle(text).run.seed, 4242u);
+  EXPECT_SIM_ERROR(
+      (void)parse_replay_bundle(replaced(text, "\"seed\": \"4242\"",
+                                         "\"seed\": \"42z42\"")),
+      "seed: not a valid integer");
 }
 
 // A negative run index used to wrap to 2^64 - 1 and replay nothing
 // useful; it must fail naming the field.
 TEST(RecordReplay, NegativeRunIndexNamesTheField) {
-  ReplayBundle bundle;
-  bundle.run_index = 3;
-  const std::string text = to_json(bundle);
-  const std::string from = "\"run_index\": 3";
-  const std::size_t at = text.find(from);
-  ASSERT_NE(at, std::string::npos);
-  std::string bad = text;
-  bad.replace(at, from.size(), "\"run_index\": -1");
-  EXPECT_SIM_ERROR((void)parse_replay_bundle(bad), "field \"run_index\"");
+  const std::string text = to_json(chaos_bundle(3));
+  EXPECT_SIM_ERROR((void)parse_replay_bundle(replaced(text, "\"run_index\": 3",
+                                                      "\"run_index\": -1")),
+                   "field \"run_index\"");
+}
+
+// The bundle's run is read against its own plan: an index or a cell the
+// plan does not have is a SimError, never an out-of-range cell lookup.
+TEST(RecordReplay, BundleRunOutsideItsPlanIsRejected) {
+  const std::string text = to_json(chaos_bundle(3));
+  EXPECT_SIM_ERROR((void)parse_replay_bundle(replaced(text, "\"run_index\": 3",
+                                                      "\"run_index\": 4")),
+                   "run 4 (cell 1) lies outside the plan (4 runs, 2 cells)");
+  EXPECT_SIM_ERROR((void)parse_replay_bundle(replaced(text, "\"cell\": 1",
+                                                      "\"cell\": 2")),
+                   "lies outside the plan");
+  // A healthy run is no bundle.
+  ReplayBundle healthy = chaos_bundle(3);
+  healthy.run.failure.reset();
+  EXPECT_SIM_ERROR((void)parse_replay_bundle(to_json(healthy)),
+                   "the run carries no failure");
 }
 
 TEST(RecordReplay, TraceBytesIdenticalAcrossThreadsAndDispatch) {
@@ -593,22 +635,7 @@ TEST(RecordReplayFuzz, TraceAndBundleParseOrThrowSimError) {
     trace.append(1000 * static_cast<std::int64_t>(i * i), (i * 7) % 53,
                  i * 2654435761u);
   }
-  ReplayBundle bundle;
-  bundle.bench = "rrtest";
-  bundle.scenario = "tick-loss";
-  bundle.root_seed = 321;
-  bundle.repeat = 2;
-  bundle.run_index = 1;
-  bundle.seed = 0x9e3779b97f4a7c15ull;
-  bundle.cell_label = "base/dynticks-idle f=250Hz v=1 oc=1";
-  bundle.watchdog = true;
-  bundle.fault.timer_drop_prob = 1.0;
-  bundle.failure.kind = RunFailure::Kind::kWatchdog;
-  bundle.failure.expr = "timer-liveness";
-  bundle.failure.message = "guest timer deadline still armed";
-  bundle.failure.sim_time_ns = 10'000'000;
-  bundle.failure.events_executed = 32;
-  bundle.trace_path = "failures/rrtest/run1.trace";
+  const ReplayBundle bundle = chaos_bundle(1);
 
   struct Format {
     const char* name;

@@ -6,8 +6,10 @@
 #include <string>
 #include <vector>
 
+#include "core/record_replay/record_replay.hpp"
 #include "core/sweep.hpp"
 #include "core/thread_pool.hpp"
+#include "expect_error.hpp"
 #include "workload/micro.hpp"
 
 namespace paratick::core {
@@ -125,6 +127,21 @@ TEST(SweepRunner, DrillDownAccumulatorsFoldEveryRun) {
     EXPECT_EQ(cell.wakes.sum(), wakes);
     EXPECT_EQ(cell.tick_intervals_us.count(), intervals);
   }
+}
+
+// SweepConfig::observer watches one engine: the thread pool would hand
+// it to concurrent runs, and record_trace would silently replace it.
+// Both are refused instead of racing or being dropped.
+TEST(SweepRunner, ObserverIsForOneRunAndExcludesRecordTrace) {
+  record_replay::TraceRecorder recorder;
+  SweepConfig cfg = tiny_sweep(2, 1);
+  cfg.observer = &recorder;
+  EXPECT_SIM_ERROR((void)SweepRunner(cfg).run(), "execute_run");
+  EXPECT_TRUE(SweepRunner(cfg).execute_run(0).ok);  // the single-run use
+  EXPECT_GT(recorder.trace().count(), 0u);
+
+  cfg.record_trace = true;
+  EXPECT_SIM_ERROR((void)SweepRunner(cfg).execute_run(0), "record_trace");
 }
 
 TEST(SweepRunner, ReplicasUseDistinctSeeds) {
