@@ -1,13 +1,10 @@
 // Engine hot-path microbenchmarks: no hypervisor, no guest — just the
-// DES core under the three access patterns the paratick model leans on.
+// DES core under the four access patterns the paratick model leans on.
 //
 //   churn      — schedule/cancel/fire storm on the raw engine: a
 //                self-rescheduling pump posts payload-carrying events and
 //                cancels most of them before they fire (slot-map reuse,
 //                stale-id rejection, heap compaction).
-//   wheel      — timer-wheel cascade: a jiffy tick drives a TimerWheel
-//                loaded with far-future timers, so entries park in high
-//                levels and cascade down (InlineCallback relocation).
 //   reprogram  — dynticks reprogram storm: a DeadlineTimer is re-armed
 //                many times per sleep, the way NO_HZ reprograms the
 //                TSC-deadline MSR (cancel+schedule pairs per re-arm).
@@ -45,7 +42,6 @@
 
 #include "core/cli_parse.hpp"
 #include "core/history.hpp"
-#include "guest/timer_wheel.hpp"
 #include "sim/check.hpp"
 #include "hw/deadline_timer.hpp"
 #include "metrics/report.hpp"
@@ -122,54 +118,6 @@ CaseResult run_churn(std::uint64_t seed) {
   c.eng.schedule_after(sim::SimTime::ns(1), [&c] { c.pump(); });
   c.eng.run();
   return {c.eng.profile(), c.sink, 0.0};
-}
-
-// -------------------------------------------------------------- wheel ----
-
-/// Jiffy tick advancing a TimerWheel whose load is mostly far-future:
-/// level >= 1 parking on add, cascades on advance, and a cancel-heavy
-/// foreground (six of every eight adds are torn down again).
-struct WheelCase {
-  sim::Engine eng;
-  sim::Rng rng;
-  guest::TimerWheel wheel;
-  std::vector<guest::TimerWheel::TimerId> ids;
-  std::uint64_t sink = 0;
-  std::uint64_t jiffy = 0;
-  std::uint64_t last_jiffy;
-
-  WheelCase(std::uint64_t seed, std::uint64_t jiffies)
-      : rng(seed), last_jiffy(jiffies) {}
-
-  void tick() {
-    ++jiffy;
-    for (int k = 0; k < 8; ++k) {
-      const std::uint64_t v = rng.next_u64();
-      ids.push_back(wheel.add(
-          jiffy + static_cast<std::uint64_t>(rng.uniform_int(1, 100'000)),
-          [this, v] { sink ^= v; }));
-    }
-    for (int k = 0; k < 6; ++k) {
-      const auto i = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1));
-      wheel.cancel(ids[i]);  // stale ids welcome
-      ids[i] = ids.back();
-      ids.pop_back();
-    }
-    wheel.advance(jiffy);
-    sink += wheel.next_expiry().value_or(0);
-    if (jiffy < last_jiffy) {
-      eng.schedule_after(sim::SimTime::us(1000), [this] { tick(); });
-    }
-  }
-};
-
-CaseResult run_wheel(std::uint64_t seed) {
-  WheelCase w(seed, 20'000);
-  w.eng.schedule_after(sim::SimTime::us(1000), [&w] { w.tick(); });
-  w.eng.run();
-  w.sink ^= w.wheel.fired_count();
-  return {w.eng.profile(), w.sink, 0.0};
 }
 
 // ---------------------------------------------------------- reprogram ----
@@ -376,7 +324,6 @@ struct Case {
 
 constexpr Case kCases[] = {
     {"churn", run_churn},
-    {"wheel", run_wheel},
     {"reprogram", run_reprogram},
     {"partchurn", run_partchurn},
     {"barrierstorm", run_barrierstorm},

@@ -107,9 +107,9 @@ SweepConfig build_chaos_scenario(std::string_view name) {
   cfg.root_seed = 20260806;
 
   if (name == "timer-storm") {
-    // Timer-subsystem churn: a tick-storm task re-arms the wheel/hrtimer
-    // layers thousands of times while timer interrupts are being dropped,
-    // delayed and coalesced under it.
+    // Timer-subsystem churn: a tick-storm task's 200 us sleeps each queue
+    // a guest timer and reprogram the deadline timer, while timer
+    // interrupts are being dropped, delayed and coalesced under it.
     cfg.base.machine = hw::MachineSpec::small(2);
     cfg.base.vcpus = 2;
     cfg.base.max_duration = sim::SimTime::ms(500);

@@ -63,14 +63,17 @@ void TaskApi::sleep_for(sim::SimTime d) {
     auto wake = [&cpu, t] { cpu.kernel().wake_task(*t, cpu); };
     cpu.kernel().maybe_enqueue_rcu(cpu);
     if (d < 4 * cpu.tick_period()) {
-      // High-res path: the hardware must fire at the hrtimer's deadline,
-      // not at the next tick.
-      cpu.hrtimers().add(deadline, wake);
+      // High-res path: the hardware must fire at the exact deadline, not
+      // at the next tick.
+      cpu.timers().add(deadline, wake);
       cpu.push_frame([&cpu] { cpu.block_current(); });
       cpu.policy().program_hrtimer(deadline);
       return;
     }
-    cpu.wheel().add(cpu.jiffy_of(deadline), wake);
+    // Jiffy path (Linux's timer wheel): due on the last jiffy boundary at
+    // or before the deadline. Nothing is programmed here; the tick or the
+    // next idle entry's next-event query covers it.
+    cpu.timers().add(deadline - deadline % cpu.tick_period(), wake);
     cpu.block_current();
   });
   cpu.kvm().port_run(cpu.vcpu(), cpu.costs().syscall, hw::CycleCategory::kGuestKernel);
@@ -102,10 +105,6 @@ sim::SimTime GuestCpu::tick_period() const {
 }
 
 const GuestCostModel& GuestCpu::costs() const { return kernel_.config().costs; }
-
-std::uint64_t GuestCpu::jiffy_of(sim::SimTime t) const {
-  return static_cast<std::uint64_t>(t.nanoseconds() / tick_period().nanoseconds());
-}
 
 void GuestCpu::power_on() {
   push_frame([this] {
@@ -177,17 +176,15 @@ void GuestCpu::dispatch_vector(hw::Vector v) {
 void GuestCpu::expire_timers() {
   fault::FaultInjector* inj = kernel_.config().fault;
   if (inj != nullptr && inj->drop_softirq()) {
-    // Fault: the timer softirq is lost. Wheel and hrtimer entries stay
-    // pending until the next interrupt re-runs this pass (the irq-entry
-    // cost already advanced time, so re-fires terminate).
+    // Fault: the timer softirq is lost. Due timers stay queued until the
+    // next interrupt re-runs this pass (the irq-entry cost already
+    // advanced time, so re-fires terminate).
     ret();
     return;
   }
-  const std::uint64_t fired_before = wheel_.fired_count() + hrtimers_.fired_count();
-  wheel_.advance(jiffy_of(now()));
-  hrtimers_.expire(now());
-  const std::uint64_t fired =
-      wheel_.fired_count() + hrtimers_.fired_count() - fired_before;
+  const std::uint64_t fired_before = timers_.fired_count();
+  timers_.expire(now());
+  const std::uint64_t fired = timers_.fired_count() - fired_before;
   sim::Cycles c = sim::Cycles(0);
   if (fired > 0) {
     c = costs().timer_softirq + costs().per_timer_cb * static_cast<std::int64_t>(fired);
@@ -256,15 +253,7 @@ void GuestCpu::paratick_hypercall(sim::SimTime period) {
 TickCpu::IdleSnapshot GuestCpu::idle_snapshot() const {
   IdleSnapshot snap;
   snap.tick_needed = rcu_.needs_tick();
-  std::optional<sim::SimTime> next;
-  if (auto j = wheel_.next_expiry()) {
-    next = sim::SimTime::ns(static_cast<std::int64_t>(*j) *
-                            tick_period().nanoseconds());
-  }
-  if (auto h = hrtimers_.next_deadline()) {
-    if (!next || *h < *next) next = *h;
-  }
-  snap.next_event = next;
+  snap.next_event = timers_.next_deadline();
   return snap;
 }
 

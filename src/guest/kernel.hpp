@@ -18,13 +18,12 @@
 
 #include "guest/cost_model.hpp"
 #include "sim/stats.hpp"
-#include "guest/hrtimer.hpp"
 #include "guest/kernel_stack.hpp"
 #include "guest/rcu.hpp"
 #include "guest/steal_estimator.hpp"
 #include "guest/task.hpp"
 #include "guest/tick_policy.hpp"
-#include "guest/timer_wheel.hpp"
+#include "guest/timer_queue.hpp"
 #include "hv/kvm.hpp"
 #include "hv/port.hpp"
 #include "hv/vcpu.hpp"
@@ -97,8 +96,7 @@ class GuestCpu final : public hv::GuestCpuIface, public TickCpu {
   /// drives them through the Kvm::port_* verbs.
   [[nodiscard]] hv::Kvm& kvm() { return kvm_; }
   [[nodiscard]] hv::Vcpu& vcpu() { return vcpu_; }
-  [[nodiscard]] TimerWheel& wheel() { return wheel_; }
-  [[nodiscard]] HrtimerQueue& hrtimers() { return hrtimers_; }
+  [[nodiscard]] TimerQueue& timers() { return timers_; }
   [[nodiscard]] RcuState& rcu() { return rcu_; }
   [[nodiscard]] GuestKernel& kernel() { return kernel_; }
   [[nodiscard]] const StealEstimator& steal_estimator() const {
@@ -107,8 +105,6 @@ class GuestCpu final : public hv::GuestCpuIface, public TickCpu {
 
   /// Queue a wake IPI to a sibling vCPU (sent before returning to tasks).
   void queue_kick(int target_cpu);
-
-  [[nodiscard]] std::uint64_t jiffy_of(sim::SimTime t) const;
 
  private:
   friend class GuestKernel;
@@ -126,8 +122,7 @@ class GuestCpu final : public hv::GuestCpuIface, public TickCpu {
   hv::Vcpu& vcpu_;
   std::unique_ptr<TickPolicy> policy_;
 
-  TimerWheel wheel_;
-  HrtimerQueue hrtimers_;
+  TimerQueue timers_;
   RcuState rcu_;
   StealEstimator steal_estimator_;
   KernelStack stack_;

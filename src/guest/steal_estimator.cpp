@@ -11,7 +11,7 @@ void StealEstimator::arm(GuestCpu& cpu, const StealEstimatorConfig& config) {
   cpu_ = &cpu;
   config_ = config;
   expected_ = cpu.now() + config_.sample_period;
-  cpu.hrtimers().add(expected_, [this] { on_fire(); });
+  cpu.timers().add(expected_, [this] { on_fire(); });
 }
 
 void StealEstimator::on_fire() {
@@ -23,7 +23,7 @@ void StealEstimator::on_fire() {
   // with the guest's own clock, so each sample measures fresh lateness
   // instead of a compounding backlog against the original grid.
   expected_ = now + config_.sample_period;
-  cpu_->hrtimers().add(expected_, [this] { on_fire(); });
+  cpu_->timers().add(expected_, [this] { on_fire(); });
 }
 
 }  // namespace paratick::guest

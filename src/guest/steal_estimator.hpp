@@ -42,7 +42,7 @@ struct StealEstimatorConfig {
 /// gated at the noise floor, accumulates into the steal estimate.
 class StealEstimator {
  public:
-  /// Install the sampling timer on `cpu`'s hrtimer queue. Called from
+  /// Install the sampling timer on `cpu`'s timer queue. Called from
   /// GuestCpu::power_on when the config enables the estimator.
   void arm(GuestCpu& cpu, const StealEstimatorConfig& config);
 

@@ -48,7 +48,8 @@ class TaskApi {
   /// Synchronous block I/O: submit and sleep until the completion irq.
   void sync_io(const hw::IoRequest& req);
 
-  /// Sleep for `d` (hrtimer or timer-wheel backed).
+  /// Sleep for `d`: until the exact deadline if `d` is under four
+  /// ticks, else until the last jiffy boundary at or before it.
   void sleep_for(sim::SimTime d);
 
   /// Model a non-timer VM exit (page fault etc.) on this task's path.

@@ -91,7 +91,7 @@ class TickCpu {
   /// Inputs to the idle-entry decision (Figures 1b / 3c).
   struct IdleSnapshot {
     bool tick_needed = false;  // RCU or pending softirq requires ticks
-    std::optional<sim::SimTime> next_event;  // earliest soft timer / hrtimer
+    std::optional<sim::SimTime> next_event;  // earliest pending guest timer
   };
   [[nodiscard]] virtual IdleSnapshot idle_snapshot() const = 0;
 };

@@ -25,7 +25,8 @@ struct SyncStormSpec {
 void install_sync_storm(guest::GuestKernel& kernel, const SyncStormSpec& spec);
 
 /// A single task that sleeps at a fixed rate — churns the guest timer
-/// subsystem (timer-wheel/hrtimer arming) without real work.
+/// subsystem (a queued timer and a deadline reprogram per short sleep)
+/// without real work.
 struct TickStormSpec {
   sim::SimTime sleep_interval = sim::SimTime::us(200);
   int iterations = 5000;

@@ -158,10 +158,10 @@ TEST(GuestKernel, ShortSleepUsesHrtimerAndWakesOnTime) {
   EXPECT_EQ(built.system->kernel(0).task(0).blocks, 5u);
 }
 
-TEST(GuestKernel, LongSleepUsesTimerWheelJiffyGranularity) {
+TEST(GuestKernel, LongSleepWakesOnAJiffyBoundary) {
   auto built = run_with(base_spec(1), [](GuestKernel& k) {
     Program p;
-    p.sleep(SimTime::ms(40)).compute(1000);  // > 4 tick periods -> wheel
+    p.sleep(SimTime::ms(40)).compute(1000);  // >= 4 tick periods -> jiffy path
     k.add_task(make_task_body(p));
   });
   ASSERT_TRUE(built.result.completion_time().has_value());
@@ -307,7 +307,7 @@ TEST_P(InterruptedVerb, PathContinuesOnceAfterTheHandlersIret) {
   system.power_on();
 
   // Step into the MSR write exit of the sleep's hrtimer programming.
-  while (!(cpu.hrtimers().pending_count() > 0 && vcpu.state == hv::VcpuState::kInHost)) {
+  while (!(cpu.timers().pending_count() > 0 && vcpu.state == hv::VcpuState::kInHost)) {
     ASSERT_TRUE(system.engine().step());
   }
   ASSERT_FALSE(vcpu.current.active);  // a synchronous exit, not a preemption

@@ -203,6 +203,31 @@ TEST_P(RunPhaseAllocs, FioSyncIoDoesNotAllocate) {
   expect_allocation_free(run_phase(std::move(spec), SimTime::ms(5)));
 }
 
+// The guest timer path: on each vCPU one task sleeps 300 us per iteration
+// (an exact deadline with a hardware reprogram) and one sleeps 30 ms (a
+// jiffy-boundary timer), so timers are queued, expired and re-armed
+// throughout the run phase.
+TEST_P(RunPhaseAllocs, ShortAndLongSleepsDoNotAllocate) {
+  core::SystemSpec spec;
+  spec.machine = hw::MachineSpec::small(2);
+  spec.max_duration = SimTime::sec(3);
+  core::VmSpec vm;
+  vm.vcpus = 2;
+  vm.guest = guest_config();
+  vm.setup = [](guest::GuestKernel& k) {
+    Program short_sleeps;
+    short_sleeps.compute(20'000).sleep(SimTime::us(300)).repeat(20'000);
+    Program long_sleeps;
+    long_sleeps.compute(20'000).sleep(SimTime::ms(30)).repeat(100);
+    for (int cpu = 0; cpu < k.cpu_count(); ++cpu) {
+      k.add_task(make_task_body(short_sleeps), cpu);
+      k.add_task(make_task_body(long_sleeps), cpu);
+    }
+  };
+  spec.vms.push_back(std::move(vm));
+  expect_allocation_free(run_phase(std::move(spec), SimTime::ms(50)));
+}
+
 INSTANTIATE_TEST_SUITE_P(Modes, RunPhaseAllocs,
                          ::testing::Values(guest::TickMode::kPeriodic,
                                            guest::TickMode::kDynticksIdle,

@@ -311,8 +311,8 @@ std::uint64_t oracle_digest(guest::TickMode mode,
 
 // Three tasks on two vCPUs (so the tick preempts), sharing one hot lock
 // (so `critical` contends). Probability-gated I/O and faults exercise the
-// skipped-op path; Exp(10 ms) sleeps land on the hrtimer path (< 4 ticks)
-// and on the timer wheel (>= 16 ms at 250 Hz).
+// skipped-op path; Exp(10 ms) sleeps land on the exact-deadline path
+// (< 4 ticks) and on the jiffy path (>= 16 ms at 250 Hz).
 void install_every_op(guest::GuestKernel& k) {
   hw::IoRequest req;
   req.dir = hw::IoDir::kRead;
