@@ -11,15 +11,16 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <optional>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
-#include "core/experiment.hpp"
-#include "core/safe_io.hpp"
 #include "core/dispatch/protocol.hpp"
+#include "core/experiment.hpp"
 #include "core/run_record.hpp"
+#include "core/safe_io.hpp"
 #include "metrics/report.hpp"
 #include "sim/check.hpp"
 #include "sim/error.hpp"
@@ -27,10 +28,6 @@
 namespace paratick::core::dispatch {
 
 namespace {
-
-/// Minimum wall-clock gap between two checkpoint writes (the final one
-/// at shutdown is forced).
-constexpr double kCheckpointIntervalSec = 5.0;
 
 double monotonic_sec() {
   return std::chrono::duration<double>(
@@ -43,8 +40,12 @@ double monotonic_sec() {
 class Coordinator {
  public:
   Coordinator(WorkerTransport& transport, const DispatchOptions& opts,
-              SweepDispatcher::Stats& stats)
-      : transport_(transport), opts_(opts), stats_(stats) {}
+              DispatchStats& stats)
+      : transport_(transport), opts_(opts), stats_(stats) {
+    workers_ = opts_.workers != 0
+                   ? opts_.workers
+                   : std::max(1u, std::thread::hardware_concurrency());
+  }
 
   ~Coordinator() {
     for (Active& w : active_) {
@@ -62,35 +63,25 @@ class Coordinator {
     const std::size_t total = plan_.total_runs;
 
     runs_.resize(total);
-    done_.assign(total, false);
-    attempts_.assign(total, 0);
-    last_death_.assign(total, std::string());
-    wanted_.assign(total, !subset.has_value());
+    stamp_identities();
     if (subset) {
       for (const std::size_t idx : *subset) {
         PARATICK_CHECK_MSG(idx < total,
                            "dispatch: run index outside the plan");
-        wanted_[idx] = true;
       }
-    }
-    const auto target = static_cast<std::size_t>(
-        std::count(wanted_.begin(), wanted_.end(), true));
-    stamp_identities();
-    resume_from_checkpoint();
-    for (std::size_t i = 0; i < total; ++i) {
-      if (wanted_[i] && !done_[i]) pending_.push_back({i, 0.0});
+      todo_ = *subset;
+      std::sort(todo_.begin(), todo_.end());
+      todo_.erase(std::unique(todo_.begin(), todo_.end()), todo_.end());
+    } else {
+      for (std::size_t i = 0; i < total; ++i) todo_.push_back(i);
     }
 
-    while (done_count_ < target) {
+    // A run is pending, held by exactly one worker, or done: while any is
+    // not done, some worker is alive.
+    while (done_count_ < todo_.size()) {
       assign_work(monotonic_sec());
-      if (active_.empty()) {
-        // Everything unfinished is waiting out a retry backoff.
-        ::poll(nullptr, 0, 20);
-        continue;
-      }
       poll_workers(monotonic_sec());
       expire_leases(monotonic_sec());
-      maybe_checkpoint(monotonic_sec(), /*force=*/false);
     }
 
     // Every wanted run is in and no worker holds an assignment: EOF on the
@@ -103,11 +94,10 @@ class Coordinator {
       poll_workers(monotonic_sec());
       expire_leases(monotonic_sec());
     }
-    maybe_checkpoint(monotonic_sec(), /*force=*/true);
 
     SweepResult res;
     res.backend_name = "dispatch";
-    res.threads_used = opts_.workers;
+    res.threads_used = workers_;
     res.runs = std::move(runs_);
     aggregate_sweep_runs(res, plan_.cells);
     res.wall_seconds = monotonic_sec() - start;
@@ -115,17 +105,11 @@ class Coordinator {
   }
 
  private:
-  struct Pending {
-    std::size_t idx = 0;
-    double eligible_at = 0.0;  // retry backoff gate; 0 = now
-  };
-
   struct Active {
     WorkerProcess proc;
     std::optional<std::size_t> assigned;  // the one run it holds
     std::string buf;                      // partial protocol line
     double last_activity = 0.0;
-    bool got_plan = false;
     std::string killed;  // why the coordinator killed it; "" = it did not
     int status = 0;      // waitpid status, valid after reap()
   };
@@ -150,67 +134,23 @@ class Coordinator {
     }
   }
 
-  void resume_from_checkpoint() {
-    if (opts_.checkpoint_path.empty()) return;
-    if (::access(opts_.checkpoint_path.c_str(), F_OK) != 0) return;
-    PartialSnapshot snap;
-    try {
-      snap = load_partial_snapshot(opts_.checkpoint_path);
-    } catch (const sim::SimError& e) {
-      std::fprintf(stderr,
-                   "dispatch: ignoring unreadable checkpoint: %s\n",
-                   e.msg().c_str());
-      return;
-    }
-    std::string why;
-    if (!plans_match(plan_, snap.plan, &why)) {
-      std::fprintf(stderr,
-                   "dispatch: checkpoint %s belongs to a different sweep "
-                   "(%s differs); starting fresh\n",
-                   opts_.checkpoint_path.c_str(), why.c_str());
-      return;
-    }
-    for (const SweepRun& run : snap.runs) {
-      if (!run.executed || !wanted_[run.run_index] || done_[run.run_index]) {
-        continue;
-      }
-      runs_[run.run_index] = run;
-      done_[run.run_index] = true;
-      ++done_count_;
-      ++stats_.runs_resumed;
-    }
-    note("resumed %zu/%zu runs from %s", stats_.runs_resumed, runs_.size(),
-         opts_.checkpoint_path.c_str());
+  std::optional<std::size_t> take_next() {
+    if (next_ == todo_.size()) return std::nullopt;
+    return todo_[next_++];
   }
 
-  void maybe_checkpoint(double now, bool force) {
-    if (opts_.checkpoint_path.empty()) return;
-    if (!force && (!checkpoint_dirty_ ||
-                   now - last_checkpoint_ < kCheckpointIntervalSec)) {
-      return;
-    }
-    if (force && !checkpoint_dirty_) return;
-    PartialSnapshot snap{plan_, {}};
-    for (std::size_t i = 0; i < runs_.size(); ++i) {
-      if (done_[i]) snap.runs.push_back(runs_[i]);
-    }
-    write_partial_snapshot(snap, opts_.checkpoint_path);
-    checkpoint_dirty_ = false;
-    last_checkpoint_ = now;
-  }
-
-  /// Hand every idle worker its next run, then launch workers for
-  /// eligible runs nobody could take. Each launch comes with a run, so no
-  /// more workers start than there are runs left.
+  /// Hand every idle worker its next run, then launch workers for runs
+  /// nobody could take. Each launch comes with a run, so no more workers
+  /// start than there are runs left.
   void assign_work(double now) {
     for (Active& w : active_) {
       if (w.assigned || !w.killed.empty()) continue;
-      const std::optional<std::size_t> idx = take_eligible(now);
+      const std::optional<std::size_t> idx = take_next();
       if (!idx) return;
       assign(w, *idx);
     }
-    while (active_.size() < opts_.workers) {
-      const std::optional<std::size_t> idx = take_eligible(now);
+    while (active_.size() < workers_) {
+      const std::optional<std::size_t> idx = take_next();
       if (!idx) return;
       Active w;
       w.proc = transport_.launch();
@@ -220,17 +160,6 @@ class Coordinator {
       active_.push_back(std::move(w));
       assign(active_.back(), *idx);
     }
-  }
-
-  std::optional<std::size_t> take_eligible(double now) {
-    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-      if (it->eligible_at <= now) {
-        const std::size_t idx = it->idx;
-        pending_.erase(it);
-        return idx;
-      }
-    }
-    return std::nullopt;
   }
 
   void assign(Active& w, std::size_t idx) {
@@ -287,58 +216,37 @@ class Coordinator {
   }
 
   void process_line(Active& w, const std::string& line) {
-    if (line.empty()) return;
-    if (line[0] == '{') {
-      SweepRun run;
-      try {
-        run = parse_run_record(json::parse(line), plan_);
-      } catch (const sim::SimError& e) {
-        // A worker emitting garbage is as dead as one emitting nothing:
-        // kill it and let the EOF path charge its assignment.
-        protocol_error(w, "sent a corrupt record (" + e.msg() + ")");
-        return;
-      }
-      if (!w.assigned || *w.assigned != run.run_index) {
-        protocol_error(w, "sent a record for run " +
-                              std::to_string(run.run_index) +
-                              ", which it was not assigned");
-        return;
-      }
-      w.assigned.reset();
-      ++stats_.records_received;
-      accept_record(run);
-      if (opts_.test_kill_after != 0 && !test_killed_ &&
-          stats_.records_received >= opts_.test_kill_after) {
-        test_killed_ = true;
-        note("test hook: SIGKILL worker %d after record %zu",
-             static_cast<int>(w.proc.pid), stats_.records_received);
-        kill_worker(w, "killed by the test hook");
-      }
+    // "#hb": the lease was renewed when its bytes arrived.
+    if (line == "#hb") return;
+    if (line.empty() || line[0] != '{') {
+      protocol_error(w, "sent a line that is neither a record nor #hb");
       return;
     }
-    if (line.rfind("#plan ", 0) == 0) {
-      PlanInfo theirs;
-      try {
-        theirs = parse_plan_info(json::parse(line.substr(6)));
-      } catch (const sim::SimError& e) {
-        const std::string msg =
-            "dispatch: worker sent an unparseable #plan header: " + e.msg();
-        PARATICK_CHECK_MSG(false, msg.c_str());
-      }
-      std::string why;
-      if (!plans_match(plan_, theirs, &why)) {
-        const std::string msg =
-            "dispatch: worker " + std::to_string(w.proc.pid) +
-            " disagrees with the coordinator about the sweep (" + why +
-            ") — all fleet hosts must run the same binary with the same "
-            "grid flags";
-        PARATICK_CHECK_MSG(false, msg.c_str());
-      }
-      w.got_plan = true;
+    SweepRun run;
+    try {
+      run = parse_run_record(json::parse(line), plan_);
+    } catch (const sim::SimError& e) {
+      // A worker emitting garbage is as dead as one emitting nothing:
+      // kill it and let the EOF path charge its assignment.
+      protocol_error(w, "sent a corrupt record (" + e.msg() + ")");
       return;
     }
-    // "#hb", transport banner noise: lease renewal already happened on
-    // byte arrival; nothing else to do.
+    if (!w.assigned || *w.assigned != run.run_index) {
+      protocol_error(w, "sent a record for run " +
+                            std::to_string(run.run_index) +
+                            ", which it was not assigned");
+      return;
+    }
+    w.assigned.reset();
+    ++stats_.records_received;
+    accept_record(run);
+    if (opts_.test_kill_after != 0 && !test_killed_ &&
+        stats_.records_received >= opts_.test_kill_after) {
+      test_killed_ = true;
+      note("test hook: SIGKILL worker %d after record %zu",
+           static_cast<int>(w.proc.pid), stats_.records_received);
+      kill_worker(w, "killed by the test hook");
+    }
   }
 
   void protocol_error(Active& w, const std::string& what) {
@@ -347,15 +255,11 @@ class Coordinator {
     kill_worker(w, "broke the protocol");
   }
 
-  /// Record a run nobody else holds: a worker's own assignment or a
-  /// degraded run.
   void accept_record(const SweepRun& run) {
     const std::size_t idx = run.run_index;
     runs_[idx] = run;
     runs_[idx].executed = true;
-    done_[idx] = true;
     ++done_count_;
-    checkpoint_dirty_ = true;
   }
 
   void reap(Active& w) {
@@ -376,42 +280,18 @@ class Coordinator {
     reap(w);
     const bool clean =
         w.killed.empty() && WIFEXITED(w.status) && WEXITSTATUS(w.status) == 0;
-
-    // Transport sanity: workers that die without ever speaking the
-    // protocol (exec failure, wrong binary) would otherwise respawn until
-    // every run burned its retries.
-    if (!w.got_plan) {
-      if (++barren_deaths_ >= 3) {
-        PARATICK_CHECK_MSG(
-            false,
-            "dispatch: 3 consecutive workers died without a #plan header — "
-            "the worker command is broken (exec failure or not a SweepCli "
-            "binary), not the runs");
-      }
-    } else {
-      barren_deaths_ = 0;
-    }
-
     if (!clean) ++stats_.workers_died;
     if (clean && !w.assigned) return;
     const std::string cause = death_cause(w);
     note("worker %d %s%s", pid, cause.c_str(),
          w.assigned ? " holding an assignment" : "");
-    if (!w.assigned) return;
-    if (!w.got_plan) {
-      // It died before speaking the protocol, so it never started the run;
-      // the barren-death check above catches a broken worker command.
-      pending_.push_front({*w.assigned, 0.0});
-      return;
-    }
-    // Whatever the exit status, a worker gone with an assignment is
-    // charged for that run: it may be the poison pill.
-    last_death_[*w.assigned] = "worker " + cause;
-    requeue(*w.assigned);
+    // Whatever the exit status, a worker gone with an assignment costs
+    // exactly that run.
+    if (w.assigned) crash(*w.assigned, cause);
   }
 
-  /// Why a reaped worker died, for the log and for the kCrash record of a
-  /// run that exhausts its retries.
+  /// Why a reaped worker died, for the log and for the kCrash record of
+  /// the run it held.
   static std::string death_cause(const Active& w) {
     if (!w.killed.empty()) return w.killed;
     if (WIFSIGNALED(w.status)) {
@@ -422,41 +302,18 @@ class Coordinator {
                            WIFEXITED(w.status) ? WEXITSTATUS(w.status) : -1);
   }
 
-  /// Charge a failed attempt to `idx`: retry it after a backoff, or
-  /// degrade it once its attempts exceed --max-retries.
-  void requeue(std::size_t idx) {
-    ++attempts_[idx];
-    ++stats_.retries;
-    if (attempts_[idx] > opts_.max_retries) {
-      degrade(idx);
-      return;
-    }
-    double delay = 0.0;
-    if (opts_.retry_backoff_sec > 0.0) {
-      const unsigned exp = std::min(attempts_[idx] - 1u, 6u);
-      delay = opts_.retry_backoff_sec * static_cast<double>(1u << exp);
-      // Deterministic jitter in [1.0, 1.5): de-synchronizes fleet retries
-      // without making the schedule depend on wall time.
-      const std::uint64_t j =
-          derive_seed(plan_.root_seed + idx, attempts_[idx]) % 1000;
-      delay *= 1.0 + static_cast<double>(j) / 2000.0;
-    }
-    pending_.push_back({idx, delay > 0.0 ? monotonic_sec() + delay : 0.0});
-  }
-
-  void degrade(std::size_t idx) {
-    SweepRun run = runs_[idx];  // the identity stamped from the plan
-    run.executed = true;
+  /// Record run `idx` as lost with its worker: a kCrash failure carrying
+  /// the identity stamped from the plan.
+  void crash(std::size_t idx, const std::string& cause) {
+    SweepRun run = runs_[idx];
     run.ok = false;
     RunFailure f;
     f.kind = RunFailure::Kind::kCrash;
-    f.message = "dispatch: abandoned after " + std::to_string(attempts_[idx]) +
-                " failed attempts (last: " + last_death_[idx] +
+    f.message = "dispatch: lost with its worker (" + cause +
                 "); the cell is degraded, not the sweep";
     run.failure = std::move(f);
     if (opts_.bundle_writer) opts_.bundle_writer(run);
-    ++stats_.runs_degraded;
-    note("run %zu degraded after %u attempts", idx, attempts_[idx]);
+    ++stats_.runs_crashed;
     accept_record(run);
   }
 
@@ -474,37 +331,25 @@ class Coordinator {
 
   WorkerTransport& transport_;
   const DispatchOptions& opts_;
-  SweepDispatcher::Stats& stats_;
+  DispatchStats& stats_;
+  unsigned workers_ = 1;
 
   PlanInfo plan_;
   std::vector<SweepRun> runs_;
-  std::vector<bool> done_;
-  std::vector<unsigned> attempts_;
-  std::vector<std::string> last_death_;  // cause of the last charged death
-  std::vector<bool> wanted_;             // the run-index subset dispatched
-  std::deque<Pending> pending_;
+  std::vector<std::size_t> todo_;  // the wanted run indices, in order
+  std::size_t next_ = 0;           // todo_[next_] is the next to assign
   std::vector<Active> active_;
   std::size_t done_count_ = 0;
-  std::size_t barren_deaths_ = 0;
   bool test_killed_ = false;
-  bool checkpoint_dirty_ = false;
-  double last_checkpoint_ = 0.0;
 };
 
 }  // namespace
 
-SweepDispatcher::SweepDispatcher(std::unique_ptr<WorkerTransport> transport,
-                                 DispatchOptions opts)
-    : transport_(std::move(transport)), opts_(std::move(opts)) {
-  PARATICK_CHECK_MSG(transport_ != nullptr, "dispatch: null transport");
-  if (opts_.workers == 0) opts_.workers = 1;
-}
-
-SweepResult SweepDispatcher::run(
-    const std::optional<std::vector<std::size_t>>& indices) {
-  PARATICK_CHECK_MSG(!ran_, "dispatch: run() is one-shot");
-  ran_ = true;
-  Coordinator c(*transport_, opts_, stats_);
+SweepResult dispatch_sweep(WorkerTransport& transport,
+                           const DispatchOptions& opts, DispatchStats* stats,
+                           const std::optional<std::vector<std::size_t>>& indices) {
+  DispatchStats local;
+  Coordinator c(transport, opts, stats != nullptr ? *stats : local);
   return c.run(indices);
 }
 

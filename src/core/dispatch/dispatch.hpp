@@ -1,5 +1,5 @@
-// Fault-tolerant sweep dispatcher: pull-based run assignment, leases,
-// retry with backoff, and graceful degradation.
+// Sweep dispatcher: forked workers, pull-based run assignment, leases and
+// one-run crash attribution.
 //
 // The coordinator owns the full run-index space of one sweep plan and
 // hands runs to workers launched through a WorkerTransport, one at a
@@ -12,34 +12,28 @@
 //               worker's lease; a worker silent for lease_sec (30 s) is
 //               presumed wedged and SIGKILLed.
 //   attribution each worker holds at most one assignment, so a worker
-//               that exits or is killed while holding one is charged for
-//               exactly that run, whatever its exit status (retry with
-//               exponential backoff + deterministic jitter). A record
-//               for any other run is a protocol error: the worker is
-//               killed and charged the same way.
-//   degradation a run whose attempts exceed --max-retries is recorded as
-//               a kCrash failure naming the last worker death (signal,
-//               exit status or lease expiry; identity reconstructed from
-//               the plan, replay bundle synthesized via bundle_writer) and
-//               its cell degrades — the sweep still completes.
-//   checkpoint  completed records are periodically persisted as an atomic
-//               partial snapshot; a restarted dispatcher resumes from it
-//               and only re-executes the missing indices.
+//               that dies, breaks the protocol or loses its lease while
+//               holding one costs exactly that run: it becomes a kCrash
+//               record naming the cause (signal, exit status, protocol
+//               error or lease expiry), bundle_writer writes its replay
+//               bundle, and its cell degrades — the sweep still
+//               completes. Runs are deterministic in their seed, so the
+//               run is not retried: it would die again.
 //
 // Because every record round-trips exactly (%.17g) and merge order is
 // run-index order through the same aggregate_sweep_runs() as local
-// execution, a fully-completed dispatch produces CSV/JSON byte-identical
-// to a single-host -jN sweep — whatever was killed along the way.
+// execution, a dispatch in which no worker dies holding a run produces
+// CSV/JSON byte-identical to a single-process -jN sweep, however many
+// idle workers were killed along the way.
 //
 // The dispatcher is also the crash-replay path: replay_run() re-executes a
-// kCrash bundle as a one-index dispatch (one forked worker, no retries),
-// so the run is recorded and replayed through the same mechanism.
+// kCrash bundle as a one-index dispatch on one forked worker, so the run
+// is recorded and replayed through the same mechanism.
 #pragma once
 
+#include <cstddef>
 #include <functional>
-#include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "core/dispatch/transport.hpp"
@@ -48,63 +42,37 @@
 namespace paratick::core::dispatch {
 
 struct DispatchOptions {
+  /// Worker processes; 0 = hardware_concurrency, as for -j.
   unsigned workers = 2;
-  /// Extra attempts per run after the first; exceeding it degrades the
-  /// run to a kCrash record instead of failing the sweep.
-  std::size_t max_retries = 2;
   /// Lease: a worker with no protocol traffic for this long is presumed
   /// wedged and killed. Must be comfortably above the worker heartbeat.
   double lease_sec = 30.0;
-  /// Base of the exponential retry backoff (doubles per failed attempt,
-  /// with +0..50% deterministic jitter to de-synchronize a fleet).
-  double retry_backoff_sec = 0.25;
-  /// Crash-safe progress snapshot ("" = none): completed records are
-  /// periodically written here as an atomic partial snapshot, and an
-  /// existing matching snapshot is resumed from on startup.
-  std::string checkpoint_path;
   bool progress = false;
-  /// Synthesize artifacts for a degraded run (write a replay bundle, set
-  /// run.bundle_path). Workers write bundles for runs they complete; this
-  /// covers runs no worker ever managed to finish.
+  /// Write the replay bundle of a run lost with its worker (set
+  /// run.bundle_path). Workers write bundles for the failed runs they
+  /// complete; this covers the runs they die on.
   std::function<void(SweepRun&)> bundle_writer;
   /// Test hook: SIGKILL the worker that delivered the Nth record (once).
   std::size_t test_kill_after = 0;
 };
 
-class SweepDispatcher {
- public:
-  struct Stats {
-    std::size_t workers_launched = 0;
-    std::size_t workers_died = 0;      // unclean exits (signal / rc != 0)
-    std::size_t leases_expired = 0;
-    std::size_t retries = 0;           // charged re-enqueues
-    std::size_t runs_degraded = 0;     // retries exhausted
-    std::size_t records_received = 0;
-    std::size_t runs_resumed = 0;      // taken from a checkpoint snapshot
-  };
-
-  SweepDispatcher(std::unique_ptr<WorkerTransport> transport,
-                  DispatchOptions opts);
-
-  SweepDispatcher(const SweepDispatcher&) = delete;
-  SweepDispatcher& operator=(const SweepDispatcher&) = delete;
-
-  /// Execute the transport's plan to completion (one-shot): every run, or
-  /// only `indices` when given — the other slots keep their identity but
-  /// stay unexecuted, invisible to aggregation. Throws sim::SimError only
-  /// on coordinator-level faults (transport broken, worker plan mismatch,
-  /// an index outside the plan) — worker failures degrade, they don't
-  /// throw.
-  [[nodiscard]] SweepResult run(
-      const std::optional<std::vector<std::size_t>>& indices = std::nullopt);
-
-  [[nodiscard]] const Stats& stats() const { return stats_; }
-
- private:
-  std::unique_ptr<WorkerTransport> transport_;
-  DispatchOptions opts_;
-  Stats stats_;
-  bool ran_ = false;
+struct DispatchStats {
+  std::size_t workers_launched = 0;
+  std::size_t workers_died = 0;  // unclean exits (signal / rc != 0)
+  std::size_t leases_expired = 0;
+  std::size_t runs_crashed = 0;  // lost with the worker that held them
+  std::size_t records_received = 0;
 };
+
+/// Execute the transport's plan to completion: every run, or only
+/// `indices` when given — the other slots keep their identity but stay
+/// unexecuted, invisible to aggregation. `stats` (may be null) receives
+/// the supervision counters. Throws sim::SimError only on
+/// coordinator-level faults (a worker that cannot be launched, an index
+/// outside the plan) — worker failures degrade, they don't throw.
+[[nodiscard]] SweepResult dispatch_sweep(
+    WorkerTransport& transport, const DispatchOptions& opts,
+    DispatchStats* stats = nullptr,
+    const std::optional<std::vector<std::size_t>>& indices = std::nullopt);
 
 }  // namespace paratick::core::dispatch

@@ -72,7 +72,6 @@ int run_worker(const SweepConfig& cfg, int ctl_fd, int out_fd) {
 
   const SweepPlan plan = SweepPlan::make(cfg);
   LineWriter out(out_fd);
-  if (!out.write_line("#plan " + to_json(plan_info_for(cfg)))) return 1;
 
   std::mutex hb_mu;
   std::condition_variable hb_cv;

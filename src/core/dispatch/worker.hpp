@@ -2,12 +2,11 @@
 // coordinator one at a time, streaming the line protocol of
 // core/dispatch/protocol.hpp.
 //
-// A worker is deliberately dumb: it owns no retry, lease or scheduling
-// logic. It runs each `#run N` it reads, streams the exact-round-trip
-// record back, and keeps a heartbeat alive from a timer thread so the
-// coordinator's lease never expires under a long-but-healthy run. Failed
-// runs get their replay bundle written worker-side — the worker has the
-// full SweepConfig, the coordinator may not (command transports).
+// A worker is deliberately dumb: it owns no lease or scheduling logic. It
+// runs each `#run N` it reads, streams the exact-round-trip record back,
+// and keeps a heartbeat alive from a timer thread so the coordinator's
+// lease never expires under a long-but-healthy run. Failed runs get their
+// replay bundle written worker-side, as in a local sweep.
 #pragma once
 
 #include "core/sweep.hpp"

@@ -1,7 +1,6 @@
 #include "core/replay.hpp"
 
 #include <filesystem>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -167,17 +166,14 @@ SweepRun replay_run(SweepConfig cfg, const ReplayBundle& b) {
   }
   // A recorded crash (a dispatch worker died mid-run) would take the
   // replayer down too if re-executed in-process — rerun it the way the
-  // sweep ran it: a one-index dispatch on one forked worker, with no
-  // retries, so a second death degrades straight to a kCrash record.
+  // sweep ran it: a one-index dispatch on one forked worker, where a
+  // second death becomes a kCrash record again.
   if (b.run.failure && b.run.failure->kind == RunFailure::Kind::kCrash) {
     dispatch::DispatchOptions opts;
     opts.workers = 1;
-    opts.max_retries = 0;
-    dispatch::SweepDispatcher dispatcher(
-        std::make_unique<dispatch::ForkWorkerTransport>(std::move(cfg)),
-        std::move(opts));
-    SweepResult res =
-        dispatcher.run(std::vector<std::size_t>{b.run.run_index});
+    dispatch::ForkWorkerTransport transport(std::move(cfg));
+    SweepResult res = dispatch::dispatch_sweep(
+        transport, opts, nullptr, std::vector<std::size_t>{b.run.run_index});
     return std::move(res.runs[b.run.run_index]);
   }
   SweepRunner runner(std::move(cfg));

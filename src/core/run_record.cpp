@@ -6,11 +6,9 @@
 #include <vector>
 
 #include "core/cli_parse.hpp"
-#include "core/safe_io.hpp"
 #include "core/sweep_plan.hpp"
 #include "metrics/report.hpp"
 #include "sim/check.hpp"
-#include "sim/error.hpp"
 
 namespace paratick::core {
 
@@ -424,56 +422,6 @@ SweepRun parse_run_record(const json::Value& doc, const PlanInfo& plan) {
     run.result = parse_result(*result);
   }
   return run;
-}
-
-std::string to_json(const PartialSnapshot& p) {
-  std::string out = "{\n  \"kind\": \"paratick-partial-sweep\",\n  \"version\": 2,\n"
-                    "  \"plan\": " + to_json(p.plan) + ",\n  \"runs\": [\n";
-  for (std::size_t i = 0; i < p.runs.size(); ++i) {
-    out += "    ";
-    out += run_record_to_json(p.runs[i]);
-    out += i + 1 < p.runs.size() ? ",\n" : "\n";
-  }
-  out += "  ]\n}\n";
-  return out;
-}
-
-void write_partial_snapshot(const PartialSnapshot& p, const std::string& path) {
-  write_file_atomic(path, to_json(p));
-}
-
-PartialSnapshot parse_partial_snapshot(const std::string& text) {
-  const json::Value doc = json::parse(text);
-  check_object(doc, "partial snapshot");
-  const json::Value* kind = doc.find("kind");
-  PARATICK_CHECK_MSG(kind != nullptr && kind->str == "paratick-partial-sweep",
-                     "partial snapshot: wrong document kind (expected "
-                     "\"paratick-partial-sweep\" — is this a --sweep-json "
-                     "export instead of a --checkpoint file?)");
-  PARATICK_CHECK_MSG(json::num_field(doc, "version") == 2.0,
-                     "partial snapshot: unsupported version (only version 2, "
-                     "a plan header plus run records, is read)");
-  const json::Value* plan = doc.find("plan");
-  PARATICK_CHECK_MSG(plan != nullptr, "partial snapshot: missing plan");
-  PartialSnapshot p;
-  p.plan = parse_plan_info(*plan);
-  for (const json::Value& run : array_field(doc, "runs").array) {
-    p.runs.push_back(parse_run_record(run, p.plan));
-  }
-  return p;
-}
-
-PartialSnapshot load_partial_snapshot(const std::string& path) {
-  const std::string text = read_file(path, "partial snapshot");
-  try {
-    return parse_partial_snapshot(text);
-  } catch (const sim::SimError& e) {
-    const std::string msg =
-        "corrupt partial snapshot " + path + ": " + e.msg() +
-        " — delete it to regenerate the sweep from scratch";
-    PARATICK_CHECK_MSG(false, msg.c_str());
-    throw;  // unreachable; CHECK above always throws
-  }
 }
 
 }  // namespace paratick::core

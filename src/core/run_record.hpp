@@ -2,25 +2,17 @@
 // process or a later run is a plan header plus run records.
 //
 //   plan     the sweep identity (bench, root seed, repeat, run count and
-//            the cell grid). One line, byte-identical wherever it
-//            appears: a dispatch worker's `#plan` header, the "plan" of a
-//            checkpoint and the "plan" of a replay bundle.
+//            the cell grid): the "plan" of a replay bundle.
 //   record   one executed run, exact round trip: identity, failure
 //            record and full RunResult (accumulator states with %.17g
-//            doubles, histogram buckets, cycle ledgers). A worker's
-//            record line, a checkpoint's run entry and a replay bundle's
-//            failed run.
+//            doubles, histogram buckets, cycle ledgers). A dispatch
+//            worker's record line and a replay bundle's failed run.
 //
 // A record is only ever read against a plan: the parser rejects a run
 // whose index or cell lies outside it. Because the coordinator folds
 // parsed records through the same aggregate_sweep_runs() as local
 // execution, a dispatched sweep's CSV/JSON is byte-identical to a
 // single-process -jN run.
-//
-// The dispatcher's --checkpoint is the third document:
-//
-//   {"kind": "paratick-partial-sweep", "version": 2,
-//    "plan": <plan>, "runs": [<record>, ...]}
 //
 // The replay bundle (core/replay.hpp) adds the fault knobs to a plan and
 // one failed run's record.
@@ -35,8 +27,8 @@
 
 namespace paratick::core {
 
-/// The sweep identity a coordinator and its workers, a checkpoint and
-/// its resuming dispatcher, a bundle and its replayer must agree on.
+/// The sweep identity a dispatcher reads records against and a bundle
+/// and its replayer must agree on.
 struct PlanInfo {
   std::string bench;
   std::uint64_t root_seed = 0;
@@ -65,21 +57,5 @@ struct PlanInfo {
 [[nodiscard]] std::string run_record_to_json(const SweepRun& run);
 [[nodiscard]] SweepRun parse_run_record(const json::Value& doc,
                                         const PlanInfo& plan);
-
-/// The completed runs of one sweep, run-index order.
-struct PartialSnapshot {
-  PlanInfo plan;
-  std::vector<SweepRun> runs;
-};
-
-[[nodiscard]] std::string to_json(const PartialSnapshot& p);
-/// Write to `path` atomically: a coordinator killed mid-write never
-/// leaves a torn checkpoint behind.
-void write_partial_snapshot(const PartialSnapshot& p, const std::string& path);
-
-/// Parse / load a checkpoint. Throws sim::SimError on malformed documents
-/// and on other versions; load_partial_snapshot names the offending file.
-[[nodiscard]] PartialSnapshot parse_partial_snapshot(const std::string& text);
-[[nodiscard]] PartialSnapshot load_partial_snapshot(const std::string& path);
 
 }  // namespace paratick::core

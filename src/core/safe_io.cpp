@@ -33,17 +33,6 @@ bool write_all(int fd, const void* buf, std::size_t len) {
   return true;
 }
 
-std::string read_to_eof(int fd) {
-  std::string out;
-  char buf[1 << 16];
-  for (;;) {
-    const ssize_t got = read_retry(fd, buf, sizeof buf);
-    if (got <= 0) break;
-    out.append(buf, static_cast<std::size_t>(got));
-  }
-  return out;
-}
-
 void write_file_atomic(const std::string& path, const std::string& content) {
   const std::filesystem::path fs_path{path};
   // Special targets (/dev/null, pipes) cannot be renamed over — and must

@@ -7,8 +7,8 @@
 //      for a dead peer — truncating the newline-framed record stream and
 //      converting perfectly good runs into kCrash records.
 //   2. A process killed between fopen() and fclose() left a truncated
-//      checkpoint / history snapshot on disk for the next reader to
-//      choke on.
+//      export, history snapshot or replay bundle on disk for the next
+//      reader to choke on.
 //
 // The helpers here close both holes: read_retry/write_all restart on
 // EINTR (and write_all handles short writes), and write_file_atomic
@@ -32,9 +32,6 @@ namespace paratick::core {
 /// Write all `len` bytes, restarting on EINTR and short writes. Returns
 /// false on a real error (e.g. EPIPE after the reader died).
 [[nodiscard]] bool write_all(int fd, const void* buf, std::size_t len);
-
-/// Drain `fd` to EOF into a string, restarting on EINTR.
-[[nodiscard]] std::string read_to_eof(int fd);
 
 /// Crash-safe whole-file write: content goes to "<path>.tmp.<pid>" in the
 /// same directory (so rename stays atomic within one filesystem), is

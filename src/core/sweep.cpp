@@ -1,23 +1,18 @@
 #include "core/sweep.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <mutex>
 #include <thread>
 
 #include "core/cli_parse.hpp"
 #include "core/dispatch/dispatch.hpp"
 #include "core/dispatch/transport.hpp"
-#include "core/dispatch/worker.hpp"
 #include "core/history.hpp"
 #include "core/replay.hpp"
-#include "core/run_record.hpp"
 #include "core/safe_io.hpp"
 #include "core/scenarios.hpp"
 #include "core/sweep_plan.hpp"
@@ -416,7 +411,9 @@ namespace {
 /// The flags every sweep binary shares, writing into `cli`.
 std::vector<CliFlag> shared_sweep_flags(SweepCli& cli) {
   std::vector<CliFlag> flags = {
-      uint_flag("-j", "N", "worker threads (also -jN; default: all cores)",
+      uint_flag("-j", "N",
+                "worker threads, or --dispatch processes (also -jN; "
+                "default: all cores)",
                 cli.threads),
       uint_flag("--repeat", "N", "seed replicas per cell (default 1)",
                 cli.repeat),
@@ -441,7 +438,7 @@ std::vector<CliFlag> shared_sweep_flags(SweepCli& cli) {
       switch_flag("--profile", "print the engine hot-path profile",
                   cli.profile),
       text_flag("--output-dir", "D",
-                "base for relative --failure-dir/--checkpoint paths",
+                "base for a relative --failure-dir path",
                 cli.output_dir),
       switch_flag("--chaos", "default fault mix + invariant watchdog",
                   cli.chaos),
@@ -454,22 +451,9 @@ std::vector<CliFlag> shared_sweep_flags(SweepCli& cli) {
       double_flag("--run-timeout", "S", "per-run wall-clock budget in seconds",
                   cli.run_timeout_sec),
       switch_flag("--dispatch",
-                  "run the sweep through the fault-tolerant dispatcher",
+                  "run each run in one of -j forked worker processes",
                   cli.dispatch),
-      uint_flag("--workers", "N", "dispatcher worker processes (default 2)",
-                cli.dispatch_workers),
-      uint_flag("--max-retries", "N",
-                "attempts per run before its cell degrades (default 2)",
-                cli.max_retries),
-      text_flag("--dispatch-cmd", "T",
-                "launch workers via a shell template ({cmd} = worker command)",
-                cli.dispatch_cmd),
-      text_flag("--checkpoint", "P",
-                "crash-safe dispatcher snapshot, resumed from if present",
-                cli.checkpoint_path),
       uint_flag("--dispatch-test-kill", "N", nullptr, cli.dispatch_test_kill),
-      switch_flag("--worker", nullptr, cli.worker),
-      switch_flag("--worker-plan", nullptr, cli.worker_plan),
   };
   for (CliFlag& f : fault_knob_flags(cli.fault_overrides)) {
     flags.push_back(std::move(f));
@@ -482,7 +466,6 @@ std::vector<CliFlag> shared_sweep_flags(SweepCli& cli) {
 SweepCli SweepCli::parse(int argc, char** argv, std::vector<CliFlag> extra,
                          const std::vector<CliSlot>& slots) {
   SweepCli cli;
-  cli.raw_args.assign(argv, argv + argc);
   std::vector<CliFlag> flags = shared_sweep_flags(cli);
   for (CliFlag& f : extra) flags.push_back(std::move(f));
   cli.positional = parse_cli(argc, argv, flags, slots);
@@ -527,49 +510,33 @@ void SweepCli::apply(SweepConfig& cfg) const {
 
 namespace {
 
-/// The --dispatch branch of run_sweep: build the transport (forked
-/// workers by default, the relaunch-this-argv command transport when
-/// --dispatch-cmd names a launch template) and supervise the sweep
-/// through the fault-tolerant dispatcher.
+/// The --dispatch branch of run_sweep: supervise the sweep on -j forked
+/// workers.
 SweepResult run_dispatched(const SweepCli& cli, const SweepConfig& cfg) {
   dispatch::DispatchOptions opts;
-  opts.workers = cli.dispatch_workers;
-  opts.max_retries = cli.max_retries;
-  opts.checkpoint_path =
-      resolve_output_path(cfg.output_dir, cli.checkpoint_path);
+  opts.workers = cfg.threads;
   opts.progress = cfg.progress;
   opts.test_kill_after = cli.dispatch_test_kill;
 
   const std::string failure_dir =
       resolve_output_path(cfg.output_dir, cfg.failure_dir);
   if (!failure_dir.empty()) {
-    // Workers write bundles for runs they complete; this covers runs no
-    // worker ever finished (degraded after --max-retries) so the operator
-    // can still replay the abandoned index locally.
-    auto bundle_cfg = std::make_shared<SweepConfig>(cfg);
-    opts.bundle_writer = [bundle_cfg, failure_dir](SweepRun& run) {
-      run.bundle_path = write_replay_bundle(*bundle_cfg, run, failure_dir);
+    // Workers write bundles for the failed runs they complete; this covers
+    // a run lost with its worker, so it can still be replayed.
+    opts.bundle_writer = [&cfg, failure_dir](SweepRun& run) {
+      run.bundle_path = write_replay_bundle(cfg, run, failure_dir);
     };
   }
 
-  std::unique_ptr<dispatch::WorkerTransport> transport;
-  if (cli.dispatch_cmd.empty()) {
-    transport = std::make_unique<dispatch::ForkWorkerTransport>(cfg);
-  } else {
-    transport = std::make_unique<dispatch::CommandWorkerTransport>(
-        cli.raw_args, cli.dispatch_cmd);
-  }
-
-  dispatch::SweepDispatcher dispatcher(std::move(transport), std::move(opts));
-  SweepResult res = dispatcher.run();
-  const auto& st = dispatcher.stats();
+  dispatch::ForkWorkerTransport transport(cfg);
+  dispatch::DispatchStats st;
+  SweepResult res = dispatch::dispatch_sweep(transport, opts, &st);
   if (cfg.progress) {
     std::fprintf(stderr,
                  "dispatch: %zu records from %zu workers (%zu died, %zu "
-                 "leases expired, %zu retries, %zu resumed, %zu degraded)\n",
+                 "leases expired, %zu runs lost with their worker)\n",
                  st.records_received, st.workers_launched, st.workers_died,
-                 st.leases_expired, st.retries, st.runs_resumed,
-                 st.runs_degraded);
+                 st.leases_expired, st.runs_crashed);
   }
   return res;
 }
@@ -577,24 +544,9 @@ SweepResult run_dispatched(const SweepCli& cli, const SweepConfig& cfg) {
 }  // namespace
 
 SweepResult SweepCli::run_sweep(SweepConfig cfg) const {
-  // Hidden worker modes come first: the dispatcher appends these flags to
-  // a relaunched argv, so they must win over whatever mode flags (e.g.
-  // --dispatch itself) rode along in the original command line.
-  if (worker_plan) {
-    std::printf("#plan %s\n", to_json(plan_info_for(cfg)).c_str());
-    std::exit(0);
-  }
-  if (worker) {
-    try {
-      std::exit(dispatch::run_worker(cfg, STDIN_FILENO, STDOUT_FILENO));
-    } catch (const sim::SimError& e) {
-      std::fprintf(stderr, "%s\n", e.msg().c_str());
-      std::exit(2);
-    }
-  }
   if (dispatch) {
-    // Coordinator-level faults (broken worker command, fleet config skew)
-    // are environment errors, not bugs: clean CLI failure.
+    // Coordinator-level faults (a worker that cannot be forked) are
+    // environment errors, not bugs: clean CLI failure.
     try {
       return run_dispatched(*this, cfg);
     } catch (const sim::SimError& e) {

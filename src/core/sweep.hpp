@@ -7,10 +7,9 @@
 //   1. planning (core/sweep_plan.hpp): pure expansion of the grid into
 //      (cell, run_index, seed) work items;
 //   2. execution: SweepRunner runs the plan on an in-process thread pool
-//      (crash isolation is try/catch only); the fault-tolerant dispatcher
-//      (core/dispatch, --dispatch) is the one out-of-process path, with
-//      forked or command-launched workers, per-run crash attribution and
-//      multi-host fleets;
+//      (crash isolation is try/catch only); the dispatcher (core/dispatch,
+//      --dispatch) is the one out-of-process path: forked workers, each
+//      crash costing exactly the run it hit;
 //   3. merge (aggregate_sweep_runs below): fold executed runs — local or
 //      streamed back by dispatch workers — into per-cell summaries via
 //      Accumulator::merge.
@@ -41,8 +40,8 @@
 namespace paratick::core {
 
 /// Resolve a sweep file output against an output directory: relative
-/// paths land under it instead of whatever CWD the (possibly forked or
-/// remote) worker process happens to have. Absolute paths pass through.
+/// paths land under it instead of the current directory. Absolute paths
+/// pass through.
 [[nodiscard]] std::string resolve_output_path(const std::string& output_dir,
                                               const std::string& path);
 
@@ -72,9 +71,8 @@ struct SweepConfig {
   unsigned threads = 0;                  // 0 = hardware_concurrency
   bool progress = false;                 // per-run timing lines on stderr
 
-  /// Base directory for the sweep's file outputs: relative failure_dir
-  /// (and the dispatcher's --checkpoint) resolve against it, not the CWD,
-  /// so dispatch workers never scatter artifacts. Empty = CWD.
+  /// Base directory for the sweep's file outputs: a relative failure_dir
+  /// resolves against it, not the CWD. Empty = CWD.
   std::string output_dir;
 
   /// Chaos injection: applied to every run when any rate is nonzero. The
@@ -128,7 +126,7 @@ struct RunFailure {
     kWatchdog,   // watchdog invariant breach (SimError)
     kTimeout,    // per-run wall-clock budget exceeded (SimError)
     kException,  // any other std::exception
-    kCrash,      // dispatch worker died mid-run (signal, exit, lease expiry)
+    kCrash,      // dispatch worker lost mid-run (signal, exit, protocol, lease)
     kDivergence, // a replayed run stopped matching its recorded trace
   };
   Kind kind = Kind::kException;
@@ -264,7 +262,7 @@ struct SweepResult {
 /// (grid order) into res.cells, then fold res.runs into them strictly in
 /// run-index order. Used identically by SweepRunner::run() after local
 /// execution and by the dispatcher on worker records — one code path is
-/// what makes dispatched results bit-identical to single-host runs.
+/// what makes dispatched results bit-identical to local runs.
 void aggregate_sweep_runs(SweepResult& res, const std::vector<SweepCellKey>& keys);
 
 class SweepRunner {
@@ -289,9 +287,9 @@ class SweepRunner {
 
 /// Shared CLI for the sweep-driven bench/example binaries: threads,
 /// replicas, seed, exports, history, chaos and dispatch flags, listed with
-/// one help line each by `<binary> --help`. The dispatcher appends the
-/// hidden --worker / --worker-plan flags when it relaunches a binary as
-/// a worker; --dispatch-test-kill is a test hook.
+/// one help line each by `<binary> --help`. -j N sizes the thread pool,
+/// or with --dispatch the number of forked workers; the hidden
+/// --dispatch-test-kill is a test hook.
 struct SweepCli {
   unsigned threads = 0;
   int repeat = 1;
@@ -312,18 +310,9 @@ struct SweepCli {
   /// (--fault-<knob>, value) pairs in CLI order; applied over --chaos
   /// defaults so individual rates can be overridden.
   std::vector<std::pair<std::string, double>> fault_overrides;
-  // Distributed dispatch (core/dispatch).
+  // Out-of-process execution on forked workers (core/dispatch).
   bool dispatch = false;
-  unsigned dispatch_workers = 2;
-  std::size_t max_retries = 2;
-  std::string dispatch_cmd;        // worker launch template; "" = fork()
-  std::string checkpoint_path;
   std::size_t dispatch_test_kill = 0;
-  bool worker = false;             // hidden worker mode (serve #run N on stdin)
-  bool worker_plan = false;        // hidden worker mode (print plan header)
-  /// The full argv this CLI was parsed from: what a command transport
-  /// relaunches (with the hidden worker flags appended) on other hosts.
-  std::vector<std::string> raw_args;
   std::vector<std::string> positional;
 
   /// Parse the shared flags plus the binary's own `extra` flags and
@@ -336,9 +325,9 @@ struct SweepCli {
   /// Copy the flags onto a config (root_seed only if given on the CLI).
   void apply(SweepConfig& cfg) const;
 
-  /// The one-call driver entry point: with --dispatch, supervise cfg
-  /// through the dispatcher; otherwise plan + execute it on the local
-  /// thread pool. Either way the returned result feeds the bench's normal
+  /// The one-call driver entry point: with --dispatch, run cfg on -j
+  /// forked workers through the dispatcher; otherwise plan + execute it
+  /// on the local thread pool. Either way the returned result feeds the bench's normal
   /// table rendering and exports.
   [[nodiscard]] SweepResult run_sweep(SweepConfig cfg) const;
 

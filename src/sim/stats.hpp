@@ -30,8 +30,8 @@ class Accumulator {
   /// Merge another accumulator into this one (parallel-combine form).
   void merge(const Accumulator& other);
 
-  /// Raw Welford state, for exact serialization across process/host
-  /// boundaries (dispatch worker records, checkpoints). Round-tripping
+  /// Raw Welford state, for exact serialization across process
+  /// boundaries (dispatch worker records, replay bundles). Round-tripping
   /// through state()/from_state reproduces the accumulator bit-for-bit,
   /// which is what keeps dispatched sweeps byte-identical to local runs.
   struct State {

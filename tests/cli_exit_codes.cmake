@@ -8,14 +8,9 @@
 cmake_minimum_required(VERSION 3.16)
 
 # Run `bin args...`; its exit code must be `code` and its stdout+stderr
-# must match `pattern` (if not empty). Its stdin is the file named by
-# `expect_input`, when set.
+# must match `pattern` (if not empty).
 function(expect code pattern bin)
-  set(input)
-  if(DEFINED expect_input)
-    set(input INPUT_FILE "${expect_input}")
-  endif()
-  execute_process(COMMAND ${bin} ${ARGN} ${input} RESULT_VARIABLE rc
+  execute_process(COMMAND ${bin} ${ARGN} RESULT_VARIABLE rc
                   OUTPUT_VARIABLE out ERROR_VARIABLE err)
   get_filename_component(name "${bin}" NAME)
   if(NOT rc STREQUAL "${code}")
@@ -30,8 +25,7 @@ set(benches
   bench_ablation_features bench_ablation_tickfreq bench_ablation_crossover
   bench_ablation_overcommit bench_ablation_costmodel bench_ablation_nohzfull
   bench_ablation_device bench_ablation_latency_tail bench_ablation_tick_jitter
-  bench_microbench bench_cluster bench_diff bench_chaos bench_replay
-  sweep_dispatch)
+  bench_microbench bench_cluster bench_diff bench_chaos bench_replay)
 set(examples
   quickstart exit_breakdown io_latency consolidation tick_freq_mismatch
   trace_timeline)
@@ -114,25 +108,6 @@ expect(2 "missing bundle" "${BENCH_DIR}/bench_replay" --quiet)
 expect(2 "unknown flag --bisect.*--help +print this listing" "${BENCH_DIR}/bench_replay"
        --bisect bundle.json)
 
-expect(2 "missing command" "${BENCH_DIR}/sweep_dispatch" --workers 2)
-expect(2 "command must follow --" "${BENCH_DIR}/sweep_dispatch"
-       --workers 2 ./bench_table1 --repeat 4)
-expect(2 "--workers: not a valid integer" "${BENCH_DIR}/sweep_dispatch"
-       --workers many -- true)
-
-# A dispatch worker (the hidden --worker mode) reads `#run N` assignments
-# on stdin: EOF is a clean exit, and a line that does not parse or names a
-# run outside the plan exits 2 naming the field.
-function(expect_worker code pattern input)
-  set(expect_input "${CMAKE_CURRENT_BINARY_DIR}/cli_exit_codes_worker_stdin.txt")
-  file(WRITE "${expect_input}" "${input}")
-  expect(${code} "${pattern}" "${BENCH_DIR}/bench_table1" --worker --quiet)
-endfunction()
-expect_worker(0 "#plan " "")
-expect_worker(2 "#run: not a valid integer" "#run 1x\n")
-expect_worker(2 "#run: run index 999999 is outside the plan" "#run 999999\n")
-expect_worker(2 "#run: expected an assignment" "#limit 1\n")
-
 foreach(e quickstart io_latency tick_freq_mismatch)
   expect(2 "unexpected argument 'stray'" "${EXAMPLE_DIR}/${e}" stray)
 endforeach()
@@ -188,6 +163,6 @@ foreach(f IN LISTS help_flags)
   endif()
 endforeach()
 list(LENGTH help_flags n)
-if(n LESS 20)
+if(n LESS 19)
   message(SEND_ERROR "parsed only ${n} flags from bench_table1 --help")
 endif()

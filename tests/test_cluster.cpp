@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <set>
 #include <string>
 
@@ -279,10 +278,8 @@ TEST(ClusterSweep, DispatchLeavesExportsByteIdentical) {
   const SweepResult a = SweepRunner(cluster_sweep(2)).run();
   dispatch::DispatchOptions opts;
   opts.workers = 3;
-  dispatch::SweepDispatcher d(
-      std::make_unique<dispatch::ForkWorkerTransport>(cluster_sweep(1)),
-      std::move(opts));
-  const SweepResult b = d.run();
+  dispatch::ForkWorkerTransport transport(cluster_sweep(1));
+  const SweepResult b = dispatch::dispatch_sweep(transport, opts);
   EXPECT_EQ(b.backend_name, "dispatch");
   EXPECT_EQ(a.to_csv(), b.to_csv());
 }

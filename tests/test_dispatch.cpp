@@ -1,10 +1,9 @@
-// Fault-tolerance tests for the distributed sweep dispatcher
-// (core/dispatch): the pull protocol's wire formats (strict parsing and a
-// deterministic mutation fuzz), byte-identity of dispatched results
-// against local execution, retry after a SIGKILLed worker, protocol
-// errors, graceful degradation after --max-retries, lease expiry on
-// wedged workers, checkpoint resume, run subsets, and crash isolation +
-// crash replay of runs that abort().
+// Fault tests for the sweep dispatcher (core/dispatch): the pull
+// protocol's wire formats (strict parsing and a deterministic mutation
+// fuzz), byte-identity of dispatched results against local execution, a
+// SIGKILLed idle worker, and the one-run cost of a worker that breaks the
+// protocol, exits or loses its lease while it holds a run; run subsets,
+// and crash isolation + crash replay of runs that abort().
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -15,7 +14,6 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <memory>
 #include <random>
 #include <string>
 #include <utility>
@@ -68,18 +66,16 @@ SweepConfig tiny_sweep(int repeat = 2) {
 dispatch::DispatchOptions fast_opts(unsigned workers) {
   dispatch::DispatchOptions opts;
   opts.workers = workers;
-  opts.retry_backoff_sec = 0.01;  // tests should not sit out real backoffs
   return opts;
 }
 
-/// Fork a fake worker that speaks the pull protocol: it sends `header` as
-/// its #plan line, then calls `serve(idx, put)` for every `#run N` it
-/// reads from its control pipe, and exits 0 on EOF, as a real worker does.
-/// `put` writes one protocol line. Every fake transport below is built on
-/// this, so each differs from a real worker only in what `serve` does.
+/// Fork a fake worker that speaks the pull protocol: it calls
+/// `serve(idx, put)` for every `#run N` it reads from its control pipe,
+/// and exits 0 on EOF, as a real worker does. `put` writes one protocol
+/// line. Every fake transport below is built on this, so each differs
+/// from a real worker only in what `serve` does.
 template <typename Serve>
-dispatch::WorkerProcess fork_fake_worker(const PlanInfo& header,
-                                         Serve serve) {
+dispatch::WorkerProcess fork_fake_worker(std::size_t run_count, Serve serve) {
   int out[2];
   int ctl[2];
   if (::pipe(out) != 0 || ::pipe(ctl) != 0) std::abort();
@@ -91,7 +87,6 @@ dispatch::WorkerProcess fork_fake_worker(const PlanInfo& header,
       const std::string framed = line + "\n";
       if (!write_all(out[1], framed.data(), framed.size())) std::_Exit(1);
     };
-    put("#plan " + to_json(header));
     std::string line;
     char c;
     while (read_retry(ctl[0], &c, 1) == 1) {
@@ -101,7 +96,7 @@ dispatch::WorkerProcess fork_fake_worker(const PlanInfo& header,
       }
       std::size_t idx = 0;
       try {
-        idx = dispatch::parse_assignment(line, header.total_runs);
+        idx = dispatch::parse_assignment(line, run_count);
       } catch (...) {
         std::_Exit(2);  // never unwind into the test's own frames
       }
@@ -150,7 +145,7 @@ TEST(DispatchPlan, HeaderRoundTripsAndDetectsSkew) {
   EXPECT_EQ(parsed.bench, "test_bench");
   EXPECT_EQ(parsed.root_seed, 77u);
 
-  // A fleet host running skewed flags must be detected field by field.
+  // A bundle from a changed grid must be detected field by field.
   PlanInfo skewed = plan;
   skewed.root_seed = 78;
   EXPECT_FALSE(plans_match(plan, skewed, &why));
@@ -211,14 +206,6 @@ TEST(DispatchProtocol, MalformedU64StringsNameTheField) {
                          tiny_sweep()),
       "seed: not a valid integer");
 
-  const PartialSnapshot ckpt{plan_info_for(tiny_sweep()), {run}};
-  const std::string snapshot = to_json(ckpt);
-  EXPECT_EQ(parse_partial_snapshot(snapshot).plan.root_seed, 77u);
-  EXPECT_SIM_ERROR(
-      (void)parse_partial_snapshot(garble(snapshot, "\"root_seed\": \"77\"",
-                                          "\"root_seed\": \"7x7\"")),
-      "root_seed: not a valid integer");
-
   const std::string plan = to_json(plan_info_for(tiny_sweep()));
   EXPECT_SIM_ERROR(
       (void)parse_plan_info(json::parse(garble(plan, "\"root_seed\": \"77\"",
@@ -240,11 +227,6 @@ TEST(DispatchProtocol, RecordOutsideThePlanIsRejected) {
       (void)parse_record(garble(record, "\"cell\": 3", "\"cell\": 4"),
                          tiny_sweep()),
       "lies outside the plan");
-
-  const std::string snapshot = to_json(PartialSnapshot{plan_info_for(tiny_sweep()), {run}});
-  EXPECT_SIM_ERROR((void)parse_partial_snapshot(
-                       garble(snapshot, "\"run_index\": 7", "\"run_index\": 8")),
-                   "lies outside the plan");
 }
 
 // An assignment is "#run N" with N inside the plan, nothing else: "#run 0x"
@@ -303,8 +285,8 @@ TEST(DispatchProtocol, WorkerRejectsMalformedAndOutOfPlanAssignments) {
                    "too long");
 }
 
-// The JSON reader behind records, #plan headers, checkpoints, replay
-// bundles and history snapshots bounds its recursion and rejects short
+// The JSON reader behind records, plan headers, replay bundles and
+// history snapshots bounds its recursion and rejects short
 // \u escapes; the inf/nan tokens %.17g writes for empty accumulators
 // still parse.
 TEST(DispatchProtocol, JsonReaderBoundsNestingAndEscapes) {
@@ -331,16 +313,15 @@ TEST(DispatchProtocol, JsonReaderBoundsNestingAndEscapes) {
   EXPECT_EQ(nums.array[3].type, json::Value::Type::kNull);
 }
 
-// Deterministic mutation fuzz of the four sweep documents (#plan header,
-// run record, checkpoint, #run line): every
-// byte-flipped, truncated or spliced input must parse or throw SimError.
+// Deterministic mutation fuzz of the three sweep documents (plan header,
+// run record, #run line): every byte-flipped, truncated or spliced input
+// must parse or throw SimError.
 // Any other exception fails here; UB or a crash fails the sanitizer build.
 TEST(DispatchFuzz, WireFormatsParseOrThrowSimError) {
   const SweepConfig cfg = tiny_sweep(1);
   const SweepRunner runner(cfg);
   const SweepRun storm = runner.execute_run(2);
-  const PartialSnapshot snap{plan_info_for(cfg), {runner.execute_run(0), storm}};
-  const PlanInfo plan = snap.plan;
+  const PlanInfo plan = plan_info_for(cfg);
   const std::size_t runs = plan.total_runs;
   struct Format {
     const char* name;
@@ -348,12 +329,10 @@ TEST(DispatchFuzz, WireFormatsParseOrThrowSimError) {
     std::function<void(const std::string&)> parse;
   };
   const std::vector<Format> formats = {
-      {"#plan", to_json(plan),
+      {"plan", to_json(plan),
        [](const std::string& s) { (void)parse_plan_info(json::parse(s)); }},
       {"record", run_record_to_json(storm),
        [plan](const std::string& s) { (void)parse_run_record(json::parse(s), plan); }},
-      {"snapshot", to_json(snap),
-       [](const std::string& s) { (void)parse_partial_snapshot(s); }},
       {"#run", dispatch::assignment_line(3),
        [runs](const std::string& s) { (void)dispatch::parse_assignment(s, runs); }},
   };
@@ -409,28 +388,26 @@ TEST(DispatchFuzz, WireFormatsParseOrThrowSimError) {
 TEST(Dispatch, ForkWorkersMatchLocalRunByteForByte) {
   const SweepResult reference = SweepRunner(tiny_sweep()).run();
 
-  auto transport =
-      std::make_unique<dispatch::ForkWorkerTransport>(tiny_sweep());
-  dispatch::SweepDispatcher d(std::move(transport), fast_opts(3));
-  const SweepResult res = d.run();
+  dispatch::ForkWorkerTransport transport(tiny_sweep());
+  dispatch::DispatchStats st;
+  const SweepResult res = dispatch::dispatch_sweep(transport, fast_opts(3), &st);
 
   EXPECT_EQ(res.to_csv(), reference.to_csv());
   EXPECT_EQ(res.to_json(), reference.to_json());
-  EXPECT_EQ(d.stats().records_received, reference.runs.size());
-  EXPECT_EQ(d.stats().runs_degraded, 0u);
+  EXPECT_EQ(st.records_received, reference.runs.size());
+  EXPECT_EQ(st.runs_crashed, 0u);
   // Workers pull run after run: three launches serve all eight, and each
   // exits cleanly when its control line closes.
-  EXPECT_EQ(d.stats().workers_launched, 3u);
-  EXPECT_EQ(d.stats().workers_died, 0u);
+  EXPECT_EQ(st.workers_launched, 3u);
+  EXPECT_EQ(st.workers_died, 0u);
 }
 
 TEST(Dispatch, LaunchesNoMoreWorkersThanRuns) {
   const SweepResult reference = SweepRunner(tiny_sweep(1)).run();  // 4 runs
-  dispatch::SweepDispatcher d(
-      std::make_unique<dispatch::ForkWorkerTransport>(tiny_sweep(1)),
-      fast_opts(8));
-  const SweepResult res = d.run();
-  EXPECT_EQ(d.stats().workers_launched, 4u);
+  dispatch::ForkWorkerTransport transport(tiny_sweep(1));
+  dispatch::DispatchStats st;
+  const SweepResult res = dispatch::dispatch_sweep(transport, fast_opts(8), &st);
+  EXPECT_EQ(st.workers_launched, 4u);
   EXPECT_EQ(res.to_csv(), reference.to_csv());
 }
 
@@ -440,130 +417,172 @@ TEST(Dispatch, LaunchesNoMoreWorkersThanRuns) {
 class PacedTransport final : public FakeTransport {
  public:
   using FakeTransport::FakeTransport;
-  const char* name() const override { return "paced"; }
   dispatch::WorkerProcess launch() override {
-    return fork_fake_worker(plan(), [this](std::size_t idx, const auto& put) {
-      put(record(idx));
-      ::usleep(30'000);
-    });
+    return fork_fake_worker(plan().total_runs,
+                            [this](std::size_t idx, const auto& put) {
+                              put(record(idx));
+                              ::usleep(30'000);
+                            });
   }
 };
 
-TEST(Dispatch, WorkerKilledMidSweepRetriesAndStaysByteIdentical) {
+// The test hook kills the worker right after it delivers a record, while
+// it holds nothing: no run is lost, a fresh worker takes its place, and
+// the output stays byte-identical.
+TEST(Dispatch, WorkerKilledBetweenRunsIsReplacedAndStaysByteIdentical) {
   const SweepResult reference = SweepRunner(tiny_sweep()).run();
 
   dispatch::DispatchOptions opts = fast_opts(2);
   opts.test_kill_after = 3;  // SIGKILL the worker that delivers record 3
-  dispatch::SweepDispatcher d(std::make_unique<PacedTransport>(tiny_sweep()),
-                              std::move(opts));
-  const SweepResult res = d.run();
+  PacedTransport transport(tiny_sweep());
+  dispatch::DispatchStats st;
+  const SweepResult res = dispatch::dispatch_sweep(transport, opts, &st);
 
-  EXPECT_EQ(d.stats().workers_died, 1u);
-  EXPECT_EQ(d.stats().workers_launched, 3u);  // the killed one is replaced
-  EXPECT_EQ(d.stats().runs_degraded, 0u);
+  EXPECT_EQ(st.workers_died, 1u);
+  EXPECT_EQ(st.workers_launched, 3u);  // the killed one is replaced
+  EXPECT_EQ(st.runs_crashed, 0u);
   EXPECT_EQ(res.to_csv(), reference.to_csv());
   EXPECT_EQ(res.to_json(), reference.to_json());
 }
 
-// ---- protocol errors ------------------------------------------------------
+// ---- a lost worker costs exactly its run ----------------------------------
 
-/// The first worker answers every assignment with the record of the next
-/// run index; later launches are honest.
-class GarbledTransport final : public FakeTransport {
- public:
-  using FakeTransport::FakeTransport;
-  const char* name() const override { return "garbled"; }
-  dispatch::WorkerProcess launch() override {
-    if (launched_++ > 0) return honest_worker();
-    const PlanInfo header = plan();
-    return fork_fake_worker(header, [this, header](std::size_t idx,
-                                                   const auto& put) {
-      put(record((idx + 1) % header.total_runs));
-    });
-  }
-
- private:
-  int launched_ = 0;
-};
-
-TEST(Dispatch, RecordForUnassignedRunKillsWorkerAndStaysByteIdentical) {
-  const SweepResult reference = SweepRunner(tiny_sweep()).run();
-
-  dispatch::SweepDispatcher d(
-      std::make_unique<GarbledTransport>(tiny_sweep()), fast_opts(1));
-  const SweepResult res = d.run();
-
-  // The record is dropped, the worker killed and charged its assignment,
-  // which a fresh worker then runs.
-  EXPECT_EQ(d.stats().workers_died, 1u);
-  EXPECT_EQ(d.stats().retries, 1u);
-  EXPECT_EQ(d.stats().runs_degraded, 0u);
-  EXPECT_EQ(d.stats().records_received, reference.runs.size());
-  EXPECT_EQ(res.to_csv(), reference.to_csv());
-  EXPECT_EQ(res.to_json(), reference.to_json());
+/// Run record with its wall-clock fields zeroed, for exact comparison.
+std::string scrubbed_record(SweepRun run) {
+  run.host_seconds = 0.0;
+  run.result.engine_wall_ns = 0;
+  return run_record_to_json(run);
 }
 
-// ---- graceful degradation -------------------------------------------------
-
-/// Workers that take their first assignment and then exit — every
-/// attempt, forever. Nothing ever completes.
-class AlwaysCrashTransport final : public FakeTransport {
- public:
-  using FakeTransport::FakeTransport;
-  const char* name() const override { return "always-crash"; }
-  dispatch::WorkerProcess launch() override {
-    return fork_fake_worker(plan(), [](std::size_t, const auto&) {
-      std::_Exit(1);  // crashed mid-run, as far as the coordinator knows
-    });
-  }
-};
-
-TEST(Dispatch, RetriesExhaustedDegradeCellsInsteadOfFailing) {
-  SweepConfig cfg = tiny_sweep(1);  // 4 runs: keeps the crash loop short
-  dispatch::DispatchOptions opts = fast_opts(2);
-  opts.max_retries = 1;
-  std::size_t bundles = 0;
+/// Options whose bundle writer stamps a synthetic bundle path on every
+/// run lost with its worker, counting them in `bundles`.
+dispatch::DispatchOptions counting_bundles(unsigned workers,
+                                           std::size_t& bundles) {
+  dispatch::DispatchOptions opts = fast_opts(workers);
   opts.bundle_writer = [&bundles](SweepRun& run) {
     run.bundle_path = "synth" + std::to_string(run.run_index) + ".json";
     ++bundles;
   };
+  return opts;
+}
 
-  dispatch::SweepDispatcher d(std::make_unique<AlwaysCrashTransport>(cfg),
-                              std::move(opts));
-  const SweepResult res = d.run();  // completes; does NOT throw
-
-  EXPECT_EQ(d.stats().runs_degraded, res.runs.size());
-  // Each death is charged to exactly the run its worker held.
-  EXPECT_EQ(d.stats().retries, 2 * res.runs.size());
-  EXPECT_EQ(bundles, res.runs.size());
-  EXPECT_EQ(res.degraded_cell_count(), res.cells.size());
+/// Run `lost` of `res` is a kCrash record whose message names `cause`,
+/// with a bundle and the identity stamped from the plan; every other run
+/// equals the local -j1 run, wall clock aside.
+void expect_only_run_lost(const SweepResult& res, const SweepConfig& cfg,
+                          std::size_t lost, const std::string& cause) {
+  SweepConfig local_cfg = cfg;
+  local_cfg.threads = 1;
+  const SweepResult local = SweepRunner(local_cfg).run();
+  ASSERT_EQ(res.runs.size(), local.runs.size());
   for (const SweepRun& run : res.runs) {
+    if (run.run_index != lost) {
+      EXPECT_EQ(scrubbed_record(run), scrubbed_record(local.runs[run.run_index]))
+          << "run " << run.run_index;
+      continue;
+    }
     EXPECT_TRUE(run.executed);
     EXPECT_FALSE(run.ok);
     ASSERT_TRUE(run.failure.has_value());
     EXPECT_EQ(run.failure->kind, RunFailure::Kind::kCrash);
-    EXPECT_NE(run.failure->message.find("abandoned"), std::string::npos);
-    // The last worker death's cause rides along in the record.
-    EXPECT_NE(run.failure->message.find("exited with status 1"),
-              std::string::npos)
+    EXPECT_NE(run.failure->message.find(cause), std::string::npos)
         << run.failure->message;
-    EXPECT_FALSE(run.bundle_path.empty());
-    // Identity survives even though no worker ever reported the run.
-    EXPECT_EQ(run.seed, derive_seed(77, run.run_index));
+    EXPECT_EQ(run.bundle_path, "synth" + std::to_string(lost) + ".json");
+    EXPECT_EQ(run.seed, derive_seed(cfg.root_seed, lost));
+  }
+  EXPECT_EQ(res.degraded_cell_count(), 1u);
+}
+
+/// The first worker answers its assignment with `garbage(idx)`; later
+/// launches are honest.
+class GarbledTransport final : public FakeTransport {
+ public:
+  GarbledTransport(SweepConfig cfg,
+                   std::function<std::string(std::size_t)> garbage)
+      : FakeTransport(std::move(cfg)), garbage_(std::move(garbage)) {}
+  dispatch::WorkerProcess launch() override {
+    if (launched_++ > 0) return honest_worker();
+    return fork_fake_worker(plan().total_runs,
+                            [this](std::size_t idx, const auto& put) {
+                              put(garbage_(idx));
+                            });
+  }
+
+ private:
+  std::function<std::string(std::size_t)> garbage_;
+  int launched_ = 0;
+};
+
+TEST(Dispatch, ProtocolErrorCostsExactlyTheHeldRun) {
+  const SweepConfig cfg = tiny_sweep();
+  const std::size_t runs = plan_info_for(cfg).total_runs;
+  const std::vector<std::pair<const char*, std::function<std::string(std::size_t)>>>
+      garbage = {
+          // A record, but for a run the worker was not assigned.
+          {"record for the next run",
+           [&](std::size_t idx) {
+             return run_record_to_json(SweepPlan::make(cfg).execute((idx + 1) % runs));
+           }},
+          {"corrupt record", [](std::size_t) { return std::string("{\"run_index\": "); }},
+          {"unknown line", [](std::size_t) { return std::string("#plan {}"); }},
+      };
+  for (const auto& [what, line] : garbage) {
+    SCOPED_TRACE(what);
+    std::size_t bundles = 0;
+    GarbledTransport transport(cfg, line);
+    dispatch::DispatchStats st;
+    const SweepResult res =
+        dispatch::dispatch_sweep(transport, counting_bundles(1, bundles), &st);
+
+    // The first worker held run 0: it is killed and charged exactly that
+    // run, and a fresh worker serves the other seven.
+    expect_only_run_lost(res, cfg, 0, "broke the protocol");
+    EXPECT_EQ(st.workers_died, 1u);
+    EXPECT_EQ(st.runs_crashed, 1u);
+    EXPECT_EQ(bundles, 1u);
+    EXPECT_EQ(st.records_received, runs - 1);
   }
 }
 
-// ---- lease expiry ---------------------------------------------------------
+/// Every worker exits 1 when it is assigned run `kPoison`, as a run that
+/// crashes its process would, and serves every other run honestly.
+class AlwaysCrashTransport final : public FakeTransport {
+ public:
+  static constexpr std::size_t kPoison = 2;
+  using FakeTransport::FakeTransport;
+  dispatch::WorkerProcess launch() override {
+    return fork_fake_worker(plan().total_runs,
+                            [this](std::size_t idx, const auto& put) {
+                              if (idx == kPoison) std::_Exit(1);
+                              put(record(idx));
+                            });
+  }
+};
+
+TEST(Dispatch, WorkerExitCostsExactlyTheHeldRun) {
+  const SweepConfig cfg = tiny_sweep();
+  std::size_t bundles = 0;
+  AlwaysCrashTransport transport(cfg);
+  dispatch::DispatchStats st;
+  const SweepResult res =
+      dispatch::dispatch_sweep(transport, counting_bundles(2, bundles), &st);
+
+  // The run is not retried: it would crash again. The sweep completes.
+  expect_only_run_lost(res, cfg, AlwaysCrashTransport::kPoison,
+                       "exited with status 1");
+  EXPECT_EQ(st.workers_died, 1u);
+  EXPECT_EQ(st.runs_crashed, 1u);
+  EXPECT_EQ(bundles, 1u);
+}
 
 /// The first worker wedges on its first assignment (no heartbeat, no
 /// record); later launches are honest.
 class WedgeFirstTransport final : public FakeTransport {
  public:
   using FakeTransport::FakeTransport;
-  const char* name() const override { return "wedge-first"; }
   dispatch::WorkerProcess launch() override {
     if (launched_++ > 0) return honest_worker();
-    return fork_fake_worker(plan(), [](std::size_t, const auto&) {
+    return fork_fake_worker(plan().total_runs, [](std::size_t, const auto&) {
       for (;;) ::pause();  // wedged: only the coordinator's lease saves us
     });
   }
@@ -572,158 +591,20 @@ class WedgeFirstTransport final : public FakeTransport {
   int launched_ = 0;
 };
 
-TEST(Dispatch, LeaseExpiryReassignsWedgedWorkersRun) {
-  const SweepResult reference = SweepRunner(tiny_sweep()).run();
-
-  dispatch::DispatchOptions opts = fast_opts(2);
+TEST(Dispatch, LeaseExpiryCostsExactlyTheWedgedRun) {
+  const SweepConfig cfg = tiny_sweep();
+  std::size_t bundles = 0;
+  dispatch::DispatchOptions opts = counting_bundles(2, bundles);
   opts.lease_sec = 1.0;  // twice the heartbeat: the idle honest worker lives
-  dispatch::SweepDispatcher d(
-      std::make_unique<WedgeFirstTransport>(tiny_sweep()), std::move(opts));
-  const SweepResult res = d.run();
+  WedgeFirstTransport transport(cfg);
+  dispatch::DispatchStats st;
+  const SweepResult res = dispatch::dispatch_sweep(transport, opts, &st);
 
-  EXPECT_EQ(d.stats().leases_expired, 1u);
-  EXPECT_EQ(d.stats().workers_died, 1u);
-  EXPECT_EQ(d.stats().retries, 1u);
-  EXPECT_EQ(d.stats().runs_degraded, 0u);
-  EXPECT_EQ(res.to_csv(), reference.to_csv());
-  EXPECT_EQ(res.to_json(), reference.to_json());
-}
-
-// ---- checkpoint resume ----------------------------------------------------
-
-TEST(Dispatch, CheckpointResumeSkipsCompletedRuns) {
-  const std::string dir = ::testing::TempDir() + "dispatch_ckpt";
-  std::filesystem::remove_all(dir);
-  const std::string ckpt = dir + "/checkpoint.json";
-  const SweepResult reference = SweepRunner(tiny_sweep()).run();
-
-  {
-    dispatch::DispatchOptions opts = fast_opts(2);
-    opts.checkpoint_path = ckpt;
-    dispatch::SweepDispatcher d(
-        std::make_unique<dispatch::ForkWorkerTransport>(tiny_sweep()),
-        std::move(opts));
-    const SweepResult res = d.run();
-    EXPECT_EQ(res.to_csv(), reference.to_csv());
-  }
-  ASSERT_TRUE(std::filesystem::exists(ckpt));
-
-  // The checkpoint is the sweep schema: written back, a parsed checkpoint
-  // is the same bytes, and its plan is the sweep's plan header.
-  const std::string written = slurp(ckpt);
-  const PartialSnapshot snap = parse_partial_snapshot(written);
-  EXPECT_EQ(to_json(snap), written);
-  EXPECT_EQ(snap.runs.size(), reference.runs.size());
-
-  // A fresh dispatcher sees the finished checkpoint: nothing re-executes.
-  dispatch::DispatchOptions opts = fast_opts(2);
-  opts.checkpoint_path = ckpt;
-  dispatch::SweepDispatcher d(
-      std::make_unique<dispatch::ForkWorkerTransport>(tiny_sweep()),
-      std::move(opts));
-  const SweepResult res = d.run();
-  EXPECT_EQ(d.stats().runs_resumed, reference.runs.size());
-  EXPECT_EQ(d.stats().workers_launched, 0u);
-  EXPECT_EQ(res.to_csv(), reference.to_csv());
-  EXPECT_EQ(res.to_json(), reference.to_json());
-
-  // A checkpoint from a different sweep is refused, not merged.
-  SweepConfig other = tiny_sweep();
-  other.root_seed = 78;
-  dispatch::DispatchOptions opts2 = fast_opts(2);
-  opts2.checkpoint_path = ckpt;
-  dispatch::SweepDispatcher d2(
-      std::make_unique<dispatch::ForkWorkerTransport>(other),
-      std::move(opts2));
-  const SweepResult res2 = d2.run();
-  EXPECT_EQ(d2.stats().runs_resumed, 0u);
-  EXPECT_GE(d2.stats().workers_launched, 1u);
-
-  // A version-1 checkpoint (the plan fields at top level, before the plan
-  // header was shared) is reported unreadable and the sweep starts fresh.
-  const std::string plan = to_json(plan_info_for(tiny_sweep()));
-  const std::string plan_fields =
-      plan.substr(plan.find("\"bench\""), plan.size() - 1 - plan.find("\"bench\""));
-  const std::string runs = written.substr(written.find("\"runs\""));
-  const std::string v1 = "{\"kind\": \"paratick-partial-sweep\", \"version\": 1, " +
-                         plan_fields + ", " + runs;
-  std::ofstream(ckpt, std::ios::trunc) << v1;
-  EXPECT_SIM_ERROR((void)load_partial_snapshot(ckpt), "unsupported version");
-  dispatch::DispatchOptions opts3 = fast_opts(2);
-  opts3.checkpoint_path = ckpt;
-  dispatch::SweepDispatcher d3(
-      std::make_unique<dispatch::ForkWorkerTransport>(tiny_sweep()),
-      std::move(opts3));
-  const SweepResult res3 = d3.run();
-  EXPECT_EQ(d3.stats().runs_resumed, 0u);
-  EXPECT_EQ(d3.stats().records_received, reference.runs.size());
-  EXPECT_EQ(res3.to_csv(), reference.to_csv());
-  // ...and the checkpoint it leaves is a version-2 one again.
-  EXPECT_EQ(parse_partial_snapshot(slurp(ckpt)).runs.size(), reference.runs.size());
-  std::filesystem::remove_all(dir);
-}
-
-// ---- transport sanity -----------------------------------------------------
-
-TEST(Dispatch, BrokenWorkerCommandFailsFastInsteadOfBurningRetries) {
-  const std::vector<std::string> cmd = {"/nonexistent/not_a_bench"};
-  auto transport = std::make_unique<dispatch::CommandWorkerTransport>(cmd);
-  EXPECT_SIM_ERROR((void)transport->plan(), "#plan");
-}
-
-// Workers that die before their #plan header never started their run: no
-// retry is charged, even at --max-retries 0, and the third such death in
-// a row stops the dispatch as a broken worker command.
-TEST(Dispatch, BarrenWorkersAreNotChargedAndStopTheDispatch) {
-  class BarrenTransport final : public FakeTransport {
-   public:
-    using FakeTransport::FakeTransport;
-    const char* name() const override { return "barren"; }
-    dispatch::WorkerProcess launch() override {
-      int out[2];
-      int ctl[2];
-      if (::pipe(out) != 0 || ::pipe(ctl) != 0) std::abort();
-      const pid_t pid = ::fork();
-      if (pid == 0) std::_Exit(127);  // as a failed exec does
-      ::close(out[1]);
-      ::close(ctl[0]);
-      return {pid, out[0], ctl[1]};
-    }
-  };
-
-  dispatch::DispatchOptions opts = fast_opts(1);
-  opts.max_retries = 0;
-  dispatch::SweepDispatcher d(std::make_unique<BarrenTransport>(tiny_sweep(1)),
-                              std::move(opts));
-  EXPECT_SIM_ERROR((void)d.run(), "3 consecutive workers died without a #plan");
-  EXPECT_EQ(d.stats().workers_launched, 3u);
-  EXPECT_EQ(d.stats().retries, 0u);
-  EXPECT_EQ(d.stats().runs_degraded, 0u);
-}
-
-TEST(Dispatch, DispatcherRejectsPlanSkewedWorkers) {
-  // Transport whose #plan probe says one thing but whose workers run
-  // another sweep: the first worker header must abort the dispatch.
-  class SkewTransport final : public FakeTransport {
-   public:
-    using FakeTransport::FakeTransport;
-    const char* name() const override { return "skew"; }
-    PlanInfo plan() override {
-      PlanInfo lie = FakeTransport::plan();
-      lie.root_seed ^= 1;  // coordinator believes a different seed
-      return lie;
-    }
-    dispatch::WorkerProcess launch() override {
-      return fork_fake_worker(FakeTransport::plan(),
-                              [this](std::size_t idx, const auto& put) {
-                                put(record(idx));
-                              });
-    }
-  };
-
-  dispatch::SweepDispatcher d(std::make_unique<SkewTransport>(tiny_sweep()),
-                              fast_opts(1));
-  EXPECT_SIM_ERROR((void)d.run(), "disagrees with the coordinator");
+  expect_only_run_lost(res, cfg, 0, "lease expired");
+  EXPECT_EQ(st.leases_expired, 1u);
+  EXPECT_EQ(st.workers_died, 1u);
+  EXPECT_EQ(st.runs_crashed, 1u);
+  EXPECT_EQ(bundles, 1u);
 }
 
 // ---- crash isolation and crash replay ------------------------------------
@@ -743,32 +624,24 @@ SweepConfig crashing_sweep(const std::string& failure_dir) {
   }});
   cfg.repeat = 1;
   cfg.root_seed = 7;
+  cfg.threads = 1;
   cfg.failure_dir = failure_dir;
   cfg.bench_name = "test_sweep_crash";
   return cfg;
 }
 
-/// `--dispatch --workers 1 --max-retries 0`: the first worker death of a
-/// run degrades it to kCrash, with its replay bundle under failure_dir.
-SweepResult dispatch_without_retries(SweepConfig cfg) {
+/// `--dispatch -j1`: one forked worker at a time; a worker death costs its
+/// run a kCrash record, with its replay bundle under failure_dir.
+SweepResult dispatch_on_one_worker(SweepConfig cfg) {
   SweepCli cli;
   cli.dispatch = true;
-  cli.dispatch_workers = 1;
-  cli.max_retries = 0;
   return cli.run_sweep(std::move(cfg));
-}
-
-/// Run record with its wall-clock fields zeroed, for exact comparison.
-std::string scrubbed_record(SweepRun run) {
-  run.host_seconds = 0.0;
-  run.result.engine_wall_ns = 0;
-  return run_record_to_json(run);
 }
 
 TEST(DispatchCrash, ChildAbortBecomesFailedReplicaWithReplayBundle) {
   const std::string dir = ::testing::TempDir() + "dispatch_crash";
   std::filesystem::remove_all(dir);
-  const SweepResult res = dispatch_without_retries(crashing_sweep(dir));
+  const SweepResult res = dispatch_on_one_worker(crashing_sweep(dir));
 
   ASSERT_EQ(res.runs.size(), 1u);
   const SweepRun& run = res.runs[0];
@@ -809,7 +682,7 @@ TEST(DispatchCrash, CrashMidSweepKeepsFinishedRunsAndServesTheRest) {
     cfg.variants.push_back({"tail", [](ExperimentSpec&) {}});
     return cfg;
   };
-  const SweepResult res = dispatch_without_retries(make(dir));
+  const SweepResult res = dispatch_on_one_worker(make(dir));
 
   ASSERT_EQ(res.runs.size(), 3u);
   EXPECT_TRUE(res.runs[0].ok);
@@ -859,13 +732,13 @@ TEST(DispatchCrash, OneIndexReplayOfHealthyRunMatchesInProcessRun) {
 
 TEST(Dispatch, IndexSubsetExecutesOnlyThoseRuns) {
   const SweepResult reference = SweepRunner(tiny_sweep()).run();
-  dispatch::SweepDispatcher d(
-      std::make_unique<dispatch::ForkWorkerTransport>(tiny_sweep()),
-      fast_opts(2));
-  const SweepResult res = d.run(std::vector<std::size_t>{1, 6});
+  dispatch::ForkWorkerTransport transport(tiny_sweep());
+  dispatch::DispatchStats st;
+  const SweepResult res = dispatch::dispatch_sweep(
+      transport, fast_opts(2), &st, std::vector<std::size_t>{1, 6});
 
   EXPECT_EQ(res.executed_run_count(), 2u);
-  EXPECT_EQ(d.stats().records_received, 2u);
+  EXPECT_EQ(st.records_received, 2u);
   for (const SweepRun& run : res.runs) {
     const bool wanted = run.run_index == 1 || run.run_index == 6;
     EXPECT_EQ(run.executed, wanted) << "run " << run.run_index;
@@ -905,10 +778,8 @@ TEST(Dispatch, DegradedCellsMatchLocalRunByteForByte) {
   const SweepResult reference = SweepRunner(degraded_sweep()).run();
   ASSERT_GT(reference.degraded_cell_count(), 0u);
 
-  dispatch::SweepDispatcher d(
-      std::make_unique<dispatch::ForkWorkerTransport>(degraded_sweep()),
-      fast_opts(2));
-  const SweepResult res = d.run();
+  dispatch::ForkWorkerTransport transport(degraded_sweep());
+  const SweepResult res = dispatch::dispatch_sweep(transport, fast_opts(2));
   EXPECT_EQ(res.to_csv(), reference.to_csv());
   EXPECT_EQ(res.to_json(), reference.to_json());
   EXPECT_EQ(res.degraded_cell_count(), reference.degraded_cell_count());
@@ -922,58 +793,20 @@ TEST(Dispatch, DegradedCellsMatchLocalRunByteForByte) {
   }
 }
 
-// ---- checkpoint reader ----------------------------------------------------
+// ---- replay bundles -------------------------------------------------------
 
-/// The line of `doc` that starts with `"plan": `, without that key and
-/// the trailing comma.
-std::string plan_line(const std::string& doc) {
-  const std::string key = "\"plan\": ";
-  const std::size_t at = doc.find(key);
-  if (at == std::string::npos) return "";
-  const std::size_t from = at + key.size();
-  const std::size_t end = doc.find(",\n", from);
-  return doc.substr(from, end - from);
-}
-
-// One sweep, one plan header: the worker's #plan line, the checkpoint's
-// "plan" and a replay bundle's "plan" are the same bytes. A bundle holds
-// no wall clock, so a dispatch worker writes the bytes a -j1 sweep does.
-TEST(DispatchCheckpoint, PlanHeaderIsByteIdenticalInEveryDocument) {
+// A bundle holds no wall clock, so a dispatch worker writes the bytes a
+// -j1 sweep does, plan header included.
+TEST(DispatchBundle, DispatchedBundlesAreByteIdenticalToLocal) {
   const std::string dir = ::testing::TempDir() + "dispatch_plan_bytes";
   std::filesystem::remove_all(dir);
   SweepConfig cfg = degraded_sweep();
   cfg.bench_name = "plan_bytes";
   cfg.failure_dir = dir + "/failures";
-  const std::string header = to_json(plan_info_for(cfg));
 
-  // The #plan line of a real worker (no assignments: it exits on EOF).
-  int ctl[2];
-  int out[2];
-  ASSERT_EQ(::pipe(ctl), 0);
-  ASSERT_EQ(::pipe(out), 0);
-  ::close(ctl[1]);
-  ASSERT_EQ(dispatch::run_worker(cfg, ctl[0], out[1]), 0);
-  ::close(ctl[0]);
-  ::close(out[1]);
-  std::string stream;
-  char buf[4096];
-  ssize_t got;
-  while ((got = read_retry(out[0], buf, sizeof buf)) > 0) {
-    stream.append(buf, static_cast<std::size_t>(got));
-  }
-  ::close(out[0]);
-  EXPECT_EQ(stream.substr(0, stream.find('\n')), "#plan " + header);
-
-  dispatch::DispatchOptions opts = fast_opts(2);
-  opts.checkpoint_path = dir + "/checkpoint.json";
-  dispatch::SweepDispatcher d(std::make_unique<dispatch::ForkWorkerTransport>(cfg),
-                              std::move(opts));
-  const SweepResult res = d.run();
-  EXPECT_EQ(plan_line(slurp(dir + "/checkpoint.json")), header);
+  dispatch::ForkWorkerTransport transport(cfg);
+  const SweepResult res = dispatch::dispatch_sweep(transport, fast_opts(2));
   ASSERT_FALSE(res.failed_runs().empty());
-  const std::string bundle = res.failed_runs().front()->bundle_path;
-  ASSERT_FALSE(bundle.empty());
-  EXPECT_EQ(plan_line(slurp(bundle)), header);
 
   SweepConfig local = cfg;
   local.threads = 1;
@@ -981,43 +814,10 @@ TEST(DispatchCheckpoint, PlanHeaderIsByteIdenticalInEveryDocument) {
   const SweepResult ref = SweepRunner(local).run();
   ASSERT_EQ(ref.failed_runs().size(), res.failed_runs().size());
   for (std::size_t i = 0; i < ref.failed_runs().size(); ++i) {
+    ASSERT_FALSE(res.failed_runs()[i]->bundle_path.empty());
     const std::string text = slurp(ref.failed_runs()[i]->bundle_path);
     EXPECT_EQ(text, slurp(res.failed_runs()[i]->bundle_path)) << "failed run " << i;
     EXPECT_EQ(to_json(parse_replay_bundle(text)), text);  // exact round trip
-  }
-  std::filesystem::remove_all(dir);
-}
-
-TEST(DispatchCheckpoint, CorruptCheckpointErrorNamesFileAndByteOffset) {
-  const std::string dir = ::testing::TempDir() + "dispatch_corrupt_offset";
-  std::filesystem::remove_all(dir);
-  const std::string path = dir + "/checkpoint.json";
-  dispatch::DispatchOptions opts = fast_opts(1);
-  opts.checkpoint_path = path;
-  dispatch::SweepDispatcher d(
-      std::make_unique<dispatch::ForkWorkerTransport>(tiny_sweep(1)),
-      std::move(opts));
-  (void)d.run();
-  ASSERT_TRUE(std::filesystem::exists(path));
-
-  // Tear the file mid-document, as a crashed non-atomic writer would.
-  std::string text;
-  {
-    std::ifstream in(path);
-    text.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << text.substr(0, text.size() / 2);
-  }
-  try {
-    (void)load_partial_snapshot(path);
-    FAIL() << "expected SimError";
-  } catch (const sim::SimError& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find(path), std::string::npos) << msg;
-    EXPECT_NE(msg.find("byte offset"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("regenerate"), std::string::npos) << msg;
   }
   std::filesystem::remove_all(dir);
 }

@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -578,10 +577,8 @@ TEST(RecordReplay, TraceBytesIdenticalAcrossThreadsAndDispatch) {
     if (leg.dispatch) {
       dispatch::DispatchOptions opts;
       opts.workers = 3;
-      dispatch::SweepDispatcher d(
-          std::make_unique<dispatch::ForkWorkerTransport>(std::move(cfg)),
-          std::move(opts));
-      results.push_back(d.run());
+      dispatch::ForkWorkerTransport transport(std::move(cfg));
+      results.push_back(dispatch::dispatch_sweep(transport, opts));
     } else {
       results.push_back(SweepRunner(cfg).run());
     }
