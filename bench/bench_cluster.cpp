@@ -6,19 +6,18 @@
 // through the parallel engine with the host boundary as the partition
 // boundary, so --engine-threads N parallelizes the cell across hosts
 // while -j fans cells out across the grid. This is the parallel engine's
-// determinism gate: --engine-threads, --lookahead-mode, -j and --dispatch
-// leave every exported byte unchanged (the cluster-smoke CI job cmp's
+// determinism gate: --engine-threads, -j and --dispatch leave every
+// exported byte unchanged (the cluster-smoke CI job cmp's
 // them), with migrations and telemetry crossing partitions. The
 // overcommit axis resizes the per-host machine exactly like the
 // single-host benches, so rows self-describe the vCPU:pCPU ratio.
 //
 // Flags: `bench_cluster --help` lists the cluster flags (--hosts,
 // --vms-per-host, --overcommit, rebalancing, migration and telemetry
-// knobs, --engine-threads, --lookahead-mode) and the shared sweep CLI.
-// With --telemetry-period-us U, hosts 1..N-1 stream a load report to
-// host 0 every U us over a dedicated low-latency link: the
-// heterogeneous-link topology where --lookahead-mode topology beats
-// global. Cluster runs take no trace recorder, faults, watchdog or
+// knobs, --engine-threads) and the shared sweep CLI. With
+// --telemetry-period-us U, hosts 1..N-1 stream a load report to host 0
+// every U us over a dedicated low-latency link: a heterogeneous-link
+// topology where only host 0's horizon tightens. Cluster runs take no trace recorder, faults, watchdog or
 // wall-clock limit: --record-trace, --chaos, --fault-*, --watchdog and
 // --run-timeout exit 2 before the sweep starts.
 #include <cstdio>
@@ -47,7 +46,6 @@ struct ClusterOpts {
   sim::SimTime telemetry_period;  // zero = no telemetry star
   sim::SimTime telemetry_latency = sim::SimTime::us(50);
   unsigned engine_threads = 1;
-  sim::LookaheadMode lookahead_mode = sim::LookaheadMode::kGlobal;
 };
 
 /// The bench's own flags, parsed strictly into `opts` (exit 2 on garbage).
@@ -89,8 +87,7 @@ std::vector<core::CliFlag> cluster_flags(ClusterOpts& opts) {
       {"--telemetry-latency-us", "U", "latency of the telemetry links (default 50)",
        us("--telemetry-latency-us", opts.telemetry_latency, 0, 1'000'000'000)},
   };
-  for (core::CliFlag& f :
-       core::cluster_engine_flags(opts.engine_threads, opts.lookahead_mode)) {
+  for (core::CliFlag& f : core::cluster_engine_flags(opts.engine_threads)) {
     flags.push_back(std::move(f));
   }
   return flags;
@@ -121,7 +118,6 @@ make_cluster_runner(int hosts, const ClusterOpts& opts) {
     // estimator-error metric (steal_est_err columns).
     cs.guest.steal.enabled = true;
     cs.engine_threads = opts.engine_threads;
-    cs.lookahead_mode = opts.lookahead_mode;
     cs.telemetry_period = opts.telemetry_period;
     cs.telemetry_latency = opts.telemetry_latency;
     cs.rebalance_period = opts.rebalance_period;

@@ -13,13 +13,12 @@
 //                event pump and periodically sends a cross-partition ping
 //                that XORs into its successor's sink (quantum windows,
 //                barrier commits, committed-order determinism).
-//   barrierstorm — the sparse-barrier worst case for global lookahead:
+//   barrierstorm — the sparse-barrier worst case for a global quantum:
 //                eight partitions, one tight 1us link (1 -> 0) carrying a
-//                10us ping stream, everyone else nearly idle. Runs the
-//                SAME workload under both lookahead modes, checks the
-//                state digests match, and exports both window counts —
-//                the windows_global / windows_topology gap IS the
-//                optimization, gated at zero tolerance in CI.
+//                10us ping stream, everyone else nearly idle. Only
+//                partition 0 has an inbound link, so the window count
+//                stays far below the 1us-quantum count; `windows` is
+//                gated at zero tolerance in CI.
 //
 // Every counter except events_per_sec is a pure function of --seed, so
 // the history snapshot diffs bit-exact run to run; events_per_sec is the
@@ -42,7 +41,6 @@
 
 #include "core/cli_parse.hpp"
 #include "core/history.hpp"
-#include "sim/check.hpp"
 #include "hw/deadline_timer.hpp"
 #include "metrics/report.hpp"
 #include "sim/engine.hpp"
@@ -63,12 +61,28 @@ struct CaseResult {
   std::uint64_t sink = 0;  // data-dependent checksum: defeats DCE, proves determinism
   double host_seconds = 0.0;
   // Parallel-engine window counters (partitioned cases only, zero
-  // elsewhere). All four are pure functions of --seed.
-  std::uint64_t windows_global = 0;
-  std::uint64_t windows_topology = 0;
+  // elsewhere). All three are pure functions of --seed.
+  std::uint64_t windows = 0;
   std::uint64_t windows_skipped = 0;
   std::uint64_t barriers_elided = 0;
 };
+
+/// A partitioned case's result: merged engine counters, window counters
+/// and a checksum folding the fabric digest into the case's own sinks.
+template <std::size_t N>
+CaseResult partitioned_result(const sim::ParallelEngine& fabric,
+                              const std::uint64_t (&sinks)[N]) {
+  const sim::ParallelProfile pp = fabric.profile();
+  sim::EngineProfile prof = pp.merged;
+  prof.wall_ns = pp.wall_ns;
+  std::uint64_t sink = fabric.state_digest() ^ pp.cross_messages;
+  for (const std::uint64_t s : sinks) sink ^= s;
+  CaseResult out{prof, sink, 0.0};
+  out.windows = pp.quanta;
+  out.windows_skipped = pp.windows_skipped;
+  out.barriers_elided = pp.barriers_elided;
+  return out;
+}
 
 // -------------------------------------------------------------- churn ----
 
@@ -217,24 +231,15 @@ CaseResult run_partchurn(std::uint64_t seed) {
     engines[p].schedule_after(sim::SimTime::ns(1), [&pp] { pp.pump(); });
   }
   fabric.run();
-
-  const sim::ParallelProfile pp = fabric.profile();
-  sim::EngineProfile prof = pp.merged;
-  prof.wall_ns = pp.wall_ns;
-  std::uint64_t sink = fabric.state_digest() ^ pp.cross_messages;
-  for (const std::uint64_t s : sinks) sink ^= s;
-  CaseResult out{prof, sink, 0.0};
-  out.windows_global = pp.quanta;  // partchurn always runs global lookahead
-  return out;
+  return partitioned_result(fabric, sinks);
 }
 
 // ------------------------------------------------------- barrierstorm ----
 
 /// One busy sender streaming pings to partition 0 over the single tight
-/// link; everyone else is nearly idle. Under global lookahead the 1us
-/// link latency is the quantum for ALL partitions; under topology
-/// lookahead only partition 0 has an inbound link, so the idle crowd runs
-/// long capped horizons and the barrier count collapses.
+/// link; everyone else is nearly idle. The 1us link latency is the global
+/// quantum, but only partition 0 has an inbound link, so the idle crowd
+/// runs long capped horizons and the barrier count collapses.
 struct StormState {
   sim::Engine engines[8];
   std::uint64_t sinks[8] = {};
@@ -265,11 +270,9 @@ struct StormState {
   }
 };
 
-CaseResult run_barrierstorm_mode(std::uint64_t seed, sim::LookaheadMode mode,
-                                 std::uint64_t* digest) {
+CaseResult run_barrierstorm(std::uint64_t seed) {
   StormState st(seed);
   sim::ParallelEngine fabric(g_engine_threads);
-  fabric.set_lookahead_mode(mode);
   for (auto& eng : st.engines) fabric.add_partition(eng);
   fabric.declare_link(1, 0, sim::SimTime::us(1));  // the one tight link
   st.engines[1].schedule_after(sim::SimTime::ns(1),
@@ -279,40 +282,7 @@ CaseResult run_barrierstorm_mode(std::uint64_t seed, sim::LookaheadMode mode,
                                  [&st, p] { st.idle_tick(p, 100); });
   }
   fabric.run();
-
-  const sim::ParallelProfile pp = fabric.profile();
-  sim::EngineProfile prof = pp.merged;
-  prof.wall_ns = pp.wall_ns;
-  *digest = fabric.state_digest();
-  std::uint64_t sink = *digest ^ pp.cross_messages;
-  for (const std::uint64_t s : st.sinks) sink ^= s;
-  CaseResult out{prof, sink, 0.0};
-  out.windows_global = pp.quanta;  // reinterpreted by run_barrierstorm
-  out.windows_skipped = pp.windows_skipped;
-  out.barriers_elided = pp.barriers_elided;
-  return out;
-}
-
-CaseResult run_barrierstorm(std::uint64_t seed) {
-  std::uint64_t digest_global = 0, digest_topology = 0;
-  const CaseResult g = run_barrierstorm_mode(
-      seed, sim::LookaheadMode::kGlobal, &digest_global);
-  const CaseResult t = run_barrierstorm_mode(
-      seed, sim::LookaheadMode::kTopology, &digest_topology);
-  // The two modes must produce the same simulation — same final state,
-  // same sink, same event counts; only the window counters may differ.
-  PARATICK_CHECK_MSG(digest_global == digest_topology,
-                     "barrierstorm: lookahead modes diverged (state digest)");
-  PARATICK_CHECK_MSG(g.sink == t.sink,
-                     "barrierstorm: lookahead modes diverged (sink)");
-  PARATICK_CHECK_MSG(
-      g.prof.events_executed == t.prof.events_executed,
-      "barrierstorm: lookahead modes diverged (events executed)");
-  CaseResult out = g;
-  out.windows_topology = t.windows_global;
-  out.windows_skipped = t.windows_skipped;
-  out.barriers_elided = t.barriers_elided;
-  return out;
+  return partitioned_result(fabric, st.sinks);
 }
 
 // ------------------------------------------------------------- driver ----
@@ -334,8 +304,7 @@ struct CaseStats {
   int replicas = 0;
   sim::Accumulator events, events_per_sec, scheduled, cancelled;
   sim::Accumulator cb_spills, cb_spill_bytes, slot_high_water, compactions;
-  sim::Accumulator windows_global, windows_topology, windows_skipped,
-      barriers_elided;
+  sim::Accumulator windows, windows_skipped, barriers_elided;
   std::uint64_t sink = 0;  // replica 0's checksum
 };
 
@@ -366,8 +335,7 @@ std::string to_snapshot_json(const std::vector<CaseStats>& cases,
     out += metric_json("compactions", c.compactions) + ", ";
     // Parallel window counters, deterministic and gated at zero tolerance
     // like the counters above (all-zero for the single-engine cases).
-    out += metric_json("windows_global", c.windows_global) + ", ";
-    out += metric_json("windows_topology", c.windows_topology) + ", ";
+    out += metric_json("windows", c.windows) + ", ";
     out += metric_json("windows_skipped", c.windows_skipped) + ", ";
     out += metric_json("barriers_elided", c.barriers_elided);
     out += metrics::format("}%s\n", i + 1 < cases.size() ? "," : "");
@@ -439,8 +407,7 @@ int main(int argc, char** argv) {
       s.cb_spill_bytes.add(static_cast<double>(res.prof.callback_spill_bytes));
       s.slot_high_water.add(static_cast<double>(res.prof.slot_high_water));
       s.compactions.add(static_cast<double>(res.prof.compactions));
-      s.windows_global.add(static_cast<double>(res.windows_global));
-      s.windows_topology.add(static_cast<double>(res.windows_topology));
+      s.windows.add(static_cast<double>(res.windows));
       s.windows_skipped.add(static_cast<double>(res.windows_skipped));
       s.barriers_elided.add(static_cast<double>(res.barriers_elided));
       if (!quiet) {
@@ -473,12 +440,11 @@ int main(int argc, char** argv) {
           s.name, s.scheduled.mean(), s.cancelled.mean(), s.cb_spills.mean(),
           s.cb_spill_bytes.mean(), s.slot_high_water.mean(),
           s.compactions.mean());
-      if (s.windows_global.max() > 0.0) {
+      if (s.windows.max() > 0.0) {
         std::printf(
-            "  %-12s windows %.0f global / %.0f topology, skipped %.0f, "
-            "barriers elided %.0f\n",
-            s.name, s.windows_global.mean(), s.windows_topology.mean(),
-            s.windows_skipped.mean(), s.barriers_elided.mean());
+            "  %-12s windows %.0f, skipped %.0f, barriers elided %.0f\n",
+            s.name, s.windows.mean(), s.windows_skipped.mean(),
+            s.barriers_elided.mean());
       }
     }
   }

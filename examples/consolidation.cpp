@@ -16,7 +16,7 @@
 //
 // Build & run: cmake --build build && ./build/examples/consolidation
 // Flags: --hosts N, --rebalance-period MS (0 = off, the default),
-// --engine-threads N, --lookahead-mode M, plus the shared sweep CLI
+// --engine-threads N, plus the shared sweep CLI
 // (-j N, --repeat N, --seed S, --sweep-csv P, ...; see --help).
 #include <cstdio>
 #include <string>
@@ -39,7 +39,6 @@ struct Opts {
   int hosts = 1;
   sim::SimTime rebalance_period;  // zero = place once, never rebalance
   unsigned engine_threads = 1;
-  sim::LookaheadMode lookahead_mode = sim::LookaheadMode::kGlobal;
 };
 
 std::vector<core::CliFlag> consolidation_flags(Opts& opts) {
@@ -54,8 +53,7 @@ std::vector<core::CliFlag> consolidation_flags(Opts& opts) {
              core::parse_double_flag("--rebalance-period", v, 0.0) / 1e3);
        }},
   };
-  for (core::CliFlag& f :
-       core::cluster_engine_flags(opts.engine_threads, opts.lookahead_mode)) {
+  for (core::CliFlag& f : core::cluster_engine_flags(opts.engine_threads)) {
     flags.push_back(std::move(f));
   }
   return flags;
@@ -85,7 +83,6 @@ int main(int argc, char** argv) {
     core::ClusterSpec cs = core::cluster_spec_for(exp, mode, opts.hosts);
     cs.guest.steal.enabled = opts.rebalance_period > sim::SimTime::zero();
     cs.engine_threads = opts.engine_threads;
-    cs.lookahead_mode = opts.lookahead_mode;
     cs.rebalance_period = opts.rebalance_period;
     // 4 VMs with individually tuned light, bursty service loads, keyed
     // by global index so a VM keeps its personality across migrations.

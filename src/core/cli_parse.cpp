@@ -73,21 +73,6 @@ double parse_double_flag(const char* flag, const std::string& text,
   return v;
 }
 
-std::size_t parse_choice_flag(const char* flag, const std::string& text,
-                              std::initializer_list<const char*> choices) {
-  std::size_t i = 0;
-  for (const char* c : choices) {
-    if (text == c) return i;
-    ++i;
-  }
-  std::string expected = "expected one of";
-  for (const char* c : choices) {
-    expected += ' ';
-    expected += c;
-  }
-  reject(flag, text, expected.c_str());
-}
-
 CliFlag switch_flag(std::string name, const char* help, bool& out, bool to) {
   return {std::move(name), nullptr, help,
           [&out, to](const std::string&) { out = to; }};

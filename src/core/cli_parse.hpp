@@ -18,7 +18,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <initializer_list>
 #include <limits>
 #include <string>
 #include <vector>
@@ -38,15 +37,6 @@ namespace paratick::core {
 [[nodiscard]] double parse_double_flag(const char* flag,
                                        const std::string& text,
                                        double min_value = 0.0);
-
-/// Parse an enumerated flag value: returns the index of `text` in
-/// `choices` (exact, case-sensitive match). Anything else throws with the
-/// flag name, the offending text, and the accepted spellings — so
-/// `--lookahead-mode sideways` exits 2 instead of silently picking a
-/// default.
-[[nodiscard]] std::size_t parse_choice_flag(
-    const char* flag, const std::string& text,
-    std::initializer_list<const char*> choices);
 
 /// One flag of a binary's command line. A switch (`value == nullptr`)
 /// takes no argument and its setter gets ""; any other flag takes the

@@ -142,7 +142,6 @@ Cluster::Cluster(ClusterSpec spec) : spec_(std::move(spec)) {
 
   if (spec_.hosts > 1) {
     fabric_ = std::make_unique<sim::ParallelEngine>(spec_.engine_threads);
-    fabric_->set_lookahead_mode(spec_.lookahead_mode);
     for (int h = 0; h < spec_.hosts; ++h) {
       fabric_->add_partition(hosts_[static_cast<std::size_t>(h)]->engine(),
                              "host" + std::to_string(h));
@@ -155,9 +154,8 @@ Cluster::Cluster(ClusterSpec spec) : spec_(std::move(spec)) {
     }
     // The telemetry star: every other host streams load reports to the
     // coordinator over a dedicated tight link. These per-link latencies
-    // are declared for what they are — under kGlobal lookahead the
-    // tightest one collapses EVERY host's window, under kTopology only
-    // host 0's inbound horizon tightens.
+    // are declared for what they are: only host 0's inbound horizon
+    // tightens.
     if (spec_.telemetry_period > sim::SimTime::zero()) {
       PARATICK_CHECK_MSG(spec_.telemetry_latency > sim::SimTime::zero(),
                          "telemetry latency must be > 0 (it is a declared "

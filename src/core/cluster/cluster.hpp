@@ -34,6 +34,17 @@
 #include "metrics/run_metrics.hpp"
 #include "sim/parallel/parallel_engine.hpp"
 
+namespace paratick::sim {
+
+/// Kept only because the benchmark harness (perfbench/) names it, and
+/// perfbench changes only together with the benchmark: the parallel
+/// engine has one window rule, so this one-value type selects nothing.
+/// The next change that owns perfbench deletes it together with
+/// ClusterSpec::lookahead_mode.
+enum class LookaheadMode : std::uint8_t { kTopology };
+
+}  // namespace paratick::sim
+
 namespace paratick::core {
 
 struct ClusterSpec {
@@ -65,16 +76,13 @@ struct ClusterSpec {
   /// Dirty-page copy cost, charged as host-kernel cycles on both hosts.
   sim::Cycles migration_dirty_cycles{2'000'000};
 
-  /// Window-bound derivation for the cross-host fabric. Results are
-  /// identical either way; only the window counters in the profile
-  /// differ — kTopology keeps hosts on their own per-link horizons
-  /// instead of the global minimum latency.
-  sim::LookaheadMode lookahead_mode = sim::LookaheadMode::kGlobal;
+  /// Read by nothing: perfbench/ sets it. The next change that owns
+  /// perfbench deletes it with sim::LookaheadMode.
+  sim::LookaheadMode lookahead_mode = sim::LookaheadMode::kTopology;
   /// Heterogeneous-link telemetry (hosts > 1): when > 0, every host
   /// except host 0 streams a periodic load report to host 0 over a
-  /// dedicated low-latency link. That one tight one-directional star is
-  /// the topology the global quantum collapses under — and exactly where
-  /// kTopology horizons win, because the tight links all point AT the
+  /// dedicated low-latency link. That one tight one-directional star
+  /// bounds only host 0's horizon: the tight links all point AT the
   /// coordinator while everyone else still enjoys the slow mesh.
   sim::SimTime telemetry_period;  // zero = no telemetry traffic
   /// Declared latency of the telemetry links (must be <= the period).
@@ -93,9 +101,8 @@ struct ClusterResult {
   /// Load reports host 0 received over the telemetry star (0 when
   /// telemetry_period was 0).
   std::uint64_t telemetry_received = 0;
-  /// Parallel-engine identity (hosts > 1): digest is thread- and
-  /// lookahead-mode-invariant, profile.wall_ns is not, and the profile's
-  /// window counters depend on the lookahead mode.
+  /// Parallel-engine identity (hosts > 1): digest and profile are
+  /// thread-invariant, except profile.wall_ns.
   std::uint64_t state_digest = 0;
   sim::ParallelProfile profile;
 };

@@ -473,19 +473,11 @@ SweepCli SweepCli::parse(int argc, char** argv, std::vector<CliFlag> extra,
   return cli;
 }
 
-std::vector<CliFlag> cluster_engine_flags(unsigned& engine_threads,
-                                          sim::LookaheadMode& lookahead_mode) {
+std::vector<CliFlag> cluster_engine_flags(unsigned& engine_threads) {
   return {
       uint_flag("--engine-threads", "N",
                 "threads inside each cluster run's parallel engine (default 1)",
                 engine_threads),
-      {"--lookahead-mode", "M", "engine window bounds: global or topology",
-       [&lookahead_mode](const std::string& v) {
-         lookahead_mode = parse_choice_flag("--lookahead-mode", v,
-                                            {"global", "topology"}) == 0
-                              ? sim::LookaheadMode::kGlobal
-                              : sim::LookaheadMode::kTopology;
-       }},
   };
 }
 

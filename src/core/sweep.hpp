@@ -34,7 +34,6 @@
 #include "fault/fault.hpp"
 #include "metrics/run_metrics.hpp"
 #include "sim/engine.hpp"
-#include "sim/parallel/parallel_engine.hpp"
 #include "sim/stats.hpp"
 
 namespace paratick::core {
@@ -181,9 +180,9 @@ struct SweepCellSummary {
   sim::Accumulator slot_high_water;
   sim::Accumulator compactions;
   // Parallel-engine window counters (metrics::RunResult::par_*), all-zero
-  // for single-engine scenarios. Deterministic at any engine-thread count
-  // for a FIXED lookahead mode, but mode-DEPENDENT — to_json() exports
-  // them only for cells that actually ran the partitioned engine, so
+  // for single-engine scenarios. Deterministic at any engine-thread
+  // count; to_json() exports them only for cells that actually ran the
+  // partitioned engine, so
   // single-engine sweep snapshots (and their committed bench baselines)
   // are byte-for-byte unchanged.
   sim::Accumulator par_windows;
@@ -338,11 +337,10 @@ struct SweepCli {
                       const std::string& bench_name = {}) const;
 };
 
-/// The parallel-engine flags of the cluster binaries (bench_cluster,
-/// consolidation), passed to SweepCli::parse as extra flags:
-/// --engine-threads N and --lookahead-mode M, written into the two
-/// ClusterSpec knobs of the same names.
+/// The parallel-engine flag of the cluster binaries (bench_cluster,
+/// consolidation), passed to SweepCli::parse as an extra flag:
+/// --engine-threads N, written into ClusterSpec::engine_threads.
 [[nodiscard]] std::vector<CliFlag> cluster_engine_flags(
-    unsigned& engine_threads, sim::LookaheadMode& lookahead_mode);
+    unsigned& engine_threads);
 
 }  // namespace paratick::core

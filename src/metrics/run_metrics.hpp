@@ -64,9 +64,7 @@ struct RunResult {
   std::uint64_t engine_wall_ns = 0;
 
   // Parallel-engine window counters (sim::ParallelProfile), zero for
-  // single-engine runs. Deterministic for a fixed lookahead mode at any
-  // engine-thread count, but mode-DEPENDENT: cross-mode byte-identity
-  // gates must compare artifacts that exclude these.
+  // single-engine runs. Deterministic at any engine-thread count.
   std::uint64_t par_windows = 0;
   std::uint64_t par_windows_skipped = 0;
   std::uint64_t par_barriers_elided = 0;

@@ -54,16 +54,6 @@ SimTime saturating_add(SimTime a, SimTime b) {
 
 }  // namespace
 
-const char* to_string(LookaheadMode mode) {
-  switch (mode) {
-    case LookaheadMode::kGlobal:
-      return "global";
-    case LookaheadMode::kTopology:
-      return "topology";
-  }
-  return "?";
-}
-
 ParallelEngine::ParallelEngine(unsigned threads) : threads_(threads) {
   if (threads_ == 0) {
     threads_ = std::max(1u, std::thread::hardware_concurrency());
@@ -104,11 +94,6 @@ void ParallelEngine::declare_full_mesh(SimTime min_latency) {
       if (s != d) declare_link(s, d, min_latency);
     }
   }
-}
-
-void ParallelEngine::set_lookahead_mode(LookaheadMode mode) {
-  PARATICK_CHECK_MSG(!running_, "cannot switch lookahead mode mid-run");
-  mode_ = mode;
 }
 
 std::optional<SimTime> ParallelEngine::link_latency(PartitionId src,
@@ -212,8 +197,8 @@ void ParallelEngine::run_partition_window(Partition& p) {
   // with `when < t` executed and before anything at or past `t` runs.
   // That injection point is a pure function of the committed event stream
   // — not of window bounds — so the seq numbers the destination assigns
-  // (and with them every per-event digest) are identical in both
-  // lookahead modes and at any thread count.
+  // (and with them every per-event digest) are identical however far a
+  // window reaches and at any thread count.
   const SimTime bound = p.window_bound;
   for (;;) {
     const bool msg = p.inbox_pos < p.inbox.size() &&
@@ -262,7 +247,7 @@ void ParallelEngine::flush_inboxes() {
   // Drive teardown: every message still undelivered is addressed past the
   // deadline. Park it in the destination queue (inbox order is already the
   // deterministic commit order) so a follow-up run_until resumes from
-  // state identical at any thread count and either lookahead mode.
+  // state identical at any thread count.
   for (Partition& p : parts_) {
     for (std::size_t i = p.inbox_pos; i < p.inbox.size(); ++i) {
       p.engine->schedule_at(p.inbox[i].deliver_at, std::move(p.inbox[i].fn));
@@ -326,12 +311,12 @@ void ParallelEngine::drive(std::optional<SimTime> deadline) {
       }
     }
 
-    // kTopology horizons need the min-plus closure of the floors: an idle
+    // Horizons need the min-plus closure of the floors: an idle
     // partition can be woken by a message this window and relay onward,
     // so the earliest a partition can possibly execute is the shortest
     // latency path from any floor (Bellman-Ford; latencies are positive,
     // so this converges in at most partition_count passes).
-    if (mode_ == LookaheadMode::kTopology && !links_.empty()) {
+    if (!links_.empty()) {
       for (std::size_t pass = 0; pass < parts_.size(); ++pass) {
         bool changed = false;
         for (const Link& l : links_) {
@@ -352,27 +337,23 @@ void ParallelEngine::drive(std::optional<SimTime> deadline) {
       Partition& p = parts_[pid];
       SimTime bound = SimTime::max();
       if (window) {
-        const SimTime global_bound = start + *window;
-        if (mode_ == LookaheadMode::kGlobal) {
-          bound = global_bound;
-        } else {
-          // CMB-style safe horizon: nothing can arrive before the
-          // earliest possible send on an incoming link lands.
-          for (const std::uint32_t li : incoming_[pid]) {
-            const Link& l = links_[li];
-            const SimTime via = saturating_add(floors[l.src], l.min_latency);
-            if (via < bound) bound = via;
-          }
-          const std::int64_t wn = window->nanoseconds();
-          if (kMaxHorizonWindows <
-              std::numeric_limits<std::int64_t>::max() / wn) {
-            const SimTime cap =
-                saturating_add(start, SimTime::ns(wn * kMaxHorizonWindows));
-            if (cap < bound) bound = cap;
-          }
-          // The horizon can never be tighter than the global quantum.
-          if (bound < global_bound) bound = global_bound;
+        // CMB-style safe horizon: nothing can arrive before the earliest
+        // possible send on an incoming link lands.
+        for (const std::uint32_t li : incoming_[pid]) {
+          const Link& l = links_[li];
+          const SimTime via = saturating_add(floors[l.src], l.min_latency);
+          if (via < bound) bound = via;
         }
+        const std::int64_t wn = window->nanoseconds();
+        if (kMaxHorizonWindows <
+            std::numeric_limits<std::int64_t>::max() / wn) {
+          const SimTime cap =
+              saturating_add(start, SimTime::ns(wn * kMaxHorizonWindows));
+          if (cap < bound) bound = cap;
+        }
+        // The horizon can never be tighter than the global quantum.
+        const SimTime global_bound = start + *window;
+        if (bound < global_bound) bound = global_bound;
       }
       if (deadline && *deadline < SimTime::max() &&
           (*deadline + SimTime::ns(1)) < bound) {
@@ -444,9 +425,9 @@ ParallelProfile ParallelEngine::profile() const {
 }
 
 std::uint64_t ParallelEngine::state_digest() const {
-  // Window counters are deliberately excluded: they depend on the
-  // lookahead mode, while this digest asserts result identity across
-  // modes and thread counts.
+  // Window counters are deliberately excluded: they describe how the
+  // run was driven, while this digest asserts result identity across
+  // thread counts.
   std::uint64_t h = 0xA24BAED4963EE407ull;
   for (const Partition& p : parts_) {
     h = mix64(h ^ p.engine->state_digest());

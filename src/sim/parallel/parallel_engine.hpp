@@ -11,23 +11,19 @@
 // sends are committed into per-partition inboxes in a deterministic
 // global order, and the next window begins.
 //
-// Two lookahead modes pick the per-window execution bound:
-//
-//   kGlobal    every partition runs to `start + L`, where L is the
-//              minimum latency over ALL declared links — the classic
-//              conservative quantum. One tight link collapses every
-//              partition to tiny windows.
-//   kTopology  CMB-style per-partition safe horizon: partition P runs to
-//              `min over incoming links (src floor + link latency)`,
-//              where a partition's *floor* is its earliest committed
-//              pending work (local queue or undelivered inbox message).
-//              Partitions behind a slow link — or with no inbound links
-//              at all — cover many global quanta per barrier
-//              (at most kMaxHorizonWindows).
+// Window rule: a CMB-style per-partition safe horizon. Partition P runs
+// to `min over incoming links (src floor + link latency)`, where a
+// partition's *floor* is its earliest committed pending work (local queue
+// or undelivered inbox message), closed over multi-hop paths. The
+// horizon is never shorter than the global quantum `start + L` (L = the
+// minimum latency over ALL declared links), so one tight link bounds only
+// the partitions it points at; partitions behind a slow link, or with no
+// inbound links at all, cover many global quanta per barrier (at most
+// kMaxHorizonWindows).
 //
 // Sparse barriers: window starts always jump directly to the earliest
 // committed work anywhere, so globally-dead stretches cost zero barriers
-// in either mode (counted in `windows_skipped`).
+// (counted in `windows_skipped`).
 //
 // Determinism: each partition engine is deterministic on its own; the
 // barrier sorts messages by (delivery time, source partition, per-source
@@ -37,10 +33,9 @@
 // depend on which window delivered the message. Each partition's event
 // stream (time, seq, state digest after every event) — and with it the
 // stream merged by (time, partition, seq) and every counter derived from
-// them — is therefore bit-identical for ANY worker-thread count AND both
-// lookahead modes, which is what the engine-threads/lookahead-mode CI
-// gates compare. Only the window/barrier counters (quanta, windows_skipped,
-// barriers_elided, horizon_max_ns) depend on the mode.
+// them — is therefore bit-identical for ANY worker-thread count, which is
+// what the engine-threads CI gates compare, and does not depend on how
+// far any window reached.
 #pragma once
 
 #include <cstdint>
@@ -61,21 +56,10 @@ namespace paratick::sim {
 
 using PartitionId = std::uint32_t;
 
-/// How the per-window execution bound is derived from the declared links.
-enum class LookaheadMode : std::uint8_t {
-  kGlobal,    ///< every partition bounded by the global minimum latency
-  kTopology,  ///< per-partition bound from incoming links (CMB-style)
-};
-
-[[nodiscard]] const char* to_string(LookaheadMode mode);
-
 /// Deterministic self-profile of one ParallelEngine run. Everything except
-/// wall_ns is a pure function of the workload and the lookahead mode, and
+/// wall_ns is a pure function of the workload and the declared links, and
 /// identical for any worker-thread count; wall_ns is host wall-clock and
-/// reporting-only. The window counters (quanta, idle_skips,
-/// windows_skipped, barriers_elided, horizon_max_ns) depend on the
-/// lookahead mode — exports that must stay byte-identical across modes
-/// carry only the other fields.
+/// reporting-only.
 struct ParallelProfile {
   std::uint64_t partitions = 0;
   /// Barrier-delimited quantum windows executed.
@@ -85,7 +69,7 @@ struct ParallelProfile {
   /// Empty global-quantum windows those jumps skipped (dead time / L).
   std::uint64_t windows_skipped = 0;
   /// Extra global-quantum windows runnable partitions covered past
-  /// `start + L` without a rendezvous (kTopology horizons; 0 in kGlobal).
+  /// `start + L` without a rendezvous.
   std::uint64_t barriers_elided = 0;
   /// Largest single-window horizon advance (bound - start) in ns.
   std::uint64_t horizon_max_ns = 0;
@@ -119,8 +103,8 @@ class ParallelEngine {
 
   /// Declare that messages from `src` to `dst` take at least `min_latency`
   /// to arrive. send() on an undeclared pair is an error; the minimum over
-  /// all declared links is the global lookahead, and in kTopology mode
-  /// each partition's horizon comes from its own incoming links.
+  /// all declared links is the global lookahead, and each partition's
+  /// horizon comes from its own incoming links.
   void declare_link(PartitionId src, PartitionId dst, SimTime min_latency);
 
   /// Declare every ordered pair of distinct partitions at `min_latency` —
@@ -149,36 +133,30 @@ class ParallelEngine {
   /// order, so a follow-up drive resumes from identical state.
   void run_until(SimTime deadline);
 
-  /// Select how window bounds are derived (default kGlobal). May be
-  /// changed between runs, never during one. Every partition's event
-  /// stream is identical in both modes; only window/barrier counters
-  /// differ.
-  void set_lookahead_mode(LookaheadMode mode);
-  [[nodiscard]] LookaheadMode lookahead_mode() const { return mode_; }
-
   [[nodiscard]] std::size_t partition_count() const { return parts_.size(); }
   [[nodiscard]] Engine& engine(PartitionId p) { return *parts_[p].engine; }
   [[nodiscard]] const std::string& name(PartitionId p) const {
     return parts_[p].name;
   }
   [[nodiscard]] unsigned threads() const { return threads_; }
-  /// Global lookahead derived from the declared links (nullopt: none
-  /// declared — partitions are fully independent and run to completion in
-  /// one window).
+  /// Global lookahead derived from the declared links: the quantum that
+  /// windows_skipped and barriers_elided count in (nullopt: none declared
+  /// — partitions are fully independent and run to completion in one
+  /// window).
   [[nodiscard]] std::optional<SimTime> lookahead() const;
 
   [[nodiscard]] ParallelProfile profile() const;
 
   /// Digest of the deterministic whole-run state: partition digests folded
   /// in partition order plus the cross-message total. Bit-identical across
-  /// runs of the same workload at any thread count and either lookahead
-  /// mode (window counters are deliberately excluded).
+  /// runs of the same workload at any thread count (window counters are
+  /// deliberately excluded).
   [[nodiscard]] std::uint64_t state_digest() const;
 
  private:
-  /// A kTopology horizon reaches at most this many global quanta past the
-  /// window start: bounds barrier-buffer growth when a partition has slow
-  /// or no inbound links. Ignored in kGlobal. Results never depend on it.
+  /// A horizon reaches at most this many global quanta past the window
+  /// start: bounds barrier-buffer growth when a partition has slow or no
+  /// inbound links. Results never depend on it.
   static constexpr std::int64_t kMaxHorizonWindows = 64;
 
   struct CrossMessage {
@@ -232,7 +210,6 @@ class ParallelEngine {
   /// links_ indices grouped by destination (built lazily per drive).
   std::vector<std::vector<std::uint32_t>> incoming_;
   unsigned threads_ = 1;
-  LookaheadMode mode_ = LookaheadMode::kGlobal;
   std::unique_ptr<core::ThreadPool> pool_;
   bool running_ = false;
   std::uint64_t quanta_ = 0;

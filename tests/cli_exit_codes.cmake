@@ -87,7 +87,7 @@ expect(2 "--seed: not a valid integer" "${BENCH_DIR}/bench_microbench" --seed 0x
 expect(2 "--hosts: value must be >= 1" "${BENCH_DIR}/bench_cluster" --hosts 0)
 expect(2 "--vms-per-host: value must be >= 1" "${BENCH_DIR}/bench_cluster"
        --vms-per-host 0)
-expect(2 "expected one of global topology" "${BENCH_DIR}/bench_cluster"
+expect(2 "unknown flag --lookahead-mode" "${BENCH_DIR}/bench_cluster"
        --lookahead-mode sideways)
 expect(2 "--migration-blackout-us: value must be >= 1" "${BENCH_DIR}/bench_cluster"
        --migration-blackout-us 0)
@@ -116,7 +116,7 @@ expect(2 "threads: not a valid integer" "${EXAMPLE_DIR}/exit_breakdown" fluidani
 expect(2 "threads: value must be >= 1" "${EXAMPLE_DIR}/exit_breakdown" fluidanimate 0)
 expect(2 "unknown mode 'paratik'" "${EXAMPLE_DIR}/trace_timeline" paratik)
 expect(2 "--hosts: value must be >= 1" "${EXAMPLE_DIR}/consolidation" --hosts 0)
-expect(2 "expected one of global topology" "${EXAMPLE_DIR}/consolidation"
+expect(2 "unknown flag --lookahead-mode" "${EXAMPLE_DIR}/consolidation"
        --lookahead-mode sideways)
 
 # README's shared-flags table (the first table after "shares one CLI:")

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/cli_parse.hpp"
-#include "core/cluster/cluster.hpp"
 #include "core/sweep.hpp"
 #include "expect_error.hpp"
 #include "sim/check.hpp"
@@ -103,31 +102,6 @@ TEST(ParseDoubleFlag, RejectsNonFiniteAndBelowMinimum) {
                    "value must not be negative");
   EXPECT_SIM_ERROR((void)parse_double_flag("--run-timeout", "1e999"),
                    "value out of range");
-}
-
-TEST(ParseChoiceFlag, ReturnsTheMatchingIndex) {
-  EXPECT_EQ(parse_choice_flag("--lookahead-mode", "global",
-                              {"global", "topology"}),
-            0u);
-  EXPECT_EQ(parse_choice_flag("--lookahead-mode", "topology",
-                              {"global", "topology"}),
-            1u);
-}
-
-TEST(ParseChoiceFlag, RejectsUnknownSpellingsListingTheChoices) {
-  // Exact matches only: no prefixes, no case folding, no whitespace.
-  EXPECT_SIM_ERROR((void)parse_choice_flag("--lookahead-mode", "sideways",
-                                           {"global", "topology"}),
-                   "expected one of global topology");
-  EXPECT_SIM_ERROR((void)parse_choice_flag("--lookahead-mode", "topo",
-                                           {"global", "topology"}),
-                   "expected one of");
-  EXPECT_SIM_ERROR((void)parse_choice_flag("--lookahead-mode", "Global",
-                                           {"global", "topology"}),
-                   "expected one of");
-  EXPECT_SIM_ERROR((void)parse_choice_flag("--lookahead-mode", "",
-                                           {"global", "topology"}),
-                   "expected one of");
 }
 
 // ---- parse_cli: the table-driven parser ---------------------------------
@@ -310,13 +284,11 @@ TEST(SweepCliParse, AcceptsDispatchFlags) {
 
 TEST(SweepCliParse, AcceptsTheBinarysOwnFlags) {
   unsigned engine_threads = 1;
-  sim::LookaheadMode mode = sim::LookaheadMode::kGlobal;
-  Argv a({"--engine-threads", "4", "--lookahead-mode", "topology", "-j2"});
-  const SweepCli cli = SweepCli::parse(
-      a.argc(), a.argv(), cluster_engine_flags(engine_threads, mode));
+  Argv a({"--engine-threads", "4", "-j2"});
+  const SweepCli cli = SweepCli::parse(a.argc(), a.argv(),
+                                       cluster_engine_flags(engine_threads));
   EXPECT_EQ(cli.threads, 2u);
   EXPECT_EQ(engine_threads, 4u);
-  EXPECT_EQ(mode, sim::LookaheadMode::kTopology);
 }
 
 TEST(SweepCliParse, BadNumbersExitWithCode2NotZero) {
@@ -365,16 +337,23 @@ TEST(SweepCliParse, UnknownAndRemovedFlagsExitWithCode2) {
               ::testing::ExitedWithCode(2), "unexpected argument 'stray'");
 }
 
-TEST(ClusterEngineFlags, RejectUnknownLookaheadModes) {
-  for (const char* bad : {"sideways", "topo", "Global"}) {
+TEST(ClusterEngineFlags, RejectBadEngineThreadCounts) {
+  for (const char* bad : {"-1", "four", "2x", ""}) {
     unsigned engine_threads = 1;
-    sim::LookaheadMode mode = sim::LookaheadMode::kGlobal;
-    Argv a({"--lookahead-mode", bad});
+    Argv a({"--engine-threads", bad});
     EXPECT_EXIT((void)parse_cli(a.argc(), a.argv(),
-                                cluster_engine_flags(engine_threads, mode)),
-                ::testing::ExitedWithCode(2), "expected one of global topology")
+                                cluster_engine_flags(engine_threads)),
+                ::testing::ExitedWithCode(2), "--engine-threads")
         << bad;
   }
+}
+
+TEST(ClusterEngineFlags, AreOnlyEngineThreads) {
+  // The engine has one window rule, so there is no mode to pick.
+  unsigned engine_threads = 1;
+  const std::vector<CliFlag> flags = cluster_engine_flags(engine_threads);
+  ASSERT_EQ(flags.size(), 1u);
+  EXPECT_EQ(flags[0].name, "--engine-threads");
 }
 
 }  // namespace
