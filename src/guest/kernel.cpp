@@ -70,10 +70,15 @@ void TaskApi::sleep_for(sim::SimTime d) {
       cpu.policy().program_hrtimer(deadline);
       return;
     }
-    // Jiffy path (Linux's timer wheel): due on the last jiffy boundary at
-    // or before the deadline. Nothing is programmed here; the tick or the
-    // next idle entry's next-event query covers it.
-    cpu.timers().add(deadline - deadline % cpu.tick_period(), wake);
+    // Jiffy path (Linux's timer wheel): due on the first jiffy boundary at
+    // or after the deadline, since a sleeper never wakes early. Nothing is
+    // programmed here; the tick or the next idle entry's next-event query
+    // covers it.
+    const sim::SimTime into_jiffy = deadline % cpu.tick_period();
+    cpu.timers().add(into_jiffy == sim::SimTime::zero()
+                         ? deadline
+                         : deadline + (cpu.tick_period() - into_jiffy),
+                     wake);
     cpu.block_current();
   });
   cpu.kvm().port_run(cpu.vcpu(), cpu.costs().syscall, hw::CycleCategory::kGuestKernel);

@@ -49,7 +49,7 @@ class TaskApi {
   void sync_io(const hw::IoRequest& req);
 
   /// Sleep for `d`: until the exact deadline if `d` is under four
-  /// ticks, else until the last jiffy boundary at or before it.
+  /// ticks, else until the first jiffy boundary at or after it.
   void sleep_for(sim::SimTime d);
 
   /// Model a non-timer VM exit (page fault etc.) on this task's path.

@@ -168,6 +168,41 @@ TEST(GuestKernel, LongSleepWakesOnAJiffyBoundary) {
   const double ms = built.result.completion_time()->milliseconds();
   EXPECT_GE(ms, 40.0);
   EXPECT_LT(ms, 50.0);  // within ~2 jiffies of the deadline
+
+  // A sleep that does not start on a boundary: 30 ms issued ~1 ms in, at
+  // 250 Hz. Linux never wakes a sleeper early, so the wake lands on the
+  // first jiffy boundary at or after the deadline.
+  struct Probe {
+    int step = 0;
+    SimTime deadline;
+  } probe;
+  auto late = run_with(base_spec(1), [&probe](GuestKernel& k) {
+    k.add_task([&probe](TaskApi& api) {
+      switch (probe.step++) {
+        case 0:
+          api.compute(Cycles{2'000'000});  // 1 ms at 2 GHz
+          return;
+        case 1:
+          probe.deadline = api.now() + SimTime::ms(30);
+          api.sleep_for(SimTime::ms(30));
+          return;
+        default:
+          api.finish();
+      }
+    });
+  });
+  // woken_at is stamped in the timer callback, a few microseconds of
+  // interrupt path after the boundary the timer was due on.
+  const std::int64_t jiffy = SimTime::ms(4).nanoseconds();
+  const std::int64_t deadline = probe.deadline.nanoseconds();
+  const std::int64_t wake = late.system->kernel(0).task(0).woken_at.nanoseconds();
+  const std::int64_t boundary = wake - wake % jiffy;
+  EXPECT_GT(deadline, SimTime::ms(1).nanoseconds());
+  EXPECT_NE(deadline % jiffy, 0);
+  EXPECT_GE(wake, deadline);
+  EXPECT_GE(boundary, deadline);
+  EXPECT_LT(boundary, deadline + jiffy);
+  EXPECT_LT(wake - boundary, SimTime::us(100).nanoseconds());
 }
 
 TEST(GuestKernel, SleepingVcpuHaltsInsteadOfSpinning) {

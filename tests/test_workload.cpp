@@ -353,10 +353,10 @@ TEST_P(InterpOracle, ProgramDigestIsUnchanged) {
   // Golden values: any change to what a task does, or when, changes them.
   std::uint64_t expected = 0;
   switch (GetParam()) {
-    case guest::TickMode::kPeriodic: expected = 0xf1bb79b2354d4249ull; break;
-    case guest::TickMode::kDynticksIdle: expected = 0x0be326534a2fae42ull; break;
-    case guest::TickMode::kFullDynticks: expected = 0x9b3cf4b4a640e9bfull; break;
-    case guest::TickMode::kParatick: expected = 0x358b168ef0067589ull; break;
+    case guest::TickMode::kPeriodic: expected = 0x015290d81c80fd29ull; break;
+    case guest::TickMode::kDynticksIdle: expected = 0xe33ad5750bab96bbull; break;
+    case guest::TickMode::kFullDynticks: expected = 0xe4e987954b4042deull; break;
+    case guest::TickMode::kParatick: expected = 0x0684b6466633e7e2ull; break;
   }
   EXPECT_EQ(oracle_digest(GetParam(), install_every_op), expected);
 }
