@@ -7,19 +7,20 @@
 // boundary, so --engine-threads N parallelizes the cell across hosts
 // while -j fans cells out across the grid. This is the parallel engine's
 // determinism gate: --engine-threads, -j and --dispatch leave every
-// exported byte unchanged (the cluster-smoke CI job cmp's
-// them), with migrations and telemetry crossing partitions. The
-// overcommit axis resizes the per-host machine exactly like the
-// single-host benches, so rows self-describe the vCPU:pCPU ratio.
+// exported byte unchanged (the cluster-smoke CI job cmp's them), with
+// migrations and telemetry crossing partitions. The overcommit axis
+// resizes the per-host machine exactly like the single-host benches, so
+// rows self-describe the vCPU:pCPU ratio.
 //
 // Flags: `bench_cluster --help` lists the cluster flags (--hosts,
 // --vms-per-host, --overcommit, rebalancing, migration and telemetry
 // knobs, --engine-threads) and the shared sweep CLI. With
 // --telemetry-period-us U, hosts 1..N-1 stream a load report to host 0
 // every U us over a dedicated low-latency link: a heterogeneous-link
-// topology where only host 0's horizon tightens. Cluster runs take no trace recorder, faults, watchdog or
-// wall-clock limit: --record-trace, --chaos, --fault-*, --watchdog and
-// --run-timeout exit 2 before the sweep starts.
+// topology where only host 0's horizon tightens. Cluster runs take no
+// trace recorder, faults, watchdog or wall-clock limit: --record-trace,
+// --chaos, --fault-*, --watchdog and --run-timeout exit 2 before the
+// sweep starts.
 #include <cstdio>
 #include <string>
 #include <utility>

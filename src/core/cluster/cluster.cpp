@@ -355,9 +355,7 @@ ClusterResult Cluster::collect() {
     out.state_digest = fabric_->state_digest();
     // Window counters ride the merged RunResult into the sweep pipeline
     // (run records -> cell accumulators -> sweep JSON / --profile table).
-    // They are deterministic for a fixed lookahead mode at any thread
-    // count — but differ BETWEEN modes, which is why the byte-identity
-    // gates compare CSV artifacts, not these.
+    // They are deterministic at any thread count.
     m.par_windows = out.profile.quanta;
     m.par_windows_skipped = out.profile.windows_skipped;
     m.par_barriers_elided = out.profile.barriers_elided;

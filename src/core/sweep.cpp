@@ -379,10 +379,9 @@ std::string SweepResult::to_json() const {
     out += "]}";
     if (cell.par_windows.max() > 0.0) {
       // Parallel-engine window counters: deterministic at any
-      // engine-thread count but lookahead-MODE-dependent, so they appear
-      // only in cells that ran the partitioned engine — single-engine
-      // sweep snapshots (and their committed baselines) stay unchanged,
-      // and cross-mode byte-identity gates must compare the CSV export.
+      // engine-thread count. They appear only in cells that ran the
+      // partitioned engine, so single-engine sweep snapshots (and their
+      // committed baselines) stay unchanged.
       out += metrics::format(
           ", \"par_windows\": {\"mean\": %.1f, \"stddev\": %.2f}, "
           "\"par_windows_skipped\": {\"mean\": %.1f, \"stddev\": %.2f}, "
@@ -606,8 +605,7 @@ void SweepCli::export_results(const SweepResult& result,
                 static_cast<unsigned long long>(compactions));
     if (par_windows > 0) {
       // Parallel-engine window counters (only when something actually ran
-      // the partitioned engine). Mode-dependent by design: topology mode
-      // proves its barrier savings right here.
+      // the partitioned engine).
       std::printf("  parallel windows     %20llu\n",
                   static_cast<unsigned long long>(par_windows));
       std::printf("  windows skipped      %20llu\n",

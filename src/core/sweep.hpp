@@ -182,9 +182,8 @@ struct SweepCellSummary {
   // Parallel-engine window counters (metrics::RunResult::par_*), all-zero
   // for single-engine scenarios. Deterministic at any engine-thread
   // count; to_json() exports them only for cells that actually ran the
-  // partitioned engine, so
-  // single-engine sweep snapshots (and their committed bench baselines)
-  // are byte-for-byte unchanged.
+  // partitioned engine, so single-engine sweep snapshots (and their
+  // committed bench baselines) are byte-for-byte unchanged.
   sim::Accumulator par_windows;
   sim::Accumulator par_windows_skipped;
   sim::Accumulator par_barriers_elided;

@@ -316,19 +316,17 @@ void ParallelEngine::drive(std::optional<SimTime> deadline) {
     // so the earliest a partition can possibly execute is the shortest
     // latency path from any floor (Bellman-Ford; latencies are positive,
     // so this converges in at most partition_count passes).
-    if (!links_.empty()) {
-      for (std::size_t pass = 0; pass < parts_.size(); ++pass) {
-        bool changed = false;
-        for (const Link& l : links_) {
-          if (floors[l.src] == SimTime::max()) continue;
-          const SimTime via = saturating_add(floors[l.src], l.min_latency);
-          if (via < floors[l.dst]) {
-            floors[l.dst] = via;
-            changed = true;
-          }
+    for (std::size_t pass = 0; pass < parts_.size(); ++pass) {
+      bool changed = false;
+      for (const Link& l : links_) {
+        if (floors[l.src] == SimTime::max()) continue;
+        const SimTime via = saturating_add(floors[l.src], l.min_latency);
+        if (via < floors[l.dst]) {
+          floors[l.dst] = via;
+          changed = true;
         }
-        if (!changed) break;
       }
+      if (!changed) break;
     }
 
     // Per-partition execution bounds for this window.

@@ -1,7 +1,7 @@
 // Cluster-layer tests: placement determinism, single-host equivalence
 // with a plain core::System, steal-aware rebalancing, migration blackout
-// accounting, bit-identity across engine-thread counts, lookahead modes
-// and sweep fan-out, and the sweep settings cluster runs reject.
+// accounting, bit-identity across engine-thread counts and sweep
+// fan-out, and the sweep settings cluster runs reject.
 #include <gtest/gtest.h>
 
 #include <cstdint>
