@@ -23,8 +23,8 @@
 // Every counter except events_per_sec is a pure function of --seed, so
 // the history snapshot diffs bit-exact run to run; events_per_sec is the
 // host-dependent throughput figure the CI smoke gates generously.
-// partchurn's counters are additionally invariant to --engine-threads —
-// that is the parallel engine's contract.
+// The partitioned cases' counters are additionally invariant to
+// --engine-threads — that is the parallel engine's contract.
 //
 // Usage: bench_microbench [flags]; --help lists them (--repeat, --seed,
 // --json, --history-dir/--history-tag, --engine-threads, --profile,
@@ -52,7 +52,7 @@ using namespace paratick;
 
 namespace {
 
-/// Worker threads inside the partchurn case's parallel engine
+/// Worker threads inside the partitioned cases' parallel engines
 /// (--engine-threads). Counters are bit-identical for any value.
 unsigned g_engine_threads = 1;
 
@@ -374,7 +374,7 @@ int main(int argc, char** argv) {
                        history_dir),
        core::text_flag("--history-tag", "T",
                        "snapshot tag (default: the current git commit)", history_tag),
-       core::uint_flag("--engine-threads", "N", "partchurn engine threads (default 1)",
+       core::uint_flag("--engine-threads", "N", "partitioned-case engine threads (default 1)",
                        g_engine_threads),
        core::switch_flag("--profile", "print per-case engine counters", profile),
        core::switch_flag("--quiet", "suppress per-replica progress lines", quiet)});

@@ -70,6 +70,38 @@ TEST(ParallelEngine, CrossPartitionSendDeliversAtSrcNowPlusDelay) {
   EXPECT_EQ(delivered, SimTime::us(7));  // 4 (src now) + 3 (delay)
 }
 
+TEST(ParallelEngine, IdleRelayBoundsTheHorizonDownstream) {
+  // a -> b -> c, 1us each. b is idle when the window opens, but relays
+  // what a sends it, so c may not run past a's floor + 2us. A horizon
+  // taken from b's own (empty) floor would let c sprint ahead, and the
+  // relayed message would then be injected into c's past and throw.
+  Engine a, b, c;
+  ParallelEngine par(1);
+  const PartitionId pa = par.add_partition(a);
+  const PartitionId pb = par.add_partition(b);
+  const PartitionId pc = par.add_partition(c);
+  par.declare_link(pa, pb, SimTime::us(1));
+  par.declare_link(pb, pc, SimTime::us(1));
+
+  SimTime relayed = SimTime::zero();
+  a.schedule_at(SimTime::ns(1), [&] {
+    par.send(pa, pb, SimTime::us(1), [&] {
+      par.send(pb, pc, SimTime::us(1), [&] { relayed = c.now(); });
+    });
+  });
+  struct Busy {
+    Engine* eng;
+    int remaining;
+    void step() {
+      if (--remaining > 0) eng->schedule_after(SimTime::ns(100), [this] { step(); });
+    }
+  } busy{&c, 1000};  // 100us of local work on c
+  c.schedule_at(SimTime::ns(1), [&busy] { busy.step(); });
+  par.run();
+
+  EXPECT_EQ(relayed, SimTime::ns(1) + SimTime::us(2));
+}
+
 TEST(ParallelEngine, SendBelowLinkLatencyThrows) {
   Engine a, b;
   ParallelEngine par(1);
