@@ -101,9 +101,6 @@ int run_worker(const SweepConfig& cfg, int ctl_fd, int out_fd) {
     ~HbJoiner() { join(); }
   } hb_joiner{join_hb};
 
-  const std::string failure_dir =
-      resolve_output_path(cfg.output_dir, cfg.failure_dir);
-
   std::string line;
   while (read_ctl_line(ctl_fd, line)) {
     const std::size_t idx = parse_assignment(line, plan.total_runs());
@@ -112,8 +109,8 @@ int run_worker(const SweepConfig& cfg, int ctl_fd, int out_fd) {
     run.host_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    if (!run.ok && run.failure && !failure_dir.empty()) {
-      run.bundle_path = write_replay_bundle(cfg, run, failure_dir);
+    if (!run.ok && run.failure && !cfg.failure_dir.empty()) {
+      run.bundle_path = write_replay_bundle(cfg, run, cfg.failure_dir);
     }
     if (!out.write_line(run_record_to_json(run))) return 1;
   }

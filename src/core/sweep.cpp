@@ -41,12 +41,6 @@ void progress_line(const SweepPlan& plan, const SweepRun& run,
 
 }  // namespace
 
-std::string resolve_output_path(const std::string& output_dir,
-                                const std::string& path) {
-  if (path.empty() || output_dir.empty() || path.front() == '/') return path;
-  return output_dir + "/" + path;
-}
-
 const char* RunFailure::kind_name(Kind k) {
   switch (k) {
     case Kind::kCheck: return "check";
@@ -203,12 +197,10 @@ SweepResult SweepRunner::run() const {
 
   // Replay bundles for failed runs, written in run-index order so bundle
   // file names are deterministic.
-  const std::string failure_dir =
-      resolve_output_path(cfg_.output_dir, cfg_.failure_dir);
-  if (!failure_dir.empty()) {
+  if (!cfg_.failure_dir.empty()) {
     for (SweepRun& r : res.runs) {
       if (!r.executed || r.ok || !r.failure) continue;
-      r.bundle_path = write_replay_bundle(cfg_, r, failure_dir);
+      r.bundle_path = write_replay_bundle(cfg_, r, cfg_.failure_dir);
       if (cfg_.progress) {
         std::fprintf(stderr, "sweep: replay bundle -> %s\n", r.bundle_path.c_str());
       }
@@ -436,9 +428,6 @@ std::vector<CliFlag> shared_sweep_flags(SweepCli& cli) {
                 cli.history_tag),
       switch_flag("--profile", "print the engine hot-path profile",
                   cli.profile),
-      text_flag("--output-dir", "D",
-                "base for a relative --failure-dir path",
-                cli.output_dir),
       switch_flag("--chaos", "default fault mix + invariant watchdog",
                   cli.chaos),
       switch_flag("--watchdog", "invariant watchdog without faults",
@@ -485,7 +474,6 @@ void SweepCli::apply(SweepConfig& cfg) const {
   cfg.repeat = repeat;
   cfg.progress = progress;
   if (root_seed) cfg.root_seed = *root_seed;
-  if (!output_dir.empty()) cfg.output_dir = output_dir;
   if (chaos) {
     cfg.fault = default_chaos_faults();
     cfg.watchdog = true;  // chaos without invariant checks finds nothing
@@ -509,13 +497,11 @@ SweepResult run_dispatched(const SweepCli& cli, const SweepConfig& cfg) {
   opts.progress = cfg.progress;
   opts.test_kill_after = cli.dispatch_test_kill;
 
-  const std::string failure_dir =
-      resolve_output_path(cfg.output_dir, cfg.failure_dir);
-  if (!failure_dir.empty()) {
+  if (!cfg.failure_dir.empty()) {
     // Workers write bundles for the failed runs they complete; this covers
     // a run lost with its worker, so it can still be replayed.
-    opts.bundle_writer = [&cfg, failure_dir](SweepRun& run) {
-      run.bundle_path = write_replay_bundle(cfg, run, failure_dir);
+    opts.bundle_writer = [&cfg](SweepRun& run) {
+      run.bundle_path = write_replay_bundle(cfg, run, cfg.failure_dir);
     };
   }
 

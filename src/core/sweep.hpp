@@ -38,12 +38,6 @@
 
 namespace paratick::core {
 
-/// Resolve a sweep file output against an output directory: relative
-/// paths land under it instead of the current directory. Absolute paths
-/// pass through.
-[[nodiscard]] std::string resolve_output_path(const std::string& output_dir,
-                                              const std::string& path);
-
 /// A named point on the workload axis of a sweep: mutates the base
 /// ExperimentSpec (install a different workload, resize the machine, ...).
 struct SweepVariant {
@@ -69,10 +63,6 @@ struct SweepConfig {
   std::uint64_t root_seed = 1;
   unsigned threads = 0;                  // 0 = hardware_concurrency
   bool progress = false;                 // per-run timing lines on stderr
-
-  /// Base directory for the sweep's file outputs: a relative failure_dir
-  /// resolves against it, not the CWD. Empty = CWD.
-  std::string output_dir;
 
   /// Chaos injection: applied to every run when any rate is nonzero. The
   /// per-run fault plan seed is derived purely from (root_seed, run_index),
@@ -299,7 +289,6 @@ struct SweepCli {
   std::string history_dir;
   std::string history_tag;
   bool profile = false;
-  std::string output_dir;
   bool chaos = false;
   bool watchdog = false;
   std::string failure_dir;

@@ -177,12 +177,10 @@ SweepRun SweepPlan::execute(std::size_t run_index) const {
   // <failure_dir>/<bench>/run<idx>.trace. Written here (not by the parent
   // sweep loop) so dispatch workers produce them too.
   if (cfg_.record_trace && !out.ok && !cfg_.failure_dir.empty()) {
-    const std::string dir =
-        resolve_output_path(cfg_.output_dir, cfg_.failure_dir);
     const std::string name = cfg_.bench_name.empty() ? "sweep" : cfg_.bench_name;
     out.trace_path = record_replay::write_trace_file(
         recorder.trace(),
-        dir + "/" + name +
+        cfg_.failure_dir + "/" + name +
             metrics::format("/run%llu.trace",
                             static_cast<unsigned long long>(out.run_index)));
   }

@@ -5,7 +5,6 @@
 
 #include "fault/injector.hpp"
 #include "sim/check.hpp"
-#include "sim/log.hpp"
 
 namespace paratick::guest {
 

@@ -5,12 +5,10 @@
 
 #include "fault/injector.hpp"
 #include "sim/check.hpp"
-#include "sim/log.hpp"
 
 namespace paratick::hv {
 
 namespace {
-constexpr auto kLogDebug = sim::LogLevel::kDebug;
 /// KVM's halt_poll_ns_grow / halt_poll_ns_shrink defaults: adaptive halt
 /// polling doubles the per-vCPU window after a short block and halves it
 /// after a long one.
@@ -26,7 +24,6 @@ constexpr auto kNoHostWork = [](Kvm&, Vcpu&) {};
 
 Kvm::Kvm(sim::Engine& engine, hw::Machine& machine, HostConfig config)
     : engine_(engine), machine_(machine), config_(config), rng_(config.seed) {
-  tracer_.set_enabled(config_.trace);
   pcpus_.resize(machine.cpu_count());
   const sim::SimTime period = config_.host_tick_freq.period();
   for (std::size_t i = 0; i < pcpus_.size(); ++i) {
@@ -256,10 +253,6 @@ void Kvm::do_exit(Vcpu& vcpu, hw::ExitCause cause,
   pause_current(vcpu);
   vcpu.state = VcpuState::kInHost;
   exits_.record(cause, vcpu.vm()->id());
-  tracer_.record(engine_.now(), vcpu.id(), TraceKind::kExit,
-                 static_cast<std::uint64_t>(cause));
-  PARATICK_LOG(kLogDebug, engine_.now(), "kvm", "vcpu %u exit %s", vcpu.id(),
-               std::string(hw::to_string(cause)).c_str());
   const sim::Cycles cost = config_.exit_costs.total_for(hw::reason_for(cause));
   charge_and_then(vcpu.pcpu, hw::CycleCategory::kExitOverhead, cost,
                   std::move(host_work_then_entry));
@@ -344,7 +337,7 @@ void Kvm::vmentry(Vcpu& vcpu, Resume then) {
           }
           vcpu.guest_irqs_enabled = false;
           ++vcpu.injections;
-          tracer_.record(engine_.now(), vcpu.id(), TraceKind::kInjection, v);
+          vcpu.last_injected = v;
           // Stay in host context while the injection cost is paid so that
           // async events in this window queue instead of double-exiting.
           charge_and_then(vcpu.pcpu, hw::CycleCategory::kExitOverhead,
@@ -357,7 +350,6 @@ void Kvm::vmentry(Vcpu& vcpu, Resume then) {
         }
 
         vcpu.state = VcpuState::kInGuest;
-        tracer_.record(engine_.now(), vcpu.id(), TraceKind::kEntry, 0);
         continue_guest(vcpu, then);
       });
 }
@@ -410,7 +402,6 @@ void Kvm::port_hlt(Vcpu& vcpu) {
   PARATICK_CHECK(vcpu.state == VcpuState::kInGuest && !vcpu.current.active);
   PARATICK_CHECK_MSG(vcpu.guest_irqs_enabled, "hlt with interrupts masked would hang");
   ++vcpu.halts;
-  tracer_.record(engine_.now(), vcpu.id(), TraceKind::kHalt, 0);
   do_exit(vcpu, hw::ExitCause::kHalt, [this, &vcpu] {
     if (vcpu.state != VcpuState::kInHost) return;  // frozen mid-exit (migration)
     if (vcpu.pending.any_pending()) {
@@ -453,6 +444,7 @@ void Kvm::port_iret(Vcpu& vcpu) {
     // host context while the injection cost is paid.
     const hw::Vector v = *vcpu.pending.ack();
     ++vcpu.injections;
+    vcpu.last_injected = v;
     vcpu.state = VcpuState::kInHost;
     charge_and_then(vcpu.pcpu, hw::CycleCategory::kExitOverhead,
                     config_.exit_costs.injection, [&vcpu, v] {
@@ -593,8 +585,6 @@ void Kvm::wake_vcpu(Vcpu& vcpu) {
   PARATICK_CHECK(vcpu.state == VcpuState::kHalted);
   ++vcpu.wakeups;
   adapt_poll_window(vcpu, engine_.now() - vcpu.halt_start);
-  tracer_.record(engine_.now(), vcpu.id(), TraceKind::kWake,
-                 vcpu.pending.pending_count());
   vcpu.state = VcpuState::kReady;
   vcpu.ready_since = engine_.now();
   machine_.cpu(vcpu.home_pcpu).charge_cycles(hw::CycleCategory::kHostKernel,
@@ -635,7 +625,6 @@ void Kvm::schedule_in(Vcpu& vcpu, hw::CpuId cpu) {
   // schedule_in is only reachable from kReady (try_dispatch filters), so
   // the waiting interval is well-defined: it is this vCPU's steal time.
   vcpu.steal_total += engine_.now() - vcpu.ready_since;
-  tracer_.record(engine_.now(), vcpu.id(), TraceKind::kSchedIn, cpu);
   arm_host_tick(cpu);
   charge_and_then(cpu, hw::CycleCategory::kHostKernel, config_.host_costs.sched_in,
                   [this, &vcpu] {
@@ -651,7 +640,6 @@ void Kvm::release_pcpu(Vcpu& vcpu) {
   auto& st = pcpus_[cpu];
   PARATICK_CHECK(st.occupant == &vcpu);
   st.occupant = nullptr;
-  tracer_.record(engine_.now(), vcpu.id(), TraceKind::kSchedOut, cpu);
   vcpu.pcpu = kNoCpu;
   vcpu.aux_timer.disarm();
   disarm_host_tick(cpu);

@@ -22,7 +22,6 @@
 #include "hv/cost_model.hpp"
 #include "hv/exit_stats.hpp"
 #include "hv/port.hpp"
-#include "hv/trace.hpp"
 #include "hv/vcpu.hpp"
 #include "hv/vm.hpp"
 #include "hw/block_device.hpp"
@@ -59,7 +58,6 @@ struct HostConfig {
   ExitCostModel exit_costs;
   HostCostModel host_costs;
   std::uint64_t seed = 42;
-  bool trace = false;  // record a perf-kvm-stat-style event trace
 };
 
 class Kvm {
@@ -101,7 +99,6 @@ class Kvm {
   void set_fault_injector(fault::FaultInjector* injector);
 
   [[nodiscard]] const ExitStats& exits() const { return exits_; }
-  [[nodiscard]] Tracer& tracer() { return tracer_; }
   [[nodiscard]] const HostConfig& config() const { return config_; }
   [[nodiscard]] hw::Machine& machine() { return machine_; }
   [[nodiscard]] sim::Engine& engine() { return engine_; }
@@ -230,7 +227,6 @@ class Kvm {
   std::vector<PendingIo> pending_io_;
   std::uint64_t next_io_tag_ = 1;
   ExitStats exits_;
-  Tracer tracer_;
   hw::CpuId next_pin_ = 0;
   fault::FaultInjector* fault_ = nullptr;
 };

@@ -143,6 +143,7 @@ class Vcpu {
 
   // --- statistics ---
   std::uint64_t injections = 0;
+  hw::Vector last_injected = 0;  // the vector of the latest injection
   std::uint64_t halts = 0;
   std::uint64_t wakeups = 0;
 

@@ -163,6 +163,6 @@ foreach(f IN LISTS help_flags)
   endif()
 endforeach()
 list(LENGTH help_flags n)
-if(n LESS 19)
+if(n LESS 18)
   message(SEND_ERROR "parsed only ${n} flags from bench_table1 --help")
 endif()

@@ -207,7 +207,7 @@ TEST(Cluster, IdenticalAcrossEngineThreads) {
   EXPECT_GT(ref.profile.quanta, 0u);
   EXPECT_EQ(ref.merged.par_windows, ref.profile.quanta);
   for (const unsigned threads : {4u, 8u}) {
-    SCOPED_TRACE("x" + std::to_string(threads));
+    SCOPED_TRACE(::testing::Message() << "x" << threads);
     const ClusterResult r = run(threads);
     EXPECT_EQ(r.state_digest, ref.state_digest);
     EXPECT_EQ(r.placement, ref.placement);

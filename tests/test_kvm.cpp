@@ -6,6 +6,7 @@
 #include <functional>
 #include <vector>
 
+#include "core/system.hpp"
 #include "hv/kvm.hpp"
 #include "hw/block_device.hpp"
 
@@ -489,6 +490,8 @@ TEST_F(KvmTest, ChainedInterruptsDeliverBackToBack) {
   EXPECT_EQ(guest().irqs[0], 60);  // higher vector first
   EXPECT_EQ(guest().irqs[1], 50);
   EXPECT_EQ(vcpu().wakeups, 1u);  // one wake covered both
+  EXPECT_EQ(vcpu().injections, 2u);
+  EXPECT_EQ(vcpu().last_injected, 50);  // the chained one, injected at iret
 }
 
 TEST_F(KvmTest, PleDisabledSpinsWithoutPauseExits) {
@@ -531,6 +534,26 @@ TEST_F(KvmTest, DisarmingDeadlineCancelsTimer) {
   engine_.run_until(SimTime::ms(5));
   EXPECT_TRUE(guest().irqs.empty());  // never fired
   EXPECT_FALSE(vcpu().guest_deadline.has_value());
+}
+
+TEST(KvmSystem, PeriodicIdleVcpuTellsTheTickStory) {
+  core::SystemSpec spec;
+  spec.machine = hw::MachineSpec::small(1);
+  spec.max_duration = SimTime::ms(20);
+  core::VmSpec vm;
+  vm.vcpus = 1;
+  vm.guest.tick_mode = guest::TickMode::kPeriodic;
+  spec.vms.push_back(std::move(vm));
+  core::System system(std::move(spec));
+  system.run();
+
+  // The periodic idle VM cycles: wake -> entry -> inject(timer) ->
+  // exit(arm) -> entry -> halt -> ...; ~5 ticks in 20 ms at 250 Hz.
+  const Vcpu& v = system.kvm().vms()[0]->vcpu(0);
+  EXPECT_NEAR(static_cast<double>(v.injections), 5, 2);
+  EXPECT_NEAR(static_cast<double>(v.halts), 6, 2);
+  EXPECT_NEAR(static_cast<double>(v.wakeups), 5, 2);
+  EXPECT_EQ(v.last_injected, hw::vectors::kLocalTimer);
 }
 
 }  // namespace
