@@ -4,9 +4,8 @@
 //
 // Each grid cell runs a core::Cluster — one System per host, coupled
 // through the parallel engine with the host boundary as the partition
-// boundary, so --engine-threads N parallelizes the cell across hosts
-// while -j fans cells out across the grid. This is the parallel engine's
-// determinism gate: --engine-threads, -j and --dispatch leave every
+// boundary, while -j fans cells out across the grid. This is the
+// parallel engine's determinism gate: -j and --dispatch leave every
 // exported byte unchanged (the cluster-smoke CI job cmp's them), with
 // migrations and telemetry crossing partitions. The overcommit axis
 // resizes the per-host machine exactly like the single-host benches, so
@@ -14,7 +13,7 @@
 //
 // Flags: `bench_cluster --help` lists the cluster flags (--hosts,
 // --vms-per-host, --overcommit, rebalancing, migration and telemetry
-// knobs, --engine-threads) and the shared sweep CLI. With
+// knobs) and the shared sweep CLI. With
 // --telemetry-period-us U, hosts 1..N-1 stream a load report to host 0
 // every U us over a dedicated low-latency link: a heterogeneous-link
 // topology where only host 0's horizon tightens. Cluster runs take no
@@ -46,7 +45,6 @@ struct ClusterOpts {
   sim::SimTime duration = sim::SimTime::ms(100);
   sim::SimTime telemetry_period;  // zero = no telemetry star
   sim::SimTime telemetry_latency = sim::SimTime::us(50);
-  unsigned engine_threads = 1;
 };
 
 /// The bench's own flags, parsed strictly into `opts` (exit 2 on garbage).
@@ -63,7 +61,7 @@ std::vector<core::CliFlag> cluster_flags(ClusterOpts& opts) {
       out = sim::SimTime::from_seconds(core::parse_double_flag(flag, v, min) / 1e3);
     };
   };
-  std::vector<core::CliFlag> flags = {
+  return {
       {"--hosts", "N", "single hosts-axis point (default: 2 and 4)",
        [&opts](const std::string& v) {
          opts.hosts = {static_cast<int>(core::parse_u64_flag("--hosts", v, 64, 10, 1))};
@@ -88,10 +86,6 @@ std::vector<core::CliFlag> cluster_flags(ClusterOpts& opts) {
       {"--telemetry-latency-us", "U", "latency of the telemetry links (default 50)",
        us("--telemetry-latency-us", opts.telemetry_latency, 0, 1'000'000'000)},
   };
-  for (core::CliFlag& f : core::cluster_engine_flags(opts.engine_threads)) {
-    flags.push_back(std::move(f));
-  }
-  return flags;
 }
 
 /// The cross-field checks made after the parse; nullptr = consistent.
@@ -118,7 +112,6 @@ make_cluster_runner(int hosts, const ClusterOpts& opts) {
     // The guests' own estimators feed the scheduler AND the exported
     // estimator-error metric (steal_est_err columns).
     cs.guest.steal.enabled = true;
-    cs.engine_threads = opts.engine_threads;
     cs.telemetry_period = opts.telemetry_period;
     cs.telemetry_latency = opts.telemetry_latency;
     cs.rebalance_period = opts.rebalance_period;
@@ -209,8 +202,8 @@ int main(int argc, char** argv) {
   return bench::report(
       cli, res, "bench_cluster",
       metrics::format("==== Cluster consolidation: hosts x %d tenant VMs/host, "
-                      "%.0f ms, rebalance %.1f ms, engine-threads %u ====",
+                      "%.0f ms, rebalance %.1f ms ====",
                       opts.vms_per_host, opts.duration.milliseconds(),
-                      opts.rebalance_period.milliseconds(), opts.engine_threads),
+                      opts.rebalance_period.milliseconds()),
       {{"", t, note}});
 }

@@ -23,12 +23,9 @@
 // Every counter except events_per_sec is a pure function of --seed, so
 // the history snapshot diffs bit-exact run to run; events_per_sec is the
 // host-dependent throughput figure the CI smoke gates generously.
-// The partitioned cases' counters are additionally invariant to
-// --engine-threads — that is the parallel engine's contract.
 //
 // Usage: bench_microbench [flags]; --help lists them (--repeat, --seed,
-// --json, --history-dir/--history-tag, --engine-threads, --profile,
-// --quiet).
+// --json, --history-dir/--history-tag, --profile, --quiet).
 //
 // The JSON output is a SweepResult::to_json()-shaped snapshot (variant =
 // case name, mode = "microbench"), so bench_diff consumes it unchanged.
@@ -51,10 +48,6 @@
 using namespace paratick;
 
 namespace {
-
-/// Worker threads inside the partitioned cases' parallel engines
-/// (--engine-threads). Counters are bit-identical for any value.
-unsigned g_engine_threads = 1;
 
 struct CaseResult {
   sim::EngineProfile prof;
@@ -212,7 +205,7 @@ CaseResult run_partchurn(std::uint64_t seed) {
   constexpr sim::PartitionId kParts = 4;
   sim::Engine engines[kParts];
   std::uint64_t sinks[kParts] = {};
-  sim::ParallelEngine fabric(g_engine_threads);
+  sim::ParallelEngine fabric;
   for (auto& eng : engines) fabric.add_partition(eng);
   for (sim::PartitionId p = 0; p < kParts; ++p) {
     fabric.declare_link(p, (p + 1) % kParts, sim::SimTime::us(5));
@@ -272,7 +265,7 @@ struct StormState {
 
 CaseResult run_barrierstorm(std::uint64_t seed) {
   StormState st(seed);
-  sim::ParallelEngine fabric(g_engine_threads);
+  sim::ParallelEngine fabric;
   for (auto& eng : st.engines) fabric.add_partition(eng);
   fabric.declare_link(1, 0, sim::SimTime::us(1));  // the one tight link
   st.engines[1].schedule_after(sim::SimTime::ns(1),
@@ -374,11 +367,8 @@ int main(int argc, char** argv) {
                        history_dir),
        core::text_flag("--history-tag", "T",
                        "snapshot tag (default: the current git commit)", history_tag),
-       core::uint_flag("--engine-threads", "N", "partitioned-case engine threads (default 1)",
-                       g_engine_threads),
        core::switch_flag("--profile", "print per-case engine counters", profile),
        core::switch_flag("--quiet", "suppress per-replica progress lines", quiet)});
-  if (g_engine_threads == 0) g_engine_threads = 1;
   if (repeat < 1) repeat = 1;
 
   const auto bench_t0 = std::chrono::steady_clock::now();

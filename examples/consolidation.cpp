@@ -16,7 +16,7 @@
 //
 // Build & run: cmake --build build && ./build/examples/consolidation
 // Flags: --hosts N, --rebalance-period MS (0 = off, the default),
-// --engine-threads N, plus the shared sweep CLI
+// plus the shared sweep CLI
 // (-j N, --repeat N, --seed S, --sweep-csv P, ...; see --help).
 #include <cstdio>
 #include <string>
@@ -38,11 +38,10 @@ constexpr sim::SimTime kDuration = sim::SimTime::sec(2);
 struct Opts {
   int hosts = 1;
   sim::SimTime rebalance_period;  // zero = place once, never rebalance
-  unsigned engine_threads = 1;
 };
 
 std::vector<core::CliFlag> consolidation_flags(Opts& opts) {
-  std::vector<core::CliFlag> flags = {
+  return {
       {"--hosts", "N", "hosts in the cluster (default 1)",
        [&opts](const std::string& v) {
          opts.hosts = static_cast<int>(core::parse_u64_flag("--hosts", v, 64, 10, 1));
@@ -53,10 +52,6 @@ std::vector<core::CliFlag> consolidation_flags(Opts& opts) {
              core::parse_double_flag("--rebalance-period", v, 0.0) / 1e3);
        }},
   };
-  for (core::CliFlag& f : core::cluster_engine_flags(opts.engine_threads)) {
-    flags.push_back(std::move(f));
-  }
-  return flags;
 }
 
 }  // namespace
@@ -76,13 +71,11 @@ int main(int argc, char** argv) {
                guest::TickMode::kParatick};
   cfg.root_seed = 500;
   // Every grid cell runs one core::Cluster; the host boundary is the
-  // parallel-engine partition boundary, so --engine-threads spreads a
-  // multi-host cell across threads without changing a single byte.
+  // parallel-engine partition boundary.
   cfg.base.scenario.run = [opts](const core::ExperimentSpec& exp,
                                  guest::TickMode mode) {
     core::ClusterSpec cs = core::cluster_spec_for(exp, mode, opts.hosts);
     cs.guest.steal.enabled = opts.rebalance_period > sim::SimTime::zero();
-    cs.engine_threads = opts.engine_threads;
     cs.rebalance_period = opts.rebalance_period;
     // 4 VMs with individually tuned light, bursty service loads, keyed
     // by global index so a VM keeps its personality across migrations.

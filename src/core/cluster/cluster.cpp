@@ -141,7 +141,7 @@ Cluster::Cluster(ClusterSpec spec) : spec_(std::move(spec)) {
   }
 
   if (spec_.hosts > 1) {
-    fabric_ = std::make_unique<sim::ParallelEngine>(spec_.engine_threads);
+    fabric_ = std::make_unique<sim::ParallelEngine>();
     for (int h = 0; h < spec_.hosts; ++h) {
       fabric_->add_partition(hosts_[static_cast<std::size_t>(h)]->engine(),
                              "host" + std::to_string(h));
@@ -355,7 +355,7 @@ ClusterResult Cluster::collect() {
     out.state_digest = fabric_->state_digest();
     // Window counters ride the merged RunResult into the sweep pipeline
     // (run records -> cell accumulators -> sweep JSON / --profile table).
-    // They are deterministic at any thread count.
+    // They are pure functions of the spec.
     m.par_windows = out.profile.quanta;
     m.par_windows_skipped = out.profile.windows_skipped;
     m.par_barriers_elided = out.profile.barriers_elided;

@@ -2,8 +2,7 @@
 //
 // Each host is a self-contained core::System — its own engine, machine
 // and hypervisor, with the host boundary doubling as the parallel
-// engine's partition boundary, so `--engine-threads N` parallelizes a
-// cluster run across hosts. The cluster driver owns the event loop: it
+// engine's partition boundary. The cluster driver owns the event loop: it
 // advances all hosts in lockstep windows of `rebalance_period`, and at
 // each window barrier feeds the guests' own steal-time estimates (never
 // hypervisor ground truth) to the greedy steal-driven rebalancer
@@ -20,8 +19,9 @@
 // Determinism: host seeds and per-VM guest seeds are pure in
 // (spec.seed, host / global VM index); scheduler inputs are read at
 // barriers from committed state; migrations travel as ordinary
-// cross-partition messages. Every result field except the profile's
-// wall_ns is therefore bit-identical for any engine-thread count.
+// cross-partition messages, and the engine is always sliced at the same
+// rebalance barriers. Every result field except the profile's wall_ns is
+// therefore a pure function of the spec.
 #pragma once
 
 #include <cstdint>
@@ -63,9 +63,8 @@ struct ClusterSpec {
   std::function<void(guest::GuestKernel&, int global_vm)> workload;
   sim::SimTime duration = sim::SimTime::ms(200);
   std::uint64_t seed = 1;
-  /// Worker threads in the parallel engine (hosts > 1 only): 1 = inline
-  /// reference order, 0 = hardware_concurrency. Results are identical
-  /// for any value.
+  /// Read by nothing: perfbench/ sets it. The next change that owns
+  /// perfbench deletes it.
   unsigned engine_threads = 1;
 
   /// Rebalance barrier period; zero = place once, never rebalance.
@@ -101,8 +100,8 @@ struct ClusterResult {
   /// Load reports host 0 received over the telemetry star (0 when
   /// telemetry_period was 0).
   std::uint64_t telemetry_received = 0;
-  /// Parallel-engine identity (hosts > 1): digest and profile are
-  /// thread-invariant, except profile.wall_ns.
+  /// Parallel-engine identity (hosts > 1): digest and profile are pure
+  /// functions of the spec, except profile.wall_ns.
   std::uint64_t state_digest = 0;
   sim::ParallelProfile profile;
 };
@@ -155,8 +154,7 @@ class Cluster {
 
   /// Self-rescheduling load-report sender living on one host's engine:
   /// every period it buffers a telemetry message to host 0 over the tight
-  /// star link. The counter bump runs inside host 0's partition, so no
-  /// other thread ever touches it mid-run.
+  /// star link. The counter bump runs inside host 0's partition.
   struct TelemetryPump {
     sim::ParallelEngine* fabric = nullptr;
     sim::Engine* engine = nullptr;

@@ -461,14 +461,6 @@ SweepCli SweepCli::parse(int argc, char** argv, std::vector<CliFlag> extra,
   return cli;
 }
 
-std::vector<CliFlag> cluster_engine_flags(unsigned& engine_threads) {
-  return {
-      uint_flag("--engine-threads", "N",
-                "threads inside each cluster run's parallel engine (default 1)",
-                engine_threads),
-  };
-}
-
 void SweepCli::apply(SweepConfig& cfg) const {
   cfg.threads = threads;
   cfg.repeat = repeat;

@@ -325,10 +325,4 @@ struct SweepCli {
                       const std::string& bench_name = {}) const;
 };
 
-/// The parallel-engine flag of the cluster binaries (bench_cluster,
-/// consolidation), passed to SweepCli::parse as an extra flag:
-/// --engine-threads N, written into ClusterSpec::engine_threads.
-[[nodiscard]] std::vector<CliFlag> cluster_engine_flags(
-    unsigned& engine_threads);
-
 }  // namespace paratick::core

@@ -3,12 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <thread>
 #include <utility>
 
-// Header-only worker pool shared with the sweep runner; no link-time
-// dependency on paratick_core (which depends on this library).
-#include "core/thread_pool.hpp"
 #include "sim/check.hpp"
 
 namespace paratick::sim {
@@ -53,14 +49,6 @@ SimTime saturating_add(SimTime a, SimTime b) {
 }
 
 }  // namespace
-
-ParallelEngine::ParallelEngine(unsigned threads) : threads_(threads) {
-  if (threads_ == 0) {
-    threads_ = std::max(1u, std::thread::hardware_concurrency());
-  }
-}
-
-ParallelEngine::~ParallelEngine() = default;
 
 PartitionId ParallelEngine::add_partition(Engine& engine, std::string name) {
   PARATICK_CHECK_MSG(!running_, "cannot add a partition mid-run");
@@ -121,7 +109,7 @@ void ParallelEngine::send(PartitionId src, PartitionId dst, SimTime delay,
                      "send between unknown partitions");
   Partition& s = parts_[src];
   // Only the source partition's own events (or pre-run setup code) may
-  // touch its outbox — that is what keeps the window lock-free.
+  // send as `src`: its clock stamps the message.
   PARATICK_DCHECK(Engine::current() == s.engine || Engine::current() == nullptr);
   const std::optional<SimTime> link = link_latency(src, dst);
   PARATICK_CHECK_MSG(link.has_value(),
@@ -135,31 +123,26 @@ void ParallelEngine::send(PartitionId src, PartitionId dst, SimTime delay,
   msg.dst = dst;
   msg.src_seq = s.send_seq++;
   msg.fn = std::move(fn);
-  s.outbox.push_back(std::move(msg));
+  outbox_.push_back(std::move(msg));
 }
 
-void ParallelEngine::ingest_outboxes() {
+void ParallelEngine::ingest_outbox() {
   // Commit buffered sends into their destination inboxes, sorted by
   // (delivery time, source partition, per-source send order): the
   // destination injects each message into its engine exactly when its own
   // execution first reaches the delivery time, so its schedule-order seq
   // assignment — and therefore its whole future event order — is a pure
   // function of committed state, independent of window shapes.
-  std::vector<CrossMessage> inflight;
-  for (Partition& p : parts_) {
-    std::move(p.outbox.begin(), p.outbox.end(), std::back_inserter(inflight));
-    p.outbox.clear();
-  }
-  if (inflight.empty()) return;
+  if (outbox_.empty()) return;
   const auto msg_order = [](const CrossMessage& a, const CrossMessage& b) {
     if (a.deliver_at != b.deliver_at) return a.deliver_at < b.deliver_at;
     if (a.src != b.src) return a.src < b.src;
     return a.src_seq < b.src_seq;
   };
-  std::sort(inflight.begin(), inflight.end(), msg_order);
+  std::sort(outbox_.begin(), outbox_.end(), msg_order);
   constexpr std::size_t kUntouched = ~static_cast<std::size_t>(0);
   std::vector<std::size_t> merged_from(parts_.size(), kUntouched);
-  for (CrossMessage& m : inflight) {
+  for (CrossMessage& m : outbox_) {
     Partition& d = parts_[m.dst];
     if (merged_from[m.dst] == kUntouched) {
       // Drop the already-injected prefix before growing the inbox.
@@ -178,7 +161,8 @@ void ParallelEngine::ingest_outboxes() {
         d.inbox.begin() + static_cast<std::ptrdiff_t>(merged_from[pid]),
         d.inbox.end(), msg_order);
   }
-  cross_messages_ += inflight.size();
+  cross_messages_ += outbox_.size();
+  outbox_.clear();
 }
 
 std::optional<SimTime> ParallelEngine::floor_of(const Partition& p) const {
@@ -198,7 +182,7 @@ void ParallelEngine::run_partition_window(Partition& p) {
   // That injection point is a pure function of the committed event stream
   // — not of window bounds — so the seq numbers the destination assigns
   // (and with them every per-event digest) are identical however far a
-  // window reaches and at any thread count.
+  // window reaches.
   const SimTime bound = p.window_bound;
   for (;;) {
     const bool msg = p.inbox_pos < p.inbox.size() &&
@@ -219,35 +203,19 @@ void ParallelEngine::run_partition_window(Partition& p) {
 }
 
 void ParallelEngine::execute_window() {
-  if (threads_ <= 1 || parts_.size() == 1) {
-    for (Partition& p : parts_) {
-      if (p.runnable) run_partition_window(p);
-    }
-    return;
-  }
-  if (!pool_) {
-    pool_ = std::make_unique<core::ThreadPool>(static_cast<unsigned>(
-        std::min<std::size_t>(threads_, parts_.size())));
-  }
+  // Id order: the lowest failing partition's error is the one that
+  // propagates.
   for (Partition& p : parts_) {
-    if (!p.runnable) continue;
-    pool_->submit([&p] {
-      try {
-        run_partition_window(p);
-      } catch (...) {
-        // Held until the barrier so error selection is deterministic.
-        p.error = std::current_exception();
-      }
-    });
+    if (p.runnable) run_partition_window(p);
   }
-  pool_->wait_idle();
 }
 
 void ParallelEngine::flush_inboxes() {
   // Drive teardown: every message still undelivered is addressed past the
-  // deadline. Park it in the destination queue (inbox order is already the
-  // deterministic commit order) so a follow-up run_until resumes from
-  // state identical at any thread count.
+  // deadline. Park it in the destination queue in inbox order (the
+  // deterministic commit order). It takes its seq now, not at its
+  // delivery time, which is why where a run is sliced can renumber
+  // events.
   for (Partition& p : parts_) {
     for (std::size_t i = p.inbox_pos; i < p.inbox.size(); ++i) {
       p.engine->schedule_at(p.inbox[i].deliver_at, std::move(p.inbox[i].fn));
@@ -279,13 +247,8 @@ void ParallelEngine::drive(std::optional<SimTime> deadline) {
   std::vector<SimTime> floors(parts_.size());
   for (;;) {
     // Barrier head: commit the previous window's sends (and any pre-run
-    // sends), then pick the lowest failing partition's error.
-    ingest_outboxes();
-    std::exception_ptr err;
-    for (Partition& p : parts_) {
-      if (p.error && !err) err = p.error;
-      p.error = nullptr;
-    }
+    // sends).
+    ingest_outbox();
 
     // Per-partition floors (earliest committed pending work) and the
     // global frontier: the earliest of them is the next window's start.
@@ -296,7 +259,6 @@ void ParallelEngine::drive(std::optional<SimTime> deadline) {
       if (f && (!next || *f < *next)) next = *f;
     }
 
-    if (err) std::rethrow_exception(err);
     if (!next || (deadline && *next > *deadline)) break;
 
     // Sparse barriers: the window start jumps directly to the earliest
@@ -424,8 +386,7 @@ ParallelProfile ParallelEngine::profile() const {
 
 std::uint64_t ParallelEngine::state_digest() const {
   // Window counters are deliberately excluded: they describe how the
-  // run was driven, while this digest asserts result identity across
-  // thread counts.
+  // run was driven, not what it computed.
   std::uint64_t h = 0xA24BAED4963EE407ull;
   for (const Partition& p : parts_) {
     h = mix64(h ^ p.engine->state_digest());

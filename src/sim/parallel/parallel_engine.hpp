@@ -1,15 +1,16 @@
-// Conservative-quantum parallel driver for a set of partitioned Engines
-// (the parti-gem5 direction from PAPERS.md).
+// Conservative-quantum driver for a set of partitioned Engines (the
+// parti-gem5 direction from PAPERS.md), run on the calling thread.
 //
 // Each partition owns a private sim::Engine — its events never touch
 // another partition's state — and partitions interact only through
 // cross-partition sends carried over *declared links* with a minimum
 // latency. Within one window every partition can safely execute its
-// local events in parallel, because any message another partition emits
-// during the window is delivered no earlier than the receiver's bound.
-// At the window's end all workers rendezvous at a barrier, buffered
-// sends are committed into per-partition inboxes in a deterministic
-// global order, and the next window begins.
+// local events up to its own bound, because any message another
+// partition emits during the window is delivered no earlier than that
+// bound. Partitions run their windows one after another in partition id
+// order; at the window's end the buffered sends are committed into
+// per-partition inboxes in a deterministic global order, and the next
+// window begins.
 //
 // Window rule: a CMB-style per-partition safe horizon. Partition P runs
 // to `min over incoming links (src floor + link latency)`, where a
@@ -29,18 +30,19 @@
 // barrier sorts messages by (delivery time, source partition, per-source
 // send seq) into the destination's inbox, and the destination *injects*
 // each message into its engine exactly when its own execution first
-// reaches the delivery time — a time-canonical point that does not
-// depend on which window delivered the message. Each partition's event
-// stream (time, seq, state digest after every event) — and with it the
-// stream merged by (time, partition, seq) and every counter derived from
-// them — is therefore bit-identical for ANY worker-thread count, which is
-// what the engine-threads CI gates compare, and does not depend on how
-// far any window reached.
+// reaches the delivery time. Within one run() or run_until() drive that
+// injection point does not depend on which window delivered the message,
+// so each partition's event stream (time, seq, state digest after every
+// event) does not depend on how far any window reached. A run_until()
+// boundary is different: it parks every in-flight message in its
+// destination queue (flush_inboxes), where it takes the next schedule
+// seq at once instead of at its delivery time, so slicing a run at other
+// deadlines can number events differently. core::Cluster always slices
+// at its rebalance barriers, so its results are a pure function of its
+// spec.
 #pragma once
 
 #include <cstdint>
-#include <exception>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -48,18 +50,13 @@
 #include "sim/engine.hpp"
 #include "sim/types.hpp"
 
-namespace paratick::core {
-class ThreadPool;
-}  // namespace paratick::core
-
 namespace paratick::sim {
 
 using PartitionId = std::uint32_t;
 
 /// Deterministic self-profile of one ParallelEngine run. Everything except
-/// wall_ns is a pure function of the workload and the declared links, and
-/// identical for any worker-thread count; wall_ns is host wall-clock and
-/// reporting-only.
+/// wall_ns is a pure function of the workload, the declared links and the
+/// run_until() deadlines; wall_ns is host wall-clock and reporting-only.
 struct ParallelProfile {
   std::uint64_t partitions = 0;
   /// Barrier-delimited quantum windows executed.
@@ -79,26 +76,21 @@ struct ParallelProfile {
   std::uint64_t events_committed = 0;
   /// Host nanoseconds inside run()/run_until(). Not deterministic.
   std::uint64_t wall_ns = 0;
-  /// Partition EngineProfiles summed field-by-field (wall_ns excluded —
-  /// concurrent partitions overlap, so a sum would double-count).
+  /// Partition EngineProfiles summed field-by-field (wall_ns excluded:
+  /// the driver's own wall_ns above covers them).
   EngineProfile merged;
 };
 
 class ParallelEngine {
  public:
-  /// `threads == 1` runs every window inline on the calling thread (the
-  /// reference order); `threads > 1` runs windows on a core::ThreadPool.
-  /// `threads == 0` means hardware_concurrency.
-  explicit ParallelEngine(unsigned threads = 1);
-  ~ParallelEngine();
-
+  ParallelEngine() = default;
   ParallelEngine(const ParallelEngine&) = delete;
   ParallelEngine& operator=(const ParallelEngine&) = delete;
 
   /// Register `engine` as a partition. Non-owning: the engine must outlive
   /// this ParallelEngine, and from now on only this driver (or code running
-  /// inside its events) may touch it — its events are executed on worker
-  /// threads. Partitions must be added before the first run.
+  /// inside its events) may touch it. Partitions must be added before the
+  /// first run.
   PartitionId add_partition(Engine& engine, std::string name = {});
 
   /// Declare that messages from `src` to `dst` take at least `min_latency`
@@ -112,25 +104,26 @@ class ParallelEngine {
   void declare_full_mesh(SimTime min_latency);
 
   /// Send `fn` to fire in `dst` at src.now() + delay. Must be called from
-  /// an event executing in `src` (or before the run starts), never from
-  /// another partition's thread: the message is buffered in src's private
-  /// outbox and committed at the next barrier. `delay` must be at least
-  /// the declared src->dst link latency — that floor is what makes the
-  /// lookahead window safe.
+  /// an event executing in `src` (or before the run starts): the message
+  /// is buffered in the outbox and committed at the next barrier. `delay`
+  /// must be at least the declared src->dst link latency — that floor is
+  /// what makes the lookahead window safe.
   void send(PartitionId src, PartitionId dst, SimTime delay,
             Engine::Callback fn);
 
   /// Run quantum windows until every partition is idle and no message is
-  /// in flight. A SimError thrown inside a partition propagates after the
-  /// window's barrier; when several partitions fail in one window, the
-  /// lowest partition id wins (deterministic at any thread count).
+  /// in flight. A SimError thrown inside a partition propagates at once:
+  /// partitions run in id order, so when several would fail in one
+  /// window, the lowest partition id's error is the one raised.
   void run();
 
   /// Run until `deadline`; events stamped exactly at `deadline` execute,
   /// and every partition clock ends at exactly `deadline` (like
   /// Engine::run_until on each partition). Messages still in flight past
-  /// the deadline are flushed into their destination queues in commit
-  /// order, so a follow-up drive resumes from identical state.
+  /// the deadline are parked in their destination queues in commit order.
+  /// Parking schedules them now, not at their delivery times, so the
+  /// events a follow-up drive runs keep their times but may take other
+  /// seqs than one longer drive would give them (see the file comment).
   void run_until(SimTime deadline);
 
   [[nodiscard]] std::size_t partition_count() const { return parts_.size(); }
@@ -138,7 +131,6 @@ class ParallelEngine {
   [[nodiscard]] const std::string& name(PartitionId p) const {
     return parts_[p].name;
   }
-  [[nodiscard]] unsigned threads() const { return threads_; }
   /// Global lookahead derived from the declared links: the quantum that
   /// windows_skipped and barriers_elided count in (nullopt: none declared
   /// — partitions are fully independent and run to completion in one
@@ -149,8 +141,8 @@ class ParallelEngine {
 
   /// Digest of the deterministic whole-run state: partition digests folded
   /// in partition order plus the cross-message total. Bit-identical across
-  /// runs of the same workload at any thread count (window counters are
-  /// deliberately excluded).
+  /// runs of the same workload driven at the same deadlines (window
+  /// counters are deliberately excluded).
   [[nodiscard]] std::uint64_t state_digest() const;
 
  private:
@@ -170,16 +162,14 @@ class ParallelEngine {
   struct Partition {
     Engine* engine = nullptr;
     std::string name;
-    std::vector<CrossMessage> outbox;  // touched only by this partition
     /// Committed-but-undelivered messages, sorted (deliver_at, src,
     /// src_seq); entries before inbox_pos were already injected. Appended
-    /// at barriers, consumed inside this partition's window task.
+    /// at barriers, consumed inside this partition's window.
     std::vector<CrossMessage> inbox;
     std::size_t inbox_pos = 0;
     std::uint64_t send_seq = 0;
-    SimTime window_bound;      // this window's execution bound
-    bool runnable = false;     // has committed work before window_bound
-    std::exception_ptr error;  // first failure inside a window
+    SimTime window_bound;   // this window's execution bound
+    bool runnable = false;  // has committed work before window_bound
   };
 
   struct Link {
@@ -189,9 +179,9 @@ class ParallelEngine {
   };
 
   void drive(std::optional<SimTime> deadline);
-  /// Barrier ingest: move every outbox into the destination inboxes in
-  /// deterministic order and rethrow the lowest-partition error.
-  void ingest_outboxes();
+  /// Barrier ingest: move the outbox into the destination inboxes in
+  /// deterministic order.
+  void ingest_outbox();
   /// Earliest committed pending work of partition `p` (local queue or
   /// undelivered inbox message); nullopt when fully idle.
   [[nodiscard]] std::optional<SimTime> floor_of(const Partition& p) const;
@@ -206,11 +196,11 @@ class ParallelEngine {
                                                     PartitionId dst) const;
 
   std::vector<Partition> parts_;
+  /// Sends buffered since the last barrier, in send order.
+  std::vector<CrossMessage> outbox_;
   std::vector<Link> links_;
   /// links_ indices grouped by destination (built lazily per drive).
   std::vector<std::vector<std::uint32_t>> incoming_;
-  unsigned threads_ = 1;
-  std::unique_ptr<core::ThreadPool> pool_;
   bool running_ = false;
   std::uint64_t quanta_ = 0;
   std::uint64_t idle_skips_ = 0;

@@ -54,6 +54,12 @@ foreach(b bench_table1 bench_ablation_features bench_ablation_tickfreq
   expect(2 "unexpected argument 'stray'" "${BENCH_DIR}/${b}" stray)
 endforeach()
 expect(2 "unknown flag --engine-threads" "${BENCH_DIR}/bench_table1" --engine-threads 2)
+# The parallel engine runs on one thread; the binaries that had the flag
+# reject it like any other.
+foreach(bin "${BENCH_DIR}/bench_cluster" "${EXAMPLE_DIR}/consolidation"
+            "${BENCH_DIR}/bench_microbench")
+  expect(2 "unknown flag --engine-threads" "${bin}" --engine-threads 2)
+endforeach()
 expect(2 "unknown flag --no-steal" "${BENCH_DIR}/bench_table1" --no-steal)
 expect(2 "--repeat requires a value" "${BENCH_DIR}/bench_table1" --repeat)
 

@@ -283,12 +283,12 @@ TEST(SweepCliParse, AcceptsDispatchFlags) {
 }
 
 TEST(SweepCliParse, AcceptsTheBinarysOwnFlags) {
-  unsigned engine_threads = 1;
-  Argv a({"--engine-threads", "4", "-j2"});
-  const SweepCli cli = SweepCli::parse(a.argc(), a.argv(),
-                                       cluster_engine_flags(engine_threads));
+  unsigned hosts = 1;
+  Argv a({"--hosts", "4", "-j2"});
+  const SweepCli cli = SweepCli::parse(
+      a.argc(), a.argv(), {uint_flag("--hosts", "N", "hosts", hosts)});
   EXPECT_EQ(cli.threads, 2u);
-  EXPECT_EQ(engine_threads, 4u);
+  EXPECT_EQ(hosts, 4u);
 }
 
 TEST(SweepCliParse, BadNumbersExitWithCode2NotZero) {
@@ -319,13 +319,13 @@ TEST(SweepCliParse, BadNumbersExitWithCode2NotZero) {
 }
 
 TEST(SweepCliParse, UnknownAndRemovedFlagsExitWithCode2) {
-  // Flags the shared CLI does not have — typos, removed dispatch knobs, and
-  // the cluster-only engine flags — fail loudly instead of being ignored.
+  // Flags the shared CLI does not have — typos and removed dispatch knobs
+  // — fail loudly instead of being ignored. cli_exit_codes checks the
+  // removed engine-thread flag on the binaries that had it.
   for (const char* flag : {"--no-such-flag", "--fault-nosuch", "--no-steal",
                            "--lease", "--heartbeat", "--worker-slice",
-                           "--engine-threads", "--checkpoint", "--max-retries",
-                           "--dispatch-cmd", "--workers", "--worker",
-                           "--worker-plan"}) {
+                           "--checkpoint", "--max-retries", "--dispatch-cmd",
+                           "--workers", "--worker", "--worker-plan"}) {
     Argv a({flag, "1"});
     EXPECT_EXIT((void)SweepCli::parse(a.argc(), a.argv()),
                 ::testing::ExitedWithCode(2),
@@ -335,25 +335,6 @@ TEST(SweepCliParse, UnknownAndRemovedFlagsExitWithCode2) {
   Argv stray({"stray"});
   EXPECT_EXIT((void)SweepCli::parse(stray.argc(), stray.argv()),
               ::testing::ExitedWithCode(2), "unexpected argument 'stray'");
-}
-
-TEST(ClusterEngineFlags, RejectBadEngineThreadCounts) {
-  for (const char* bad : {"-1", "four", "2x", ""}) {
-    unsigned engine_threads = 1;
-    Argv a({"--engine-threads", bad});
-    EXPECT_EXIT((void)parse_cli(a.argc(), a.argv(),
-                                cluster_engine_flags(engine_threads)),
-                ::testing::ExitedWithCode(2), "--engine-threads")
-        << bad;
-  }
-}
-
-TEST(ClusterEngineFlags, AreOnlyEngineThreads) {
-  // The engine has one window rule, so there is no mode to pick.
-  unsigned engine_threads = 1;
-  const std::vector<CliFlag> flags = cluster_engine_flags(engine_threads);
-  ASSERT_EQ(flags.size(), 1u);
-  EXPECT_EQ(flags[0].name, "--engine-threads");
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // core::ThreadPool error semantics: wait_idle()'s contract — first error
 // wins, the other jobs still run to completion, and the pool stays usable
-// after the rethrow — is what the parallel engine's barrier and the sweep
-// backends lean on, so it gets pinned here.
+// after the rethrow — is what the sweep backends lean on, so it gets
+// pinned here.
 #include <gtest/gtest.h>
 
 #include <atomic>
