@@ -15,8 +15,9 @@
 // --vms-per-host, --overcommit, rebalancing, migration and telemetry
 // knobs) and the shared sweep CLI. With
 // --telemetry-period-us U, hosts 1..N-1 stream a load report to host 0
-// every U us over a dedicated low-latency link: a heterogeneous-link
-// topology where only host 0's horizon tightens. Cluster runs take no
+// every U us, each delivered --telemetry-latency-us later; that latency,
+// when below the migration blackout, becomes the engine's lookahead.
+// Cluster runs take no
 // trace recorder, faults, watchdog or wall-clock limit: --record-trace,
 // --chaos, --fault-*, --watchdog and --run-timeout exit 2 before the
 // sweep starts.
@@ -83,7 +84,7 @@ std::vector<core::CliFlag> cluster_flags(ClusterOpts& opts) {
        ms("--duration-ms", opts.duration, 0.001)},
       {"--telemetry-period-us", "U", "load-report period to host 0, 0 = off (default 0)",
        us("--telemetry-period-us", opts.telemetry_period, 0, 1'000'000'000)},
-      {"--telemetry-latency-us", "U", "latency of the telemetry links (default 50)",
+      {"--telemetry-latency-us", "U", "delay of each telemetry report (default 50)",
        us("--telemetry-latency-us", opts.telemetry_latency, 0, 1'000'000'000)},
   };
 }

@@ -9,16 +9,10 @@
 //                many times per sleep, the way NO_HZ reprograms the
 //                TSC-deadline MSR (cancel+schedule pairs per re-arm).
 //   partchurn  — partitioned churn on sim::ParallelEngine: four engines
-//                coupled in a ring of declared links; each runs a local
-//                event pump and periodically sends a cross-partition ping
-//                that XORs into its successor's sink (quantum windows,
-//                barrier commits, committed-order determinism).
-//   barrierstorm — the sparse-barrier worst case for a global quantum:
-//                eight partitions, one tight 1us link (1 -> 0) carrying a
-//                10us ping stream, everyone else nearly idle. Only
-//                partition 0 has an inbound link, so the window count
-//                stays far below the 1us-quantum count; `windows` is
-//                gated at zero tolerance in CI.
+//                in a ring, 5us lookahead; each runs a local event pump
+//                and periodically sends a cross-partition ping that XORs
+//                into its successor's sink (rounds, inbox injection,
+//                committed-order determinism).
 //
 // Every counter except events_per_sec is a pure function of --seed, so
 // the history snapshot diffs bit-exact run to run; events_per_sec is the
@@ -53,29 +47,11 @@ struct CaseResult {
   sim::EngineProfile prof;
   std::uint64_t sink = 0;  // data-dependent checksum: defeats DCE, proves determinism
   double host_seconds = 0.0;
-  // Parallel-engine window counters (partitioned cases only, zero
-  // elsewhere). All three are pure functions of --seed.
+  // Parallel-engine round counters (partitioned cases only, zero
+  // elsewhere). Both are pure functions of --seed.
   std::uint64_t windows = 0;
   std::uint64_t windows_skipped = 0;
-  std::uint64_t barriers_elided = 0;
 };
-
-/// A partitioned case's result: merged engine counters, window counters
-/// and a checksum folding the fabric digest into the case's own sinks.
-template <std::size_t N>
-CaseResult partitioned_result(const sim::ParallelEngine& fabric,
-                              const std::uint64_t (&sinks)[N]) {
-  const sim::ParallelProfile pp = fabric.profile();
-  sim::EngineProfile prof = pp.merged;
-  prof.wall_ns = pp.wall_ns;
-  std::uint64_t sink = fabric.state_digest() ^ pp.cross_messages;
-  for (const std::uint64_t s : sinks) sink ^= s;
-  CaseResult out{prof, sink, 0.0};
-  out.windows = pp.quanta;
-  out.windows_skipped = pp.windows_skipped;
-  out.barriers_elided = pp.barriers_elided;
-  return out;
-}
 
 // -------------------------------------------------------------- churn ----
 
@@ -205,11 +181,8 @@ CaseResult run_partchurn(std::uint64_t seed) {
   constexpr sim::PartitionId kParts = 4;
   sim::Engine engines[kParts];
   std::uint64_t sinks[kParts] = {};
-  sim::ParallelEngine fabric;
+  sim::ParallelEngine fabric(sim::SimTime::us(5));
   for (auto& eng : engines) fabric.add_partition(eng);
-  for (sim::PartitionId p = 0; p < kParts; ++p) {
-    fabric.declare_link(p, (p + 1) % kParts, sim::SimTime::us(5));
-  }
   PartPump pumps[kParts];
   for (sim::PartitionId p = 0; p < kParts; ++p) {
     PartPump& pp = pumps[p];
@@ -224,58 +197,17 @@ CaseResult run_partchurn(std::uint64_t seed) {
     engines[p].schedule_after(sim::SimTime::ns(1), [&pp] { pp.pump(); });
   }
   fabric.run();
-  return partitioned_result(fabric, sinks);
-}
-
-// ------------------------------------------------------- barrierstorm ----
-
-/// One busy sender streaming pings to partition 0 over the single tight
-/// link; everyone else is nearly idle. The 1us link latency is the global
-/// quantum, but only partition 0 has an inbound link, so the idle crowd
-/// runs long capped horizons and the barrier count collapses.
-struct StormState {
-  sim::Engine engines[8];
-  std::uint64_t sinks[8] = {};
-  sim::Rng rng;
-  std::uint64_t pings_left = 2'000;
-
-  explicit StormState(std::uint64_t seed) : rng(seed) {}
-
-  void pump(sim::ParallelEngine& fabric) {
-    const std::uint64_t v = rng.next_u64();
-    fabric.send(1, 0, sim::SimTime::us(1), [s = &sinks[0], v] {
-      *s ^= v * std::uint64_t{0x9E3779B97F4A7C15u};
-    });
-    if (--pings_left > 0) {
-      engines[1].schedule_after(sim::SimTime::us(10),
-                                [this, &fabric] { pump(fabric); });
-    }
-  }
-
-  /// Sparse background work on an otherwise idle partition.
-  void idle_tick(sim::PartitionId p, int remaining) {
-    sinks[p] += static_cast<std::uint64_t>(engines[p].now().nanoseconds()) ^ p;
-    if (remaining > 0) {
-      engines[p].schedule_after(sim::SimTime::us(200), [this, p, remaining] {
-        idle_tick(p, remaining - 1);
-      });
-    }
-  }
-};
-
-CaseResult run_barrierstorm(std::uint64_t seed) {
-  StormState st(seed);
-  sim::ParallelEngine fabric;
-  for (auto& eng : st.engines) fabric.add_partition(eng);
-  fabric.declare_link(1, 0, sim::SimTime::us(1));  // the one tight link
-  st.engines[1].schedule_after(sim::SimTime::ns(1),
-                               [&st, &fabric] { st.pump(fabric); });
-  for (sim::PartitionId p = 2; p < 8; ++p) {
-    st.engines[p].schedule_after(sim::SimTime::us(200),
-                                 [&st, p] { st.idle_tick(p, 100); });
-  }
-  fabric.run();
-  return partitioned_result(fabric, st.sinks);
+  // Merged engine counters, round counters and a checksum folding the
+  // fabric digest into the partitions' sinks.
+  const sim::ParallelProfile pp = fabric.profile();
+  sim::EngineProfile prof = pp.merged;
+  prof.wall_ns = pp.wall_ns;
+  std::uint64_t sink = fabric.state_digest() ^ pp.cross_messages;
+  for (const std::uint64_t s : sinks) sink ^= s;
+  CaseResult out{prof, sink, 0.0};
+  out.windows = pp.quanta;
+  out.windows_skipped = pp.windows_skipped;
+  return out;
 }
 
 // ------------------------------------------------------------- driver ----
@@ -289,7 +221,6 @@ constexpr Case kCases[] = {
     {"churn", run_churn},
     {"reprogram", run_reprogram},
     {"partchurn", run_partchurn},
-    {"barrierstorm", run_barrierstorm},
 };
 
 struct CaseStats {
@@ -297,7 +228,7 @@ struct CaseStats {
   int replicas = 0;
   sim::Accumulator events, events_per_sec, scheduled, cancelled;
   sim::Accumulator cb_spills, cb_spill_bytes, slot_high_water, compactions;
-  sim::Accumulator windows, windows_skipped, barriers_elided;
+  sim::Accumulator windows, windows_skipped;
   std::uint64_t sink = 0;  // replica 0's checksum
 };
 
@@ -326,11 +257,10 @@ std::string to_snapshot_json(const std::vector<CaseStats>& cases,
     out += metric_json("cb_spill_bytes", c.cb_spill_bytes) + ", ";
     out += metric_json("slot_high_water", c.slot_high_water) + ", ";
     out += metric_json("compactions", c.compactions) + ", ";
-    // Parallel window counters, deterministic and gated at zero tolerance
+    // Parallel round counters, deterministic and gated at zero tolerance
     // like the counters above (all-zero for the single-engine cases).
     out += metric_json("windows", c.windows) + ", ";
-    out += metric_json("windows_skipped", c.windows_skipped) + ", ";
-    out += metric_json("barriers_elided", c.barriers_elided);
+    out += metric_json("windows_skipped", c.windows_skipped);
     out += metrics::format("}%s\n", i + 1 < cases.size() ? "," : "");
   }
   out += "]}\n";
@@ -399,7 +329,6 @@ int main(int argc, char** argv) {
       s.compactions.add(static_cast<double>(res.prof.compactions));
       s.windows.add(static_cast<double>(res.windows));
       s.windows_skipped.add(static_cast<double>(res.windows_skipped));
-      s.barriers_elided.add(static_cast<double>(res.barriers_elided));
       if (!quiet) {
         std::fprintf(stderr, "[microbench] %-12s r%d  %.0f events  %.2fMev/s  %.2fs\n",
                      cs.name, r, static_cast<double>(res.prof.events_executed),
@@ -432,9 +361,8 @@ int main(int argc, char** argv) {
           s.compactions.mean());
       if (s.windows.max() > 0.0) {
         std::printf(
-            "  %-12s windows %.0f, skipped %.0f, barriers elided %.0f\n",
-            s.name, s.windows.mean(), s.windows_skipped.mean(),
-            s.barriers_elided.mean());
+            "  %-12s windows %.0f, skipped %.0f\n",
+            s.name, s.windows.mean(), s.windows_skipped.mean());
       }
     }
   }

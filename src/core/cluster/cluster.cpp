@@ -88,8 +88,8 @@ Cluster::Cluster(ClusterSpec spec) : spec_(std::move(spec)) {
   PARATICK_CHECK_MSG(spec_.duration > sim::SimTime::zero(),
                      "cluster duration must be > 0");
   PARATICK_CHECK_MSG(spec_.migration_blackout > sim::SimTime::zero(),
-                     "migration blackout must be > 0 (it is the declared "
-                     "cross-host link latency)");
+                     "migration blackout must be > 0 (it bounds the "
+                     "engine's lookahead)");
 
   const int total_vms = spec_.hosts * spec_.vms_per_host;
   const std::vector<int> placement = place(spec_.hosts, total_vms);
@@ -141,31 +141,28 @@ Cluster::Cluster(ClusterSpec spec) : spec_(std::move(spec)) {
   }
 
   if (spec_.hosts > 1) {
-    fabric_ = std::make_unique<sim::ParallelEngine>();
+    const bool telemetry = spec_.telemetry_period > sim::SimTime::zero();
+    if (telemetry) {
+      PARATICK_CHECK_MSG(spec_.telemetry_latency > sim::SimTime::zero(),
+                         "telemetry latency must be > 0 (it bounds the "
+                         "engine's lookahead)");
+      PARATICK_CHECK_MSG(spec_.telemetry_period >= spec_.telemetry_latency,
+                         "telemetry period below the link latency would "
+                         "queue unbounded in-flight reports");
+    }
+    // The lookahead is the shortest delay any cross-host message takes:
+    // a migration's blackout, or a telemetry report's latency.
+    fabric_ = std::make_unique<sim::ParallelEngine>(
+        telemetry ? std::min(spec_.migration_blackout, spec_.telemetry_latency)
+                  : spec_.migration_blackout);
     for (int h = 0; h < spec_.hosts; ++h) {
       fabric_->add_partition(hosts_[static_cast<std::size_t>(h)]->engine(),
                              "host" + std::to_string(h));
     }
-    // The migration mesh is declared only when migrations can actually
-    // happen: without links, partitions run each window at full speed
-    // with no intra-window barriers.
-    if (spec_.rebalance_period > sim::SimTime::zero()) {
-      fabric_->declare_full_mesh(spec_.migration_blackout);
-    }
     // The telemetry star: every other host streams load reports to the
-    // coordinator over a dedicated tight link. These per-link latencies
-    // are declared for what they are: only host 0's inbound horizon
-    // tightens.
-    if (spec_.telemetry_period > sim::SimTime::zero()) {
-      PARATICK_CHECK_MSG(spec_.telemetry_latency > sim::SimTime::zero(),
-                         "telemetry latency must be > 0 (it is a declared "
-                         "link latency)");
-      PARATICK_CHECK_MSG(spec_.telemetry_period >= spec_.telemetry_latency,
-                         "telemetry period below the link latency would "
-                         "queue unbounded in-flight reports");
+    // coordinator, host 0.
+    if (telemetry) {
       for (int h = 1; h < spec_.hosts; ++h) {
-        fabric_->declare_link(static_cast<sim::PartitionId>(h), 0,
-                              spec_.telemetry_latency);
         auto pump = std::make_unique<TelemetryPump>();
         pump->fabric = fabric_.get();
         pump->engine = &hosts_[static_cast<std::size_t>(h)]->engine();
@@ -246,8 +243,7 @@ void Cluster::rebalance_at_barrier() {
   // Stop-and-copy: park the source incarnation, burn the dirty-page
   // copy on both ends, and boot the next incarnation on the
   // destination one blackout later — carried as a regular fabric
-  // message, so it obeys the declared link latency like any other
-  // cross-host traffic.
+  // message, like any other cross-host traffic.
   src_sys.freeze_vm(gv.local_index);
   src_sys.machine().cpu(0).charge_cycles(hw::CycleCategory::kHostKernel,
                                          spec_.migration_dirty_cycles);
@@ -353,13 +349,11 @@ ClusterResult Cluster::collect() {
   if (fabric_ != nullptr) {
     out.profile = fabric_->profile();
     out.state_digest = fabric_->state_digest();
-    // Window counters ride the merged RunResult into the sweep pipeline
+    // Round counters ride the merged RunResult into the sweep pipeline
     // (run records -> cell accumulators -> sweep JSON / --profile table).
     // They are pure functions of the spec.
     m.par_windows = out.profile.quanta;
     m.par_windows_skipped = out.profile.windows_skipped;
-    m.par_barriers_elided = out.profile.barriers_elided;
-    m.par_horizon_max_ns = out.profile.horizon_max_ns;
   }
   return out;
 }

@@ -9,9 +9,9 @@
 // (core/cluster/scheduler.hpp), executing the migration it returns.
 //
 // Live migration is modeled as its two dominant costs: a stop-and-copy
-// blackout carried over the declared cross-host fabric link (the VM is
-// frozen on the source, and boots its next incarnation on the
-// destination one blackout later) and a dirty-page copy charge burned
+// blackout carried as a cross-host fabric message (the VM is frozen on
+// the source, and boots its next incarnation on the destination one
+// blackout later) and a dirty-page copy charge burned
 // as host-kernel cycles on both ends. The blackout also lands in the
 // merged VM's wake-latency distribution — a migrated tenant observes it
 // exactly like a very late wakeup.
@@ -19,9 +19,11 @@
 // Determinism: host seeds and per-VM guest seeds are pure in
 // (spec.seed, host / global VM index); scheduler inputs are read at
 // barriers from committed state; migrations travel as ordinary
-// cross-partition messages, and the engine is always sliced at the same
-// rebalance barriers. Every result field except the profile's wall_ns is
-// therefore a pure function of the spec.
+// cross-partition messages, and the engine's rounds have one lookahead,
+// the shortest cross-host delay the spec allows (min of the migration
+// blackout and, with telemetry on, the telemetry latency). Every result
+// field except the profile's wall_ns is therefore a pure function of the
+// spec.
 #pragma once
 
 #include <cstdint>
@@ -69,8 +71,9 @@ struct ClusterSpec {
 
   /// Rebalance barrier period; zero = place once, never rebalance.
   sim::SimTime rebalance_period;
-  /// Stop-and-copy blackout: the frozen VM's resume delay, and the
-  /// declared cross-host migration-link latency.
+  /// Stop-and-copy blackout: the frozen VM's resume delay, carried as the
+  /// delay of the cross-host message that boots it. Bounds the engine's
+  /// lookahead.
   sim::SimTime migration_blackout = sim::SimTime::us(500);
   /// Dirty-page copy cost, charged as host-kernel cycles on both hosts.
   sim::Cycles migration_dirty_cycles{2'000'000};
@@ -78,13 +81,12 @@ struct ClusterSpec {
   /// Read by nothing: perfbench/ sets it. The next change that owns
   /// perfbench deletes it with sim::LookaheadMode.
   sim::LookaheadMode lookahead_mode = sim::LookaheadMode::kTopology;
-  /// Heterogeneous-link telemetry (hosts > 1): when > 0, every host
-  /// except host 0 streams a periodic load report to host 0 over a
-  /// dedicated low-latency link. That one tight one-directional star
-  /// bounds only host 0's horizon: the tight links all point AT the
-  /// coordinator while everyone else still enjoys the slow mesh.
+  /// Telemetry star (hosts > 1): when > 0, every host except host 0
+  /// streams a periodic load report to host 0, each delivered
+  /// `telemetry_latency` after it is sent. A latency below the blackout
+  /// shortens the engine's lookahead, so every host runs more rounds.
   sim::SimTime telemetry_period;  // zero = no telemetry traffic
-  /// Declared latency of the telemetry links (must be <= the period).
+  /// Delay of each telemetry report (must be <= the period).
   sim::SimTime telemetry_latency = sim::SimTime::us(50);
 };
 
@@ -153,8 +155,8 @@ class Cluster {
   };
 
   /// Self-rescheduling load-report sender living on one host's engine:
-  /// every period it buffers a telemetry message to host 0 over the tight
-  /// star link. The counter bump runs inside host 0's partition.
+  /// every period it sends a telemetry message to host 0. The counter bump
+  /// runs inside host 0's partition.
   struct TelemetryPump {
     sim::ParallelEngine* fabric = nullptr;
     sim::Engine* engine = nullptr;

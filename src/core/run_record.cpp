@@ -196,12 +196,10 @@ void append_result(std::string& out, const metrics::RunResult& r) {
       static_cast<ull>(r.callback_spill_bytes),
       static_cast<ull>(r.slot_high_water), static_cast<ull>(r.queue_compactions),
       static_cast<ull>(r.engine_wall_ns));
-  // Parallel-engine window counters.
+  // Parallel-engine round counters.
   out += metrics::format(
-      "\"parallel\": [%llu,%llu,%llu,%llu], ",
-      static_cast<ull>(r.par_windows), static_cast<ull>(r.par_windows_skipped),
-      static_cast<ull>(r.par_barriers_elided),
-      static_cast<ull>(r.par_horizon_max_ns));
+      "\"parallel\": [%llu,%llu], ",
+      static_cast<ull>(r.par_windows), static_cast<ull>(r.par_windows_skipped));
   // Fault counters in fault::FaultStats field order.
   const auto& f = r.faults;
   out += metrics::format(
@@ -240,11 +238,9 @@ metrics::RunResult parse_result(const json::Value& obj) {
   r.slot_high_water = prof[4];
   r.queue_compactions = prof[5];
   r.engine_wall_ns = prof[6];
-  const auto par = u64_array(obj, "parallel", 4);
+  const auto par = u64_array(obj, "parallel", 2);
   r.par_windows = par[0];
   r.par_windows_skipped = par[1];
-  r.par_barriers_elided = par[2];
-  r.par_horizon_max_ns = par[3];
   const auto flt = u64_array(obj, "faults", 9);
   r.faults.timer_dropped = flt[0];
   r.faults.timer_delayed = flt[1];

@@ -138,10 +138,6 @@ void aggregate_sweep_runs(SweepResult& res,
     cell.par_windows.add(static_cast<double>(r.result.par_windows));
     cell.par_windows_skipped.add(
         static_cast<double>(r.result.par_windows_skipped));
-    cell.par_barriers_elided.add(
-        static_cast<double>(r.result.par_barriers_elided));
-    cell.par_horizon_max_ns.add(
-        static_cast<double>(r.result.par_horizon_max_ns));
     // First *surviving* replica — identical to replica 0 when nothing fails.
     if (cell.exits_total.count() == 1) cell.first = r.result;
   }
@@ -370,19 +366,14 @@ std::string SweepResult::to_json() const {
     }
     out += "]}";
     if (cell.par_windows.max() > 0.0) {
-      // Parallel-engine window counters: deterministic at any
-      // engine-thread count. They appear only in cells that ran the
-      // partitioned engine, so single-engine sweep snapshots (and their
-      // committed baselines) stay unchanged.
+      // Parallel-engine round counters. They appear only in cells that
+      // ran the partitioned engine, so single-engine sweep snapshots (and
+      // their committed baselines) stay unchanged.
       out += metrics::format(
           ", \"par_windows\": {\"mean\": %.1f, \"stddev\": %.2f}, "
-          "\"par_windows_skipped\": {\"mean\": %.1f, \"stddev\": %.2f}, "
-          "\"par_barriers_elided\": {\"mean\": %.1f, \"stddev\": %.2f}, "
-          "\"par_horizon_max_ns\": {\"mean\": %.1f, \"stddev\": %.2f}",
+          "\"par_windows_skipped\": {\"mean\": %.1f, \"stddev\": %.2f}",
           cell.par_windows.mean(), cell.par_windows.stddev(),
-          cell.par_windows_skipped.mean(), cell.par_windows_skipped.stddev(),
-          cell.par_barriers_elided.mean(), cell.par_barriers_elided.stddev(),
-          cell.par_horizon_max_ns.mean(), cell.par_horizon_max_ns.stddev());
+          cell.par_windows_skipped.mean(), cell.par_windows_skipped.stddev());
     }
     out += metrics::format("}%s\n", i + 1 < cells.size() ? "," : "");
   }
@@ -547,8 +538,7 @@ void SweepCli::export_results(const SweepResult& result,
     std::uint64_t events = 0, scheduled = 0, cancelled = 0;
     std::uint64_t spills = 0, spill_bytes = 0, compactions = 0;
     std::uint64_t high_water = 0, wall_ns = 0;
-    std::uint64_t par_windows = 0, par_skipped = 0, par_elided = 0;
-    std::uint64_t par_horizon_ns = 0;
+    std::uint64_t par_windows = 0, par_skipped = 0;
     for (const auto& run : result.runs) {
       if (!run.executed || !run.ok) continue;
       events += run.result.events_executed;
@@ -561,9 +551,6 @@ void SweepCli::export_results(const SweepResult& result,
         high_water = run.result.slot_high_water;
       par_windows += run.result.par_windows;
       par_skipped += run.result.par_windows_skipped;
-      par_elided += run.result.par_barriers_elided;
-      if (run.result.par_horizon_max_ns > par_horizon_ns)
-        par_horizon_ns = run.result.par_horizon_max_ns;
       wall_ns += run.result.engine_wall_ns;
     }
     std::printf("engine profile (%zu runs)\n", result.executed_run_count());
@@ -582,16 +569,12 @@ void SweepCli::export_results(const SweepResult& result,
     std::printf("  heap compactions     %20llu\n",
                 static_cast<unsigned long long>(compactions));
     if (par_windows > 0) {
-      // Parallel-engine window counters (only when something actually ran
+      // Parallel-engine round counters (only when something actually ran
       // the partitioned engine).
       std::printf("  parallel windows     %20llu\n",
                   static_cast<unsigned long long>(par_windows));
       std::printf("  windows skipped      %20llu\n",
                   static_cast<unsigned long long>(par_skipped));
-      std::printf("  barriers elided      %20llu\n",
-                  static_cast<unsigned long long>(par_elided));
-      std::printf("  max horizon (ns)     %20llu\n",
-                  static_cast<unsigned long long>(par_horizon_ns));
     }
     if (wall_ns > 0) {
       std::printf("  events/sec (engine)  %20.0f\n",

@@ -169,15 +169,13 @@ struct SweepCellSummary {
   sim::Accumulator cb_spill_bytes;
   sim::Accumulator slot_high_water;
   sim::Accumulator compactions;
-  // Parallel-engine window counters (metrics::RunResult::par_*), all-zero
-  // for single-engine scenarios. Deterministic at any engine-thread
-  // count; to_json() exports them only for cells that actually ran the
-  // partitioned engine, so single-engine sweep snapshots (and their
-  // committed bench baselines) are byte-for-byte unchanged.
+  // Parallel-engine round counters (metrics::RunResult::par_*), all-zero
+  // for single-engine scenarios. to_json() exports them only for cells
+  // that actually ran the partitioned engine, so single-engine sweep
+  // snapshots (and their committed bench baselines) are byte-for-byte
+  // unchanged.
   sim::Accumulator par_windows;
   sim::Accumulator par_windows_skipped;
-  sim::Accumulator par_barriers_elided;
-  sim::Accumulator par_horizon_max_ns;
   /// Hypervisor-side steal time summed over a run's VMs, in milliseconds
   /// (runnable-but-not-running plus injected vmentry steal bursts).
   sim::Accumulator steal_ms;

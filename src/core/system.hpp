@@ -91,7 +91,8 @@ class System {
   /// First phase of run(): wire completion stops, arm the wall-clock
   /// budget, power on every VM and start the watchdog — without executing
   /// a single event. Used by drivers that own the event loop themselves
-  /// (sim::ParallelEngine runs many Systems' engines in quantum windows);
+  /// (sim::ParallelEngine runs many Systems' engines in rounds of one
+  /// lookahead);
   /// call finish() once the external driver is done.
   void power_on();
 

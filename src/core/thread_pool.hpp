@@ -1,127 +1,56 @@
-// Minimal fixed-size worker pool for the sweep runner.
+// The sweep runner's fan-out: run an index range across worker threads.
 //
-// The pool imposes no ordering of its own: deterministic users give every
-// job an index into a pre-sized results array, so the final output is a
-// pure function of the inputs regardless of thread count or schedule.
+// It imposes no ordering of its own: deterministic users give every index
+// a slot in a pre-sized results array, so the final output is a pure
+// function of the inputs regardless of thread count or schedule.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <system_error>
 #include <thread>
 #include <vector>
 
 namespace paratick::core {
 
-class ThreadPool {
- public:
-  /// `threads == 0` means hardware_concurrency (at least 1).
-  explicit ThreadPool(unsigned threads = 0) {
-    if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-    workers_.reserve(threads);
-    for (unsigned i = 0; i < threads; ++i) {
-      workers_.emplace_back([this] { worker_loop(); });
-    }
-  }
-
-  ~ThreadPool() {
-    {
-      std::scoped_lock lock(mu_);
-      stopping_ = true;
-    }
-    cv_.notify_all();
-    for (auto& w : workers_) w.join();
-  }
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  [[nodiscard]] unsigned size() const { return static_cast<unsigned>(workers_.size()); }
-
-  void submit(std::function<void()> job) {
-    {
-      std::scoped_lock lock(mu_);
-      ++outstanding_;
-      jobs_.push_back(std::move(job));
-    }
-    cv_.notify_one();
-  }
-
-  /// Block until every submitted job has finished. Rethrows the first
-  /// exception any job raised (the remaining jobs still run to completion).
-  void wait_idle() {
-    std::unique_lock lock(mu_);
-    idle_cv_.wait(lock, [this] { return outstanding_ == 0; });
-    if (first_error_) {
-      std::exception_ptr err = first_error_;
-      first_error_ = nullptr;
-      std::rethrow_exception(err);
-    }
-  }
-
- private:
-  void worker_loop() {
-    for (;;) {
-      std::function<void()> job;
-      {
-        std::unique_lock lock(mu_);
-        cv_.wait(lock, [this] { return stopping_ || !jobs_.empty(); });
-        if (jobs_.empty()) return;  // stopping_ with a drained queue
-        job = std::move(jobs_.front());
-        jobs_.pop_front();
-      }
-      std::exception_ptr err;
-      try {
-        job();
-      } catch (...) {
-        err = std::current_exception();
-      }
-      {
-        std::scoped_lock lock(mu_);
-        if (err && !first_error_) first_error_ = err;
-        if (--outstanding_ == 0) idle_cv_.notify_all();
-      }
-    }
-  }
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::condition_variable idle_cv_;
-  std::deque<std::function<void()>> jobs_;
-  std::vector<std::thread> workers_;
-  std::size_t outstanding_ = 0;
-  bool stopping_ = false;
-  std::exception_ptr first_error_;
-};
-
-/// Run body(0), ..., body(n-1) across up to `threads` workers. Jobs are
-/// claimed from a shared counter; with `threads <= 1` everything runs
-/// inline on the calling thread.
+/// Run body(0), ..., body(n-1) on up to `threads` workers (0 = one per
+/// hardware thread), the calling thread among them, that claim indices
+/// from a shared counter; with one worker everything runs inline. Every
+/// index runs once, even after another one threw: the first exception is
+/// kept and rethrown once every worker has been joined.
 inline void parallel_for_index(std::size_t n, unsigned threads,
                                const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
   if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-  if (threads <= 1 || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  const unsigned workers =
-      static_cast<unsigned>(std::min<std::size_t>(threads, n));
-  ThreadPool pool(workers);
   std::atomic<std::size_t> next{0};
-  for (unsigned w = 0; w < workers; ++w) {
-    pool.submit([&] {
-      for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+  std::mutex error_mu;
+  std::exception_ptr first_error;
+  const auto work = [&] {
+    for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      try {
         body(i);
+      } catch (...) {
+        std::scoped_lock lock(error_mu);
+        if (!first_error) first_error = std::current_exception();
       }
-    });
+    }
+  };
+  // The calling thread is one of the workers. work() never throws, so
+  // every started thread is joined.
+  const std::size_t workers = std::min<std::size_t>(threads, n);
+  std::vector<std::thread> others;
+  if (workers > 1) others.reserve(workers - 1);
+  try {
+    while (others.size() + 1 < workers) others.emplace_back(work);
+  } catch (const std::system_error&) {
+    // No more threads to be had: the ones running finish the range.
   }
-  pool.wait_idle();
+  work();
+  for (std::thread& t : others) t.join();
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace paratick::core

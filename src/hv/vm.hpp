@@ -1,7 +1,8 @@
 // A virtual machine: a set of vCPUs plus its virtual block device state.
 // A VM knows nothing of parallel execution: it lives on the engine of the
-// core::System that created it, and that System is its partition when a
-// cluster runs hosts on sim::ParallelEngine.
+// core::System that created it. When a cluster runs hosts on
+// sim::ParallelEngine, that System is its partition, and cross-host
+// traffic reaches it only as events injected into that engine.
 #pragma once
 
 #include <cstdint>

@@ -63,10 +63,13 @@ struct RunResult {
   std::uint64_t queue_compactions = 0;
   std::uint64_t engine_wall_ns = 0;
 
-  // Parallel-engine window counters (sim::ParallelProfile), zero for
-  // single-engine runs. Deterministic at any engine-thread count.
+  // Parallel-engine round counters (sim::ParallelProfile), zero for
+  // single-engine runs.
   std::uint64_t par_windows = 0;
   std::uint64_t par_windows_skipped = 0;
+  // Always 0, and in no export: kept only because the benchmark harness
+  // (perfbench/) names them. The next change that owns perfbench deletes
+  // them.
   std::uint64_t par_barriers_elided = 0;
   std::uint64_t par_horizon_max_ns = 0;
 

@@ -2,8 +2,10 @@
 
 #include "expect_error.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -19,7 +21,7 @@ TEST(ParallelEngine, IndependentPartitionsRunToCompletion) {
   a.schedule_at(SimTime::us(5), [&] { ++fired_a; });
   b.schedule_at(SimTime::us(9), [&] { ++fired_b; });
 
-  ParallelEngine par;
+  ParallelEngine par(SimTime::us(1));
   par.add_partition(a, "a");
   par.add_partition(b, "b");
   par.run();
@@ -28,7 +30,7 @@ TEST(ParallelEngine, IndependentPartitionsRunToCompletion) {
   EXPECT_EQ(fired_b, 1);
   EXPECT_EQ(a.now(), SimTime::us(5));
   EXPECT_EQ(b.now(), SimTime::us(9));
-  EXPECT_FALSE(par.lookahead().has_value());
+  EXPECT_EQ(par.lookahead(), SimTime::us(1));
 }
 
 TEST(ParallelEngine, RunUntilAdvancesEveryClockToDeadline) {
@@ -40,7 +42,7 @@ TEST(ParallelEngine, RunUntilAdvancesEveryClockToDeadline) {
   b.schedule_at(SimTime::us(10), [&] { ++fired; });
   b.schedule_at(SimTime::us(11), [&] { ++fired; });
 
-  ParallelEngine par;
+  ParallelEngine par(SimTime::us(1));
   par.add_partition(a);
   par.add_partition(b);
   par.run_until(SimTime::us(10));
@@ -53,10 +55,9 @@ TEST(ParallelEngine, RunUntilAdvancesEveryClockToDeadline) {
 
 TEST(ParallelEngine, CrossPartitionSendDeliversAtSrcNowPlusDelay) {
   Engine a, b;
-  ParallelEngine par;
+  ParallelEngine par(SimTime::us(2));
   const PartitionId pa = par.add_partition(a);
   const PartitionId pb = par.add_partition(b);
-  par.declare_link(pa, pb, SimTime::us(2));
 
   SimTime delivered = SimTime::zero();
   a.schedule_at(SimTime::us(4), [&] {
@@ -68,17 +69,15 @@ TEST(ParallelEngine, CrossPartitionSendDeliversAtSrcNowPlusDelay) {
 }
 
 TEST(ParallelEngine, IdleRelayBoundsTheHorizonDownstream) {
-  // a -> b -> c, 1us each. b is idle when the window opens, but relays
-  // what a sends it, so c may not run past a's floor + 2us. A horizon
-  // taken from b's own (empty) floor would let c sprint ahead, and the
-  // relayed message would then be injected into c's past and throw.
+  // a -> b -> c, 1us each. b is idle when the run starts, but relays
+  // what a sends it while c is busy with local work. A round that let c
+  // run ahead of b's relay would inject the relayed message into c's past
+  // and throw.
   Engine a, b, c;
-  ParallelEngine par;
+  ParallelEngine par(SimTime::us(1));
   const PartitionId pa = par.add_partition(a);
   const PartitionId pb = par.add_partition(b);
   const PartitionId pc = par.add_partition(c);
-  par.declare_link(pa, pb, SimTime::us(1));
-  par.declare_link(pb, pc, SimTime::us(1));
 
   SimTime relayed = SimTime::zero();
   a.schedule_at(SimTime::ns(1), [&] {
@@ -99,56 +98,26 @@ TEST(ParallelEngine, IdleRelayBoundsTheHorizonDownstream) {
   EXPECT_EQ(relayed, SimTime::ns(1) + SimTime::us(2));
 }
 
-TEST(ParallelEngine, SendBelowLinkLatencyThrows) {
+TEST(ParallelEngine, SendBelowLookaheadThrows) {
   Engine a, b;
-  ParallelEngine par;
+  ParallelEngine par(SimTime::us(5));
   const PartitionId pa = par.add_partition(a);
   const PartitionId pb = par.add_partition(b);
-  par.declare_link(pa, pb, SimTime::us(5));
 
   EXPECT_SIM_ERROR(par.send(pa, pb, SimTime::us(4), [] {}),
-                   "faster than the declared link");
+                   "faster than the lookahead");
+  par.send(pa, pb, SimTime::us(5), [] {});  // exactly L is allowed
 }
 
-TEST(ParallelEngine, SendOverUndeclaredLinkThrows) {
-  Engine a, b;
-  ParallelEngine par;
-  const PartitionId pa = par.add_partition(a);
-  const PartitionId pb = par.add_partition(b);
-  par.declare_link(pa, pb, SimTime::us(5));
-
-  // Links are directed: a->b does not imply b->a.
-  EXPECT_SIM_ERROR(par.send(pb, pa, SimTime::us(5), [] {}),
-                   "undeclared link");
-}
-
-TEST(ParallelEngine, ZeroLatencyLinkRejected) {
-  Engine a, b;
-  ParallelEngine par;
-  const PartitionId pa = par.add_partition(a);
-  const PartitionId pb = par.add_partition(b);
-  EXPECT_SIM_ERROR(par.declare_link(pa, pb, SimTime::zero()),
-                   "must be positive");
+TEST(ParallelEngine, ZeroLookaheadRejected) {
+  EXPECT_SIM_ERROR(ParallelEngine{SimTime::zero()}, "must be positive");
 }
 
 TEST(ParallelEngine, DuplicateEngineRejected) {
   Engine a;
-  ParallelEngine par;
+  ParallelEngine par(SimTime::us(1));
   par.add_partition(a);
   EXPECT_SIM_ERROR(par.add_partition(a), "already registered");
-}
-
-TEST(ParallelEngine, LookaheadIsMinimumDeclaredLatency) {
-  Engine a, b, c;
-  ParallelEngine par;
-  const PartitionId pa = par.add_partition(a);
-  const PartitionId pb = par.add_partition(b);
-  const PartitionId pc = par.add_partition(c);
-  par.declare_link(pa, pb, SimTime::us(9));
-  par.declare_link(pb, pc, SimTime::us(3));
-  par.declare_link(pc, pa, SimTime::us(7));
-  ASSERT_TRUE(par.lookahead().has_value());
-  EXPECT_EQ(*par.lookahead(), SimTime::us(3));
 }
 
 struct StreamEvent {
@@ -188,7 +157,8 @@ std::uint64_t stream_hash(const Streams& streams) {
 }
 
 /// Run a 3-partition ring with local churn + cross traffic; return
-/// (sinks, digest, per-partition event streams).
+/// (sinks, digest, per-partition event streams). With `slice` set, the
+/// run is driven by run_until() steps of that length instead of one run().
 struct RingOutcome {
   std::vector<std::uint64_t> sinks;
   std::uint64_t digest = 0;
@@ -196,15 +166,12 @@ struct RingOutcome {
   ParallelProfile profile;
 };
 
-RingOutcome run_ring() {
+RingOutcome run_ring(std::optional<SimTime> slice = std::nullopt) {
   constexpr PartitionId kParts = 3;
   Engine engines[kParts];
   std::uint64_t sinks[kParts] = {1, 2, 3};
-  ParallelEngine par;
+  ParallelEngine par(SimTime::us(2));
   for (auto& e : engines) par.add_partition(e);
-  for (PartitionId p = 0; p < kParts; ++p) {
-    par.declare_link(p, (p + 1) % kParts, SimTime::us(2));
-  }
 
   StreamRecorder taps[kParts];
   for (PartitionId p = 0; p < kParts; ++p) engines[p].set_observer(&taps[p]);
@@ -239,6 +206,12 @@ RingOutcome run_ring() {
       pump.step();
     });
   }
+  if (slice) {
+    // The pumps run ~150us; the run() after the slices drains the rest.
+    for (SimTime t = *slice; t <= SimTime::us(300); t += *slice) {
+      par.run_until(t);
+    }
+  }
   par.run();
 
   RingOutcome out;
@@ -260,17 +233,28 @@ TEST(ParallelEngine, RingResultsMatchGoldens) {
                                                    0xc02626e08f78de84ull,
                                                    0x3202a411602127e7ull}));
   EXPECT_EQ(stream_hash(out.streams), 0x2ca063cadfb95a71ull);
-  EXPECT_EQ(out.profile.quanta, 63u);
+  EXPECT_EQ(out.profile.quanta, 69u);
+}
+
+// Messages stay in their inboxes across run_until() calls, so where a run
+// is sliced cannot change which seq an injected message takes.
+TEST(ParallelEngine, RunUntilSlicesLeaveEveryEventStreamUnchanged) {
+  const RingOutcome whole = run_ring();
+  const RingOutcome sliced = run_ring(SimTime::us(1));
+  ASSERT_EQ(whole.streams.size(), sliced.streams.size());
+  for (std::size_t p = 0; p < whole.streams.size(); ++p) {
+    EXPECT_EQ(whole.streams[p], sliced.streams[p]) << "partition " << p;
+  }
+  EXPECT_EQ(whole.sinks, sliced.sinks);
 }
 
 TEST(ParallelEngine, LowestPartitionErrorWinsDeterministically) {
   Engine a, b, c;
-  ParallelEngine par;
+  ParallelEngine par(SimTime::us(100));  // one round holds all three
   par.add_partition(a);
   par.add_partition(b);
   par.add_partition(c);
-  par.declare_full_mesh(SimTime::us(100));  // one window holds all three
-  // All three would fail inside the same quantum window, partition 2
+  // All three would fail inside the same round, partition 2
   // earliest in simulated time; partitions run in id order, so the
   // propagated error is partition 0's.
   a.schedule_at(SimTime::us(3), [] {
@@ -285,12 +269,11 @@ TEST(ParallelEngine, LowestPartitionErrorWinsDeterministically) {
   EXPECT_SIM_ERROR(par.run(), "boom-partition-zero");
 }
 
-TEST(ParallelEngine, PreRunSendsCommitBeforeFirstWindow) {
+TEST(ParallelEngine, PreRunSendsDeliverInTheFirstRound) {
   Engine a, b;
-  ParallelEngine par;
+  ParallelEngine par(SimTime::us(1));
   const PartitionId pa = par.add_partition(a);
   const PartitionId pb = par.add_partition(b);
-  par.declare_link(pa, pb, SimTime::us(1));
 
   int fired = 0;
   par.send(pa, pb, SimTime::us(1), [&] { ++fired; });  // setup-time send
@@ -300,15 +283,13 @@ TEST(ParallelEngine, PreRunSendsCommitBeforeFirstWindow) {
 }
 
 TEST(ParallelEngine, SimultaneousDeliveriesRunInSourceThenSendOrder) {
-  // The commit key is (deliver_at, source partition, per-source send
-  // order), whatever order the sends reached the outbox in.
+  // The delivery key is (deliver_at, source partition, per-source send
+  // order), whatever order the sends were made in.
   Engine a, b, c;
-  ParallelEngine par;
+  ParallelEngine par(SimTime::us(5));
   const PartitionId pa = par.add_partition(a);
   const PartitionId pb = par.add_partition(b);
   const PartitionId pc = par.add_partition(c);
-  par.declare_link(pa, pc, SimTime::us(5));
-  par.declare_link(pb, pc, SimTime::us(5));
 
   std::vector<int> order;
   par.send(pb, pc, SimTime::us(5), [&] { order.push_back(10); });
@@ -328,7 +309,7 @@ TEST(ParallelEngine, ProfileCountsPartitionsQuantaAndMessages) {
   EXPECT_EQ(out.profile.merged.events_executed, out.profile.events_committed);
 }
 
-/// One link-pump: streams payloads over its declared link, mutating its
+/// One link-pump: streams payloads from `src` to `dst`, mutating its
 /// payload with an LCG so every message is distinct (an out-of-order or
 /// dropped delivery cannot cancel out in the XOR sink).
 struct DagPump {
@@ -356,18 +337,15 @@ struct DagOutcome {
   ParallelProfile profile;
 };
 
-/// A randomly wired DAG of link latencies (edges only src < dst, so
-/// partition 0 has no inbound links and exercises the capped-horizon
-/// path), with one pump per link and local churn on every partition. The
-/// wiring RNG is rebuilt from a fixed seed on every call, so every call
-/// replays the exact same topology and traffic.
+/// A randomly wired DAG of pumps with per-edge latencies (edges only
+/// src < dst), local churn on every partition, and the shortest latency as
+/// the lookahead. The wiring RNG is rebuilt from a fixed seed on every
+/// call, so every call replays the exact same topology and traffic.
 DagOutcome run_random_dag() {
   constexpr PartitionId kParts = 6;
   Rng wiring(0xDA60117ull);
   Engine engines[kParts];
   std::uint64_t sinks[kParts] = {};
-  ParallelEngine par;
-  for (auto& e : engines) par.add_partition(e);
 
   StreamRecorder taps[kParts];
   for (PartitionId p = 0; p < kParts; ++p) engines[p].set_observer(&taps[p]);
@@ -377,10 +355,8 @@ DagOutcome run_random_dag() {
     for (PartitionId d = s + 1; d < kParts; ++d) {
       if (wiring.uniform_int(0, 2) != 0) continue;  // keep ~1/3 of the pairs
       const SimTime lat = SimTime::us(wiring.uniform_int(1, 20));
-      par.declare_link(s, d, lat);
       auto pump = std::make_unique<DagPump>();
       pump->eng = &engines[s];
-      pump->par = &par;
       pump->src = s;
       pump->dst = d;
       pump->latency = lat;
@@ -396,6 +372,11 @@ DagOutcome run_random_dag() {
   // The seed above wires several links; a topology with none would make
   // this test vacuous.
   PARATICK_CHECK(!pumps.empty());
+  SimTime lookahead = SimTime::max();
+  for (const auto& pump : pumps) lookahead = std::min(lookahead, pump->latency);
+  ParallelEngine par(lookahead);
+  for (auto& e : engines) par.add_partition(e);
+  for (const auto& pump : pumps) pump->par = &par;
 
   // Local churn so partitions have work between deliveries.
   struct Local {
@@ -430,30 +411,26 @@ TEST(ParallelEngine, RandomDagResultsMatchGoldens) {
   const DagOutcome out = run_random_dag();
   ASSERT_GT(out.profile.cross_messages, 0u);
   for (const auto& stream : out.streams) ASSERT_FALSE(stream.empty());
-  // Horizons really reach past one global quantum here. A partition that
-  // ran past a message's delivery time would trip Engine::schedule_at's
-  // "in the past" check when the message is injected, so reaching this
-  // far without a throw is the safety check.
-  EXPECT_GT(out.profile.barriers_elided, 0u);
+  // A partition that ran past a message's delivery time would trip
+  // Engine::schedule_at's "in the past" check when the message is
+  // injected, so reaching this far without a throw is the safety check.
   EXPECT_EQ(out.digest, 0x02b04fa02845c81eull);
   EXPECT_EQ(out.sinks, (std::vector<std::uint64_t>{
                            0xe3fda17faebb65c3ull, 0xa3b01735c4ffed5aull,
                            0x8e34def3d0c27307ull, 0xa290e3f7940ea6bcull,
                            0xb4b7385977a09139ull, 0x069c7e3e2c8e74dcull}));
   EXPECT_EQ(stream_hash(out.streams), 0xa611fec7feaeb37dull);
-  EXPECT_EQ(out.profile.quanta, 16u);
+  EXPECT_EQ(out.profile.quanta, 237u);
 }
 
-TEST(ParallelEngine, TopologyLookaheadElidesBarriersOnSparseStar) {
-  // The barrierstorm shape: one tight link into partition 0, everyone
-  // else idle-ish. The 1us link is the global quantum, but only partition
-  // 0 has an inbound link, so the barrier count must stay at or below
-  // half the number of 1us quanta the run spans.
+TEST(ParallelEngine, SparseStarRunsAtMostOneRoundPerLookahead) {
+  // One tight 1us stream into partition 0, everyone else nearly idle.
+  // Every round lifts every partition past `start + L`, so a run spanning
+  // `span` takes at most span / L + 1 rounds, however sparse the work.
   Engine engines[4];
   std::uint64_t sinks[4] = {};
-  ParallelEngine par;
+  ParallelEngine par(SimTime::us(1));
   for (auto& e : engines) par.add_partition(e);
-  par.declare_link(1, 0, SimTime::us(1));
 
   DagPump pump;
   pump.eng = &engines[1];
@@ -479,11 +456,11 @@ TEST(ParallelEngine, TopologyLookaheadElidesBarriersOnSparseStar) {
   EXPECT_EQ(sinks[2], 43u);
   EXPECT_EQ(sinks[3], 44u);
   // The last delivery lands 1ns + 99 * 10us + 1us into the run.
-  EXPECT_EQ(engines[0].now(), SimTime::ns(1) + SimTime::us(991));
-  const std::uint64_t global_quanta = static_cast<std::uint64_t>(
-      engines[0].now().nanoseconds() / SimTime::us(1).nanoseconds());
-  EXPECT_GT(prof.barriers_elided, 0u);
-  EXPECT_LE(prof.quanta * 2, global_quanta);
+  const SimTime span = engines[0].now();
+  EXPECT_EQ(span, SimTime::ns(1) + SimTime::us(991));
+  EXPECT_GT(prof.quanta, 0u);
+  EXPECT_LE(prof.quanta,
+            static_cast<std::uint64_t>(span / par.lookahead()) + 1);
 }
 
 }  // namespace

@@ -299,17 +299,19 @@ TEST(SweepCli, ParsesFlagsAndPositionals) {
   EXPECT_EQ(cfg.root_seed, 99u);
 }
 
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
+TEST(ParallelForIndex, SweepSizedRangeCoversEveryIndexOnce) {
   std::vector<int> hits(1000, 0);
   parallel_for_index(hits.size(), 4,
                      [&](std::size_t i) { hits[i] += 1; });
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
-TEST(ThreadPool, PropagatesJobExceptions) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
+TEST(ParallelForIndex, PropagatesBodyExceptions) {
+  EXPECT_THROW(parallel_for_index(2, 2,
+                                  [](std::size_t i) {
+                                    if (i == 1) throw std::runtime_error("boom");
+                                  }),
+               std::runtime_error);
 }
 
 }  // namespace

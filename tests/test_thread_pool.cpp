@@ -1,6 +1,6 @@
-// core::ThreadPool error semantics: wait_idle()'s contract — first error
-// wins, the other jobs still run to completion, and the pool stays usable
-// after the rethrow — is what the sweep backends lean on, so it gets
+// core::parallel_for_index's contract — every index runs exactly once,
+// the first error is rethrown after every worker joined, and the workers
+// really run concurrently — is what the sweep runner leans on, so it gets
 // pinned here.
 #include <gtest/gtest.h>
 
@@ -16,78 +16,8 @@
 namespace paratick::core {
 namespace {
 
-TEST(ThreadPool, RunsSubmittedJobs) {
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&] { ran.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleWithNoJobsReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang or throw
-  SUCCEED();
-}
-
-TEST(ThreadPool, WaitIdleRethrowsAJobError) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("job failed"); });
-  bool caught = false;
-  try {
-    pool.wait_idle();
-  } catch (const std::runtime_error& e) {
-    caught = true;
-    EXPECT_STREQ(e.what(), "job failed");
-  }
-  EXPECT_TRUE(caught);
-}
-
-TEST(ThreadPool, FirstOfSeveralErrorsWinsAndAllJobsStillRun) {
-  ThreadPool pool(1);  // single worker: job order IS completion order
-  std::atomic<int> ran{0};
-  pool.submit([&] {
-    ran.fetch_add(1);
-    throw std::runtime_error("first");
-  });
-  pool.submit([&] {
-    ran.fetch_add(1);
-    throw std::runtime_error("second");
-  });
-  pool.submit([&] { ran.fetch_add(1); });  // plain job after the failures
-
-  bool caught = false;
-  try {
-    pool.wait_idle();
-  } catch (const std::runtime_error& e) {
-    caught = true;
-    // The FIRST error is kept; later ones are dropped, not queued.
-    EXPECT_STREQ(e.what(), "first");
-  }
-  EXPECT_TRUE(caught);
-  // A failing job never takes the rest of the queue down.
-  EXPECT_EQ(ran.load(), 3);
-}
-
-TEST(ThreadPool, PoolIsReusableAfterRethrow) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("poisoned"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-
-  // The error slot was consumed by the rethrow: the next batch runs clean
-  // and a second wait_idle() must NOT replay the old exception.
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([&] { ran.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 8);
-}
-
-TEST(ThreadPool, ParallelForIndexCoversEveryIndexOnce) {
-  for (const unsigned threads : {1u, 4u}) {
+TEST(ParallelForIndex, CoversEveryIndexOnce) {
+  for (const unsigned threads : {0u, 1u, 4u}) {
     std::vector<std::atomic<int>> hits(64);
     parallel_for_index(hits.size(), threads,
                        [&](std::size_t i) { hits[i].fetch_add(1); });
@@ -97,24 +27,62 @@ TEST(ThreadPool, ParallelForIndexCoversEveryIndexOnce) {
   }
 }
 
-TEST(ThreadPool, JobsRunConcurrently) {
-  // Two jobs that each wait for the other: only completes if the pool
-  // really runs them on distinct threads.
-  ThreadPool pool(2);
-  std::atomic<int> arrived{0};
-  for (int i = 0; i < 2; ++i) {
-    pool.submit([&] {
-      arrived.fetch_add(1);
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(10);
-      while (arrived.load() < 2) {
-        ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-            << "jobs never overlapped";
-        std::this_thread::yield();
-      }
+TEST(ParallelForIndex, EmptyRangeRunsNothing) {
+  bool ran = false;
+  parallel_for_index(0, 4, [&](std::size_t) { ran = true; });
+  EXPECT_FALSE(ran);
+}
+
+TEST(ParallelForIndex, FirstOfSeveralErrorsWinsAndEveryIndexStillRuns) {
+  // One worker runs the indices in order, so index 1's error is first.
+  std::vector<int> ran;
+  bool caught = false;
+  try {
+    parallel_for_index(5, 1, [&](std::size_t i) {
+      ran.push_back(static_cast<int>(i));
+      if (i == 1) throw std::runtime_error("first");
+      if (i == 3) throw std::runtime_error("second");
     });
+  } catch (const std::runtime_error& e) {
+    caught = true;
+    // The FIRST error is kept; later ones are dropped, not queued.
+    EXPECT_STREQ(e.what(), "first");
   }
-  pool.wait_idle();
+  EXPECT_TRUE(caught);
+  // A failing index never takes the rest of the range down.
+  EXPECT_EQ(ran, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(ParallelForIndex, ErrorOnAWorkerIsRethrownAfterEveryIndexRan) {
+  std::vector<std::atomic<int>> hits(32);
+  EXPECT_THROW(parallel_for_index(hits.size(), 4,
+                                  [&](std::size_t i) {
+                                    hits[i].fetch_add(1);
+                                    if (i % 7 == 0) {
+                                      throw std::runtime_error(
+                                          "index " + std::to_string(i));
+                                    }
+                                  }),
+               std::runtime_error);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ParallelForIndex, WorkersRunConcurrently) {
+  // Two indices that each wait for the other: only completes if they
+  // really run on distinct threads.
+  std::atomic<int> arrived{0};
+  parallel_for_index(2, 2, [&](std::size_t) {
+    arrived.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (arrived.load() < 2) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "workers never overlapped";
+      std::this_thread::yield();
+    }
+  });
   EXPECT_EQ(arrived.load(), 2);
 }
 
