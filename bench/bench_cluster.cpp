@@ -5,8 +5,8 @@
 // Each grid cell runs a core::Cluster — one System per host, coupled
 // through the parallel engine with the host boundary as the partition
 // boundary, while -j fans cells out across the grid. This is the
-// parallel engine's determinism gate: -j and --dispatch leave every
-// exported byte unchanged (the cluster-smoke CI job cmp's them), with
+// parallel engine's determinism gate: -j leaves every exported byte
+// unchanged (the cluster-smoke CI job cmp's them), with
 // migrations and telemetry crossing partitions. The overcommit axis
 // resizes the per-host machine exactly like the single-host benches, so
 // rows self-describe the vCPU:pCPU ratio.

@@ -1,9 +1,8 @@
 // Replay failure bundles written by a chaos sweep (core/replay.hpp):
 // rebuild the sweep config from each bundle's scenario, re-execute the
 // recorded run index, and verify the failure reproduces — same kind,
-// same failing expression, same simulated timestamp. Crash bundles (a
-// dispatch worker died mid-run) are re-executed as a one-index dispatch
-// on a forked worker, so the replayer survives the reproduction.
+// same failing expression, same simulated timestamp. Every kind runs
+// in-process, the way the sweep ran it.
 //
 // When the producing sweep ran with --record-trace, the bundle carries
 // an event trace of the failed run and the replay is checked against it
@@ -137,8 +136,7 @@ int replay_one(const std::string& path, const Options& opt) {
                                         ? std::string{}
                                         : resolve_trace_path(path, bundle);
 
-  // No trace (the sweep did not record one, or a crash that died before
-  // writing it): plain disposition replay.
+  // No trace (the sweep did not record one): plain disposition replay.
   if (trace_path.empty()) {
     core::SweepRun replayed;
     try {

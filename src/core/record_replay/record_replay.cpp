@@ -97,10 +97,6 @@ std::optional<Divergence> TraceChecker::check_complete() {
 
 ReplayCheckResult check_replay(SweepConfig cfg, const ReplayBundle& b,
                                const EventTrace& trace) {
-  PARATICK_CHECK_MSG(
-      !b.run.failure || b.run.failure->kind != RunFailure::Kind::kCrash,
-      "crash bundles replay in a forked child; their traces cannot be "
-      "checked in-process");
   // An observational pass: write no sweep artifacts, print no progress.
   cfg.record_trace = false;
   cfg.progress = false;

@@ -106,10 +106,7 @@ struct ReplayCheckResult {
 };
 
 /// Replay the bundle's run with a TraceChecker attached: one pass that
-/// stops at the first divergent event. PARATICK_CHECKs on crash bundles:
-/// those replay in a forked child, so an in-process checker would never
-/// see their events (and a faithful reproduction would take the checker
-/// down with it).
+/// stops at the first divergent event.
 [[nodiscard]] ReplayCheckResult check_replay(SweepConfig cfg,
                                              const ReplayBundle& b,
                                              const EventTrace& trace);

@@ -3,10 +3,7 @@
 #include <filesystem>
 #include <string>
 #include <utility>
-#include <vector>
 
-#include "core/dispatch/dispatch.hpp"
-#include "core/dispatch/transport.hpp"
 #include "core/json.hpp"
 #include "core/safe_io.hpp"
 #include "core/scenarios.hpp"
@@ -57,8 +54,8 @@ std::string write_replay_bundle(const SweepConfig& cfg, const SweepRun& run,
   b.watchdog = cfg.watchdog;
   b.fault = cfg.fault;
   b.run = run;
-  // The run's host time is wall clock, the one value a local and a
-  // dispatched sweep disagree on; a bundle holds only what replays.
+  // The run's host time is wall clock, the one value two sweeps of the
+  // same plan disagree on; a bundle holds only what replays.
   b.run.host_seconds = 0.0;
 
   // One directory per producing sweep keeps multi-bench failure dirs
@@ -69,10 +66,8 @@ std::string write_replay_bundle(const SweepConfig& cfg, const SweepRun& run,
   const std::string path =
       bundle_dir + metrics::format("/run%llu.json",
                                    static_cast<unsigned long long>(run.run_index));
-  // Atomic write: a dispatcher lease expiry can leave the killed worker
-  // and the run's next worker writing the same bundle concurrently; each
-  // rename publishes a complete document, so readers never see a torn
-  // file.
+  // Atomic write: a sweep killed mid-write leaves the old bundle or the
+  // complete new one, never a torn file.
   write_file_atomic(path, to_json(b));
   return path;
 }
@@ -164,18 +159,6 @@ SweepRun replay_run(SweepConfig cfg, const ReplayBundle& b) {
         static_cast<unsigned long long>(seed));
     PARATICK_CHECK_MSG(false, msg.c_str());
   }
-  // A recorded crash (a dispatch worker died mid-run) would take the
-  // replayer down too if re-executed in-process — rerun it the way the
-  // sweep ran it: a one-index dispatch on one forked worker, where a
-  // second death becomes a kCrash record again.
-  if (b.run.failure && b.run.failure->kind == RunFailure::Kind::kCrash) {
-    dispatch::DispatchOptions opts;
-    opts.workers = 1;
-    dispatch::ForkWorkerTransport transport(std::move(cfg));
-    SweepResult res = dispatch::dispatch_sweep(
-        transport, opts, nullptr, std::vector<std::size_t>{b.run.run_index});
-    return std::move(res.runs[b.run.run_index]);
-  }
   SweepRunner runner(std::move(cfg));
   return runner.execute_run(b.run.run_index);
 }
@@ -211,11 +194,9 @@ bool reproduces(const ReplayBundle& b, const SweepRun& replayed,
          "\", replayed \"" + got.expr + "\"");
     return false;
   }
-  // Timeouts are wall-clock dependent, and crashes are recorded by the
-  // dispatcher with no simulation context: kind + expression is the best
-  // reproducibility we can claim for either.
+  // Timeouts are wall-clock dependent: kind + expression is the best
+  // reproducibility we can claim for them.
   if (want.kind != RunFailure::Kind::kTimeout &&
-      want.kind != RunFailure::Kind::kCrash &&
       got.sim_time_ns != want.sim_time_ns) {
     note(metrics::format(
         "failure sim time differs: recorded %lldns, replayed %lldns",

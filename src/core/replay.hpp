@@ -12,7 +12,7 @@
 //
 // so `bench_replay` can re-run the exact failing simulation to the same
 // event and verify the error matches. No wall-clock value enters a
-// bundle: a dispatched sweep writes the same bytes as a local -j1 one.
+// bundle: a sweep at any -j writes the same bytes as a -j1 one.
 #pragma once
 
 #include <string>
@@ -53,8 +53,6 @@ struct ReplayBundle {
 /// Throws sim::SimError naming the differing field when the config's grid
 /// no longer matches the bundle's plan, or the run's derived seed differs
 /// from the recorded one: the index would name a different run.
-/// kCrash bundles run as a one-index dispatch on a forked worker
-/// (core/dispatch); every other kind runs in-process.
 [[nodiscard]] SweepRun replay_run(SweepConfig cfg, const ReplayBundle& b);
 
 /// Re-execute using the registered chaos-scenario registry

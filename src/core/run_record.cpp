@@ -15,8 +15,8 @@ namespace paratick::core {
 namespace {
 
 // Doubles are printed with %.17g and parsed back with strtod (json.cpp),
-// which round-trips every finite IEEE double exactly — the foundation of
-// the byte-identical dispatch guarantee. u64 seeds are serialized as decimal
+// which round-trips every finite IEEE double exactly, so a replayed record
+// equals the recorded one. u64 seeds are serialized as decimal
 // strings because a JSON number would round through double; ordinary
 // counters stay plain numbers (all far below 2^53).
 

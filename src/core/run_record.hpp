@@ -5,14 +5,13 @@
 //            the cell grid): the "plan" of a replay bundle.
 //   record   one executed run, exact round trip: identity, failure
 //            record and full RunResult (accumulator states with %.17g
-//            doubles, histogram buckets, cycle ledgers). A dispatch
-//            worker's record line and a replay bundle's failed run.
+//            doubles, histogram buckets, cycle ledgers): a replay
+//            bundle's failed run.
 //
 // A record is only ever read against a plan: the parser rejects a run
-// whose index or cell lies outside it. Because the coordinator folds
-// parsed records through the same aggregate_sweep_runs() as local
-// execution, a dispatched sweep's CSV/JSON is byte-identical to a
-// single-process -jN run.
+// whose index or cell lies outside it. The plan's kind string
+// ("paratick-dispatch-plan") and the record's "executed" key are kept
+// byte for byte so bundles written by earlier builds still load.
 //
 // The replay bundle (core/replay.hpp) adds the fault knobs to a plan and
 // one failed run's record.
@@ -27,8 +26,8 @@
 
 namespace paratick::core {
 
-/// The sweep identity a dispatcher reads records against and a bundle
-/// and its replayer must agree on.
+/// The sweep identity a record is read against and a bundle and its
+/// replayer must agree on.
 struct PlanInfo {
   std::string bench;
   std::uint64_t root_seed = 0;

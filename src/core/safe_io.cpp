@@ -11,28 +11,6 @@
 
 namespace paratick::core {
 
-ssize_t read_retry(int fd, void* buf, std::size_t len) {
-  for (;;) {
-    const ssize_t got = ::read(fd, buf, len);
-    if (got >= 0 || errno != EINTR) return got;
-  }
-}
-
-bool write_all(int fd, const void* buf, std::size_t len) {
-  const char* p = static_cast<const char*>(buf);
-  std::size_t off = 0;
-  while (off < len) {
-    const ssize_t put = ::write(fd, p + off, len - off);
-    if (put < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (put == 0) return false;
-    off += static_cast<std::size_t>(put);
-  }
-  return true;
-}
-
 void write_file_atomic(const std::string& path, const std::string& content) {
   const std::filesystem::path fs_path{path};
   // Special targets (/dev/null, pipes) cannot be renamed over — and must

@@ -4,13 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <thread>
 
 #include "core/cli_parse.hpp"
-#include "core/dispatch/dispatch.hpp"
-#include "core/dispatch/transport.hpp"
 #include "core/history.hpp"
 #include "core/replay.hpp"
 #include "core/safe_io.hpp"
@@ -19,7 +16,6 @@
 #include "core/thread_pool.hpp"
 #include "metrics/report.hpp"
 #include "sim/check.hpp"
-#include "sim/error.hpp"
 
 namespace paratick::core {
 
@@ -47,7 +43,6 @@ const char* RunFailure::kind_name(Kind k) {
     case Kind::kWatchdog: return "watchdog";
     case Kind::kTimeout: return "timeout";
     case Kind::kException: return "exception";
-    case Kind::kCrash: return "crash";
     case Kind::kDivergence: return "divergence";
   }
   return "?";
@@ -55,8 +50,7 @@ const char* RunFailure::kind_name(Kind k) {
 
 RunFailure::Kind RunFailure::kind_from_name(const std::string& name) {
   for (const Kind k : {Kind::kCheck, Kind::kWatchdog, Kind::kTimeout,
-                       Kind::kException, Kind::kCrash,
-                       Kind::kDivergence}) {
+                       Kind::kException, Kind::kDivergence}) {
     if (name == kind_name(k)) return k;
   }
   PARATICK_CHECK_MSG(false, ("unknown failure kind: " + name).c_str());
@@ -72,6 +66,11 @@ std::string SweepCellKey::label() const {
   return out;
 }
 
+namespace {
+
+/// The merge layer: build one empty summary per key of `keys` (grid
+/// order) into res.cells, then fold res.runs into them strictly in
+/// run-index order.
 void aggregate_sweep_runs(SweepResult& res,
                           const std::vector<SweepCellKey>& keys) {
   res.cells.clear();
@@ -82,11 +81,9 @@ void aggregate_sweep_runs(SweepResult& res,
     res.cells.push_back(std::move(cell));
   }
   // Fold strictly in run-index order so replica merges are deterministic
-  // for any thread count and for dispatched sweeps. Unexecuted slots
-  // (outside a dispatched subset) are invisible; failed replicas only bump
-  // the degradation counters; every mean/histogram covers survivors only.
+  // for any thread count. Failed replicas only bump the degradation
+  // counters; every mean/histogram covers survivors only.
   for (const SweepRun& r : res.runs) {
-    if (!r.executed) continue;
     SweepCellSummary& cell = res.cells[r.cell];
     if (!r.ok) {
       ++cell.replicas_failed;
@@ -143,6 +140,8 @@ void aggregate_sweep_runs(SweepResult& res,
   }
 }
 
+}  // namespace
+
 SweepRunner::SweepRunner(SweepConfig cfg) : cfg_(std::move(cfg)) {
   PARATICK_CHECK_MSG(cfg_.repeat >= 1, "sweep repeat must be >= 1");
 }
@@ -195,7 +194,7 @@ SweepResult SweepRunner::run() const {
   // file names are deterministic.
   if (!cfg_.failure_dir.empty()) {
     for (SweepRun& r : res.runs) {
-      if (!r.executed || r.ok || !r.failure) continue;
+      if (r.ok || !r.failure) continue;
       r.bundle_path = write_replay_bundle(cfg_, r, cfg_.failure_dir);
       if (cfg_.progress) {
         std::fprintf(stderr, "sweep: replay bundle -> %s\n", r.bundle_path.c_str());
@@ -231,7 +230,7 @@ const SweepCellSummary* SweepResult::find(const std::string& variant,
 std::vector<const SweepRun*> SweepResult::failed_runs() const {
   std::vector<const SweepRun*> out;
   for (const auto& r : runs) {
-    if (r.executed && !r.ok && r.failure) {
+    if (!r.ok && r.failure) {
       out.push_back(&r);
     }
   }
@@ -312,9 +311,8 @@ std::string SweepResult::to_csv() const {
 
 std::string SweepResult::to_json() const {
   // Deliberately no wall_seconds/threads here: the export is a pure
-  // function of the cells, so local and dispatched sweeps produce
-  // byte-identical documents (asserted in test_dispatch and the
-  // dispatcher-smoke CI job).
+  // function of the cells, so sweeps at any -j produce byte-identical
+  // documents (asserted in test_sweep and the CI determinism smoke).
   std::string out = "{\n  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const auto& cell = cells[i];
@@ -394,8 +392,7 @@ namespace {
 std::vector<CliFlag> shared_sweep_flags(SweepCli& cli) {
   std::vector<CliFlag> flags = {
       uint_flag("-j", "N",
-                "worker threads, or --dispatch processes (also -jN; "
-                "default: all cores)",
+                "worker threads (also -jN; default: all cores)",
                 cli.threads),
       uint_flag("--repeat", "N", "seed replicas per cell (default 1)",
                 cli.repeat),
@@ -429,10 +426,6 @@ std::vector<CliFlag> shared_sweep_flags(SweepCli& cli) {
                   cli.record_trace),
       double_flag("--run-timeout", "S", "per-run wall-clock budget in seconds",
                   cli.run_timeout_sec),
-      switch_flag("--dispatch",
-                  "run each run in one of -j forked worker processes",
-                  cli.dispatch),
-      uint_flag("--dispatch-test-kill", "N", nullptr, cli.dispatch_test_kill),
   };
   for (CliFlag& f : fault_knob_flags(cli.fault_overrides)) {
     flags.push_back(std::move(f));
@@ -470,50 +463,7 @@ void SweepCli::apply(SweepConfig& cfg) const {
   }
 }
 
-namespace {
-
-/// The --dispatch branch of run_sweep: supervise the sweep on -j forked
-/// workers.
-SweepResult run_dispatched(const SweepCli& cli, const SweepConfig& cfg) {
-  dispatch::DispatchOptions opts;
-  opts.workers = cfg.threads;
-  opts.progress = cfg.progress;
-  opts.test_kill_after = cli.dispatch_test_kill;
-
-  if (!cfg.failure_dir.empty()) {
-    // Workers write bundles for the failed runs they complete; this covers
-    // a run lost with its worker, so it can still be replayed.
-    opts.bundle_writer = [&cfg](SweepRun& run) {
-      run.bundle_path = write_replay_bundle(cfg, run, cfg.failure_dir);
-    };
-  }
-
-  dispatch::ForkWorkerTransport transport(cfg);
-  dispatch::DispatchStats st;
-  SweepResult res = dispatch::dispatch_sweep(transport, opts, &st);
-  if (cfg.progress) {
-    std::fprintf(stderr,
-                 "dispatch: %zu records from %zu workers (%zu died, %zu "
-                 "leases expired, %zu runs lost with their worker)\n",
-                 st.records_received, st.workers_launched, st.workers_died,
-                 st.leases_expired, st.runs_crashed);
-  }
-  return res;
-}
-
-}  // namespace
-
 SweepResult SweepCli::run_sweep(SweepConfig cfg) const {
-  if (dispatch) {
-    // Coordinator-level faults (a worker that cannot be forked) are
-    // environment errors, not bugs: clean CLI failure.
-    try {
-      return run_dispatched(*this, cfg);
-    } catch (const sim::SimError& e) {
-      std::fprintf(stderr, "%s\n", e.msg().c_str());
-      std::exit(1);
-    }
-  }
   return SweepRunner(std::move(cfg)).run();
 }
 
@@ -522,17 +472,15 @@ void SweepCli::export_results(const SweepResult& result,
   if (!sweep_csv.empty()) result.write_csv(sweep_csv);
   if (!sweep_json.empty()) result.write_json(sweep_json);
   if (progress && (!sweep_csv.empty() || !sweep_json.empty())) {
-    std::fprintf(stderr, "sweep: %zu runs in %.2fs on %u %s workers%s%s%s%s\n",
-                 result.executed_run_count(), result.wall_seconds,
-                 result.threads_used, result.backend_name.c_str(),
+    std::fprintf(stderr, "sweep: %zu runs in %.2fs on %u thread workers%s%s%s%s\n",
+                 result.runs.size(), result.wall_seconds, result.threads_used,
                  sweep_csv.empty() ? "" : ", csv -> ",
                  sweep_csv.c_str(),
                  sweep_json.empty() ? "" : ", json -> ",
                  sweep_json.c_str());
   }
   if (profile) {
-    // Engine self-profile, aggregated over every executed run. Works for
-    // dispatched results too — the counters ride in the run records. Only
+    // Engine self-profile, aggregated over every surviving run. Only
     // events/sec depends on host wall time; everything above it is
     // deterministic and doubles as a "zero spills" acceptance check.
     std::uint64_t events = 0, scheduled = 0, cancelled = 0;
@@ -540,7 +488,7 @@ void SweepCli::export_results(const SweepResult& result,
     std::uint64_t high_water = 0, wall_ns = 0;
     std::uint64_t par_windows = 0, par_skipped = 0;
     for (const auto& run : result.runs) {
-      if (!run.executed || !run.ok) continue;
+      if (!run.ok) continue;
       events += run.result.events_executed;
       scheduled += run.result.events_scheduled;
       cancelled += run.result.events_cancelled;
@@ -553,7 +501,7 @@ void SweepCli::export_results(const SweepResult& result,
       par_skipped += run.result.par_windows_skipped;
       wall_ns += run.result.engine_wall_ns;
     }
-    std::printf("engine profile (%zu runs)\n", result.executed_run_count());
+    std::printf("engine profile (%zu runs)\n", result.runs.size());
     std::printf("  events executed      %20llu\n",
                 static_cast<unsigned long long>(events));
     std::printf("  events scheduled     %20llu\n",

@@ -7,18 +7,15 @@
 //   1. planning (core/sweep_plan.hpp): pure expansion of the grid into
 //      (cell, run_index, seed) work items;
 //   2. execution: SweepRunner runs the plan on an in-process thread pool
-//      (crash isolation is try/catch only); the dispatcher (core/dispatch,
-//      --dispatch) is the one out-of-process path: forked workers, each
-//      crash costing exactly the run it hit;
-//   3. merge (aggregate_sweep_runs below): fold executed runs — local or
-//      streamed back by dispatch workers — into per-cell summaries via
-//      Accumulator::merge.
+//      (-j N), the one way runs fan out; a run that throws becomes a
+//      failure record (try/catch isolation, no process boundary);
+//   3. merge: fold the executed runs, in run-index order, into per-cell
+//      summaries via Accumulator::merge.
 //
 // Determinism guarantee: each run's seed is a pure function of
 // (root_seed, run_index) — derived with a splitmix64 jump, never from the
 // schedule — and aggregation happens in run-index order after all runs
-// finish. Results are therefore bit-identical for any `-j` value and
-// whether or not the sweep was dispatched.
+// finish. Results are therefore bit-identical for any `-j` value.
 #pragma once
 
 #include <array>
@@ -115,7 +112,6 @@ struct RunFailure {
     kWatchdog,   // watchdog invariant breach (SimError)
     kTimeout,    // per-run wall-clock budget exceeded (SimError)
     kException,  // any other std::exception
-    kCrash,      // dispatch worker lost mid-run (signal, exit, protocol, lease)
     kDivergence, // a replayed run stopped matching its recorded trace
   };
   Kind kind = Kind::kException;
@@ -138,8 +134,8 @@ struct SweepRun {
   std::size_t run_index = 0;
   int replica = 0;
   std::uint64_t seed = 0;
-  /// False for runs outside a dispatched run-index subset; such slots
-  /// carry only their identity and are skipped by aggregation and exports.
+  /// Set once the run has executed. Every run of a SweepResult has; the
+  /// flag is kept because run records carry it ("executed").
   bool executed = false;
   bool ok = false;
   metrics::RunResult result;             // valid only when executed && ok
@@ -149,8 +145,8 @@ struct SweepRun {
   double host_seconds = 0.0;  // wall-clock cost of this run
 };
 
-/// Replica-aggregated view of one cell, filled only by
-/// aggregate_sweep_runs — the one place runs become numbers. Scalar
+/// Replica-aggregated view of one cell, filled only by SweepRunner::run's
+/// merge step — the one place runs become numbers. Scalar
 /// metrics get one Accumulator sample per surviving run; per-VM
 /// distributions are merged across surviving replicas and VMs with
 /// Accumulator::merge. A failed run adds nothing but a degradation count.
@@ -213,9 +209,9 @@ struct SweepResult {
   std::vector<SweepRun> runs;           // run-index order (deterministic)
   double wall_seconds = 0.0;
   unsigned threads_used = 1;
-  std::string backend_name = "thread";  // "thread" or "dispatch"
 
-  /// Runs actually executed (== runs.size() unless a dispatch subset).
+  /// Runs whose `executed` flag is set: all of them. perfbench's harness
+  /// counts runs through this.
   [[nodiscard]] std::size_t executed_run_count() const;
 
   /// First cell matching variant + mode (for single-freq/vcpu sweeps).
@@ -236,20 +232,13 @@ struct SweepResult {
                                             guest::TickMode treatment) const;
 
   /// One row per cell: key columns + mean/stddev of each metric. Both
-  /// exports are pure functions of the cells, so local and dispatched
-  /// sweeps produce byte-identical files.
+  /// exports are pure functions of the cells, so sweeps at any -j produce
+  /// byte-identical files.
   [[nodiscard]] std::string to_csv() const;
   [[nodiscard]] std::string to_json() const;
   void write_csv(const std::string& path) const;
   void write_json(const std::string& path) const;
 };
-
-/// The merge layer's core: build one empty summary per key of `keys`
-/// (grid order) into res.cells, then fold res.runs into them strictly in
-/// run-index order. Used identically by SweepRunner::run() after local
-/// execution and by the dispatcher on worker records — one code path is
-/// what makes dispatched results bit-identical to local runs.
-void aggregate_sweep_runs(SweepResult& res, const std::vector<SweepCellKey>& keys);
 
 class SweepRunner {
  public:
@@ -272,10 +261,8 @@ class SweepRunner {
 };
 
 /// Shared CLI for the sweep-driven bench/example binaries: threads,
-/// replicas, seed, exports, history, chaos and dispatch flags, listed with
-/// one help line each by `<binary> --help`. -j N sizes the thread pool,
-/// or with --dispatch the number of forked workers; the hidden
-/// --dispatch-test-kill is a test hook.
+/// replicas, seed, exports, history and chaos flags, listed with one help
+/// line each by `<binary> --help`. -j N sizes the thread pool.
 struct SweepCli {
   unsigned threads = 0;
   int repeat = 1;
@@ -295,9 +282,6 @@ struct SweepCli {
   /// (--fault-<knob>, value) pairs in CLI order; applied over --chaos
   /// defaults so individual rates can be overridden.
   std::vector<std::pair<std::string, double>> fault_overrides;
-  // Out-of-process execution on forked workers (core/dispatch).
-  bool dispatch = false;
-  std::size_t dispatch_test_kill = 0;
   std::vector<std::string> positional;
 
   /// Parse the shared flags plus the binary's own `extra` flags and
@@ -310,10 +294,9 @@ struct SweepCli {
   /// Copy the flags onto a config (root_seed only if given on the CLI).
   void apply(SweepConfig& cfg) const;
 
-  /// The one-call driver entry point: with --dispatch, run cfg on -j
-  /// forked workers through the dispatcher; otherwise plan + execute it
-  /// on the local thread pool. Either way the returned result feeds the bench's normal
-  /// table rendering and exports.
+  /// The one-call driver entry point: plan + execute cfg on the local
+  /// thread pool. The returned result feeds the bench's normal table
+  /// rendering and exports.
   [[nodiscard]] SweepResult run_sweep(SweepConfig cfg) const;
 
   /// Honor --sweep-csv/--sweep-json/--history-dir if present. The bench

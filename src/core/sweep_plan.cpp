@@ -128,7 +128,7 @@ SweepRun SweepPlan::execute(std::size_t run_index) const {
 
   ExperimentSpec spec = spec_for_cell(out.cell);
   // Seeds depend only on (root_seed, run index): bit-identical results
-  // for any thread count, schedule or dispatch worker.
+  // for any thread count or schedule.
   spec.guest_seed = w.seed;
   spec.host.seed = derive_seed(w.seed, 0x686f7374);  // independent host stream
   if (cfg_.fault.any()) spec.fault = cfg_.fault;
@@ -136,9 +136,8 @@ SweepRun SweepPlan::execute(std::size_t run_index) const {
   if (cfg_.watchdog) spec.watchdog = true;
   if (cfg_.run_timeout_sec > 0.0) spec.wall_limit_sec = cfg_.run_timeout_sec;
 
-  // Trace recording hooks the run's own engine, so the thread pool and
-  // dispatch workers alike produce their traces in-process; a worker
-  // writes the file itself and ships the path back in its run record.
+  // Trace recording hooks the run's own engine, so each pool thread
+  // produces its run's trace in-process.
   record_replay::TraceRecorder recorder;
   if (cfg_.record_trace) {
     spec.observer = &recorder;
@@ -174,8 +173,8 @@ SweepRun SweepPlan::execute(std::size_t run_index) const {
   }
 
   // Persist failed runs' traces next to where their replay bundles go:
-  // <failure_dir>/<bench>/run<idx>.trace. Written here (not by the parent
-  // sweep loop) so dispatch workers produce them too.
+  // <failure_dir>/<bench>/run<idx>.trace. Written here, on the thread
+  // that ran it, while the trace is still in hand.
   if (cfg_.record_trace && !out.ok && !cfg_.failure_dir.empty()) {
     const std::string name = cfg_.bench_name.empty() ? "sweep" : cfg_.bench_name;
     out.trace_path = record_replay::write_trace_file(

@@ -3,9 +3,8 @@
 //
 // A SweepPlan is a value — building it runs no simulation. Everything a
 // run depends on (cell spec, seeds, fault plan) is a pure function of
-// (config, run_index), which is what lets the same plan be executed by
-// the local thread pool or by dispatch workers on any host and still
-// merge to bit-identical results.
+// (config, run_index), which is what lets the thread pool execute the
+// same plan at any -j and still merge to bit-identical results.
 #pragma once
 
 #include <cstddef>
@@ -44,8 +43,8 @@ class SweepPlan {
 
   /// Execute run `run_index` in-process with soft crash isolation: a
   /// sim::SimError or std::exception becomes a RunFailure record instead
-  /// of propagating. (Hard isolation against segfaults/abort() is the
-  /// dispatcher's job.)
+  /// of propagating. A signal (segfault, abort()) is not contained: it
+  /// ends the whole sweep.
   [[nodiscard]] SweepRun execute(std::size_t run_index) const;
 
  private:

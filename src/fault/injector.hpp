@@ -4,7 +4,7 @@
 // Determinism contract: the plan seed is derived purely from
 // (root_seed, run_index) by the sweep layer, and each fault class draws
 // from its own RNG stream, so a chaos sweep produces bit-identical fault
-// sequences at any thread count and on any dispatch worker. Decision methods
+// sequences at any thread count. Decision methods
 // early-return without consuming randomness when their class is disabled,
 // keeping partially-enabled configs stable as knobs are added.
 #pragma once

@@ -175,7 +175,11 @@ ParallelProfile ParallelEngine::profile() const {
     prof.merged.events_cancelled += ep.events_cancelled;
     prof.merged.callback_spills += ep.callback_spills;
     prof.merged.callback_spill_bytes += ep.callback_spill_bytes;
-    prof.merged.slot_high_water += ep.slot_high_water;
+    // Occupancy peaks are per queue: report the largest, as a
+    // single-engine run and Cluster::collect do. A sum would describe no
+    // queue that ever existed.
+    prof.merged.slot_high_water =
+        std::max(prof.merged.slot_high_water, ep.slot_high_water);
     prof.merged.compactions += ep.compactions;
   }
   return prof;

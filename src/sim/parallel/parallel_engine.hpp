@@ -51,7 +51,8 @@ struct ParallelProfile {
   std::uint64_t events_committed = 0;
   /// Host nanoseconds inside run()/run_until(). Not deterministic.
   std::uint64_t wall_ns = 0;
-  /// Partition EngineProfiles summed field-by-field (wall_ns excluded:
+  /// Partition EngineProfiles summed field-by-field, except
+  /// slot_high_water, which is the largest partition's (wall_ns excluded:
   /// the driver's own wall_ns above covers them).
   EngineProfile merged;
 };

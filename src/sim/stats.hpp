@@ -30,10 +30,9 @@ class Accumulator {
   /// Merge another accumulator into this one (parallel-combine form).
   void merge(const Accumulator& other);
 
-  /// Raw Welford state, for exact serialization across process
-  /// boundaries (dispatch worker records, replay bundles). Round-tripping
-  /// through state()/from_state reproduces the accumulator bit-for-bit,
-  /// which is what keeps dispatched sweeps byte-identical to local runs.
+  /// Raw Welford state, for exact serialization into run records (replay
+  /// bundles). Round-tripping through state()/from_state reproduces the
+  /// accumulator bit-for-bit, so a replayed record equals the recorded one.
   struct State {
     std::uint64_t n = 0;
     double mean = 0.0, m2 = 0.0, sum = 0.0, min = 0.0, max = 0.0;

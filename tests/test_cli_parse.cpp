@@ -275,13 +275,6 @@ TEST(SweepCliParse, AcceptsValidNumericFlags) {
   EXPECT_EQ(cli.positional[0], "extra");
 }
 
-TEST(SweepCliParse, AcceptsDispatchFlags) {
-  Argv a({"--dispatch", "-j3"});
-  const SweepCli cli = SweepCli::parse(a.argc(), a.argv());
-  EXPECT_TRUE(cli.dispatch);
-  EXPECT_EQ(cli.threads, 3u);
-}
-
 TEST(SweepCliParse, AcceptsTheBinarysOwnFlags) {
   unsigned hosts = 1;
   Argv a({"--hosts", "4", "-j2"});
@@ -308,7 +301,6 @@ TEST(SweepCliParse, BadNumbersExitWithCode2NotZero) {
       {{"--run-timeout", "fast"}, "not a valid number"},
       {{"--fault-timer-drop", "-0.5"}, "negative"},
       {{"--fault-timer-drop", "nan"}, "out of range"},
-      {{"--dispatch-test-kill", "2.5"}, "not a valid integer"},
   };
   for (const Case& c : cases) {
     Argv a(c.args);
@@ -319,13 +311,14 @@ TEST(SweepCliParse, BadNumbersExitWithCode2NotZero) {
 }
 
 TEST(SweepCliParse, UnknownAndRemovedFlagsExitWithCode2) {
-  // Flags the shared CLI does not have — typos and removed dispatch knobs
-  // — fail loudly instead of being ignored. cli_exit_codes checks the
-  // removed engine-thread flag on the binaries that had it.
+  // Flags the shared CLI does not have — typos, the removed dispatcher
+  // and its knobs — fail loudly instead of being ignored. cli_exit_codes
+  // checks the removed engine-thread flag on the binaries that had it.
   for (const char* flag : {"--no-such-flag", "--fault-nosuch", "--no-steal",
-                           "--lease", "--heartbeat", "--worker-slice",
-                           "--checkpoint", "--max-retries", "--dispatch-cmd",
-                           "--workers", "--worker", "--worker-plan"}) {
+                           "--dispatch", "--dispatch-test-kill", "--lease",
+                           "--heartbeat", "--worker-slice", "--checkpoint",
+                           "--max-retries", "--dispatch-cmd", "--workers",
+                           "--worker", "--worker-plan"}) {
     Argv a({flag, "1"});
     EXPECT_EXIT((void)SweepCli::parse(a.argc(), a.argv()),
                 ::testing::ExitedWithCode(2),

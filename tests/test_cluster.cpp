@@ -11,8 +11,6 @@
 #include "expect_error.hpp"
 
 #include "core/cluster/cluster.hpp"
-#include "core/dispatch/dispatch.hpp"
-#include "core/dispatch/transport.hpp"
 #include "core/experiment.hpp"
 #include "core/record_replay/record_replay.hpp"
 #include "core/sweep.hpp"
@@ -240,16 +238,6 @@ TEST(ClusterSweep, WorkerThreadCountLeavesExportsByteIdentical) {
   const SweepResult serial = SweepRunner(cluster_sweep(1)).run();
   const SweepResult parallel = SweepRunner(cluster_sweep(4)).run();
   EXPECT_EQ(serial.to_csv(), parallel.to_csv());
-}
-
-TEST(ClusterSweep, DispatchLeavesExportsByteIdentical) {
-  const SweepResult a = SweepRunner(cluster_sweep(2)).run();
-  dispatch::DispatchOptions opts;
-  opts.workers = 3;
-  dispatch::ForkWorkerTransport transport(cluster_sweep(1));
-  const SweepResult b = dispatch::dispatch_sweep(transport, opts);
-  EXPECT_EQ(b.backend_name, "dispatch");
-  EXPECT_EQ(a.to_csv(), b.to_csv());
 }
 
 TEST(Cluster, RejectsNonsenseSpecs) {

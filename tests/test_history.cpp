@@ -46,7 +46,7 @@ TEST(History, JsonRoundTripsThroughParser) {
 
   // Host artifacts (wall time, thread count) are deliberately absent from
   // the export — the JSON must be a pure function of the cells so that
-  // local and dispatched sweeps stay byte-identical. The parser
+  // sweeps at any -j stay byte-identical. The parser
   // tolerates their absence with zero fallbacks.
   EXPECT_DOUBLE_EQ(snap.wall_seconds, 0.0);
   EXPECT_EQ(snap.threads, 0u);

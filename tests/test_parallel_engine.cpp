@@ -463,5 +463,31 @@ TEST(ParallelEngine, SparseStarRunsAtMostOneRoundPerLookahead) {
             static_cast<std::uint64_t>(span / par.lookahead()) + 1);
 }
 
+// slot_high_water means one queue's peak occupancy everywhere: the merged
+// profile reports the largest partition's, not the sum of four peaks that
+// never coexisted in one queue.
+TEST(ParallelEngine, MergedSlotHighWaterIsTheLargestPartitions) {
+  Engine engines[4];
+  ParallelEngine par(SimTime::us(1));
+  for (auto& e : engines) par.add_partition(e);
+  // Partition p holds 4 * (p + 1) events pending at once.
+  for (PartitionId p = 0; p < 4; ++p) {
+    for (PartitionId i = 0; i < 4 * (p + 1); ++i) {
+      engines[p].schedule_at(SimTime::us(10 + i), [] {});
+    }
+  }
+  par.run();
+
+  std::uint64_t largest = 0;
+  std::uint64_t sum = 0;
+  for (const Engine& e : engines) {
+    largest = std::max(largest, e.profile().slot_high_water);
+    sum += e.profile().slot_high_water;
+  }
+  EXPECT_EQ(largest, engines[3].profile().slot_high_water);
+  EXPECT_LT(largest, sum);
+  EXPECT_EQ(par.profile().merged.slot_high_water, largest);
+}
+
 }  // namespace
 }  // namespace paratick::sim

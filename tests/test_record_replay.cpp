@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -8,8 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "core/dispatch/dispatch.hpp"
-#include "core/dispatch/transport.hpp"
+#include "core/json.hpp"
 #include "core/record_replay/record_replay.hpp"
 #include "core/record_replay/trace.hpp"
 #include "core/replay.hpp"
@@ -473,16 +473,6 @@ TEST(RecordReplay, FaultKnobChangeDivergesFromTheRecordedTrace) {
   EXPECT_LT(checked.divergence->index, trace.count());
 }
 
-TEST(RecordReplay, CheckReplayRefusesCrashBundles) {
-  ReplayBundle bundle;
-  bundle.run.failure = RunFailure{};
-  bundle.run.failure->kind = RunFailure::Kind::kCrash;
-  EventTrace trace;
-  trace.append(1, 0, 0);
-  EXPECT_SIM_ERROR((void)check_replay(chaos_sweep(1), bundle, trace),
-                   "forked child");
-}
-
 /// A well-formed bundle for run `idx` of chaos_sweep: the documents the
 /// parser tests below mutate.
 ReplayBundle chaos_bundle(std::size_t idx) {
@@ -513,6 +503,17 @@ std::string replaced(std::string text, const std::string& from,
   EXPECT_NE(at, std::string::npos) << from;
   if (at != std::string::npos) text.replace(at, from.size(), to);
   return text;
+}
+
+// A bundle is input from outside the program. "crash" was the failure
+// kind of a run lost with a forked worker; no sweep records it any more,
+// so such a bundle is refused cleanly, naming the kind.
+TEST(RecordReplay, CrashBundleIsRefusedNamingTheKind) {
+  const std::string text = to_json(chaos_bundle(1));
+  EXPECT_SIM_ERROR((void)parse_replay_bundle(replaced(
+                       text, "\"failure\": {\"kind\": \"watchdog\"",
+                       "\"failure\": {\"kind\": \"crash\"")),
+                   "unknown failure kind: crash");
 }
 
 // Seeds travel as decimal strings; trailing junk must fail naming the
@@ -554,46 +555,26 @@ TEST(RecordReplay, BundleRunOutsideItsPlanIsRejected) {
                    "the run carries no failure");
 }
 
-TEST(RecordReplay, TraceBytesIdenticalAcrossThreadsAndDispatch) {
-  // The determinism contract extends to traces: any -j, local or
-  // dispatched, byte-identical trace files per run index. The dispatch leg
-  // additionally proves traces survive crash-isolated workers (the file is
-  // written inside the worker; the path rides its run record back).
-  struct Leg {
-    const char* name;
-    unsigned threads;
-    bool dispatch;
-  };
-  const Leg legs[] = {
-      {"j1", 1, false},
-      {"j4", 4, false},
-      {"dispatch", 1, true},
-  };
-  std::vector<SweepResult> results;
-  for (const Leg& leg : legs) {
-    SweepConfig cfg = chaos_sweep(leg.threads);
+TEST(RecordReplay, TraceBytesIdenticalAcrossThreadCounts) {
+  // The determinism contract extends to traces: any -j, byte-identical
+  // trace files per run index.
+  const auto sweep = [](unsigned threads, const char* name) {
+    SweepConfig cfg = chaos_sweep(threads);
     cfg.record_trace = true;
-    cfg.failure_dir = fresh_dir(std::string("bytes_") + leg.name);
-    if (leg.dispatch) {
-      dispatch::DispatchOptions opts;
-      opts.workers = 3;
-      dispatch::ForkWorkerTransport transport(std::move(cfg));
-      results.push_back(dispatch::dispatch_sweep(transport, opts));
-    } else {
-      results.push_back(SweepRunner(cfg).run());
-    }
-  }
-  const auto baseline = results[0].failed_runs();
+    cfg.failure_dir = fresh_dir(std::string("bytes_") + name);
+    return SweepRunner(cfg).run();
+  };
+  const SweepResult j1 = sweep(1, "j1");
+  const SweepResult j4 = sweep(4, "j4");
+  const auto baseline = j1.failed_runs();
+  const auto other = j4.failed_runs();
   ASSERT_GE(baseline.size(), 2u);
-  for (std::size_t leg = 1; leg < results.size(); ++leg) {
-    const auto other = results[leg].failed_runs();
-    ASSERT_EQ(other.size(), baseline.size()) << legs[leg].name;
-    for (std::size_t i = 0; i < baseline.size(); ++i) {
-      EXPECT_EQ(baseline[i]->run_index, other[i]->run_index);
-      ASSERT_FALSE(other[i]->trace_path.empty()) << legs[leg].name;
-      EXPECT_EQ(slurp(baseline[i]->trace_path), slurp(other[i]->trace_path))
-          << legs[leg].name << " run " << other[i]->run_index;
-    }
+  ASSERT_EQ(other.size(), baseline.size());
+  for (std::size_t i = 0; i < baseline.size(); ++i) {
+    EXPECT_EQ(baseline[i]->run_index, other[i]->run_index);
+    ASSERT_FALSE(other[i]->trace_path.empty());
+    EXPECT_EQ(slurp(baseline[i]->trace_path), slurp(other[i]->trace_path))
+        << "run " << other[i]->run_index;
   }
 }
 
@@ -621,46 +602,173 @@ TEST(RecordReplay, RecordingLeavesSweepExportsByteIdentical) {
 }
 
 
+// ---- sweep schema: plan headers and run records ------------------------
+
+/// Two variants x two modes, no faults: the grid the schema tests read
+/// plan headers and run records against.
+SweepConfig tiny_sweep(int repeat = 2) {
+  SweepConfig cfg;
+  cfg.base.machine = hw::MachineSpec::small(2);
+  cfg.base.vcpus = 2;
+  cfg.base.max_duration = sim::SimTime::ms(50);
+  cfg.base.stop_when_done = false;
+  cfg.modes = {guest::TickMode::kDynticksIdle, guest::TickMode::kParatick};
+  cfg.repeat = repeat;
+  cfg.root_seed = 77;
+  cfg.threads = 1;
+  for (const char* name : {"idle", "storm"}) {
+    const bool storm = std::string(name) == "storm";
+    cfg.variants.push_back({name, [storm](ExperimentSpec& exp) {
+      if (!storm) return;
+      exp.setup = [](guest::GuestKernel& k) {
+        workload::SyncStormSpec spec;
+        spec.threads = 2;
+        spec.sync_rate_hz = 400.0;
+        spec.duration = sim::SimTime::ms(50);
+        spec.load = 0.3;
+        workload::install_sync_storm(k, spec);
+      };
+    }});
+  }
+  return cfg;
+}
+
+SweepRun parse_record(const std::string& text, const SweepConfig& cfg) {
+  return parse_run_record(json::parse(text), plan_info_for(cfg));
+}
+
+TEST(SweepSchema, PlanHeaderRoundTripsAndDetectsSkew) {
+  SweepConfig cfg = tiny_sweep();
+  cfg.bench_name = "test_bench";
+  const PlanInfo plan = plan_info_for(cfg);
+  EXPECT_EQ(plan.total_runs, 8u);
+  EXPECT_EQ(plan.cells.size(), 4u);
+
+  const PlanInfo parsed = parse_plan_info(json::parse(to_json(plan)));
+  std::string why;
+  EXPECT_TRUE(plans_match(plan, parsed, &why)) << why;
+  EXPECT_EQ(parsed.bench, "test_bench");
+  EXPECT_EQ(parsed.root_seed, 77u);
+
+  // A bundle from a changed grid must be detected field by field.
+  PlanInfo skewed = plan;
+  skewed.root_seed = 78;
+  EXPECT_FALSE(plans_match(plan, skewed, &why));
+  EXPECT_NE(why.find("root seed"), std::string::npos);
+  skewed = plan;
+  skewed.cells[1].vcpus = 99;
+  EXPECT_FALSE(plans_match(plan, skewed, &why));
+  EXPECT_NE(why.find("cell 1"), std::string::npos);
+
+  // Records are read against the plan's run count: it must be the grid's.
+  skewed = plan;
+  skewed.total_runs = 9;
+  EXPECT_SIM_ERROR((void)parse_plan_info(json::parse(to_json(skewed))),
+                   "total_runs is not cells * repeat");
+}
+
+// Numeric integer fields must be integral and in range: 2.5 replicas is a
+// corrupt record, not replica 2.
+TEST(SweepSchema, FractionalIntegerFieldNamesTheField) {
+  SweepRun run;
+  run.replica = 0;
+  const std::string bad = replaced(run_record_to_json(run), "\"replica\": 0",
+                                   "\"replica\": 2.5");
+  EXPECT_SIM_ERROR((void)parse_record(bad, tiny_sweep()), "field \"replica\"");
+}
+
+// u64 fields travel as decimal strings; trailing junk must fail naming the
+// field instead of parsing the digits before it (or 0 for pure garbage).
+TEST(SweepSchema, MalformedU64StringsNameTheField) {
+  SweepRun run;
+  run.run_index = 3;
+  run.seed = 12345;
+  run.executed = true;
+  run.ok = true;
+  const std::string record = run_record_to_json(run);
+  EXPECT_EQ(parse_record(record, tiny_sweep()).seed, 12345u);
+  EXPECT_SIM_ERROR(
+      (void)parse_record(replaced(record, "\"seed\": \"12345\"",
+                                  "\"seed\": \"12345x\""),
+                         tiny_sweep()),
+      "seed: not a valid integer");
+
+  const std::string plan = to_json(plan_info_for(tiny_sweep()));
+  EXPECT_SIM_ERROR(
+      (void)parse_plan_info(json::parse(replaced(plan, "\"root_seed\": \"77\"",
+                                                 "\"root_seed\": \"77x\""))),
+      "root_seed: not a valid integer");
+}
+
+// A record is read against its plan: a run index or cell the plan does
+// not have is a SimError, never an out-of-range slot.
+TEST(SweepSchema, RecordOutsideThePlanIsRejected) {
+  SweepRun run;
+  run.run_index = 7;
+  run.cell = 3;
+  const std::string record = run_record_to_json(run);
+  EXPECT_NO_THROW((void)parse_record(record, tiny_sweep()));
+  EXPECT_SIM_ERROR((void)parse_record(record, tiny_sweep(1)),
+                   "run 7 (cell 3) lies outside the plan (4 runs, 4 cells)");
+  EXPECT_SIM_ERROR(
+      (void)parse_record(replaced(record, "\"cell\": 3", "\"cell\": 4"),
+                         tiny_sweep()),
+      "lies outside the plan");
+}
+
+// The JSON reader behind records, plan headers, replay bundles and
+// history snapshots bounds its recursion and rejects short
+// \u escapes; the inf/nan tokens %.17g writes for empty accumulators
+// still parse.
+TEST(SweepSchema, JsonReaderBoundsNestingAndEscapes) {
+  EXPECT_SIM_ERROR((void)json::parse(std::string(100'000, '[')),
+                   "nested more than 256 deep (at byte offset");
+  std::string objects;
+  for (int i = 0; i < 100'000; ++i) objects += "{\"a\": ";
+  EXPECT_SIM_ERROR((void)json::parse(objects), "nested");
+  EXPECT_SIM_ERROR((void)json::parse(std::string(1'000, '[')), "nested");
+  const std::string deep = std::string(200, '[') + std::string(200, ']');
+  EXPECT_EQ(json::parse(deep).type, json::Value::Type::kArray);
+
+  EXPECT_SIM_ERROR((void)json::parse("\"\\u12zz\""),
+                   "\\u escape needs four hex digits");
+  EXPECT_SIM_ERROR((void)json::parse("\"\\u-123\""), "four hex digits");
+  EXPECT_SIM_ERROR((void)json::parse("\"\\u12\""), "\\u escape");
+  EXPECT_EQ(json::parse("\"\\u0041\\u00e9\"").str, "A\xc3\xa9");
+
+  const json::Value nums = json::parse("[inf, -inf, nan, null]");
+  ASSERT_EQ(nums.array.size(), 4u);
+  EXPECT_TRUE(std::isinf(nums.array[0].number) && nums.array[0].number > 0);
+  EXPECT_TRUE(std::isinf(nums.array[1].number) && nums.array[1].number < 0);
+  EXPECT_TRUE(std::isnan(nums.array[2].number));
+  EXPECT_EQ(nums.array[3].type, json::Value::Type::kNull);
+}
+
 // ---- hostile inputs ------------------------------------------------------
 
-// Every mutation of a trace file or a replay bundle either parses or
-// throws SimError: no other exception, no crash, no sanitizer report.
-TEST(RecordReplayFuzz, TraceAndBundleParseOrThrowSimError) {
-  EventTrace trace;
-  for (std::uint32_t i = 0; i < 48; ++i) {
-    // Mixed deltas: zero and large time steps, seqs out of order.
-    trace.append(1000 * static_cast<std::int64_t>(i * i), (i * 7) % 53,
-                 i * 2654435761u);
-  }
-  const ReplayBundle bundle = chaos_bundle(1);
+struct FuzzFormat {
+  const char* name;
+  std::string seed;
+  std::function<void(const std::string&)> parse;
+};
 
-  struct Format {
-    const char* name;
-    std::string seed;
-    std::function<void(const std::string&)> parse;
-  };
-  const std::vector<Format> formats = {
-      {"trace", trace.serialize(),
-       [](const std::string& s) { (void)EventTrace::deserialize(s).decode(); }},
-      // The same file with its stream-size field patched to fit, so
-      // truncations and splices reach the varint decoder.
-      {"trace+size", trace.serialize(),
-       [](std::string s) {
-         if (s.size() >= 32) set_u64le(s, 24, s.size() - 32);
-         (void)EventTrace::deserialize(s).decode();
-       }},
-      {"bundle", to_json(bundle),
-       [](const std::string& s) { (void)parse_replay_bundle(s); }},
-  };
-
-  std::mt19937_64 rng(0x7eace);  // fixed: the same inputs on every run
+/// Deterministic mutation fuzz: 3000 byte-flipped, truncated or spliced
+/// variants of each format's seed document must parse or throw SimError.
+/// Any other exception fails here; UB or a crash fails the sanitizer
+/// build. Returns how many inputs of each format parsed.
+std::vector<std::size_t> fuzz_parsers(const std::vector<FuzzFormat>& formats,
+                                      std::uint64_t rng_seed) {
+  std::mt19937_64 rng(rng_seed);  // fixed: the same inputs on every run
   const auto pick = [&rng](std::size_t n) {
     return n == 0 ? 0 : static_cast<std::size_t>(rng() % n);
   };
   constexpr int kInputsPerFormat = 3000;
-  for (const Format& f : formats) {
+  std::vector<std::size_t> parsed;
+  for (const FuzzFormat& f : formats) {
+    // The seed itself must parse: a fuzz over inputs that all fail to
+    // parse checks nothing.
     EXPECT_NO_THROW(f.parse(f.seed)) << f.name;
-    std::size_t parsed = 0;
+    std::size_t n = 0;
     for (int i = 0; i < kInputsPerFormat; ++i) {
       std::string in = f.seed;
       switch (i % 3) {
@@ -683,7 +791,7 @@ TEST(RecordReplayFuzz, TraceAndBundleParseOrThrowSimError) {
       }
       try {
         f.parse(in);
-        ++parsed;
+        ++n;
       } catch (const sim::SimError&) {
       } catch (const std::exception& e) {
         ADD_FAILURE() << f.name << " input " << i << " threw " << e.what();
@@ -691,12 +799,59 @@ TEST(RecordReplayFuzz, TraceAndBundleParseOrThrowSimError) {
         ADD_FAILURE() << f.name << " input " << i << " threw a non-exception";
       }
     }
-    // Bundle mutations that land in string contents still parse. A trace
-    // mutation nearly always breaks the chain digest, so few or none do.
-    if (std::string(f.name) == "bundle") {
-      EXPECT_GT(parsed, 0u);
-    }
+    parsed.push_back(n);
   }
+  return parsed;
+}
+
+// Every mutation of a trace file or a replay bundle either parses or
+// throws SimError: no other exception, no crash, no sanitizer report.
+TEST(RecordReplayFuzz, TraceAndBundleParseOrThrowSimError) {
+  EventTrace trace;
+  for (std::uint32_t i = 0; i < 48; ++i) {
+    // Mixed deltas: zero and large time steps, seqs out of order.
+    trace.append(1000 * static_cast<std::int64_t>(i * i), (i * 7) % 53,
+                 i * 2654435761u);
+  }
+  const std::vector<std::size_t> parsed = fuzz_parsers(
+      {
+          {"trace", trace.serialize(),
+           [](const std::string& s) { (void)EventTrace::deserialize(s).decode(); }},
+          // The same file with its stream-size field patched to fit, so
+          // truncations and splices reach the varint decoder.
+          {"trace+size", trace.serialize(),
+           [](std::string s) {
+             if (s.size() >= 32) set_u64le(s, 24, s.size() - 32);
+             (void)EventTrace::deserialize(s).decode();
+           }},
+          {"bundle", to_json(chaos_bundle(1)),
+           [](const std::string& s) { (void)parse_replay_bundle(s); }},
+      },
+      0x7eace);
+  // Bundle mutations that land in string contents still parse. A trace
+  // mutation nearly always breaks the chain digest, so few or none do.
+  EXPECT_GT(parsed[2], 0u);
+}
+
+// The same for the two sweep-schema documents a bundle is built from: the
+// plan header and a run record carrying a full RunResult.
+TEST(SweepSchemaFuzz, PlanAndRecordParseOrThrowSimError) {
+  const SweepConfig cfg = tiny_sweep(1);
+  const SweepRun storm = SweepRunner(cfg).execute_run(2);
+  const PlanInfo plan = plan_info_for(cfg);
+  const std::vector<std::size_t> parsed = fuzz_parsers(
+      {
+          {"plan", to_json(plan),
+           [](const std::string& s) { (void)parse_plan_info(json::parse(s)); }},
+          {"record", run_record_to_json(storm),
+           [plan](const std::string& s) {
+             (void)parse_run_record(json::parse(s), plan);
+           }},
+      },
+      0x5eed);
+  // Some mutations land in string contents or whitespace and still
+  // parse; none at all would mean the seed is rejected outright.
+  for (std::size_t n : parsed) EXPECT_GT(n, 0u);
 }
 
 }  // namespace

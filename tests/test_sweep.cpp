@@ -96,6 +96,7 @@ TEST(SweepRunner, ParallelMatchesSerialBitExactly) {
   }
   // And the exported artifacts match byte for byte.
   EXPECT_EQ(serial.to_csv(), parallel.to_csv());
+  EXPECT_EQ(serial.to_json(), parallel.to_json());
 }
 
 TEST(SweepRunner, DrillDownAccumulatorsFoldEveryRun) {
