@@ -1,6 +1,7 @@
 // Chaos sweeps: run a registered fault-injection scenario across tick
-// modes with crash-isolated runs, an invariant watchdog, and replay
-// bundles for every failure (ROADMAP: deterministic chaos layer).
+// modes with crash-isolated runs and replay bundles for every failure.
+// The invariant watchdog that catches lost timer interrupts runs in
+// every core::System; chaos needs no flag for it.
 //
 // Scenarios (core/scenarios.cpp): timer-storm, sync-storm, io-storm.
 // The default chaos fault mix is applied automatically; individual

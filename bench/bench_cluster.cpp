@@ -18,9 +18,9 @@
 // every U us, each delivered --telemetry-latency-us later; that latency,
 // when below the migration blackout, becomes the engine's lookahead.
 // Cluster runs take no
-// trace recorder, faults, watchdog or wall-clock limit: --record-trace,
-// --chaos, --fault-*, --watchdog and --run-timeout exit 2 before the
-// sweep starts.
+// trace recorder, faults or wall-clock limit: --record-trace, --chaos,
+// --fault-* and --run-timeout exit 2 before the sweep starts. Every host
+// runs the invariant watchdog, as every core::System does.
 #include <cstdio>
 #include <string>
 #include <utility>

@@ -55,8 +55,6 @@ ClusterSpec cluster_spec_for(const ExperimentSpec& exp, guest::TickMode mode,
                      "cluster runs take no engine observer (--record-trace)");
   PARATICK_CHECK_MSG(!exp.fault.any(),
                      "cluster runs inject no faults (--chaos, --fault-*)");
-  PARATICK_CHECK_MSG(!exp.watchdog,
-                     "cluster runs have no invariant watchdog (--watchdog)");
   PARATICK_CHECK_MSG(exp.wall_limit_sec == 0.0,
                      "cluster runs have no wall-clock limit (--run-timeout)");
   ClusterSpec cs;
@@ -76,7 +74,6 @@ ClusterSpec cluster_spec_for(const ExperimentSpec& exp, guest::TickMode mode,
 const char* unsupported_cluster_flag(const SweepConfig& cfg) {
   if (cfg.record_trace || cfg.observer != nullptr) return "--record-trace";
   if (cfg.fault.any()) return "--chaos / --fault-<knob>";
-  if (cfg.watchdog) return "--watchdog";
   if (cfg.run_timeout_sec > 0.0) return "--run-timeout";
   return nullptr;
 }

@@ -117,14 +117,14 @@ struct SweepConfig;
 /// config, the guest tick mode, frequency and costs, the duration and the
 /// seed. Callers add the workload, rebalancing and engine knobs.
 /// PARATICK_CHECKs that the experiment asks for nothing a cluster cannot
-/// honour: an engine observer, faults, the watchdog or a wall-clock limit
-/// (fault_seed only seeds a fault plan, so `fault` covers it).
+/// honour: an engine observer, faults or a wall-clock limit (fault_seed
+/// only seeds a fault plan, so `fault` covers it).
 [[nodiscard]] ClusterSpec cluster_spec_for(const ExperimentSpec& exp,
                                            guest::TickMode mode, int hosts);
 
 /// The sweep flag behind the first setting in `cfg` that cluster runs
 /// cannot honour ("--record-trace", "--chaos / --fault-<knob>",
-/// "--watchdog", "--run-timeout"), or nullptr. Cluster binaries check it
+/// "--run-timeout"), or nullptr. Cluster binaries check it
 /// after SweepCli::apply and exit 2 before the sweep starts.
 [[nodiscard]] const char* unsupported_cluster_flag(const SweepConfig& cfg);
 

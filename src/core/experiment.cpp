@@ -19,7 +19,6 @@ SystemSpec make_system_spec(const ExperimentSpec& exp, guest::TickMode mode) {
   spec.fault = exp.fault;
   spec.fault_seed =
       exp.fault_seed != 0 ? exp.fault_seed : derive_seed(exp.guest_seed, 0x66617531);
-  spec.watchdog = exp.watchdog;
   spec.wall_limit_sec = exp.wall_limit_sec;
   spec.observer = exp.observer;
 

@@ -68,7 +68,6 @@ struct ExperimentSpec {
   /// guest_seed, so single runs stay reproducible without extra plumbing.
   fault::FaultConfig fault;
   std::uint64_t fault_seed = 0;
-  bool watchdog = false;
   double wall_limit_sec = 0.0;
   /// Engine dispatch-loop observer (see SystemSpec::observer).
   sim::EventObserver* observer = nullptr;

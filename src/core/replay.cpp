@@ -25,7 +25,6 @@ std::string to_json(const ReplayBundle& b) {
   out += "  \"plan\": " + to_json(b.plan) + ",\n";
   out += metrics::format("  \"scenario\": \"%s\",\n",
                          metrics::json_escape(b.scenario).c_str());
-  out += metrics::format("  \"watchdog\": %s,\n", b.watchdog ? "true" : "false");
   out += metrics::format(
       "  \"fault\": {\"timer_drop_prob\": %.17g, \"timer_late_prob\": %.17g, "
       "\"timer_late_max_ns\": %lld, \"timer_coalesce_prob\": %.17g, "
@@ -51,7 +50,6 @@ std::string write_replay_bundle(const SweepConfig& cfg, const SweepRun& run,
   ReplayBundle b;
   b.plan = plan_info_for(cfg);
   b.scenario = cfg.scenario;
-  b.watchdog = cfg.watchdog;
   b.fault = cfg.fault;
   b.run = run;
   // The run's host time is wall clock, the one value two sweeps of the
@@ -84,8 +82,7 @@ ReplayBundle parse_replay_bundle(const std::string& json_text) {
   PARATICK_CHECK_MSG(plan != nullptr, "replay bundle: missing plan");
   b.plan = parse_plan_info(*plan);
   b.scenario = json::str_field(doc, "scenario");
-  const json::Value* wd = doc.find("watchdog");
-  b.watchdog = wd != nullptr && wd->boolean;
+  // A "watchdog" key in older bundles is ignored: every run has one.
 
   const json::Value* f = doc.find("fault");
   PARATICK_CHECK_MSG(f != nullptr && f->type == json::Value::Type::kObject,
@@ -133,7 +130,6 @@ SweepRun replay_run(SweepConfig cfg, const ReplayBundle& b) {
   cfg.root_seed = b.plan.root_seed;
   cfg.repeat = b.plan.repeat;
   cfg.fault = b.fault;
-  cfg.watchdog = b.watchdog;
   // Wall-clock timeouts are not part of the deterministic identity; a
   // timed-out run replays without the budget (it may simply run longer).
   cfg.run_timeout_sec = 0.0;

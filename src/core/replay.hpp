@@ -7,7 +7,7 @@
 // carry:
 //
 //   {"kind": "paratick-replay-bundle", "plan": <plan header>,
-//    "scenario": ..., "watchdog": ..., "fault": {...},
+//    "scenario": ..., "fault": {...},
 //    "run": <the failed run's record>}
 //
 // so `bench_replay` can re-run the exact failing simulation to the same
@@ -27,7 +27,6 @@ struct ReplayBundle {
   PlanInfo plan;         // the producing sweep's identity and grid
   std::string scenario;  // registered chaos scenario; "" = not replayable
                          // standalone (caller must supply the SweepConfig)
-  bool watchdog = false;
   fault::FaultConfig fault;
   /// The failed run: index, derived seed, failure record and, with
   /// --record-trace, the path of its event trace (core/record_replay).
@@ -48,7 +47,7 @@ struct ReplayBundle {
 [[nodiscard]] ReplayBundle load_replay_bundle(const std::string& path);
 
 /// Re-execute the bundle's run against an explicit sweep config. The
-/// bundle's identity fields (root seed, repeat, faults, watchdog)
+/// bundle's identity fields (root seed, repeat, faults)
 /// override the config's, so the run is exactly the one that failed.
 /// Throws sim::SimError naming the differing field when the config's grid
 /// no longer matches the bundle's plan, or the run's derived seed differs

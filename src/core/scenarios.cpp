@@ -101,7 +101,6 @@ bool is_chaos_scenario(std::string_view name) {
 SweepConfig build_chaos_scenario(std::string_view name) {
   SweepConfig cfg;
   cfg.fault = default_chaos_faults();
-  cfg.watchdog = true;
   cfg.bench_name = "bench_chaos";
   cfg.scenario = std::string(name);
   cfg.root_seed = 20260806;

@@ -37,8 +37,8 @@ void set_fault_knob(fault::FaultConfig& cfg, const std::string& knob, double val
 [[nodiscard]] std::span<const char* const> chaos_scenario_names();
 [[nodiscard]] bool is_chaos_scenario(std::string_view name);
 
-/// Build the full sweep for a scenario. Chaos defaults (fault mix +
-/// watchdog) are pre-applied; callers may still override via SweepCli.
+/// Build the full sweep for a scenario. The chaos fault mix is
+/// pre-applied; callers may still override via SweepCli.
 /// PARATICK_CHECKs on unknown names.
 [[nodiscard]] SweepConfig build_chaos_scenario(std::string_view name);
 

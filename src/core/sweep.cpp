@@ -416,10 +416,7 @@ std::vector<CliFlag> shared_sweep_flags(SweepCli& cli) {
                 cli.history_tag),
       switch_flag("--profile", "print the engine hot-path profile",
                   cli.profile),
-      switch_flag("--chaos", "default fault mix + invariant watchdog",
-                  cli.chaos),
-      switch_flag("--watchdog", "invariant watchdog without faults",
-                  cli.watchdog),
+      switch_flag("--chaos", "default fault mix", cli.chaos),
       text_flag("--failure-dir", "D", "write a replay bundle per failed run",
                 cli.failure_dir),
       switch_flag("--record-trace", "record an event trace per run",
@@ -450,11 +447,7 @@ void SweepCli::apply(SweepConfig& cfg) const {
   cfg.repeat = repeat;
   cfg.progress = progress;
   if (root_seed) cfg.root_seed = *root_seed;
-  if (chaos) {
-    cfg.fault = default_chaos_faults();
-    cfg.watchdog = true;  // chaos without invariant checks finds nothing
-  }
-  if (watchdog) cfg.watchdog = true;
+  if (chaos) cfg.fault = default_chaos_faults();
   if (!failure_dir.empty()) cfg.failure_dir = failure_dir;
   if (record_trace) cfg.record_trace = true;
   if (run_timeout_sec > 0.0) cfg.run_timeout_sec = run_timeout_sec;

@@ -65,8 +65,6 @@ struct SweepConfig {
   /// per-run fault plan seed is derived purely from (root_seed, run_index),
   /// so chaos sweeps stay bit-identical at any -j.
   fault::FaultConfig fault;
-  /// Run the invariant watchdog inside every run (see SystemSpec).
-  bool watchdog = false;
   /// Directory for replay bundles of failed runs; empty = don't write.
   std::string failure_dir;
   /// Per-run wall-clock timeout in seconds; > 0 makes hung runs fail with
@@ -275,7 +273,6 @@ struct SweepCli {
   std::string history_tag;
   bool profile = false;
   bool chaos = false;
-  bool watchdog = false;
   std::string failure_dir;
   bool record_trace = false;
   double run_timeout_sec = 0.0;

@@ -133,7 +133,6 @@ SweepRun SweepPlan::execute(std::size_t run_index) const {
   spec.host.seed = derive_seed(w.seed, 0x686f7374);  // independent host stream
   if (cfg_.fault.any()) spec.fault = cfg_.fault;
   spec.fault_seed = derive_seed(w.seed, 0x6661756c);  // independent fault plan
-  if (cfg_.watchdog) spec.watchdog = true;
   if (cfg_.run_timeout_sec > 0.0) spec.wall_limit_sec = cfg_.run_timeout_sec;
 
   // Trace recording hooks the run's own engine, so each pool thread

@@ -6,12 +6,11 @@
 
 #include "fault/injector.hpp"
 #include "sim/check.hpp"
+#include "sim/error.hpp"
 
 namespace paratick::core {
 
 namespace {
-/// Invariant-watchdog sweep period.
-constexpr sim::SimTime kWatchdogPeriod = sim::SimTime::ms(5);
 /// How long an armed guest timer may stay past its deadline before the
 /// timer-liveness check declares the interrupt lost. Must exceed the
 /// worst benign delivery delay (late/coalesce faults, steal bursts).
@@ -25,6 +24,7 @@ System::System(SystemSpec spec)
   PARATICK_CHECK_MSG(!spec_.vms.empty(), "system needs at least one VM");
 
   engine_.set_observer(spec_.observer);
+  engine_.set_watchdog(this);
 
   if (spec_.fault.any()) {
     fault_ = std::make_unique<fault::FaultInjector>(spec_.fault, spec_.fault_seed);
@@ -93,18 +93,11 @@ void System::power_on() {
 
   if (spec_.wall_limit_sec > 0.0) engine_.set_wall_limit(spec_.wall_limit_sec);
   kvm_.power_on_all();
-  if (spec_.watchdog) {
-    install_watchdog();
-    watchdog_->start();
-  }
 }
 
 metrics::RunResult System::finish() {
   PARATICK_CHECK_MSG(powered_, "System::finish() before power_on()");
-  if (watchdog_) {
-    watchdog_->sweep();  // final sweep: catch violations after the last event
-    watchdog_->stop();
-  }
+  sweep(engine_);  // final sweep: catch violations after the last event
   return collect();
 }
 
@@ -119,62 +112,32 @@ void System::wire_completion(std::size_t vm_index) {
   });
 }
 
-void System::install_watchdog() {
-  watchdog_ = std::make_unique<sim::Watchdog>(engine_, kWatchdogPeriod);
+void System::sweep(const sim::Engine& engine) {
+  const auto breach = [&engine](const char* check, const std::string& message) {
+    throw sim::SimError(sim::SimError::Kind::kWatchdog, check, "", 0, message,
+                        engine.now(), engine.events_executed());
+  };
 
-  auto last = std::make_shared<sim::SimTime>(engine_.now());
-  watchdog_->add_check(
-      "clock-monotonic", [this, last]() -> std::optional<std::string> {
-        if (engine_.now() < *last) {
-          return "engine clock moved backwards: " + sim::to_string(engine_.now()) +
-                 " after " + sim::to_string(*last);
-        }
-        *last = engine_.now();
-        return std::nullopt;
-      });
-
-  watchdog_->add_check("event-queue-order", [this]() -> std::optional<std::string> {
-    if (engine_.has_pending_events() &&
-        engine_.queue().next_time() < engine_.now()) {
-      return "next pending event at " + sim::to_string(engine_.queue().next_time()) +
-             " is stamped before the clock at " + sim::to_string(engine_.now());
-    }
-    return std::nullopt;
-  });
-
-  watchdog_->add_check("timer-liveness", [this]() -> std::optional<std::string> {
-    for (const auto& vm : kvm_.vms()) {
-      for (int i = 0; i < vm->vcpu_count(); ++i) {
-        const hv::Vcpu& v = vm->vcpu(i);
-        if (v.guest_deadline &&
-            *v.guest_deadline + kWatchdogTimerGrace < engine_.now()) {
-          return "vCPU " + std::to_string(v.id()) + " guest timer deadline " +
-                 sim::to_string(*v.guest_deadline) + " still armed at " +
-                 sim::to_string(engine_.now()) + " — timer interrupt lost";
-        }
+  for (const auto& vm : kvm_.vms()) {
+    for (int i = 0; i < vm->vcpu_count(); ++i) {
+      const hv::Vcpu& v = vm->vcpu(i);
+      if (v.guest_deadline &&
+          *v.guest_deadline + kWatchdogTimerGrace < engine.now()) {
+        breach("timer-liveness",
+               "vCPU " + std::to_string(v.id()) + " guest timer deadline " +
+                   sim::to_string(*v.guest_deadline) + " still armed at " +
+                   sim::to_string(engine.now()) + " — timer interrupt lost");
       }
     }
-    return std::nullopt;
-  });
+  }
 
-  watchdog_->add_check("exit-accounting", [this]() -> std::optional<std::string> {
-    const hv::ExitStats& exits = kvm_.exits();
-    std::uint64_t by_cause = 0;
-    for (std::size_t c = 0; c < hw::kExitCauseCount; ++c) {
-      by_cause += exits.count(static_cast<hw::ExitCause>(c));
-    }
-    if (by_cause != exits.total()) {
-      return "per-cause exit counts sum to " + std::to_string(by_cause) +
-             " but total is " + std::to_string(exits.total());
-    }
-    std::uint64_t by_vm = 0;
-    for (const auto& vm : kvm_.vms()) by_vm += exits.total_for_vm(vm->id());
-    if (by_vm != exits.total()) {
-      return "per-VM exit counts sum to " + std::to_string(by_vm) +
-             " but total is " + std::to_string(exits.total());
-    }
-    return std::nullopt;
-  });
+  const hv::ExitStats& exits = kvm_.exits();
+  std::uint64_t by_vm = 0;
+  for (const auto& vm : kvm_.vms()) by_vm += exits.total_for_vm(vm->id());
+  if (by_vm != exits.total()) {
+    breach("exit-accounting", "per-VM exit counts sum to " + std::to_string(by_vm) +
+                                  " but total is " + std::to_string(exits.total()));
+  }
 }
 
 metrics::RunResult System::collect() const {

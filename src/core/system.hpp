@@ -61,10 +61,6 @@ struct SystemSpec {
   fault::FaultConfig fault;
   std::uint64_t fault_seed = 0;
 
-  /// Run the invariant watchdog alongside the engine. Off by default:
-  /// its periodic sweeps add events, perturbing baseline-comparable runs.
-  bool watchdog = false;
-
   /// Wall-clock budget for run(); > 0 makes the engine throw
   /// SimError{kTimeout} when exceeded (hung-run detection).
   double wall_limit_sec = 0.0;
@@ -76,7 +72,15 @@ struct SystemSpec {
   sim::EventObserver* observer = nullptr;
 };
 
-class System {
+/// A System is its own engine's invariant watchdog (sim/watchdog.hpp),
+/// attached at construction and swept every Watchdog::kPeriod of simulated
+/// time plus once more by finish(). Its checks:
+///   - timer-liveness: no vCPU's guest timer deadline stays armed more
+///     than a 5 ms grace past its expiry (a lost timer interrupt);
+///   - exit-accounting: the per-VM exit counts sum to the exit total.
+/// Sweeps schedule nothing and allocate nothing unless a check fails, so
+/// every run is checked without changing its results.
+class System : private sim::Watchdog {
  public:
   explicit System(SystemSpec spec);
   ~System();
@@ -89,7 +93,7 @@ class System {
   metrics::RunResult run();
 
   /// First phase of run(): wire completion stops, arm the wall-clock
-  /// budget, power on every VM and start the watchdog — without executing
+  /// budget and power on every VM — without executing
   /// a single event. Used by drivers that own the event loop themselves
   /// (sim::ParallelEngine runs many Systems' engines in rounds of one
   /// lookahead);
@@ -130,7 +134,7 @@ class System {
   std::size_t attach_vm(const VmSpec& vspec);
   void wire_completion(std::size_t vm_index);
   metrics::RunResult collect() const;
-  void install_watchdog();
+  void sweep(const sim::Engine& engine) override;
 
   SystemSpec spec_;
   sim::Engine engine_;
@@ -140,7 +144,6 @@ class System {
   std::vector<std::unique_ptr<guest::GuestKernel>> kernels_;
   std::vector<std::unique_ptr<hw::BlockDevice>> disks_;
   std::vector<std::optional<sim::SimTime>> completions_;
-  std::unique_ptr<sim::Watchdog> watchdog_;
   bool powered_ = false;
 };
 

@@ -5,6 +5,7 @@
 
 #include "sim/check.hpp"
 #include "sim/error.hpp"
+#include "sim/watchdog.hpp"
 
 namespace paratick::sim {
 
@@ -77,6 +78,22 @@ void Engine::set_wall_limit(double seconds) {
   wall_budget_ns_ = static_cast<std::uint64_t>(seconds * 1e9);
 }
 
+void Engine::set_watchdog(Watchdog* watchdog) {
+  watchdog_ = watchdog;
+  if (watchdog_ == nullptr) {
+    next_sweep_ = SimTime::max();
+    return;
+  }
+  const std::int64_t period = Watchdog::kPeriod.nanoseconds();
+  next_sweep_ = SimTime::ns((now_.nanoseconds() + period - 1) / period * period);
+}
+
+void Engine::sweep_watchdog() {
+  const std::int64_t period = Watchdog::kPeriod.nanoseconds();
+  next_sweep_ = SimTime::ns((now_.nanoseconds() / period + 1) * period);
+  watchdog_->sweep(*this);
+}
+
 void Engine::arm_wall_limit() {
   if (!wall_limited_ || wall_armed_) return;
   wall_armed_ = true;
@@ -118,8 +135,10 @@ bool Engine::step() {
   if (queue_.empty()) return false;
   arm_wall_limit();  // covers bare step() loops that never enter run()
   auto [when, seq, fn] = queue_.pop();
-  PARATICK_DCHECK(when >= now_);
+  PARATICK_CHECK_MSG(when >= now_, "event popped before the clock");
   now_ = when;
+  // Before the event runs, so a breach reports the events completed so far.
+  if (now_ >= next_sweep_) sweep_watchdog();
   // Checked every 512 events, including the very first (executed_ == 0),
   // so an already-exhausted budget trips on the next step rather than
   // 512 events later.

@@ -40,6 +40,7 @@ struct EngineProfile {
 };
 
 class Engine;
+class Watchdog;
 
 /// Per-event hook into the dispatch loop, the record/replay tap point
 /// (core/record_replay): called after every event callback completes,
@@ -125,6 +126,12 @@ class Engine {
   /// the observer must outlive the run.
   void set_observer(EventObserver* observer) { observer_ = observer; }
 
+  /// Attach (or detach, with nullptr) the invariant watchdog. Non-owning;
+  /// the watchdog must outlive the run. step() sweeps it at the first
+  /// event at or after each Watchdog::kPeriod boundary, starting with the
+  /// first boundary at or after now() (see sim/watchdog.hpp).
+  void set_watchdog(Watchdog* watchdog);
+
   /// Cheap digest of the deterministic engine state (clock, executed and
   /// pending event counts, schedule/cancel totals). A pure function of
   /// the workload: two runs of the same seed produce the same digest at
@@ -136,8 +143,15 @@ class Engine {
   /// after set_wall_limit). No-op once armed or when no limit is set.
   void arm_wall_limit();
 
+  /// Sweep the watchdog and move next_sweep_ to the following boundary.
+  void sweep_watchdog();
+
   EventQueue queue_;
   EventObserver* observer_ = nullptr;
+  Watchdog* watchdog_ = nullptr;
+  /// Time of the next watchdog sweep; SimTime::max() when detached, so
+  /// step() pays one time comparison per event either way.
+  SimTime next_sweep_ = SimTime::max();
   SimTime now_ = SimTime::zero();
   std::uint64_t executed_ = 0;
   std::uint64_t run_wall_ns_ = 0;

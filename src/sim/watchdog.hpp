@@ -1,58 +1,38 @@
-// Invariant watchdog: periodically sweeps a set of named checks while the
-// engine runs and throws SimError{kWatchdog} on the first violation.
+// Invariant watchdog: a set of runtime invariants that the engine sweeps
+// from its dispatch loop while a simulation runs.
 //
-// Checks are plain callables returning std::nullopt when the invariant
-// holds and a human-readable violation message otherwise. core::System
-// installs the standard set (clock monotonicity, event-queue ordering,
-// timer liveness, exit-accounting consistency); tests can add their own.
+// An Engine with a Watchdog attached (Engine::set_watchdog) calls sweep()
+// at the first event at or after each kPeriod boundary of simulated time
+// (0, 5 ms, 10 ms, ...), after the clock moves to that event and before
+// the event runs. Nothing is scheduled, so attaching a watchdog never
+// changes what the engine executes: event counters and state_digest()
+// are identical with and without one. No event means no sweep; a driver
+// that wants a last look after its final event calls sweep() itself.
 //
-// The watchdog schedules its own periodic events, so enabling it changes
-// the engine's event count — it is opt-in (SystemSpec::watchdog) and off
-// for baseline-comparable benchmarks.
+// core::System is the watchdog of every simulated host and is always on
+// (see core/system.hpp for its checks). A sweep throws SimError{kWatchdog}
+// naming the failed check on the first violation.
 #pragma once
 
-#include <functional>
-#include <optional>
-#include <string>
-#include <vector>
-
-#include "sim/engine.hpp"
 #include "sim/types.hpp"
 
 namespace paratick::sim {
 
+class Engine;
+
 class Watchdog {
  public:
-  /// Returns nullopt when the invariant holds, a violation message otherwise.
-  using Check = std::function<std::optional<std::string>()>;
+  /// Simulated time between sweeps.
+  static constexpr SimTime kPeriod = SimTime::ms(5);
 
-  Watchdog(Engine& engine, SimTime period);
-  ~Watchdog();
-  Watchdog(const Watchdog&) = delete;
+  Watchdog() = default;
+  Watchdog(const Watchdog&) = delete;  // the engine holds its address
   Watchdog& operator=(const Watchdog&) = delete;
+  virtual ~Watchdog() = default;
 
-  void add_check(std::string name, Check fn);
-
-  /// Run all checks now and begin periodic sweeps. Throws on violation.
-  /// Idempotent: calling start() again cancels the armed chain first, so
-  /// there is never more than one sweep chain pending.
-  void start();
-  /// Cancel the pending sweep event.
-  void stop();
-
-  /// Run every check once; throws SimError{kWatchdog} on the first failure.
-  void sweep();
-
-  [[nodiscard]] std::uint64_t sweeps() const { return sweeps_; }
-
- private:
-  void schedule_next();
-
-  Engine& engine_;
-  SimTime period_;
-  std::vector<std::pair<std::string, Check>> checks_;
-  std::optional<EventId> pending_;
-  std::uint64_t sweeps_ = 0;
+  /// Check every invariant against `engine`'s current state; throws
+  /// SimError{kWatchdog} on the first violation.
+  virtual void sweep(const Engine& engine) = 0;
 };
 
 }  // namespace paratick::sim

@@ -312,13 +312,14 @@ TEST(SweepCliParse, BadNumbersExitWithCode2NotZero) {
 
 TEST(SweepCliParse, UnknownAndRemovedFlagsExitWithCode2) {
   // Flags the shared CLI does not have — typos, the removed dispatcher
-  // and its knobs — fail loudly instead of being ignored. cli_exit_codes
-  // checks the removed engine-thread flag on the binaries that had it.
+  // and its knobs, the removed watchdog switch — fail loudly instead of
+  // being ignored. cli_exit_codes checks the removed engine-thread flag
+  // on the binaries that had it.
   for (const char* flag : {"--no-such-flag", "--fault-nosuch", "--no-steal",
                            "--dispatch", "--dispatch-test-kill", "--lease",
                            "--heartbeat", "--worker-slice", "--checkpoint",
                            "--max-retries", "--dispatch-cmd", "--workers",
-                           "--worker", "--worker-plan"}) {
+                           "--worker", "--worker-plan", "--watchdog"}) {
     Argv a({flag, "1"});
     EXPECT_EXIT((void)SweepCli::parse(a.argc(), a.argv()),
                 ::testing::ExitedWithCode(2),

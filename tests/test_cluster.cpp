@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <string>
 
@@ -253,6 +254,33 @@ TEST(Cluster, RejectsNonsenseSpecs) {
   EXPECT_SIM_ERROR((void)c.run(), "only run once");
 }
 
+// Every cluster host is its own watchdog. A lost timer interrupt on host 1
+// (an event keeps re-planting a guest deadline long past its grace, as a
+// dropped fire would leave it) ends the whole cluster run.
+TEST(Cluster, TimerLivenessBreachInOneHostEndsTheRun) {
+  ClusterSpec cs = tenant_cluster(2, 2, 5);
+  cs.rebalance_period = SimTime::zero();
+  Cluster cluster(std::move(cs));
+  System& host = cluster.host(1);
+  std::function<void()> plant = [&] {
+    host.kvm().vms()[0]->vcpu(0).guest_deadline = SimTime::ms(1);
+    host.engine().schedule_after(SimTime::us(100), [&plant] { plant(); });
+  };
+  plant();
+  try {
+    (void)cluster.run();
+    FAIL() << "expected SimError{kWatchdog}";
+  } catch (const sim::SimError& e) {
+    EXPECT_EQ(e.kind(), sim::SimError::Kind::kWatchdog);
+    EXPECT_EQ(e.expr(), "timer-liveness");
+    EXPECT_NE(e.msg().find("still armed"), std::string::npos);
+    // Caught by a sweep inside the partition's rounds, not only by the
+    // final one at the horizon.
+    ASSERT_TRUE(e.sim_time().has_value());
+    EXPECT_LT(*e.sim_time(), SimTime::ms(100));
+  }
+}
+
 // Cluster runs honour none of the per-run sweep extras; asking for one
 // must fail loudly instead of running an unrecorded, unfaulted cluster.
 TEST(Cluster, SpecForRejectsSweepSettingsItCannotHonour) {
@@ -269,10 +297,6 @@ TEST(Cluster, SpecForRejectsSweepSettingsItCannotHonour) {
   faulted.fault.timer_drop_prob = 0.1;
   EXPECT_SIM_ERROR((void)cluster_spec_for(faulted, guest::TickMode::kParatick, 2),
                    "--chaos");
-  ExperimentSpec watched;
-  watched.watchdog = true;
-  EXPECT_SIM_ERROR((void)cluster_spec_for(watched, guest::TickMode::kParatick, 2),
-                   "--watchdog");
   ExperimentSpec limited;
   limited.wall_limit_sec = 5.0;
   EXPECT_SIM_ERROR((void)cluster_spec_for(limited, guest::TickMode::kParatick, 2),
@@ -284,7 +308,6 @@ TEST(Cluster, SpecForRejectsSweepSettingsItCannotHonour) {
   EXPECT_STREQ(unsupported_cluster_flag(cfg), "--record-trace");
   cfg = SweepConfig{};
   cfg.fault.steal_burst_prob = 0.5;
-  cfg.watchdog = true;  // --chaos sets both; the fault flag is named first
   EXPECT_STREQ(unsupported_cluster_flag(cfg), "--chaos / --fault-<knob>");
   cfg = SweepConfig{};
   cfg.run_timeout_sec = 2.0;

@@ -5,11 +5,12 @@
 
 #include "expect_error.hpp"
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/replay.hpp"
@@ -130,7 +131,6 @@ core::SystemSpec tick_storm_spec(guest::TickMode mode, int iterations = 300) {
 TEST(SystemFaults, DroppedTimerInterruptsAreCaughtByWatchdog) {
   core::SystemSpec spec = tick_storm_spec(guest::TickMode::kDynticksIdle);
   spec.fault.timer_drop_prob = 1.0;  // every hardware fire is lost
-  spec.watchdog = true;
   core::System system(std::move(spec));
   EXPECT_SIM_ERROR(system.run(), "timer");
   EXPECT_GT(system.fault_injector()->stats().timer_dropped, 0u);
@@ -157,7 +157,6 @@ TEST(SystemFaults, ParatickNeverLosesGuestTimersUnderDelayedHostTicks) {
     workload::install_pure_compute(k, compute);
   };
   spec.fault.tick_delay_prob = 1.0;  // every due tick injection postponed
-  spec.watchdog = true;
   core::System system(std::move(spec));
   const metrics::RunResult res = system.run();  // must not throw
   ASSERT_TRUE(res.completion_time().has_value());
@@ -166,8 +165,8 @@ TEST(SystemFaults, ParatickNeverLosesGuestTimersUnderDelayedHostTicks) {
 
 TEST(SystemFaults, LateTimersWithinGraceAreToleratedByDynticks) {
   core::SystemSpec spec = tick_storm_spec(guest::TickMode::kDynticksIdle);
-  spec.fault.timer_late_prob = 1.0;  // every fire late by <= 300 us
-  spec.watchdog = true;              // grace 5 ms: late != lost
+  spec.fault.timer_late_prob = 1.0;  // every fire late by <= 300 us; the
+                                     // watchdog's grace is 5 ms: late != lost
   core::System system(std::move(spec));
   const metrics::RunResult res = system.run();
   ASSERT_TRUE(res.completion_time().has_value());
@@ -179,7 +178,6 @@ TEST(SystemFaults, CoalescedTimersAndStealBurstsComplete) {
   spec.fault.timer_coalesce_prob = 0.3;
   spec.fault.steal_burst_prob = 0.1;
   spec.fault.steal_burst_max = SimTime::us(200);
-  spec.watchdog = true;
   core::System system(std::move(spec));
   const metrics::RunResult res = system.run();
   ASSERT_TRUE(res.completion_time().has_value());
@@ -234,36 +232,64 @@ TEST(SystemFaults, WallClockLimitThrowsTimeout) {
 
 // ---- watchdog + SimError context ----------------------------------------
 
-TEST(Watchdog, SweepsPeriodicallyAndThrowsOnViolation) {
+/// Records when each sweep ran and how many events had completed by then.
+class SweepLog : public sim::Watchdog {
+ public:
+  void sweep(const sim::Engine& engine) override {
+    sweeps.emplace_back(engine.now(), engine.events_executed());
+  }
+  std::vector<std::pair<SimTime, std::uint64_t>> sweeps;
+};
+
+TEST(Watchdog, SweepsAtTheFirstEventOfEachPeriod) {
   sim::Engine engine;
-  sim::Watchdog wd(engine, SimTime::ms(1));
-  bool broken = false;
-  wd.add_check("my-invariant", [&]() -> std::optional<std::string> {
-    if (broken) return "it broke";
-    return std::nullopt;
-  });
-  wd.start();
-  engine.run_until(SimTime::ms(3));
-  EXPECT_GE(wd.sweeps(), 3u);
-  broken = true;
-  EXPECT_SIM_ERROR(engine.run_until(SimTime::ms(10)), "it broke");
-  wd.stop();
+  SweepLog log;
+  engine.set_watchdog(&log);
+  for (const int ms : {1, 2, 7, 10, 12, 23, 24}) {
+    engine.schedule_at(SimTime::ms(ms), [] {});
+  }
+  engine.run_until(SimTime::ms(40));
+  // Boundaries 0, 5 and 10 ms sweep at the first event at or after them,
+  // before it runs; 15 and 20 ms pass with no event and share the sweep
+  // at 23 ms. The queue is empty from 24 ms on: no sweep at 25..40 ms.
+  using Sweep = std::pair<SimTime, std::uint64_t>;
+  EXPECT_EQ(log.sweeps, (std::vector<Sweep>{{SimTime::ms(1), 0},
+                                            {SimTime::ms(7), 2},
+                                            {SimTime::ms(10), 3},
+                                            {SimTime::ms(23), 5}}));
+  EXPECT_EQ(engine.now(), SimTime::ms(40));
+
+  // Detached: events run, nothing sweeps.
+  engine.set_watchdog(nullptr);
+  engine.schedule_at(SimTime::ms(41), [] {});
+  engine.schedule_at(SimTime::ms(47), [] {});
+  engine.run();
+  EXPECT_EQ(log.sweeps.size(), 4u);
+
+  // Re-attached at 47 ms: the cadence resumes at the next boundary, 50 ms.
+  engine.set_watchdog(&log);
+  engine.schedule_at(SimTime::ms(49), [] {});
+  engine.schedule_at(SimTime::ms(52), [] {});
+  engine.run();
+  ASSERT_EQ(log.sweeps.size(), 5u);
+  EXPECT_EQ(log.sweeps.back(), Sweep(SimTime::ms(52), 10));
 }
 
-TEST(Watchdog, DoubleStartArmsOnlyOneSweepChain) {
-  sim::Engine engine;
-  sim::Watchdog wd(engine, SimTime::ms(1));
-  wd.start();
-  wd.start();  // must cancel the first chain, not stack a second one
-  engine.run_until(SimTime::ms(4));
-  // Two chains would sweep twice per period. Each start() also sweeps
-  // immediately, so: 2 immediate + 4 periodic = 6 with the fix, 10 without.
-  EXPECT_EQ(wd.sweeps(), 6u);
-  wd.stop();
-  // stop() is terminal until the next start(): no further sweeps.
-  const std::uint64_t at_stop = wd.sweeps();
-  engine.run_until(SimTime::ms(8));
-  EXPECT_EQ(wd.sweeps(), at_stop);
+// The watchdog schedules nothing: a full system run executes the same
+// events with or without it.
+TEST(Watchdog, LeavesEventCountersAndDigestUnchanged) {
+  for (const auto mode : {guest::TickMode::kDynticksIdle, guest::TickMode::kParatick}) {
+    core::System watched(tick_storm_spec(mode));
+    core::System unwatched(tick_storm_spec(mode));
+    unwatched.engine().set_watchdog(nullptr);
+    const metrics::RunResult a = watched.run();
+    const metrics::RunResult b = unwatched.run();
+    EXPECT_EQ(a.events_executed, b.events_executed);
+    EXPECT_EQ(a.events_scheduled, b.events_scheduled);
+    EXPECT_EQ(a.events_cancelled, b.events_cancelled);
+    EXPECT_EQ(watched.engine().state_digest(), unwatched.engine().state_digest());
+    EXPECT_GT(a.events_executed, 0u);
+  }
 }
 
 TEST(SimError, CarriesSimTimeContextFromEngine) {
@@ -309,7 +335,6 @@ core::SweepConfig split_outcome_sweep(unsigned threads) {
   cfg.root_seed = 321;
   cfg.threads = threads;
   cfg.fault.timer_drop_prob = 1.0;
-  cfg.watchdog = true;
   return cfg;
 }
 
@@ -421,9 +446,8 @@ constexpr const char* kPinnedBundle = R"json({
   "kind": "paratick-replay-bundle",
   "plan": {"kind": "paratick-dispatch-plan", "bench": "bench_chaos", "root_seed": "20260806", "repeat": 2, "total_runs": 4, "cells": [{"variant": "", "mode": "dynticks-idle", "tick_freq_hz": 250, "vcpus": 1, "overcommit": 1}, {"variant": "", "mode": "paratick", "tick_freq_hz": 250, "vcpus": 1, "overcommit": 1}]},
   "scenario": "tick-loss",
-  "watchdog": true,
   "fault": {"timer_drop_prob": 1, "timer_late_prob": 0, "timer_late_max_ns": 300000, "timer_coalesce_prob": 0, "timer_coalesce_window_ns": 800000, "tsc_drift_ppm": 0, "io_error_prob": 0, "io_spike_prob": 0, "io_spike_factor": 20, "steal_burst_prob": 0, "steal_burst_max_ns": 2000000, "tick_delay_prob": 0, "softirq_spurious_prob": 0, "softirq_drop_prob": 0},
-  "run": {"run_index": 0, "cell": 0, "replica": 0, "seed": "17424753966244126401", "executed": true, "ok": false, "host_seconds": 0, "failure": {"kind": "watchdog", "expr": "timer-liveness", "file": "", "line": 0, "message": "vCPU 0 guest timer deadline 4.002ms still armed at 10.000ms — timer interrupt lost", "sim_time_ns": 10000000, "events": 32}}
+  "run": {"run_index": 0, "cell": 0, "replica": 0, "seed": "17424753966244126401", "executed": true, "ok": false, "host_seconds": 0, "failure": {"kind": "watchdog", "expr": "timer-liveness", "file": "", "line": 0, "message": "vCPU 0 guest timer deadline 4.002ms still armed at 10.021ms — timer interrupt lost", "sim_time_ns": 10021300, "events": 30}}
 }
 )json";
 
@@ -434,6 +458,23 @@ TEST(ChaosSweep, PinnedBundleStillReproduces) {
             "base/dynticks-idle f=250Hz v=1 oc=1");
   EXPECT_EQ(bundle.run.failure->kind, core::RunFailure::Kind::kWatchdog);
   EXPECT_EQ(core::to_json(bundle), kPinnedBundle);  // exact round trip
+  const core::SweepRun replayed = core::replay_bundle(bundle);
+  std::string detail;
+  EXPECT_TRUE(core::reproduces(bundle, replayed, &detail)) << detail;
+}
+
+// Bundles written while the watchdog was optional carry a "watchdog" key.
+// The reader ignores it, the writer no longer emits it, and the run still
+// reproduces.
+TEST(ChaosSweep, BundleWithLegacyWatchdogKeyStillReproduces) {
+  std::string legacy = kPinnedBundle;
+  const std::string anchor = "  \"scenario\": \"tick-loss\",\n";
+  const std::size_t at = legacy.find(anchor);
+  ASSERT_NE(at, std::string::npos);
+  legacy.insert(at + anchor.size(), "  \"watchdog\": true,\n");
+
+  const core::ReplayBundle bundle = core::parse_replay_bundle(legacy);
+  EXPECT_EQ(core::to_json(bundle), kPinnedBundle);
   const core::SweepRun replayed = core::replay_bundle(bundle);
   std::string detail;
   EXPECT_TRUE(core::reproduces(bundle, replayed, &detail)) << detail;
@@ -477,7 +518,6 @@ TEST(ChaosScenarios, RegistryBuildsEveryScenario) {
     EXPECT_TRUE(core::is_chaos_scenario(name));
     const core::SweepConfig cfg = core::build_chaos_scenario(name);
     EXPECT_TRUE(cfg.fault.any());
-    EXPECT_TRUE(cfg.watchdog);
     EXPECT_EQ(cfg.scenario, name);
     EXPECT_FALSE(cfg.modes.empty());
   }
@@ -501,7 +541,6 @@ TEST(SweepCli, ParsesChaosAndFaultFlags) {
 
   core::SweepConfig cfg;
   cli.apply(cfg);
-  EXPECT_TRUE(cfg.watchdog);  // --chaos implies the watchdog
   EXPECT_TRUE(cfg.fault.any());
   // Overrides win over the --chaos defaults.
   EXPECT_DOUBLE_EQ(cfg.fault.timer_drop_prob, 0.5);

@@ -368,7 +368,6 @@ SweepConfig chaos_sweep(unsigned threads) {
   cfg.root_seed = 321;
   cfg.threads = threads;
   cfg.fault.timer_drop_prob = 1.0;
-  cfg.watchdog = true;
   cfg.bench_name = "rrtest";
   return cfg;
 }
@@ -480,7 +479,6 @@ ReplayBundle chaos_bundle(std::size_t idx) {
   ReplayBundle bundle;
   bundle.plan = plan_info_for(cfg);
   bundle.scenario = "tick-loss";
-  bundle.watchdog = true;
   bundle.fault.timer_drop_prob = 1.0;
   bundle.run.run_index = idx;
   bundle.run.cell = idx / 2;
