@@ -8,6 +8,10 @@
 //   reprogram  — dynticks reprogram storm: a DeadlineTimer is re-armed
 //                many times per sleep, the way NO_HZ reprograms the
 //                TSC-deadline MSR (cancel+schedule pairs per re-arm).
+//   chain      — one self-rescheduling chain over a fixed background of
+//                64 far-future pending events: every event schedules the
+//                next as the strict earliest, the EventQueue front
+//                register's path (no heap push or pop per link).
 //   partchurn  — partitioned churn on sim::ParallelEngine: four engines
 //                in a ring, 5us lookahead; each runs a local event pump
 //                and periodically sends a cross-partition ping that XORs
@@ -143,6 +147,41 @@ CaseResult run_reprogram(std::uint64_t seed) {
   return {r.eng.profile(), r.sink, 0.0};
 }
 
+// -------------------------------------------------------------- chain ----
+
+/// A chain of events, each posting the next 1..100 ns out. The background
+/// events lie beyond the chain's end, so each link sorts strictly before
+/// every other pending event when it is scheduled.
+struct ChainCase {
+  sim::Engine eng;
+  sim::Rng rng;
+  std::uint64_t sink = 0;
+  std::uint64_t remaining;
+
+  ChainCase(std::uint64_t seed, std::uint64_t links) : rng(seed), remaining(links) {}
+
+  void link() {
+    sink = sink * std::uint64_t{0x9E3779B97F4A7C15u} +
+           static_cast<std::uint64_t>(eng.now().nanoseconds());
+    if (--remaining > 0) {
+      eng.schedule_after(sim::SimTime::ns(rng.uniform_int(1, 100)),
+                         [this] { link(); });
+    }
+  }
+};
+
+CaseResult run_chain(std::uint64_t seed) {
+  constexpr std::uint64_t kLinks = 1'000'000;  // ends before 100 ms
+  ChainCase c(seed, kLinks);
+  for (int i = 0; i < 64; ++i) {
+    c.eng.schedule_at(sim::SimTime::sec(1) + sim::SimTime::us(i),
+                      [&c, i] { c.sink ^= static_cast<std::uint64_t>(i); });
+  }
+  c.eng.schedule_after(sim::SimTime::ns(1), [&c] { c.link(); });
+  c.eng.run();
+  return {c.eng.profile(), c.sink, 0.0};
+}
+
 // ---------------------------------------------------------- partchurn ----
 
 /// One partition's event pump: a stream of local payload events plus a
@@ -220,6 +259,7 @@ struct Case {
 constexpr Case kCases[] = {
     {"churn", run_churn},
     {"reprogram", run_reprogram},
+    {"chain", run_chain},
     {"partchurn", run_partchurn},
 };
 

@@ -173,7 +173,9 @@ class Kvm {
   /// A synchronous port exit: exit for `cause`, run host_work(*this, vcpu)
   /// once the exit cost is paid, re-enter and complete the verb. The work
   /// takes the Kvm as an argument rather than capturing `this`, keeping
-  /// the continuation within InlineCallback::kCapacity.
+  /// the continuation (this + vCPU + the work, at most 40 bytes) within
+  /// InlineCallback::kCapacity; it is the largest capture in the tree and
+  /// sets that capacity.
   template <typename HostWork>
   void exit_and_reenter(Vcpu& vcpu, hw::ExitCause cause, HostWork host_work);
   /// Continue guest execution (the vCPU is in guest mode) at `then`.

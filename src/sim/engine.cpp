@@ -164,6 +164,14 @@ void Engine::run_until(SimTime deadline) {
       step();
     }
   }
+  // A drained queue has no event left to sweep at: sweep at each boundary
+  // up to the deadline instead, so a guest that hangs with nothing
+  // scheduled is still reported within one period. (A boundary the clock
+  // already passed is swept now.)
+  while (!stopped_ && queue_.empty() && next_sweep_ <= deadline) {
+    if (now_ < next_sweep_) now_ = next_sweep_;
+    sweep_watchdog();
+  }
   // A stop() mid-run leaves the clock at the stopping event; a normal
   // completion advances it to the requested deadline.
   if (!stopped_ && now_ < deadline) now_ = deadline;

@@ -80,9 +80,10 @@ class Engine {
 
   [[nodiscard]] bool pending(EventId id) const { return queue_.pending(id); }
 
-  /// Run events until the queue empties or `deadline` is reached.
-  /// The clock is left at min(deadline, time of last event). Events
-  /// stamped exactly at `deadline` are executed.
+  /// Run events up to and including `deadline`, then leave the clock at
+  /// `deadline` (at the stopping event after a stop()). Once the queue is
+  /// empty, the watchdog is swept at each Watchdog::kPeriod boundary up to
+  /// `deadline`, since no event is left to sweep at.
   void run_until(SimTime deadline);
 
   /// Run events strictly before `bound` — the parallel engine's quantum
@@ -129,7 +130,8 @@ class Engine {
   /// Attach (or detach, with nullptr) the invariant watchdog. Non-owning;
   /// the watchdog must outlive the run. step() sweeps it at the first
   /// event at or after each Watchdog::kPeriod boundary, starting with the
-  /// first boundary at or after now() (see sim/watchdog.hpp).
+  /// first boundary at or after now(), and run_until() at the boundaries
+  /// a drained queue leaves (see sim/watchdog.hpp).
   void set_watchdog(Watchdog* watchdog);
 
   /// Cheap digest of the deterministic engine state (clock, executed and

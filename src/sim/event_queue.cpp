@@ -1,14 +1,13 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "sim/check.hpp"
 
 namespace paratick::sim {
 
-EventId EventQueue::schedule(SimTime when, Callback fn) {
+EventId EventQueue::schedule(SimTime when, Callback&& fn) {
   PARATICK_CHECK_MSG(fn != nullptr, "event callback must be callable");
   if (fn.spilled()) {
     ++spills_;
@@ -19,12 +18,13 @@ EventId EventQueue::schedule(SimTime when, Callback fn) {
     index = free_.back();
     free_.pop_back();
   } else {
-    PARATICK_CHECK_MSG(
-        slots_.size() < std::numeric_limits<std::uint32_t>::max(),
-        "event slot index space exhausted");
+    PARATICK_CHECK_MSG(slots_.size() < kMaxSlots,
+                       "event slot index space exhausted (2^24 live events)");
     index = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
   }
+  PARATICK_CHECK_MSG(next_seq_ < kMaxSeq,
+                     "event sequence space exhausted (2^40 schedules)");
   const std::uint64_t seq = next_seq_++;
   Slot& s = slots_[index];
   s.fn = std::move(fn);
@@ -32,8 +32,22 @@ EventId EventQueue::schedule(SimTime when, Callback fn) {
   s.live = true;
   ++live_;
   if (live_ > high_water_) high_water_ = live_;
-  heap_.push_back(Entry{when, seq, index});
-  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  const Entry e{when, seq << kSlotBits | index};
+  // The register holds an entry only while it sorts before the whole heap.
+  // With the register empty the heap front is live, so comparing against
+  // it decides; with it held, a new earliest entry displaces it.
+  if (!front_held()) {
+    if (heap_.empty() || e < heap_.front()) {
+      front_ = e;
+    } else {
+      heap_push(e);
+    }
+  } else if (e < front_) {
+    heap_push(front_);
+    front_ = e;
+  } else {
+    heap_push(e);
+  }
   ++scheduled_;
   return make_id(s.generation, index);
 }
@@ -52,39 +66,87 @@ void EventQueue::retire_slot(std::uint32_t index) {
 
 bool EventQueue::cancel(EventId id) {
   if (resolve(id) == nullptr) return false;
-  retire_slot(static_cast<std::uint32_t>(id.raw_));
+  const auto index = static_cast<std::uint32_t>(id.raw_);
+  retire_slot(index);
   ++cancelled_;
+  if (front_held() && front_.slot() == index) front_.key = 0;
   drop_dead_heads();
   maybe_compact();
   return true;
 }
 
 void EventQueue::maybe_compact() {
-  // Rebuild once dead entries exceed half the heap; (when, seq) ordering is
-  // a total order, so the rebuilt heap pops in exactly the same sequence.
-  if (heap_.size() < kCompactMinEntries || heap_.size() <= 2 * live_) return;
+  // Rebuild once dead entries exceed half of those held; (when, seq)
+  // ordering is a total order, so the rebuilt heap pops in exactly the
+  // same sequence. The register is live and stays where it is.
+  const std::size_t held = heap_entries();
+  if (held < kCompactMinEntries || held <= 2 * live_) return;
   std::erase_if(heap_, [this](const Entry& e) { return !entry_live(e); });
-  std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  if (heap_.size() > 1) {
+    for (std::size_t i = (heap_.size() - 2) / kArity + 1; i-- > 0;) sift_down(i);
+  }
   ++compactions_;
 }
 
 void EventQueue::drop_dead_heads() {
-  while (!heap_.empty() && !entry_live(heap_.front())) {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    heap_.pop_back();
-  }
+  // A held register is live and sorts first: the earliest entry is live.
+  if (front_held()) return;
+  while (!heap_.empty() && !entry_live(heap_.front())) heap_pop();
 }
 
 EventQueue::Popped EventQueue::pop() {
-  PARATICK_CHECK_MSG(!heap_.empty(), "pop() on empty queue");
-  const Entry e = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  heap_.pop_back();
+  PARATICK_CHECK_MSG(live_ != 0, "pop() on empty queue");
+  Entry e;
+  if (front_held()) {
+    e = front_;
+    front_.key = 0;
+  } else {
+    e = heap_.front();
+    heap_pop();
+  }
   PARATICK_DCHECK(entry_live(e));
-  Popped out{e.when, e.seq, std::move(slots_[e.slot].fn)};
-  retire_slot(e.slot);
+  Popped out{e.when, e.seq(), std::move(slots_[e.slot()].fn)};
+  retire_slot(e.slot());
   drop_dead_heads();
   return out;
+}
+
+void EventQueue::heap_push(Entry e) {
+  // Sift a hole up from the new leaf, then fill it.
+  heap_.emplace_back();
+  Entry* h = heap_.data();
+  std::size_t i = heap_.size() - 1;
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / kArity;
+    if (!(e < h[parent])) break;
+    h[i] = h[parent];
+    i = parent;
+  }
+  h[i] = e;
+}
+
+void EventQueue::heap_pop() {
+  heap_.front() = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) sift_down(0);
+}
+
+void EventQueue::sift_down(std::size_t i) {
+  const std::size_t n = heap_.size();
+  const Entry e = heap_[i];
+  for (;;) {
+    const std::size_t first = kArity * i + 1;
+    if (first >= n) break;
+    const std::size_t end = std::min(first + kArity, n);
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (heap_[c] < heap_[best]) best = c;
+    }
+    if (!(heap_[best] < e)) break;
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = e;
 }
 
 }  // namespace paratick::sim

@@ -4,16 +4,31 @@
 // whole simulation deterministic for a given seed.
 //
 // Live callbacks sit in a generation-counted slot map: a flat vector of
-// slots recycled through a free list, no hashing and no per-event
-// allocation (callbacks are sim::InlineCallback, stored in place).
-// An EventId packs (generation << 32 | slot index); a stale handle —
-// cancelled, fired, or from a recycled slot — fails the generation check
-// and is rejected in O(1). Cancellation is O(1) for buried events (lazy
-// deletion) while dead heap heads are dropped eagerly, so the heap front
-// is always live and next_time() is const. To keep timer-heavy workloads
-// (dynticks constantly reprogramming) from growing the heap far beyond
-// the live event count, the heap is compacted once dead entries outnumber
-// live ones.
+// 64-byte slots (one cache line) recycled through a free list, no hashing
+// and no per-event allocation (callbacks are sim::InlineCallback, stored
+// in place). An EventId packs (generation << 32 | slot index); a stale
+// handle — cancelled, fired, or from a recycled slot — fails the
+// generation check and is rejected in O(1).
+//
+// Ordering lives in 16-byte entries {when, key}, key = seq << 24 | slot:
+// because seqs are unique, (when, key) orders exactly as (when, seq).
+// The entries sit in a hand-written 4-ary min-heap, plus a one-entry
+// front register that holds an entry scheduled strictly before every heap
+// entry — the common "next thing to happen" schedule — so that schedule
+// and pop skip the heap entirely. The register sorts before the whole
+// heap by construction, so pop order is that of one heap over both.
+//
+// Cancellation is O(1) for buried events (lazy deletion) while dead heads
+// are dropped eagerly, so the earliest entry is always live and
+// next_time() is const. To keep timer-heavy workloads (dynticks
+// constantly reprogramming) from growing the heap far beyond the live
+// event count, the heap is compacted once dead entries outnumber live
+// ones. The register is counted as a held entry everywhere, so the set of
+// entries held — and hence heap_entries() and compactions() — is the same
+// as for a single binary heap over (when, seq).
+//
+// Limits (PARATICK_CHECKed): 2^24 simultaneously live events and 2^40
+// schedules over one queue's lifetime.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +58,7 @@ class EventQueue {
   using Callback = InlineCallback;
 
   /// Schedule `fn` to fire at absolute time `when`.
-  EventId schedule(SimTime when, Callback fn);
+  EventId schedule(SimTime when, Callback&& fn);
 
   /// Cancel a pending event. Returns true if it was still pending.
   bool cancel(EventId id);
@@ -59,8 +74,9 @@ class EventQueue {
 
   /// Timestamp of the next live event. Queue must not be empty.
   [[nodiscard]] SimTime next_time() const {
-    PARATICK_CHECK_MSG(!heap_.empty(), "next_time() on empty queue");
-    return heap_.front().when;  // invariant: the heap front is live
+    PARATICK_CHECK_MSG(live_ != 0, "next_time() on empty queue");
+    // Invariant: the register, else the heap front, is live.
+    return front_held() ? front_.when : heap_.front().when;
   }
 
   /// Pop and return the next live event (timestamp + schedule-order
@@ -78,9 +94,12 @@ class EventQueue {
   [[nodiscard]] std::uint64_t scheduled_count() const { return scheduled_; }
   [[nodiscard]] std::uint64_t cancelled_count() const { return cancelled_; }
 
-  /// Heap entries physically held, live + not-yet-reclaimed dead (tests
-  /// assert this stays within a constant factor of size()).
-  [[nodiscard]] std::size_t heap_entries() const { return heap_.size(); }
+  /// Entries physically held (heap + front register), live +
+  /// not-yet-reclaimed dead (tests assert this stays within a constant
+  /// factor of size()).
+  [[nodiscard]] std::size_t heap_entries() const {
+    return heap_.size() + (front_held() ? 1 : 0);
+  }
 
   // --- profile counters (see sim::EngineProfile) ---
 
@@ -100,19 +119,34 @@ class EventQueue {
     std::uint32_t generation = 1;
     bool live = false;
   };
+  static_assert(sizeof(Slot) == 64, "a slot should fill one cache line");
+
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask = (std::uint64_t{1} << kSlotBits) - 1;
+  /// Slot indices must fit the key's low kSlotBits bits ...
+  static constexpr std::size_t kMaxSlots = std::size_t{1} << kSlotBits;
+  /// ... and seqs its remaining 40.
+  static constexpr std::uint64_t kMaxSeq = std::uint64_t{1} << (64 - kSlotBits);
 
   struct Entry {
     SimTime when;
-    std::uint64_t seq;
-    std::uint32_t slot;
-    bool operator>(const Entry& o) const {
-      if (when != o.when) return when > o.when;
-      return seq > o.seq;
+    std::uint64_t key = 0;  // seq << kSlotBits | slot; 0 only for "no entry"
+    [[nodiscard]] std::uint64_t seq() const { return key >> kSlotBits; }
+    [[nodiscard]] std::uint32_t slot() const {
+      return static_cast<std::uint32_t>(key & kSlotMask);
+    }
+    // One select rather than a short-circuit: the heap's comparisons
+    // are data-dependent, and this form compiles without branches.
+    bool operator<(const Entry& o) const {
+      return when != o.when ? when < o.when : key < o.key;
     }
   };
+  static_assert(sizeof(Entry) == 16);
 
   /// Below this many entries, dead weight is negligible — skip compaction.
   static constexpr std::size_t kCompactMinEntries = 64;
+  /// Children per heap node.
+  static constexpr std::size_t kArity = 4;
 
   static constexpr EventId make_id(std::uint32_t generation, std::uint32_t index) {
     return EventId{(static_cast<std::uint64_t>(generation) << 32) | index};
@@ -129,16 +163,27 @@ class EventQueue {
   }
 
   [[nodiscard]] bool entry_live(const Entry& e) const {
-    const Slot& s = slots_[e.slot];
-    return s.live && s.seq == e.seq;
+    const Slot& s = slots_[e.slot()];
+    return s.live && s.seq == e.seq();
   }
+
+  [[nodiscard]] bool front_held() const { return front_.key != 0; }
 
   /// Release a slot back to the free list, invalidating outstanding ids.
   void retire_slot(std::uint32_t index);
   void drop_dead_heads();
   void maybe_compact();
 
-  // Min-heap on (when, seq) via std::*_heap with std::greater.
+  // Entries travel by value (in registers): a 16-byte reload of an entry
+  // just written as two words would stall on store forwarding.
+  void heap_push(Entry e);
+  void heap_pop();
+  void sift_down(std::size_t i);
+
+  /// The earliest entry when it sorts strictly before every heap entry
+  /// (live or dead); key 0 when empty. Always live while held.
+  Entry front_;
+  // 4-ary min-heap on (when, key).
   std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;

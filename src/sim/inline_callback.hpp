@@ -2,18 +2,21 @@
 //
 // std::function<void()> (libstdc++) inlines captures of at most 16 bytes;
 // every larger capture — and the hypervisor's VM-entry/exit continuations
-// run 24..72 bytes — costs one heap allocation per scheduled event.
-// InlineCallback stores the callable in a 72-byte in-object buffer with
+// run 24..40 bytes — costs one heap allocation per scheduled event.
+// InlineCallback stores the callable in a 40-byte in-object buffer with
 // NO implicit heap fallback: a capture that does not fit is a compile
 // error, so hot-path regressions are caught at build time instead of
 // showing up as allocator traffic.
 //
-// The capacity was sized to hv::Kvm's do_exit lambdas when they still
-// carried a std::function port completion (72 bytes). Port verbs now
-// complete through hv::GuestCpuIface::port_done(), and the largest
-// capture in the tree is 40 bytes (this + vCPU + a 24-byte request, in
-// Kvm::exit_and_reenter); the capacity stays until a smaller one is
-// measured to pay.
+// The capacity is the largest capture in the tree: 40 bytes (this +
+// vCPU + a 24-byte request, in hv::Kvm::exit_and_reenter). With the ops
+// pointer that makes the object 48 bytes, so sim::EventQueue's slot (the
+// callback plus its seq and generation) is one 64-byte cache line.
+//
+// Trivially copyable callables — every capture on the hot path — are
+// moved by copying the whole fixed-size buffer and need no destructor
+// call; only the others (a shared_ptr capture, spill() boxes) go through
+// their ops table's relocate/destroy functions.
 //
 // Escape hatch: InlineCallback::spill(fn) boxes an oversized callable on
 // the heap and records its size, which the EventQueue surfaces as the
@@ -23,6 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -33,7 +37,7 @@ namespace paratick::sim {
 class InlineCallback {
  public:
   /// In-object storage for the callable, in bytes.
-  static constexpr std::size_t kCapacity = 72;
+  static constexpr std::size_t kCapacity = 40;
   /// Maximum alignment the buffer guarantees.
   static constexpr std::size_t kAlign = alignof(void*);
 
@@ -56,14 +60,15 @@ class InlineCallback {
     static_assert(std::is_nothrow_move_constructible_v<D>,
                   "InlineCallback requires a noexcept-movable callable");
     ::new (static_cast<void*>(buf_)) D(std::forward<F>(fn));
+    // Whole-buffer moves copy the tail too: give it defined bytes.
+    if constexpr (sizeof(D) < kCapacity) {
+      std::memset(buf_ + sizeof(D), 0, kCapacity - sizeof(D));
+    }
     ops_ = &OpsFor<D>::value;
   }
 
   InlineCallback(InlineCallback&& other) noexcept : ops_(other.ops_) {
-    if (ops_ != nullptr) {
-      ops_->relocate(buf_, other.buf_);
-      other.ops_ = nullptr;
-    }
+    if (ops_ != nullptr) take_buffer(other);
   }
 
   InlineCallback& operator=(InlineCallback&& other) noexcept {
@@ -71,8 +76,7 @@ class InlineCallback {
       reset();
       if (other.ops_ != nullptr) {
         ops_ = other.ops_;
-        ops_->relocate(buf_, other.buf_);
-        other.ops_ = nullptr;
+        take_buffer(other);
       }
     }
     return *this;
@@ -116,7 +120,7 @@ class InlineCallback {
 
   void reset() noexcept {
     if (ops_ != nullptr) {
-      ops_->destroy(buf_);
+      if (ops_->destroy != nullptr) ops_->destroy(buf_);
       ops_ = nullptr;
     }
   }
@@ -124,10 +128,22 @@ class InlineCallback {
  private:
   struct Ops {
     void (*invoke)(void*);
-    void (*relocate)(void* dst, void* src) noexcept;  // move-construct, then destroy src
+    /// Move-construct, then destroy src; nullptr: copy the buffer.
+    void (*relocate)(void* dst, void* src) noexcept;
+    /// nullptr: trivially destructible, nothing to do.
     void (*destroy)(void*) noexcept;
     std::uint32_t spill_bytes;
   };
+
+  /// Move other's callable (ops_ already copied, non-null) into buf_.
+  void take_buffer(InlineCallback& other) noexcept {
+    if (ops_->relocate == nullptr) {
+      std::memcpy(buf_, other.buf_, kCapacity);
+    } else {
+      ops_->relocate(buf_, other.buf_);
+    }
+    other.ops_ = nullptr;
+  }
 
   template <typename D, std::uint32_t SpillBytes>
   struct OpsImpl {
@@ -138,7 +154,9 @@ class InlineCallback {
       s->~D();
     }
     static void destroy(void* p) noexcept { std::launder(static_cast<D*>(p))->~D(); }
-    static constexpr Ops value{&invoke, &relocate, &destroy, SpillBytes};
+    static constexpr bool kTrivial = std::is_trivially_copyable_v<D>;
+    static constexpr Ops value{&invoke, kTrivial ? nullptr : &relocate,
+                               kTrivial ? nullptr : &destroy, SpillBytes};
   };
 
   template <typename D>
@@ -155,5 +173,8 @@ class InlineCallback {
   const Ops* ops_ = nullptr;
   alignas(kAlign) unsigned char buf_[kCapacity];
 };
+
+static_assert(sizeof(InlineCallback) == 48,
+              "the ops pointer plus the buffer: EventQueue's slot is sized to it");
 
 }  // namespace paratick::sim

@@ -4,9 +4,12 @@
 // An Engine with a Watchdog attached (Engine::set_watchdog) calls sweep()
 // at the first event at or after each kPeriod boundary of simulated time
 // (0, 5 ms, 10 ms, ...), after the clock moves to that event and before
-// the event runs. Nothing is scheduled, so attaching a watchdog never
-// changes what the engine executes: event counters and state_digest()
-// are identical with and without one. No event means no sweep; a driver
+// the event runs. Once the queue drains, Engine::run_until() sweeps at
+// each boundary up to its deadline instead, so a guest that hangs with
+// nothing scheduled is still reported within a period. Nothing is
+// scheduled, so attaching a watchdog never changes what the engine
+// executes: event counters and state_digest() are identical with and
+// without one. run() and run_before() sweep only at events; a caller
 // that wants a last look after its final event calls sweep() itself.
 //
 // core::System is the watchdog of every simulated host and is always on

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "sim/rng.hpp"
 
 namespace paratick::sim {
 namespace {
@@ -251,6 +255,287 @@ TEST(EventQueue, ProfileCountersTrackSpillsAndOccupancy) {
   EXPECT_EQ(q.callback_spills(), 1u);
   EXPECT_GE(q.callback_spill_bytes(), sizeof(Big));
 }
+
+
+// ---- oracle: the queue before its front register and 4-ary heap --------
+
+/// The former EventQueue, ordering only: a binary heap of (when, seq,
+/// slot) entries via std::*_heap, live slots in a LIFO-recycled slot map,
+/// dead heads dropped eagerly, and a rebuild once dead entries exceed half
+/// the heap (at 64 entries or more). EventQueue must match it on pop
+/// order, size(), heap_entries() and compactions() after every operation.
+class ReferenceQueue {
+ public:
+  struct Handle {
+    std::uint32_t slot;
+    std::uint64_t seq;
+  };
+
+  Handle schedule(SimTime when) {
+    std::uint32_t index;
+    if (!free_.empty()) {
+      index = free_.back();
+      free_.pop_back();
+    } else {
+      index = static_cast<std::uint32_t>(slots_.size());
+      slots_.emplace_back();
+    }
+    const std::uint64_t seq = next_seq_++;
+    slots_[index] = Slot{seq, true};
+    ++live_;
+    heap_.push_back(Entry{when, seq, index});
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    return Handle{index, seq};
+  }
+
+  bool cancel(Handle h) {
+    Slot& s = slots_[h.slot];
+    if (!s.live || s.seq != h.seq) return false;
+    retire(h.slot);
+    drop_dead_heads();
+    if (heap_.size() >= 64 && heap_.size() > 2 * live_) {
+      std::erase_if(heap_, [this](const Entry& e) { return !live(e); });
+      std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      ++compactions_;
+    }
+    return true;
+  }
+
+  std::pair<SimTime, std::uint64_t> pop() {
+    const Entry e = heap_.front();
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    heap_.pop_back();
+    retire(e.slot);
+    drop_dead_heads();
+    return {e.when, e.seq};
+  }
+
+  [[nodiscard]] std::size_t size() const { return live_; }
+  [[nodiscard]] std::size_t heap_entries() const { return heap_.size(); }
+  [[nodiscard]] std::uint64_t compactions() const { return compactions_; }
+  [[nodiscard]] SimTime next_time() const { return heap_.front().when; }
+
+ private:
+  struct Slot {
+    std::uint64_t seq = 0;
+    bool live = false;
+  };
+  struct Entry {
+    SimTime when;
+    std::uint64_t seq;
+    std::uint32_t slot;
+    bool operator>(const Entry& o) const {
+      if (when != o.when) return when > o.when;
+      return seq > o.seq;
+    }
+  };
+
+  [[nodiscard]] bool live(const Entry& e) const {
+    return slots_[e.slot].live && slots_[e.slot].seq == e.seq;
+  }
+  void retire(std::uint32_t index) {
+    slots_[index].live = false;
+    free_.push_back(index);
+    --live_;
+  }
+  void drop_dead_heads() {
+    while (!heap_.empty() && !live(heap_.front())) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      heap_.pop_back();
+    }
+  }
+
+  std::vector<Entry> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;
+  std::size_t live_ = 0;
+  std::uint64_t next_seq_ = 1;
+  std::uint64_t compactions_ = 0;
+};
+
+/// Drives an EventQueue and a ReferenceQueue with the same operations and
+/// compares them after each one. Every callback writes its seq to `ran`,
+/// so a pop also proves the popped callback belongs to the popped entry.
+class OracleHarness {
+ public:
+  /// Schedules at `when`; returns the index of the event's handles.
+  std::size_t schedule(SimTime when) {
+    const std::uint64_t seq = queue_.scheduled_count() + 1;
+    const EventId id = queue_.schedule(when, [this, seq] { ran_ = seq; });
+    handles_.push_back({id, ref_.schedule(when)});
+    EXPECT_EQ(handles_.back().ref.seq, seq);
+    compare();
+    return handles_.size() - 1;
+  }
+
+  void cancel(std::size_t i) {
+    EXPECT_EQ(queue_.cancel(handles_[i].id), ref_.cancel(handles_[i].ref));
+    compare();
+  }
+
+  /// Pops from both; returns the popped time.
+  SimTime pop() {
+    auto [when, seq, fn] = queue_.pop();
+    const auto [ref_when, ref_seq] = ref_.pop();
+    EXPECT_EQ(when, ref_when);
+    EXPECT_EQ(seq, ref_seq);
+    fn();
+    EXPECT_EQ(ran_, seq);
+    compare();
+    return when;
+  }
+
+  [[nodiscard]] bool empty() const { return queue_.empty(); }
+  [[nodiscard]] std::size_t handle_count() const { return handles_.size(); }
+  /// Indices of the events still pending.
+  [[nodiscard]] std::vector<std::size_t> live_handles() const {
+    std::vector<std::size_t> out;
+    for (std::size_t i = 0; i < handles_.size(); ++i) {
+      if (queue_.pending(handles_[i].id)) out.push_back(i);
+    }
+    return out;
+  }
+  [[nodiscard]] std::uint64_t compactions() const { return queue_.compactions(); }
+
+ private:
+  struct Handles {
+    EventId id;
+    ReferenceQueue::Handle ref;
+  };
+
+  void compare() {
+    EXPECT_EQ(queue_.size(), ref_.size());
+    EXPECT_EQ(queue_.heap_entries(), ref_.heap_entries());
+    EXPECT_EQ(queue_.compactions(), ref_.compactions());
+    if (!queue_.empty()) {
+      EXPECT_EQ(queue_.next_time(), ref_.next_time());
+    }
+  }
+
+  EventQueue queue_;
+  ReferenceQueue ref_;
+  std::vector<Handles> handles_;
+  std::uint64_t ran_ = 0;
+};
+
+// The register holds 20 ns; 10 ns sorts strictly before it and takes its
+// place, pushing 20 ns into the heap.
+TEST(EventQueueOracle, ScheduleStrictlyBeforeTheRegister) {
+  OracleHarness h;
+  h.schedule(SimTime::ns(30));
+  h.schedule(SimTime::ns(20));
+  h.schedule(SimTime::ns(10));
+  h.schedule(SimTime::ns(15));
+  while (!h.empty()) h.pop();
+}
+
+// An equal time sorts after the register (later seq) and goes to the
+// heap; FIFO order between the two must hold.
+TEST(EventQueueOracle, EqualTimeTieWithTheRegister) {
+  OracleHarness h;
+  h.schedule(SimTime::ns(10));
+  h.schedule(SimTime::ns(10));
+  h.schedule(SimTime::ns(5));
+  h.schedule(SimTime::ns(5));
+  h.schedule(SimTime::ns(10));
+  while (!h.empty()) h.pop();
+}
+
+// Cancelling the register entry empties it and drops the dead heads
+// behind it, exactly as the old heap dropped its dead front.
+TEST(EventQueueOracle, CancelTheRegisterEntry) {
+  OracleHarness h;
+  const std::size_t far = h.schedule(SimTime::ns(50));
+  const std::size_t mid = h.schedule(SimTime::ns(40));  // register; 50 to heap
+  h.schedule(SimTime::ns(60));
+  h.cancel(far);  // buried under the register: stays held, dead
+  h.cancel(mid);  // the register: 50 (dead) is dropped with it
+  h.cancel(mid);  // stale
+  h.schedule(SimTime::ns(45));
+  while (!h.empty()) h.pop();
+}
+
+// Cancelling the heap top while the register is held leaves it held
+// (dead) until the register pops, as the old heap did under its live front.
+TEST(EventQueueOracle, CancelTheHeapTopWhileTheRegisterIsHeld) {
+  OracleHarness h;
+  const std::size_t top = h.schedule(SimTime::ns(20));
+  h.schedule(SimTime::ns(30));
+  h.schedule(SimTime::ns(10));  // register; 20 becomes the heap top
+  h.cancel(top);
+  h.pop();  // the register; the dead 20 is dropped now
+  while (!h.empty()) h.pop();
+}
+
+// Enough dead heap entries under a held register to trigger compaction:
+// the register counts as held, is live, and survives the rebuild.
+TEST(EventQueueOracle, CompactionWhileTheRegisterIsHeld) {
+  OracleHarness h;
+  std::vector<std::size_t> doomed;
+  for (int i = 0; i < 100; ++i) doomed.push_back(h.schedule(SimTime::ns(1000 + i)));
+  h.schedule(SimTime::ns(1));  // the register, below every heap entry
+  for (const std::size_t i : doomed) h.cancel(i);
+  EXPECT_GT(h.compactions(), 0u);
+  while (!h.empty()) h.pop();
+}
+
+// Randomized schedule/cancel/pop mixes. Each round grows the queue with
+// schedules, pops and stray cancels (any handle ever handed out, so mostly
+// stale ones), then cancels nine in ten live events in random order
+// between further schedules and pops, which compacts several times.
+// Times cluster at and just after the last popped time (ties, register
+// displacements) with a far tail.
+class EventQueueOracleMix : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(EventQueueOracleMix, MatchesTheReferenceAfterEveryOperation) {
+  Rng rng(GetParam());
+  OracleHarness h;
+  SimTime now = SimTime::zero();
+  const auto schedule_or_pop = [&] {
+    if (rng.uniform_int(0, 99) < 70 || h.empty()) {
+      const std::int64_t shape = rng.uniform_int(0, 9);
+      std::int64_t offset = 0;
+      if (shape >= 3 && shape < 7) offset = rng.uniform_int(0, 8);
+      if (shape >= 7) offset = rng.uniform_int(0, 1000);
+      h.schedule(now + SimTime::ns(offset));
+    } else {
+      now = h.pop();
+    }
+  };
+  for (int round = 0; round < 6; ++round) {
+    for (int op = 0; op < 1500; ++op) {
+      if (rng.uniform_int(0, 9) == 0) {
+        const auto n = static_cast<std::int64_t>(h.handle_count());
+        h.cancel(static_cast<std::size_t>(rng.uniform_int(0, n - 1)));
+      } else {
+        schedule_or_pop();
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+    std::vector<std::size_t> victims = h.live_handles();
+    for (std::size_t k = victims.size(); k > 1; --k) {  // Fisher-Yates
+      const auto pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(k) - 1));
+      std::swap(victims[k - 1], victims[pick]);
+    }
+    victims.resize(victims.size() * 9 / 10);
+    for (const std::size_t v : victims) {
+      h.cancel(v);  // stale if popped meanwhile
+      if (rng.uniform_int(0, 3) == 0) schedule_or_pop();
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  while (!h.empty()) h.pop();
+  EXPECT_GE(h.compactions(), 6u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueOracleMix,
+                         ::testing::Values(1u, 2u, 3u, 7u, 42u, 99u, 1234u,
+                                           20261019u));
+
+// The 2^24-live-event and 2^40-schedule limits are PARATICK_CHECKs in
+// EventQueue::schedule; filling either would take ~1 GiB of slots or
+// days of schedules, so neither is exercised here.
 
 }  // namespace
 }  // namespace paratick::sim

@@ -251,12 +251,17 @@ TEST(Watchdog, SweepsAtTheFirstEventOfEachPeriod) {
   engine.run_until(SimTime::ms(40));
   // Boundaries 0, 5 and 10 ms sweep at the first event at or after them,
   // before it runs; 15 and 20 ms pass with no event and share the sweep
-  // at 23 ms. The queue is empty from 24 ms on: no sweep at 25..40 ms.
+  // at 23 ms. The queue is empty from 24 ms on, so run_until sweeps at
+  // each boundary it reaches: 25, 30, 35 and 40 ms.
   using Sweep = std::pair<SimTime, std::uint64_t>;
   EXPECT_EQ(log.sweeps, (std::vector<Sweep>{{SimTime::ms(1), 0},
                                             {SimTime::ms(7), 2},
                                             {SimTime::ms(10), 3},
-                                            {SimTime::ms(23), 5}}));
+                                            {SimTime::ms(23), 5},
+                                            {SimTime::ms(25), 7},
+                                            {SimTime::ms(30), 7},
+                                            {SimTime::ms(35), 7},
+                                            {SimTime::ms(40), 7}}));
   EXPECT_EQ(engine.now(), SimTime::ms(40));
 
   // Detached: events run, nothing sweeps.
@@ -264,15 +269,29 @@ TEST(Watchdog, SweepsAtTheFirstEventOfEachPeriod) {
   engine.schedule_at(SimTime::ms(41), [] {});
   engine.schedule_at(SimTime::ms(47), [] {});
   engine.run();
-  EXPECT_EQ(log.sweeps.size(), 4u);
+  EXPECT_EQ(log.sweeps.size(), 8u);
 
   // Re-attached at 47 ms: the cadence resumes at the next boundary, 50 ms.
+  // run() ends when the queue drains and sweeps nothing past the last event.
   engine.set_watchdog(&log);
   engine.schedule_at(SimTime::ms(49), [] {});
   engine.schedule_at(SimTime::ms(52), [] {});
   engine.run();
-  ASSERT_EQ(log.sweeps.size(), 5u);
+  ASSERT_EQ(log.sweeps.size(), 9u);
   EXPECT_EQ(log.sweeps.back(), Sweep(SimTime::ms(52), 10));
+
+  // run_until(60 ms) stops short of the event at 70 ms and jumps the clock
+  // over the 55 ms boundary. Once that event is cancelled, the next
+  // run_until sweeps the passed boundary at the current time, 60 ms; the
+  // clock never moves back.
+  const sim::EventId late = engine.schedule_at(SimTime::ms(70), [] {});
+  engine.run_until(SimTime::ms(60));
+  EXPECT_EQ(log.sweeps.size(), 9u);
+  engine.cancel(late);
+  engine.run_until(SimTime::ms(62));
+  ASSERT_EQ(log.sweeps.size(), 10u);
+  EXPECT_EQ(log.sweeps.back(), Sweep(SimTime::ms(60), 11));
+  EXPECT_EQ(engine.now(), SimTime::ms(62));
 }
 
 // The watchdog schedules nothing: a full system run executes the same

@@ -134,9 +134,91 @@ TEST(InlineCallback, SpilledCallableSurvivesMoves) {
 TEST(InlineCallback, ObjectStaysCompact) {
   // One vtable-ish pointer + the buffer: the whole point is that a slot
   // map of these is allocation-free and cache-dense.
-  static_assert(sizeof(InlineCallback) <= InlineCallback::kCapacity + 2 * sizeof(void*));
+  static_assert(sizeof(InlineCallback) == InlineCallback::kCapacity + sizeof(void*));
   static_assert(!std::is_copy_constructible_v<InlineCallback>);
   static_assert(std::is_nothrow_move_constructible_v<InlineCallback>);
+}
+
+TEST(InlineCallback, TriviallyCopyableCaptureSurvivesMoveChains) {
+  // A full-capacity, trivially copyable capture moves by buffer copy:
+  // every byte must survive construct and assign moves, including an
+  // assignment over a live callable, and the callable runs exactly once.
+  struct Sink {
+    int hits = 0;
+    std::uint64_t sum = 0;
+  };
+  struct Payload {
+    std::uint64_t words[4];
+    Sink* sink;
+  };
+  static_assert(sizeof(Payload) == InlineCallback::kCapacity);
+  Sink sink;
+  const Payload p{{1, 20, 300, 4000}, &sink};
+  auto body = [p] {
+    ++p.sink->hits;
+    p.sink->sum = p.words[0] + p.words[1] + p.words[2] + p.words[3];
+  };
+  static_assert(sizeof(body) == InlineCallback::kCapacity);
+  static_assert(std::is_trivially_copyable_v<decltype(body)>);
+
+  InlineCallback a = body;
+  InlineCallback b = std::move(a);
+  InlineCallback c;
+  c = std::move(b);
+  InlineCallback d = std::move(c);
+  Sink other;
+  InlineCallback e = [&other] { ++other.hits; };
+  e = std::move(d);  // over a live callable
+  for (const InlineCallback* moved_from : {&a, &b, &c, &d}) {
+    EXPECT_FALSE(moved_from->valid());
+  }
+  ASSERT_TRUE(e.valid());
+  EXPECT_FALSE(e.spilled());
+  e();
+  EXPECT_EQ(sink.hits, 1);
+  EXPECT_EQ(sink.sum, 4321u);
+  EXPECT_EQ(other.hits, 0);  // the overwritten callable never ran
+}
+
+TEST(InlineCallback, SharedPtrCaptureKeepsItsCountThroughMoves) {
+  // A non-trivially-copyable capture takes the relocate/destroy path:
+  // moves neither copy nor drop the reference, reset() and destruction
+  // release it.
+  auto token = std::make_shared<int>(5);
+  int seen = 0;
+  {
+    InlineCallback a = [token, &seen] { seen = *token; };
+    EXPECT_EQ(token.use_count(), 2);
+    InlineCallback b = std::move(a);
+    EXPECT_EQ(token.use_count(), 2);
+    InlineCallback c;
+    c = std::move(b);
+    EXPECT_EQ(token.use_count(), 2);
+    c();
+    EXPECT_EQ(seen, 5);
+    c.reset();
+    EXPECT_EQ(token.use_count(), 1);
+
+    InlineCallback d = [token] { (void)token; };
+    InlineCallback e = std::move(d);
+    EXPECT_EQ(token.use_count(), 2);
+  }  // e destroyed here
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(InlineCallback, SpillStillCountsAndMovesTheBox) {
+  // spill() boxes even a small, trivially copyable callable; the box
+  // (a unique_ptr) is moved through its relocate function and counted.
+  int out = 0;
+  InlineCallback a = InlineCallback::spill([&out] { out = 3; });
+  EXPECT_TRUE(a.spilled());
+  EXPECT_EQ(a.spill_bytes(), sizeof(int*));
+  InlineCallback b = std::move(a);
+  EXPECT_FALSE(a.spilled());  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(b.spilled());
+  EXPECT_EQ(b.spill_bytes(), sizeof(int*));
+  b();
+  EXPECT_EQ(out, 3);
 }
 
 }  // namespace

@@ -80,9 +80,9 @@ TEST(ParallelEngine, IdleRelayBoundsTheHorizonDownstream) {
   const PartitionId pc = par.add_partition(c);
 
   SimTime relayed = SimTime::zero();
-  a.schedule_at(SimTime::ns(1), [&] {
-    par.send(pa, pb, SimTime::us(1), [&] {
-      par.send(pb, pc, SimTime::us(1), [&] { relayed = c.now(); });
+  a.schedule_at(SimTime::ns(1), [&par, pa, pb, pc, &relayed, &c] {
+    par.send(pa, pb, SimTime::us(1), [&par, pb, pc, &relayed, &c] {
+      par.send(pb, pc, SimTime::us(1), [&relayed, &c] { relayed = c.now(); });
     });
   });
   struct Busy {

@@ -129,17 +129,25 @@ TEST_P(TimerQueueProperty, MatchesMultimapReference) {
   // Adds one timer to both; a third of them add another from their
   // callback, which the reference files at the end of the same pass.
   std::vector<std::pair<SimTime, int>> ref_rearms;
+  // What the timer callbacks share, captured by one reference so that a
+  // callback stays within the InlineCallback capacity.
+  struct Context {
+    TimerQueue& q;
+    std::vector<int>& fired;
+    int& next_id;
+    std::vector<std::pair<SimTime, int>>& ref_rearms;
+  } ctx{q, fired, next_id, ref_rearms};
   auto add_one = [&] {
     const int id = next_id++;
     const SimTime deadline = now + SimTime::us(rng.uniform_int(-20, 200));
     const bool rearm = rng.uniform_int(0, 2) == 0;
     const SimTime rearm_at = now + SimTime::us(rng.uniform_int(-5, 50));
-    q.add(deadline, [&, id, rearm, rearm_at] {
-      fired.push_back(id);
+    q.add(deadline, [&ctx, id, rearm, rearm_at] {
+      ctx.fired.push_back(id);
       if (!rearm) return;
-      const int child = next_id++;
-      q.add(rearm_at, [&fired, child] { fired.push_back(child); });
-      ref_rearms.emplace_back(rearm_at, child);
+      const int child = ctx.next_id++;
+      ctx.q.add(rearm_at, [&fired = ctx.fired, child] { fired.push_back(child); });
+      ctx.ref_rearms.emplace_back(rearm_at, child);
     });
     ref.emplace(deadline, id);
   };
