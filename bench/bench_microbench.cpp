@@ -10,8 +10,9 @@
 //                TSC-deadline MSR (cancel+schedule pairs per re-arm).
 //   chain      — one self-rescheduling chain over a fixed background of
 //                64 far-future pending events: every event schedules the
-//                next as the strict earliest, the EventQueue front
-//                register's path (no heap push or pop per link).
+//                next as the strict earliest, into the root its pop left
+//                vacant — the EventQueue's in-place fill (no sift per
+//                link).
 //   partchurn  — partitioned churn on sim::ParallelEngine: four engines
 //                in a ring, 5us lookahead; each runs a local event pump
 //                and periodically sends a cross-partition ping that XORs

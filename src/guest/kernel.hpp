@@ -73,7 +73,7 @@ class GuestCpu final : public hv::GuestCpuIface, public TickCpu {
     return static_cast<int>(runq_.size()) + (current_ != nullptr ? 1 : 0);
   }
   [[nodiscard]] const GuestCostModel& costs() const override;
-  void push_frame(sim::InlineCallback next) override { stack_.push(std::move(next)); }
+  void push_frame(sim::InlineCallback&& next) override { stack_.push(std::move(next)); }
   void ret() override { stack_.ret(); }
   void do_tick_work() override;
   void kernel_work(sim::Cycles c) override;

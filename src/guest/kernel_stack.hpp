@@ -28,7 +28,7 @@ class KernelStack {
   /// deepest stack any bench or chaos scenario reaches is 7 frames.
   static constexpr std::size_t kCapacity = 16;
 
-  void push(sim::InlineCallback frame) {
+  void push(sim::InlineCallback&& frame) {
     PARATICK_CHECK_MSG(depth_ < kCapacity, "guest kernel stack overflow");
     frames_[depth_++] = std::move(frame);
   }
@@ -36,6 +36,8 @@ class KernelStack {
   /// Pop the top frame and run it.
   void ret() {
     PARATICK_CHECK_MSG(depth_ > 0, "guest kernel return with no frame to return to");
+    // Move the frame out before running it: the running frame may push
+    // a new frame onto the very slot it came from.
     sim::InlineCallback frame = std::move(frames_[--depth_]);
     frame();
   }

@@ -70,7 +70,7 @@ class TickCpu {
   // --- kernel-path continuations (guest/kernel_stack.hpp) ---
   /// Push the rest of the running kernel path: it runs when the next
   /// service or path returns.
-  virtual void push_frame(sim::InlineCallback next) = 0;
+  virtual void push_frame(sim::InlineCallback&& next) = 0;
   /// Return from the running kernel path now: pop the top frame, run it.
   virtual void ret() = 0;
 

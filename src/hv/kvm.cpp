@@ -177,7 +177,7 @@ void Kvm::freeze_vm(Vm& vm) {
 // ---------------------------------------------------------------------------
 
 void Kvm::charge_and_then(hw::CpuId cpu, hw::CycleCategory cat, sim::Cycles c,
-                          sim::InlineCallback then) {
+                          sim::InlineCallback&& then) {
   PARATICK_DCHECK(cpu != kNoCpu);
   auto& pcpu = machine_.cpu(cpu);
   pcpu.charge_cycles(cat, c);
@@ -248,7 +248,7 @@ void Kvm::segment_complete(Vcpu& vcpu) {
 // ---------------------------------------------------------------------------
 
 void Kvm::do_exit(Vcpu& vcpu, hw::ExitCause cause,
-                  sim::InlineCallback host_work_then_entry) {
+                  sim::InlineCallback&& host_work_then_entry) {
   PARATICK_CHECK_MSG(vcpu.state == VcpuState::kInGuest, "exit from a non-running vCPU");
   pause_current(vcpu);
   vcpu.state = VcpuState::kInHost;

@@ -157,7 +157,7 @@ class Kvm {
   // Continuations on the exit/entry hot path are sim::InlineCallback:
   // every capture lives in the event slot, no per-exit heap allocation.
   void charge_and_then(hw::CpuId cpu, hw::CycleCategory cat, sim::Cycles c,
-                       sim::InlineCallback then);
+                       sim::InlineCallback&& then);
 
   // --- segment management ---
   void start_segment(Vcpu& vcpu, sim::Cycles c, hw::CycleCategory cat, Resume then);
@@ -169,7 +169,7 @@ class Kvm {
   /// Re-enter the guest, then continue at `then`: kInterrupted after an
   /// asynchronous exit, kPortDone or kSpin after a synchronous one.
   void vmentry(Vcpu& vcpu, Resume then);
-  void do_exit(Vcpu& vcpu, hw::ExitCause cause, sim::InlineCallback host_work_then_entry);
+  void do_exit(Vcpu& vcpu, hw::ExitCause cause, sim::InlineCallback&& host_work_then_entry);
   /// A synchronous port exit: exit for `cause`, run host_work(*this, vcpu)
   /// once the exit cost is paid, re-enter and complete the verb. The work
   /// takes the Kvm as an argument rather than capturing `this`, keeping

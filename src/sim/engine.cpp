@@ -100,12 +100,12 @@ void Engine::arm_wall_limit() {
   wall_deadline_ns_ = steady_now_ns() + wall_budget_ns_;
 }
 
-EventId Engine::schedule_at(SimTime when, Callback fn) {
+EventId Engine::schedule_at(SimTime when, Callback&& fn) {
   PARATICK_CHECK_MSG(when >= now_, "cannot schedule an event in the past");
   return queue_.schedule(when, std::move(fn));
 }
 
-EventId Engine::schedule_after(SimTime delay, Callback fn) {
+EventId Engine::schedule_after(SimTime delay, Callback&& fn) {
   PARATICK_CHECK_MSG(delay >= SimTime::zero(), "negative delay");
   return queue_.schedule(now_ + delay, std::move(fn));
 }

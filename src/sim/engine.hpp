@@ -70,10 +70,10 @@ class Engine {
   [[nodiscard]] SimTime now() const { return now_; }
 
   /// Schedule `fn` at absolute time `when` (must not be in the past).
-  EventId schedule_at(SimTime when, Callback fn);
+  EventId schedule_at(SimTime when, Callback&& fn);
 
   /// Schedule `fn` after a non-negative delay from now.
-  EventId schedule_after(SimTime delay, Callback fn);
+  EventId schedule_after(SimTime delay, Callback&& fn);
 
   /// Cancel a pending event; returns true if it had not yet fired.
   bool cancel(EventId id) { return queue_.cancel(id); }

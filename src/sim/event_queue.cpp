@@ -33,18 +33,18 @@ EventId EventQueue::schedule(SimTime when, Callback&& fn) {
   ++live_;
   if (live_ > high_water_) high_water_ = live_;
   const Entry e{when, seq << kSlotBits | index};
-  // The register holds an entry only while it sorts before the whole heap.
-  // With the register empty the heap front is live, so comparing against
-  // it decides; with it held, a new earliest entry displaces it.
-  if (!front_held()) {
-    if (heap_.empty() || e < heap_.front()) {
-      front_ = e;
+  if (hole_) {
+    // Take the vacant root: e if it sorts before every child, else the
+    // least child moves up and e sifts down from its place.
+    check_vacancy();
+    hole_ = false;
+    if (e < heap_[best_]) {
+      heap_[0] = e;
     } else {
-      heap_push(e);
+      heap_[0] = heap_[best_];
+      heap_[best_] = e;
+      sift_down(best_);
     }
-  } else if (e < front_) {
-    heap_push(front_);
-    front_ = e;
   } else {
     heap_push(e);
   }
@@ -66,10 +66,10 @@ void EventQueue::retire_slot(std::uint32_t index) {
 
 bool EventQueue::cancel(EventId id) {
   if (resolve(id) == nullptr) return false;
-  const auto index = static_cast<std::uint32_t>(id.raw_);
-  retire_slot(index);
+  // Refill first, so the dead-head drop and compaction see a whole heap.
+  fill_root();
+  retire_slot(static_cast<std::uint32_t>(id.raw_));
   ++cancelled_;
-  if (front_held() && front_.slot() == index) front_.key = 0;
   drop_dead_heads();
   maybe_compact();
   return true;
@@ -78,7 +78,7 @@ bool EventQueue::cancel(EventId id) {
 void EventQueue::maybe_compact() {
   // Rebuild once dead entries exceed half of those held; (when, seq)
   // ordering is a total order, so the rebuilt heap pops in exactly the
-  // same sequence. The register is live and stays where it is.
+  // same sequence. Only cancel() calls this, with the root filled.
   const std::size_t held = heap_entries();
   if (held < kCompactMinEntries || held <= 2 * live_) return;
   std::erase_if(heap_, [this](const Entry& e) { return !entry_live(e); });
@@ -89,24 +89,33 @@ void EventQueue::maybe_compact() {
 }
 
 void EventQueue::drop_dead_heads() {
-  // A held register is live and sorts first: the earliest entry is live.
-  if (front_held()) return;
   while (!heap_.empty() && !entry_live(heap_.front())) heap_pop();
 }
 
 EventQueue::Popped EventQueue::pop() {
   PARATICK_CHECK_MSG(live_ != 0, "pop() on empty queue");
-  Entry e;
-  if (front_held()) {
-    e = front_;
-    front_.key = 0;
-  } else {
-    e = heap_.front();
-    heap_pop();
-  }
+  check_vacancy();
+  fill_root();
+  const Entry e = heap_.front();
   PARATICK_DCHECK(entry_live(e));
   Popped out{e.when, e.seq(), std::move(slots_[e.slot()].fn)};
   retire_slot(e.slot());
+  // Leave the root vacant when its least child — the earliest entry left
+  // — is live; a dead one must be dropped now, as a plain heap would.
+  const std::size_t n = heap_.size();
+  if (n > 1) {
+    const std::size_t end = std::min(kArity + 1, n);
+    std::size_t best = 1;
+    for (std::size_t c = 2; c < end; ++c) {
+      if (heap_[c] < heap_[best]) best = c;
+    }
+    if (entry_live(heap_[best])) {
+      hole_ = true;
+      best_ = best;
+      return out;
+    }
+  }
+  heap_pop();
   drop_dead_heads();
   return out;
 }

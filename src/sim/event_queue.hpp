@@ -12,20 +12,35 @@
 //
 // Ordering lives in 16-byte entries {when, key}, key = seq << 24 | slot:
 // because seqs are unique, (when, key) orders exactly as (when, seq).
-// The entries sit in a hand-written 4-ary min-heap, plus a one-entry
-// front register that holds an entry scheduled strictly before every heap
-// entry — the common "next thing to happen" schedule — so that schedule
-// and pop skip the heap entirely. The register sorts before the whole
-// heap by construction, so pop order is that of one heap over both.
+// The entries sit in a hand-written 4-ary min-heap.
+//
+// pop() leaves the heap root vacant rather than refilling it at once:
+// the event it returns almost always schedules its successor before the
+// next pop, and that schedule then takes the root with one sift_down from
+// the root's least child (none at all when it sorts before every child)
+// instead of a pop-sift plus a push-sift. A pop or cancel that finds the
+// root still vacant refills it first, exactly as a plain pop would have.
+// The root is left vacant only when its least child — the earliest
+// entry remaining — is live; otherwise pop refills at once and drops the
+// dead heads.
 //
 // Cancellation is O(1) for buried events (lazy deletion) while dead heads
 // are dropped eagerly, so the earliest entry is always live and
 // next_time() is const. To keep timer-heavy workloads (dynticks
 // constantly reprogramming) from growing the heap far beyond the live
 // event count, the heap is compacted once dead entries outnumber live
-// ones. The register is counted as a held entry everywhere, so the set of
-// entries held — and hence heap_entries() and compactions() — is the same
-// as for a single binary heap over (when, seq).
+// ones. A plain heap drops dead heads after a pop only when the least
+// remaining entry is dead, and that is exactly when the root is not left
+// vacant; the vacant root is not counted as held. So the set of entries
+// held — and hence heap_entries() and compactions() — is the same as for
+// a single binary heap over (when, seq) after every operation, and pop
+// order is fixed by the (when, key) total order.
+//
+// The vacancy saves work only when a schedule comes next. A pop or a
+// cancel that follows a pop pays the full refill sift, as before; and a
+// run of cancel + schedule pairs on a near-empty heap (a deadline
+// re-armed over and over) pushes and pops where a register outside the
+// heap would not.
 //
 // Limits (PARATICK_CHECKed): 2^24 simultaneously live events and 2^40
 // schedules over one queue's lifetime.
@@ -75,8 +90,10 @@ class EventQueue {
   /// Timestamp of the next live event. Queue must not be empty.
   [[nodiscard]] SimTime next_time() const {
     PARATICK_CHECK_MSG(live_ != 0, "next_time() on empty queue");
-    // Invariant: the register, else the heap front, is live.
-    return front_held() ? front_.when : heap_.front().when;
+    // Invariant: the earliest entry (the root's least child while the
+    // root is vacant) is live.
+    check_vacancy();
+    return hole_ ? heap_[best_].when : heap_.front().when;
   }
 
   /// Pop and return the next live event (timestamp + schedule-order
@@ -94,12 +111,10 @@ class EventQueue {
   [[nodiscard]] std::uint64_t scheduled_count() const { return scheduled_; }
   [[nodiscard]] std::uint64_t cancelled_count() const { return cancelled_; }
 
-  /// Entries physically held (heap + front register), live +
+  /// Entries physically held (the heap less a vacant root), live +
   /// not-yet-reclaimed dead (tests assert this stays within a constant
   /// factor of size()).
-  [[nodiscard]] std::size_t heap_entries() const {
-    return heap_.size() + (front_held() ? 1 : 0);
-  }
+  [[nodiscard]] std::size_t heap_entries() const { return heap_.size() - hole_; }
 
   // --- profile counters (see sim::EngineProfile) ---
 
@@ -130,7 +145,7 @@ class EventQueue {
 
   struct Entry {
     SimTime when;
-    std::uint64_t key = 0;  // seq << kSlotBits | slot; 0 only for "no entry"
+    std::uint64_t key = 0;  // seq << kSlotBits | slot
     [[nodiscard]] std::uint64_t seq() const { return key >> kSlotBits; }
     [[nodiscard]] std::uint32_t slot() const {
       return static_cast<std::uint32_t>(key & kSlotMask);
@@ -167,7 +182,10 @@ class EventQueue {
     return s.live && s.seq == e.seq();
   }
 
-  [[nodiscard]] bool front_held() const { return front_.key != 0; }
+  /// A vacant root has children to refill it from, the least live.
+  void check_vacancy() const {
+    PARATICK_DCHECK(!hole_ || (heap_.size() >= 2 && entry_live(heap_[best_])));
+  }
 
   /// Release a slot back to the free list, invalidating outstanding ids.
   void retire_slot(std::uint32_t index);
@@ -178,13 +196,20 @@ class EventQueue {
   // just written as two words would stall on store forwarding.
   void heap_push(Entry e);
   void heap_pop();
+  /// Refill a vacant root from the heap's last entry.
+  void fill_root() {
+    if (hole_) {
+      hole_ = false;
+      heap_pop();
+    }
+  }
   void sift_down(std::size_t i);
 
-  /// The earliest entry when it sorts strictly before every heap entry
-  /// (live or dead); key 0 when empty. Always live while held.
-  Entry front_;
-  // 4-ary min-heap on (when, key).
+  // 4-ary min-heap on (when, key); heap_[0] is stale while hole_.
   std::vector<Entry> heap_;
+  /// While hole_, the index of the root's least child (live).
+  std::size_t best_ = 0;
+  bool hole_ = false;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
   std::size_t live_ = 0;

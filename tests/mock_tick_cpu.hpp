@@ -43,7 +43,7 @@ class MockTickCpu final : public TickCpu {
   [[nodiscard]] int nr_running() const override { return running; }
   [[nodiscard]] const GuestCostModel& costs() const override { return cost_model; }
 
-  void push_frame(sim::InlineCallback next) override { frames.push(std::move(next)); }
+  void push_frame(sim::InlineCallback&& next) override { frames.push(std::move(next)); }
   void ret() override {
     if (frames.empty()) {
       ++returns;

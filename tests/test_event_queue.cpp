@@ -257,7 +257,7 @@ TEST(EventQueue, ProfileCountersTrackSpillsAndOccupancy) {
 }
 
 
-// ---- oracle: the queue before its front register and 4-ary heap --------
+// ---- oracle: the queue before its vacant root and 4-ary heap ----------
 
 /// The former EventQueue, ordering only: a binary heap of (when, seq,
 /// slot) entries via std::*_heap, live slots in a LIFO-recycled slot map,
@@ -418,73 +418,102 @@ class OracleHarness {
   std::uint64_t ran_ = 0;
 };
 
-// The register holds 20 ns; 10 ns sorts strictly before it and takes its
-// place, pushing 20 ns into the heap.
-TEST(EventQueueOracle, ScheduleStrictlyBeforeTheRegister) {
+// After a pop the root is vacant; a schedule that sorts before every
+// child (here also equal to the popped time, a later seq) is written
+// straight into the root.
+TEST(EventQueueOracle, ScheduleBeforeEveryChildFillsTheRootInPlace) {
   OracleHarness h;
-  h.schedule(SimTime::ns(30));
-  h.schedule(SimTime::ns(20));
+  for (int t : {10, 30, 20, 40, 50, 60}) h.schedule(SimTime::ns(t));
+  h.pop();  // 10; children 20..50 are live
   h.schedule(SimTime::ns(10));
   h.schedule(SimTime::ns(15));
   while (!h.empty()) h.pop();
 }
 
-// An equal time sorts after the register (later seq) and goes to the
-// heap; FIFO order between the two must hold.
-TEST(EventQueueOracle, EqualTimeTieWithTheRegister) {
+// A schedule after the root's least child: the child moves up into the
+// root and the new entry sifts down from the child's place, including
+// into the subtree below it and at an equal time (FIFO).
+TEST(EventQueueOracle, ScheduleAfterTheLeastChildSiftsDownFromIt) {
   OracleHarness h;
-  h.schedule(SimTime::ns(10));
-  h.schedule(SimTime::ns(10));
-  h.schedule(SimTime::ns(5));
-  h.schedule(SimTime::ns(5));
-  h.schedule(SimTime::ns(10));
-  while (!h.empty()) h.pop();
-}
-
-// Cancelling the register entry empties it and drops the dead heads
-// behind it, exactly as the old heap dropped its dead front.
-TEST(EventQueueOracle, CancelTheRegisterEntry) {
-  OracleHarness h;
-  const std::size_t far = h.schedule(SimTime::ns(50));
-  const std::size_t mid = h.schedule(SimTime::ns(40));  // register; 50 to heap
-  h.schedule(SimTime::ns(60));
-  h.cancel(far);  // buried under the register: stays held, dead
-  h.cancel(mid);  // the register: 50 (dead) is dropped with it
-  h.cancel(mid);  // stale
+  for (int t = 1; t <= 30; ++t) h.schedule(SimTime::ns(t * 10));
+  h.pop();  // 10
+  h.schedule(SimTime::ns(1000));
+  h.pop();  // 20
+  h.schedule(SimTime::ns(30));  // ties the least child, later seq
+  h.pop();
   h.schedule(SimTime::ns(45));
   while (!h.empty()) h.pop();
 }
 
-// Cancelling the heap top while the register is held leaves it held
-// (dead) until the register pops, as the old heap did under its live front.
-TEST(EventQueueOracle, CancelTheHeapTopWhileTheRegisterIsHeld) {
+// Pops with nothing scheduled between them: each refills the vacant root
+// it was left before taking the next entry.
+TEST(EventQueueOracle, PopAfterPopRefillsTheVacantRoot) {
   OracleHarness h;
-  const std::size_t top = h.schedule(SimTime::ns(20));
-  h.schedule(SimTime::ns(30));
-  h.schedule(SimTime::ns(10));  // register; 20 becomes the heap top
-  h.cancel(top);
-  h.pop();  // the register; the dead 20 is dropped now
+  for (int t : {70, 10, 50, 20, 60, 30, 40, 10, 90, 80}) h.schedule(SimTime::ns(t));
+  while (!h.empty()) h.pop();
+  h.schedule(SimTime::ns(100));
+  h.pop();
+}
+
+// Cancels while the root is vacant: the least child (so the dead heads
+// behind it go too), a stale handle, and one that compacts. Each refills
+// the root first, so dead-head drops and compaction match a plain heap.
+TEST(EventQueueOracle, CancelWhileTheRootIsVacant) {
+  OracleHarness h;
+  h.schedule(SimTime::ns(1));
+  const std::size_t least = h.schedule(SimTime::ns(5));
+  for (int t : {7, 8, 9}) h.schedule(SimTime::ns(t));
+  std::vector<std::size_t> doomed;
+  for (int i = 0; i < 100; ++i) doomed.push_back(h.schedule(SimTime::ns(1000 + i)));
+  h.pop();          // 1; 5 is the least child
+  h.cancel(least);  // refill, then drop the dead 5
+  h.cancel(least);  // stale
+  // Buried under 7: 103 held, 52 live — one short of compacting.
+  for (std::size_t i = 0; i <= 50; ++i) h.cancel(doomed[i]);
+  h.pop();  // 7; 8 is the least child: 102 held, 51 live
+  EXPECT_EQ(h.compactions(), 0u);
+  h.cancel(doomed[51]);  // 102 held > 2 x 50 live
+  EXPECT_EQ(h.compactions(), 1u);
   while (!h.empty()) h.pop();
 }
 
-// Enough dead heap entries under a held register to trigger compaction:
-// the register counts as held, is live, and survives the rebuild.
-TEST(EventQueueOracle, CompactionWhileTheRegisterIsHeld) {
+// A pop whose least remaining entry is dead refills at once and drops
+// the dead heads, as a plain heap does, keeping heap_entries() in step.
+TEST(EventQueueOracle, PopWithADeadLeastChildRefillsEagerly) {
   OracleHarness h;
-  std::vector<std::size_t> doomed;
-  for (int i = 0; i < 100; ++i) doomed.push_back(h.schedule(SimTime::ns(1000 + i)));
-  h.schedule(SimTime::ns(1));  // the register, below every heap entry
-  for (const std::size_t i : doomed) h.cancel(i);
-  EXPECT_GT(h.compactions(), 0u);
+  const std::size_t first = h.schedule(SimTime::ns(10));
+  std::vector<std::size_t> dead;
+  for (int t : {20, 21, 22}) dead.push_back(h.schedule(SimTime::ns(t)));
+  for (int t : {30, 40, 50}) h.schedule(SimTime::ns(t));
+  for (const std::size_t i : dead) h.cancel(i);  // buried under the live 10
+  h.cancel(first);  // the root: drops 10 and 20..22, root filled
+  h.schedule(SimTime::ns(5));
+  const std::size_t next = h.schedule(SimTime::ns(25));
+  h.cancel(next);   // buried under 5
+  h.pop();          // 5; the least child (25) is dead
+  h.schedule(SimTime::ns(35));
   while (!h.empty()) h.pop();
+}
+
+// A pop from a one-entry heap leaves an empty heap, not a vacancy.
+TEST(EventQueueOracle, PopFromAOneEntryHeap) {
+  OracleHarness h;
+  h.schedule(SimTime::ns(10));
+  h.pop();
+  h.schedule(SimTime::ns(20));
+  h.schedule(SimTime::ns(15));
+  h.pop();
+  h.pop();
+  h.schedule(SimTime::ns(30));
+  h.pop();
 }
 
 // Randomized schedule/cancel/pop mixes. Each round grows the queue with
 // schedules, pops and stray cancels (any handle ever handed out, so mostly
 // stale ones), then cancels nine in ten live events in random order
 // between further schedules and pops, which compacts several times.
-// Times cluster at and just after the last popped time (ties, register
-// displacements) with a far tail.
+// Times cluster at and just after the last popped time (ties, schedules
+// into a vacant root) with a far tail.
 class EventQueueOracleMix : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EventQueueOracleMix, MatchesTheReferenceAfterEveryOperation) {

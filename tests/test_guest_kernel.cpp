@@ -3,6 +3,9 @@
 // preemption — exercised through small full-system simulations.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "core/system.hpp"
 #include "expect_error.hpp"
 #include "guest/kernel_stack.hpp"
@@ -319,6 +322,40 @@ TEST(KernelStack, ReturnsLastFrameFirstAndRejectsOverflowAndUnderflow) {
   EXPECT_SIM_ERROR(stack.ret(), "no frame to return to");
   for (std::size_t i = 0; i < KernelStack::kCapacity; ++i) stack.push([] {});
   EXPECT_SIM_ERROR(stack.push([] {}), "stack overflow");
+}
+
+// Frames are moved, never copied: a captured shared_ptr is shared by the
+// test and the pushed frame only, and released once ret() has run it.
+TEST(KernelStack, FramesMoveInAndAreReleasedAfterRunning) {
+  KernelStack stack;
+  auto token = std::make_shared<int>(7);
+  int seen = 0;
+  stack.push([token, &seen] { seen = *token; });
+  EXPECT_EQ(token.use_count(), 2);
+  stack.ret();
+  EXPECT_EQ(seen, 7);
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_TRUE(stack.empty());
+}
+
+// A frame that pushes from inside its own ret() reuses the slot it was
+// popped from; it must still run to completion, and the new frame is the
+// one the next ret() runs.
+TEST(KernelStack, AFramePushedFromARunningFrameRunsNext) {
+  KernelStack stack;
+  std::vector<int> ran;
+  stack.push([&ran] { ran.push_back(0); });
+  stack.push([&stack, &ran] {
+    stack.push([&ran] { ran.push_back(2); });
+    ran.push_back(1);
+  });
+  stack.ret();
+  EXPECT_EQ(ran, (std::vector<int>{1}));
+  stack.ret();
+  EXPECT_EQ(ran, (std::vector<int>{1, 2}));
+  stack.ret();
+  EXPECT_EQ(ran, (std::vector<int>{1, 2, 0}));
+  EXPECT_TRUE(stack.empty());
 }
 
 // An interrupt injected at the VM entry that completes a synchronous port
