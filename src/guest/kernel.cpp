@@ -208,6 +208,11 @@ void GuestCpu::expire_timers() {
 void GuestCpu::queue_kick(int target_cpu) {
   if (std::find(pending_kicks_.begin(), pending_kicks_.end(), target_cpu) ==
       pending_kicks_.end()) {
+    // Sized once, on the first kick: a barrier release can kick every
+    // sibling at once, and a VM that never sends a wake IPI pays nothing.
+    if (pending_kicks_.capacity() == 0) {
+      pending_kicks_.reserve(static_cast<std::size_t>(kernel_.cpu_count()));
+    }
     pending_kicks_.push_back(target_cpu);
   }
 }

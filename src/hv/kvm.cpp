@@ -23,8 +23,11 @@ constexpr auto kNoHostWork = [](Kvm&, Vcpu&) {};
 // ---------------------------------------------------------------------------
 
 Kvm::Kvm(sim::Engine& engine, hw::Machine& machine, HostConfig config)
-    : engine_(engine), machine_(machine), config_(config), rng_(config.seed) {
-  pcpus_.resize(machine.cpu_count());
+    : engine_(engine),
+      machine_(machine),
+      config_(config),
+      rng_(config.seed),
+      pcpus_(machine.cpu_count()) {
   const sim::SimTime period = config_.host_tick_freq.period();
   for (std::size_t i = 0; i < pcpus_.size(); ++i) {
     const hw::CpuId cpu = static_cast<hw::CpuId>(i);
@@ -35,8 +38,7 @@ Kvm::Kvm(sim::Engine& engine, hw::Machine& machine, HostConfig config)
                                                    static_cast<std::uint64_t>(
                                                        std::max<std::int64_t>(
                                                            period.nanoseconds(), 1))));
-    pcpus_[i].host_tick = std::make_unique<hw::DeadlineTimer>(
-        engine_, [this, cpu] { on_host_tick(cpu); });
+    pcpus_[i].host_tick.emplace(engine_, [this, cpu] { on_host_tick(cpu); });
   }
 }
 
@@ -326,14 +328,15 @@ void Kvm::vmentry(Vcpu& vcpu, Resume then) {
         if (vcpu.guest_irqs_enabled && vcpu.pending.any_pending()) {
           const hw::Vector v = *vcpu.pending.ack();
           // Stash what the injection interrupts so iret can restore it.
+          PARATICK_CHECK_MSG(!vcpu.interrupted, "injection into a running handler");
           if (vcpu.current.suspended) {
             PARATICK_CHECK(then == Resume::kInterrupted);
-            vcpu.interrupted.push_back(SavedContext{
-                vcpu.current.remaining, vcpu.current.category, vcpu.current.then});
+            vcpu.interrupted = SavedContext{vcpu.current.remaining,
+                                            vcpu.current.category, vcpu.current.then};
             vcpu.current = Vcpu::CurrentSegment{};
           } else {
-            vcpu.interrupted.push_back(
-                SavedContext{sim::Cycles::zero(), hw::CycleCategory::kGuestUser, then});
+            vcpu.interrupted =
+                SavedContext{sim::Cycles::zero(), hw::CycleCategory::kGuestUser, then};
           }
           vcpu.guest_irqs_enabled = false;
           ++vcpu.injections;
@@ -437,7 +440,7 @@ void Kvm::port_hlt(Vcpu& vcpu) {
 
 void Kvm::port_iret(Vcpu& vcpu) {
   PARATICK_CHECK(vcpu.state == VcpuState::kInGuest);
-  PARATICK_CHECK_MSG(!vcpu.interrupted.empty(), "iret with no interrupted context");
+  PARATICK_CHECK_MSG(vcpu.interrupted.has_value(), "iret with no interrupted context");
   if (vcpu.pending.any_pending()) {
     // Another vector is already pending: deliver it back-to-back without
     // unmasking (like consecutive interrupt frames). Hold the vCPU in
@@ -455,8 +458,8 @@ void Kvm::port_iret(Vcpu& vcpu) {
     return;
   }
   vcpu.guest_irqs_enabled = true;
-  const SavedContext ctx = vcpu.interrupted.back();
-  vcpu.interrupted.pop_back();
+  const SavedContext ctx = *vcpu.interrupted;
+  vcpu.interrupted.reset();
   if (ctx.remaining > sim::Cycles::zero()) {
     auto& cur = vcpu.current;
     PARATICK_CHECK(!cur.active && !cur.suspended);

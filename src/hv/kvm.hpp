@@ -146,10 +146,13 @@ class Kvm {
   void port_spin(Vcpu& vcpu, sim::Cycles c);
 
  private:
+  /// One per physical CPU. The host tick timer lives in place (filled in
+  /// by the constructor), so pcpus_ is sized once, at construction, and
+  /// never has to move a PcpuState.
   struct PcpuState {
     Vcpu* occupant = nullptr;
     sim::RingQueue<Vcpu*> runqueue;  // shared mode: Ready vCPUs waiting for this pCPU
-    std::unique_ptr<hw::DeadlineTimer> host_tick;
+    std::optional<hw::DeadlineTimer> host_tick;
     sim::SimTime tick_phase;
   };
 

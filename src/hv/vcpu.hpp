@@ -2,7 +2,7 @@
 //
 // Mirrors the relevant parts of KVM's kvm_vcpu, including the `last_tick`
 // field paratick adds (§5.1). The execution context (a paused guest code
-// segment plus a stack of interrupted contexts) is what lets the
+// segment plus the context an injected interrupt preempted) is what lets the
 // event-driven simulator pause guest code around VM exits. It is plain
 // data: where guest code continues is a Resume value, never a callable.
 #pragma once
@@ -118,7 +118,10 @@ class Vcpu {
     Resume then = Resume::kPortDone;  // what follows the segment's completion
   };
   CurrentSegment current;
-  std::vector<SavedContext> interrupted;  // stack of guest-visible interruptions
+  /// What the handler now running preempted, restored by iret. At most
+  /// one: injection needs guest_irqs_enabled and handlers run masked
+  /// (back-to-back vectors reuse the frame), so nothing nests.
+  std::optional<SavedContext> interrupted;
   /// Cycles a pause-loop-exiting spin still has to burn after its pause
   /// exit. One per vCPU suffices: only task code spins, never a handler.
   sim::Cycles spin_left;

@@ -31,6 +31,7 @@ Program make_fio_program(const FioSpec& spec) {
   req.bytes = spec.block_bytes;
 
   Program prog;
+  prog.reserve(2);
   prog.io(req);
   // Per-op CPU: buffer copy + checksum, scaling mildly with block size.
   prog.compute(spec.think_cycles +

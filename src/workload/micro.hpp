@@ -22,6 +22,8 @@ struct SyncStormSpec {
   sim::CpuFrequency cpu_freq{2.0};
   double load = 0.5;  // fraction of each period spent computing
 };
+/// One storm thread's program.
+[[nodiscard]] Program make_sync_storm_program(const SyncStormSpec& spec);
 void install_sync_storm(guest::GuestKernel& kernel, const SyncStormSpec& spec);
 
 /// A single task that sleeps at a fixed rate — churns the guest timer
@@ -32,6 +34,7 @@ struct TickStormSpec {
   int iterations = 5000;
   std::int64_t think_cycles = 5'000;
 };
+[[nodiscard]] Program make_tick_storm_program(const TickStormSpec& spec);
 void install_tick_storm(guest::GuestKernel& kernel, const TickStormSpec& spec);
 
 /// Request/response server: each worker waits for a Poisson "request"
@@ -45,6 +48,8 @@ struct ServerSpec {
   std::int64_t service_cycles = 40'000;  // 20 us at 2 GHz
   int requests_per_worker = 2000;
 };
+/// One worker's program.
+[[nodiscard]] Program make_server_program(const ServerSpec& spec);
 void install_server(guest::GuestKernel& kernel, const ServerSpec& spec);
 
 /// Pure sequential compute (calibration floor: no sync, no I/O).
@@ -52,6 +57,7 @@ struct PureComputeSpec {
   std::int64_t total_cycles = 200'000'000;
   int chunks = 200;
 };
+[[nodiscard]] Program make_pure_compute_program(const PureComputeSpec& spec);
 void install_pure_compute(guest::GuestKernel& kernel, const PureComputeSpec& spec);
 
 }  // namespace paratick::workload

@@ -87,11 +87,21 @@ hw::IoRequest input_read(std::uint32_t bytes) {
   return req;
 }
 
+// Each builder reserves its largest op count (the io and fault ops are
+// conditional), so building a program allocates once.
+
+/// Ops of a data-parallel phase: a compute burst and a critical section
+/// per sync op, then the last burst, io, fault and the barrier.
+std::size_t sync_program_ops(const ParsecProfile& p) {
+  return 2 * static_cast<std::size_t>(p.sync_ops_per_phase) + 4;
+}
+
 Program sequential_program(const ParsecProfile& p) {
   Program prog;
   const double io_prob = std::max(p.io_prob, p.seq_io_prob);
   if (p.pipeline) {
     // One thread performs every stage's work per item, in order.
+    prog.reserve(3);
     prog.compute_exp(p.item_cycles + 3 * p.consumer_cycles);
     if (io_prob > 0.0) prog.io(input_read(p.io_block_bytes), io_prob);
     if (p.fault_prob > 0.0) prog.fault(p.fault_prob);
@@ -101,6 +111,7 @@ Program sequential_program(const ParsecProfile& p) {
   const int chunks = p.sync_ops_per_phase + 1;
   const std::int64_t gap =
       (p.phase_compute_cycles - p.sync_ops_per_phase * p.lock_hold_cycles) / chunks;
+  prog.reserve(sync_program_ops(p));
   for (int s = 0; s < p.sync_ops_per_phase; ++s) {
     prog.compute_exp(gap);
     prog.critical(p.hot_locks, p.lock_hold_cycles);  // uncontended when alone
@@ -122,6 +133,7 @@ Program barrier_program(const ParsecProfile& p, int nthreads, int thread_index) 
   // Lock granularity scales with parallelism (as real codes partition
   // their data), keeping per-lock contention constant across VM sizes.
   const int hot = std::max(p.hot_locks, p.hot_locks * nthreads / 4);
+  prog.reserve(sync_program_ops(p));
   for (int s = 0; s < p.sync_ops_per_phase; ++s) {
     prog.compute_exp(gap);
     prog.critical(hot, p.lock_hold_cycles);
@@ -138,6 +150,7 @@ Program barrier_program(const ParsecProfile& p, int nthreads, int thread_index) 
 
 Program producer_program(const ParsecProfile& p, int group) {
   Program prog;
+  prog.reserve(4);
   prog.compute_exp(p.item_cycles);
   if (p.io_prob > 0.0) prog.io(input_read(p.io_block_bytes), p.io_prob);
   if (p.fault_prob > 0.0) prog.fault(p.fault_prob);
@@ -148,6 +161,7 @@ Program producer_program(const ParsecProfile& p, int group) {
 
 Program consumer_program(const ParsecProfile& p, int group) {
   Program prog;
+  prog.reserve(3);
   prog.sem_wait(group);
   prog.compute_exp(p.consumer_cycles);
   if (p.fault_prob > 0.0) prog.fault(p.fault_prob);

@@ -46,6 +46,12 @@ struct Op {
 
 class Program {
  public:
+  /// Room for `n` ops, so a builder that knows its op count allocates the
+  /// list once instead of growing it one push at a time.
+  Program& reserve(std::size_t n) {
+    ops_.reserve(n);
+    return *this;
+  }
   Program& compute(std::int64_t cycles) {
     ops_.push_back({Op::Kind::kCompute, cycles, 0.0, 0, {}, {}});
     return *this;

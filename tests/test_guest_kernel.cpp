@@ -390,19 +390,19 @@ TEST_P(InterruptedVerb, PathContinuesOnceAfterTheHandlersIret) {
 
   bool saw_handler = false;
   while (task.blocks == 0) {
-    const bool in_handler = !vcpu.interrupted.empty();
+    const bool in_handler = vcpu.interrupted.has_value();
     ASSERT_TRUE(system.engine().step());
-    if (!vcpu.interrupted.empty() && !saw_handler) {
+    if (vcpu.interrupted.has_value() && !saw_handler) {
       saw_handler = true;
       // Injected at the entry completing the write: the saved context is
       // the verb's completion, not a partial segment or the idle loop.
-      EXPECT_EQ(vcpu.interrupted.back().then, hv::Resume::kPortDone);
-      EXPECT_EQ(vcpu.interrupted.back().remaining, Cycles{0});
+      EXPECT_EQ(vcpu.interrupted->then, hv::Resume::kPortDone);
+      EXPECT_EQ(vcpu.interrupted->remaining, Cycles{0});
     }
     if (task.blocks != 0) {
       // The path continued in the step that ran the handler's iret.
       EXPECT_TRUE(in_handler);
-      EXPECT_TRUE(vcpu.interrupted.empty());
+      EXPECT_FALSE(vcpu.interrupted.has_value());
     }
   }
   EXPECT_TRUE(saw_handler);
