@@ -347,7 +347,7 @@ ClusterResult Cluster::collect() {
     out.profile = fabric_->profile();
     out.state_digest = fabric_->state_digest();
     // Round counters ride the merged RunResult into the sweep pipeline
-    // (run records -> cell accumulators -> sweep JSON / --profile table).
+    // (runs -> cell accumulators -> sweep JSON / --profile table).
     // They are pure functions of the spec.
     m.par_windows = out.profile.quanta;
     m.par_windows_skipped = out.profile.windows_skipped;

@@ -237,8 +237,10 @@ void check_integer(double v, int digits, bool is_signed, const char* what) {
 
 std::string str_field(const Value& obj, const char* key) {
   const Value* v = obj.find(key);
-  PARATICK_CHECK_MSG(v != nullptr && v->type == Value::Type::kString,
-                     "json: missing string field");
+  if (v == nullptr || v->type != Value::Type::kString) {
+    const std::string msg = std::string("json: missing string field \"") + key + "\"";
+    PARATICK_CHECK_MSG(false, msg.c_str());
+  }
   return v->str;
 }
 

@@ -35,7 +35,8 @@ struct Value {
 /// on malformed input.
 [[nodiscard]] Value parse(const std::string& text);
 
-/// Object field helpers; `num` falls back, `str` CHECKs presence.
+/// Object field helpers; `num` falls back, `str` CHECKs presence and
+/// names `key` when it is missing or not a string.
 [[nodiscard]] double num_field(const Value& obj, const char* key,
                                double fallback = 0.0);
 [[nodiscard]] std::string str_field(const Value& obj, const char* key);

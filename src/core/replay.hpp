@@ -3,25 +3,42 @@
 // Because a sweep run is a pure function of (SweepConfig, run_index) —
 // seeds and fault plans are derived, never drawn from the schedule — a
 // failure reproduces from the config identity plus the index. A bundle is
-// the sweep schema of core/run_record.hpp plus the knobs a plan does not
-// carry:
+// a plan header, the fault knobs and one failed run:
 //
-//   {"kind": "paratick-replay-bundle", "plan": <plan header>,
+//   {"kind": "paratick-replay-bundle",
+//    "plan": {"kind": "paratick-dispatch-plan", "bench": ..., "root_seed":
+//             ..., "repeat": ..., "total_runs": ..., "cells": [...]},
 //    "scenario": ..., "fault": {...},
-//    "run": <the failed run's record>}
+//    "run": {"run_index": ..., "cell": ..., "replica": ..., "seed": ...,
+//            "executed": ..., "ok": ..., "host_seconds": ...,
+//            "failure": {...}}}
 //
 // so `bench_replay` can re-run the exact failing simulation to the same
 // event and verify the error matches. No wall-clock value enters a
-// bundle: a sweep at any -j writes the same bytes as a -j1 one.
+// bundle: a sweep at any -j writes the same bytes as a -j1 one. The
+// plan's kind string and the run's "executed", "ok" and "host_seconds"
+// keys are kept byte for byte so bundles written by earlier builds still
+// load; replay reads none of the three run keys.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
-#include "core/run_record.hpp"
 #include "core/sweep.hpp"
 #include "fault/fault.hpp"
 
 namespace paratick::core {
+
+/// The producing sweep's identity: the bundle's run is read against it,
+/// and a replay's grid must match it.
+struct PlanInfo {
+  std::string bench;
+  std::uint64_t root_seed = 0;
+  int repeat = 1;
+  std::size_t total_runs = 0;       // cells.size() * repeat
+  std::vector<SweepCellKey> cells;  // full grid, grid order
+};
 
 struct ReplayBundle {
   PlanInfo plan;         // the producing sweep's identity and grid
@@ -40,18 +57,21 @@ struct ReplayBundle {
                                               const SweepRun& run,
                                               const std::string& dir);
 
-/// Parse / load a bundle. Throws sim::SimError on malformed documents,
-/// on a run outside the bundle's plan and on a run that did not fail;
-/// load includes the path in the error message.
+/// Parse / load a bundle. Throws sim::SimError on malformed documents
+/// (a missing or non-numeric number names its key), on a plan whose
+/// total_runs is not cells * repeat, on a run outside the bundle's plan
+/// and on a run that did not fail; load includes the path in the error
+/// message.
 [[nodiscard]] ReplayBundle parse_replay_bundle(const std::string& json_text);
 [[nodiscard]] ReplayBundle load_replay_bundle(const std::string& path);
 
 /// Re-execute the bundle's run against an explicit sweep config. The
 /// bundle's identity fields (root seed, repeat, faults)
 /// override the config's, so the run is exactly the one that failed.
-/// Throws sim::SimError naming the differing field when the config's grid
-/// no longer matches the bundle's plan, or the run's derived seed differs
-/// from the recorded one: the index would name a different run.
+/// Throws sim::SimError naming the grid size or the first differing cell
+/// when the config's grid no longer matches the bundle's plan, or when
+/// the run's derived seed differs from the recorded one: the index would
+/// name a different run.
 [[nodiscard]] SweepRun replay_run(SweepConfig cfg, const ReplayBundle& b);
 
 /// Re-execute using the registered chaos-scenario registry

@@ -146,14 +146,6 @@ SweepRunner::SweepRunner(SweepConfig cfg) : cfg_(std::move(cfg)) {
   PARATICK_CHECK_MSG(cfg_.repeat >= 1, "sweep repeat must be >= 1");
 }
 
-std::size_t SweepRunner::cell_count() const {
-  return SweepPlan::make(cfg_).cell_count();
-}
-
-std::size_t SweepRunner::total_runs() const {
-  return SweepPlan::make(cfg_).total_runs();
-}
-
 SweepResult SweepRunner::run() const {
   PARATICK_CHECK_MSG(cfg_.observer == nullptr,
                      "SweepConfig::observer is for one run (execute_run); "

@@ -101,6 +101,8 @@ struct SweepCellKey {
   double overcommit = 0.0;
 
   [[nodiscard]] std::string label() const;
+
+  bool operator==(const SweepCellKey&) const = default;
 };
 
 /// Why a run produced no result (crash-isolated failure record).
@@ -124,6 +126,8 @@ struct RunFailure {
   /// Inverse of kind_name; throws sim::SimError naming `name` on anything
   /// else.
   [[nodiscard]] static Kind kind_from_name(const std::string& name);
+
+  bool operator==(const RunFailure&) const = default;
 };
 
 /// One simulation run (cell x replica).
@@ -133,7 +137,8 @@ struct SweepRun {
   int replica = 0;
   std::uint64_t seed = 0;
   /// Set once the run has executed. Every run of a SweepResult has; the
-  /// flag is kept because run records carry it ("executed").
+  /// flag is kept because perfbench's harness reads it, and a replay
+  /// bundle keeps its "executed" key so older bundles still load.
   bool executed = false;
   bool ok = false;
   metrics::RunResult result;             // valid only when executed && ok
@@ -241,9 +246,6 @@ struct SweepResult {
 class SweepRunner {
  public:
   explicit SweepRunner(SweepConfig cfg);
-
-  [[nodiscard]] std::size_t cell_count() const;
-  [[nodiscard]] std::size_t total_runs() const;
 
   /// Plan the grid, execute every run on the in-process thread pool
   /// (cfg.threads workers), and aggregate. Reusable.

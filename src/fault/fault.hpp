@@ -78,6 +78,8 @@ struct FaultStats {
            io_spikes + steal_bursts + ticks_delayed + softirq_spurious +
            softirq_dropped;
   }
+
+  bool operator==(const FaultStats&) const = default;
 };
 
 }  // namespace paratick::fault

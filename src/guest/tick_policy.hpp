@@ -136,6 +136,8 @@ class TickPolicy {
     std::uint64_t idle_entries = 0;
     std::uint64_t idle_exits = 0;
     std::uint64_t busy_stops = 0;  // NO_HZ_FULL adaptive stops while running
+
+    bool operator==(const Stats&) const = default;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 

@@ -70,6 +70,8 @@ class CycleLedger {
     for (std::size_t i = 0; i < kCycleCategoryCount; ++i) totals_[i] += other.totals_[i];
   }
 
+  bool operator==(const CycleLedger&) const = default;
+
  private:
   std::array<sim::Cycles, kCycleCategoryCount> totals_{};
 };

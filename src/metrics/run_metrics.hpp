@@ -39,6 +39,8 @@ struct VmResult {
   /// Guest-side platform-agnostic steal estimate (engaged only when the
   /// guest kernel runs the estimator); judged against steal_time.
   std::optional<sim::SimTime> steal_estimate;
+
+  bool operator==(const VmResult&) const = default;
 };
 
 struct RunResult {
@@ -78,6 +80,8 @@ struct RunResult {
 
   /// Exit rate over the run, 1/s.
   [[nodiscard]] double exits_per_second() const;
+
+  bool operator==(const RunResult&) const = default;
 };
 
 /// Relative improvement of `treatment` over `baseline`, using the

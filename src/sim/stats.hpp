@@ -30,24 +30,15 @@ class Accumulator {
   /// Merge another accumulator into this one (parallel-combine form).
   void merge(const Accumulator& other);
 
-  /// Raw Welford state, for exact serialization into run records (replay
-  /// bundles). Round-tripping through state()/from_state reproduces the
-  /// accumulator bit-for-bit, so a replayed record equals the recorded one.
+  /// Raw Welford state, read by the benchmark harness (perfbench/) to
+  /// digest a run's accumulators bit for bit.
   struct State {
     std::uint64_t n = 0;
     double mean = 0.0, m2 = 0.0, sum = 0.0, min = 0.0, max = 0.0;
   };
   [[nodiscard]] State state() const { return {n_, mean_, m2_, sum_, min_, max_}; }
-  [[nodiscard]] static Accumulator from_state(const State& s) {
-    Accumulator a;
-    a.n_ = s.n;
-    a.mean_ = s.mean;
-    a.m2_ = s.m2;
-    a.sum_ = s.sum;
-    a.min_ = s.min;
-    a.max_ = s.max;
-    return a;
-  }
+
+  bool operator==(const Accumulator&) const = default;
 
  private:
   std::uint64_t n_ = 0;
@@ -74,15 +65,7 @@ class LogHistogram {
   [[nodiscard]] std::string to_string() const;
   [[nodiscard]] const std::vector<std::uint64_t>& buckets() const { return buckets_; }
 
-  /// Rebuild a histogram from exported bucket counts (the inverse of
-  /// buckets(), for deserializing run records).
-  [[nodiscard]] static LogHistogram from_buckets(std::vector<std::uint64_t> buckets) {
-    LogHistogram h;
-    h.buckets_ = std::move(buckets);
-    h.total_ = 0;
-    for (const std::uint64_t b : h.buckets_) h.total_ += b;
-    return h;
-  }
+  bool operator==(const LogHistogram&) const = default;
 
  private:
   std::vector<std::uint64_t> buckets_;

@@ -120,6 +120,22 @@ expect(2 "missing bundle" "${BENCH_DIR}/bench_replay" --quiet)
 expect(2 "unknown flag --bisect.*--help +print this listing" "${BENCH_DIR}/bench_replay"
        --bisect bundle.json)
 
+# A bundle missing a number the replay reads is a bad bundle (exit 2,
+# naming the key), not a different run that diverges (exit 1).
+set(failure_dir "${CMAKE_CURRENT_BINARY_DIR}/cli_exit_codes_failures")
+file(REMOVE_RECURSE "${failure_dir}")
+expect(0 "DEGRADED" "${BENCH_DIR}/bench_chaos" tick-loss --repeat 1 --quiet
+       --failure-dir "${failure_dir}")
+file(READ "${failure_dir}/bench_chaos/run0.json" bundle)
+string(REPLACE "\"timer_drop_prob\": 1, " "" dropped "${bundle}")
+if(dropped STREQUAL bundle)
+  message(SEND_ERROR "tick-loss bundle has no \"timer_drop_prob\": 1 to drop")
+endif()
+file(WRITE "${failure_dir}/missing_key.json" "${dropped}")
+expect(2 "missing number field \"timer_drop_prob\"" "${BENCH_DIR}/bench_replay"
+       "${failure_dir}/missing_key.json" --quiet)
+file(REMOVE_RECURSE "${failure_dir}")
+
 foreach(e quickstart io_latency tick_freq_mismatch)
   expect(2 "unexpected argument 'stray'" "${EXAMPLE_DIR}/${e}" stray)
 endforeach()

@@ -518,6 +518,49 @@ TEST(ChaosSweep, BundleThatNoLongerMatchesItsGridIsRefused) {
   EXPECT_SIM_ERROR((void)core::replay_bundle(root_edited), "seed differs");
 }
 
+// Every number a replay reads is required: a fault knob or run index read
+// as 0 would replay a different run and report a divergence, not a bad
+// bundle. Dropping any one of them, or giving it a string, names the key;
+// so does dropping a string the replay reads.
+TEST(ChaosSweep, BundleWithoutAValueTheReplayReadsNamesTheKey) {
+  for (const char* key :
+       {"timer_drop_prob", "timer_late_prob", "timer_late_max_ns",
+        "timer_coalesce_prob", "timer_coalesce_window_ns", "tsc_drift_ppm",
+        "io_error_prob", "io_spike_prob", "io_spike_factor",
+        "steal_burst_prob", "steal_burst_max_ns", "tick_delay_prob",
+        "softirq_spurious_prob", "softirq_drop_prob", "run_index", "cell",
+        "replica", "line", "sim_time_ns", "events"}) {
+    const std::string quoted = std::string("\"") + key + "\"";
+    std::string text = kPinnedBundle;
+    const std::size_t at = text.find(quoted + ": ");
+    ASSERT_NE(at, std::string::npos) << key;
+    // Drop `"key": <number>` and the ", " that joins it to a neighbour.
+    const std::size_t end = text.find_first_of(",}", at);
+    if (text[end] == ',') {
+      text.erase(at, end + 2 - at);
+    } else {
+      text.erase(at - 2, end - at + 2);
+    }
+    EXPECT_SIM_ERROR((void)core::parse_replay_bundle(text), quoted);
+  }
+  const auto edited = [](const std::string& from, const std::string& to) {
+    std::string text = kPinnedBundle;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) text.replace(at, from.size(), to);
+    return text;
+  };
+  EXPECT_SIM_ERROR(
+      (void)core::parse_replay_bundle(edited("\"line\": 0", "\"line\": \"0\"")),
+      "\"line\"");
+  EXPECT_SIM_ERROR(
+      (void)core::parse_replay_bundle(edited("\"expr\": \"timer-liveness\", ", "")),
+      "\"expr\"");
+  EXPECT_SIM_ERROR(
+      (void)core::parse_replay_bundle(edited("\"mode\": \"paratick\", ", "")),
+      "\"mode\"");
+}
+
 TEST(ChaosSweep, RunTimeoutMarksCellsTimedOut) {
   core::SweepConfig cfg = split_outcome_sweep(1);
   cfg.modes = {guest::TickMode::kParatick};  // would otherwise succeed

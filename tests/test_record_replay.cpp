@@ -14,7 +14,7 @@
 #include "core/record_replay/trace.hpp"
 #include "core/replay.hpp"
 #include "core/sweep.hpp"
-#include "core/run_record.hpp"
+#include "core/sweep_plan.hpp"
 #include "expect_error.hpp"
 #include "workload/micro.hpp"
 
@@ -239,12 +239,11 @@ SweepRun record_run0(SweepConfig cfg, EventTrace* trace) {
   return run;
 }
 
-/// Run-record JSON with the two host-wall-clock fields zeroed — everything
-/// else in the record is deterministic and must round-trip bit-exactly.
-std::string scrubbed_record(SweepRun run) {
-  run.host_seconds = 0.0;
-  run.result.engine_wall_ns = 0;
-  return run_record_to_json(run);
+/// A run's result with its one host-wall-clock field zeroed: everything
+/// else in it is deterministic and must match exactly.
+metrics::RunResult scrubbed(metrics::RunResult result) {
+  result.engine_wall_ns = 0;
+  return result;
 }
 
 TEST(RecordReplay, RoundTripHasZeroDivergencesAndByteIdenticalResult) {
@@ -265,7 +264,7 @@ TEST(RecordReplay, RoundTripHasZeroDivergencesAndByteIdenticalResult) {
   EXPECT_FALSE(checker.check_complete().has_value());
   EXPECT_EQ(checker.events_seen(), trace.count());
 
-  EXPECT_EQ(scrubbed_record(recorded), scrubbed_record(replayed));
+  EXPECT_EQ(scrubbed(recorded.result), scrubbed(replayed.result));
 }
 
 TEST(RecordReplay, RecordingIsObservational) {
@@ -275,7 +274,7 @@ TEST(RecordReplay, RecordingIsObservational) {
   const SweepRun bare = SweepRunner(ok_run_config()).execute_run(0);
   ASSERT_TRUE(recorded.ok);
   ASSERT_TRUE(bare.ok);
-  EXPECT_EQ(scrubbed_record(recorded), scrubbed_record(bare));
+  EXPECT_EQ(scrubbed(recorded.result), scrubbed(bare.result));
 }
 
 /// Replay run 0 against `trace` with a per-event checker attached;
@@ -472,18 +471,20 @@ TEST(RecordReplay, FaultKnobChangeDivergesFromTheRecordedTrace) {
   EXPECT_LT(checked.divergence->index, trace.count());
 }
 
-/// A well-formed bundle for run `idx` of chaos_sweep: the documents the
-/// parser tests below mutate.
-ReplayBundle chaos_bundle(std::size_t idx) {
-  const SweepConfig cfg = chaos_sweep(1);
+/// A well-formed bundle for a watchdog failure of run `idx` of `cfg`,
+/// built without running anything: the documents the parser tests below
+/// mutate.
+ReplayBundle failed_bundle(const SweepConfig& cfg, std::size_t idx) {
+  const SweepPlan plan = SweepPlan::make(cfg);
+  const SweepWorkItem item = plan.item(idx);
   ReplayBundle bundle;
-  bundle.plan = plan_info_for(cfg);
-  bundle.scenario = "tick-loss";
-  bundle.fault.timer_drop_prob = 1.0;
+  bundle.plan = {cfg.bench_name, cfg.root_seed, cfg.repeat, plan.total_runs(),
+                 plan.cell_keys()};
+  bundle.fault = cfg.fault;
   bundle.run.run_index = idx;
-  bundle.run.cell = idx / 2;
-  bundle.run.replica = static_cast<int>(idx % 2);
-  bundle.run.seed = derive_seed(cfg.root_seed, idx);
+  bundle.run.cell = item.cell;
+  bundle.run.replica = item.replica;
+  bundle.run.seed = item.seed;
   bundle.run.executed = true;
   bundle.run.failure = RunFailure{};
   bundle.run.failure->kind = RunFailure::Kind::kWatchdog;
@@ -491,6 +492,13 @@ ReplayBundle chaos_bundle(std::size_t idx) {
   bundle.run.failure->message = "guest timer deadline still armed";
   bundle.run.failure->sim_time_ns = 10'000'000;
   bundle.run.failure->events_executed = 32;
+  return bundle;
+}
+
+/// Run `idx` of chaos_sweep, with a recorded trace.
+ReplayBundle chaos_bundle(std::size_t idx) {
+  ReplayBundle bundle = failed_bundle(chaos_sweep(1), idx);
+  bundle.scenario = "tick-loss";
   bundle.run.trace_path = "failures/rrtest/run1.trace";
   return bundle;
 }
@@ -525,6 +533,10 @@ TEST(RecordReplay, MalformedBundleSeedNamesTheField) {
       (void)parse_replay_bundle(replaced(text, "\"seed\": \"4242\"",
                                          "\"seed\": \"42z42\"")),
       "seed: not a valid integer");
+  EXPECT_SIM_ERROR(
+      (void)parse_replay_bundle(replaced(text, "\"root_seed\": \"321\"",
+                                         "\"root_seed\": \"321x\"")),
+      "root_seed: not a valid integer");
 }
 
 // A negative run index used to wrap to 2^64 - 1 and replay nothing
@@ -588,136 +600,76 @@ TEST(RecordReplay, RecordingLeavesSweepExportsByteIdentical) {
   EXPECT_EQ(bare.to_json(), recorded.to_json());
   ASSERT_EQ(bare.runs.size(), recorded.runs.size());
   for (std::size_t i = 0; i < bare.runs.size(); ++i) {
-    SweepRun a = bare.runs[i];
-    SweepRun b = recorded.runs[i];
     // Artifact paths differ by design (bare wrote none); everything that
-    // feeds results must not.
-    a.bundle_path.clear();
-    b.bundle_path.clear();
-    b.trace_path.clear();
-    EXPECT_EQ(scrubbed_record(a), scrubbed_record(b)) << "run " << i;
+    // feeds results must not, failed runs included.
+    const SweepRun& a = bare.runs[i];
+    const SweepRun& b = recorded.runs[i];
+    EXPECT_EQ(a.seed, b.seed) << "run " << i;
+    EXPECT_EQ(a.ok, b.ok) << "run " << i;
+    EXPECT_EQ(a.failure, b.failure) << "run " << i;
+    EXPECT_EQ(scrubbed(a.result), scrubbed(b.result)) << "run " << i;
   }
 }
 
+// ---- sweep schema: a bundle's plan header and failed run ----------------
 
-// ---- sweep schema: plan headers and run records ------------------------
-
-/// Two variants x two modes, no faults: the grid the schema tests read
-/// plan headers and run records against.
-SweepConfig tiny_sweep(int repeat = 2) {
+/// Two variants x two modes x two replicas: a four-cell plan header for
+/// the schema tests to read bundles against. Nothing here runs it.
+SweepConfig tiny_sweep() {
   SweepConfig cfg;
   cfg.base.machine = hw::MachineSpec::small(2);
   cfg.base.vcpus = 2;
-  cfg.base.max_duration = sim::SimTime::ms(50);
-  cfg.base.stop_when_done = false;
   cfg.modes = {guest::TickMode::kDynticksIdle, guest::TickMode::kParatick};
-  cfg.repeat = repeat;
+  cfg.repeat = 2;
   cfg.root_seed = 77;
-  cfg.threads = 1;
+  cfg.bench_name = "test_bench";
   for (const char* name : {"idle", "storm"}) {
-    const bool storm = std::string(name) == "storm";
-    cfg.variants.push_back({name, [storm](ExperimentSpec& exp) {
-      if (!storm) return;
-      exp.setup = [](guest::GuestKernel& k) {
-        workload::SyncStormSpec spec;
-        spec.threads = 2;
-        spec.sync_rate_hz = 400.0;
-        spec.duration = sim::SimTime::ms(50);
-        spec.load = 0.3;
-        workload::install_sync_storm(k, spec);
-      };
-    }});
+    cfg.variants.push_back({name, nullptr});
   }
   return cfg;
 }
 
-SweepRun parse_record(const std::string& text, const SweepConfig& cfg) {
-  return parse_run_record(json::parse(text), plan_info_for(cfg));
-}
-
 TEST(SweepSchema, PlanHeaderRoundTripsAndDetectsSkew) {
-  SweepConfig cfg = tiny_sweep();
-  cfg.bench_name = "test_bench";
-  const PlanInfo plan = plan_info_for(cfg);
-  EXPECT_EQ(plan.total_runs, 8u);
-  EXPECT_EQ(plan.cells.size(), 4u);
+  const std::string text = to_json(failed_bundle(tiny_sweep(), 2));
+  const ReplayBundle parsed = parse_replay_bundle(text);
+  EXPECT_EQ(to_json(parsed), text);
+  EXPECT_EQ(parsed.plan.bench, "test_bench");
+  EXPECT_EQ(parsed.plan.root_seed, 77u);
+  EXPECT_EQ(parsed.plan.total_runs, 8u);
+  EXPECT_EQ(parsed.plan.cells.size(), 4u);
 
-  const PlanInfo parsed = parse_plan_info(json::parse(to_json(plan)));
-  std::string why;
-  EXPECT_TRUE(plans_match(plan, parsed, &why)) << why;
-  EXPECT_EQ(parsed.bench, "test_bench");
-  EXPECT_EQ(parsed.root_seed, 77u);
-
-  // A bundle from a changed grid must be detected field by field.
-  PlanInfo skewed = plan;
-  skewed.root_seed = 78;
-  EXPECT_FALSE(plans_match(plan, skewed, &why));
-  EXPECT_NE(why.find("root seed"), std::string::npos);
-  skewed = plan;
-  skewed.cells[1].vcpus = 99;
-  EXPECT_FALSE(plans_match(plan, skewed, &why));
-  EXPECT_NE(why.find("cell 1"), std::string::npos);
-
-  // Records are read against the plan's run count: it must be the grid's.
-  skewed = plan;
-  skewed.total_runs = 9;
-  EXPECT_SIM_ERROR((void)parse_plan_info(json::parse(to_json(skewed))),
+  // The run is read against the plan's run count: it must be the grid's.
+  EXPECT_SIM_ERROR((void)parse_replay_bundle(replaced(
+                       text, "\"total_runs\": 8", "\"total_runs\": 9")),
                    "total_runs is not cells * repeat");
+
+  // A grid changed since the bundle was written is refused naming the
+  // first differing cell, or the grid size.
+  ReplayBundle skewed = parsed;
+  skewed.plan.cells[1].vcpus = 99;
+  EXPECT_SIM_ERROR((void)replay_run(tiny_sweep(), skewed), "cell 1");
+  skewed = parsed;
+  skewed.plan.cells.pop_back();
+  EXPECT_SIM_ERROR((void)replay_run(tiny_sweep(), skewed), "cell grid size");
+  // The root seed comes from the bundle, so an edited one derives a seed
+  // the run does not carry.
+  skewed = parsed;
+  skewed.plan.root_seed = 78;
+  EXPECT_SIM_ERROR((void)replay_run(tiny_sweep(), skewed), "seed differs");
 }
 
 // Numeric integer fields must be integral and in range: 2.5 replicas is a
-// corrupt record, not replica 2.
+// corrupt run, not replica 2.
 TEST(SweepSchema, FractionalIntegerFieldNamesTheField) {
-  SweepRun run;
-  run.replica = 0;
-  const std::string bad = replaced(run_record_to_json(run), "\"replica\": 0",
-                                   "\"replica\": 2.5");
-  EXPECT_SIM_ERROR((void)parse_record(bad, tiny_sweep()), "field \"replica\"");
+  const std::string text = to_json(failed_bundle(tiny_sweep(), 2));
+  EXPECT_SIM_ERROR((void)parse_replay_bundle(
+                       replaced(text, "\"replica\": 0", "\"replica\": 2.5")),
+                   "field \"replica\"");
 }
 
-// u64 fields travel as decimal strings; trailing junk must fail naming the
-// field instead of parsing the digits before it (or 0 for pure garbage).
-TEST(SweepSchema, MalformedU64StringsNameTheField) {
-  SweepRun run;
-  run.run_index = 3;
-  run.seed = 12345;
-  run.executed = true;
-  run.ok = true;
-  const std::string record = run_record_to_json(run);
-  EXPECT_EQ(parse_record(record, tiny_sweep()).seed, 12345u);
-  EXPECT_SIM_ERROR(
-      (void)parse_record(replaced(record, "\"seed\": \"12345\"",
-                                  "\"seed\": \"12345x\""),
-                         tiny_sweep()),
-      "seed: not a valid integer");
-
-  const std::string plan = to_json(plan_info_for(tiny_sweep()));
-  EXPECT_SIM_ERROR(
-      (void)parse_plan_info(json::parse(replaced(plan, "\"root_seed\": \"77\"",
-                                                 "\"root_seed\": \"77x\""))),
-      "root_seed: not a valid integer");
-}
-
-// A record is read against its plan: a run index or cell the plan does
-// not have is a SimError, never an out-of-range slot.
-TEST(SweepSchema, RecordOutsideThePlanIsRejected) {
-  SweepRun run;
-  run.run_index = 7;
-  run.cell = 3;
-  const std::string record = run_record_to_json(run);
-  EXPECT_NO_THROW((void)parse_record(record, tiny_sweep()));
-  EXPECT_SIM_ERROR((void)parse_record(record, tiny_sweep(1)),
-                   "run 7 (cell 3) lies outside the plan (4 runs, 4 cells)");
-  EXPECT_SIM_ERROR(
-      (void)parse_record(replaced(record, "\"cell\": 3", "\"cell\": 4"),
-                         tiny_sweep()),
-      "lies outside the plan");
-}
-
-// The JSON reader behind records, plan headers, replay bundles and
-// history snapshots bounds its recursion and rejects short
-// \u escapes; the inf/nan tokens %.17g writes for empty accumulators
-// still parse.
+// The JSON reader behind replay bundles and history snapshots bounds its
+// recursion and rejects short \u escapes; the inf/nan tokens %.17g writes
+// for empty accumulators still parse.
 TEST(SweepSchema, JsonReaderBoundsNestingAndEscapes) {
   EXPECT_SIM_ERROR((void)json::parse(std::string(100'000, '[')),
                    "nested more than 256 deep (at byte offset");
@@ -824,32 +776,15 @@ TEST(RecordReplayFuzz, TraceAndBundleParseOrThrowSimError) {
            }},
           {"bundle", to_json(chaos_bundle(1)),
            [](const std::string& s) { (void)parse_replay_bundle(s); }},
+          // A four-cell plan, so the plan-cell parser sees a longer grid.
+          {"bundle (4 cells)", to_json(failed_bundle(tiny_sweep(), 2)),
+           [](const std::string& s) { (void)parse_replay_bundle(s); }},
       },
       0x7eace);
   // Bundle mutations that land in string contents still parse. A trace
   // mutation nearly always breaks the chain digest, so few or none do.
   EXPECT_GT(parsed[2], 0u);
-}
-
-// The same for the two sweep-schema documents a bundle is built from: the
-// plan header and a run record carrying a full RunResult.
-TEST(SweepSchemaFuzz, PlanAndRecordParseOrThrowSimError) {
-  const SweepConfig cfg = tiny_sweep(1);
-  const SweepRun storm = SweepRunner(cfg).execute_run(2);
-  const PlanInfo plan = plan_info_for(cfg);
-  const std::vector<std::size_t> parsed = fuzz_parsers(
-      {
-          {"plan", to_json(plan),
-           [](const std::string& s) { (void)parse_plan_info(json::parse(s)); }},
-          {"record", run_record_to_json(storm),
-           [plan](const std::string& s) {
-             (void)parse_run_record(json::parse(s), plan);
-           }},
-      },
-      0x5eed);
-  // Some mutations land in string contents or whitespace and still
-  // parse; none at all would mean the seed is rejected outright.
-  for (std::size_t n : parsed) EXPECT_GT(n, 0u);
+  EXPECT_GT(parsed[3], 0u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "core/record_replay/record_replay.hpp"
 #include "core/sweep.hpp"
+#include "core/sweep_plan.hpp"
 #include "core/thread_pool.hpp"
 #include "expect_error.hpp"
 #include "workload/micro.hpp"
@@ -54,10 +55,10 @@ TEST(DeriveSeed, PureAndWellSpread) {
 TEST(SweepRunner, GridExpansion) {
   SweepConfig cfg = tiny_sweep(1, 3);
   cfg.tick_freqs_hz = {100.0, 250.0};
-  const SweepRunner runner(cfg);
+  const SweepPlan plan = SweepPlan::make(cfg);
   // 2 variants x 2 modes x 2 freqs
-  EXPECT_EQ(runner.cell_count(), 8u);
-  EXPECT_EQ(runner.total_runs(), 24u);
+  EXPECT_EQ(plan.cell_count(), 8u);
+  EXPECT_EQ(plan.total_runs(), 24u);
 }
 
 TEST(SweepRunner, ParallelMatchesSerialBitExactly) {
