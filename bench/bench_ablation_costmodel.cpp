@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
     }
   }
   return bench::report(
-      cli, res, "bench_ablation_costmodel",
+      cli, res,
       "==== Ablation: indirect exit-cost sweep (fluidanimate + dedup, 4 vCPUs) ====",
       {{"", t,
         "\nExit *counts* are cost-model independent; only the throughput/time\n"

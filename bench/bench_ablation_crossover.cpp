@@ -6,8 +6,8 @@
 // included.
 //
 // Runs on the deterministic parallel sweep runner; shared CLI flags
-// (-j N, --repeat N, --seed S, --csv, --sweep-csv/--sweep-json,
-// --history-dir) in core/sweep.hpp.
+// (-j N, --repeat N, --seed S, --csv, --sweep-csv/--sweep-json) in
+// core/sweep.hpp.
 #include "bench_common.hpp"
 #include "core/analytic.hpp"
 #include "core/sweep.hpp"
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
                                            : 0.0)});
   }
   return bench::report(
-      cli, res, "bench_ablation_crossover",
+      cli, res,
       "==== Ablation: periodic vs tickless vs paratick crossover (§3.3) ====\n"
       "8-vCPU VM, 2 s, 250 Hz; barrier-storm rate sweep",
       {{"", t,

@@ -78,8 +78,7 @@ int main(int argc, char** argv) {
                                treat->wakeup_latency_us.mean())});
   }
   return bench::report(
-      cli, res, "bench_ablation_device",
-      "==== Ablation: device latency vs paratick benefit (fio 4k rndr) ====",
+      cli, res, "==== Ablation: device latency vs paratick benefit (fio 4k rndr) ====",
       {{"", t,
         "\nThe execution-time gain grows monotonically as device latency falls:\n"
         "timer-management exits are a fixed per-operation tax (§6.3).\n"}});

@@ -66,8 +66,7 @@ int main(int argc, char** argv) {
     }
   }
   return bench::report(
-      cli, res, "bench_ablation_features",
-      "==== Ablation: halt polling / PLE (fluidanimate, 4 vCPUs) ====",
+      cli, res, "==== Ablation: halt polling / PLE (fluidanimate, 4 vCPUs) ====",
       {{"", t,
         "\nHalt polling trades exits for burned CPU (paper §6: disabled because the\n"
         "polled cycles mask the effect under study); PLE adds pause exits during\n"

@@ -63,8 +63,7 @@ int main(int argc, char** argv) {
     }
   }
   return bench::report(
-      cli, res, "bench_ablation_latency_tail",
-      "==== Ablation: request wake-latency tail (2-worker server) ====",
+      cli, res, "==== Ablation: request wake-latency tail (2-worker server) ====",
       {{"", t,
         "\nEvery request service starts with an idle exit; dynticks adds a tick\n"
         "restart (MSR-write exit) to that path while paratick adds nothing — the\n"

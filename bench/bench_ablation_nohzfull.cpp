@@ -82,8 +82,7 @@ int main(int argc, char** argv) {
     }
   }
   return bench::report(
-      cli, res, "bench_ablation_nohzfull",
-      "==== Ablation: NO_HZ_FULL vs the paper's policies ====",
+      cli, res, "==== Ablation: NO_HZ_FULL vs the paper's policies ====",
       {{"", t,
         "\nNO_HZ_FULL matches paratick only for pinned single-task guests (its design\n"
         "target); under blocking sync or sync I/O it degenerates to dynticks-idle\n"

@@ -62,8 +62,7 @@ int main(int argc, char** argv) {
     }
   }
   return bench::report(
-      cli, res, "bench_ablation_overcommit",
-      "==== Ablation: overcommit (8 pCPUs, 8-vCPU VMs at 20% load) ====",
+      cli, res, "==== Ablation: overcommit (8 pCPUs, 8-vCPU VMs at 20% load) ====",
       {{"", t,
         "\nPeriodic exits grow linearly with the VM count while useful cycles\n"
         "stay flat; paratick's exit count is load-, not tick-, driven (§3.1).\n"}});

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
     }
   }
   return bench::report(
-      cli, res, "bench_ablation_tick_jitter",
+      cli, res,
       "==== Ablation: tick-interval jitter (guest declares 250 Hz = 4000 us) ====",
       {{"", t,
         "\nParatick's ticks ride on VM-entry opportunities: on a fully busy guest the\n"

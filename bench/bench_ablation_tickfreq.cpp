@@ -66,8 +66,7 @@ int main(int argc, char** argv) {
                bench::mean_ci(cell->exits_total)});
   }
   return bench::report(
-      cli, res, "bench_ablation_tickfreq",
-      "==== Ablation: host/guest tick-frequency mismatch (guest 250 Hz) ====",
+      cli, res, "==== Ablation: host/guest tick-frequency mismatch (guest 250 Hz) ====",
       {{"", t,
         "\nCompatible hosts deliver ~250 virtual ticks/s for free (piggybacking on\n"
         "host-tick exits); incompatible hosts fall back to the auxiliary preemption\n"

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   }
   // Degraded cells are this bench's data: drop the report's status.
   (void)bench::report(
-      cli, res, "bench_chaos_" + scenario,
+      cli, res,
       metrics::format("chaos scenario %s (%zu ok, %zu failed, %zu cells degraded)",
                       scenario.c_str(), res.ok_run_count(),
                       res.failed_runs().size(), res.degraded_cell_count()),

@@ -201,7 +201,7 @@ int main(int argc, char** argv) {
           "is the guests' platform-agnostic estimator minus that truth —\n"
           "the signal the consolidation scheduler actually acted on.\n";
   return bench::report(
-      cli, res, "bench_cluster",
+      cli, res,
       metrics::format("==== Cluster consolidation: hosts x %d tenant VMs/host, "
                       "%.0f ms, rebalance %.1f ms ====",
                       opts.vms_per_host, opts.duration.milliseconds(),

@@ -66,9 +66,8 @@ struct Section {
 /// 1 if any cell lost a replica, else 0, so a table whose numbers cover
 /// fewer runs than asked for never passes as a clean result.
 inline int report(const core::SweepCli& cli, const core::SweepResult& res,
-                  const std::string& bench_name, const std::string& title,
-                  const std::vector<Section>& sections) {
-  cli.export_results(res, bench_name);
+                  const std::string& title, const std::vector<Section>& sections) {
+  cli.export_results(res);
   if (!cli.csv) {
     std::printf("%s\n(%zu runs, %.2fs wall on %u threads)\n\n", title.c_str(),
                 res.runs.size(), res.wall_seconds, res.threads_used);

@@ -51,8 +51,7 @@ int main(int argc, char** argv) {
     comparisons.push_back(c);
   }
   return bench::report(
-      cli, res, "bench_fig4_sequential",
-      "==== Figure 4 / Table 2: sequential PARSEC (1 vCPU) ====",
+      cli, res, "==== Figure 4 / Table 2: sequential PARSEC (1 vCPU) ====",
       {{"", fig,
         bench::aggregate_note("Aggregate (Table 2)", {"Table 2", -50.0, +7.0, -2.0},
                               metrics::average(comparisons))}});

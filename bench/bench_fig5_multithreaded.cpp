@@ -102,7 +102,6 @@ int main(int argc, char** argv) {
          bench::aggregate_note("Aggregate (Table 3 row)", size.paper,
                                metrics::average(comparisons))});
   }
-  return bench::report(cli, res, "bench_fig5_multithreaded",
-                       "==== Figure 5 / Table 3: multithreaded PARSEC ====",
-                       sections);
+  return bench::report(
+      cli, res, "==== Figure 5 / Table 3: multithreaded PARSEC ====", sections);
 }

@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
     comparisons.push_back(avg);
   }
   return bench::report(
-      cli, res, "bench_fig6_io", "==== Figure 6 / Table 4: fio sync I/O (1 vCPU) ====",
+      cli, res, "==== Figure 6 / Table 4: fio sync I/O (1 vCPU) ====",
       {{"", fig,
         bench::aggregate_note("Aggregate (Table 4)", {"Table 4", -34.0, +20.0, -18.0},
                               metrics::average(comparisons))}});

@@ -20,23 +20,22 @@
 //                committed-order determinism).
 //
 // Every counter except events_per_sec is a pure function of --seed, so
-// the history snapshot diffs bit-exact run to run; events_per_sec is the
+// the --json snapshot diffs bit-exact run to run; events_per_sec is the
 // host-dependent throughput figure the CI smoke gates generously.
 //
 // Usage: bench_microbench [flags]; --help lists them (--repeat, --seed,
-// --json, --history-dir/--history-tag, --profile, --quiet).
+// --json, --profile, --quiet).
 //
 // The JSON output is a SweepResult::to_json()-shaped snapshot (variant =
-// case name, mode = "microbench"), so bench_diff consumes it unchanged.
+// case name, mode = "microbench"), so bench_diff consumes it unchanged;
+// results/history/bench_microbench/baseline.json is one.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "core/cli_parse.hpp"
-#include "core/history.hpp"
+#include "core/safe_io.hpp"
 #include "hw/deadline_timer.hpp"
 #include "metrics/report.hpp"
 #include "sim/engine.hpp"
@@ -280,10 +279,8 @@ std::string metric_json(const char* name, const sim::Accumulator& a) {
 
 /// SweepResult::to_json()-shaped snapshot so bench_diff / parse_snapshot
 /// read it without a special case.
-std::string to_snapshot_json(const std::vector<CaseStats>& cases,
-                             double wall_seconds) {
-  std::string out = metrics::format(
-      "{\"wall_seconds\": %.3f, \"threads\": 1, \"cells\": [\n", wall_seconds);
+std::string to_snapshot_json(const std::vector<CaseStats>& cases) {
+  std::string out = "{\"cells\": [\n";
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const CaseStats& c = cases[i];
     out += metrics::format(
@@ -308,41 +305,25 @@ std::string to_snapshot_json(const std::vector<CaseStats>& cases,
   return out;
 }
 
-void write_file(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_microbench: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   int repeat = 3;
   std::uint64_t root_seed = 0x9a7a71cUL;  // "paratick"-ish; stable default
-  std::string json_path, history_dir, history_tag;
+  std::string json_path;
   bool profile = false;
   bool quiet = false;
 
   core::parse_cli(
       argc, argv,
-      {core::uint_flag("--repeat", "N", "replicas per case (default 3)", repeat),
+      {core::uint_flag("--repeat", "N", "replicas per case (default 3)", repeat,
+                       1),
        core::uint_flag("--seed", "S", "root seed (decimal or 0x hex)", root_seed,
                        0, ~0ull, 0),
        core::text_flag("--json", "FILE", "write the snapshot JSON to FILE", json_path),
-       core::text_flag("--history-dir", "D",
-                       "write the snapshot to D/bench_microbench/<tag>.json",
-                       history_dir),
-       core::text_flag("--history-tag", "T",
-                       "snapshot tag (default: the current git commit)", history_tag),
        core::switch_flag("--profile", "print per-case engine counters", profile),
        core::switch_flag("--quiet", "suppress per-replica progress lines", quiet)});
-  if (repeat < 1) repeat = 1;
 
-  const auto bench_t0 = std::chrono::steady_clock::now();
   std::vector<CaseStats> stats;
   for (const Case& cs : kCases) {
     CaseStats s;
@@ -378,9 +359,6 @@ int main(int argc, char** argv) {
     }
     stats.push_back(std::move(s));
   }
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - bench_t0)
-          .count();
 
   std::printf("case          replicas  events/replica  Mev/s (mean±sd)  spills  highwater  compactions  sink\n");
   for (const CaseStats& s : stats) {
@@ -408,26 +386,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string snapshot = to_snapshot_json(stats, wall_seconds);
-  if (!json_path.empty()) write_file(json_path, snapshot);
-  if (!history_dir.empty()) {
-    namespace fs = std::filesystem;
-    const fs::path subdir = fs::path(history_dir) / "bench_microbench";
-    std::error_code ec;
-    fs::create_directories(subdir, ec);
-    if (ec) {
-      std::fprintf(stderr, "bench_microbench: cannot create %s\n",
-                   subdir.string().c_str());
-      return 1;
-    }
-    const std::string tag =
-        history_tag.empty() ? core::history_tag_now() : history_tag;
-    const fs::path path = subdir / (tag + ".json");
-    write_file(path.string(), snapshot);
-    if (!quiet) {
-      std::fprintf(stderr, "microbench: history snapshot -> %s\n",
-                   path.string().c_str());
-    }
-  }
+  if (!json_path.empty()) core::write_file_atomic(json_path, to_snapshot_json(stats));
   return 0;
 }

@@ -16,7 +16,7 @@
 // behavior first changed.
 //
 // A directory argument is scanned recursively for *.json bundles
-// (<dir>/<bench>/run<idx>.json). Bundles written before the plan-header
+// (<dir>/<bench>[/<scenario>]/run<idx>.json). Bundles written before the plan-header
 // format (core/replay.hpp) are refused with an error naming their path.
 // So is a bundle whose plan no longer matches its scenario's grid, or
 // whose recorded seed differs from the one derived for its run: its
@@ -53,8 +53,8 @@ struct Options {
 };
 
 // Collect bundle files from an explicit file or a failure directory.
-// Directories are walked recursively (covers the per-bench subdirectory
-// layout), in sorted order for deterministic output.
+// Directories are walked recursively (covers the per-bench and
+// per-scenario subdirectories), in sorted order for deterministic output.
 std::vector<std::string> collect_bundles(const std::string& path) {
   namespace fs = std::filesystem;
   std::vector<std::string> out;

@@ -111,8 +111,7 @@ int main(int argc, char** argv) {
   const auto crossover =
       core::crossover_idle_period(sim::Frequency{250.0}, 1.0);
   return bench::report(
-      cli, res, "bench_table1",
-      "==== Table 1: timer-related VM exits, 10 s, 16 pCPUs, 250 Hz ====",
+      cli, res, "==== Table 1: timer-related VM exits, 10 s, 16 pCPUs, 250 Hz ====",
       {{"", t,
         metrics::format(
             "\n§3.3 crossover: with 250 Hz ticks and one vCPU per pCPU, tickless beats\n"

@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
   }
 
   const core::SweepResult res = cli.run_sweep(std::move(cfg));
-  cli.export_results(res, "consolidation");
+  cli.export_results(res);
 
   std::printf("%d host(s) x 4 VMs x 8 vCPUs on 8 pCPUs (4x overcommit), "
               "light bursty load, 2 s\n\n",

@@ -1,10 +1,6 @@
 #include "core/history.hpp"
 
-#include <cctype>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <filesystem>
 #include <limits>
 #include <unordered_map>
 
@@ -33,8 +29,6 @@ Snapshot parse_snapshot(const std::string& text) {
   PARATICK_CHECK_MSG(root.type == json::Value::Type::kObject,
                      "snapshot: top level must be an object");
   Snapshot snap;
-  snap.wall_seconds = json::num_field(root, "wall_seconds");
-  snap.threads = json::int_field<unsigned>(root, "threads");
 
   const json::Value* cells = root.find("cells");
   PARATICK_CHECK_MSG(cells != nullptr && cells->type == json::Value::Type::kArray,
@@ -87,16 +81,6 @@ Snapshot load_snapshot(const std::string& path) {
   }
 }
 
-std::optional<Snapshot> try_load_snapshot(const std::string& path,
-                                          std::string* error) {
-  try {
-    return load_snapshot(path);
-  } catch (const sim::SimError& e) {
-    if (error != nullptr) *error = e.msg();  // names the path already
-    return std::nullopt;
-  }
-}
-
 namespace {
 
 /// Two-sample Kolmogorov–Smirnov distance over LogHistogram bucket counts:
@@ -123,6 +107,18 @@ double ks_distance(const std::vector<std::uint64_t>& a,
 
 DiffResult diff_snapshots(const Snapshot& baseline, const Snapshot& current,
                           const DiffConfig& cfg) {
+  // A filter naming no metric of the baseline would compare nothing and
+  // pass: a misspelt --metric must not read as a clean gate.
+  for (const std::string& name : cfg.metrics) {
+    bool known = false;
+    for (const auto& c : baseline.cells) {
+      known = known || c.metric(name) != nullptr ||
+              (name == "wake_us_hist" && !c.wake_hist.empty());
+    }
+    PARATICK_CHECK_MSG(
+        known, ("no baseline cell has metric \"" + name + "\"").c_str());
+  }
+
   DiffResult out;
 
   std::unordered_map<std::string, const SnapshotCell*> cur_by_key;
@@ -131,7 +127,7 @@ DiffResult diff_snapshots(const Snapshot& baseline, const Snapshot& current,
   for (const auto& c : baseline.cells) base_by_key.emplace(c.key(), &c);
 
   for (const auto& c : current.cells) {
-    if (cfg.grid_must_match && base_by_key.count(c.key()) == 0) {
+    if (base_by_key.count(c.key()) == 0) {
       out.findings.push_back({DiffFinding::Kind::kCellAdded, c.key(), {}, 0, 0, 0, 0});
     }
     if (c.failed > 0) {
@@ -147,19 +143,24 @@ DiffResult diff_snapshots(const Snapshot& baseline, const Snapshot& current,
   for (const auto& base_cell : baseline.cells) {
     const auto it = cur_by_key.find(base_cell.key());
     if (it == cur_by_key.end()) {
-      if (cfg.grid_must_match) {
-        out.findings.push_back(
-            {DiffFinding::Kind::kCellRemoved, base_cell.key(), {}, 0, 0, 0, 0});
-      }
+      out.findings.push_back(
+          {DiffFinding::Kind::kCellRemoved, base_cell.key(), {}, 0, 0, 0, 0});
       continue;
     }
     const SnapshotCell& cur_cell = *it->second;
     ++out.cells_compared;
+    const auto metric_removed = [&](const std::string& name) {
+      out.findings.push_back(
+          {DiffFinding::Kind::kMetricRemoved, base_cell.key(), name, 0, 0, 0, 0});
+    };
 
     for (const auto& bm : base_cell.metrics) {
       if (!cfg.includes(bm.name)) continue;
       const SnapshotMetric* cm = cur_cell.metric(bm.name);
-      if (cm == nullptr) continue;           // metric set drift: ignore
+      if (cm == nullptr) {
+        metric_removed(bm.name);
+        continue;
+      }
       if (bm.n == 0 && cm->n == 0) continue;  // no samples on either side
       ++out.metrics_compared;
 
@@ -200,12 +201,15 @@ DiffResult diff_snapshots(const Snapshot& baseline, const Snapshot& current,
     }
 
     // Distribution gate: KS distance between the cells' wake-latency
-    // histograms. Skipped when either snapshot predates histograms or the
-    // cell recorded no wakeups.
-    if (cfg.includes("wake_us_hist") && !base_cell.wake_hist.empty() &&
-        !cur_cell.wake_hist.empty()) {
-      const double ks = ks_distance(base_cell.wake_hist, cur_cell.wake_hist);
-      if (ks > cfg.ks_threshold) {
+    // histograms. Skipped when the baseline cell has none (it predates
+    // histograms or recorded no wakeups); a current cell that lost the
+    // baseline's histogram is a finding like any missing metric.
+    if (cfg.includes("wake_us_hist") && !base_cell.wake_hist.empty()) {
+      if (cur_cell.wake_hist.empty()) {
+        metric_removed("wake_us_hist");
+      } else if (const double ks =
+                     ks_distance(base_cell.wake_hist, cur_cell.wake_hist);
+                 ks > kKsThreshold) {
         DiffFinding f;
         f.kind = DiffFinding::Kind::kDistribution;
         f.cell = base_cell.key();
@@ -228,6 +232,10 @@ std::string describe(const DiffResult& diff, const DiffConfig& cfg) {
       case DiffFinding::Kind::kCellRemoved:
         out += metrics::format("GRID  - %s (cell only in baseline)\n", f.cell.c_str());
         break;
+      case DiffFinding::Kind::kMetricRemoved:
+        out += metrics::format("GRID  - %s :: %s (metric only in baseline)\n",
+                               f.cell.c_str(), f.metric.c_str());
+        break;
       case DiffFinding::Kind::kShift:
         out += metrics::format(
             "SHIFT %s :: %s  %.4g -> %.4g  (%+.2f%%, z=%s)\n", f.cell.c_str(),
@@ -243,7 +251,7 @@ std::string describe(const DiffResult& diff, const DiffConfig& cfg) {
       case DiffFinding::Kind::kDistribution:
         out += metrics::format("DIST  %s :: %s  KS=%.3f (threshold %.3f)\n",
                                f.cell.c_str(), f.metric.c_str(), f.z,
-                               cfg.ks_threshold);
+                               kKsThreshold);
         break;
     }
   }
@@ -252,42 +260,6 @@ std::string describe(const DiffResult& diff, const DiffConfig& cfg) {
       diff.cells_compared, diff.metrics_compared, diff.findings.size(),
       cfg.z_threshold, cfg.rel_min);
   return out;
-}
-
-std::string history_tag_now() {
-  std::string tag;
-  if (const char* env = std::getenv("PARATICK_HISTORY_TAG"); env != nullptr && *env) {
-    tag = env;
-  } else if (const char* sha = std::getenv("GITHUB_SHA"); sha != nullptr && *sha) {
-    tag = std::string(sha).substr(0, 12);
-  } else if (std::FILE* p = ::popen("git rev-parse --short=12 HEAD 2>/dev/null", "r")) {
-    char buf[64] = {};
-    if (std::fgets(buf, sizeof buf, p) != nullptr) tag = buf;
-    ::pclose(p);
-  }
-  while (!tag.empty() && (tag.back() == '\n' || tag.back() == '\r')) tag.pop_back();
-  if (tag.empty()) tag = "worktree";
-  for (char& c : tag) {
-    const bool ok = std::isalnum(static_cast<unsigned char>(c)) || c == '-' ||
-                    c == '_' || c == '.';
-    if (!ok) c = '_';
-  }
-  return tag;
-}
-
-std::string write_history_snapshot(const SweepResult& result, const std::string& dir,
-                                   const std::string& bench, const std::string& tag) {
-  namespace fs = std::filesystem;
-  const fs::path subdir = fs::path(dir) / bench;
-  std::error_code ec;
-  fs::create_directories(subdir, ec);
-  PARATICK_CHECK_MSG(!ec, "cannot create history directory");
-  const fs::path path = subdir / (tag + ".json");
-  // Atomic write: a run killed mid-snapshot must not strand a truncated
-  // history file for bench_diff (or a continuous-benchmarking fleet) to
-  // trip over.
-  write_file_atomic(path.string(), result.to_json());
-  return path.string();
 }
 
 }  // namespace paratick::core

@@ -1,6 +1,8 @@
-// Bench trajectory history: persist SweepResult::to_json() snapshots per
-// commit under <history-dir>/<bench>/<tag>.json and diff two snapshots to
-// catch metric regressions across PRs (ROADMAP: "Bench JSON trajectory").
+// Bench trajectory history: parse SweepResult::to_json() snapshots (a
+// bench's --sweep-json export, bench_microbench's --json) and diff two of
+// them to catch metric regressions across PRs (ROADMAP: "Bench JSON
+// trajectory"). Each gated bench commits its snapshot as
+// results/history/<bench>/baseline.json.
 //
 // The diff is stddev-aware: with --repeat replicas each cell carries a
 // mean and stddev per metric, so a shift is flagged only when its z-score
@@ -10,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,8 +38,9 @@ struct SnapshotCell {
   std::uint64_t replicas = 0;  // surviving replicas
   std::uint64_t failed = 0;    // replicas that failed (0 in older snapshots)
   std::vector<SnapshotMetric> metrics;
-  /// wake_us LogHistogram bucket counts (empty in pre-histogram snapshots;
-  /// the KS gate silently skips such cells).
+  /// wake_us LogHistogram bucket counts (empty in pre-histogram snapshots
+  /// and in cells that recorded no wakeups; the KS gate skips a baseline
+  /// cell without them).
   std::vector<std::uint64_t> wake_hist;
 
   /// Grid identity (everything except the measured values): the join key
@@ -48,23 +50,22 @@ struct SnapshotCell {
 };
 
 struct Snapshot {
-  double wall_seconds = 0.0;
-  unsigned threads = 0;
   std::vector<SnapshotCell> cells;
 };
 
 /// Parse a SweepResult::to_json() document. Raises PARATICK_CHECK on
 /// malformed input (the format is produced by this repo, so strictness is
-/// a feature: a truncated upload should fail the gate loudly).
+/// a feature: a truncated upload should fail the gate loudly). Host
+/// fields (wall time, threads) are not read.
 [[nodiscard]] Snapshot parse_snapshot(const std::string& json);
+/// Read and parse a snapshot file; the error of a missing, unreadable or
+/// corrupt file names the path.
 [[nodiscard]] Snapshot load_snapshot(const std::string& path);
 
-/// Non-throwing load for gate binaries: nullopt on a missing or corrupt
-/// snapshot, with `*error` (if non-null) set to a message that names the
-/// path and what went wrong — so bench_diff can tell the user to
-/// regenerate the baseline instead of dumping a raw CHECK failure.
-[[nodiscard]] std::optional<Snapshot> try_load_snapshot(const std::string& path,
-                                                        std::string* error);
+/// Kolmogorov–Smirnov distance above which the wake_us histograms of a
+/// cell count as a distribution regression — catches tail blowups that
+/// leave the mean untouched. Cells without histograms are skipped.
+inline constexpr double kKsThreshold = 0.15;
 
 struct DiffConfig {
   /// Welch z-score above which a mean shift counts as a regression.
@@ -73,12 +74,6 @@ struct DiffConfig {
   /// mean never flag, whatever the z-score (absorbs FP/format jitter and
   /// zero-stddev single-replica cells).
   double rel_min = 1e-3;
-  /// Cells present in only one snapshot fail the gate (grid drift).
-  bool grid_must_match = true;
-  /// Kolmogorov–Smirnov distance above which the wake_us histograms of a
-  /// cell count as a distribution regression — catches tail blowups that
-  /// leave the mean untouched. Cells without histograms are skipped.
-  double ks_threshold = 0.15;
   /// Include filter by metric name; empty = compare every metric. Name
   /// "wake_us_hist" enables the KS gate. Lets CI gate host-dependent
   /// metrics (events_per_sec) at a different threshold than the
@@ -95,12 +90,15 @@ struct DiffConfig {
 };
 
 struct DiffFinding {
+  /// kMetricRemoved: a compared cell lacks a metric of its baseline cell
+  /// (or the baseline's wake_us histogram), so the gate cannot check it.
   /// kDegraded: a current cell lost replicas, so its numbers cover fewer
   /// runs than the baseline's — a finding whatever they say.
-  enum class Kind { kShift, kCellAdded, kCellRemoved, kDistribution, kDegraded };
+  enum class Kind { kShift, kCellAdded, kCellRemoved, kMetricRemoved,
+                    kDistribution, kDegraded };
   Kind kind = Kind::kShift;
   std::string cell;    // SnapshotCell::key()
-  std::string metric;  // empty for grid findings
+  std::string metric;  // empty for cell findings
   double baseline_mean = 0.0;
   double current_mean = 0.0;
   double z = 0.0;        // +inf encoded as a large sentinel when se == 0;
@@ -118,23 +116,13 @@ struct DiffResult {
   [[nodiscard]] bool clean() const { return findings.empty(); }
 };
 
+/// Diff `current` against `baseline`. Throws sim::SimError when
+/// cfg.metrics names a metric that no baseline cell has.
 [[nodiscard]] DiffResult diff_snapshots(const Snapshot& baseline,
                                         const Snapshot& current,
                                         const DiffConfig& cfg = {});
 
 /// Human-readable report of a diff (one line per finding + a summary).
 [[nodiscard]] std::string describe(const DiffResult& diff, const DiffConfig& cfg);
-
-/// Snapshot tag for "now": PARATICK_HISTORY_TAG env var, else GITHUB_SHA,
-/// else `git rev-parse --short HEAD`, else "worktree". Sanitized to
-/// filename-safe characters.
-[[nodiscard]] std::string history_tag_now();
-
-/// Write `result`'s JSON snapshot to <dir>/<bench>/<tag>.json (creating
-/// directories) and return the path written.
-std::string write_history_snapshot(const SweepResult& result,
-                                   const std::string& dir,
-                                   const std::string& bench,
-                                   const std::string& tag);
 
 }  // namespace paratick::core

@@ -1,6 +1,5 @@
 #include "core/replay.hpp"
 
-#include <filesystem>
 #include <string>
 #include <utility>
 
@@ -228,8 +227,7 @@ std::string to_json(const ReplayBundle& b) {
   return out;
 }
 
-std::string write_replay_bundle(const SweepConfig& cfg, const SweepRun& run,
-                                const std::string& dir) {
+std::string write_replay_bundle(const SweepConfig& cfg, const SweepRun& run) {
   PARATICK_CHECK_MSG(!run.ok && run.failure.has_value(),
                      "replay bundle: run did not fail");
   const SweepPlan plan = SweepPlan::make(cfg);
@@ -243,16 +241,9 @@ std::string write_replay_bundle(const SweepConfig& cfg, const SweepRun& run,
   // same plan disagree on; a bundle holds only what replays.
   b.run.host_seconds = 0.0;
 
-  // One directory per producing sweep keeps multi-bench failure dirs
-  // tidy: <dir>/<bench>/run<idx>.json.
-  const std::string name = cfg.bench_name.empty() ? "sweep" : cfg.bench_name;
-  const std::string bundle_dir = dir + "/" + name;
-  std::filesystem::create_directories(bundle_dir);
-  const std::string path =
-      bundle_dir + metrics::format("/run%llu.json",
-                                   static_cast<unsigned long long>(run.run_index));
-  // Atomic write: a sweep killed mid-write leaves the old bundle or the
-  // complete new one, never a torn file.
+  // Atomic write (parent directories created): a sweep killed mid-write
+  // leaves the old bundle or the complete new one, never a torn file.
+  const std::string path = failure_artifact_stem(cfg, run.run_index) + ".json";
   write_file_atomic(path, to_json(b));
   return path;
 }

@@ -50,12 +50,12 @@ struct ReplayBundle {
   SweepRun run;
 };
 
-/// Serialize / write a bundle for a failed run of `cfg`. Returns the file
-/// path: <dir>/<bench-or-sweep>/run<index>.json (directories are created).
+/// Serialize / write a bundle for a failed run of `cfg` into
+/// cfg.failure_dir. Returns the file path: failure_artifact_stem() plus
+/// ".json" (directories are created).
 [[nodiscard]] std::string to_json(const ReplayBundle& b);
 [[nodiscard]] std::string write_replay_bundle(const SweepConfig& cfg,
-                                              const SweepRun& run,
-                                              const std::string& dir);
+                                              const SweepRun& run);
 
 /// Parse / load a bundle. Throws sim::SimError on malformed documents
 /// (a missing or non-numeric number names its key), on a plan whose

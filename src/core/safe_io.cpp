@@ -23,8 +23,11 @@ void write_file_atomic(const std::string& path, const std::string& content) {
     std::FILE* direct = std::fopen(path.c_str(), "w");
     PARATICK_CHECK_MSG(direct != nullptr,
                        ("cannot open file for writing: " + path).c_str());
-    std::fwrite(content.data(), 1, content.size(), direct);
-    std::fclose(direct);
+    const bool wrote =
+        std::fwrite(content.data(), 1, content.size(), direct) == content.size();
+    // fclose flushes the buffered tail: a full device fails here.
+    const bool closed = std::fclose(direct) == 0;
+    PARATICK_CHECK_MSG(wrote && closed, ("write failed for: " + path).c_str());
     return;
   }
   if (fs_path.has_parent_path()) {

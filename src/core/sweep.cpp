@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "core/cli_parse.hpp"
-#include "core/history.hpp"
 #include "core/replay.hpp"
 #include "core/safe_io.hpp"
 #include "core/scenarios.hpp"
@@ -187,7 +186,7 @@ SweepResult SweepRunner::run() const {
   if (!cfg_.failure_dir.empty()) {
     for (SweepRun& r : res.runs) {
       if (r.ok || !r.failure) continue;
-      r.bundle_path = write_replay_bundle(cfg_, r, cfg_.failure_dir);
+      r.bundle_path = write_replay_bundle(cfg_, r);
       if (cfg_.progress) {
         std::fprintf(stderr, "sweep: replay bundle -> %s\n", r.bundle_path.c_str());
       }
@@ -371,13 +370,6 @@ std::string SweepResult::to_json() const {
   return out;
 }
 
-void SweepResult::write_csv(const std::string& path) const {
-  write_file_atomic(path, to_csv());
-}
-void SweepResult::write_json(const std::string& path) const {
-  write_file_atomic(path, to_json());
-}
-
 namespace {
 
 /// The flags every sweep binary shares, writing into `cli`.
@@ -387,7 +379,7 @@ std::vector<CliFlag> shared_sweep_flags(SweepCli& cli) {
                 "worker threads (also -jN; default: all cores)",
                 cli.threads),
       uint_flag("--repeat", "N", "seed replicas per cell (default 1)",
-                cli.repeat),
+                cli.repeat, 1),
       {"--seed", "S", "root seed (decimal or 0x hex)",
        [&cli](const std::string& v) {
          cli.root_seed = parse_u64_flag("--seed", v, ~0ull, 0);
@@ -400,12 +392,6 @@ std::vector<CliFlag> shared_sweep_flags(SweepCli& cli) {
                 cli.sweep_csv),
       text_flag("--sweep-json", "P", "export the per-cell grid as JSON to P",
                 cli.sweep_json),
-      text_flag("--history-dir", "D",
-                "write the JSON grid to D/<bench>/<tag>.json",
-                cli.history_dir),
-      text_flag("--history-tag", "T",
-                "snapshot tag (default: the current git commit)",
-                cli.history_tag),
       switch_flag("--profile", "print the engine hot-path profile",
                   cli.profile),
       switch_flag("--chaos", "default fault mix", cli.chaos),
@@ -430,7 +416,6 @@ SweepCli SweepCli::parse(int argc, char** argv, std::vector<CliFlag> extra,
   std::vector<CliFlag> flags = shared_sweep_flags(cli);
   for (CliFlag& f : extra) flags.push_back(std::move(f));
   cli.positional = parse_cli(argc, argv, flags, slots);
-  if (cli.repeat < 1) cli.repeat = 1;
   return cli;
 }
 
@@ -452,10 +437,9 @@ SweepResult SweepCli::run_sweep(SweepConfig cfg) const {
   return SweepRunner(std::move(cfg)).run();
 }
 
-void SweepCli::export_results(const SweepResult& result,
-                              const std::string& bench_name) const {
-  if (!sweep_csv.empty()) result.write_csv(sweep_csv);
-  if (!sweep_json.empty()) result.write_json(sweep_json);
+void SweepCli::export_results(const SweepResult& result) const {
+  if (!sweep_csv.empty()) write_file_atomic(sweep_csv, result.to_csv());
+  if (!sweep_json.empty()) write_file_atomic(sweep_json, result.to_json());
   if (progress && (!sweep_csv.empty() || !sweep_json.empty())) {
     std::fprintf(stderr, "sweep: %zu runs in %.2fs on %u thread workers%s%s%s%s\n",
                  result.runs.size(), result.wall_seconds, result.threads_used,
@@ -514,18 +498,6 @@ void SweepCli::export_results(const SweepResult& result,
                   static_cast<double>(events) /
                       (static_cast<double>(wall_ns) * 1e-9));
     }
-  }
-  if (!history_dir.empty()) {
-    if (bench_name.empty()) {
-      std::fprintf(stderr,
-                   "--history-dir: this binary does not name its sweep; "
-                   "no snapshot written\n");
-      return;
-    }
-    const std::string tag = history_tag.empty() ? history_tag_now() : history_tag;
-    const std::string path =
-        write_history_snapshot(result, history_dir, bench_name, tag);
-    if (progress) std::fprintf(stderr, "sweep: history snapshot -> %s\n", path.c_str());
   }
 }
 

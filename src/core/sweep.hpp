@@ -66,6 +66,7 @@ struct SweepConfig {
   /// so chaos sweeps stay bit-identical at any -j.
   fault::FaultConfig fault;
   /// Directory for replay bundles of failed runs; empty = don't write.
+  /// Bundles and traces go to failure_artifact_stem() (core/sweep_plan).
   std::string failure_dir;
   /// Per-run wall-clock timeout in seconds; > 0 makes hung runs fail with
   /// kTimeout. Wall-clock dependent, so timed-out runs are not replayable
@@ -80,10 +81,10 @@ struct SweepConfig {
   /// Record a full event trace of every run (core/record_replay): one
   /// compact record per executed engine event. Traces of failed runs are
   /// written next to their replay bundles as
-  /// <failure_dir>/<bench>/run<idx>.trace and referenced from the bundle,
-  /// so bench_replay can verify a reproduction event-by-event and report
-  /// the first divergent event. Recording is observational — results and
-  /// exports stay byte-identical to an unrecorded sweep.
+  /// <failure_dir>/<bench>[/<scenario>]/run<idx>.trace and referenced from
+  /// the bundle, so bench_replay can verify a reproduction event-by-event
+  /// and report the first divergent event. Recording is observational —
+  /// results and exports stay byte-identical to an unrecorded sweep.
   bool record_trace = false;
   /// Attach an external engine observer to a run (replay checking).
   /// Single-run use only (execute_run): SweepRunner::run() refuses it,
@@ -161,7 +162,7 @@ struct SweepCellSummary {
   sim::Accumulator exec_time_ms;  // only runs whose workload completed
   sim::Accumulator wakeup_latency_us;
   // Engine self-profile, deterministic counters only (see EngineProfile):
-  // exported to JSON history snapshots so regressions in the DES hot path
+  // exported to the JSON snapshot so regressions in the DES hot path
   // (a capture spilling to the heap, queue occupancy blow-ups) gate in CI.
   sim::Accumulator events_executed;
   sim::Accumulator cb_spills;
@@ -186,8 +187,7 @@ struct SweepCellSummary {
   /// VMs — the tail the bench_diff KS gate compares.
   sim::LogHistogram wake_hist_us;
   // Drill-down for the ablation tables. Fixed-size, and printed by no
-  // export (to_csv, to_json, history snapshots), so adding one changes
-  // no committed file.
+  // export (to_csv, to_json), so adding one changes no committed file.
   std::array<sim::Accumulator, hw::kExitCauseCount> exits_by_cause;
   std::array<sim::Accumulator, hw::kCycleCategoryCount> cycles;
   /// Per run, summed over the run's VMs: ticks handled, paratick virtual
@@ -239,8 +239,6 @@ struct SweepResult {
   /// byte-identical files.
   [[nodiscard]] std::string to_csv() const;
   [[nodiscard]] std::string to_json() const;
-  void write_csv(const std::string& path) const;
-  void write_json(const std::string& path) const;
 };
 
 class SweepRunner {
@@ -261,7 +259,7 @@ class SweepRunner {
 };
 
 /// Shared CLI for the sweep-driven bench/example binaries: threads,
-/// replicas, seed, exports, history and chaos flags, listed with one help
+/// replicas, seed, exports and chaos flags, listed with one help
 /// line each by `<binary> --help`. -j N sizes the thread pool.
 struct SweepCli {
   unsigned threads = 0;
@@ -271,8 +269,6 @@ struct SweepCli {
   bool progress = true;
   std::string sweep_csv;
   std::string sweep_json;
-  std::string history_dir;
-  std::string history_tag;
   bool profile = false;
   bool chaos = false;
   std::string failure_dir;
@@ -298,11 +294,8 @@ struct SweepCli {
   /// rendering and exports.
   [[nodiscard]] SweepResult run_sweep(SweepConfig cfg) const;
 
-  /// Honor --sweep-csv/--sweep-json/--history-dir if present. The bench
-  /// name becomes the history subdirectory; benches that never pass one
-  /// keep the flag inert (a warning is printed if it was requested).
-  void export_results(const SweepResult& result,
-                      const std::string& bench_name = {}) const;
+  /// Honor --sweep-csv/--sweep-json (and --profile) if present.
+  void export_results(const SweepResult& result) const;
 };
 
 }  // namespace paratick::core

@@ -38,6 +38,14 @@ ExperimentSpec materialize(const SweepConfig& cfg, const SweepVariant& variant,
 
 }  // namespace
 
+std::string failure_artifact_stem(const SweepConfig& cfg, std::size_t run_index) {
+  std::string stem =
+      cfg.failure_dir + "/" + (cfg.bench_name.empty() ? "sweep" : cfg.bench_name);
+  if (!cfg.scenario.empty()) stem += "/" + cfg.scenario;
+  return stem + metrics::format("/run%llu",
+                                static_cast<unsigned long long>(run_index));
+}
+
 SweepPlan SweepPlan::make(SweepConfig cfg) {
   PARATICK_CHECK_MSG(cfg.repeat >= 1, "sweep repeat must be >= 1");
   PARATICK_CHECK_MSG(cfg.observer == nullptr || !cfg.record_trace,
@@ -171,16 +179,12 @@ SweepRun SweepPlan::execute(std::size_t run_index) const {
     out.failure = std::move(f);
   }
 
-  // Persist failed runs' traces next to where their replay bundles go:
-  // <failure_dir>/<bench>/run<idx>.trace. Written here, on the thread
-  // that ran it, while the trace is still in hand.
+  // Persist failed runs' traces next to where their replay bundles go.
+  // Written here, on the thread that ran it, while the trace is still in
+  // hand.
   if (cfg_.record_trace && !out.ok && !cfg_.failure_dir.empty()) {
-    const std::string name = cfg_.bench_name.empty() ? "sweep" : cfg_.bench_name;
     out.trace_path = record_replay::write_trace_file(
-        recorder.trace(),
-        cfg_.failure_dir + "/" + name +
-            metrics::format("/run%llu.trace",
-                            static_cast<unsigned long long>(out.run_index)));
+        recorder.trace(), failure_artifact_stem(cfg_, out.run_index) + ".trace");
   }
   return out;
 }

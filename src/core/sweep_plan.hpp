@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "core/sweep.hpp"
@@ -21,6 +22,14 @@ struct SweepWorkItem {
   int replica = 0;
   std::uint64_t seed = 0;
 };
+
+/// Path of run `run_index`'s failure artifacts without extension (its
+/// replay bundle adds ".json", its event trace ".trace"):
+/// <failure_dir>/<bench>[/<scenario>]/run<idx>, with bench "sweep" when
+/// the config names none. The scenario level keeps the runs of two chaos
+/// scenarios written into one directory apart.
+[[nodiscard]] std::string failure_artifact_stem(const SweepConfig& cfg,
+                                                std::size_t run_index);
 
 class SweepPlan {
  public:

@@ -94,7 +94,11 @@ expect(0 "DEGRADED" "${BENCH_DIR}/bench_chaos" timer-storm --quiet
        --run-timeout 0.000001)
 
 expect(2 "--repeat: not a valid integer" "${BENCH_DIR}/bench_microbench" --repeat many)
+expect(2 "--repeat: value must be >= 1" "${BENCH_DIR}/bench_microbench" --repeat 0)
 expect(2 "--seed: not a valid integer" "${BENCH_DIR}/bench_microbench" --seed 0xzz)
+# --json (like the sweeps' --sweep-json) is the one snapshot path.
+expect(2 "unknown flag --history-dir" "${BENCH_DIR}/bench_microbench"
+       --history-dir /tmp/history)
 
 expect(2 "--hosts: value must be >= 1" "${BENCH_DIR}/bench_cluster" --hosts 0)
 expect(2 "--vms-per-host: value must be >= 1" "${BENCH_DIR}/bench_cluster"
@@ -111,6 +115,27 @@ expect(2 "--rel-min: value must not be negative" "${BENCH_DIR}/bench_diff"
 expect(2 "--z: not a valid number" "${BENCH_DIR}/bench_diff"
        "${BASELINE}" "${BASELINE}" --z fast)
 expect(2 "missing current.json" "${BENCH_DIR}/bench_diff" "${BASELINE}")
+# Grid drift always fails and the KS threshold is fixed: neither has a knob.
+expect(2 "unknown flag --ks" "${BENCH_DIR}/bench_diff"
+       "${BASELINE}" "${BASELINE}" --ks 0.5)
+expect(2 "unknown flag --allow-grid-drift" "${BENCH_DIR}/bench_diff"
+       "${BASELINE}" "${BASELINE}" --allow-grid-drift)
+# A --metric the baseline lacks would compare nothing: exit 2, naming it.
+expect(2 "no baseline cell has metric \"windows_skiped\"" "${BENCH_DIR}/bench_diff"
+       "${BASELINE}" "${BASELINE}" --metric windows_skiped)
+# A snapshot that lost a gated metric is a finding, not a smaller diff.
+set(diff_dir "${CMAKE_CURRENT_BINARY_DIR}/cli_exit_codes_diff")
+file(REMOVE_RECURSE "${diff_dir}")
+file(READ "${BASELINE}" snapshot)
+string(REGEX REPLACE "\"compactions\": {[^}]*}, " "" dropped "${snapshot}")
+if(dropped STREQUAL snapshot)
+  message(SEND_ERROR "baseline has no \"compactions\" metric to drop")
+endif()
+file(WRITE "${diff_dir}/no_compactions.json" "${dropped}")
+expect(1 "GRID  - .* :: compactions \\(metric only in baseline\\)"
+       "${BENCH_DIR}/bench_diff" "${BASELINE}" "${diff_dir}/no_compactions.json"
+       --metric compactions)
+file(REMOVE_RECURSE "${diff_dir}")
 
 expect(2 "--fault-timer-drop: value out of range" "${BENCH_DIR}/bench_replay"
        --fault-timer-drop nan bundle.json)
@@ -126,7 +151,7 @@ set(failure_dir "${CMAKE_CURRENT_BINARY_DIR}/cli_exit_codes_failures")
 file(REMOVE_RECURSE "${failure_dir}")
 expect(0 "DEGRADED" "${BENCH_DIR}/bench_chaos" tick-loss --repeat 1 --quiet
        --failure-dir "${failure_dir}")
-file(READ "${failure_dir}/bench_chaos/run0.json" bundle)
+file(READ "${failure_dir}/bench_chaos/tick-loss/run0.json" bundle)
 string(REPLACE "\"timer_drop_prob\": 1, " "" dropped "${bundle}")
 if(dropped STREQUAL bundle)
   message(SEND_ERROR "tick-loss bundle has no \"timer_drop_prob\": 1 to drop")
@@ -191,6 +216,6 @@ foreach(f IN LISTS help_flags)
   endif()
 endforeach()
 list(LENGTH help_flags n)
-if(n LESS 16)
+if(n LESS 14)
   message(SEND_ERROR "parsed only ${n} flags from bench_table1 --help")
 endif()

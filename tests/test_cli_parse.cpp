@@ -295,6 +295,7 @@ TEST(SweepCliParse, BadNumbersExitWithCode2NotZero) {
       {{"-j", "garbage"}, "not a valid integer"},
       {{"-j4x"}, "not a valid integer"},
       {{"--repeat", "-2"}, "non-negative"},
+      {{"--repeat", "0"}, "--repeat: value must be >= 1"},
       {{"--seed", "0xzz"}, "not a valid integer"},
       {{"--seed", "99999999999999999999999"}, "out of range"},
       {{"--repeat", ""}, "empty value"},
@@ -312,14 +313,16 @@ TEST(SweepCliParse, BadNumbersExitWithCode2NotZero) {
 
 TEST(SweepCliParse, UnknownAndRemovedFlagsExitWithCode2) {
   // Flags the shared CLI does not have — typos, the removed dispatcher
-  // and its knobs, the removed watchdog switch — fail loudly instead of
-  // being ignored. cli_exit_codes checks the removed engine-thread flag
-  // on the binaries that had it.
+  // and its knobs, the removed watchdog switch, the removed history
+  // snapshot path (--sweep-json writes the same file) — fail loudly
+  // instead of being ignored. cli_exit_codes checks the removed
+  // engine-thread flag on the binaries that had it.
   for (const char* flag : {"--no-such-flag", "--fault-nosuch", "--no-steal",
                            "--dispatch", "--dispatch-test-kill", "--lease",
                            "--heartbeat", "--worker-slice", "--checkpoint",
                            "--max-retries", "--dispatch-cmd", "--workers",
-                           "--worker", "--worker-plan", "--watchdog"}) {
+                           "--worker", "--worker-plan", "--watchdog",
+                           "--history-dir", "--history-tag"}) {
     Argv a({flag, "1"});
     EXPECT_EXIT((void)SweepCli::parse(a.argc(), a.argv()),
                 ::testing::ExitedWithCode(2),

@@ -458,6 +458,41 @@ TEST(ChaosSweep, ReplayBundleReproducesTheIdenticalError) {
   std::filesystem::remove_all(dir);
 }
 
+// Two chaos scenarios of one bench swept into one failure directory: their
+// runs share indices, so each scenario's artifacts live under its own name
+// and no bundle overwrites another.
+TEST(ChaosSweep, TwoScenariosInOneFailureDirKeepEveryBundle) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "paratick_two_scenarios";
+  std::filesystem::remove_all(dir);
+
+  std::set<std::string> written;
+  for (const char* name : {"timer-storm", "tick-loss"}) {
+    core::SweepConfig cfg = core::build_chaos_scenario(name);
+    cfg.repeat = 2;
+    cfg.failure_dir = dir.string();
+    const core::SweepResult res = core::SweepRunner(cfg).run();
+    ASSERT_GE(res.failed_runs().size(), 2u) << name;
+    for (const core::SweepRun* run : res.failed_runs()) {
+      EXPECT_EQ(run->bundle_path,
+                (dir / "bench_chaos" / name /
+                 ("run" + std::to_string(run->run_index) + ".json"))
+                    .string());
+      written.insert(run->bundle_path);
+    }
+  }
+  // timer-storm fails all four of its runs, tick-loss its two dynticks ones.
+  EXPECT_EQ(written.size(), 6u);
+  for (const std::string& path : written) {
+    const core::ReplayBundle bundle = core::load_replay_bundle(path);
+    EXPECT_NE(path.find("/" + bundle.scenario + "/"), std::string::npos) << path;
+    std::string detail;
+    EXPECT_TRUE(core::reproduces(bundle, core::replay_bundle(bundle), &detail))
+        << path << ": " << detail;
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // A bundle exactly as `bench_chaos tick-loss --repeat 2 --failure-dir D`
 // writes it: the plan header, the fault knobs and the failed run's record.
 // It must keep reproducing to the same event.

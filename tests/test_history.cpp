@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -7,6 +8,7 @@
 #include <string>
 
 #include "core/history.hpp"
+#include "core/safe_io.hpp"
 #include "core/sweep.hpp"
 #include "expect_error.hpp"
 #include "sim/error.hpp"
@@ -46,10 +48,7 @@ TEST(History, JsonRoundTripsThroughParser) {
 
   // Host artifacts (wall time, thread count) are deliberately absent from
   // the export — the JSON must be a pure function of the cells so that
-  // sweeps at any -j stay byte-identical. The parser
-  // tolerates their absence with zero fallbacks.
-  EXPECT_DOUBLE_EQ(snap.wall_seconds, 0.0);
-  EXPECT_EQ(snap.threads, 0u);
+  // sweeps at any -j stay byte-identical.
   ASSERT_EQ(snap.cells.size(), 2u);
 
   const SnapshotCell& cell = snap.cells[0];
@@ -83,10 +82,10 @@ TEST(History, JsonRoundTripsThroughParser) {
 }
 
 TEST(History, MissingSnapshotGivesActionableError) {
-  std::string error;
-  EXPECT_FALSE(try_load_snapshot("/no/such/dir/baseline.json", &error));
-  EXPECT_NE(error.find("/no/such/dir/baseline.json"), std::string::npos);
-  EXPECT_NE(error.find("cannot open"), std::string::npos);
+  EXPECT_SIM_ERROR((void)load_snapshot("/no/such/dir/baseline.json"),
+                   "/no/such/dir/baseline.json");
+  EXPECT_SIM_ERROR((void)load_snapshot("/no/such/dir/baseline.json"),
+                   "cannot open");
 }
 
 TEST(History, CorruptSnapshotGivesActionableError) {
@@ -96,13 +95,8 @@ TEST(History, CorruptSnapshotGivesActionableError) {
     std::ofstream out(path);
     out << "{\"cells\": [truncated";
   }
-  std::string error;
-  EXPECT_FALSE(try_load_snapshot(path.string(), &error));
-  EXPECT_NE(error.find(path.string()), std::string::npos);
+  EXPECT_SIM_ERROR((void)load_snapshot(path.string()), path.string());
   std::filesystem::remove(path);
-
-  // The throwing loader still throws (gates that want hard failure).
-  EXPECT_THROW((void)load_snapshot("/no/such/file.json"), sim::SimError);
 }
 
 TEST(History, TruncatedSnapshotNamesThePath) {
@@ -135,10 +129,10 @@ TEST(History, KsDistanceFlagsTailShift) {
   EXPECT_NE(text.find("DIST"), std::string::npos);
   EXPECT_NE(text.find("KS"), std::string::npos);
 
-  // Raising the threshold above the distance silences the gate.
-  DiffConfig lax;
-  lax.ks_threshold = 1.5;
-  EXPECT_TRUE(diff_snapshots(base, cur, lax).clean());
+  // A metric filter without wake_us_hist leaves the KS gate out.
+  DiffConfig exits_only;
+  exits_only.metrics = {"exits"};
+  EXPECT_TRUE(diff_snapshots(base, cur, exits_only).clean());
 
   // Snapshots without histograms (pre-histogram baselines) are skipped.
   Snapshot old = base;
@@ -211,10 +205,6 @@ TEST(History, GridDriftIsAFinding) {
   ASSERT_EQ(diff.findings.size(), 1u);
   EXPECT_EQ(diff.findings[0].kind, DiffFinding::Kind::kCellRemoved);
 
-  DiffConfig relaxed;
-  relaxed.grid_must_match = false;
-  EXPECT_TRUE(diff_snapshots(base, cur, relaxed).clean());
-
   // A cell only in `current` is the mirror-image finding.
   Snapshot grown = base;
   grown.cells.push_back(base.cells[0]);
@@ -222,6 +212,54 @@ TEST(History, GridDriftIsAFinding) {
   const DiffResult diff2 = diff_snapshots(base, grown);
   ASSERT_EQ(diff2.findings.size(), 1u);
   EXPECT_EQ(diff2.findings[0].kind, DiffFinding::Kind::kCellAdded);
+}
+
+// A current cell that lost a metric its baseline cell gates is a finding,
+// not a smaller comparison that passes.
+TEST(History, MissingMetricIsAFinding) {
+  const Snapshot base = parse_snapshot(sample_result().to_json());
+  Snapshot cur = base;
+  auto& metrics = cur.cells[0].metrics;
+  metrics.erase(std::find_if(metrics.begin(), metrics.end(),
+                             [](const SnapshotMetric& m) { return m.name == "exits"; }));
+  cur.cells[1].wake_hist.clear();
+
+  const DiffResult diff = diff_snapshots(base, cur);
+  ASSERT_EQ(diff.findings.size(), 2u);
+  EXPECT_EQ(diff.findings[0].kind, DiffFinding::Kind::kMetricRemoved);
+  EXPECT_EQ(diff.findings[0].cell, base.cells[0].key());
+  EXPECT_EQ(diff.findings[0].metric, "exits");
+  EXPECT_EQ(diff.findings[1].kind, DiffFinding::Kind::kMetricRemoved);
+  EXPECT_EQ(diff.findings[1].cell, base.cells[1].key());
+  EXPECT_EQ(diff.findings[1].metric, "wake_us_hist");
+  const DiffConfig cfg;
+  EXPECT_NE(describe(diff, cfg).find("GRID  - idle|paratick|f=250|v=2|oc=1 :: "
+                                     "exits (metric only in baseline)"),
+            std::string::npos)
+      << describe(diff, cfg);
+
+  // A metric the filter leaves out is not checked, present or not.
+  DiffConfig timer_only;
+  timer_only.metrics = {"timer_exits"};
+  EXPECT_TRUE(diff_snapshots(base, cur, timer_only).clean());
+  // A metric only in current is not one the baseline gates.
+  EXPECT_TRUE(diff_snapshots(cur, base).clean());
+}
+
+// A filter naming nothing the baseline has would compare nothing and pass.
+TEST(History, MetricFilterNamingNoBaselineMetricThrows) {
+  const Snapshot base = parse_snapshot(sample_result().to_json());
+  DiffConfig typo;
+  typo.metrics = {"exits", "windows_skiped"};
+  EXPECT_SIM_ERROR((void)diff_snapshots(base, base, typo), "\"windows_skiped\"");
+
+  // wake_us_hist names the histograms, so a baseline without any lacks it.
+  Snapshot no_hist = base;
+  for (auto& c : no_hist.cells) c.wake_hist.clear();
+  DiffConfig ks_only;
+  ks_only.metrics = {"wake_us_hist"};
+  EXPECT_TRUE(diff_snapshots(base, base, ks_only).clean());
+  EXPECT_SIM_ERROR((void)diff_snapshots(no_hist, base, ks_only), "\"wake_us_hist\"");
 }
 
 TEST(History, DegradedCurrentCellIsAFinding) {
@@ -257,33 +295,6 @@ TEST(History, DescribeNamesEveryFinding) {
   EXPECT_NE(text.find("SHIFT"), std::string::npos);
 }
 
-TEST(History, WriteSnapshotCreatesTaggedFile) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "paratick_history_test";
-  std::filesystem::remove_all(dir);
-
-  const SweepResult res = sample_result();
-  const std::string path =
-      write_history_snapshot(res, dir.string(), "bench_unit", "tag1");
-  EXPECT_EQ(path, (dir / "bench_unit" / "tag1.json").string());
-
-  const Snapshot reread = load_snapshot(path);
-  ASSERT_EQ(reread.cells.size(), 2u);
-  EXPECT_TRUE(diff_snapshots(parse_snapshot(res.to_json()), reread).clean());
-
-  std::filesystem::remove_all(dir);
-}
-
-TEST(History, TagNowIsFilenameSafe) {
-  const std::string tag = history_tag_now();
-  EXPECT_FALSE(tag.empty());
-  for (const char c : tag) {
-    EXPECT_TRUE((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                (c >= '0' && c <= '9') || c == '-' || c == '.' || c == '_')
-        << "character '" << c << "' in tag " << tag;
-  }
-}
-
 TEST(History, ParserHandlesEscapesAndNumbers) {
   const std::string json =
       "{\n  \"wall_seconds\": 0.5,\n  \"threads\": 1,\n  \"cells\": [\n"
@@ -309,6 +320,17 @@ TEST(History, OutOfRangeIntegerNamesTheField) {
       "\"tick_freq_hz\": 250, \"vcpus\": 1e300, \"overcommit\": 0, "
       "\"replicas\": 1}]}";
   EXPECT_SIM_ERROR((void)parse_snapshot(json), "field \"vcpus\"");
+}
+
+// A snapshot written to a special file (a pipe, a device) is written in
+// place; a failed write there must fail the export, not pass silently.
+TEST(SafeIo, WriteToFullDeviceNamesThePath) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  // Larger than a stdio buffer, so fwrite itself fails as well as fclose.
+  EXPECT_SIM_ERROR(write_file_atomic("/dev/full", std::string(1 << 17, 'x')),
+                   "/dev/full");
+  EXPECT_SIM_ERROR(write_file_atomic("/dev/full", sample_result().to_json()),
+                   "/dev/full");
 }
 
 // Hostile snapshot documents (a truncated upload, a corrupted baseline)

@@ -269,16 +269,6 @@ TEST(SweepResult, CsvEscapingRoundTripsHostileVariantNames) {
   }
 }
 
-TEST(SweepCli, ParsesHistoryFlags) {
-  const char* argv[] = {"bench", "--history-dir", "results/history",
-                        "--history-tag", "abc123"};
-  const SweepCli cli = SweepCli::parse(static_cast<int>(std::size(argv)),
-                                       const_cast<char**>(argv));
-  EXPECT_EQ(cli.history_dir, "results/history");
-  EXPECT_EQ(cli.history_tag, "abc123");
-  EXPECT_TRUE(cli.positional.empty());
-}
-
 TEST(SweepCli, ParsesFlagsAndPositionals) {
   const char* argv[] = {"bench", "-j4",     "--repeat", "3",  "--seed",
                         "99",    "--quiet", "--csv",    "small"};
